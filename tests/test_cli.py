@@ -1,6 +1,7 @@
 """End-to-end CLI runs: configs, presets, outputs, determinism, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,36 @@ def write_config(tmp_path, doc, name="config.json"):
 def read_report(out_dir):
     with open(out_dir / "report.json") as fh:
         return json.load(fh)
+
+
+def report_bytes_without_timestamp(out_dir):
+    lines = (out_dir / "report.json").read_bytes().splitlines(keepends=True)
+    return b"".join(ln for ln in lines if not ln.startswith(b'  "timestamp": '))
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "command,preset",
+    [
+        ("counterexample", "thm37-default"),
+        ("counterexample", "thm38-default"),
+        ("classify", "thm37-default"),
+    ],
+)
+def test_preset_outputs_match_golden(tmp_path, command, preset):
+    """The presets' outputs are the behavioural contract: byte for byte.
+
+    The golden files under tests/golden/ were written by an earlier
+    version of the tool (report.json without its timestamp line).  A
+    refactor must reproduce them; do not regenerate them to make it pass.
+    """
+    assert run_cli([command, "--preset", preset, "--out", tmp_path]) == 0
+    golden = GOLDEN / f"{command}-{preset}"
+    assert report_bytes_without_timestamp(tmp_path) == (golden / "report.json").read_bytes()
+    for name in ("trajectory.csv", "trajectory_shat.csv"):
+        assert (tmp_path / name).read_bytes() == (golden / name).read_bytes()
 
 
 class TestNorms:
