@@ -26,17 +26,15 @@ import numpy as np
 
 from . import __version__
 from .config import (
-    DEFAULT_SEED,
-    build_family,
-    build_matrix,
-    build_scalars,
-    build_schedule,
-    build_sequence,
-    build_space,
-    build_verdict_params,
-    deep_copy_config,
+    CONSTRUCTION,
+    FAMILY,
+    MATRIX,
+    RHO,
+    SCHEDULE,
+    SEQUENCE,
+    SPACE,
     load_config,
-    schedule_rule,
+    materialize,
     validate_config,
 )
 from .convergence import (
@@ -51,7 +49,6 @@ from .convergence import (
 )
 from .errors import ConfigError, LacunaryError
 from .experiments import (
-    THEOREMS,
     CounterexampleSpec,
     build_thm37,
     build_thm38,
@@ -59,15 +56,13 @@ from .experiments import (
     run_inclusion_matrix,
 )
 from .orlicz import (
-    ExponentSequence,
-    RhoSequence,
     complementary,
     delta2_check,
     luxemburg_norm,
     modular,
     orlicz_norm,
 )
-from .sequences import Sequence
+from .sequences import Sequence, build_lacunary
 
 
 def _fmt(x: float) -> str:
@@ -163,17 +158,10 @@ class ReportBundle:
 
 def cmd_norms(doc: dict, seed: int | None = None) -> ReportBundle:
     validate_config(doc, "norms")
-    seq_doc, x = build_sequence(doc["sequence"], seed)
-    fam_doc, family = build_family(doc["family"])
-    rho_doc, rho = build_scalars(doc.get("rho", {"kind": "constant", "value": 1.0}), RhoSequence)
-    echo = {
-        "command": "norms",
-        "sequence": seq_doc,
-        "family": fam_doc,
-        "rho": rho_doc,
-        "luxemburg_tol": float(doc.get("luxemburg_tol", 1e-10)),
-        "orlicz_tol": float(doc.get("orlicz_tol", 1e-9)),
-    }
+    echo = materialize(doc, "norms", seed)
+    x = SEQUENCE.build(echo["sequence"])
+    family = FAMILY.build(echo["family"])
+    rho = RHO.build(echo["rho"])
     lux = luxemburg_norm(family, x, echo["luxemburg_tol"])
     orl = orlicz_norm(family, x, echo["orlicz_tol"])
     results: dict = {
@@ -182,28 +170,19 @@ def cmd_norms(doc: dict, seed: int | None = None) -> ReportBundle:
         "luxemburg_norm": lux,
         "orlicz_norm": {"value": orl.value, "at_boundary": orl.at_boundary},
     }
-    if "complementary" in doc:
-        comp = doc["complementary"]
-        echo["complementary"] = {
-            "indices": [int(k) for k in comp.get("indices", [1])],
-            "v_values": [float(v) for v in comp.get("v_values", [0.0, 1.0, 2.0])],
-            "u_max": float(comp.get("u_max", 1e3)),
-        }
+    if "complementary" in echo:
+        comp = echo["complementary"]
         samples = []
-        for k in echo["complementary"]["indices"]:
-            for v in echo["complementary"]["v_values"]:
-                c = complementary(family, k, v, u_max=echo["complementary"]["u_max"])
+        for k in comp["indices"]:
+            for v in comp["v_values"]:
+                c = complementary(family, k, v, u_max=comp["u_max"])
                 samples.append(
                     {"k": k, "v": v, "value": c.value, "at_boundary": c.at_boundary}
                 )
         results["complementary"] = samples
-    if "delta2" in doc:
-        d2 = doc["delta2"]
-        echo["delta2"] = {
-            "a": float(d2.get("a", 1.0)),
-            "k_max": int(d2.get("k_max", 32)),
-        }
-        rep = delta2_check(family, a=echo["delta2"]["a"], k_range=range(1, echo["delta2"]["k_max"] + 1))
+    if "delta2" in echo:
+        d2 = echo["delta2"]
+        rep = delta2_check(family, a=d2["a"], k_range=range(1, d2["k_max"] + 1))
         results["delta2"] = {
             "K_estimate": rep.K_estimate,
             "a": rep.a,
@@ -215,84 +194,47 @@ def cmd_norms(doc: dict, seed: int | None = None) -> ReportBundle:
     return ReportBundle(config=echo, results=results)
 
 
-def _materialize_construction(doc: dict) -> tuple[dict, Sequence, SpaceParams]:
-    theorem = doc["theorem"]
-    out = {
-        "theorem": theorem,
-        "nu": float(doc.get("nu", 1.0)),
-        "rho": float(doc.get("rho", 1.0)),
-        "r_max": int(doc.get("r_max", 14 if theorem == "thm37" else 10)),
-        "alpha": float(doc.get("alpha", 1.0)),
-        "m_max": doc.get("m_max", None),
-    }
-    kwargs: dict = {}
-    if "nu_values" in doc:
-        out["nu_values"] = [float(v) for v in doc["nu_values"]]
-        kwargs["nu_values"] = tuple(out["nu_values"])
-    if "schedule" in doc:
-        sched_doc, _ = build_schedule(doc["schedule"])
-        out["schedule"] = sched_doc
-        kwargs["schedule_rule"] = schedule_rule(sched_doc)
-    if "family" in doc:
-        fam_doc, fam = build_family(doc["family"])
-        out["family"] = fam_doc
-        kwargs["family"] = fam
-    spec = CounterexampleSpec(
-        theorem=theorem,
-        nu=out["nu"],
-        rho=out["rho"],
-        r_max=out["r_max"],
-        alpha=out["alpha"],
-        m_max=out["m_max"],
-        **kwargs,
+def _space_params(echo: dict) -> SpaceParams:
+    """The space of a classify or inclusion echo, with its family, schedule and matrix."""
+    return SPACE.build(
+        echo["space"],
+        family=FAMILY.build(echo["family"]),
+        schedule=build_lacunary(SCHEDULE.build(echo["schedule"])),
+        matrix=MATRIX.build(echo["matrix"]),
     )
-    builder = build_thm37 if theorem == "thm37" else build_thm38
+
+
+def _construct(echo: dict) -> tuple[Sequence, SpaceParams]:
+    """Run the construction `echo` describes and echo the m_max it resolved."""
+    spec = CONSTRUCTION.build(echo)
+    builder = build_thm37 if spec.theorem == "thm37" else build_thm38
     x, _, params = builder(spec)
-    out["m_max"] = params.m_max  # resolved default
-    return out, x, params
+    echo["m_max"] = params.m_max
+    return x, params
+
+
+def _verdicts(
+    strong: UniformTrajectories, shat: UniformTrajectories, verdict: dict
+) -> tuple[Verdict, Verdict]:
+    return (
+        classify_trajectory(strong.sup.values, **verdict),
+        classify_trajectory(shat.sup.values, **verdict),
+    )
 
 
 def cmd_classify(doc: dict, seed: int | None = None) -> ReportBundle:
     validate_config(doc, "classify")
-    has_construction = "construction" in doc
-    if has_construction == ("sequence" in doc):
-        raise ConfigError("classify needs exactly one of 'sequence' or 'construction'")
-    flag_mode = doc.get("flag_mode", MODULAR_FLAGS)
-    verdict_doc = build_verdict_params(doc.get("verdict", {}))
-    echo: dict = {"command": "classify", "flag_mode": flag_mode, "verdict": verdict_doc}
-
-    if has_construction:
-        for key in ("family", "schedule", "matrix", "space"):
-            if key in doc:
-                raise ConfigError(f"'construction' already fixes '{key}'")
-        cons_doc, x, params = _materialize_construction(doc["construction"])
-        echo["construction"] = cons_doc
+    echo = materialize(doc, "classify", seed)
+    if "construction" in echo:
+        x, params = _construct(echo["construction"])
     else:
-        if "family" not in doc or "schedule" not in doc:
-            raise ConfigError("classify needs 'family' and 'schedule' alongside 'sequence'")
-        seq_doc, x = build_sequence(doc["sequence"], seed)
-        fam_doc, family = build_family(doc["family"])
-        sched_doc, schedule = build_schedule(doc["schedule"])
-        mat_doc, matrix = build_matrix(doc.get("matrix", {"kind": "identity"}))
-        space_doc, params = build_space(doc.get("space", {}), family, schedule, matrix)
-        echo.update(
-            {
-                "sequence": seq_doc,
-                "family": fam_doc,
-                "schedule": sched_doc,
-                "matrix": mat_doc,
-                "space": space_doc,
-            }
-        )
+        x = SEQUENCE.build(echo["sequence"])
+        params = _space_params(echo)
 
+    flag_mode = echo["flag_mode"]
     strong = uniform_trajectories(x, params, STRONG)
     shat = uniform_trajectories(x, params, SHAT_DENSITY, flag_mode)
-    v_strong = classify_trajectory(
-        strong.sup.values, verdict_doc["tol"], verdict_doc["tail_window"], verdict_doc["slope_slack"]
-    )
-    v_shat = classify_trajectory(
-        shat.sup.values, verdict_doc["tol"], verdict_doc["tail_window"], verdict_doc["slope_slack"]
-    )
+    v_strong, v_shat = _verdicts(strong, shat, echo["verdict"])
     results = {
         "horizon": x.horizon,
         "num_blocks": params.schedule.num_blocks,
@@ -313,106 +255,87 @@ def cmd_classify(doc: dict, seed: int | None = None) -> ReportBundle:
     )
 
 
-def _thm37_checks(doc_checks: dict, strong: UniformTrajectories, shat: UniformTrajectories, verdict_doc: dict) -> tuple[dict, list[dict]]:
-    echo = {
-        "shat_tail_target": float(doc_checks.get("shat_tail_target", 0.5)),
-        "shat_tail_tol": float(doc_checks.get("shat_tail_tol", 0.05)),
-        "strong_bound_coeff": float(doc_checks.get("strong_bound_coeff", 2.0)),
-        "strong_bound_min_r": int(doc_checks.get("strong_bound_min_r", 4)),
-    }
-    v_shat = classify_trajectory(
-        shat.sup.values, verdict_doc["tol"], verdict_doc["tail_window"], verdict_doc["slope_slack"]
-    )
-    gap = abs(v_shat.tail_mean - echo["shat_tail_target"])
-    checks = [
+def _thm37_checks(
+    checks: dict, strong: UniformTrajectories, v_shat: Verdict
+) -> list[dict]:
+    gap = abs(v_shat.tail_mean - checks["shat_tail_target"])
+    out = [
         {
             "name": "shat_tail_near_half",
             "observed": v_shat.tail_mean,
-            "target": echo["shat_tail_target"],
-            "tolerance": echo["shat_tail_tol"],
-            "passed": bool(gap <= echo["shat_tail_tol"]),
+            "target": checks["shat_tail_target"],
+            "tolerance": checks["shat_tail_tol"],
+            "passed": bool(gap <= checks["shat_tail_tol"]),
         }
     ]
-    r0 = echo["strong_bound_min_r"]
+    r0 = checks["strong_bound_min_r"]
     vals = strong.sup.values
     scaled = [vals[r - 1] * 2.0**r for r in range(r0, len(vals) + 1)]
     worst = max(scaled) if scaled else 0.0
-    checks.append(
+    out.append(
         {
             "name": "strong_dominated_by_two_pow_minus_r",
             "observed": worst,
-            "target": echo["strong_bound_coeff"],
+            "target": checks["strong_bound_coeff"],
             "tolerance": 0.0,
-            "passed": bool(worst <= echo["strong_bound_coeff"]),
+            "passed": bool(worst <= checks["strong_bound_coeff"]),
         }
     )
-    return echo, checks
+    return out
 
 
-def _thm38_checks(doc_checks: dict, strong: UniformTrajectories, shat: UniformTrajectories, params: SpaceParams) -> tuple[dict, list[dict]]:
-    echo = {
-        "shat_exact_tol": float(doc_checks.get("shat_exact_tol", 1e-12)),
-        "shat_density_max": float(doc_checks.get("shat_density_max", 0.01)),
-        "shat_density_min_r": int(doc_checks.get("shat_density_min_r", 7)),
-        "strong_min": float(doc_checks.get("strong_min", 1.0 - 1e-9)),
-    }
+def _thm38_checks(
+    checks: dict, strong: UniformTrajectories, shat: UniformTrajectories, params: SpaceParams
+) -> list[dict]:
     h_alpha = params.schedule.block_lengths.astype(np.float64) ** params.alpha
     expected = 1.0 / h_alpha
     observed = shat.per_m[0].values
     worst_gap = float(np.max(np.abs(observed - expected)))
-    checks = [
+    out = [
         {
             "name": "shat_density_equals_one_over_h_alpha",
             "observed": worst_gap,
             "target": 0.0,
-            "tolerance": echo["shat_exact_tol"],
-            "passed": bool(worst_gap <= echo["shat_exact_tol"]),
+            "tolerance": checks["shat_exact_tol"],
+            "passed": bool(worst_gap <= checks["shat_exact_tol"]),
         }
     ]
-    r0 = echo["shat_density_min_r"]
+    r0 = checks["shat_density_min_r"]
     tail_max = float(np.max(observed[r0 - 1 :])) if r0 <= observed.size else 0.0
-    checks.append(
+    out.append(
         {
             "name": "shat_density_small_tail",
             "observed": tail_max,
-            "target": echo["shat_density_max"],
+            "target": checks["shat_density_max"],
             "tolerance": 0.0,
-            "passed": bool(tail_max <= echo["shat_density_max"]),
+            "passed": bool(tail_max <= checks["shat_density_max"]),
         }
     )
     strong_min = float(np.min(strong.sup.values))
-    checks.append(
+    out.append(
         {
             "name": "strong_at_least_one",
             "observed": strong_min,
-            "target": echo["strong_min"],
+            "target": checks["strong_min"],
             "tolerance": 0.0,
-            "passed": bool(strong_min >= echo["strong_min"]),
+            "passed": bool(strong_min >= checks["strong_min"]),
         }
     )
-    return echo, checks
+    return out
 
 
 def cmd_counterexample(doc: dict, seed: int | None = None) -> ReportBundle:
     validate_config(doc, "counterexample")
-    cons_doc, x, params = _materialize_construction(doc)
-    verdict_doc = build_verdict_params(doc.get("verdict", {}))
-    echo = dict(cons_doc)
-    echo["command"] = "counterexample"
-    echo["verdict"] = verdict_doc
+    echo = materialize(doc, "counterexample", seed)
+    x, params = _construct(echo)
 
     strong = uniform_trajectories(x, params, STRONG)
     shat = uniform_trajectories(x, params, SHAT_DENSITY, MODULAR_FLAGS)
-    v_strong = classify_trajectory(
-        strong.sup.values, verdict_doc["tol"], verdict_doc["tail_window"], verdict_doc["slope_slack"]
-    )
-    v_shat = classify_trajectory(
-        shat.sup.values, verdict_doc["tol"], verdict_doc["tail_window"], verdict_doc["slope_slack"]
-    )
+    v_strong, v_shat = _verdicts(strong, shat, echo["verdict"])
 
     notes = []
-    if doc["theorem"] == "thm37":
-        checks_echo, checks = _thm37_checks(doc.get("checks", {}), strong, shat, verdict_doc)
+    if echo["theorem"] == "thm37":
+        checks = _thm37_checks(echo["checks"], strong, v_shat)
         expected = {
             "strong": "block values dominated by 2**-(r-1), tending to 0",
             "shat_density": "tail at 1/2",
@@ -422,7 +345,7 @@ def cmd_counterexample(doc: dict, seed: int | None = None) -> ReportBundle:
             "density stays at 1/2, so density membership fails"
         )
     else:
-        checks_echo, checks = _thm38_checks(doc.get("checks", {}), strong, shat, params)
+        checks = _thm38_checks(echo["checks"], strong, shat, params)
         expected = {
             "strong": "every block value at least 1",
             "shat_density": "block values 1/h_r**alpha, tending to 0",
@@ -432,7 +355,6 @@ def cmd_counterexample(doc: dict, seed: int | None = None) -> ReportBundle:
             "non-membership certificate for the summed class even though the "
             "exception density vanishes"
         )
-    echo["checks"] = checks_echo
 
     results = {
         "horizon": x.horizon,
@@ -459,68 +381,36 @@ def cmd_counterexample(doc: dict, seed: int | None = None) -> ReportBundle:
 
 def cmd_inclusion(doc: dict, seed: int | None = None) -> ReportBundle:
     validate_config(doc, "inclusion")
-    fam_doc, family = build_family(doc.get("family", {"kind": "constant", "function": {"kind": "power", "p": 2.0}}))
-    sched_doc, schedule = build_schedule(doc.get("schedule", {"kind": "geometric", "base": 1.0, "ratio": 2.0, "count": 8}))
-    mat_doc, matrix = build_matrix(doc.get("matrix", {"kind": "identity"}))
-    space_doc, params = build_space(
-        {**{"alpha": 0.5}, **doc.get("space", {})}, family, schedule, matrix
-    )
-    verdict_doc = build_verdict_params(doc.get("verdict", {}))
-    corpus_doc = doc.get("corpus", {})
-    corpus_echo = {
-        "size": int(corpus_doc.get("size", 20)),
-        "seed": int(seed if seed is not None else corpus_doc.get("seed", DEFAULT_SEED)),
-        "center": float(corpus_doc.get("center", params.L)),
-        "radius": float(corpus_doc.get("radius", 1.0)),
-        "exception_density": float(corpus_doc.get("exception_density", 0.0)),
-        "exception_scale": float(corpus_doc.get("exception_scale", 3.0)),
-        "include_thm37": bool(corpus_doc.get("include_thm37", False)),
-        "include_thm38": bool(corpus_doc.get("include_thm38", False)),
-        "construction_r_max": int(corpus_doc.get("construction_r_max", 14)),
-    }
-    theorems = doc.get("theorems", list(THEOREMS))
-    echo = {
-        "command": "inclusion",
-        "theorems": theorems,
-        "beta": float(doc.get("beta", 1.0)),
-        "family": fam_doc,
-        "schedule": sched_doc,
-        "matrix": mat_doc,
-        "space": space_doc,
-        "verdict": verdict_doc,
-        "corpus": corpus_echo,
-    }
+    echo = materialize(doc, "inclusion", seed)
+    params = _space_params(echo)
+    corpus_doc = echo["corpus"]
+    verdict = echo["verdict"]
 
-    rng = np.random.default_rng(corpus_echo["seed"])
-    horizon = schedule.last_index + params.m_max
+    rng = np.random.default_rng(corpus_doc["seed"])
+    horizon = params.schedule.last_index + params.m_max
     corpus: list[tuple[Sequence, SpaceParams]] = []
-    for _ in range(corpus_echo["size"]):
+    for _ in range(corpus_doc["size"]):
         x = random_bounded_sequence(
             rng,
             horizon,
-            corpus_echo["center"],
-            corpus_echo["radius"],
-            corpus_echo["exception_density"],
-            corpus_echo["exception_scale"],
+            corpus_doc["center"],
+            corpus_doc["radius"],
+            corpus_doc["exception_density"],
+            corpus_doc["exception_scale"],
         )
         corpus.append((x, params))
-    if corpus_echo["include_thm37"]:
-        x37, _, p37 = build_thm37(
-            CounterexampleSpec(theorem="thm37", r_max=corpus_echo["construction_r_max"])
-        )
-        corpus.append((x37, p37))
-    if corpus_echo["include_thm38"]:
-        x38, _, p38 = build_thm38(
-            CounterexampleSpec(theorem="thm38", r_max=corpus_echo["construction_r_max"])
-        )
-        corpus.append((x38, p38))
+    for theorem, builder in (("thm37", build_thm37), ("thm38", build_thm38)):
+        if corpus_doc[f"include_{theorem}"]:
+            spec = CounterexampleSpec(theorem=theorem, r_max=corpus_doc["construction_r_max"])
+            x_c, _, p_c = builder(spec)
+            corpus.append((x_c, p_c))
 
     report = run_inclusion_matrix(
         corpus,
-        theorems,
+        echo["theorems"],
         beta=echo["beta"],
-        verdict_tol=verdict_doc["tol"],
-        tail_window=verdict_doc["tail_window"],
+        verdict_tol=verdict["tol"],
+        tail_window=verdict["tail_window"],
     )
     results = report.to_dict()
 
@@ -562,11 +452,7 @@ def _adapt_preset(doc: dict, command: str) -> dict:
     if preset_command == command:
         return doc
     if preset_command == "counterexample" and command == "classify":
-        construction = {
-            k: doc[k]
-            for k in ("theorem", "nu", "rho", "r_max", "alpha", "m_max", "nu_values", "schedule", "family")
-            if k in doc
-        }
+        construction = {k: v for k, v in doc.items() if k in CONSTRUCTION.names}
         adapted: dict = {"command": "classify", "construction": construction}
         if "verdict" in doc:
             adapted["verdict"] = doc["verdict"]
@@ -608,7 +494,6 @@ def main(argv: list[str] | None = None) -> int:
             doc = {"command": "inclusion"}
         else:
             raise ConfigError(f"{args.command} needs --config or --preset")
-        doc = deep_copy_config(doc)
         doc.setdefault("command", args.command)
         if doc["command"] != args.command:
             raise ConfigError(

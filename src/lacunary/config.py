@@ -1,23 +1,39 @@
-"""JSON run-configuration: schema validation, defaults, object builders.
+"""JSON run-configuration: one table per component kind.
 
-Configs are strict: unknown keys are rejected at every level, and every
-default the tool fills in is materialized back into the echoed config, so
-re-running the echo reproduces the run byte-for-byte (timestamp aside).
+Each config component (function, family, schedule, matrix, scalars,
+sequence, space, verdict, construction) and each command-level section
+(norms, classify, counterexample with its checks, inclusion with its
+corpus) is a `Component`: a table that lists, once per kind, every field
+with its JSON constraint and its default, plus the constructor of the
+library object.  Three things are generated from these tables and nowhere
+else:
+
+  * the JSON schema of each command.  Kinds are closed: a field that
+    belongs to another `kind` is rejected like any unknown key, and a
+    missing required field fails at its `$.path`;
+  * the echoed config: `materialize` fills every default into a fresh
+    document, so re-running the echo reproduces the run byte for byte
+    (timestamp aside).  Numbers are echoed as floats, integers as ints;
+  * the library objects: `Component.build` turns an echoed section into
+    its object and reports a rejected value as a ConfigError.
+
+Tables are read top to bottom: `FUNCTION` first, the commands last.
 """
 
 from __future__ import annotations
 
-import copy
+import functools
 import json
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import jsonschema
 import numpy as np
 
 from .convergence import MODULAR_FLAGS, RAW_FLAGS, SpaceParams
 from .errors import ConfigError
-from .experiments import THEOREMS, random_bounded_sequence
+from .experiments import THEOREMS, CounterexampleSpec, random_bounded_sequence
 from .orlicz import (
     ConstantFamily,
     CustomFamily,
@@ -26,8 +42,6 @@ from .orlicz import (
     IndexPowerFamily,
     IndexScaledFamily,
     LinearSlope,
-    MusielakOrliczFamily,
-    OrliczFunction,
     Power,
     PowerOverP,
     RhoSequence,
@@ -40,280 +54,441 @@ from .sequences import (
     Explicit,
     Geometric,
     Identity,
-    LacunarySchedule,
-    MatrixOperator,
     RowTable,
     Sequence,
     Shift,
-    build_lacunary,
     geometric_tail,
 )
 
 DEFAULT_SEED = 12345
 
+REQUIRED = object()  # Field default: the field must be given
+OMIT = object()  # Field default: an absent field stays absent from the echo
+
+
+@dataclass(frozen=True)
+class Field:
+    """One config field: its JSON constraint (or a Component) and default.
+
+    `default` is REQUIRED, OMIT, a value (a partial document for component
+    fields, materialized like a given one), or a function of the echo
+    being built.  A `seeded` field takes the `--seed` override.
+    """
+
+    schema: dict | Component
+    default: Any = REQUIRED
+    seeded: bool = False
+
+
+class Kind:
+    """The fields of one kind and the constructor taking them as keywords.
+
+    `build` is None for sections the CLI reads as plain values.
+    """
+
+    def __init__(self, build: Callable | None = None, **fields: Field):
+        self.build = build
+        self.fields = fields
+
+
+class Component:
+    """A config component: kinds selected by the `key` field, or one Kind."""
+
+    def __init__(self, name: str, kinds: dict[str, Kind] | Kind, key: str = "kind"):
+        self.name = name
+        self.key = None if isinstance(kinds, Kind) else key
+        self.kinds = {None: kinds} if isinstance(kinds, Kind) else kinds
+        self.names = {field for kind in self.kinds.values() for field in kind.fields}
+        if self.key:
+            self.names.add(self.key)
+        self.schema = self._schema()
+
+    def _schema(self) -> dict:
+        def closed(fields: dict[str, Field], **extra: dict) -> dict:
+            return {
+                "type": "object",
+                "properties": {**extra, **{n: _json(f.schema) for n, f in fields.items()}},
+                "required": [*extra, *(n for n, f in fields.items() if f.default is REQUIRED)],
+                "additionalProperties": False,
+            }
+
+        if self.key is None:
+            return closed(self.kinds[None].fields)
+        key = self.key
+        return {
+            "type": "object",
+            "properties": {key: {"enum": list(self.kinds)}},
+            "required": [key],
+            "allOf": [
+                {
+                    "if": {"properties": {key: {"const": name}}, "required": [key]},
+                    "then": closed(kind.fields, **{key: {"const": name}}),
+                }
+                for name, kind in self.kinds.items()
+            ],
+        }
+
+    def _kind(self, doc: dict) -> Kind:
+        return self.kinds[doc[self.key] if self.key else None]
+
+    def materialize(self, doc: dict, seed: int | None = None, root: dict | None = None) -> dict:
+        """A fresh copy of a validated `doc` with every default filled in."""
+        out = {self.key: doc[self.key]} if self.key else {}
+        root = out if root is None else root
+        for name, f in self._kind(doc).fields.items():
+            if name in doc:
+                value = doc[name]
+            elif f.default is OMIT:
+                continue
+            else:
+                value = f.default(root) if callable(f.default) else f.default
+            if f.seeded and seed is not None:
+                value = seed
+            out[name] = _normalize(value, f.schema, seed, root)
+        return out
+
+    def build(self, doc: dict, **extra: Any) -> Any:
+        """The library object of a materialized `doc`; keys of other sections are ignored."""
+        kind = self._kind(doc)
+        args = {n: _build(doc[n], f.schema) for n, f in kind.fields.items() if n in doc}
+        try:
+            return kind.build(**args, **extra)
+        except ValueError as exc:
+            raise ConfigError(f"{self.name}: {exc}") from exc
+
+
+def _json(schema: Any) -> Any:
+    """`schema` with every Component replaced by its JSON schema."""
+    if isinstance(schema, Component):
+        return schema.schema
+    if isinstance(schema, dict):
+        return {k: _json(v) for k, v in schema.items()}
+    if isinstance(schema, list):
+        return [_json(v) for v in schema]
+    return schema
+
+
+_CASTS = (("integer", int), ("number", float), ("boolean", bool))
+
+
+def _normalize(value: Any, schema: Any, seed: int | None, root: dict) -> Any:
+    """The echo of a validated value: fresh containers, numbers cast by type."""
+    if isinstance(schema, Component):
+        return schema.materialize(value, seed, root)
+    if value is None:
+        return None
+    types = schema.get("type", ())
+    types = (types,) if isinstance(types, str) else types
+    if "array" in types:
+        if "prefixItems" in schema:
+            return [_normalize(v, s, seed, root) for v, s in zip(value, schema["prefixItems"])]
+        return [_normalize(v, schema["items"], seed, root) for v in value]
+    if "object" in types:
+        item = schema["additionalProperties"]
+        return {str(k): _normalize(v, item, seed, root) for k, v in value.items()}
+    for name, cast in _CASTS:
+        if name in types:
+            return cast(value)
+    return value
+
+
+def _build(value: Any, schema: Any) -> Any:
+    if isinstance(schema, Component):
+        return schema.build(value)
+    if isinstance(schema, dict) and isinstance(schema.get("items"), Component):
+        return [schema["items"].build(v) for v in value]
+    return value
+
+
 # ---------------------------------------------------------------------------
-# component schemas
+# JSON constraints
 # ---------------------------------------------------------------------------
 
-_NUM = {"type": "number"}
-_POS_INT = {"type": "integer", "minimum": 1}
+NUM = {"type": "number"}
+POS = {"type": "number", "exclusiveMinimum": 0}
+UNIT = {"type": "number", "minimum": 0, "maximum": 1}
+ALPHA = {"type": "number", "exclusiveMinimum": 0, "maximum": 1}
+INT = {"type": "integer"}
+NAT = {"type": "integer", "minimum": 0}
+POS_INT = {"type": "integer", "minimum": 1}
+NUMS = {"type": "array", "items": NUM, "minItems": 1}
+PAIR = {"type": "array", "items": NUM, "minItems": 2, "maxItems": 2}
+COLUMN_COEFF = {"type": "array", "prefixItems": [INT, NUM], "minItems": 2, "maxItems": 2}
 
-FUNCTION_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "kind": {
-            "enum": ["power", "scaled_power", "power_over_p", "exp_minus_one", "linear", "table"]
-        },
-        "p": _NUM,
-        "c": _NUM,
-        "knots": {
-            "type": "array",
-            "items": {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2},
-        },
-    },
-    "required": ["kind"],
-    "additionalProperties": False,
+
+def _array(items: dict | Component, **constraints: Any) -> dict:
+    return {"type": "array", "items": items, **constraints}
+
+
+# ---------------------------------------------------------------------------
+# component tables
+# ---------------------------------------------------------------------------
+
+FUNCTION = Component("function", {
+    "power": Kind(Power, p=Field(NUM, 2.0)),
+    "scaled_power": Kind(ScaledPower, p=Field(NUM, 2.0), c=Field(NUM, 1.0)),
+    "power_over_p": Kind(PowerOverP, p=Field(NUM, 2.0)),
+    "exp_minus_one": Kind(ExpMinusOne),
+    "linear": Kind(LinearSlope, c=Field(NUM, 1.0)),
+    "table": Kind(lambda knots: Table(tuple(map(tuple, knots))), knots=Field(_array(PAIR))),
+})
+
+FAMILY = Component("family", {
+    "constant": Kind(ConstantFamily, function=Field(FUNCTION, {"kind": "power"})),
+    "index_scaled": Kind(IndexScaledFamily),
+    "index_power": Kind(
+        lambda exponents: IndexPowerFamily(tuple(exponents)), exponents=Field(NUMS)
+    ),
+    "spike": Kind(
+        lambda slopes, default_slope: SpikeFamily(
+            tuple(sorted((int(k), v) for k, v in slopes.items())), default_slope
+        ),
+        slopes=Field({"type": "object", "additionalProperties": NUM}, {}),
+        default_slope=Field(NUM, 1.0),
+    ),
+    "custom": Kind(
+        lambda functions: CustomFamily(tuple(functions)),
+        functions=Field(_array(FUNCTION, minItems=1)),
+    ),
+})
+
+# a schedule builds its rule; `build_lacunary` turns the rule into cut points
+SCHEDULE = Component("schedule", {
+    "geometric": Kind(
+        Geometric, base=Field(NUM, 1.0), ratio=Field(NUM, 2.0), count=Field(POS_INT, 10)
+    ),
+    "explicit": Kind(
+        lambda cut_points: Explicit(tuple(cut_points)),
+        cut_points=Field(_array(INT, minItems=2)),
+    ),
+})
+
+MATRIX = Component("matrix", {
+    "identity": Kind(Identity),
+    "cesaro_c1": Kind(CesaroC1),
+    "shift": Kind(lambda offset: Shift(offset), offset=Field(INT, 1)),
+    "row_table": Kind(
+        lambda rows: RowTable(tuple(tuple(map(tuple, row)) for row in rows)),
+        rows=Field(_array(_array(COLUMN_COEFF))),
+    ),
+    "geometric_tail": Kind(geometric_tail, decay=Field(NUM, 0.5), x_bound=Field(NUM, 1.0)),
+})
+
+
+def _scalars(name: str, cls: type[RhoSequence] | type[ExponentSequence]) -> Component:
+    return Component(name, {
+        "constant": Kind(lambda value: cls(constant=value), value=Field(NUM, 1.0)),
+        "per_index": Kind(
+            lambda values: cls(constant=None, per_index=tuple(values)), values=Field(NUMS)
+        ),
+    })
+
+
+RHO = _scalars("rho", RhoSequence)
+EXPONENTS = _scalars("exponents", ExponentSequence)
+
+
+def _alternating01(horizon: int) -> Sequence:
+    values = np.zeros(horizon)
+    values[1::2] = 1.0
+    return Sequence(values)
+
+
+def _random_bounded(horizon, center, radius, exception_density, exception_scale, seed) -> Sequence:
+    rng = np.random.default_rng(seed)
+    return random_bounded_sequence(rng, horizon, center, radius, exception_density, exception_scale)
+
+
+SEQUENCE = Component("sequence", {
+    "explicit": Kind(lambda values: Sequence(np.asarray(values)), values=Field(NUMS)),
+    "constant": Kind(
+        lambda value, horizon: Sequence(np.full(horizon, value)),
+        value=Field(NUM, 0.0),
+        horizon=Field(POS_INT),
+    ),
+    "alternating01": Kind(_alternating01, horizon=Field(POS_INT)),
+    "random_bounded": Kind(
+        _random_bounded,
+        horizon=Field(POS_INT),
+        center=Field(NUM, 0.0),
+        radius=Field(NUM, 1.0),
+        exception_density=Field(UNIT, 0.0),
+        exception_scale=Field(NUM, 3.0),
+        seed=Field(NAT, DEFAULT_SEED, seeded=True),
+    ),
+})
+
+
+def _space(alpha: float) -> Component:
+    """The space section; commands differ only in the default of alpha.
+
+    `build` takes the family, schedule and matrix as extra keywords.
+    """
+    return Component("space", Kind(
+        SpaceParams,
+        alpha=Field(ALPHA, alpha),
+        epsilon=Field(POS, 1e-3),
+        L=Field(NUM, 0.0),
+        m_max=Field(NAT, 32),
+        rho=Field(RHO, {"kind": "constant"}),
+        exponents=Field(EXPONENTS, {"kind": "constant"}),
+        matrix_tol=Field(POS, 1e-12),
+    ))
+
+
+SPACE = _space(alpha=1.0)
+
+VERDICT = Component("verdict", Kind(
+    tol=Field(POS, 1e-3),
+    tail_window=Field({"type": ["integer", "null"], "minimum": 1}, None),
+    slope_slack=Field({"type": ["number", "null"]}, None),
+))
+
+
+def _construction(theorem: str, r_max: int, **fields: Field) -> Kind:
+    """A construction kind; m_max null leaves it to the builder (echoed resolved)."""
+
+    def build(schedule=None, **spec_fields):
+        return CounterexampleSpec(theorem, schedule_rule=schedule, **spec_fields)
+
+    return Kind(
+        build,
+        nu=Field({"type": "number", "minimum": 0}, 1.0),
+        rho=Field(POS, 1.0),
+        r_max=Field(POS_INT, r_max),
+        alpha=Field(ALPHA, 1.0),
+        m_max=Field({"type": ["integer", "null"], "minimum": 0}, None),
+        family=Field(FAMILY, OMIT),
+        **fields,
+    )
+
+
+CONSTRUCTION = Component("construction", {
+    "thm37": _construction("thm37", 14),
+    "thm38": _construction("thm38", 10, nu_values=Field(NUMS, OMIT), schedule=Field(SCHEDULE, OMIT)),
+}, key="theorem")
+
+# ---------------------------------------------------------------------------
+# command tables
+# ---------------------------------------------------------------------------
+
+NORMS = Component("norms", Kind(
+    command=Field({"const": "norms"}),
+    sequence=Field(SEQUENCE),
+    family=Field(FAMILY),
+    rho=Field(RHO, {"kind": "constant"}),
+    luxemburg_tol=Field(POS, 1e-10),
+    orlicz_tol=Field(POS, 1e-9),
+    complementary=Field(Component("complementary", Kind(
+        indices=Field(_array(POS_INT, minItems=1), [1]),
+        v_values=Field(NUMS, [0.0, 1.0, 2.0]),
+        u_max=Field(POS, 1e3),
+    )), OMIT),
+    delta2=Field(Component("delta2", Kind(a=Field(POS, 1.0), k_max=Field(POS_INT, 32))), OMIT),
+))
+
+_CLASSIFY_COMMON = {
+    "command": Field({"const": "classify"}),
+    "flag_mode": Field({"enum": [MODULAR_FLAGS, RAW_FLAGS]}, MODULAR_FLAGS),
+    "verdict": Field(VERDICT, {}),
 }
 
-FAMILY_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["constant", "index_scaled", "index_power", "spike", "custom"]},
-        "function": FUNCTION_SCHEMA,
-        "exponents": {"type": "array", "items": _NUM, "minItems": 1},
-        "slopes": {"type": "object", "additionalProperties": _NUM},
-        "default_slope": _NUM,
-        "functions": {"type": "array", "items": FUNCTION_SCHEMA, "minItems": 1},
-    },
-    "required": ["kind"],
-    "additionalProperties": False,
+CLASSIFY = Component("classify", Kind(
+    **_CLASSIFY_COMMON,
+    sequence=Field(SEQUENCE),
+    family=Field(FAMILY),
+    schedule=Field(SCHEDULE),
+    matrix=Field(MATRIX, {"kind": "identity"}),
+    space=Field(SPACE, {}),
+))
+
+# a construction fixes the sequence, family, schedule, matrix and space
+CLASSIFY_CONSTRUCTION = Component("classify", Kind(
+    **_CLASSIFY_COMMON, construction=Field(CONSTRUCTION)
+))
+
+CHECKS = {
+    "thm37": Component("checks", Kind(
+        shat_tail_target=Field(NUM, 0.5),
+        shat_tail_tol=Field(POS, 0.05),
+        strong_bound_coeff=Field(POS, 2.0),
+        strong_bound_min_r=Field(POS_INT, 4),
+    )),
+    "thm38": Component("checks", Kind(
+        shat_exact_tol=Field(POS, 1e-12),
+        shat_density_max=Field(POS, 0.01),
+        shat_density_min_r=Field(POS_INT, 7),
+        strong_min=Field(NUM, 1.0 - 1e-9),
+    )),
 }
 
-SCHEDULE_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["geometric", "explicit"]},
-        "base": _NUM,
-        "ratio": _NUM,
-        "count": _POS_INT,
-        "cut_points": {"type": "array", "items": {"type": "integer"}, "minItems": 2},
-    },
-    "required": ["kind"],
-    "additionalProperties": False,
+# the construction's fields sit at the top level, next to verdict and checks
+COUNTEREXAMPLE = Component("counterexample", {
+    theorem: Kind(
+        command=Field({"const": "counterexample"}),
+        **kind.fields,
+        verdict=Field(VERDICT, {}),
+        checks=Field(CHECKS[theorem], {}),
+    )
+    for theorem, kind in CONSTRUCTION.kinds.items()
+}, key="theorem")
+
+INCLUSION = Component("inclusion", Kind(
+    command=Field({"const": "inclusion"}),
+    theorems=Field(_array({"enum": list(THEOREMS)}, uniqueItems=True), list(THEOREMS)),
+    beta=Field(ALPHA, 1.0),
+    family=Field(FAMILY, {"kind": "constant"}),
+    schedule=Field(SCHEDULE, {"kind": "geometric", "count": 8}),
+    matrix=Field(MATRIX, {"kind": "identity"}),
+    space=Field(_space(alpha=0.5), {}),
+    verdict=Field(VERDICT, {}),
+    corpus=Field(Component("corpus", Kind(
+        size=Field(NAT, 20),
+        seed=Field(NAT, DEFAULT_SEED, seeded=True),
+        center=Field(NUM, lambda echo: echo["space"]["L"]),
+        radius=Field(POS, 1.0),
+        exception_density=Field(UNIT, 0.0),
+        exception_scale=Field(NUM, 3.0),
+        include_thm37=Field({"type": "boolean"}, False),
+        include_thm38=Field({"type": "boolean"}, False),
+        construction_r_max=Field(POS_INT, 14),
+    )), {}),
+))
+
+COMMANDS = {
+    "norms": NORMS,
+    "classify": CLASSIFY,
+    "counterexample": COUNTEREXAMPLE,
+    "inclusion": INCLUSION,
 }
 
-MATRIX_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["identity", "cesaro_c1", "shift", "row_table", "geometric_tail"]},
-        "offset": {"type": "integer"},
-        "rows": {
-            "type": "array",
-            "items": {
-                "type": "array",
-                "items": {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2},
-            },
-        },
-        "decay": _NUM,
-        "x_bound": _NUM,
-    },
-    "required": ["kind"],
-    "additionalProperties": False,
-}
 
-SCALARS_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["constant", "per_index"]},
-        "value": _NUM,
-        "values": {"type": "array", "items": _NUM, "minItems": 1},
-    },
-    "required": ["kind"],
-    "additionalProperties": False,
-}
+def _command_component(doc: dict, command: str) -> Component:
+    if command not in COMMANDS:
+        raise ConfigError(f"unknown command {command!r}")
+    if command == "classify" and "construction" in doc:
+        return CLASSIFY_CONSTRUCTION
+    return COMMANDS[command]
 
-SEQUENCE_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["explicit", "constant", "alternating01", "random_bounded"]},
-        "values": {"type": "array", "items": _NUM, "minItems": 1},
-        "value": _NUM,
-        "horizon": _POS_INT,
-        "center": _NUM,
-        "radius": _NUM,
-        "exception_density": {"type": "number", "minimum": 0, "maximum": 1},
-        "exception_scale": _NUM,
-        "seed": {"type": "integer", "minimum": 0},
-    },
-    "required": ["kind"],
-    "additionalProperties": False,
-}
 
-SPACE_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "alpha": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-        "epsilon": {"type": "number", "exclusiveMinimum": 0},
-        "L": _NUM,
-        "m_max": {"type": "integer", "minimum": 0},
-        "rho": SCALARS_SCHEMA,
-        "exponents": SCALARS_SCHEMA,
-        "matrix_tol": {"type": "number", "exclusiveMinimum": 0},
-    },
-    "additionalProperties": False,
-}
-
-VERDICT_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "tol": {"type": "number", "exclusiveMinimum": 0},
-        "tail_window": {"type": ["integer", "null"], "minimum": 1},
-        "slope_slack": {"type": ["number", "null"]},
-    },
-    "additionalProperties": False,
-}
-
-CONSTRUCTION_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "theorem": {"enum": ["thm37", "thm38"]},
-        "nu": {"type": "number", "minimum": 0},
-        "rho": {"type": "number", "exclusiveMinimum": 0},
-        "r_max": _POS_INT,
-        "alpha": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-        "m_max": {"type": ["integer", "null"], "minimum": 0},
-        "nu_values": {"type": "array", "items": _NUM, "minItems": 1},
-        "schedule": SCHEDULE_SCHEMA,
-        "family": FAMILY_SCHEMA,
-    },
-    "required": ["theorem"],
-    "additionalProperties": False,
-}
-
-COMMAND_SCHEMAS: dict[str, dict] = {
-    "norms": {
-        "type": "object",
-        "properties": {
-            "command": {"const": "norms"},
-            "sequence": SEQUENCE_SCHEMA,
-            "family": FAMILY_SCHEMA,
-            "rho": SCALARS_SCHEMA,
-            "luxemburg_tol": {"type": "number", "exclusiveMinimum": 0},
-            "orlicz_tol": {"type": "number", "exclusiveMinimum": 0},
-            "complementary": {
-                "type": "object",
-                "properties": {
-                    "indices": {"type": "array", "items": _POS_INT, "minItems": 1},
-                    "v_values": {"type": "array", "items": _NUM, "minItems": 1},
-                    "u_max": {"type": "number", "exclusiveMinimum": 0},
-                },
-                "additionalProperties": False,
-            },
-            "delta2": {
-                "type": "object",
-                "properties": {
-                    "a": {"type": "number", "exclusiveMinimum": 0},
-                    "k_max": _POS_INT,
-                },
-                "additionalProperties": False,
-            },
-        },
-        "required": ["command", "sequence", "family"],
-        "additionalProperties": False,
-    },
-    "classify": {
-        "type": "object",
-        "properties": {
-            "command": {"const": "classify"},
-            "sequence": SEQUENCE_SCHEMA,
-            "family": FAMILY_SCHEMA,
-            "schedule": SCHEDULE_SCHEMA,
-            "matrix": MATRIX_SCHEMA,
-            "space": SPACE_SCHEMA,
-            "verdict": VERDICT_SCHEMA,
-            "flag_mode": {"enum": [MODULAR_FLAGS, RAW_FLAGS]},
-            "construction": CONSTRUCTION_SCHEMA,
-        },
-        "required": ["command"],
-        "additionalProperties": False,
-    },
-    "counterexample": {
-        "type": "object",
-        "properties": {
-            "command": {"const": "counterexample"},
-            "theorem": {"enum": ["thm37", "thm38"]},
-            "nu": {"type": "number", "minimum": 0},
-            "rho": {"type": "number", "exclusiveMinimum": 0},
-            "r_max": _POS_INT,
-            "alpha": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-            "m_max": {"type": ["integer", "null"], "minimum": 0},
-            "nu_values": {"type": "array", "items": _NUM, "minItems": 1},
-            "schedule": SCHEDULE_SCHEMA,
-            "family": FAMILY_SCHEMA,
-            "verdict": VERDICT_SCHEMA,
-            "checks": {
-                "type": "object",
-                "properties": {
-                    "shat_tail_target": _NUM,
-                    "shat_tail_tol": {"type": "number", "exclusiveMinimum": 0},
-                    "strong_bound_coeff": {"type": "number", "exclusiveMinimum": 0},
-                    "strong_bound_min_r": _POS_INT,
-                    "shat_density_max": {"type": "number", "exclusiveMinimum": 0},
-                    "shat_density_min_r": _POS_INT,
-                    "shat_exact_tol": {"type": "number", "exclusiveMinimum": 0},
-                    "strong_min": _NUM,
-                },
-                "additionalProperties": False,
-            },
-        },
-        "required": ["command", "theorem"],
-        "additionalProperties": False,
-    },
-    "inclusion": {
-        "type": "object",
-        "properties": {
-            "command": {"const": "inclusion"},
-            "theorems": {
-                "type": "array",
-                "items": {"enum": list(THEOREMS)},
-                "uniqueItems": True,
-            },
-            "beta": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-            "family": FAMILY_SCHEMA,
-            "schedule": SCHEDULE_SCHEMA,
-            "matrix": MATRIX_SCHEMA,
-            "space": SPACE_SCHEMA,
-            "verdict": VERDICT_SCHEMA,
-            "corpus": {
-                "type": "object",
-                "properties": {
-                    "size": {"type": "integer", "minimum": 0},
-                    "seed": {"type": "integer", "minimum": 0},
-                    "center": _NUM,
-                    "radius": {"type": "number", "exclusiveMinimum": 0},
-                    "exception_density": {"type": "number", "minimum": 0, "maximum": 1},
-                    "exception_scale": _NUM,
-                    "include_thm37": {"type": "boolean"},
-                    "include_thm38": {"type": "boolean"},
-                    "construction_r_max": _POS_INT,
-                },
-                "additionalProperties": False,
-            },
-        },
-        "required": ["command"],
-        "additionalProperties": False,
-    },
-}
+@functools.cache
+def _validator(component: Component) -> jsonschema.protocols.Validator:
+    cls = jsonschema.validators.validator_for(component.schema)
+    cls.check_schema(component.schema)
+    return cls(component.schema)
 
 
 def validate_config(doc: Any, command: str) -> None:
     """Schema-validate a config document; raises ConfigError with the path."""
-    if command not in COMMAND_SCHEMAS:
-        raise ConfigError(f"unknown command {command!r}")
-    try:
-        jsonschema.validate(doc, COMMAND_SCHEMAS[command])
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config field {exc.json_path}: {exc.message}") from exc
+    validator = _validator(_command_component(doc, command))
+    error = jsonschema.exceptions.best_match(validator.iter_errors(doc))
+    if error is not None:
+        raise ConfigError(f"config field {error.json_path}: {error.message}")
+
+
+def materialize(doc: dict, command: str, seed: int | None = None) -> dict:
+    """The echo of a validated config: every default filled in, `seed` applied."""
+    return _command_component(doc, command).materialize(doc, seed)
 
 
 def load_config(path: str | Path) -> dict:
@@ -325,211 +500,3 @@ def load_config(path: str | Path) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     return doc
-
-
-# ---------------------------------------------------------------------------
-# builders: each returns (materialized doc, built object)
-# ---------------------------------------------------------------------------
-
-
-def build_function(doc: dict) -> tuple[dict, OrliczFunction]:
-    kind = doc["kind"]
-    try:
-        if kind == "power":
-            out = {"kind": kind, "p": doc.get("p", 2.0)}
-            return out, Power(out["p"])
-        if kind == "scaled_power":
-            out = {"kind": kind, "p": doc.get("p", 2.0), "c": doc.get("c", 1.0)}
-            return out, ScaledPower(p=out["p"], c=out["c"])
-        if kind == "power_over_p":
-            out = {"kind": kind, "p": doc.get("p", 2.0)}
-            return out, PowerOverP(out["p"])
-        if kind == "exp_minus_one":
-            return {"kind": kind}, ExpMinusOne()
-        if kind == "linear":
-            out = {"kind": kind, "c": doc.get("c", 1.0)}
-            return out, LinearSlope(out["c"])
-        out = {"kind": "table", "knots": [list(map(float, kn)) for kn in doc["knots"]]}
-        return out, Table(tuple(tuple(kn) for kn in out["knots"]))
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"function: {exc}") from exc
-
-
-def build_family(doc: dict) -> tuple[dict, MusielakOrliczFamily]:
-    kind = doc["kind"]
-    try:
-        if kind == "constant":
-            fdoc, fn = build_function(doc.get("function", {"kind": "power", "p": 2.0}))
-            return {"kind": kind, "function": fdoc}, ConstantFamily(fn)
-        if kind == "index_scaled":
-            return {"kind": kind}, IndexScaledFamily()
-        if kind == "index_power":
-            exps = [float(p) for p in doc["exponents"]]
-            return {"kind": kind, "exponents": exps}, IndexPowerFamily(tuple(exps))
-        if kind == "spike":
-            slopes = {str(k): float(v) for k, v in doc.get("slopes", {}).items()}
-            default = float(doc.get("default_slope", 1.0))
-            fam = SpikeFamily(
-                slopes=tuple(sorted((int(k), v) for k, v in slopes.items())),
-                default_slope=default,
-            )
-            return {"kind": kind, "slopes": slopes, "default_slope": default}, fam
-        fdocs, fns = [], []
-        for f in doc["functions"]:
-            fd, fn = build_function(f)
-            fdocs.append(fd)
-            fns.append(fn)
-        return {"kind": "custom", "functions": fdocs}, CustomFamily(tuple(fns))
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"family: {exc}") from exc
-
-
-def build_schedule(doc: dict) -> tuple[dict, LacunarySchedule]:
-    try:
-        if doc["kind"] == "geometric":
-            out = {
-                "kind": "geometric",
-                "base": float(doc.get("base", 1.0)),
-                "ratio": float(doc.get("ratio", 2.0)),
-                "count": int(doc.get("count", 10)),
-            }
-            return out, build_lacunary(Geometric(out["base"], out["ratio"], out["count"]))
-        cuts = [int(c) for c in doc["cut_points"]]
-        return {"kind": "explicit", "cut_points": cuts}, build_lacunary(Explicit(tuple(cuts)))
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"schedule: {exc}") from exc
-
-
-def schedule_rule(doc: dict) -> Geometric | Explicit:
-    if doc["kind"] == "geometric":
-        return Geometric(
-            float(doc.get("base", 1.0)), float(doc.get("ratio", 2.0)), int(doc.get("count", 10))
-        )
-    return Explicit(tuple(int(c) for c in doc["cut_points"]))
-
-
-def build_matrix(doc: dict) -> tuple[dict, MatrixOperator]:
-    kind = doc["kind"]
-    try:
-        if kind == "identity":
-            return {"kind": kind}, Identity()
-        if kind == "cesaro_c1":
-            return {"kind": kind}, CesaroC1()
-        if kind == "shift":
-            out = {"kind": kind, "offset": int(doc.get("offset", 1))}
-            return out, Shift(out["offset"])
-        if kind == "row_table":
-            rows = [[[int(k), float(a)] for k, a in row] for row in doc["rows"]]
-            op = RowTable(tuple(tuple((k, a) for k, a in row) for row in rows))
-            return {"kind": kind, "rows": rows}, op
-        out = {
-            "kind": "geometric_tail",
-            "decay": float(doc.get("decay", 0.5)),
-            "x_bound": float(doc.get("x_bound", 1.0)),
-        }
-        return out, geometric_tail(out["decay"], out["x_bound"])
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"matrix: {exc}") from exc
-
-
-def build_scalars(
-    doc: dict, cls: type[RhoSequence] | type[ExponentSequence]
-) -> tuple[dict, RhoSequence | ExponentSequence]:
-    try:
-        if doc["kind"] == "constant":
-            out = {"kind": "constant", "value": float(doc.get("value", 1.0))}
-            return out, cls(constant=out["value"])
-        vals = [float(v) for v in doc["values"]]
-        return {"kind": "per_index", "values": vals}, cls(
-            constant=None, per_index=tuple(vals)
-        )
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"{cls.__name__}: {exc}") from exc
-
-
-def build_sequence(doc: dict, seed_override: int | None = None) -> tuple[dict, Sequence]:
-    kind = doc["kind"]
-    try:
-        if kind == "explicit":
-            vals = [float(v) for v in doc["values"]]
-            return {"kind": kind, "values": vals}, Sequence(np.asarray(vals))
-        if kind == "constant":
-            out = {"kind": kind, "value": float(doc.get("value", 0.0)), "horizon": int(doc["horizon"])}
-            return out, Sequence(np.full(out["horizon"], out["value"]))
-        if kind == "alternating01":
-            out = {"kind": kind, "horizon": int(doc["horizon"])}
-            vals = np.zeros(out["horizon"])
-            vals[1::2] = 1.0
-            return out, Sequence(vals)
-        out = {
-            "kind": "random_bounded",
-            "horizon": int(doc["horizon"]),
-            "center": float(doc.get("center", 0.0)),
-            "radius": float(doc.get("radius", 1.0)),
-            "exception_density": float(doc.get("exception_density", 0.0)),
-            "exception_scale": float(doc.get("exception_scale", 3.0)),
-            "seed": int(
-                seed_override if seed_override is not None else doc.get("seed", DEFAULT_SEED)
-            ),
-        }
-        rng = np.random.default_rng(out["seed"])
-        x = random_bounded_sequence(
-            rng,
-            out["horizon"],
-            out["center"],
-            out["radius"],
-            out["exception_density"],
-            out["exception_scale"],
-        )
-        return out, x
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"sequence: {exc}") from exc
-
-
-def build_space(
-    doc: dict,
-    family: MusielakOrliczFamily,
-    schedule: LacunarySchedule,
-    matrix: MatrixOperator,
-) -> tuple[dict, SpaceParams]:
-    rho_doc, rho = build_scalars(doc.get("rho", {"kind": "constant", "value": 1.0}), RhoSequence)
-    exp_doc, exps = build_scalars(
-        doc.get("exponents", {"kind": "constant", "value": 1.0}), ExponentSequence
-    )
-    out = {
-        "alpha": float(doc.get("alpha", 1.0)),
-        "epsilon": float(doc.get("epsilon", 1e-3)),
-        "L": float(doc.get("L", 0.0)),
-        "m_max": int(doc.get("m_max", 32)),
-        "rho": rho_doc,
-        "exponents": exp_doc,
-        "matrix_tol": float(doc.get("matrix_tol", 1e-12)),
-    }
-    try:
-        params = SpaceParams(
-            family=family,
-            schedule=schedule,
-            alpha=out["alpha"],
-            epsilon=out["epsilon"],
-            L=out["L"],
-            m_max=out["m_max"],
-            rho=rho,
-            exponents=exps,
-            matrix=matrix,
-            matrix_tol=out["matrix_tol"],
-        )
-    except ValueError as exc:
-        raise ConfigError(f"space: {exc}") from exc
-    return out, params
-
-
-def build_verdict_params(doc: dict) -> dict:
-    return {
-        "tol": float(doc.get("tol", 1e-3)),
-        "tail_window": doc.get("tail_window", None),
-        "slope_slack": doc.get("slope_slack", None),
-    }
-
-
-def deep_copy_config(doc: dict) -> dict:
-    return copy.deepcopy(doc)

@@ -71,6 +71,12 @@ class SpaceParams:
             raise ValueError("epsilon must be > 0")
         if self.m_max < 0:
             raise ValueError("m_max must be >= 0")
+        per_index = self.rho.per_index
+        if per_index is not None and len(per_index) < self.schedule.last_index:
+            raise ValueError(
+                f"rho defined up to index {len(per_index)}, "
+                f"the schedule needs {self.schedule.last_index}"
+            )
 
     def with_alpha(self, alpha: float) -> "SpaceParams":
         return replace(self, alpha=alpha)

@@ -13,6 +13,10 @@ class SupportExceedsHorizon(LacunaryError):
     """A matrix row needs sequence values beyond the stored prefix."""
 
 
+class PrefixExceedsBound(LacunaryError):
+    """A prefix value exceeds the bound |x_k| <= x_bound a generator matrix certifies against."""
+
+
 class TailBoundUnsatisfiable(LacunaryError):
     """The certified truncation-error bound cannot be pushed below tol within the horizon."""
 

@@ -76,7 +76,9 @@ class CounterexampleSpec:
     For thm37, `nu` is the plateau height and the family must have a
     pointwise-vanishing, eventually nonincreasing tail k -> M_k(nu/rho).
     For thm38, spike heights are nu_values (default nu * r), and the family
-    defaults to a spike-slope family solved from the defining inequality.
+    defaults to a spike-slope family solved from the defining inequality;
+    a given schedule rule must produce r_max blocks, and nu_values must
+    hold r_max heights.
     """
 
     theorem: str
@@ -99,6 +101,15 @@ class CounterexampleSpec:
             raise ValueError("rho must be > 0")
         if self.r_max < 1:
             raise ValueError("r_max must be >= 1")
+        if self.nu_values is not None:
+            object.__setattr__(self, "nu_values", tuple(float(v) for v in self.nu_values))
+        if self.theorem != "thm38":
+            return
+        rule = self.schedule_rule
+        if rule is not None and build_lacunary(rule).num_blocks != self.r_max:
+            raise ValueError("schedule rule must produce exactly r_max blocks")
+        if self.nu_values is not None and len(self.nu_values) != self.r_max:
+            raise ValueError(f"need {self.r_max} spike heights, got {len(self.nu_values)}")
 
 
 def _phi(family: MusielakOrliczFamily, k: int, u: float, s: float = 1.0) -> float:
@@ -227,14 +238,10 @@ def build_thm38(spec: CounterexampleSpec) -> tuple[Sequence, LacunarySchedule, S
     m_max = 0 if spec.m_max is None else spec.m_max
     rule = spec.schedule_rule or Geometric(base=2.0, ratio=2.0, count=spec.r_max)
     schedule = build_lacunary(rule)
-    if schedule.num_blocks != spec.r_max:
-        raise ValueError("schedule rule must produce exactly r_max blocks")
 
     R = schedule.num_blocks
     if spec.nu_values is not None:
-        nus = tuple(float(v) for v in spec.nu_values)
-        if len(nus) != R:
-            raise ValueError(f"need {R} spike heights, got {len(nus)}")
+        nus = spec.nu_values
     else:
         base = spec.nu if spec.nu > 0 else 1.0
         nus = tuple(base * r for r in range(1, R + 1))

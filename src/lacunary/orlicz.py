@@ -210,11 +210,6 @@ class Table(OrliczFunction):
         return out
 
 
-def eval_orlicz(M: OrliczFunction, u: float) -> float:
-    """M(u); exact 0 at u = 0, NegativeArgument below it."""
-    return M(u)
-
-
 @dataclass(frozen=True)
 class AxiomReport:
     """Grid-checked Orlicz axioms; `failures` lists the ones that did not hold."""

@@ -22,6 +22,7 @@ from .errors import (
     EmptySchedule,
     IndexOutOfHorizon,
     NotStrictlyIncreasing,
+    PrefixExceedsBound,
     SupportExceedsHorizon,
     TailBoundUnsatisfiable,
 )
@@ -66,10 +67,6 @@ class Sequence:
 
     def __len__(self) -> int:
         return self.horizon
-
-
-def constant_sequence(value: float, horizon: int) -> Sequence:
-    return Sequence(np.full(horizon, float(value)))
 
 
 def window_mean(x: Sequence, m: int, n: int) -> float:
@@ -299,7 +296,7 @@ class RowGenerator(MatrixOperator):
     def row_value(self, x: Sequence, n: int, tol: float) -> float:
         observed = float(np.max(np.abs(x.values))) if x.horizon else 0.0
         if observed > self.x_bound * (1 + 1e-12):
-            raise ValueError(
+            raise PrefixExceedsBound(
                 f"prefix exceeds the declared bound |x_k| <= {self.x_bound} "
                 f"(observed {observed})"
             )

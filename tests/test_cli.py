@@ -3,9 +3,11 @@
 import json
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 from lacunary.cli import main
+from lacunary.config import CLASSIFY_CONSTRUCTION, COMMANDS
 
 
 def run_cli(args):
@@ -172,17 +174,6 @@ class TestClassify:
         run_cli(["classify", "--config", cfg, "--out", tmp_path / "b"])
         for name in ("trajectory.csv", "trajectory_shat.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-
-    def test_echoed_config_roundtrip(self, tmp_path):
-        cfg = write_config(tmp_path, BASE_CLASSIFY)
-        run_cli(["classify", "--config", cfg, "--out", tmp_path / "a"])
-        echoed = read_report(tmp_path / "a")["config"]
-        cfg2 = write_config(tmp_path, echoed, name="echo.json")
-        run_cli(["classify", "--config", cfg2, "--out", tmp_path / "b"])
-        assert (tmp_path / "a" / "trajectory.csv").read_bytes() == (
-            tmp_path / "b" / "trajectory.csv"
-        ).read_bytes()
-        assert read_report(tmp_path / "b")["config"] == echoed
 
     def test_construction_excludes_components(self, tmp_path):
         cfg = write_config(
@@ -359,3 +350,107 @@ class TestConfigHandling:
         assert run_cli(["norms", "--config", path, "--out", tmp_path / "out"]) == 1
         err = capsys.readouterr().err
         assert "line 2" in err
+
+    @pytest.mark.parametrize(
+        "path,doc",
+        [
+            ("$.family.function", {**BASE_CLASSIFY, "family": {
+                "kind": "constant", "function": {"kind": "power", "p": 2, "c": 5}}}),
+            ("$.matrix", {**BASE_CLASSIFY, "matrix": {"kind": "identity", "decay": 0.3}}),
+            ("$.sequence", {**BASE_CLASSIFY, "sequence": {
+                "kind": "explicit", "values": [1], "horizon": 99}}),
+            ("$.family", {**BASE_CLASSIFY, "family": {"kind": "index_scaled", "exponents": [2]}}),
+            ("$.schedule", {**BASE_CLASSIFY, "schedule": {"kind": "geometric", "cut_points": [0, 5]}}),
+            ("$.family.function", {**BASE_CLASSIFY, "family": {
+                "kind": "constant", "function": {"kind": "table"}}}),
+            ("$", {"command": "counterexample", "theorem": "thm37", "nu_values": [1.0]}),
+            ("$.checks", {"command": "counterexample", "theorem": "thm37",
+                          "checks": {"strong_min": 1.0}}),
+            ("$.checks", {"command": "counterexample", "theorem": "thm38",
+                          "checks": {"shat_tail_tol": 0.1}}),
+        ],
+        ids=["power-c", "identity-decay", "explicit-horizon", "index_scaled-exponents",
+             "geometric-cut_points", "table-without-knots", "thm37-nu_values",
+             "thm37-with-thm38-check", "thm38-with-thm37-check"],
+    )
+    def test_fields_of_another_kind_rejected(self, tmp_path, capsys, path, doc):
+        cfg = write_config(tmp_path, doc)
+        assert run_cli([doc["command"], "--config", cfg, "--out", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: config field {path}: ")
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            BASE_CLASSIFY,
+            {
+                "command": "norms",
+                "sequence": {"kind": "random_bounded", "horizon": 50, "radius": 2},
+                "family": {"kind": "index_power", "exponents": [2, 3]},
+                "complementary": {"indices": [1, 2]},
+                "delta2": {"k_max": 8},
+            },
+            {"command": "classify", "construction": {"theorem": "thm37", "r_max": 8}},
+            {
+                "command": "counterexample",
+                "theorem": "thm38",
+                "r_max": 4,
+                "schedule": {"kind": "explicit", "cut_points": [0, 2, 4, 8, 16]},
+                "family": {"kind": "spike", "slopes": {"2": 2, "4": 1, "8": 2, "16": 2}},
+            },
+            {"command": "inclusion"},
+        ],
+        ids=["classify", "norms", "classify-construction", "counterexample-thm38", "inclusion"],
+    )
+    def test_echoed_config_roundtrip(self, tmp_path, doc):
+        command = doc["command"]
+        cfg = write_config(tmp_path, doc)
+        assert run_cli([command, "--config", cfg, "--out", tmp_path / "a"]) == 0
+        echoed = read_report(tmp_path / "a")["config"]
+        cfg2 = write_config(tmp_path, echoed, name="echo.json")
+        assert run_cli([command, "--config", cfg2, "--out", tmp_path / "b"]) == 0
+        assert read_report(tmp_path / "b")["config"] == echoed
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert report_bytes_without_timestamp(a) == report_bytes_without_timestamp(b)
+        csvs = sorted(p.name for p in a.glob("*.csv"))
+        assert csvs == sorted(p.name for p in b.glob("*.csv"))
+        for name in csvs:
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_generated_schemas_pass_check_schema(self):
+        for component in (*COMMANDS.values(), CLASSIFY_CONSTRUCTION):
+            jsonschema.validators.validator_for(component.schema).check_schema(component.schema)
+
+
+class TestErrorBoundary:
+    """Inputs that used to end in a traceback print `error: ...` and exit 1."""
+
+    def run_expect_error(self, tmp_path, capsys, doc, prefix):
+        cfg = write_config(tmp_path, doc)
+        assert run_cli([doc["command"], "--config", cfg, "--out", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err.startswith(prefix)
+
+    def test_prefix_beyond_generator_bound(self, tmp_path, capsys):
+        doc = {
+            **BASE_CLASSIFY,
+            "sequence": {"kind": "random_bounded", "horizon": 300, "radius": 2.0},
+            "matrix": {"kind": "geometric_tail", "x_bound": 1.0},
+        }
+        self.run_expect_error(tmp_path, capsys, doc, "error: prefix exceeds the declared bound")
+
+    def test_per_index_rho_shorter_than_schedule(self, tmp_path, capsys):
+        doc = {
+            **BASE_CLASSIFY,
+            "space": {"L": 2.0, "m_max": 4, "rho": {"kind": "per_index", "values": [1.0, 1.0]}},
+        }
+        self.run_expect_error(tmp_path, capsys, doc, "config error: space: rho defined up to index 2")
+
+    def test_thm38_schedule_with_wrong_block_count(self, tmp_path, capsys):
+        doc = {
+            "command": "counterexample",
+            "theorem": "thm38",
+            "r_max": 3,
+            "schedule": {"kind": "explicit", "cut_points": [0, 2, 4]},
+        }
+        self.run_expect_error(
+            tmp_path, capsys, doc, "config error: construction: schedule rule must produce exactly"
+        )

@@ -19,7 +19,6 @@ from lacunary import (
     SpaceParams,
     build_lacunary,
     classify_trajectory,
-    constant_sequence,
     density_order_alpha,
     lacunary_density,
     ntheta_norm,
@@ -108,7 +107,7 @@ class TestLacunaryDensity:
 class TestNTheta:
     def test_constant_at_limit(self):
         s = build_lacunary(Geometric(1, 2, 6))
-        x = constant_sequence(4.0, s.last_index)
+        x = Sequence(np.full(s.last_index, 4.0))
         t = ntheta_statistic(x, s, L=4.0)
         assert np.all(t.values == 0.0)
         assert ntheta_norm(x, s) == pytest.approx(4.0)
@@ -131,7 +130,7 @@ class TestNTheta:
     def test_horizon_check(self):
         s = build_lacunary(Geometric(1, 2, 6))
         with pytest.raises(HorizonTooShort):
-            ntheta_statistic(constant_sequence(1.0, s.last_index - 1), s)
+            ntheta_statistic(Sequence(np.full(s.last_index - 1, 1.0)), s)
 
 
 def _params(schedule, family=None, **kw):
@@ -145,7 +144,7 @@ class TestStrongStatistic:
     def test_zero_at_limit(self):
         s = build_lacunary(Geometric(1, 2, 6))
         p = _params(s, L=2.5, m_max=3)
-        x = constant_sequence(2.5, s.last_index + 3)
+        x = Sequence(np.full(s.last_index + 3, 2.5))
         for m in range(4):
             assert np.all(strong_block_statistic(x, p, m).values == 0.0)
             assert not shat_flags(x, p, m).any()
@@ -208,7 +207,7 @@ class TestVerdicts:
     def test_constant_at_limit_converges(self):
         s = build_lacunary(Geometric(1, 2, 6))
         p = _params(s, L=1.0, m_max=2)
-        x = constant_sequence(1.0, s.last_index + 2)
+        x = Sequence(np.full(s.last_index + 2, 1.0))
         assert uniform_verdict(x, p, STRONG).decision == CONVERGES
         assert uniform_verdict(x, p, SHAT_DENSITY).decision == CONVERGES
 
@@ -256,7 +255,7 @@ class TestProofInequalities:
     def test_thm31_requires_alpha_below_beta(self):
         s = build_lacunary(Geometric(1, 2, 5))
         p = _params(s, family=ConstantFamily(Power(2.0)), alpha=0.9)
-        x = constant_sequence(1.0, s.last_index)
+        x = Sequence(np.full(s.last_index, 1.0))
         with pytest.raises(ValueError):
             thm31_block_bounds(x, p, beta=0.5)
 
@@ -275,14 +274,14 @@ class TestProofInequalities:
     def test_thm33_warns_below_alpha_one(self):
         s = build_lacunary(Geometric(1, 2, 5))
         p = _params(s, family=ConstantFamily(Power(2.0)), alpha=0.5)
-        x = constant_sequence(0.5, s.last_index)
+        x = Sequence(np.full(s.last_index, 0.5))
         with pytest.warns(UserWarning, match="alpha = 1"):
             thm33_block_bounds(x, p, T=1.0)
 
     def test_thm33_rejects_bad_bound(self):
         s = build_lacunary(Geometric(1, 2, 5))
         p = _params(s, family=ConstantFamily(Power(2.0)))
-        x = constant_sequence(2.0, s.last_index)
+        x = Sequence(np.full(s.last_index, 2.0))
         with pytest.raises(ValueError, match="dominate"):
             thm33_block_bounds(x, p, T=1.0)
 

@@ -18,7 +18,6 @@ from lacunary import (
     build_lacunary,
     build_thm37,
     build_thm38,
-    constant_sequence,
     liminf_growth_estimate,
     random_bounded_sequence,
     run_inclusion_matrix,
@@ -149,7 +148,7 @@ class TestInclusionMatrix:
     def test_constant_corpus_never_fails(self):
         s = build_lacunary(Geometric(1, 2, 6))
         p = _plain_params(s, L=1.5)
-        corpus = [(constant_sequence(1.5, s.last_index + 2), p)] * 3
+        corpus = [(Sequence(np.full(s.last_index + 2, 1.5)), p)] * 3
         report = run_inclusion_matrix(corpus, ["T31", "T33", "T35", "T36"])
         assert all(imp["status"] != "FAIL" for imp in report.implications)
         for theorem in ("T31", "T33", "T35", "T36"):
@@ -202,7 +201,7 @@ class TestInclusionMatrix:
         p = SpaceParams(
             family=ConstantFamily(LinearSlope(2.0)), schedule=s, alpha=1.0, m_max=0
         )
-        corpus = [(constant_sequence(0.0, s.last_index), p)]
+        corpus = [(Sequence(np.full(s.last_index, 0.0)), p)]
         report = run_inclusion_matrix(corpus, ["T36"])
         est = report.theorem_results["T36"]["liminf"]
         assert est["gamma"] == pytest.approx(2.0)
@@ -227,7 +226,7 @@ class TestUniqueness:
     def test_constant_sequence_argmin_at_value(self):
         s = build_lacunary(Geometric(1, 2, 6))
         p = _plain_params(s, alpha=1.0, m_max=1)
-        x = constant_sequence(5.0, s.last_index + 1)
+        x = Sequence(np.full(s.last_index + 1, 5.0))
         rep = uniqueness_experiment(x, p, [4.9, 5.0, 5.1])
         assert rep.argmin_L == 5.0
         assert rep.status == "UNIQUE"

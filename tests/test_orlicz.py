@@ -28,7 +28,6 @@ from lacunary import (
     Table,
     complementary,
     delta2_check,
-    eval_orlicz,
     luxemburg_norm,
     modular,
     orlicz_norm,
@@ -59,20 +58,20 @@ def dense_grid_conjugate(M, v, u_max=1e3, n_grid=20001):
 
 class TestEval:
     def test_examples(self):
-        assert eval_orlicz(Power(2.0), 3.0) == 9.0
-        assert eval_orlicz(ExpMinusOne(), 0.0) == 0.0
+        assert Power(2.0)(3.0) == 9.0
+        assert ExpMinusOne()(0.0) == 0.0
         assert IndexScaledFamily().member(5)(2.0) == pytest.approx(0.4)
-        assert eval_orlicz(ScaledPower(p=2.0, c=3.0), 2.0) == 12.0
-        assert eval_orlicz(PowerOverP(2.0), 4.0) == 8.0
-        assert eval_orlicz(LinearSlope(2.5), 2.0) == 5.0
+        assert ScaledPower(p=2.0, c=3.0)(2.0) == 12.0
+        assert PowerOverP(2.0)(4.0) == 8.0
+        assert LinearSlope(2.5)(2.0) == 5.0
 
     def test_negative_argument(self):
         with pytest.raises(NegativeArgument):
-            eval_orlicz(Power(2.0), -0.5)
+            Power(2.0)(-0.5)
 
     def test_zero_is_exact(self):
         for M in [Power(1.7), ExpMinusOne(), LinearSlope(0.3), PowerOverP(3.0)]:
-            assert eval_orlicz(M, 0.0) == 0.0
+            assert M(0.0) == 0.0
 
     def test_table_interpolates_and_extrapolates(self):
         M = Table(((0.0, 0.0), (1.0, 1.0), (2.0, 4.0)))

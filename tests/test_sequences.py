@@ -14,7 +14,6 @@ from lacunary import (
     Shift,
     apply_matrix,
     build_lacunary,
-    constant_sequence,
     geometric_tail,
     transform_sequence,
     window_mean,
@@ -23,6 +22,7 @@ from lacunary.errors import (
     EmptySchedule,
     IndexOutOfHorizon,
     NotStrictlyIncreasing,
+    PrefixExceedsBound,
     SupportExceedsHorizon,
     TailBoundUnsatisfiable,
 )
@@ -38,7 +38,7 @@ def direct_window_oracle(values, m, n):
 
 class TestWindowMean:
     def test_constant_sequence_gives_the_constant(self):
-        x = constant_sequence(3.25, 50)
+        x = Sequence(np.full(50, 3.25))
         for m, n in [(0, 1), (4, 3), (10, 40)]:
             assert window_mean(x, m, n) == pytest.approx(3.25, abs=1e-15)
 
@@ -160,7 +160,7 @@ class TestApplyMatrix:
     def test_row_generator_enforces_declared_bound(self):
         A = geometric_tail(decay=0.5, x_bound=1.0)
         x = Sequence(np.full(100, 2.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(PrefixExceedsBound):
             apply_matrix(A, x, 1, tol=1e-3)
 
 
@@ -171,7 +171,7 @@ class TestTransformSequence:
         assert np.array_equal(z.values, x.values)
 
     def test_cesaro_of_ones_is_ones(self):
-        x = constant_sequence(1.0, 20)
+        x = Sequence(np.full(20, 1.0))
         z = transform_sequence(CesaroC1(), x, 20)
         assert np.allclose(z.values, 1.0, rtol=0, atol=1e-15)
 
