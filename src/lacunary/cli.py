@@ -44,8 +44,8 @@ from .convergence import (
     SpaceParams,
     UniformTrajectories,
     Verdict,
+    block_statistics,
     classify_trajectory,
-    uniform_trajectories,
 )
 from .errors import ConfigError, LacunaryError
 from .experiments import (
@@ -56,11 +56,13 @@ from .experiments import (
     run_inclusion_matrix,
 )
 from .orlicz import (
+    MusielakOrliczFamily,
     complementary,
     delta2_check,
     luxemburg_norm,
     modular,
     orlicz_norm,
+    table_axiom_failures,
 )
 from .sequences import Sequence, build_lacunary
 
@@ -191,7 +193,15 @@ def cmd_norms(doc: dict, seed: int | None = None) -> ReportBundle:
             "violations": [list(v) for v in rep.violations],
             "held": rep.held,
         }
+    _report_axioms(results, family)
     return ReportBundle(config=echo, results=results)
+
+
+def _report_axioms(results: dict, family: MusielakOrliczFamily) -> None:
+    """Add `axiom_failures` to `results` when a table member of `family` fails an axiom."""
+    failures = table_axiom_failures(family)
+    if failures:
+        results["axiom_failures"] = failures
 
 
 def _space_params(echo: dict) -> SpaceParams:
@@ -232,8 +242,8 @@ def cmd_classify(doc: dict, seed: int | None = None) -> ReportBundle:
         params = _space_params(echo)
 
     flag_mode = echo["flag_mode"]
-    strong = uniform_trajectories(x, params, STRONG)
-    shat = uniform_trajectories(x, params, SHAT_DENSITY, flag_mode)
+    stats = block_statistics(x, params)
+    strong, shat = stats[STRONG], stats[flag_mode]
     v_strong, v_shat = _verdicts(strong, shat, echo["verdict"])
     results = {
         "horizon": x.horizon,
@@ -245,6 +255,7 @@ def cmd_classify(doc: dict, seed: int | None = None) -> ReportBundle:
         "verdicts": {STRONG: _verdict_dict(v_strong), SHAT_DENSITY: _verdict_dict(v_shat)},
         "schedule_warnings": list(params.schedule.warnings),
     }
+    _report_axioms(results, params.family)
     return ReportBundle(
         config=echo,
         results=results,
@@ -329,8 +340,8 @@ def cmd_counterexample(doc: dict, seed: int | None = None) -> ReportBundle:
     echo = materialize(doc, "counterexample", seed)
     x, params = _construct(echo)
 
-    strong = uniform_trajectories(x, params, STRONG)
-    shat = uniform_trajectories(x, params, SHAT_DENSITY, MODULAR_FLAGS)
+    stats = block_statistics(x, params)
+    strong, shat = stats[STRONG], stats[MODULAR_FLAGS]
     v_strong, v_shat = _verdicts(strong, shat, echo["verdict"])
 
     notes = []
@@ -368,6 +379,7 @@ def cmd_counterexample(doc: dict, seed: int | None = None) -> ReportBundle:
         "notes": notes,
         "verdicts": {STRONG: _verdict_dict(v_strong), SHAT_DENSITY: _verdict_dict(v_shat)},
     }
+    _report_axioms(results, params.family)
     return ReportBundle(
         config=echo,
         results=results,
@@ -413,6 +425,7 @@ def cmd_inclusion(doc: dict, seed: int | None = None) -> ReportBundle:
         tail_window=verdict["tail_window"],
     )
     results = report.to_dict()
+    _report_axioms(results, params.family)
 
     spaces = sorted({row["space"] for row in report.verdicts})
     by_seq: dict[str, dict[str, str]] = {}

@@ -143,6 +143,8 @@ class Component:
             else:
                 value = f.default(root) if callable(f.default) else f.default
             if f.seeded and seed is not None:
+                if seed < f.schema["minimum"]:
+                    raise ConfigError(f"--seed must be >= {f.schema['minimum']}, got {seed}")
                 value = seed
             out[name] = _normalize(value, f.schema, seed, root)
         return out

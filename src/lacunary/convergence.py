@@ -15,15 +15,20 @@ per-index term above (the per-term reading of the defining statistic);
 `raw` applies it to |t_{km}(A(x) - L)| itself, the set the first inclusion
 bound counts.  Reports must name the mode in use.
 
-Summation within a block is in ascending index order; results are
-deterministic and safe to compute concurrently across blocks or m.
+`block_statistics` computes the strong statistic and both exception
+densities for every m = 0..m_max in one pass, from one transform and one
+cumulative sum.  Numerical contract: window sums come from a sequential
+cumulative sum (`np.cumsum`), block sums are a pairwise `np.sum` over each
+block's slice, and exception counts are exact integers.  Every per-m
+trajectory is therefore bitwise equal to its standalone counterpart
+(`strong_block_statistic`, `lacunary_density` of `shat_flags`), and results
+are deterministic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable
 
 import numpy as np
 
@@ -163,36 +168,51 @@ def classify_trajectory(
 
 
 # ---------------------------------------------------------------------------
+# per-block reductions
+# ---------------------------------------------------------------------------
+
+
+def _block_counts(flags: np.ndarray, sched: LacunarySchedule) -> np.ndarray:
+    """|{k in I_r : flags_k}| for r = 1..R, exact, as float64."""
+    cuts = sched.cut_points
+    counts = [np.count_nonzero(flags[a:b]) for a, b in zip(cuts, cuts[1:])]
+    return np.array(counts, dtype=np.float64)
+
+
+def _block_average(values: np.ndarray, sched: LacunarySchedule, alpha: float) -> np.ndarray:
+    """(1 / h_r**alpha) * sum_{k in I_r} values_k, each block a pairwise np.sum."""
+    cuts = sched.cut_points
+    sums = np.array([np.sum(values[a:b]) for a, b in zip(cuts, cuts[1:])])
+    return sums / sched.block_lengths.astype(np.float64) ** alpha
+
+
+# ---------------------------------------------------------------------------
 # densities
 # ---------------------------------------------------------------------------
 
 
-def density_order_alpha(flags: Iterable[bool], alpha: float) -> np.ndarray:
+def density_order_alpha(flags: np.typing.ArrayLike, alpha: float) -> np.ndarray:
     """d(n) = |{k <= n : flag_k}| / n**alpha for n = 1..len(flags)."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    f = np.asarray(list(flags), dtype=np.float64)
+    f = np.asarray(flags, dtype=np.float64)
     n = np.arange(1, f.size + 1, dtype=np.float64)
     return np.cumsum(f) / n**alpha
 
 
 def lacunary_density(
-    flags: Iterable[bool], schedule: LacunarySchedule, alpha: float
+    flags: np.typing.ArrayLike, schedule: LacunarySchedule, alpha: float
 ) -> BlockTrajectory:
     """v_r = |{k in I_r : flag_k}| / h_r**alpha."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    f = np.asarray(list(flags), dtype=bool)
+    f = np.asarray(flags, dtype=bool)
     if f.size < schedule.last_index:
         raise FlagsShorterThanSchedule(
             f"flags cover {f.size} indices, schedule ends at {schedule.last_index}"
         )
     h_alpha = schedule.block_lengths.astype(np.float64) ** alpha
-    counts = np.array(
-        [np.count_nonzero(f[schedule.block_slice(r)]) for r in range(1, schedule.num_blocks + 1)],
-        dtype=np.float64,
-    )
-    return BlockTrajectory(counts / h_alpha, kind=SHAT_DENSITY)
+    return BlockTrajectory(_block_counts(f, schedule) / h_alpha, kind=SHAT_DENSITY)
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +227,7 @@ def ntheta_statistic(x: Sequence, schedule: LacunarySchedule, L: float = 0.0) ->
             f"prefix length {x.horizon} < schedule end {schedule.last_index}"
         )
     dev = np.abs(x.values[: schedule.last_index] - L)
-    sums = np.array(
-        [np.sum(dev[schedule.block_slice(r)]) for r in range(1, schedule.num_blocks + 1)]
-    )
-    return BlockTrajectory(sums / schedule.block_lengths, kind="ntheta")
+    return BlockTrajectory(_block_average(dev, schedule, 1.0), kind="ntheta")
 
 
 def ntheta_norm(x: Sequence, schedule: LacunarySchedule) -> float:
@@ -224,27 +241,16 @@ def _transformed_shifted(x: Sequence, p: SpaceParams, lookahead: int) -> np.ndar
     return z.values - p.L
 
 
-def _windowed_abs(y: np.ndarray, m: int, k_end: int) -> np.ndarray:
-    """|mean(y_k..y_{k+m})| for k = 1..k_end, ascending cumulative sums.
-
-    Only the prefix y_1..y_{k_end+m} is read, so a longer y (precomputed for
-    a larger lookahead) yields bitwise-identical results.
-    """
+def _window_deviations(x: Sequence, p: SpaceParams, m: int) -> np.ndarray:
+    """|t_{km}(A(x) - L)| for k = 1..k_R: transform, shift by L, window-mean."""
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    k_end = p.schedule.last_index
+    y = _transformed_shifted(x, p, m)
     if m == 0:
         return np.abs(y[:k_end])
     c = np.concatenate(([0.0], np.cumsum(y[: k_end + m])))
     return np.abs((c[m + 1 :] - c[:k_end]) / (m + 1))
-
-
-def _window_deviations(
-    x: Sequence, p: SpaceParams, m: int, y_full: np.ndarray | None = None
-) -> np.ndarray:
-    """|t_{km}(A(x) - L)| for k = 1..k_R: transform, shift by L, window-mean."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if y_full is None:
-        y_full = _transformed_shifted(x, p, m)
-    return _windowed_abs(y_full, m, p.schedule.last_index)
 
 
 def _terms_from(devs: np.ndarray, p: SpaceParams) -> np.ndarray:
@@ -256,14 +262,6 @@ def _terms_from(devs: np.ndarray, p: SpaceParams) -> np.ndarray:
     if not p.exponents.is_identically_one:
         terms = terms ** p.exponents.array(1, k_end)
     return terms
-
-
-def _block_average(terms: np.ndarray, sched: LacunarySchedule, alpha: float) -> np.ndarray:
-    h_alpha = sched.block_lengths.astype(np.float64) ** alpha
-    sums = np.array(
-        [np.sum(terms[sched.block_slice(r)]) for r in range(1, sched.num_blocks + 1)]
-    )
-    return sums / h_alpha
 
 
 def strong_block_statistic(x: Sequence, p: SpaceParams, m: int = 0) -> BlockTrajectory:
@@ -302,40 +300,76 @@ class UniformTrajectories:
     flag_mode: str | None
 
 
+def _uniform(
+    per_m: list[np.ndarray], statistic: str, flag_mode: str | None
+) -> UniformTrajectories:
+    sup = BlockTrajectory(np.max(np.stack(per_m), axis=0), kind=f"{statistic}_sup")
+    return UniformTrajectories(
+        per_m=tuple(BlockTrajectory(v, kind=statistic, m=m) for m, v in enumerate(per_m)),
+        sup=sup,
+        statistic=statistic,
+        flag_mode=flag_mode,
+    )
+
+
+def block_statistics(x: Sequence, p: SpaceParams) -> dict[str, UniformTrajectories]:
+    """Every block statistic of x for m = 0..m_max, in one pass.
+
+    Returns the strong bundle under STRONG and the exception-density
+    bundles under their flag modes, MODULAR_FLAGS and RAW_FLAGS.
+
+    y = A(x) - L is computed once for the largest lookahead, with one
+    cumulative sum of y_1..y_{k_R + m_max}; its prefixes are the per-m
+    cumulative sums of `_window_deviations`, bit for bit.  For each m one
+    deviation array and one family evaluation give the strong block sums
+    and the exact exception counts in both flag modes, so each per-m
+    trajectory is bitwise identical to its standalone counterpart.
+
+    Peak memory is a few arrays of k_R floats: the deviations are computed
+    in place, and the index, rho and exponent arrays are built once.
+    """
+    sched = p.schedule
+    k_end = sched.last_index
+    y = _transformed_shifted(x, p, p.m_max)
+    devs = np.abs(y[:k_end])
+    c = np.concatenate(([0.0], np.cumsum(y[: k_end + p.m_max]))) if p.m_max else None
+    del y
+
+    h_alpha = sched.block_lengths.astype(np.float64) ** p.alpha
+    ks = np.arange(1, k_end + 1)
+    rho = p.rho.constant if p.rho.constant is not None else p.rho.array(1, k_end)
+    exps = None if p.exponents.is_identically_one else p.exponents.array(1, k_end)
+    strong: list[np.ndarray] = []
+    modular: list[np.ndarray] = []
+    raw: list[np.ndarray] = []
+    for m in range(p.m_max + 1):
+        if m > 0:
+            np.subtract(c[m + 1 : m + 1 + k_end], c[:k_end], out=devs)
+            devs /= m + 1
+            np.abs(devs, out=devs)
+        raw.append(_block_counts(devs >= p.epsilon, sched) / h_alpha)
+        devs /= rho
+        terms = p.family.eval_at(ks, devs)
+        if exps is not None:
+            terms **= exps
+        modular.append(_block_counts(terms >= p.epsilon, sched) / h_alpha)
+        strong.append(_block_average(terms, sched, p.alpha))
+    return {
+        STRONG: _uniform(strong, STRONG, None),
+        MODULAR_FLAGS: _uniform(modular, SHAT_DENSITY, MODULAR_FLAGS),
+        RAW_FLAGS: _uniform(raw, SHAT_DENSITY, RAW_FLAGS),
+    }
+
+
 def uniform_trajectories(
     x: Sequence, p: SpaceParams, statistic: str, flag_mode: str = MODULAR_FLAGS
 ) -> UniformTrajectories:
-    """Evaluate the chosen statistic for every m in 0..m_max and take block sups.
-
-    The matrix transform is computed once for the largest lookahead; each
-    per-m trajectory is bitwise identical to its standalone counterpart.
-    """
+    """The chosen statistic for every m in 0..m_max with its block sups."""
     if statistic not in (STRONG, SHAT_DENSITY):
         raise ValueError(f"unknown statistic {statistic!r}")
     if statistic == SHAT_DENSITY and flag_mode not in (MODULAR_FLAGS, RAW_FLAGS):
         raise ValueError(f"unknown flag mode {flag_mode!r}")
-    y_full = _transformed_shifted(x, p, p.m_max)
-    per_m: list[BlockTrajectory] = []
-    for m in range(p.m_max + 1):
-        devs = _window_deviations(x, p, m, y_full=y_full)
-        if statistic == STRONG:
-            vals = _block_average(_terms_from(devs, p), p.schedule, p.alpha)
-            per_m.append(BlockTrajectory(vals, kind=STRONG, m=m))
-        else:
-            if flag_mode == MODULAR_FLAGS:
-                flags = _terms_from(devs, p) >= p.epsilon
-            else:
-                flags = devs >= p.epsilon
-            traj = lacunary_density(flags, p.schedule, p.alpha)
-            per_m.append(BlockTrajectory(traj.values, kind=SHAT_DENSITY, m=m))
-    sup_vals = np.max(np.stack([t.values for t in per_m]), axis=0)
-    sup = BlockTrajectory(sup_vals, kind=f"{statistic}_sup")
-    return UniformTrajectories(
-        per_m=tuple(per_m),
-        sup=sup,
-        statistic=statistic,
-        flag_mode=flag_mode if statistic == SHAT_DENSITY else None,
-    )
+    return block_statistics(x, p)[STRONG if statistic == STRONG else flag_mode]
 
 
 def uniform_verdict(

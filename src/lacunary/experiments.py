@@ -35,7 +35,10 @@ from .convergence import (
     SHAT_DENSITY,
     STRONG,
     SpaceParams,
+    _block_average,
+    _block_counts,
     _window_deviations,
+    block_statistics,
     classify_trajectory,
     shat_flags,
     strong_block_statistic,
@@ -330,14 +333,7 @@ def thm31_block_bounds(
     rho_c, eps = _require_constant_setup(p)
     lhs = strong_block_statistic(x, p, m).values
 
-    flags = shat_flags(x, p, m, mode=RAW_FLAGS)
-    counts = np.array(
-        [
-            np.count_nonzero(flags[p.schedule.block_slice(r)])
-            for r in range(1, p.schedule.num_blocks + 1)
-        ],
-        dtype=np.float64,
-    )
+    counts = _block_counts(shat_flags(x, p, m, mode=RAW_FLAGS), p.schedule)
     m_eps = p.family.function(eps / rho_c)
     lo = min(m_eps**p.exponents.h_inf, m_eps**p.exponents.H_sup)
     h_beta = p.schedule.block_lengths.astype(np.float64) ** beta
@@ -375,13 +371,8 @@ def thm33_block_bounds(
         raise ValueError(f"T={T} does not dominate the window deviations (sup {observed})")
 
     lhs = strong_block_statistic(x, p, m).values
-    flags = devs >= p.epsilon
-    sched = p.schedule
-    counts = np.array(
-        [np.count_nonzero(flags[sched.block_slice(r)]) for r in range(1, sched.num_blocks + 1)],
-        dtype=np.float64,
-    )
-    h = sched.block_lengths.astype(np.float64)
+    counts = _block_counts(devs >= p.epsilon, p.schedule)
+    h = p.schedule.block_lengths.astype(np.float64)
     h_alpha = h**p.alpha
     M = p.family.function
     m_K = M(T / rho_c)
@@ -419,11 +410,7 @@ def thm34_triangle_bounds(
     terms = p.family.eval_at(ks, us)
     if not p.exponents.is_identically_one:
         terms = terms ** p.exponents.array(1, k_end)
-    h_alpha = sched.block_lengths.astype(np.float64) ** p.alpha
-    lhs = (
-        np.array([np.sum(terms[sched.block_slice(r)]) for r in range(1, sched.num_blocks + 1)])
-        / h_alpha
-    )
+    lhs = _block_average(terms, sched, p.alpha)
 
     D = p.exponents.D
     v1 = strong_block_statistic(
@@ -563,17 +550,18 @@ def run_inclusion_matrix(
     slack = inequality_slack
 
     cache: dict[tuple, str] = {}
+    stats: dict[tuple, dict] = {}  # block statistics of the current sequence
 
     def verdict_of(
         i: int, x: Sequence, p: SpaceParams, statistic: str, mode: str, tag: str = "family"
     ) -> str:
         key = (i, statistic, mode, p.alpha, tag)
         if key not in cache:
-            v = classify_trajectory(
-                uniform_trajectories(x, p, statistic, mode).sup.values,
-                verdict_tol,
-                tail_window,
-            )
+            space = (p.alpha, tag)
+            if space not in stats:
+                stats[space] = block_statistics(x, p)
+            bundle = stats[space][STRONG if statistic == STRONG else mode]
+            v = classify_trajectory(bundle.sup.values, verdict_tol, tail_window)
             label = f"{statistic}[{tag}]@alpha={p.alpha:g}" + (
                 f",flags={mode}" if statistic == SHAT_DENSITY else ""
             )
@@ -591,6 +579,7 @@ def run_inclusion_matrix(
     t31_violations = 0
     for i, (x, p) in enumerate(corpus):
         sid = f"seq_{i:03d}"
+        stats.clear()
         for theorem in requested:
             if theorem == "T31":
                 ante = verdict_of(i, x, p, STRONG, MODULAR_FLAGS)

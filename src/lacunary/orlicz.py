@@ -382,6 +382,12 @@ class SpikeFamily(MusielakOrliczFamily):
     def _table(self) -> dict[int, float]:
         return dict(self.slopes)
 
+    @cached_property
+    def _overrides(self) -> tuple[np.ndarray, np.ndarray]:
+        """The overridden indices, sorted, and their slopes."""
+        keys = sorted(self._table)
+        return np.array(keys, dtype=np.int64), np.array([self._table[k] for k in keys])
+
     def slope(self, k: int) -> float:
         return self._table.get(k, self.default_slope)
 
@@ -393,7 +399,12 @@ class SpikeFamily(MusielakOrliczFamily):
         us = np.asarray(us, dtype=np.float64)
         if np.any(us < 0):
             raise NegativeArgument("Orlicz functions take u >= 0")
-        c = np.array([self._table.get(int(k), self.default_slope) for k in ks])
+        c = np.full(ks.shape, self.default_slope)
+        keys, slopes = self._overrides
+        if keys.size:
+            pos = np.minimum(np.searchsorted(keys, ks), keys.size - 1)
+            hit = keys[pos] == ks
+            c[hit] = slopes[pos[hit]]
         return c * us
 
 
@@ -410,6 +421,29 @@ class CustomFamily(MusielakOrliczFamily):
 
     def member(self, k: int) -> OrliczFunction:
         return self.functions[min(k - 1, len(self.functions) - 1)]
+
+
+def table_axiom_failures(family: MusielakOrliczFamily) -> dict[str, list[str]]:
+    """The Orlicz axioms each Table member of `family` fails on its knots.
+
+    Tables are not checked at construction (see `Table`), so families
+    built from configs are checked here.  Keys name the member as the
+    config does ("function", "functions[i]"); members that pass are left
+    out, so a family whose tables all pass maps to {}.
+    """
+    if isinstance(family, ConstantFamily):
+        members = {"function": family.function}
+    elif isinstance(family, CustomFamily):
+        members = {f"functions[{i}]": M for i, M in enumerate(family.functions)}
+    else:
+        return {}
+    failures = {}
+    for name, M in members.items():
+        if isinstance(M, Table):
+            report = verify_orlicz_axioms(M, [u for u, _ in M.knots])
+            if report.failures:
+                failures[name] = list(report.failures)
+    return failures
 
 
 # ---------------------------------------------------------------------------

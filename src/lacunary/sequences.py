@@ -5,8 +5,8 @@ limit statement downstream becomes a finite trajectory.  Indexing is 1-based
 throughout, matching the block convention I_r = (k_{r-1}, k_r].
 
 All operations here are pure functions of immutable inputs and are safe to
-call concurrently.  Sums over a block or a window always run in ascending
-index order, so results are bitwise reproducible.
+call concurrently.  Sums over a window use numpy's pairwise `np.sum`, so
+results are deterministic and bitwise reproducible.
 """
 
 from __future__ import annotations

@@ -114,6 +114,25 @@ class TestNorms:
         assert res["complementary"][0]["value"] == pytest.approx(4.5, abs=1e-6)
         assert res["delta2"]["held"]
 
+    @pytest.mark.parametrize(
+        "knots,failures",
+        [
+            ([[0, 0], [1, 5], [2, 5.5]], {"function": ["midpoint_convex"]}),
+            ([[0, 0], [1, 1.5], [2, 4.5]], None),
+        ],
+    )
+    def test_table_axiom_failures_reported(self, tmp_path, knots, failures):
+        cfg = write_config(
+            tmp_path,
+            {
+                "command": "norms",
+                "sequence": {"kind": "explicit", "values": [0.5, 1.0]},
+                "family": {"kind": "constant", "function": {"kind": "table", "knots": knots}},
+            },
+        )
+        assert run_cli(["norms", "--config", cfg, "--out", tmp_path / "out"]) == 0
+        assert read_report(tmp_path / "out")["results"].get("axiom_failures") == failures
+
 
 BASE_CLASSIFY = {
     "command": "classify",
@@ -443,6 +462,10 @@ class TestErrorBoundary:
             "space": {"L": 2.0, "m_max": 4, "rho": {"kind": "per_index", "values": [1.0, 1.0]}},
         }
         self.run_expect_error(tmp_path, capsys, doc, "config error: space: rho defined up to index 2")
+
+    def test_negative_seed_override(self, tmp_path, capsys):
+        assert run_cli(["inclusion", "--seed", -1, "--out", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err.startswith("config error: --seed must be >= 0")
 
     def test_thm38_schedule_with_wrong_block_count(self, tmp_path, capsys):
         doc = {

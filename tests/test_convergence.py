@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lacunary import (
     CesaroC1,
@@ -12,11 +13,16 @@ from lacunary import (
     Explicit,
     Geometric,
     Identity,
+    IndexPowerFamily,
+    IndexScaledFamily,
     LinearSlope,
     Power,
     RhoSequence,
     Sequence,
+    Shift,
     SpaceParams,
+    SpikeFamily,
+    block_statistics,
     build_lacunary,
     classify_trajectory,
     density_order_alpha,
@@ -140,6 +146,15 @@ def _params(schedule, family=None, **kw):
     return SpaceParams(family=fam, schedule=schedule, **defaults)
 
 
+ENGINE_FAMILIES = [
+    ConstantFamily(Power(2.0)),
+    ConstantFamily(Power(1.5)),
+    IndexScaledFamily(),
+    IndexPowerFamily((1.0, 2.5, 1.5)),
+    SpikeFamily(((2, 5.0), (9, 0.25), (20, 3.0)), default_slope=0.8),
+]
+
+
 class TestStrongStatistic:
     def test_zero_at_limit(self):
         s = build_lacunary(Geometric(1, 2, 6))
@@ -190,17 +205,47 @@ class TestStrongStatistic:
         ) / s.block_lengths.astype(float) ** p.alpha
         assert np.array_equal(dens, manual)
 
-    def test_uniform_bundle_matches_standalone(self):
-        rng = np.random.default_rng(13)
-        s = build_lacunary(Geometric(1, 2, 6))
-        p = _params(s, family=ConstantFamily(Power(2.0)), m_max=5, L=0.05,
-                    matrix=CesaroC1())
-        x = Sequence(rng.uniform(-1, 1, s.last_index + 5))
-        bundle = uniform_trajectories(x, p, STRONG)
-        for m, traj in enumerate(bundle.per_m):
-            assert np.array_equal(traj.values, strong_block_statistic(x, p, m).values)
-        assert np.array_equal(bundle.sup.values,
-                              np.max(np.stack([t.values for t in bundle.per_m]), axis=0))
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_uniform_bundle_matches_standalone(self, data):
+        """The one-pass engine reproduces every standalone per-m statistic bit for bit."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        s = build_lacunary(Geometric(1, 2, data.draw(st.integers(1, 6), label="blocks")))
+        m_max = data.draw(st.integers(0, 6), label="m_max")
+        if data.draw(st.booleans(), label="per-index rho"):
+            rho = RhoSequence(constant=None, per_index=tuple(rng.uniform(0.5, 2.0, s.last_index)))
+        else:
+            rho = RhoSequence(constant=data.draw(st.sampled_from([1.0, 0.7, 1.9])))
+        if data.draw(st.booleans(), label="per-index exponents"):
+            exponents = ExponentSequence(constant=None, per_index=(1.0, 2.0, 0.5, 1.3))
+        else:
+            exponents = ExponentSequence(constant=data.draw(st.sampled_from([1.0, 0.5, 2.0, 1.7])))
+        p = _params(
+            s,
+            family=data.draw(st.sampled_from(ENGINE_FAMILIES)),
+            matrix=data.draw(st.sampled_from([Identity(), CesaroC1(), Shift(d=2)])),
+            m_max=m_max,
+            rho=rho,
+            exponents=exponents,
+            epsilon=data.draw(st.sampled_from([1e-3, 0.1, 0.5])),
+            L=data.draw(st.sampled_from([0.0, 0.05, -0.3])),
+            alpha=data.draw(st.sampled_from([1.0, 0.6])),
+        )
+        x = Sequence(rng.uniform(-2, 2, s.last_index + m_max + 2))
+
+        stats = block_statistics(x, p)
+        for m in range(m_max + 1):
+            standalone = strong_block_statistic(x, p, m).values
+            assert stats[STRONG].per_m[m].values.tobytes() == standalone.tobytes()
+            for mode in (MODULAR_FLAGS, RAW_FLAGS):
+                standalone = lacunary_density(shat_flags(x, p, m, mode), s, p.alpha).values
+                assert stats[mode].per_m[m].values.tobytes() == standalone.tobytes()
+        for key, bundle in stats.items():
+            assert [t.m for t in bundle.per_m] == list(range(m_max + 1))
+            assert np.array_equal(bundle.sup.values,
+                                  np.max(np.stack([t.values for t in bundle.per_m]), axis=0))
+            statistic = STRONG if key == STRONG else SHAT_DENSITY
+            assert uniform_trajectories(x, p, statistic, key).statistic == statistic
 
 
 class TestVerdicts:

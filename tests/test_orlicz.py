@@ -33,6 +33,7 @@ from lacunary import (
     orlicz_norm,
     verify_orlicz_axioms,
 )
+from lacunary.orlicz import table_axiom_failures
 from lacunary.errors import BracketTooSmall, EmptyAdmissibleSet, NegativeArgument
 
 
@@ -86,6 +87,19 @@ class TestEval:
             many = M.eval_many(us)
             assert many == pytest.approx([M(u) for u in us], rel=1e-15)
 
+    @given(
+        slopes=st.dictionaries(st.integers(-3, 40), st.floats(1e-3, 1e3), max_size=8),
+        default=st.floats(1e-3, 1e3),
+        pairs=st.lists(st.tuples(st.integers(-3, 45), st.floats(0.0, 1e6)), max_size=40),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_spike_eval_at_matches_member_loop(self, slopes, default, pairs):
+        fam = SpikeFamily(slopes=tuple(slopes.items()), default_slope=default)
+        ks = np.array([k for k, _ in pairs], dtype=np.int64)
+        us = np.array([u for _, u in pairs], dtype=np.float64)
+        loop = np.array([fam.member(int(k))(float(u)) for k, u in zip(ks, us)], dtype=np.float64)
+        assert fam.eval_at(ks, us).tobytes() == loop.tobytes()
+
 
 class TestAxioms:
     def test_power_passes(self):
@@ -97,6 +111,16 @@ class TestAxioms:
         rep = verify_orlicz_axioms(M, [0, 1, 2])
         assert not rep.midpoint_convex
         assert "midpoint_convex" in rep.failures
+
+    def test_table_axiom_failures_name_the_member(self):
+        concave = Table(((0.0, 0.0), (1.0, 5.0), (2.0, 5.5)))
+        convex = Table(((0.0, 0.0), (1.0, 1.5), (2.0, 4.5)))
+        assert table_axiom_failures(ConstantFamily(concave)) == {"function": ["midpoint_convex"]}
+        assert table_axiom_failures(CustomFamily((convex, concave, Power(2.0)))) == {
+            "functions[1]": ["midpoint_convex"]
+        }
+        assert table_axiom_failures(ConstantFamily(convex)) == {}
+        assert table_axiom_failures(IndexScaledFamily()) == {}
 
     def test_linear_passes_any_grid(self):
         for grid in ([0, 1], [0, 0.1, 0.2], [0, 3, 10, 100]):
