@@ -164,6 +164,10 @@ def cmd_norms(doc: dict, seed: int | None = None) -> ReportBundle:
     x = SEQUENCE.build(echo["sequence"])
     family = FAMILY.build(echo["family"])
     rho = RHO.build(echo["rho"])
+    if rho.per_index is not None and len(rho.per_index) < x.horizon:
+        raise ConfigError(
+            f"rho: rho defined up to index {len(rho.per_index)}, the sequence needs {x.horizon}"
+        )
     lux = luxemburg_norm(family, x, echo["luxemburg_tol"])
     orl = orlicz_norm(family, x, echo["orlicz_tol"])
     results: dict = {

@@ -328,17 +328,21 @@ def thm31_block_bounds(
     Valid for alpha <= beta, constant family and constant rho; then
     lhs >= rhs holds exactly in real arithmetic.
     """
-    if beta < p.alpha or not 0 < beta <= 1:
-        raise ValueError("need alpha <= beta <= 1")
-    rho_c, eps = _require_constant_setup(p)
+    lo = _thm31_floor(p, beta)
     lhs = strong_block_statistic(x, p, m).values
 
     counts = _block_counts(shat_flags(x, p, m, mode=RAW_FLAGS), p.schedule)
-    m_eps = p.family.function(eps / rho_c)
-    lo = min(m_eps**p.exponents.h_inf, m_eps**p.exponents.H_sup)
     h_beta = p.schedule.block_lengths.astype(np.float64) ** beta
-    rhs = counts / h_beta * lo
-    return lhs, rhs
+    return lhs, counts / h_beta * lo
+
+
+def _thm31_floor(p: SpaceParams, beta: float) -> float:
+    """min(M(eps1)**h_inf, M(eps1)**H_sup), eps1 = eps / rho: T31's bound per raw exception."""
+    if beta < p.alpha or not 0 < beta <= 1:
+        raise ValueError("need alpha <= beta <= 1")
+    rho_c, eps = _require_constant_setup(p)
+    m_eps = p.family.function(eps / rho_c)
+    return min(m_eps**p.exponents.h_inf, m_eps**p.exponents.H_sup)
 
 
 def thm33_block_bounds(
@@ -596,7 +600,9 @@ def run_inclusion_matrix(
                     }
                 )
                 if isinstance(p.family, ConstantFamily) and p.rho.constant is not None:
-                    lhs, rhs = thm31_block_bounds(x, p, beta, m=0)
+                    lo = _thm31_floor(p, beta)
+                    lhs = stats[(p.alpha, "family")][STRONG].per_m[0].values
+                    rhs = stats[(beta, "family")][RAW_FLAGS].per_m[0].values * lo
                     bad = rhs - lhs > slack * np.maximum(1.0, np.abs(rhs))
                     t31_violations += int(np.count_nonzero(bad))
             elif theorem == "T33":

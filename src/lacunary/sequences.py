@@ -4,9 +4,12 @@ An infinite real sequence is represented by its prefix (x_1..x_N); every
 limit statement downstream becomes a finite trajectory.  Indexing is 1-based
 throughout, matching the block convention I_r = (k_{r-1}, k_r].
 
-All operations here are pure functions of immutable inputs and are safe to
-call concurrently.  Sums over a window use numpy's pairwise `np.sum`, so
-results are deterministic and bitwise reproducible.
+All operations here are pure functions of immutable inputs, safe to call
+concurrently and bitwise reproducible.  A window mean is one pairwise
+`np.sum`.  A matrix operator's `transform` gives a whole prefix of rows:
+Identity and Shift slice x, CesaroC1 divides a sequential `np.cumsum` by
+n, RowTable sums each row in increasing column order, and
+`geometric_tail` runs a backward recurrence.
 """
 
 from __future__ import annotations
@@ -196,38 +199,45 @@ def build_lacunary(rule: Explicit | Geometric, h_floor: int = 2) -> LacunarySche
 
 
 class MatrixOperator:
-    """Row-wise infinite matrix A = (a_nk) applied to finite prefixes.
+    """Infinite matrix A = (a_nk); `transform` gives A_1(x)..A_out_len(x) of x_1..x_N.
 
-    Subclasses either have finite row support (exact evaluation) or carry a
-    certified tail bound so truncation error stays below the caller's tol.
+    Finite-support rows are exact (SupportExceedsHorizon past the horizon);
+    generator rows certify their truncation error below `tol`.  Errors name
+    the first failing row as `at output index n=<n>`.
     """
 
     kind = "abstract"
 
-    def row_value(self, x: Sequence, n: int, tol: float) -> float:
+    def transform(self, x: np.ndarray, out_len: int, tol: float) -> np.ndarray:
         raise NotImplementedError
+
+
+def _beyond_horizon(n: int, detail: str) -> SupportExceedsHorizon:
+    return SupportExceedsHorizon(f"at output index n={n}: row {n} {detail}")
 
 
 @dataclass(frozen=True)
 class Identity(MatrixOperator):
     kind = "identity"
 
-    def row_value(self, x: Sequence, n: int, tol: float) -> float:
-        if n > x.horizon:
-            raise SupportExceedsHorizon(f"row {n} needs x_{n}, horizon is {x.horizon}")
-        return float(x.values[n - 1])
+    def transform(self, x: np.ndarray, out_len: int, tol: float) -> np.ndarray:
+        if out_len > x.size:
+            n = x.size + 1
+            raise _beyond_horizon(n, f"needs x_{n}, horizon is {x.size}")
+        return x[:out_len]
 
 
 @dataclass(frozen=True)
 class CesaroC1(MatrixOperator):
-    """First Cesaro means: a_nk = 1/n for k <= n."""
+    """First Cesaro means: a_nk = 1/n for k <= n, from one sequential cumsum."""
 
     kind = "cesaro_c1"
 
-    def row_value(self, x: Sequence, n: int, tol: float) -> float:
-        if n > x.horizon:
-            raise SupportExceedsHorizon(f"row {n} needs x_1..x_{n}, horizon is {x.horizon}")
-        return float(np.sum(x.values[:n]) / n)
+    def transform(self, x: np.ndarray, out_len: int, tol: float) -> np.ndarray:
+        if out_len > x.size:
+            n = x.size + 1
+            raise _beyond_horizon(n, f"needs x_1..x_{n}, horizon is {x.size}")
+        return np.cumsum(x[:out_len]) / np.arange(1, out_len + 1)
 
 
 @dataclass(frozen=True)
@@ -237,13 +247,12 @@ class Shift(MatrixOperator):
     d: int = 1
     kind = "shift"
 
-    def row_value(self, x: Sequence, n: int, tol: float) -> float:
-        k = n + self.d
-        if k < 1:
-            return 0.0
-        if k > x.horizon:
-            raise SupportExceedsHorizon(f"row {n} needs x_{k}, horizon is {x.horizon}")
-        return float(x.values[k - 1])
+    def transform(self, x: np.ndarray, out_len: int, tol: float) -> np.ndarray:
+        n = max(1, x.size - self.d + 1)  # first row needing x past the horizon
+        if out_len >= n:
+            raise _beyond_horizon(n, f"needs x_{n + self.d}, horizon is {x.size}")
+        lo = min(max(0, -self.d), out_len)  # rows 1..lo point before x_1
+        return np.concatenate((np.zeros(lo), x[lo + self.d : out_len + self.d]))
 
 
 @dataclass(frozen=True)
@@ -263,93 +272,81 @@ class RowTable(MatrixOperator):
                     raise ValueError(f"row {i + 1}: coefficient at k={k} not finite")
         object.__setattr__(self, "rows", rows)
 
-    def row_value(self, x: Sequence, n: int, tol: float) -> float:
-        if n > len(self.rows):
-            raise SupportExceedsHorizon(f"row {n} not defined (table has {len(self.rows)} rows)")
-        total = 0.0
-        for k, a in sorted(self.rows[n - 1]):
-            if k > x.horizon:
-                raise SupportExceedsHorizon(
-                    f"row {n} has support at k={k}, horizon is {x.horizon}"
-                )
-            total += a * x.values[k - 1]
-        return total
+    def transform(self, x: np.ndarray, out_len: int, tol: float) -> np.ndarray:
+        out = np.empty(out_len)
+        for n in range(1, out_len + 1):
+            if n > len(self.rows):
+                raise _beyond_horizon(n, f"not defined (table has {len(self.rows)} rows)")
+            total = 0.0
+            for k, a in sorted(self.rows[n - 1]):
+                if k > x.size:
+                    raise _beyond_horizon(n, f"has support at k={k}, horizon is {x.size}")
+                total += a * x[k - 1]
+            out[n - 1] = total
+        return out
 
 
 @dataclass(frozen=True, eq=False)
 class RowGenerator(MatrixOperator):
     """Infinite rows given by a rule plus a certified truncation bound.
 
-    `tail_bound(n, j)` must dominate sum_{k>j} |a_nk| * x_bound, where
-    `x_bound` is the declared bound on |x_k| for every sequence this
-    operator is applied to.  Rows are truncated at the horizon and the
-    bound certifies the dropped mass; no silent truncation.
+    `rows(x, out_len)` returns sum_{k <= N} a_nk x_k for n = 1..out_len, the
+    rows truncated at the horizon N = len(x).  `tail_bound(ns, N)` returns,
+    for an array of row indices, bounds dominating sum_{k > N} |a_nk| * x_bound,
+    where `x_bound` is the declared bound on |x_k|.  The prefix is checked
+    against `x_bound`, and every requested row's bound must be below `tol`.
     """
 
     name: str
-    coeff: Callable[[int, int], float]
-    tail_bound: Callable[[int, int], float]
+    rows: Callable[[np.ndarray, int], np.ndarray]
+    tail_bound: Callable[[np.ndarray, int], np.ndarray]
     x_bound: float
-    coeff_row: Callable[[int, np.ndarray], np.ndarray] | None = None
     kind = "row_generator"
 
-    def row_value(self, x: Sequence, n: int, tol: float) -> float:
-        observed = float(np.max(np.abs(x.values))) if x.horizon else 0.0
+    def transform(self, x: np.ndarray, out_len: int, tol: float) -> np.ndarray:
+        observed = float(np.max(np.abs(x)))
         if observed > self.x_bound * (1 + 1e-12):
             raise PrefixExceedsBound(
                 f"prefix exceeds the declared bound |x_k| <= {self.x_bound} "
                 f"(observed {observed})"
             )
-        if self.tail_bound(n, x.horizon) >= tol:
+        bounds = self.tail_bound(np.arange(1, out_len + 1), x.size)
+        failing = np.flatnonzero(bounds >= tol)
+        if failing.size:
+            n = int(failing[0]) + 1
             raise TailBoundUnsatisfiable(
-                f"row {n}: tail bound {self.tail_bound(n, x.horizon):.3g} at horizon "
-                f"{x.horizon} is not below tol={tol:.3g}"
+                f"at output index n={n}: row {n}: tail bound {bounds[n - 1]:.3g} at "
+                f"horizon {x.size} is not below tol={tol:.3g}"
             )
-        ks = np.arange(1, x.horizon + 1)
-        if self.coeff_row is not None:
-            coeffs = np.asarray(self.coeff_row(n, ks), dtype=np.float64)
-        else:
-            coeffs = np.array([self.coeff(n, int(k)) for k in ks])
-        return float(np.sum(coeffs * x.values))
+        return self.rows(x, out_len)
 
 
 def geometric_tail(decay: float, x_bound: float) -> RowGenerator:
     """Forward-weighted averaging rows a_nk = (1-decay) * decay**(k-n) for k >= n.
 
     Each row sums to 1; the tail past column j >= n has mass decay**(j-n+1),
-    which gives the closed-form certified bound.
+    which gives the closed-form certified bound.  Rows come from the backward
+    recurrence S_n = (1-decay) x_n + decay * S_{n+1}; rows past the horizon are 0.
     """
     if not 0 < decay < 1:
         raise ValueError("decay must be in (0, 1)")
 
-    def coeff(n: int, k: int) -> float:
-        return (1 - decay) * decay ** (k - n) if k >= n else 0.0
+    def rows(x: np.ndarray, out_len: int) -> np.ndarray:
+        s, sums = 0.0, []
+        for v in reversed(x.tolist()):
+            s = (1 - decay) * v + decay * s
+            sums.append(s)
+        return np.array(sums[::-1][:out_len] + [0.0] * (out_len - x.size))
 
-    def tail_bound(n: int, j: int) -> float:
-        return x_bound * decay ** (j - n + 1) if j >= n else x_bound
-
-    def coeff_row(n: int, ks: np.ndarray) -> np.ndarray:
-        out = np.where(ks >= n, (1 - decay) * decay ** (ks - n), 0.0)
-        return out
+    def tail_bound(ns: np.ndarray, j: int) -> np.ndarray:
+        return x_bound * decay ** np.maximum(j - ns + 1, 0)
 
     return RowGenerator(
         name=f"geometric_tail(decay={decay})",
-        coeff=coeff,
+        rows=rows,
         tail_bound=tail_bound,
         x_bound=x_bound,
-        coeff_row=coeff_row,
     )
-
-
-def apply_matrix(A: MatrixOperator, x: Sequence, n: int, tol: float = 1e-12) -> float:
-    """A_n(x) = sum_k a_nk x_k, exact for finite-support rows.
-
-    For generator rows the absolute truncation error is certified below
-    `tol`; otherwise TailBoundUnsatisfiable is raised.
-    """
-    if n < 1:
-        raise ValueError("row index n must be >= 1")
-    return A.row_value(x, n, tol)
 
 
 def transform_sequence(
@@ -358,16 +355,4 @@ def transform_sequence(
     """The prefix (A_1(x), ..., A_out_len(x)) as a Sequence."""
     if out_len < 1:
         raise ValueError("out_len must be >= 1")
-    if isinstance(A, Identity):
-        if out_len > x.horizon:
-            raise SupportExceedsHorizon(
-                f"row {x.horizon + 1} needs x beyond horizon {x.horizon}"
-            )
-        return Sequence(x.values[:out_len])
-    out = np.empty(out_len)
-    for n in range(1, out_len + 1):
-        try:
-            out[n - 1] = A.row_value(x, n, tol)
-        except (SupportExceedsHorizon, TailBoundUnsatisfiable) as exc:
-            raise type(exc)(f"at output index n={n}: {exc}") from exc
-    return Sequence(out)
+    return Sequence(A.transform(x.values, out_len, tol))

@@ -463,6 +463,17 @@ class TestErrorBoundary:
         }
         self.run_expect_error(tmp_path, capsys, doc, "config error: space: rho defined up to index 2")
 
+    def test_per_index_rho_shorter_than_norms_sequence(self, tmp_path, capsys):
+        doc = {
+            "command": "norms",
+            "sequence": {"kind": "explicit", "values": [0.5, 1.0, 2.0]},
+            "family": {"kind": "constant", "function": {"kind": "power", "p": 2.0}},
+            "rho": {"kind": "per_index", "values": [1.0]},
+        }
+        self.run_expect_error(
+            tmp_path, capsys, doc, "config error: rho: rho defined up to index 1, the sequence needs 3"
+        )
+
     def test_negative_seed_override(self, tmp_path, capsys):
         assert run_cli(["inclusion", "--seed", -1, "--out", tmp_path / "out"]) == 1
         assert capsys.readouterr().err.startswith("config error: --seed must be >= 0")

@@ -1,5 +1,7 @@
 """Window means, matrix rows, and block schedules against direct-sum oracles."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,6 @@ from lacunary import (
     RowTable,
     Sequence,
     Shift,
-    apply_matrix,
     build_lacunary,
     geometric_tail,
     transform_sequence,
@@ -21,6 +22,7 @@ from lacunary import (
 from lacunary.errors import (
     EmptySchedule,
     IndexOutOfHorizon,
+    LacunaryError,
     NotStrictlyIncreasing,
     PrefixExceedsBound,
     SupportExceedsHorizon,
@@ -113,34 +115,185 @@ class TestSequenceType:
             x.at(0)
 
 
+def row_by_row(row, x, out_len, tol):
+    """Reference transform: one row at a time, errors tagged with the failing row."""
+    out = np.empty(out_len)
+    for n in range(1, out_len + 1):
+        try:
+            out[n - 1] = row(x, n, tol)
+        except (SupportExceedsHorizon, TailBoundUnsatisfiable) as exc:
+            raise type(exc)(f"at output index n={n}: {exc}") from exc
+    return out
+
+
+def identity_row(x, n, tol):
+    if n > x.size:
+        raise SupportExceedsHorizon(f"row {n} needs x_{n}, horizon is {x.size}")
+    return float(x[n - 1])
+
+
+def cesaro_row(x, n, tol):
+    if n > x.size:
+        raise SupportExceedsHorizon(f"row {n} needs x_1..x_{n}, horizon is {x.size}")
+    return float(np.sum(x[:n]) / n)
+
+
+def shift_row(d):
+    def row(x, n, tol):
+        k = n + d
+        if k < 1:
+            return 0.0
+        if k > x.size:
+            raise SupportExceedsHorizon(f"row {n} needs x_{k}, horizon is {x.size}")
+        return float(x[k - 1])
+
+    return row
+
+
+def row_table_row(rows):
+    def row(x, n, tol):
+        if n > len(rows):
+            raise SupportExceedsHorizon(f"row {n} not defined (table has {len(rows)} rows)")
+        total = 0.0
+        for k, a in sorted(rows[n - 1]):
+            if k > x.size:
+                raise SupportExceedsHorizon(f"row {n} has support at k={k}, horizon is {x.size}")
+            total += a * x[k - 1]
+        return total
+
+    return row
+
+
+def geometric_row(decay, x_bound):
+    """The full coefficient row (1-decay) * decay**(k-n), k >= n, summed against x."""
+
+    def row(x, n, tol):
+        observed = float(np.max(np.abs(x)))
+        if observed > x_bound * (1 + 1e-12):
+            raise PrefixExceedsBound(f"observed {observed}")
+        j = x.size
+        tail = x_bound * decay ** (j - n + 1) if j >= n else x_bound
+        if tail >= tol:
+            raise TailBoundUnsatisfiable(f"row {n}: tail bound {tail:.3g}")
+        ks = np.arange(1, j + 1)
+        coeffs = np.where(ks >= n, (1 - decay) * decay ** np.maximum(ks - n, 0), 0.0)
+        return float(np.sum(coeffs * x))
+
+    return row
+
+
+def outcome(fn):
+    """(values, None) on success, (None, (error class, first failing n)) on a LacunaryError."""
+    try:
+        return fn(), None
+    except LacunaryError as exc:
+        failing = re.search(r"at output index n=(\d+):", str(exc))
+        return None, (type(exc), failing and int(failing.group(1)))
+
+
+@st.composite
+def prefixes(draw):
+    """A seeded prefix of length 1..4096 and an out_len on either side of its horizon."""
+    N = draw(st.integers(1, 4096))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    out_len = draw(st.one_of(st.integers(1, N), st.integers(N + 1, N + 8)))
+    return rng, rng.uniform(-scale, scale, N), out_len
+
+
+class TestTransformAgainstRowByRow:
+    """Whole-prefix transforms against the row-by-row reference sums."""
+
+    def check(self, A, row, x, out_len, tol=1e-12, rel=None):
+        got, got_err = outcome(lambda: transform_sequence(A, Sequence(x), out_len, tol).values)
+        want, want_err = outcome(lambda: row_by_row(row, x, out_len, tol))
+        assert got_err == want_err
+        if want is None:
+            return
+        if rel is None:
+            assert got.tobytes() == want.tobytes()
+        else:
+            scale = transform_sequence(A, Sequence(np.abs(x)), out_len, tol).values
+            assert np.all(np.abs(got - want) <= rel * scale)
+
+    @given(data=prefixes(), d=st.integers(-5, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_identity_and_shift_bitwise(self, data, d):
+        _, x, out_len = data
+        self.check(Identity(), identity_row, x, out_len)
+        self.check(Shift(d), shift_row(d), x, out_len)
+
+    @given(data=prefixes(), extra_rows=st.integers(-4, 4), planted=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_row_table_bitwise(self, data, extra_rows, planted):
+        rng, x, out_len = data
+        rows = []
+        for _ in range(max(1, out_len + extra_rows)):
+            width = int(rng.integers(0, 4))
+            cols = rng.integers(1, x.size + 1, width)
+            rows.append(list(zip(cols.tolist(), rng.uniform(-2, 2, width).tolist())))
+        if planted:  # one column past the horizon
+            rows[int(rng.integers(0, len(rows)))].append((x.size + 1, 1.0))
+        A = RowTable(rows)
+        self.check(A, row_table_row(A.rows), x, out_len)
+
+    @given(data=prefixes())
+    @settings(max_examples=40, deadline=None)
+    def test_cesaro_within_relative_sum(self, data):
+        _, x, out_len = data
+        self.check(CesaroC1(), cesaro_row, x, out_len, rel=1e-12)
+
+    @given(
+        data=prefixes(),
+        decay=st.floats(0.05, 0.95),
+        bound_factor=st.sampled_from([0.5, 1.0, 2.0]),
+        tol=st.sampled_from([1e-12, 1e-6, 1e-3]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_geometric_tail_within_relative_sum(self, data, decay, bound_factor, tol):
+        _, x, out_len = data
+        x_bound = bound_factor * float(np.max(np.abs(x)))
+        A = geometric_tail(decay, x_bound)
+        self.check(A, geometric_row(decay, x_bound), x, out_len, tol, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_geometric_tail_past_the_row_raises_no_overflow(self):
+        x = Sequence(np.sin(np.arange(1, 2**11 + 69)) * 1.9)
+        z = transform_sequence(geometric_tail(0.5, 2.0), x, 2**11 + 4)
+        want = row_by_row(geometric_row(0.5, 2.0), x.values, 2**11 + 4, 1e-12)
+        assert np.allclose(z.values, want, rtol=0, atol=1e-15)
+
+
 class TestApplyMatrix:
+    """Single rows A_n(x), read from `transform_sequence`."""
+
     def test_identity_is_direct_indexing(self):
         x = Sequence(np.array([4.0, 5.0, 6.0]))
         for n in (1, 2, 3):
-            assert apply_matrix(Identity(), x, n) == x.at(n)
+            assert transform_sequence(Identity(), x, n).at(n) == x.at(n)
 
     def test_cesaro_means(self):
         x = Sequence(np.array([1.0, 2.0, 3.0, 4.0]))
-        assert apply_matrix(CesaroC1(), x, 4) == pytest.approx((1 + 2 + 3 + 4) / 4)
-        assert apply_matrix(CesaroC1(), x, 1) == 1.0
+        assert transform_sequence(CesaroC1(), x, 4).at(4) == pytest.approx((1 + 2 + 3 + 4) / 4)
+        assert transform_sequence(CesaroC1(), x, 1).at(1) == 1.0
 
     def test_shift_rows(self):
         x = Sequence(np.array([1.0, 2.0, 3.0]))
-        assert apply_matrix(Shift(1), x, 1) == 2.0
-        assert apply_matrix(Shift(-1), x, 3) == 2.0
-        assert apply_matrix(Shift(-5), x, 2) == 0.0
+        assert transform_sequence(Shift(1), x, 1).at(1) == 2.0
+        assert transform_sequence(Shift(-1), x, 3).at(3) == 2.0
+        assert transform_sequence(Shift(-5), x, 2).at(2) == 0.0
         with pytest.raises(SupportExceedsHorizon):
-            apply_matrix(Shift(1), x, 3)
+            transform_sequence(Shift(1), x, 3)
 
     def test_row_table(self):
         A = RowTable((((1, 0.5), (3, 0.5)),))
         x = Sequence(np.array([2.0, 100.0, 4.0]))
-        assert apply_matrix(A, x, 1) == 3.0
+        assert transform_sequence(A, x, 1).at(1) == 3.0
         with pytest.raises(SupportExceedsHorizon):
-            apply_matrix(A, x, 2)
+            transform_sequence(A, x, 2)
         short = Sequence(np.array([2.0, 100.0]))
         with pytest.raises(SupportExceedsHorizon):
-            apply_matrix(A, short, 1)
+            transform_sequence(A, short, 1)
 
     def test_row_generator_matches_truncated_sum(self):
         A = geometric_tail(decay=0.5, x_bound=1.0)
@@ -148,20 +301,20 @@ class TestApplyMatrix:
         x = Sequence(vals)
         n = 3
         oracle = sum(0.5 * 0.5 ** (k - n) * vals[k - 1] for k in range(n, 101))
-        assert apply_matrix(A, x, n, tol=1e-9) == pytest.approx(oracle, abs=1e-12)
+        assert transform_sequence(A, x, n, tol=1e-9).at(n) == pytest.approx(oracle, abs=1e-12)
 
     def test_row_generator_certifies_tail(self):
         A = geometric_tail(decay=0.5, x_bound=1.0)
         x = Sequence(np.ones(10))
         # tail bound at horizon 10 for row 1 is 0.5**10 ~ 1e-3; ask for more
         with pytest.raises(TailBoundUnsatisfiable):
-            apply_matrix(A, x, 1, tol=1e-6)
+            transform_sequence(A, x, 1, tol=1e-6)
 
     def test_row_generator_enforces_declared_bound(self):
         A = geometric_tail(decay=0.5, x_bound=1.0)
         x = Sequence(np.full(100, 2.0))
         with pytest.raises(PrefixExceedsBound):
-            apply_matrix(A, x, 1, tol=1e-3)
+            transform_sequence(A, x, 1, tol=1e-3)
 
 
 class TestTransformSequence:
