@@ -398,6 +398,9 @@ def cmd_counterexample(doc: dict, seed: int | None = None) -> ReportBundle:
 def cmd_inclusion(doc: dict, seed: int | None = None) -> ReportBundle:
     validate_config(doc, "inclusion")
     echo = materialize(doc, "inclusion", seed)
+    alpha = echo["space"]["alpha"]
+    if "T31" in echo["theorems"] and echo["beta"] < alpha:
+        raise ConfigError(f"beta: T31 needs beta >= space.alpha = {alpha:g}, got {echo['beta']:g}")
     params = _space_params(echo)
     corpus_doc = echo["corpus"]
     verdict = echo["verdict"]

@@ -8,9 +8,16 @@ with its JSON constraint and its default, plus the constructor of the
 library object.  Three things are generated from these tables and nowhere
 else:
 
-  * the JSON schema of each command.  Kinds are closed: a field that
+  * the validation of each command's config: `Component.check` is a walk
+    compiled from the tables on first use.  Kinds are closed: a field that
     belongs to another `kind` is rejected like any unknown key, and a
-    missing required field fails at its `$.path`;
+    missing required field fails at its `$.path`.  The walk gives each
+    keyword its JSON Schema (Draft 2020-12) meaning and error wording, and
+    of all the errors reports the shallowest, then the one with the
+    greatest path (keys compared as strings, indices as numbers).
+    `Component.schema` renders the same tables as a JSON Schema; it is
+    kept as the reference the tests check the walk against, and nothing
+    at run time reads it;
   * the echoed config: `materialize` fills every default into a fresh
     document, so re-running the echo reproduces the run byte for byte
     (timestamp aside).  Numbers are echoed as floats, integers as ints;
@@ -24,11 +31,12 @@ from __future__ import annotations
 
 import functools
 import json
+import numbers
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
-import jsonschema
 import numpy as np
 
 from .convergence import MODULAR_FLAGS, RAW_FLAGS, SpaceParams
@@ -101,9 +109,10 @@ class Component:
         self.names = {field for kind in self.kinds.values() for field in kind.fields}
         if self.key:
             self.names.add(self.key)
-        self.schema = self._schema()
 
-    def _schema(self) -> dict:
+    @functools.cached_property
+    def schema(self) -> dict:
+        """The JSON Schema rendering of the table (the reference for `check`)."""
         def closed(fields: dict[str, Field], **extra: dict) -> dict:
             return {
                 "type": "object",
@@ -127,6 +136,15 @@ class Component:
                 for name, kind in self.kinds.items()
             ],
         }
+
+    @functools.cached_property
+    def check(self) -> Check:
+        """The validation walk of this table, compiled on first use."""
+        kinds = {
+            name: _closed(kind, {self.key: {"const": name}} if self.key else {})
+            for name, kind in self.kinds.items()
+        }
+        return _keyed(self.key, kinds) if self.key else kinds[None]
 
     def _kind(self, doc: dict) -> Kind:
         return self.kinds[doc[self.key] if self.key else None]
@@ -200,6 +218,204 @@ def _build(value: Any, schema: Any) -> Any:
     if isinstance(schema, dict) and isinstance(schema.get("items"), Component):
         return [schema["items"].build(v) for v in value]
     return value
+
+
+# ---------------------------------------------------------------------------
+# validation: a walk compiled from the tables
+# ---------------------------------------------------------------------------
+
+# A check takes a value and returns None, or the error to report about it:
+# (path below the value, message).  Of several errors it returns the
+# shallowest, then the one with the greatest path.
+Error = tuple[tuple, str]
+Check = Callable[[Any], "Error | None"]
+
+
+def _is_number(v: Any) -> bool:
+    return type(v) in (float, int) or (not isinstance(v, bool) and isinstance(v, numbers.Number))
+
+
+def _is_integer(v: Any) -> bool:
+    if type(v) is int:
+        return True
+    if isinstance(v, float):
+        return v.is_integer()
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "number": _is_number,
+    "integer": _is_integer,
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+}
+
+
+def _equal(a: Any, b: Any) -> bool:
+    """JSON equality: `true` is not 1, while 1 and 1.0 are equal."""
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_equal(a[k], b[k]) for k in a)
+    return a == b and isinstance(a, bool) == isinstance(b, bool)
+
+
+def _unique(items: list) -> bool:
+    try:
+        return len({(isinstance(v, bool), v) for v in items}) == len(items)
+    except TypeError:  # an unhashable item: compare pairwise
+        return not any(_equal(a, b) for i, a in enumerate(items) for b in items[:i])
+
+
+def _type(types: str | list[str]) -> Callable[[Any], str | None]:
+    types = [types] if isinstance(types, str) else types
+    tests = [_TYPES[t] for t in types]
+    names = ", ".join(map(repr, types))
+    if len(tests) == 1:  # one type: no generator per value (about 0.5 µs each)
+        (test,) = tests
+        return lambda v: None if test(v) else f"{v!r} is not of type {names}"
+    return lambda v: None if any(t(v) for t in tests) else f"{v!r} is not of type {names}"
+
+
+def _bound(fails: Callable[[Any, Any], bool], wording: str) -> Callable:
+    return lambda limit: lambda v: (
+        f"{v!r} {wording} {limit!r}" if _is_number(v) and fails(v, limit) else None
+    )
+
+
+def _length(fails: Callable[[int, int], bool], edge: int, at_edge: str, wording: str) -> Callable:
+    return lambda n: lambda v: (
+        f"{v!r} {at_edge if n == edge else wording}"
+        if isinstance(v, list) and fails(len(v), n) else None
+    )
+
+
+# keyword -> (argument -> test); a test returns None or the message about the value
+_TESTS = {
+    "type": _type,
+    "const": lambda c: lambda v: None if _equal(v, c) else f"{c!r} was expected",
+    "enum": lambda e: lambda v: None if any(_equal(v, x) for x in e) else f"{v!r} is not one of {e!r}",
+    "minimum": _bound(lambda v, m: v < m, "is less than the minimum of"),
+    "maximum": _bound(lambda v, m: v > m, "is greater than the maximum of"),
+    "exclusiveMinimum": _bound(lambda v, m: v <= m, "is less than or equal to the minimum of"),
+    "minItems": _length(lambda n, m: n < m, 1, "should be non-empty", "is too short"),
+    "maxItems": _length(lambda n, m: n > m, 0, "is expected to be empty", "is too long"),
+    "uniqueItems": lambda u: lambda v: (
+        f"{v!r} has non-unique elements" if u and isinstance(v, list) and not _unique(v) else None
+    ),
+}
+
+
+def _better(best: Error | None, key: str | int, error: Error) -> Error:
+    """The error to keep of `best` and a child's `error` found under `key`."""
+    path = (key, *error[0])
+    if best is None or len(path) < len(best[0]) or (len(path) == len(best[0]) and path > best[0]):
+        return path, error[1]
+    return best
+
+
+def _compile(schema: dict | Component) -> Check:
+    """The check of a field's JSON constraint (or of its Component)."""
+    if isinstance(schema, Component):
+        return schema.check
+    tests, prefix, items, values = [], [], None, None
+    for keyword, arg in schema.items():
+        if keyword in _TESTS:
+            tests.append(_TESTS[keyword](arg))
+        elif keyword == "prefixItems":
+            prefix = [_compile(s) for s in arg]
+        elif keyword == "items":
+            items = _compile(arg)
+        elif keyword == "additionalProperties" and not isinstance(arg, bool):
+            values = _compile(arg)
+        else:
+            raise ValueError(f"no check for the JSON schema keyword {keyword!r}")
+
+    def check(value: Any) -> Error | None:
+        for test in tests:
+            if (message := test(value)) is not None:
+                return (), message
+        best = None
+        if isinstance(value, list):
+            for i, (item_check, v) in enumerate(zip(prefix, value)):
+                if (error := item_check(v)) is not None:
+                    best = _better(best, i, error)
+            if items is not None:
+                for i in range(len(prefix), len(value)):
+                    if (error := items(value[i])) is not None:
+                        best = _better(best, i, error)
+        elif isinstance(value, dict) and values is not None:
+            for k, v in value.items():
+                if (error := values(v)) is not None:
+                    best = _better(best, k, error)
+        return best
+
+    return check
+
+
+def _not_object(value: Any) -> Error | None:
+    return None if isinstance(value, dict) else ((), f"{value!r} is not of type 'object'")
+
+
+def _closed(kind: Kind, extra: dict[str, dict]) -> Check:
+    """The check of one kind: an object with exactly the kind's fields (plus `extra`)."""
+    fields = {**{n: _compile(s) for n, s in extra.items()},
+              **{n: _compile(f.schema) for n, f in kind.fields.items()}}
+    required = [n for n, f in kind.fields.items() if f.default is REQUIRED]
+
+    def check(value: Any) -> Error | None:
+        if (error := _not_object(value)) is not None:
+            return error
+        for name in required:
+            if name not in value:
+                return (), f"{name!r} is a required property"
+        extras = sorted((k for k in value if k not in fields), key=str)
+        if extras:
+            verb = "was" if len(extras) == 1 else "were"
+            return (), f"Additional properties are not allowed ({', '.join(map(repr, extras))} {verb} unexpected)"
+        best = None
+        for name, v in value.items():
+            if (error := fields[name](v)) is not None:
+                best = _better(best, name, error)
+        return best
+
+    return check
+
+
+def _keyed(key: str, kinds: dict[str, Check]) -> Check:
+    """The check of a component whose `key` field selects one of `kinds`."""
+    names = list(kinds)
+
+    def check(value: Any) -> Error | None:
+        if (error := _not_object(value)) is not None:
+            return error
+        if key not in value:
+            return (), f"{key!r} is a required property"
+        tag = value[key]
+        kind = kinds.get(tag) if isinstance(tag, str) else None
+        if kind is None:
+            return (key,), f"{tag!r} is not one of {names!r}"
+        return kind(value)
+
+    return check
+
+
+_NAME = re.compile("^[a-zA-Z][a-zA-Z0-9_]*$")
+
+
+def _json_path(path: tuple) -> str:
+    """`path` in JSONPath form: `$.matrix.rows[3][0]`, `$.family.slopes['3']`."""
+    out = "$"
+    for key in path:
+        if isinstance(key, int):
+            out += f"[{key}]"
+        elif _NAME.match(key):
+            out += "." + key
+        else:
+            out += "['" + key.replace("\\", "\\\\").replace("'", "\\'") + "']"
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -473,19 +689,11 @@ def _command_component(doc: dict, command: str) -> Component:
     return COMMANDS[command]
 
 
-@functools.cache
-def _validator(component: Component) -> jsonschema.protocols.Validator:
-    cls = jsonschema.validators.validator_for(component.schema)
-    cls.check_schema(component.schema)
-    return cls(component.schema)
-
-
 def validate_config(doc: Any, command: str) -> None:
-    """Schema-validate a config document; raises ConfigError with the path."""
-    validator = _validator(_command_component(doc, command))
-    error = jsonschema.exceptions.best_match(validator.iter_errors(doc))
+    """Validate a config document against its command's table; raises ConfigError with the path."""
+    error = _command_component(doc, command).check(doc)
     if error is not None:
-        raise ConfigError(f"config field {error.json_path}: {error.message}")
+        raise ConfigError(f"config field {_json_path(error[0])}: {error[1]}")
 
 
 def materialize(doc: dict, command: str, seed: int | None = None) -> dict:

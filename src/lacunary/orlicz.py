@@ -569,9 +569,10 @@ def luxemburg_norm(
         raise ValueError("tol must be > 0")
     if not np.any(x.values):
         return 0.0
+    ks, ax = np.arange(1, x.horizon + 1), np.abs(x.values)  # reused by every step
 
-    def g(rho: float) -> float:
-        return modular(family, x, RhoSequence(constant=rho))
+    def g(rho: float) -> float:  # bit for bit modular(family, x, RhoSequence(constant=rho))
+        return float(np.sum(family.eval_at(ks, ax / rho)))
 
     lo = hi = 1.0
     if g(1.0) > 1.0:
@@ -580,7 +581,10 @@ def luxemburg_norm(
             if g(hi) <= 1.0:
                 break
         else:
-            raise RuntimeError("modular never drops to 1; family violates growth axioms?")
+            raise BracketTooSmall(
+                "modular stays above 1 up to rho = 2**200; the prefix is too large "
+                "for the family or the family violates the growth axioms"
+            )
         lo = hi / 2.0
     else:
         for _ in range(200):
@@ -588,7 +592,10 @@ def luxemburg_norm(
             if g(lo) > 1.0:
                 break
         else:
-            raise RuntimeError("modular stays <= 1 down to rho ~ 1e-60; degenerate family")
+            raise BracketTooSmall(
+                "modular stays <= 1 down to rho = 2**-200; the prefix is too small "
+                "for the family or the family is degenerate"
+            )
         hi = lo * 2.0
     return bisect_nonincreasing(g, 1.0, lo, hi, tol)
 
@@ -621,9 +628,13 @@ def orlicz_norm(
         raise ValueError("tol must be > 0")
     if not np.any(x.values):
         return AmemiyaValue(0.0, False)
+    ks, ax = np.arange(1, x.horizon + 1), np.abs(x.values)  # reused by every step
+    ax_max = float(np.max(ax))
 
-    def objective(k: float) -> float:
-        return (1.0 + modular(family, x.scaled(k))) / k
+    def objective(k: float) -> float:  # bit for bit (1 + modular(family, x.scaled(k))) / k
+        if not math.isfinite(ax_max * k):
+            raise ValueError("sequence values must be finite (no NaN/inf)")
+        return (1.0 + float(np.sum(family.eval_at(ks, ax * k)))) / k
 
     grid = [2.0**e for e in range(-20, 21)]
     k_star, value, at_boundary = grid_then_golden_min(objective, grid, tol)

@@ -474,6 +474,20 @@ class TestErrorBoundary:
             tmp_path, capsys, doc, "config error: rho: rho defined up to index 1, the sequence needs 3"
         )
 
+    def test_t31_beta_below_space_alpha(self, tmp_path, capsys):
+        doc = {"command": "inclusion", "beta": 0.5, "space": {"alpha": 1.0}}
+        self.run_expect_error(
+            tmp_path, capsys, doc, "config error: beta: T31 needs beta >= space.alpha = 1, got 0.5"
+        )
+
+    def test_norms_prefix_too_large_for_the_luxemburg_bracket(self, tmp_path, capsys):
+        doc = {
+            "command": "norms",
+            "sequence": {"kind": "explicit", "values": [1e303, 1.0]},
+            "family": {"kind": "constant", "function": {"kind": "linear"}},
+        }
+        self.run_expect_error(tmp_path, capsys, doc, "error: modular stays above 1 up to rho = 2**200")
+
     def test_negative_seed_override(self, tmp_path, capsys):
         assert run_cli(["inclusion", "--seed", -1, "--out", tmp_path / "out"]) == 1
         assert capsys.readouterr().err.startswith("config error: --seed must be >= 0")

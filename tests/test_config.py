@@ -1,8 +1,16 @@
-"""Config tables: every kind materializes and builds; defaults land in the echo."""
+"""Config tables: every kind materializes and builds; defaults land in the echo;
+the compiled validation walk agrees with jsonschema on the rendered schema."""
 
+import copy
+import re
+
+import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lacunary.config import (
+    CLASSIFY_CONSTRUCTION,
+    COMMANDS,
     CONSTRUCTION,
     EXPONENTS,
     FAMILY,
@@ -12,9 +20,13 @@ from lacunary.config import (
     RHO,
     SCHEDULE,
     SEQUENCE,
+    Component,
+    _command_component,
+    _compile,
     materialize,
     validate_config,
 )
+from lacunary.errors import ConfigError
 
 # a value for every required field of every kind
 REQUIRED_VALUES = {
@@ -65,3 +77,154 @@ def test_inclusion_defaults_and_seed_override():
     assert echo["corpus"]["seed"] == 7
     assert echo["space"]["alpha"] == 0.5
     assert echo["schedule"] == {"kind": "geometric", "base": 1.0, "ratio": 2.0, "count": 8}
+
+
+# ---------------------------------------------------------------------------
+# the validation walk against jsonschema on Component.schema
+# ---------------------------------------------------------------------------
+
+COMMAND_COMPONENTS = [*COMMANDS.values(), CLASSIFY_CONSTRUCTION]
+# optional fields that are absent unless given, so that mutations can reach inside them
+SAMPLE_VALUES = {"slopes": {"3": 2.0, "10": 0.5}, "nu_values": [1.0, 2.0]}
+
+
+def _given_fields(draw, component):
+    """A valid document of `component` with random kinds: required fields and some sections."""
+    name = draw(st.sampled_from(list(component.kinds)))
+    doc = {component.key: name} if component.key else {}
+    for field_name, f in component.kinds[name].fields.items():
+        if isinstance(f.schema, Component):
+            if f.default is REQUIRED or draw(st.booleans()):
+                doc[field_name] = _given_fields(draw, f.schema)
+        elif f.default is REQUIRED:
+            doc[field_name] = f.schema.get("const", REQUIRED_VALUES.get(field_name))
+        elif field_name in SAMPLE_VALUES and draw(st.booleans()):
+            doc[field_name] = copy.deepcopy(SAMPLE_VALUES[field_name])
+    return doc
+
+
+@st.composite
+def documents(draw, component):
+    """A valid command document with every default filled in."""
+    return component.materialize(_given_fields(draw, component))
+
+
+def _slots(value):
+    """(container, key) of every value below `value`, outermost first."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, v in items:
+        yield value, key
+        if isinstance(v, (dict, list)):
+            yield from _slots(v)
+
+
+REPLACEMENTS = ["x", True, False, None, 2.0, 2.5, 0, -1, 1.5, -0.5, 1e9, [], {}, [1.0], {"kind": "nope"}]
+MUTATIONS = ["replace", "delete", "add", "kind", "duplicate"]
+
+
+def _mutate(doc, slot, mutation, replacement):
+    container, key = slot
+    if mutation == "replace":
+        container[key] = copy.deepcopy(replacement)
+    elif mutation == "delete" and isinstance(container, dict):
+        del container[key]
+    elif mutation == "add":  # keys that a json_path writes in brackets
+        target = container if isinstance(container, dict) else doc
+        target["it's" if isinstance(replacement, str) else "3"] = replacement
+    elif mutation == "kind":
+        target = container[key] if isinstance(container[key], dict) else container
+        if isinstance(target, dict):
+            target["theorem" if "theorem" in target else "kind"] = "nope"
+    elif mutation == "duplicate":
+        target = container[key] if isinstance(container[key], list) else container
+        if isinstance(target, list) and target:
+            target.append(copy.deepcopy(target[0]))
+
+
+@st.composite
+def mutated_documents(draw):
+    component = draw(st.sampled_from(COMMAND_COMPONENTS))
+    doc = draw(documents(component))
+    for _ in range(draw(st.integers(1, 3))):  # several errors exercise the choice among them
+        slots = list(_slots(doc))
+        if slots:
+            slot = draw(st.sampled_from(slots))
+            _mutate(doc, slot, draw(st.sampled_from(MUTATIONS)), draw(st.sampled_from(REPLACEMENTS)))
+    return component.name, doc
+
+
+def _components(component, seen=None):
+    """`component` and every component its fields reach, once each."""
+    seen = {} if seen is None else seen
+    if id(component) not in seen:
+        seen[id(component)] = component
+        for kind in component.kinds.values():
+            for f in kind.fields.values():
+                for inner in (f.schema, *(f.schema.values() if isinstance(f.schema, dict) else ())):
+                    if isinstance(inner, Component):
+                        _components(inner, seen)
+    return seen.values()
+
+
+# every JSON constraint of the tables that holds no component, once each
+CONSTRAINTS = list({
+    repr(f.schema): f.schema
+    for command in COMMAND_COMPONENTS
+    for component in _components(command)
+    for kind in component.kinds.values()
+    for f in kind.fields.values()
+    if isinstance(f.schema, dict) and not any(isinstance(v, Component) for v in f.schema.values())
+}.values())
+VALUES = [0, 1, 2, -1, 0.5, 1.0, 2.0, 2.5, -0.5, 1e9, True, False, None, "x", "raw", "T31",
+          [], [1.0], [1.0, 2.0], [1, 2.5], [0.5, 1.0, 2.0], ["T31", "T31"], ["T31", "T33"], [True, 1],
+          {}, {"3": 1.0}, {"3": "x"}]
+
+
+class TestValidationWalk:
+    @pytest.mark.parametrize(
+        "schema", CONSTRAINTS, ids=[f"{s.get('type', next(iter(s)))}-{i}" for i, s in enumerate(CONSTRAINTS)]
+    )
+    def test_every_constraint_against_jsonschema(self, schema):
+        check = _compile(schema)
+        validator = jsonschema.Draft202012Validator(schema)
+        for value in VALUES:
+            best = jsonschema.exceptions.best_match(validator.iter_errors(value))
+            expected = None if best is None else (tuple(best.path), best.message)
+            assert check(value) == expected, value
+
+    @pytest.mark.parametrize(
+        "path,section",
+        [
+            ("$.family.slopes['3']", {"family": {"kind": "spike", "slopes": {"3": "x"}}}),
+            ("$.family.slopes['it\\'s']", {"family": {"kind": "spike", "slopes": {"it's": None}}}),
+            ("$.matrix.rows[1][0][0]", {"matrix": {"kind": "row_table", "rows": [[[1, 1.0]], [[2.5, 1.0]]]}}),
+            ("$.space.rho.values", {"space": {"rho": {"kind": "per_index", "values": []}}}),
+        ],
+        ids=["digit-key", "quoted-key", "row-table-entry", "empty-values"],
+    )
+    def test_error_paths_in_jsonpath_form(self, path, section):
+        doc = {"command": "classify", "sequence": {"kind": "explicit", "values": [1.0]},
+               "family": {"kind": "index_scaled"}, "schedule": {"kind": "geometric"}, **section}
+        with pytest.raises(ConfigError, match=re.escape(f"config field {path}: ")):
+            validate_config(doc, "classify")
+
+    @settings(max_examples=400, deadline=None)
+    @given(mutated_documents())
+    def test_walk_agrees_with_jsonschema(self, case):
+        command, doc = case
+        component = _command_component(doc, command)
+        validator = jsonschema.Draft202012Validator(component.schema)
+        errors = list(validator.iter_errors(doc))
+        try:
+            validate_config(doc, command)
+        except ConfigError as exc:
+            reported = str(exc)
+        else:
+            reported = None
+        assert (reported is None) == (not errors)
+        if errors:
+            depth = min(len(e.path) for e in errors)
+            shallowest = {e.json_path for e in errors if len(e.path) == depth}
+            assert reported.split(": ", 1)[0].removeprefix("config field ") in shallowest
+            best = jsonschema.exceptions.best_match(errors)
+            assert reported == f"config field {best.json_path}: {best.message}"

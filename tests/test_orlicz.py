@@ -6,6 +6,8 @@ maximizer, so the golden-section route never verifies itself.
 """
 
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,8 +35,10 @@ from lacunary import (
     orlicz_norm,
     verify_orlicz_axioms,
 )
-from lacunary.orlicz import table_axiom_failures
+from lacunary import orlicz
 from lacunary.errors import BracketTooSmall, EmptyAdmissibleSet, NegativeArgument
+from lacunary.optimize import bisect_nonincreasing, grid_then_golden_min
+from lacunary.orlicz import AmemiyaValue, table_axiom_failures
 
 
 def dense_grid_conjugate(M, v, u_max=1e3, n_grid=20001):
@@ -291,6 +295,112 @@ class TestOrliczNorm:
                 lux = luxemburg_norm(fam, x, tol=1e-10)
                 orl = orlicz_norm(fam, x, tol=1e-9).value
                 assert lux - 1e-6 <= orl <= 2 * lux + 1e-6
+
+
+def reference_luxemburg(family, x, tol):
+    """The Luxemburg search with one `modular` call per step (the reference)."""
+    if not np.any(x.values):
+        return 0.0
+
+    def g(rho):
+        return modular(family, x, RhoSequence(constant=rho))
+
+    lo = hi = 1.0
+    if g(1.0) > 1.0:
+        for _ in range(200):
+            hi *= 2.0
+            if g(hi) <= 1.0:
+                break
+        else:
+            raise BracketTooSmall("up")
+        lo = hi / 2.0
+    else:
+        for _ in range(200):
+            lo *= 0.5
+            if g(lo) > 1.0:
+                break
+        else:
+            raise BracketTooSmall("down")
+        hi = lo * 2.0
+    return orlicz.bisect_nonincreasing(g, 1.0, lo, hi, tol)
+
+
+def reference_amemiya(family, x, tol):
+    """The Amemiya search with one `modular` of a scaled copy per step (the reference)."""
+    if not np.any(x.values):
+        return AmemiyaValue(0.0, False)
+
+    def objective(k):
+        return (1.0 + modular(family, x.scaled(k))) / k
+
+    grid = [2.0**e for e in range(-20, 21)]
+    _, value, at_boundary = orlicz.grid_then_golden_min(objective, grid, tol)
+    return AmemiyaValue(value, at_boundary)
+
+
+TABLE = Table(((0.0, 0.0), (1.0, 1.5), (2.0, 4.5)))
+SEARCH_FAMILIES = [
+    ConstantFamily(Power(2.5)),
+    ConstantFamily(ScaledPower(2.0, 0.75)),
+    ConstantFamily(PowerOverP(3.0)),
+    ConstantFamily(ExpMinusOne()),
+    ConstantFamily(LinearSlope(2.0)),
+    ConstantFamily(TABLE),
+    IndexScaledFamily(),
+    IndexPowerFamily((1.5, 2.5, 2.0, 3.0)),
+    SpikeFamily(((2, 5.0), (7, 0.5)), 1.0),
+    CustomFamily((TABLE, ScaledPower(2.0, 0.75), PowerOverP(3.0), Power(2.5))),
+]
+
+
+def recorded(search, *args):
+    """The result (or error class) of a search and every (argument, value) its solver evaluated."""
+    steps = []
+
+    def recording(solver):
+        def wrapper(f, *rest, **kwargs):
+            def logged(u):
+                steps.append((u, f(u)))
+                return steps[-1][1]
+
+            return solver(logged, *rest, **kwargs)
+
+        return wrapper
+
+    with mock.patch.object(orlicz, "bisect_nonincreasing", recording(bisect_nonincreasing)), \
+            mock.patch.object(orlicz, "grid_then_golden_min", recording(grid_then_golden_min)):
+        try:
+            return search(*args), steps
+        except Exception as exc:  # the searches must fail alike
+            return type(exc), steps
+
+
+class TestSearchesAgainstModularPerStep:
+    """The norm searches reuse |x| and the indices; every solver step must equal
+    the value the reference gets from a `modular` call, bit for bit."""
+
+    @given(
+        family=st.sampled_from(SEARCH_FAMILIES),
+        n=st.integers(1, 200),
+        scale=st.sampled_from([0.0, 1e-3, 0.1, 1.0, 10.0, 1e3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bitwise_equal(self, family, n, scale, seed):
+        x = Sequence(np.random.default_rng(seed).uniform(-1.0, 1.0, n) * scale)
+        assert recorded(luxemburg_norm, family, x, 1e-10) == recorded(reference_luxemburg, family, x, 1e-10)
+        assert recorded(orlicz_norm, family, x, 1e-9) == recorded(reference_amemiya, family, x, 1e-9)
+
+    def test_overflowing_scale_raises_like_a_scaled_sequence(self):
+        with pytest.raises(ValueError) as scaled:
+            Sequence(np.array([np.inf]))
+        with pytest.raises(ValueError, match=re.escape(str(scaled.value))):
+            orlicz_norm(ConstantFamily(LinearSlope(1.0)), Sequence(np.array([1e303, 1.0])))
+
+    @pytest.mark.parametrize("value", [1e303, 1e-70], ids=["too-large", "too-small"])
+    def test_exhausted_bracket_is_a_lacunary_error(self, value):
+        with pytest.raises(BracketTooSmall):
+            luxemburg_norm(ConstantFamily(LinearSlope(1.0)), Sequence(np.array([value, 0.0])))
 
 
 class TestDelta2:
