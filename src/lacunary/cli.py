@@ -72,7 +72,7 @@ def _fmt(x: float) -> str:
 
 
 def _round_floats(obj):
-    """Clamp every float to 12 significant digits for stable output."""
+    """Clamp every float to 12 significant digits for stable output; +-inf become "inf"/"-inf"."""
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -82,7 +82,8 @@ def _round_floats(obj):
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        return float(_fmt(obj))
+        text = _fmt(obj)
+        return text if text in ("inf", "-inf") else float(text)
     return obj
 
 
@@ -409,14 +410,17 @@ def cmd_inclusion(doc: dict, seed: int | None = None) -> ReportBundle:
     horizon = params.schedule.last_index + params.m_max
     corpus: list[tuple[Sequence, SpaceParams]] = []
     for _ in range(corpus_doc["size"]):
-        x = random_bounded_sequence(
-            rng,
-            horizon,
-            corpus_doc["center"],
-            corpus_doc["radius"],
-            corpus_doc["exception_density"],
-            corpus_doc["exception_scale"],
-        )
+        try:
+            x = random_bounded_sequence(
+                rng,
+                horizon,
+                corpus_doc["center"],
+                corpus_doc["radius"],
+                corpus_doc["exception_density"],
+                corpus_doc["exception_scale"],
+            )
+        except ValueError as exc:
+            raise ConfigError(f"corpus: {exc}") from exc
         corpus.append((x, params))
     for theorem, builder in (("thm37", build_thm37), ("thm38", build_thm38)):
         if corpus_doc[f"include_{theorem}"]:

@@ -258,7 +258,7 @@ def _terms_from(devs: np.ndarray, p: SpaceParams) -> np.ndarray:
     k_end = p.schedule.last_index
     us = devs / p.rho.array(1, k_end)
     ks = np.arange(1, k_end + 1)
-    terms = p.family.eval_at(ks, us)
+    terms = p.family.bind(ks)(us)
     if not p.exponents.is_identically_one:
         terms = terms ** p.exponents.array(1, k_end)
     return terms
@@ -326,7 +326,8 @@ def block_statistics(x: Sequence, p: SpaceParams) -> dict[str, UniformTrajectori
     trajectory is bitwise identical to its standalone counterpart.
 
     Peak memory is a few arrays of k_R floats: the deviations are computed
-    in place, and the index, rho and exponent arrays are built once.
+    in place, the family is bound to the indices once, and the rho and
+    exponent arrays are built once.
     """
     sched = p.schedule
     k_end = sched.last_index
@@ -337,6 +338,7 @@ def block_statistics(x: Sequence, p: SpaceParams) -> dict[str, UniformTrajectori
 
     h_alpha = sched.block_lengths.astype(np.float64) ** p.alpha
     ks = np.arange(1, k_end + 1)
+    kernel = p.family.bind(ks)
     rho = p.rho.constant if p.rho.constant is not None else p.rho.array(1, k_end)
     exps = None if p.exponents.is_identically_one else p.exponents.array(1, k_end)
     strong: list[np.ndarray] = []
@@ -349,7 +351,7 @@ def block_statistics(x: Sequence, p: SpaceParams) -> dict[str, UniformTrajectori
             np.abs(devs, out=devs)
         raw.append(_block_counts(devs >= p.epsilon, sched) / h_alpha)
         devs /= rho
-        terms = p.family.eval_at(ks, devs)
+        terms = kernel(devs)
         if exps is not None:
             terms **= exps
         modular.append(_block_counts(terms >= p.epsilon, sched) / h_alpha)

@@ -411,7 +411,7 @@ def thm34_triangle_bounds(
     k_end = sched.last_index
     ks = np.arange(1, k_end + 1)
     us = np.full(k_end, abs(L1 - L2) / rho)
-    terms = p.family.eval_at(ks, us)
+    terms = p.family.bind(ks)(us)
     if not p.exponents.is_identically_one:
         terms = terms ** p.exponents.array(1, k_end)
     lhs = _block_average(terms, sched, p.alpha)
@@ -455,7 +455,7 @@ def liminf_growth_estimate(
     for k in ks:
         r = rho.at(k)
         us = nus / r
-        ratios = family.eval_at(np.full(us.shape, k), us) / us
+        ratios = family.bind(np.full(us.shape, k))(us) / us
         gamma = min(gamma, float(np.min(ratios)))
     return GrowthEstimate(
         gamma=gamma,
@@ -483,7 +483,19 @@ def random_bounded_sequence(
     Exception indices (chosen at `exception_density`) sit at
     center +/- exception_scale * radius, outside the bounded band, so
     membership of the draw in the density classes is controlled by design.
+    Raises ValueError when the band's width or an exception value is not finite.
     """
+    if not math.isfinite((center + radius) - (center - radius)):
+        raise ValueError(
+            f"center +/- radius must span a finite width, got center={center:g}, radius={radius:g}"
+        )
+    if exception_density > 0 and not all(
+        math.isfinite(center + s * exception_scale * radius) for s in (-1.0, 1.0)
+    ):
+        raise ValueError(
+            f"center +/- exception_scale * radius must be finite, got center={center:g}, "
+            f"radius={radius:g}, exception_scale={exception_scale:g}"
+        )
     values = rng.uniform(center - radius, center + radius, size=horizon)
     if exception_density > 0:
         mask = rng.random(horizon) < exception_density

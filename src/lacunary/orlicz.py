@@ -11,9 +11,13 @@ and the two norms computed here are
     luxemburg:  inf { rho > 0 : I(x / rho) <= 1 }
     amemiya:    inf { (1 + I(k x)) / k : k > 0 }   (the "second" norm)
 
-Evaluation may return +inf for arguments past the floating-point range of a
-family (e.g. exp-type functions); downstream searches treat that as an
-honest "too large" signal.
+Kernel contract: each function kind has exactly one array formula, run by
+`eval_many`; the scalar `M(u)` is its one-element case, so both give the
+same bits.  A family is evaluated through `family.bind(ks)`, which gathers
+the per-index data (exponents, slopes, member groups) once and returns a
+kernel `us -> M_{ks}(us)` for any number of argument arrays.  Arguments
+must be >= 0 (NegativeArgument otherwise).  Overflow is a silent +inf,
+an honest "too large" value that the searches and verdicts handle.
 """
 
 from __future__ import annotations
@@ -21,13 +25,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .errors import BracketTooSmall, EmptyAdmissibleSet, NegativeArgument
 from .optimize import bisect_nonincreasing, golden_section_max, grid_then_golden_min
 from .sequences import Sequence
+
+Kernel = Callable[[np.ndarray], np.ndarray]
+
+
+def _arguments(us) -> np.ndarray:
+    us = np.asarray(us, dtype=np.float64)
+    if np.any(us < 0):
+        raise NegativeArgument("Orlicz functions take u >= 0")
+    return us
 
 
 # ---------------------------------------------------------------------------
@@ -36,26 +49,22 @@ from .sequences import Sequence
 
 
 class OrliczFunction:
-    """Base class; subclasses implement the scalar formula in `_eval`."""
+    """Base class; subclasses implement their one array formula in `_formula`."""
 
     label = "abstract"
 
-    def _eval(self, u: float) -> float:
+    def _formula(self, us: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def __call__(self, u: float) -> float:
-        if u < 0:
-            raise NegativeArgument(f"Orlicz functions take u >= 0, got {u}")
-        if u == 0.0:
-            return 0.0
-        return self._eval(u)
-
     def eval_many(self, us: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation; the generic path loops, fast paths override."""
-        us = np.asarray(us, dtype=np.float64)
-        if np.any(us < 0):
-            raise NegativeArgument("Orlicz functions take u >= 0")
-        return np.array([self._eval(u) if u > 0 else 0.0 for u in us.ravel()]).reshape(us.shape)
+        """M(us) elementwise; overflow gives +inf without a warning."""
+        us = _arguments(us)
+        with np.errstate(over="ignore"):
+            return self._formula(us)
+
+    def __call__(self, u: float) -> float:
+        """M(u), the one-element case of `eval_many`: the same bits as in an array."""
+        return float(self.eval_many(np.array([u]))[0])
 
 
 @dataclass(frozen=True)
@@ -69,13 +78,7 @@ class Power(OrliczFunction):
         if self.p < 1:
             raise ValueError("power exponent must be >= 1 for convexity")
 
-    def _eval(self, u: float) -> float:
-        return u**self.p
-
-    def eval_many(self, us: np.ndarray) -> np.ndarray:
-        us = np.asarray(us, dtype=np.float64)
-        if np.any(us < 0):
-            raise NegativeArgument("Orlicz functions take u >= 0")
+    def _formula(self, us: np.ndarray) -> np.ndarray:
         return us**self.p
 
 
@@ -91,13 +94,7 @@ class ScaledPower(OrliczFunction):
         if self.p < 1 or self.c <= 0:
             raise ValueError("need p >= 1 and c > 0")
 
-    def _eval(self, u: float) -> float:
-        return self.c * u**self.p
-
-    def eval_many(self, us: np.ndarray) -> np.ndarray:
-        us = np.asarray(us, dtype=np.float64)
-        if np.any(us < 0):
-            raise NegativeArgument("Orlicz functions take u >= 0")
+    def _formula(self, us: np.ndarray) -> np.ndarray:
         return self.c * us**self.p
 
 
@@ -112,13 +109,7 @@ class PowerOverP(OrliczFunction):
         if self.p <= 1:
             raise ValueError("need p > 1")
 
-    def _eval(self, u: float) -> float:
-        return u**self.p / self.p
-
-    def eval_many(self, us: np.ndarray) -> np.ndarray:
-        us = np.asarray(us, dtype=np.float64)
-        if np.any(us < 0):
-            raise NegativeArgument("Orlicz functions take u >= 0")
+    def _formula(self, us: np.ndarray) -> np.ndarray:
         return us**self.p / self.p
 
 
@@ -128,18 +119,8 @@ class ExpMinusOne(OrliczFunction):
 
     label = "exp_minus_one"
 
-    def _eval(self, u: float) -> float:
-        try:
-            return math.expm1(u)
-        except OverflowError:
-            return math.inf
-
-    def eval_many(self, us: np.ndarray) -> np.ndarray:
-        us = np.asarray(us, dtype=np.float64)
-        if np.any(us < 0):
-            raise NegativeArgument("Orlicz functions take u >= 0")
-        with np.errstate(over="ignore"):
-            return np.expm1(us)
+    def _formula(self, us: np.ndarray) -> np.ndarray:
+        return np.expm1(us)
 
 
 @dataclass(frozen=True)
@@ -153,13 +134,7 @@ class LinearSlope(OrliczFunction):
         if self.c <= 0:
             raise ValueError("slope must be > 0")
 
-    def _eval(self, u: float) -> float:
-        return self.c * u
-
-    def eval_many(self, us: np.ndarray) -> np.ndarray:
-        us = np.asarray(us, dtype=np.float64)
-        if np.any(us < 0):
-            raise NegativeArgument("Orlicz functions take u >= 0")
+    def _formula(self, us: np.ndarray) -> np.ndarray:
         return self.c * us
 
 
@@ -189,18 +164,7 @@ class Table(OrliczFunction):
             raise ValueError("knots must be finite")
         object.__setattr__(self, "knots", knots)
 
-    def _eval(self, u: float) -> float:
-        us = [a for a, _ in self.knots]
-        vs = [b for _, b in self.knots]
-        if u <= us[-1]:
-            return float(np.interp(u, us, vs))
-        slope = (vs[-1] - vs[-2]) / (us[-1] - us[-2])
-        return vs[-1] + slope * (u - us[-1])
-
-    def eval_many(self, us: np.ndarray) -> np.ndarray:
-        us = np.asarray(us, dtype=np.float64)
-        if np.any(us < 0):
-            raise NegativeArgument("Orlicz functions take u >= 0")
+    def _formula(self, us: np.ndarray) -> np.ndarray:
         xs = np.array([a for a, _ in self.knots])
         ys = np.array([b for _, b in self.knots])
         out = np.interp(us, xs, ys)
@@ -236,34 +200,31 @@ def verify_orlicz_axioms(
     """Check M(0)=0, positivity, monotonicity, midpoint convexity and growth.
 
     The grid must be sorted, nonempty and contain 0.  Convexity is tested as
-    M((a+b)/2) <= (M(a)+M(b))/2 + tol over all grid pairs; growth as
-    M(max grid) > growth_floor.  Report-valued: never raises for a bad M.
+    M((a+b)/2) <= (M(a)+M(b))/2 + tol over all grid pairs, one broadcast
+    per distance between the pair's grid positions, so memory stays linear
+    in the grid; growth as M(max grid) > growth_floor.  Report-valued:
+    never raises for a bad M.
     """
-    g = sorted(float(u) for u in grid)
-    if not g:
+    g = np.sort(np.asarray(list(grid), dtype=np.float64))
+    if not g.size:
         raise ValueError("grid must be nonempty")
     if g[0] != 0.0:
         raise ValueError("grid must contain 0")
-    if any(u < 0 for u in g):
+    if np.any(g < 0):
         raise NegativeArgument("grid values must be >= 0")
 
-    vals = {u: M(u) for u in g}
-    scale = max(abs(v) for v in vals.values()) or 1.0
-    slack = tol * max(1.0, scale)
-
-    zero_at_zero = vals[0.0] == 0.0
-    positive = all(vals[u] > 0 for u in g if u > 0)
-    nondecreasing = all(vals[b] >= vals[a] - slack for a, b in zip(g, g[1:]))
-    midpoint_convex = True
-    for i, a in enumerate(g):
-        for b in g[i + 1 :]:
-            mid = 0.5 * (a + b)
-            if M(mid) > 0.5 * (vals[a] + vals[b]) + slack:
-                midpoint_convex = False
-                break
-        if not midpoint_convex:
-            break
-    growth = vals[g[-1]] > growth_floor
+    vals = M.eval_many(g)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf arithmetic as on Python floats
+        scale = float(np.fmax.reduce(np.abs(vals))) or 1.0
+        slack = tol * max(1.0, scale)
+        zero_at_zero = bool(vals[0] == 0.0)
+        positive = bool(np.all(vals[g > 0] > 0))
+        nondecreasing = bool(np.all(vals[1:] >= vals[:-1] - slack))
+        midpoint_convex = not any(
+            np.any(M.eval_many(0.5 * (g[:-d] + g[d:])) > 0.5 * (vals[:-d] + vals[d:]) + slack)
+            for d in range(1, g.size)
+        )
+    growth = bool(vals[-1] > growth_floor)
 
     failures = tuple(
         name
@@ -294,11 +255,23 @@ class MusielakOrliczFamily:
     def member(self, k: int) -> OrliczFunction:
         raise NotImplementedError
 
-    def eval_at(self, ks: np.ndarray, us: np.ndarray) -> np.ndarray:
-        """M_{ks[i]}(us[i]) elementwise; generic path loops over members."""
-        ks = np.asarray(ks, dtype=np.int64)
-        us = np.asarray(us, dtype=np.float64)
-        return np.array([self.member(int(k))(float(u)) for k, u in zip(ks, us)])
+    def _bind(self, ks: np.ndarray) -> Kernel:
+        """The array formula us -> M_{ks}(us), with the data of the indices gathered."""
+        raise NotImplementedError
+
+    def bind(self, ks: np.ndarray) -> Kernel:
+        """The kernel us -> M_{ks[i]}(us[i]) elementwise, for any number of `us` arrays.
+
+        The per-index data is gathered here, once; overflow gives +inf without a warning.
+        """
+        formula = self._bind(np.asarray(ks, dtype=np.int64))
+
+        def kernel(us: np.ndarray) -> np.ndarray:
+            us = _arguments(us)
+            with np.errstate(over="ignore"):
+                return formula(us)
+
+        return kernel
 
 
 @dataclass(frozen=True)
@@ -311,8 +284,8 @@ class ConstantFamily(MusielakOrliczFamily):
     def member(self, k: int) -> OrliczFunction:
         return self.function
 
-    def eval_at(self, ks: np.ndarray, us: np.ndarray) -> np.ndarray:
-        return self.function.eval_many(np.asarray(us, dtype=np.float64))
+    def _bind(self, ks: np.ndarray) -> Kernel:
+        return self.function._formula
 
 
 @dataclass(frozen=True)
@@ -324,12 +297,9 @@ class IndexScaledFamily(MusielakOrliczFamily):
     def member(self, k: int) -> OrliczFunction:
         return LinearSlope(1.0 / k)
 
-    def eval_at(self, ks: np.ndarray, us: np.ndarray) -> np.ndarray:
-        ks = np.asarray(ks, dtype=np.float64)
-        us = np.asarray(us, dtype=np.float64)
-        if np.any(us < 0):
-            raise NegativeArgument("Orlicz functions take u >= 0")
-        return us / ks
+    def _bind(self, ks: np.ndarray) -> Kernel:
+        ks = ks.astype(np.float64)
+        return lambda us: us / ks
 
 
 @dataclass(frozen=True)
@@ -347,19 +317,12 @@ class IndexPowerFamily(MusielakOrliczFamily):
             raise ValueError("every exponent must be >= 1")
         object.__setattr__(self, "exponents", exps)
 
-    def _exponent(self, k: int) -> float:
-        return self.exponents[min(k - 1, len(self.exponents) - 1)]
-
     def member(self, k: int) -> OrliczFunction:
-        return Power(self._exponent(k))
+        return Power(self.exponents[min(k - 1, len(self.exponents) - 1)])
 
-    def eval_at(self, ks: np.ndarray, us: np.ndarray) -> np.ndarray:
-        ks = np.asarray(ks, dtype=np.int64)
-        us = np.asarray(us, dtype=np.float64)
-        if np.any(us < 0):
-            raise NegativeArgument("Orlicz functions take u >= 0")
+    def _bind(self, ks: np.ndarray) -> Kernel:
         p = np.asarray(self.exponents)[np.minimum(ks - 1, len(self.exponents) - 1)]
-        return us**p
+        return lambda us: us**p
 
 
 @dataclass(frozen=True, eq=False)
@@ -382,30 +345,22 @@ class SpikeFamily(MusielakOrliczFamily):
     def _table(self) -> dict[int, float]:
         return dict(self.slopes)
 
-    @cached_property
-    def _overrides(self) -> tuple[np.ndarray, np.ndarray]:
-        """The overridden indices, sorted, and their slopes."""
-        keys = sorted(self._table)
-        return np.array(keys, dtype=np.int64), np.array([self._table[k] for k in keys])
-
     def slope(self, k: int) -> float:
         return self._table.get(k, self.default_slope)
 
     def member(self, k: int) -> OrliczFunction:
         return LinearSlope(self.slope(k))
 
-    def eval_at(self, ks: np.ndarray, us: np.ndarray) -> np.ndarray:
-        ks = np.asarray(ks, dtype=np.int64)
-        us = np.asarray(us, dtype=np.float64)
-        if np.any(us < 0):
-            raise NegativeArgument("Orlicz functions take u >= 0")
+    def _bind(self, ks: np.ndarray) -> Kernel:
+        keys = sorted(self._table)
+        slopes = np.array([self._table[k] for k in keys])
+        keys = np.array(keys, dtype=np.int64)
         c = np.full(ks.shape, self.default_slope)
-        keys, slopes = self._overrides
         if keys.size:
             pos = np.minimum(np.searchsorted(keys, ks), keys.size - 1)
             hit = keys[pos] == ks
             c[hit] = slopes[pos[hit]]
-        return c * us
+        return lambda us: c * us
 
 
 @dataclass(frozen=True, eq=False)
@@ -421,6 +376,21 @@ class CustomFamily(MusielakOrliczFamily):
 
     def member(self, k: int) -> OrliczFunction:
         return self.functions[min(k - 1, len(self.functions) - 1)]
+
+    def _bind(self, ks: np.ndarray) -> Kernel:
+        """One `eval_many` call per member, on the positions of the indices it serves."""
+        idx = np.minimum(ks - 1, len(self.functions) - 1)
+        order = np.argsort(idx, kind="stable")
+        runs = np.split(order, np.flatnonzero(np.diff(idx[order])) + 1) if idx.size else []
+        groups = [(self.functions[idx[run[0]]], run) for run in runs]
+
+        def formula(us: np.ndarray) -> np.ndarray:
+            out = np.empty(us.shape)
+            for M, run in groups:
+                out[run] = M.eval_many(us[run])
+            return out
+
+        return formula
 
 
 def table_axiom_failures(family: MusielakOrliczFamily) -> dict[str, list[str]]:
@@ -551,7 +521,7 @@ def modular(
     n = x.horizon
     ks = np.arange(1, n + 1)
     us = np.abs(x.values) / rho.array(1, n)
-    return float(np.sum(family.eval_at(ks, us)))
+    return float(np.sum(family.bind(ks)(us)))
 
 
 def luxemburg_norm(
@@ -569,10 +539,10 @@ def luxemburg_norm(
         raise ValueError("tol must be > 0")
     if not np.any(x.values):
         return 0.0
-    ks, ax = np.arange(1, x.horizon + 1), np.abs(x.values)  # reused by every step
+    kernel, ax = family.bind(np.arange(1, x.horizon + 1)), np.abs(x.values)  # reused by every step
 
     def g(rho: float) -> float:  # bit for bit modular(family, x, RhoSequence(constant=rho))
-        return float(np.sum(family.eval_at(ks, ax / rho)))
+        return float(np.sum(kernel(ax / rho)))
 
     lo = hi = 1.0
     if g(1.0) > 1.0:
@@ -628,13 +598,13 @@ def orlicz_norm(
         raise ValueError("tol must be > 0")
     if not np.any(x.values):
         return AmemiyaValue(0.0, False)
-    ks, ax = np.arange(1, x.horizon + 1), np.abs(x.values)  # reused by every step
+    kernel, ax = family.bind(np.arange(1, x.horizon + 1)), np.abs(x.values)  # reused by every step
     ax_max = float(np.max(ax))
 
     def objective(k: float) -> float:  # bit for bit (1 + modular(family, x.scaled(k))) / k
         if not math.isfinite(ax_max * k):
             raise ValueError("sequence values must be finite (no NaN/inf)")
-        return (1.0 + float(np.sum(family.eval_at(ks, ax * k)))) / k
+        return (1.0 + float(np.sum(kernel(ax * k)))) / k
 
     grid = [2.0**e for e in range(-20, 21)]
     k_star, value, at_boundary = grid_then_golden_min(objective, grid, tol)
@@ -754,8 +724,9 @@ def delta2_check(
     tested = 0
     violations: list[tuple[int, float]] = []
     for k in ks:
-        m_u = family.eval_at(np.full(us.shape, k), us)
-        m_2u = family.eval_at(np.full(us.shape, k), 2.0 * us)
+        kernel = family.bind(np.full(us.shape, k))
+        m_u = kernel(us)
+        m_2u = kernel(2.0 * us)
         admissible = m_u <= a
         if not np.any(admissible):
             continue

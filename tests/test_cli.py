@@ -1,6 +1,7 @@
 """End-to-end CLI runs: configs, presets, outputs, determinism, exit codes."""
 
 import json
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -488,6 +489,26 @@ class TestErrorBoundary:
         }
         self.run_expect_error(tmp_path, capsys, doc, "error: modular stays above 1 up to rho = 2**200")
 
+    def test_inclusion_corpus_range_not_finite(self, tmp_path, capsys):
+        doc = {"command": "inclusion", "corpus": {"size": 1, "radius": 1e308, "exception_scale": 10.0}}
+        self.run_expect_error(tmp_path, capsys, doc, "config error: corpus: center +/- radius must span")
+
+    def test_random_bounded_range_not_finite(self, tmp_path, capsys):
+        doc = {**BASE_CLASSIFY, "sequence": {"kind": "random_bounded", "horizon": 300, "radius": 1e308}}
+        self.run_expect_error(tmp_path, capsys, doc, "config error: sequence: center +/- radius must span")
+
+    def test_random_bounded_exceptions_not_finite(self, tmp_path, capsys):
+        doc = {
+            **BASE_CLASSIFY,
+            "sequence": {
+                "kind": "random_bounded", "horizon": 300, "radius": 1e307,
+                "exception_density": 0.1, "exception_scale": 100.0,
+            },
+        }
+        self.run_expect_error(
+            tmp_path, capsys, doc, "config error: sequence: center +/- exception_scale * radius must be finite"
+        )
+
     def test_negative_seed_override(self, tmp_path, capsys):
         assert run_cli(["inclusion", "--seed", -1, "--out", tmp_path / "out"]) == 1
         assert capsys.readouterr().err.startswith("config error: --seed must be >= 0")
@@ -502,3 +523,41 @@ class TestErrorBoundary:
         self.run_expect_error(
             tmp_path, capsys, doc, "config error: construction: schedule rule must produce exactly"
         )
+
+
+def _reject_constant(name):
+    raise ValueError(f"report.json holds the non-JSON token {name}")
+
+
+class TestOverflow:
+    """Overflow in a family member is an honest +inf: no traceback, no warning, valid JSON."""
+
+    def run_quietly(self, tmp_path, doc):
+        cfg = write_config(tmp_path, doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_cli([doc["command"], "--config", cfg, "--out", tmp_path / "out"]) == 0
+        with open(tmp_path / "out" / "report.json") as fh:
+            return json.load(fh, parse_constant=_reject_constant)
+
+    def test_classify_writes_inf_as_a_string(self, tmp_path):
+        doc = {
+            "command": "classify",
+            "sequence": {"kind": "explicit", "values": [1e308, 1e308, 1e308, 1e308]},
+            "family": {"kind": "constant", "function": {"kind": "power", "p": 2.0}},
+            "schedule": {"kind": "explicit", "cut_points": [0, 2, 4]},
+            "space": {"m_max": 0},
+        }
+        strong = self.run_quietly(tmp_path, doc)["results"]["verdicts"]["strong"]
+        assert strong["decision"] == "DoesNotConverge"
+        assert strong["tail_mean"] == "inf"
+
+    def test_norms_conjugate_of_an_overflowing_power(self, tmp_path):
+        doc = {
+            "command": "norms",
+            "sequence": {"kind": "explicit", "values": [0.5]},
+            "family": {"kind": "constant", "function": {"kind": "power", "p": 200.0}},
+            "complementary": {"indices": [1], "v_values": [1.0]},
+        }
+        (sample,) = self.run_quietly(tmp_path, doc)["results"]["complementary"]
+        assert sample["at_boundary"] is True

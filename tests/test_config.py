@@ -130,7 +130,7 @@ def _mutate(doc, slot, mutation, replacement):
         del container[key]
     elif mutation == "add":  # keys that a json_path writes in brackets
         target = container if isinstance(container, dict) else doc
-        target["it's" if isinstance(replacement, str) else "3"] = replacement
+        target["it's" if isinstance(replacement, str) else "3"] = copy.deepcopy(replacement)
     elif mutation == "kind":
         target = container[key] if isinstance(container[key], dict) else container
         if isinstance(target, dict):

@@ -7,6 +7,7 @@ maximizer, so the golden-section route never verifies itself.
 
 import math
 import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -102,7 +103,206 @@ class TestEval:
         ks = np.array([k for k, _ in pairs], dtype=np.int64)
         us = np.array([u for _, u in pairs], dtype=np.float64)
         loop = np.array([fam.member(int(k))(float(u)) for k, u in zip(ks, us)], dtype=np.float64)
-        assert fam.eval_at(ks, us).tobytes() == loop.tobytes()
+        assert fam.bind(ks)(us).tobytes() == loop.tobytes()
+
+
+# Test-only copies of the formulas the array kernels replaced: the per-kind
+# `eval_many` and family `eval_at` bodies, and the scalar `_eval` bodies.
+OLD_EVAL_MANY = {
+    Power: lambda M, us: us**M.p,
+    ScaledPower: lambda M, us: M.c * us**M.p,
+    PowerOverP: lambda M, us: us**M.p / M.p,
+    ExpMinusOne: lambda M, us: np.expm1(us),
+    LinearSlope: lambda M, us: M.c * us,
+    Table: lambda M, us: old_table_eval_many(M, us),
+}
+
+
+def old_table_eval_many(M, us):
+    xs = np.array([a for a, _ in M.knots])
+    ys = np.array([b for _, b in M.knots])
+    out = np.interp(us, xs, ys)
+    slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
+    return np.where(us > xs[-1], ys[-1] + slope * (us - xs[-1]), out)
+
+
+def old_eval_at(family, ks, us):
+    ks = np.asarray(ks, dtype=np.int64)
+    us = np.asarray(us, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        if isinstance(family, ConstantFamily):
+            return OLD_EVAL_MANY[type(family.function)](family.function, us)
+        if isinstance(family, IndexScaledFamily):
+            return us / np.asarray(ks, dtype=np.float64)
+        if isinstance(family, IndexPowerFamily):
+            return us ** np.asarray(family.exponents)[np.minimum(ks - 1, len(family.exponents) - 1)]
+        c = np.full(ks.shape, family.default_slope)
+        table = dict(family.slopes)
+        keys = np.array(sorted(table), dtype=np.int64)
+        if keys.size:
+            pos = np.minimum(np.searchsorted(keys, ks), keys.size - 1)
+            hit = keys[pos] == ks
+            c[hit] = np.array([table[k] for k in sorted(table)])[pos[hit]]
+        return c * us
+
+
+def old_scalar(M, u):
+    if u == 0.0:
+        return 0.0
+    try:
+        if isinstance(M, Power):
+            return u**M.p
+        if isinstance(M, ScaledPower):
+            return M.c * u**M.p
+        if isinstance(M, PowerOverP):
+            return u**M.p / M.p
+        if isinstance(M, ExpMinusOne):
+            return math.expm1(u)
+        if isinstance(M, LinearSlope):
+            return M.c * u
+    except OverflowError:
+        return math.inf
+    us, vs = [a for a, _ in M.knots], [b for _, b in M.knots]
+    if u <= us[-1]:
+        return float(np.interp(u, us, vs))
+    return vs[-1] + (vs[-1] - vs[-2]) / (us[-1] - us[-2]) * (u - us[-1])
+
+
+def ordered_bits(x):
+    """float64 bit patterns as integers that count ULPs across the sign."""
+    i = np.asarray(x, dtype=np.float64).view(np.int64)
+    return np.where(i < 0, np.iinfo(np.int64).min - i, i)
+
+
+@st.composite
+def tables(draw, convex=None):
+    """Tables with 2-8 knots; convex ones have nondecreasing nonnegative slopes."""
+    n = draw(st.integers(1, 7))
+    steps = np.array(draw(st.lists(st.floats(1e-3, 10.0), min_size=n, max_size=n)))
+    xs = np.concatenate([[0.0], np.cumsum(steps)])
+    if convex is None:
+        convex = draw(st.booleans())
+    if convex:
+        slopes = np.sort(draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n)))
+        ys = np.concatenate([[0.0], np.cumsum(slopes * steps)])
+    else:
+        ys = [0.0] + draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))
+    return Table(tuple(zip(xs, ys)))
+
+
+EXPONENTS = st.floats(1.0, 12.0)
+FUNCTIONS = st.one_of(
+    st.builds(Power, EXPONENTS),
+    st.builds(ScaledPower, EXPONENTS, st.floats(1e-3, 1e3)),
+    st.builds(PowerOverP, st.floats(1.01, 12.0)),
+    st.just(ExpMinusOne()),
+    st.builds(LinearSlope, st.floats(1e-3, 1e3)),
+    tables(convex=True),
+)
+ARGUMENT = st.one_of(st.floats(0.0, 20.0), st.floats(0.0, 1e300))
+ARGUMENTS = st.lists(ARGUMENT, min_size=1, max_size=40)
+PAIRS = st.lists(st.tuples(st.integers(1, 60), ARGUMENT), max_size=40)
+
+
+def split(pairs):
+    """(k, u) pairs as an index array and an argument array."""
+    ks = np.array([k for k, _ in pairs], dtype=np.int64)
+    return ks, np.array([u for _, u in pairs], dtype=np.float64)
+
+
+class TestKernels:
+    """One array formula per kind: the kernels keep the bits of the formulas they replaced."""
+
+    @given(
+        family=st.one_of(
+            st.builds(ConstantFamily, FUNCTIONS),
+            st.just(IndexScaledFamily()),
+            st.builds(IndexPowerFamily, st.lists(EXPONENTS, min_size=1, max_size=6).map(tuple)),
+            st.builds(
+                SpikeFamily,
+                st.dictionaries(st.integers(-3, 60), st.floats(1e-3, 1e3), max_size=8).map(
+                    lambda d: tuple(d.items())
+                ),
+                st.floats(1e-3, 1e3),
+            ),
+        ),
+        pairs=PAIRS,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bind_is_bitwise_the_old_eval_at(self, family, pairs):
+        ks, us = split(pairs)
+        kernel = family.bind(ks)
+        assert kernel(us).tobytes() == old_eval_at(family, ks, us).tobytes()
+        assert kernel(2.0 * us).tobytes() == old_eval_at(family, ks, 2.0 * us).tobytes()
+
+    @given(
+        functions=st.lists(FUNCTIONS, min_size=1, max_size=5).map(tuple),
+        pairs=PAIRS,
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_custom_is_each_member_on_its_indices(self, functions, pairs):
+        fam = CustomFamily(functions)
+        ks, us = split(pairs)
+        got = fam.bind(ks)(us)
+        for k in set(ks.tolist()):
+            at = ks == k
+            assert got[at].tobytes() == fam.member(k).eval_many(us[at]).tobytes()
+
+    @given(M=FUNCTIONS, us=ARGUMENTS)
+    @settings(max_examples=100, deadline=None)
+    def test_call_is_the_one_element_kernel(self, M, us):
+        us = np.array(us)
+        many = M.eval_many(us)
+        for i, u in enumerate(us):
+            one = M(float(u))
+            assert np.float64(one).tobytes() == M.eval_many([u])[0].tobytes()
+            assert np.float64(one).tobytes() == many[i].tobytes()
+
+    @given(M=st.one_of(FUNCTIONS, tables()), us=ARGUMENTS)
+    @settings(max_examples=150, deadline=None)
+    def test_within_two_ulp_of_the_old_scalar_formulas(self, M, us):
+        us = np.array(us)
+        old = np.array([old_scalar(M, float(u)) for u in us])
+        assert np.all(np.abs(ordered_bits(M.eval_many(us)) - ordered_bits(old)) <= 2)
+
+    def test_overflow_is_a_silent_inf(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert Power(200.0)(1e3) == math.inf
+            assert ExpMinusOne()(1e3) == math.inf
+            assert IndexPowerFamily((400.0,)).bind([1, 2])(np.array([100.0, 0.5]))[0] == math.inf
+            assert SpikeFamily(((1, 10.0),)).bind([1])(np.array([1e308]))[0] == math.inf
+
+    def test_bind_checks_arguments(self):
+        kernel = IndexScaledFamily().bind(np.arange(1, 4))
+        with pytest.raises(NegativeArgument):
+            kernel(np.array([1.0, -0.5, 2.0]))
+
+
+def pairwise_axioms(M, grid, growth_floor=0.0, tol=1e-12):
+    """Test-only copy of the axiom check with its O(g**2) loop of scalar calls."""
+    g = sorted(float(u) for u in grid)
+    vals = {u: M(u) for u in g}
+    scale = max(abs(v) for v in vals.values()) or 1.0
+    slack = tol * max(1.0, scale)
+    zero_at_zero = vals[0.0] == 0.0
+    positive = all(vals[u] > 0 for u in g if u > 0)
+    nondecreasing = all(vals[b] >= vals[a] - slack for a, b in zip(g, g[1:]))
+    midpoint_convex = True
+    for i, a in enumerate(g):
+        for b in g[i + 1 :]:
+            if M(0.5 * (a + b)) > 0.5 * (vals[a] + vals[b]) + slack:
+                midpoint_convex = False
+                break
+        if not midpoint_convex:
+            break
+    growth = vals[g[-1]] > growth_floor
+    checks = [("zero_at_zero", zero_at_zero), ("positive", positive), ("nondecreasing", nondecreasing),
+              ("midpoint_convex", midpoint_convex), ("growth", growth)]
+    failures = tuple(name for name, ok in checks if not ok)
+    return orlicz.AxiomReport(
+        zero_at_zero, positive, nondecreasing, midpoint_convex, growth, growth_floor, failures
+    )
 
 
 class TestAxioms:
@@ -129,6 +329,21 @@ class TestAxioms:
     def test_linear_passes_any_grid(self):
         for grid in ([0, 1], [0, 0.1, 0.2], [0, 3, 10, 100]):
             assert verify_orlicz_axioms(LinearSlope(1.0), grid).all_pass
+
+    @given(
+        M=st.one_of(tables(), st.builds(Power, st.floats(1.0, 40.0)), st.just(ExpMinusOne())),
+        extra=st.lists(st.one_of(st.floats(0.0, 80.0), st.floats(0.0, 1e300)), max_size=30),
+        use_knots=st.booleans(),
+        growth_floor=st.floats(0.0, 100.0),
+        tol=st.sampled_from([0.0, 1e-12, 1e-3]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_broadcast_matches_the_pairwise_loop(self, M, extra, use_knots, growth_floor, tol):
+        knots = [u for u, _ in M.knots] if isinstance(M, Table) and use_knots else [0.0]
+        grid = knots + extra
+        got = verify_orlicz_axioms(M, grid, growth_floor, tol)
+        assert got == pairwise_axioms(M, grid, growth_floor, tol)
+        assert type(got.midpoint_convex) is bool and type(got.nondecreasing) is bool
 
     def test_grid_preconditions(self):
         with pytest.raises(ValueError):
