@@ -139,7 +139,7 @@ class ReportBundle:
             "checks": _round_floats(self.checks),
         }
         with open(out_dir / "report.json", "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
+            json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
         for name, rows in self.trajectories.items():
             with open(out_dir / f"{name}.csv", "w") as fh:

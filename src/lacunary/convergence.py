@@ -17,12 +17,16 @@ bound counts.  Reports must name the mode in use.
 
 `block_statistics` computes the strong statistic and both exception
 densities for every m = 0..m_max in one pass, from one transform and one
-cumulative sum.  Numerical contract: window sums come from a sequential
+cumulative sum.  Its m-loop runs over tiles of `_TILE` indices: each tile
+writes its deviations, terms and flags into three workspaces of k_R entries
+(terms, raw flags, modular flags) that every m reuses, so beyond
+tile-sized temporaries nothing of length k_R is allocated per m.  Numerical contract: window sums come from a sequential
 cumulative sum (`np.cumsum`), block sums are a pairwise `np.sum` over each
 block's slice, and exception counts are exact integers.  Every per-m
 trajectory is therefore bitwise equal to its standalone counterpart
-(`strong_block_statistic`, `lacunary_density` of `shat_flags`), and results
-are deterministic.
+(`strong_block_statistic`, `lacunary_density` of `shat_flags`), whatever
+the tile size, and results are deterministic.  NaN is never a result: a
+NaN block sum raises `NonFiniteStatistic`.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import FlagsShorterThanSchedule, HorizonTooShort
+from .errors import FlagsShorterThanSchedule, HorizonTooShort, NonFiniteStatistic
 from .orlicz import ExponentSequence, MusielakOrliczFamily, RhoSequence
 from .sequences import (
     Identity,
@@ -47,6 +51,8 @@ SHAT_DENSITY = "shat_density"
 
 MODULAR_FLAGS = "modular"
 RAW_FLAGS = "raw"
+
+_TILE = 2**15  # indices per tile of the block-statistics m-loop
 
 
 @dataclass(frozen=True)
@@ -320,42 +326,78 @@ def block_statistics(x: Sequence, p: SpaceParams) -> dict[str, UniformTrajectori
 
     y = A(x) - L is computed once for the largest lookahead, with one
     cumulative sum of y_1..y_{k_R + m_max}; its prefixes are the per-m
-    cumulative sums of `_window_deviations`, bit for bit.  For each m one
-    deviation array and one family evaluation give the strong block sums
-    and the exact exception counts in both flag modes, so each per-m
-    trajectory is bitwise identical to its standalone counterpart.
+    cumulative sums of `_window_deviations`, bit for bit.  The indices are
+    split into tiles of `_TILE`, and the family is bound to each tile once.
+    For each m, every tile computes its deviations, raw flags, terms and
+    modular flags into three reused workspaces of k_R entries; the strong
+    block sums and the exact exception counts in both flag modes then come
+    from the unchanged block reductions over the whole workspaces, so tiles
+    need not line up with blocks and each per-m trajectory is bitwise
+    identical to its standalone counterpart.
 
-    Peak memory is a few arrays of k_R floats: the deviations are computed
-    in place, the family is bound to the indices once, and the rho and
-    exponent arrays are built once.
+    Memory per call: y and its cumulative sum, two flag workspaces, and
+    tile-sized temporaries (the kernel's output).  The terms workspace is
+    y's own storage: a tile reads y (at m = 0) before it writes its terms,
+    and each tile's deviations are computed in place there.  Nothing of
+    length k_R is allocated per m, and every freshly allocated array page
+    costs a page fault, which is why no separate tile buffer or terms
+    array is kept.
+
+    Overflow is an honest +inf.  A NaN strong block sum (a window sum
+    inf - inf, for one) raises NonFiniteStatistic naming the first (m, block).
     """
     sched = p.schedule
     k_end = sched.last_index
     y = _transformed_shifted(x, p, p.m_max)
-    devs = np.abs(y[:k_end])
-    c = np.concatenate(([0.0], np.cumsum(y[: k_end + p.m_max]))) if p.m_max else None
-    del y
+    if p.rho.constant is None:
+        rho = p.rho.array(1, k_end)
+    elif p.rho.constant != 1.0:
+        rho = np.broadcast_to(p.rho.constant, (k_end,))
+    else:
+        rho = None  # x / 1.0 == x for every float64
+    exps = None if p.exponents.is_identically_one else p.exponents.array(1, k_end)
+    bounds = [(a, min(a + _TILE, k_end)) for a in range(0, k_end, _TILE)]
+    tiles = [(a, b, p.family.bind(np.arange(a + 1, b + 1))) for a, b in bounds]
+    terms = y[:k_end]  # each tile reads y_k (at m = 0) before it writes terms_k
+    raw_flags = np.empty(k_end, dtype=bool)
+    mod_flags = np.empty(k_end, dtype=bool)
 
     h_alpha = sched.block_lengths.astype(np.float64) ** p.alpha
-    ks = np.arange(1, k_end + 1)
-    kernel = p.family.bind(ks)
-    rho = p.rho.constant if p.rho.constant is not None else p.rho.array(1, k_end)
-    exps = None if p.exponents.is_identically_one else p.exponents.array(1, k_end)
     strong: list[np.ndarray] = []
     modular: list[np.ndarray] = []
     raw: list[np.ndarray] = []
-    for m in range(p.m_max + 1):
-        if m > 0:
-            np.subtract(c[m + 1 : m + 1 + k_end], c[:k_end], out=devs)
-            devs /= m + 1
-            np.abs(devs, out=devs)
-        raw.append(_block_counts(devs >= p.epsilon, sched) / h_alpha)
-        devs /= rho
-        terms = kernel(devs)
-        if exps is not None:
-            terms **= exps
-        modular.append(_block_counts(terms >= p.epsilon, sched) / h_alpha)
-        strong.append(_block_average(terms, sched, p.alpha))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if p.m_max:
+            c = np.empty(k_end + p.m_max + 1)
+            c[0] = 0.0
+            np.cumsum(y[: k_end + p.m_max], out=c[1:])
+        for m in range(p.m_max + 1):
+            for a, b, kernel in tiles:
+                dev = terms[a:b]  # the deviations, then the terms, of this tile
+                if m == 0:
+                    np.abs(dev, out=dev)
+                else:
+                    np.subtract(c[a + m + 1 : b + m + 1], c[a:b], out=dev)
+                    dev /= m + 1
+                    np.abs(dev, out=dev)
+                np.greater_equal(dev, p.epsilon, out=raw_flags[a:b])
+                if rho is not None:
+                    dev /= rho[a:b]
+                if exps is None:
+                    dev[...] = kernel(dev)
+                else:  # not in place: numpy's pow loop may change with in-place aliasing
+                    np.power(kernel(dev), exps[a:b], out=dev)
+                np.greater_equal(dev, p.epsilon, out=mod_flags[a:b])
+            raw.append(_block_counts(raw_flags, sched) / h_alpha)
+            modular.append(_block_counts(mod_flags, sched) / h_alpha)
+            strong.append(_block_average(terms, sched, p.alpha))
+            nan_blocks = np.flatnonzero(np.isnan(strong[-1]))
+            if nan_blocks.size:
+                raise NonFiniteStatistic(
+                    f"the strong statistic is NaN at m={m}, block r={nan_blocks[0] + 1}: "
+                    "a window sum or a family term is not a number (for instance a "
+                    "window sum inf - inf after the prefix sum overflowed)"
+                )
     return {
         STRONG: _uniform(strong, STRONG, None),
         MODULAR_FLAGS: _uniform(modular, SHAT_DENSITY, MODULAR_FLAGS),

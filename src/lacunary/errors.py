@@ -53,6 +53,10 @@ class HorizonTooShort(LacunaryError):
     """The sequence prefix is too short for the schedule plus window lookahead."""
 
 
+class NonFiniteStatistic(LacunaryError):
+    """A block statistic came out NaN; NaN is never reported as a result."""
+
+
 class HypothesisUnsatisfiable(LacunaryError):
     """A counterexample construction could not meet its defining inequality."""
 

@@ -38,7 +38,7 @@ Kernel = Callable[[np.ndarray], np.ndarray]
 
 def _arguments(us) -> np.ndarray:
     us = np.asarray(us, dtype=np.float64)
-    if np.any(us < 0):
+    if np.fmin.reduce(us, axis=None, initial=np.inf) < 0:  # NaN is skipped, -0.0 passes
         raise NegativeArgument("Orlicz functions take u >= 0")
     return us
 
@@ -635,9 +635,10 @@ def complementary(
     """Young conjugate N_k(v) = sup { |v| u - M_k(u) : u >= 0 } on [0, u_max].
 
     The integrand is concave (M_k convex), so golden section is exact up to
-    tolerance.  Boundary attainment is flagged, not raised, unless
-    `require_interior` is set, in which case BracketTooSmall signals that
-    the maximizer sat at u_max without the slope turning over.
+    tolerance; its bracket is first halved from u_max until M_k is finite at
+    the upper end.  Boundary attainment (relative to u_max) is flagged, not
+    raised, unless `require_interior` is set, in which case BracketTooSmall
+    signals that the maximizer sat at u_max without the slope turning over.
     """
     M = family.member(k)
     a = abs(v)
@@ -648,7 +649,12 @@ def complementary(
         m = M(u)
         return -math.inf if math.isinf(m) else a * u - m
 
-    u_star, value = golden_section_max(g, 0.0, u_max, tol)
+    # M is nondecreasing, so the maximizer lies where M is finite: halve the
+    # bracket's upper end past any overflow before the golden section
+    u_hi = u_max
+    while math.isfinite(u_hi) and math.isinf(M(u_hi)):
+        u_hi *= 0.5
+    u_star, value = golden_section_max(g, 0.0, u_hi, tol)
     value = max(value, 0.0)  # u = 0 always gives 0
     # boundary attainment: maximizer at the edge with the slope still positive
     at_boundary = False

@@ -272,18 +272,43 @@ class RowTable(MatrixOperator):
                     raise ValueError(f"row {i + 1}: coefficient at k={k} not finite")
         object.__setattr__(self, "rows", rows)
 
+    @cached_property
+    def _columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """(k - 1, a) arrays of shape (rows, widest row), each row sorted as `sorted(row)`.
+
+        Padding has k - 1 = -1 and a = 0.0: `transform` gathers it from a 0.0
+        appended to x, so a padded column adds an exact 0.0 to a row's sum.
+        """
+        lengths = np.array([len(row) for row in self.rows], dtype=np.int64)
+        pairs = [pair for row in self.rows for pair in row]
+        ks = np.array([k for k, _ in pairs], dtype=np.int64)
+        coefs = np.array([a for _, a in pairs], dtype=np.float64)
+        rows = np.repeat(np.arange(lengths.size), lengths)
+        order = np.lexsort((coefs, ks, rows))  # by row, then as sorted() orders (k, a) pairs
+        starts = np.cumsum(lengths) - lengths
+        pos = np.arange(ks.size) - starts[rows]
+        width = int(lengths.max(initial=0))
+        cols = np.full((lengths.size, width), -1, dtype=np.int64)
+        a = np.zeros((lengths.size, width))
+        cols[rows, pos] = ks[order] - 1
+        a[rows, pos] = coefs[order]
+        return cols, a
+
     def transform(self, x: np.ndarray, out_len: int, tol: float) -> np.ndarray:
-        out = np.empty(out_len)
-        for n in range(1, out_len + 1):
-            if n > len(self.rows):
-                raise _beyond_horizon(n, f"not defined (table has {len(self.rows)} rows)")
-            total = 0.0
-            for k, a in sorted(self.rows[n - 1]):
-                if k > x.size:
-                    raise _beyond_horizon(n, f"has support at k={k}, horizon is {x.size}")
-                total += a * x[k - 1]
-            out[n - 1] = total
-        return out
+        cols, a = (arr[:out_len] for arr in self._columns)
+        past = np.flatnonzero(cols.max(axis=1, initial=-1) >= x.size)
+        if past.size:
+            n = int(past[0]) + 1
+            k = int(cols[n - 1][cols[n - 1] >= x.size][0]) + 1
+            raise _beyond_horizon(n, f"has support at k={k}, horizon is {x.size}")
+        if out_len > len(self.rows):
+            n = len(self.rows) + 1
+            raise _beyond_horizon(n, f"not defined (table has {len(self.rows)} rows)")
+        xp = np.append(x, 0.0)
+        total = np.zeros(out_len)
+        for j in range(cols.shape[1]):  # column by column: each row's sequential sum
+            total += a[:, j] * xp[cols[:, j]]
+        return total
 
 
 @dataclass(frozen=True, eq=False)

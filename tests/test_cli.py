@@ -1,13 +1,15 @@
 """End-to-end CLI runs: configs, presets, outputs, determinism, exit codes."""
 
 import json
+import math
 import warnings
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from lacunary.cli import main
+from lacunary import ConstantFamily, Power, complementary
+from lacunary.cli import ReportBundle, main
 from lacunary.config import CLASSIFY_CONSTRUCTION, COMMANDS
 
 
@@ -560,4 +562,28 @@ class TestOverflow:
             "complementary": {"indices": [1], "v_values": [1.0]},
         }
         (sample,) = self.run_quietly(tmp_path, doc)["results"]["complementary"]
-        assert sample["at_boundary"] is True
+        assert sample["at_boundary"] is False
+        interior = complementary(ConstantFamily(Power(200.0)), 1, 1.0, u_max=2.0)
+        assert sample["value"] == pytest.approx(interior.value, abs=1e-8)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_classify_nan_window_sum_is_an_error(self, tmp_path, capsys):
+        """The prefix sum overflows, so a window sum is inf - inf: an error, not a NaN result."""
+        doc = {
+            "command": "classify",
+            "sequence": {"kind": "explicit", "values": [1e308, 1e308, 1e308, 1e308, 1.0]},
+            "family": {"kind": "constant", "function": {"kind": "power", "p": 1.0}},
+            "schedule": {"kind": "explicit", "cut_points": [0, 2, 4]},
+            "space": {"m_max": 1},
+        }
+        cfg = write_config(tmp_path, doc)
+        assert run_cli(["classify", "--config", cfg, "--out", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "m=1, block r=2" in err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_report_refuses_a_nan_token(self, tmp_path):
+        """report.json is strict JSON: a NaN that reached a report is an error, not a token."""
+        bundle = ReportBundle(config={}, results={"tail_mean": math.nan})
+        with pytest.raises(ValueError):
+            bundle.write(tmp_path)

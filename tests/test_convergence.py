@@ -1,6 +1,7 @@
 """Densities, block statistics, flags, verdicts, and the proof inequalities."""
 
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 from lacunary import (
     CesaroC1,
     ConstantFamily,
+    CustomFamily,
+    ExpMinusOne,
     ExponentSequence,
     Explicit,
     Geometric,
@@ -38,6 +41,7 @@ from lacunary import (
     uniform_verdict,
     window_mean,
 )
+from lacunary import convergence
 from lacunary.convergence import (
     CONVERGES,
     DIVERGES,
@@ -209,43 +213,79 @@ class TestStrongStatistic:
     @settings(max_examples=60, deadline=None)
     def test_uniform_bundle_matches_standalone(self, data):
         """The one-pass engine reproduces every standalone per-m statistic bit for bit."""
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        s = build_lacunary(Geometric(1, 2, data.draw(st.integers(1, 6), label="blocks")))
-        m_max = data.draw(st.integers(0, 6), label="m_max")
-        if data.draw(st.booleans(), label="per-index rho"):
-            rho = RhoSequence(constant=None, per_index=tuple(rng.uniform(0.5, 2.0, s.last_index)))
-        else:
-            rho = RhoSequence(constant=data.draw(st.sampled_from([1.0, 0.7, 1.9])))
-        if data.draw(st.booleans(), label="per-index exponents"):
-            exponents = ExponentSequence(constant=None, per_index=(1.0, 2.0, 0.5, 1.3))
-        else:
-            exponents = ExponentSequence(constant=data.draw(st.sampled_from([1.0, 0.5, 2.0, 1.7])))
-        p = _params(
-            s,
-            family=data.draw(st.sampled_from(ENGINE_FAMILIES)),
-            matrix=data.draw(st.sampled_from([Identity(), CesaroC1(), Shift(d=2)])),
-            m_max=m_max,
-            rho=rho,
-            exponents=exponents,
-            epsilon=data.draw(st.sampled_from([1e-3, 0.1, 0.5])),
-            L=data.draw(st.sampled_from([0.0, 0.05, -0.3])),
-            alpha=data.draw(st.sampled_from([1.0, 0.6])),
-        )
-        x = Sequence(rng.uniform(-2, 2, s.last_index + m_max + 2))
+        assert_bundle_matches_standalone(data)
 
-        stats = block_statistics(x, p)
-        for m in range(m_max + 1):
-            standalone = strong_block_statistic(x, p, m).values
-            assert stats[STRONG].per_m[m].values.tobytes() == standalone.tobytes()
-            for mode in (MODULAR_FLAGS, RAW_FLAGS):
-                standalone = lacunary_density(shat_flags(x, p, m, mode), s, p.alpha).values
-                assert stats[mode].per_m[m].values.tobytes() == standalone.tobytes()
-        for key, bundle in stats.items():
-            assert [t.m for t in bundle.per_m] == list(range(m_max + 1))
-            assert np.array_equal(bundle.sup.values,
-                                  np.max(np.stack([t.values for t in bundle.per_m]), axis=0))
-            statistic = STRONG if key == STRONG else SHAT_DENSITY
-            assert uniform_trajectories(x, p, statistic, key).statistic == statistic
+    @given(data=st.data(), tile=st.sampled_from([1, 3, 8, 64]))
+    @settings(max_examples=40, deadline=None)
+    def test_tiled_bundle_matches_standalone(self, data, tile):
+        """Tile edges inside blocks and a ragged last tile leave every bit unchanged."""
+        with patch.object(convergence, "_TILE", tile):
+            assert_bundle_matches_standalone(data)
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            ConstantFamily(Power(2.0)),
+            IndexPowerFamily((1.0, 2.5, 1.5, 2.0)),
+            CustomFamily((Power(2.0), ExpMinusOne(), LinearSlope(0.5)) * 3 + (Power(1.5),)),
+        ],
+        ids=["power", "index_power", "custom"],
+    )
+    def test_multi_tile_prefix_matches_standalone(self, family):
+        """k_R = 2**17 spans several tiles of the real size, with per-index rho."""
+        rng = np.random.default_rng(17)
+        s = build_lacunary(Geometric(1, 2, 17))
+        assert s.last_index > 2 * convergence._TILE
+        rho = RhoSequence(constant=None, per_index=tuple(rng.uniform(0.5, 2.0, s.last_index)))
+        p = _params(s, family=family, m_max=2, rho=rho, epsilon=0.1, L=0.05, alpha=0.6)
+        assert_engine_matches_standalone(Sequence(rng.uniform(-2, 2, s.last_index + 2)), p)
+
+
+def assert_engine_matches_standalone(x, p):
+    """Every per-m trajectory of `block_statistics` equals its standalone one bit for bit."""
+    stats = block_statistics(x, p)
+    for m in range(p.m_max + 1):
+        standalone = strong_block_statistic(x, p, m).values
+        assert stats[STRONG].per_m[m].values.tobytes() == standalone.tobytes()
+        for mode in (MODULAR_FLAGS, RAW_FLAGS):
+            standalone = lacunary_density(shat_flags(x, p, m, mode), p.schedule, p.alpha).values
+            assert stats[mode].per_m[m].values.tobytes() == standalone.tobytes()
+    return stats
+
+
+def assert_bundle_matches_standalone(data):
+    """Draw a space and a prefix; the engine must equal the standalone statistics bitwise."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    s = build_lacunary(Geometric(1, 2, data.draw(st.integers(1, 6), label="blocks")))
+    m_max = data.draw(st.integers(0, 6), label="m_max")
+    if data.draw(st.booleans(), label="per-index rho"):
+        rho = RhoSequence(constant=None, per_index=tuple(rng.uniform(0.5, 2.0, s.last_index)))
+    else:
+        rho = RhoSequence(constant=data.draw(st.sampled_from([1.0, 0.7, 1.9])))
+    if data.draw(st.booleans(), label="per-index exponents"):
+        exponents = ExponentSequence(constant=None, per_index=(1.0, 2.0, 0.5, 1.3))
+    else:
+        exponents = ExponentSequence(constant=data.draw(st.sampled_from([1.0, 0.5, 2.0, 1.7])))
+    p = _params(
+        s,
+        family=data.draw(st.sampled_from(ENGINE_FAMILIES)),
+        matrix=data.draw(st.sampled_from([Identity(), CesaroC1(), Shift(d=2)])),
+        m_max=m_max,
+        rho=rho,
+        exponents=exponents,
+        epsilon=data.draw(st.sampled_from([1e-3, 0.1, 0.5])),
+        L=data.draw(st.sampled_from([0.0, 0.05, -0.3])),
+        alpha=data.draw(st.sampled_from([1.0, 0.6])),
+    )
+    x = Sequence(rng.uniform(-2, 2, s.last_index + m_max + 2))
+
+    stats = assert_engine_matches_standalone(x, p)
+    for key, bundle in stats.items():
+        assert [t.m for t in bundle.per_m] == list(range(m_max + 1))
+        assert np.array_equal(bundle.sup.values,
+                              np.max(np.stack([t.values for t in bundle.per_m]), axis=0))
+        statistic = STRONG if key == STRONG else SHAT_DENSITY
+        assert uniform_trajectories(x, p, statistic, key).statistic == statistic
 
 
 class TestVerdicts:

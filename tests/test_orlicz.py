@@ -42,6 +42,11 @@ from lacunary.optimize import bisect_nonincreasing, grid_then_golden_min
 from lacunary.orlicz import AmemiyaValue, table_axiom_failures
 
 
+EXTREME_ARGUMENTS = [
+    math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1.0, -1.0
+]
+
+
 def dense_grid_conjugate(M, v, u_max=1e3, n_grid=20001):
     """Independent maximizer of |v|u - M(u): dense grid plus local refinement."""
     us = np.linspace(0.0, u_max, n_grid)
@@ -278,6 +283,22 @@ class TestKernels:
         with pytest.raises(NegativeArgument):
             kernel(np.array([1.0, -0.5, 2.0]))
 
+    @given(
+        us=st.one_of(
+            st.lists(st.sampled_from(EXTREME_ARGUMENTS) | st.floats(), max_size=6),
+            st.sampled_from(EXTREME_ARGUMENTS),
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_argument_check_rejects_exactly_the_negatives(self, us):
+        """The argument check rejects exactly when `np.any(us < 0)`: NaN is skipped, -0.0 passes."""
+        arr = np.asarray(us, dtype=np.float64)
+        if np.any(arr < 0):
+            with pytest.raises(NegativeArgument):
+                orlicz._arguments(us)
+        else:
+            assert orlicz._arguments(us).tobytes() == arr.tobytes()
+
 
 def pairwise_axioms(M, grid, growth_floor=0.0, tol=1e-12):
     """Test-only copy of the axiom check with its O(g**2) loop of scalar calls."""
@@ -434,6 +455,14 @@ class TestComplementary:
         fam = SpikeFamily(slopes=((3, 10.0),), default_slope=1.0)
         # at k=3 the slope is 10, sup of (2-10)u is at u=0
         assert complementary(fam, 3, 2.0).value == 0.0
+
+    def test_overflow_at_the_bracket_end_is_halved_away(self):
+        # u**200 is +inf at both first golden-section probes of [0, 1e3]
+        fam = ConstantFamily(Power(200.0))
+        got = complementary(fam, 1, 1.0)
+        assert not got.at_boundary
+        assert got.value == pytest.approx(complementary(fam, 1, 1.0, u_max=2.0).value, abs=1e-10)
+        assert got.value == pytest.approx(dense_grid_conjugate(Power(200.0), 1.0, u_max=2.0), abs=1e-6)
 
 
 class TestLuxemburg:
