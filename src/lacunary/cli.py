@@ -21,6 +21,7 @@ import sys
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -406,30 +407,31 @@ def cmd_inclusion(doc: dict, seed: int | None = None) -> ReportBundle:
     corpus_doc = echo["corpus"]
     verdict = echo["verdict"]
 
-    rng = np.random.default_rng(corpus_doc["seed"])
-    horizon = params.schedule.last_index + params.m_max
-    corpus: list[tuple[Sequence, SpaceParams]] = []
-    for _ in range(corpus_doc["size"]):
-        try:
-            x = random_bounded_sequence(
-                rng,
-                horizon,
-                corpus_doc["center"],
-                corpus_doc["radius"],
-                corpus_doc["exception_density"],
-                corpus_doc["exception_scale"],
-            )
-        except ValueError as exc:
-            raise ConfigError(f"corpus: {exc}") from exc
-        corpus.append((x, params))
-    for theorem, builder in (("thm37", build_thm37), ("thm38", build_thm38)):
-        if corpus_doc[f"include_{theorem}"]:
-            spec = CounterexampleSpec(theorem=theorem, r_max=corpus_doc["construction_r_max"])
-            x_c, _, p_c = builder(spec)
-            corpus.append((x_c, p_c))
+    def corpus() -> Iterator[tuple[Sequence, SpaceParams]]:
+        """The seeded draws, then the constructions, made one at a time as the run asks."""
+        rng = np.random.default_rng(corpus_doc["seed"])
+        horizon = params.schedule.last_index + params.m_max
+        for _ in range(corpus_doc["size"]):
+            try:
+                x = random_bounded_sequence(
+                    rng,
+                    horizon,
+                    corpus_doc["center"],
+                    corpus_doc["radius"],
+                    corpus_doc["exception_density"],
+                    corpus_doc["exception_scale"],
+                )
+            except ValueError as exc:
+                raise ConfigError(f"corpus: {exc}") from exc
+            yield x, params
+        for theorem, builder in (("thm37", build_thm37), ("thm38", build_thm38)):
+            if corpus_doc[f"include_{theorem}"]:
+                spec = CounterexampleSpec(theorem=theorem, r_max=corpus_doc["construction_r_max"])
+                x_c, _, p_c = builder(spec)
+                yield x_c, p_c
 
     report = run_inclusion_matrix(
-        corpus,
+        corpus(),
         echo["theorems"],
         beta=echo["beta"],
         verdict_tol=verdict["tol"],

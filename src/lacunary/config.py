@@ -509,7 +509,7 @@ EXPONENTS = _scalars("exponents", ExponentSequence)
 def _alternating01(horizon: int) -> Sequence:
     values = np.zeros(horizon)
     values[1::2] = 1.0
-    return Sequence(values)
+    return Sequence._adopt(values)
 
 
 def _random_bounded(horizon, center, radius, exception_density, exception_scale, seed) -> Sequence:
@@ -518,9 +518,9 @@ def _random_bounded(horizon, center, radius, exception_density, exception_scale,
 
 
 SEQUENCE = Component("sequence", {
-    "explicit": Kind(lambda values: Sequence(np.asarray(values)), values=Field(NUMS)),
+    "explicit": Kind(Sequence, values=Field(NUMS)),
     "constant": Kind(
-        lambda value, horizon: Sequence(np.full(horizon, value)),
+        lambda value, horizon: Sequence._adopt(np.full(horizon, value)),
         value=Field(NUM, 0.0),
         horizon=Field(POS_INT),
     ),

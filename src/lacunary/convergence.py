@@ -242,7 +242,7 @@ def ntheta_norm(x: Sequence, schedule: LacunarySchedule) -> float:
 
 
 def _transformed_shifted(x: Sequence, p: SpaceParams, lookahead: int) -> np.ndarray:
-    """(A(x))_n - L for n = 1..k_R + lookahead."""
+    """(A(x))_n - L for n = 1..k_R + lookahead: the one fresh copy, which the caller may overwrite."""
     z = transform_sequence(p.matrix, x, p.schedule.last_index + lookahead, p.matrix_tol)
     return z.values - p.L
 
@@ -336,12 +336,14 @@ def block_statistics(x: Sequence, p: SpaceParams) -> dict[str, UniformTrajectori
     identical to its standalone counterpart.
 
     Memory per call: y and its cumulative sum, two flag workspaces, and
-    tile-sized temporaries (the kernel's output).  The terms workspace is
-    y's own storage: a tile reads y (at m = 0) before it writes its terms,
-    and each tile's deviations are computed in place there.  Nothing of
-    length k_R is allocated per m, and every freshly allocated array page
-    costs a page fault, which is why no separate tile buffer or terms
-    array is kept.
+    tile-sized temporaries (the kernel's output).  y is the only prefix-sized
+    copy: the transform's output is held, not copied, by the Sequence that
+    `transform_sequence` returns (for Identity it is a view of x), and
+    y = A(x) - L is its one subtraction.  The terms workspace is y's own
+    storage: a tile reads y (at m = 0) before it writes its terms, and each
+    tile's deviations are computed in place there.  Nothing of length k_R
+    is allocated per m, and every freshly allocated array page costs a page
+    fault, which is why no separate tile buffer or terms array is kept.
 
     Overflow is an honest +inf.  A NaN strong block sum (a window sum
     inf - inf, for one) raises NonFiniteStatistic naming the first (m, block).

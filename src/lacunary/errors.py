@@ -13,6 +13,10 @@ class SupportExceedsHorizon(LacunaryError):
     """A matrix row needs sequence values beyond the stored prefix."""
 
 
+class NonFiniteTransform(LacunaryError):
+    """A matrix transform row came out inf or NaN: its sum overflowed float64."""
+
+
 class PrefixExceedsBound(LacunaryError):
     """A prefix value exceeds the bound |x_k| <= x_bound a generator matrix certifies against."""
 

@@ -226,7 +226,7 @@ def build_thm37(spec: CounterexampleSpec) -> tuple[Sequence, LacunarySchedule, S
         exponents=ExponentSequence(constant=1.0),
         matrix=Identity(),
     )
-    return Sequence(values), schedule, params
+    return Sequence._adopt(values), schedule, params
 
 
 def build_thm38(spec: CounterexampleSpec) -> tuple[Sequence, LacunarySchedule, SpaceParams]:
@@ -298,7 +298,7 @@ def build_thm38(spec: CounterexampleSpec) -> tuple[Sequence, LacunarySchedule, S
         exponents=ExponentSequence(constant=1.0),
         matrix=Identity(),
     )
-    return Sequence(values), schedule, params
+    return Sequence._adopt(values), schedule, params
 
 
 # ---------------------------------------------------------------------------
@@ -498,10 +498,11 @@ def random_bounded_sequence(
         )
     values = rng.uniform(center - radius, center + radius, size=horizon)
     if exception_density > 0:
-        mask = rng.random(horizon) < exception_density
-        signs = np.where(rng.random(horizon) < 0.5, -1.0, 1.0)
-        values = np.where(mask, center + signs * exception_scale * radius, values)
-    return Sequence(values)
+        draws = np.empty(horizon)  # both uniform draws, one after the other
+        at = np.flatnonzero(rng.random(out=draws) < exception_density)
+        signs = np.where(rng.random(out=draws)[at] < 0.5, -1.0, 1.0)
+        values[at] = center + signs * exception_scale * radius
+    return Sequence._adopt(values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -540,7 +541,7 @@ def _implication_status(antecedent: str, consequent: str) -> str:
 
 
 def run_inclusion_matrix(
-    corpus: TypingSequence[tuple[Sequence, SpaceParams]],
+    corpus: Iterable[tuple[Sequence, SpaceParams]],
     theorems: Iterable[str] = THEOREMS,
     beta: float = 1.0,
     verdict_tol: float = 1e-3,
@@ -593,8 +594,11 @@ def run_inclusion_matrix(
         return cache[key]
 
     t31_violations = 0
+    first: SpaceParams | None = None
     for i, (x, p) in enumerate(corpus):
         sid = f"seq_{i:03d}"
+        if first is None:
+            first = p
         stats.clear()
         for theorem in requested:
             if theorem == "T31":
@@ -697,16 +701,16 @@ def run_inclusion_matrix(
         }
         if theorem == "T31":
             result["block_inequality_violations"] = t31_violations
-        if theorem == "T35" and corpus:
-            rep = delta2_check(corpus[0][1].family)
+        if theorem == "T35" and first is not None:
+            rep = delta2_check(first.family)
             result["delta2"] = {
                 "K_estimate": rep.K_estimate,
                 "held": rep.held,
                 "a": rep.a,
                 "c_rule": rep.c_rule,
             }
-        if theorem == "T36" and corpus:
-            est = liminf_growth_estimate(corpus[0][1].family, corpus[0][1].rho)
+        if theorem == "T36" and first is not None:
+            est = liminf_growth_estimate(first.family, first.rho)
             result["liminf"] = {
                 "gamma": est.gamma,
                 "bounded_away": est.bounded_away,

@@ -15,7 +15,8 @@ Kernel contract: each function kind has exactly one array formula, run by
 `eval_many`; the scalar `M(u)` is its one-element case, so both give the
 same bits.  A family is evaluated through `family.bind(ks)`, which gathers
 the per-index data (exponents, slopes, member groups) once and returns a
-kernel `us -> M_{ks}(us)` for any number of argument arrays.  Arguments
+kernel `us -> M_{ks}(us)` for any number of argument arrays;
+`family.member(k)(u)` has the bits of `family.bind([k])([u])[0]`.  Arguments
 must be >= 0 (NegativeArgument otherwise).  Overflow is a silent +inf,
 an honest "too large" value that the searches and verdicts handle.
 """
@@ -253,7 +254,13 @@ class MusielakOrliczFamily:
     label = "abstract"
 
     def member(self, k: int) -> OrliczFunction:
-        raise NotImplementedError
+        """M_k, computed by the family's own array formula bound to k.
+
+        So M_k(u) has the bits of bind([k])([u])[0].  The formula's
+        per-index data has one entry and broadcasts over any `us`; a family
+        whose formula cannot broadcast overrides `member`.
+        """
+        return _Member(self._bind(np.array([k], dtype=np.int64)))
 
     def _bind(self, ks: np.ndarray) -> Kernel:
         """The array formula us -> M_{ks}(us), with the data of the indices gathered."""
@@ -272,6 +279,17 @@ class MusielakOrliczFamily:
                 return formula(us)
 
         return kernel
+
+
+@dataclass(frozen=True, eq=False)
+class _Member(OrliczFunction):
+    """One member of a family: its array formula bound to one index."""
+
+    formula: Kernel
+    label = "member"
+
+    def _formula(self, us: np.ndarray) -> np.ndarray:
+        return self.formula(us)
 
 
 @dataclass(frozen=True)
@@ -294,9 +312,6 @@ class IndexScaledFamily(MusielakOrliczFamily):
 
     label = "index_scaled"
 
-    def member(self, k: int) -> OrliczFunction:
-        return LinearSlope(1.0 / k)
-
     def _bind(self, ks: np.ndarray) -> Kernel:
         ks = ks.astype(np.float64)
         return lambda us: us / ks
@@ -316,9 +331,6 @@ class IndexPowerFamily(MusielakOrliczFamily):
         if any(p < 1 for p in exps):
             raise ValueError("every exponent must be >= 1")
         object.__setattr__(self, "exponents", exps)
-
-    def member(self, k: int) -> OrliczFunction:
-        return Power(self.exponents[min(k - 1, len(self.exponents) - 1)])
 
     def _bind(self, ks: np.ndarray) -> Kernel:
         p = np.asarray(self.exponents)[np.minimum(ks - 1, len(self.exponents) - 1)]
@@ -344,12 +356,6 @@ class SpikeFamily(MusielakOrliczFamily):
     @cached_property
     def _table(self) -> dict[int, float]:
         return dict(self.slopes)
-
-    def slope(self, k: int) -> float:
-        return self._table.get(k, self.default_slope)
-
-    def member(self, k: int) -> OrliczFunction:
-        return LinearSlope(self.slope(k))
 
     def _bind(self, ks: np.ndarray) -> Kernel:
         keys = sorted(self._table)

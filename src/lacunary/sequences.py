@@ -24,6 +24,7 @@ import numpy as np
 from .errors import (
     EmptySchedule,
     IndexOutOfHorizon,
+    NonFiniteTransform,
     NotStrictlyIncreasing,
     PrefixExceedsBound,
     SupportExceedsHorizon,
@@ -33,19 +34,31 @@ from .errors import (
 
 @dataclass(frozen=True, eq=False)
 class Sequence:
-    """A finite real prefix x_1..x_N standing in for an infinite sequence."""
+    """A finite real prefix x_1..x_N standing in for an infinite sequence.
+
+    `values` is a read-only float64 array that the Sequence owns.
+    `Sequence(values)` copies what it is given, once.  The package's own
+    constructors hand over an array they have just made with `_adopt`,
+    which takes it without a copy; `transform_sequence` of Identity adopts
+    a view of x, which is read-only already.  Either way the prefix must be
+    one-dimensional, nonempty and finite.
+    """
 
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("a sequence needs a one-dimensional, nonempty prefix")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("sequence values must be finite (no NaN/inf)")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _owned(np.array(self.values, dtype=np.float64)))
+
+    @classmethod
+    def _adopt(cls, values: np.ndarray) -> "Sequence":
+        """A Sequence over `values` itself: a float64 array the package has just made.
+
+        No copy is taken and `values` becomes read-only, so the caller must
+        hold no other writable reference to it.
+        """
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "values", _owned(values))
+        return seq
 
     @property
     def horizon(self) -> int:
@@ -66,10 +79,20 @@ class Sequence:
         return self.values[n - 1 : n + m]
 
     def scaled(self, c: float) -> "Sequence":
-        return Sequence(self.values * c)
+        return Sequence._adopt(self.values * c)
 
     def __len__(self) -> int:
         return self.horizon
+
+
+def _owned(arr: np.ndarray) -> np.ndarray:
+    """The float64 array `arr`, checked as a prefix and made read-only."""
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError("a sequence needs a one-dimensional, nonempty prefix")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("sequence values must be finite (no NaN/inf)")
+    arr.flags.writeable = False
+    return arr
 
 
 def window_mean(x: Sequence, m: int, n: int) -> float:
@@ -377,7 +400,24 @@ def geometric_tail(decay: float, x_bound: float) -> RowGenerator:
 def transform_sequence(
     A: MatrixOperator, x: Sequence, out_len: int, tol: float = 1e-12
 ) -> Sequence:
-    """The prefix (A_1(x), ..., A_out_len(x)) as a Sequence."""
+    """The prefix (A_1(x), ..., A_out_len(x)) as a Sequence.
+
+    The Sequence adopts the transform's output without a copy; for Identity
+    it is a view of x.  A row that overflows float64 raises
+    NonFiniteTransform naming the first such row, without a numpy warning.
+    """
     if out_len < 1:
         raise ValueError("out_len must be >= 1")
-    return Sequence(A.transform(x.values, out_len, tol))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.asarray(A.transform(x.values, out_len, tol), dtype=np.float64)
+    try:
+        return Sequence._adopt(out)
+    except ValueError:
+        bad = np.flatnonzero(~np.isfinite(out))
+        if not bad.size:
+            raise
+        n = int(bad[0]) + 1
+        raise NonFiniteTransform(
+            f"at output index n={n}: row {n} of the {A.kind} transform is {out[n - 1]}, "
+            "its sum overflowed float64"
+        ) from None

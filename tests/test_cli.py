@@ -582,6 +582,31 @@ class TestOverflow:
         assert err.startswith("error: ") and "m=1, block r=2" in err
         assert not (tmp_path / "out" / "report.json").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "matrix,n",
+        [
+            ({"kind": "cesaro_c1"}, 2),
+            ({"kind": "row_table", "rows": [[[k, 1.0], [k + 1, 1.0]] for k in range(1, 5)] + [[[5, 1.0]]]}, 1),
+        ],
+        ids=["cesaro_c1", "row_table"],
+    )
+    def test_classify_overflowing_transform_is_an_error(self, tmp_path, capsys, matrix, n):
+        """A transform row past float64 ends in `error:` naming the row, not a traceback."""
+        doc = {
+            "command": "classify",
+            "sequence": {"kind": "explicit", "values": [1e308, 1e308, 1e308, 1e308, 1.0]},
+            "family": {"kind": "index_scaled"},
+            "schedule": {"kind": "explicit", "cut_points": [0, 2, 4]},
+            "matrix": matrix,
+            "space": {"m_max": 1},
+        }
+        cfg = write_config(tmp_path, doc)
+        assert run_cli(["classify", "--config", cfg, "--out", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: at output index n={n}: row {n} of the {matrix['kind']} transform is inf")
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_report_refuses_a_nan_token(self, tmp_path):
         """report.json is strict JSON: a NaN that reached a report is an error, not a token."""
         bundle = ReportBundle(config={}, results={"tail_mean": math.nan})

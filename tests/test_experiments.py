@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lacunary import (
     CesaroC1,
@@ -182,6 +183,22 @@ class TestInclusionMatrix:
         report = run_inclusion_matrix([], ["T31", "T35"])
         assert report.implications == ()
         assert report.theorem_results["T31"]["pass"]
+        assert run_inclusion_matrix(iter(()), ["T31", "T35"]).to_dict() == report.to_dict()
+
+    def test_generator_corpus_matches_the_list(self):
+        """A corpus read lazily, one entry at a time, gives the report of the same list."""
+        rng = np.random.default_rng(11)
+        s = build_lacunary(Geometric(1, 2, 7))
+        p = _plain_params(s)
+        corpus = [
+            (random_bounded_sequence(rng, s.last_index + 2, 0.0, 1.0, 0.05, 3.0), p)
+            for _ in range(6)
+        ]
+        x37, _, p37 = build_thm37(CounterexampleSpec(theorem="thm37", r_max=8))
+        x38, _, p38 = build_thm38(CounterexampleSpec(theorem="thm38", r_max=8))
+        corpus += [(x37, p37), (x38, p38)]
+        want = run_inclusion_matrix(corpus).to_dict()
+        assert run_inclusion_matrix(entry for entry in corpus).to_dict() == want
 
     def test_reports_are_deterministic(self):
         def make():
@@ -268,3 +285,30 @@ class TestRandomBoundedSequence:
         outside = np.abs(x.values) > 1.0
         assert 100 < int(np.count_nonzero(outside)) < 320
         assert np.all(np.abs(x.values[outside]) == 3.0)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        horizon=st.integers(1, 3000),
+        center=st.sampled_from([0.0, -2.5, 1e3]) | st.floats(-1e6, 1e6),
+        radius=st.floats(0.0, 1e3),
+        density=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+        scale=st.floats(0.0, 10.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_in_place_draw_is_the_where_formula(self, seed, horizon, center, radius, density, scale):
+        """Bit for bit the fresh-array formula, and the generator ends in the same state."""
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        x = random_bounded_sequence(rng, horizon, center, radius, density, scale)
+        want = where_formula(ref_rng, horizon, center, radius, density, scale)
+        assert x.values.tobytes() == want.tobytes()
+        assert rng.random(3).tobytes() == ref_rng.random(3).tobytes()
+
+
+def where_formula(rng, horizon, center, radius, exception_density, exception_scale):
+    """Test-only copy of the draw with one fresh array per step, merged by np.where."""
+    values = rng.uniform(center - radius, center + radius, size=horizon)
+    if exception_density > 0:
+        mask = rng.random(horizon) < exception_density
+        signs = np.where(rng.random(horizon) < 0.5, -1.0, 1.0)
+        values = np.where(mask, center + signs * exception_scale * radius, values)
+    return values

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lacunary import (
     ConstantFamily,
@@ -215,24 +215,25 @@ def split(pairs):
     return ks, np.array([u for _, u in pairs], dtype=np.float64)
 
 
+FAMILIES = st.one_of(
+    st.builds(ConstantFamily, FUNCTIONS),
+    st.just(IndexScaledFamily()),
+    st.builds(IndexPowerFamily, st.lists(EXPONENTS, min_size=1, max_size=6).map(tuple)),
+    st.builds(
+        SpikeFamily,
+        st.dictionaries(st.integers(-3, 60), st.floats(1e-3, 1e3), max_size=8).map(
+            lambda d: tuple(d.items())
+        ),
+        st.floats(1e-3, 1e3),
+    ),
+)
+CUSTOM_FAMILIES = st.builds(CustomFamily, st.lists(FUNCTIONS, min_size=1, max_size=5).map(tuple))
+
+
 class TestKernels:
     """One array formula per kind: the kernels keep the bits of the formulas they replaced."""
 
-    @given(
-        family=st.one_of(
-            st.builds(ConstantFamily, FUNCTIONS),
-            st.just(IndexScaledFamily()),
-            st.builds(IndexPowerFamily, st.lists(EXPONENTS, min_size=1, max_size=6).map(tuple)),
-            st.builds(
-                SpikeFamily,
-                st.dictionaries(st.integers(-3, 60), st.floats(1e-3, 1e3), max_size=8).map(
-                    lambda d: tuple(d.items())
-                ),
-                st.floats(1e-3, 1e3),
-            ),
-        ),
-        pairs=PAIRS,
-    )
+    @given(family=FAMILIES, pairs=PAIRS)
     @settings(max_examples=150, deadline=None)
     def test_bind_is_bitwise_the_old_eval_at(self, family, pairs):
         ks, us = split(pairs)
@@ -252,6 +253,16 @@ class TestKernels:
         for k in set(ks.tolist()):
             at = ks == k
             assert got[at].tobytes() == fam.member(k).eval_many(us[at]).tobytes()
+
+    @given(family=st.one_of(FAMILIES, CUSTOM_FAMILIES), pairs=PAIRS)
+    @example(family=IndexScaledFamily(), pairs=[(5, 0.1)])  # (1/5) * 0.1 != 0.1 / 5
+    @example(family=IndexPowerFamily((2.0,)), pairs=[(1, 3.2530809568010897)])  # u ** 2.0 is np.square
+    @settings(max_examples=150, deadline=None)
+    def test_member_is_the_one_index_kernel(self, family, pairs):
+        """M_k(u) from `member(k)` has the bits the engine sees, bind([k])([u])[0]."""
+        for k, u in pairs:
+            one = family.member(k)(u)
+            assert np.float64(one).tobytes() == family.bind([k])(np.array([u]))[0].tobytes()
 
     @given(M=FUNCTIONS, us=ARGUMENTS)
     @settings(max_examples=100, deadline=None)

@@ -23,6 +23,7 @@ from lacunary.errors import (
     EmptySchedule,
     IndexOutOfHorizon,
     LacunaryError,
+    NonFiniteTransform,
     NotStrictlyIncreasing,
     PrefixExceedsBound,
     SupportExceedsHorizon,
@@ -107,6 +108,22 @@ class TestSequenceType:
         x = Sequence(np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             x.values[0] = 9.0
+
+    def test_constructor_copies_its_input(self):
+        source = np.array([1.0, 2.0])
+        x = Sequence(source)
+        assert not np.shares_memory(x.values, source)
+        source[0] = 9.0
+        assert x.values[0] == 1.0
+        assert Sequence([1, 2]).values.dtype == np.float64
+
+    def test_adopt_takes_the_array_and_keeps_every_check(self):
+        made = np.array([1.0, 2.0])
+        x = Sequence._adopt(made)
+        assert x.values is made and not made.flags.writeable
+        for bad in (np.array([1.0, np.inf]), np.array([]), np.ones((2, 2))):
+            with pytest.raises(ValueError):
+                Sequence._adopt(bad)
 
     def test_one_based_access(self):
         x = Sequence(np.array([7.0, 8.0]))
@@ -341,6 +358,21 @@ class TestTransformSequence:
         x = Sequence(np.ones(5))
         with pytest.raises(SupportExceedsHorizon, match="n=6"):
             transform_sequence(CesaroC1(), x, 6)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "A,n",
+        [
+            (CesaroC1(), 2),
+            (RowTable((((1, 1.0), (2, 1.0)),) * 3), 1),
+            (RowTable((((1, 1.0),), ((1, 1.0), (2, -1.0)), ((1, 10.0), (3, -10.0)))), 3),
+        ],
+    )
+    def test_overflowing_row_is_an_error_naming_it(self, A, n):
+        """inf and NaN rows (a sum past float64, or inf - inf) end in NonFiniteTransform."""
+        x = Sequence(np.array([1e308, 1e308, 1e308]))
+        with pytest.raises(NonFiniteTransform, match=f"^at output index n={n}: row {n} "):
+            transform_sequence(A, x, 3)
 
 
 class TestBuildLacunary:
