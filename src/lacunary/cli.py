@@ -42,10 +42,10 @@ from .convergence import (
     MODULAR_FLAGS,
     SHAT_DENSITY,
     STRONG,
+    BlockEngine,
     SpaceParams,
     UniformTrajectories,
     Verdict,
-    block_statistics,
     classify_trajectory,
 )
 from .errors import ConfigError, LacunaryError
@@ -248,7 +248,7 @@ def cmd_classify(doc: dict, seed: int | None = None) -> ReportBundle:
         params = _space_params(echo)
 
     flag_mode = echo["flag_mode"]
-    stats = block_statistics(x, params)
+    stats = BlockEngine([params])(x)[0]
     strong, shat = stats[STRONG], stats[flag_mode]
     v_strong, v_shat = _verdicts(strong, shat, echo["verdict"])
     results = {
@@ -346,7 +346,7 @@ def cmd_counterexample(doc: dict, seed: int | None = None) -> ReportBundle:
     echo = materialize(doc, "counterexample", seed)
     x, params = _construct(echo)
 
-    stats = block_statistics(x, params)
+    stats = BlockEngine([params])(x)[0]
     strong, shat = stats[STRONG], stats[MODULAR_FLAGS]
     v_strong, v_shat = _verdicts(strong, shat, echo["verdict"])
 

@@ -33,8 +33,16 @@ class EmptySchedule(LacunaryError):
     """A block schedule needs at least one block."""
 
 
+class ScheduleOverflow(LacunaryError):
+    """A cut point is past the largest index an array can have (or overflows float64)."""
+
+
 class NegativeArgument(LacunaryError):
     """Orlicz functions are defined on [0, inf) only."""
+
+
+class ScaledPrefixOverflow(LacunaryError, ValueError):
+    """A norm search scaled the prefix past float64, as Sequence.scaled would refuse to."""
 
 
 class BracketTooSmall(LacunaryError):

@@ -34,17 +34,16 @@ from .convergence import (
     RAW_FLAGS,
     SHAT_DENSITY,
     STRONG,
+    BlockEngine,
     SpaceParams,
     _block_average,
     _block_counts,
     _window_deviations,
-    block_statistics,
     classify_trajectory,
     shat_flags,
     strong_block_statistic,
-    uniform_trajectories,
 )
-from .errors import HypothesisUnsatisfiable
+from .errors import EmptyAdmissibleSet, HypothesisUnsatisfiable
 from .orlicz import (
     ConstantFamily,
     ExponentSequence,
@@ -250,15 +249,22 @@ def build_thm38(spec: CounterexampleSpec) -> tuple[Sequence, LacunarySchedule, S
         nus = tuple(base * r for r in range(1, R + 1))
     if any(v <= 0 for v in nus) or any(b <= a for a, b in zip(nus, nus[1:])):
         raise HypothesisUnsatisfiable("spike heights must be strictly increasing and positive")
+    if not math.isfinite(nus[-1]):
+        raise HypothesisUnsatisfiable(f"spike height nu_{R} overflows float64")
 
     h = schedule.block_lengths.astype(np.float64)
     h_alpha = h**spec.alpha
     spikes = schedule.cut_points[1:]
 
     if spec.family is None:
-        slopes = tuple(
-            (spikes[r], h_alpha[r] * spec.rho / nus[r]) for r in range(R)
-        )
+        with np.errstate(over="ignore"):
+            slopes = tuple(
+                (spikes[r], h_alpha[r] * spec.rho / nus[r]) for r in range(R)
+            )
+        if not all(0 < c < math.inf for _, c in slopes):
+            raise HypothesisUnsatisfiable(
+                "a spike slope h_r**alpha * rho / nu_r is past the range of float64"
+            )
         family: MusielakOrliczFamily = SpikeFamily(slopes=slopes, default_slope=1.0)
     else:
         family = spec.family
@@ -333,7 +339,8 @@ def thm31_block_bounds(
 
     counts = _block_counts(shat_flags(x, p, m, mode=RAW_FLAGS), p.schedule)
     h_beta = p.schedule.block_lengths.astype(np.float64) ** beta
-    return lhs, counts / h_beta * lo
+    with np.errstate(invalid="ignore"):  # an infinite floor times no exception is 0
+        return lhs, np.where(counts > 0, counts / h_beta * lo, 0.0)
 
 
 def _thm31_floor(p: SpaceParams, beta: float) -> float:
@@ -342,7 +349,8 @@ def _thm31_floor(p: SpaceParams, beta: float) -> float:
         raise ValueError("need alpha <= beta <= 1")
     rho_c, eps = _require_constant_setup(p)
     m_eps = p.family.function(eps / rho_c)
-    return min(m_eps**p.exponents.h_inf, m_eps**p.exponents.H_sup)
+    with np.errstate(over="ignore"):  # a floor past float64 is an honest +inf
+        return float(min(np.power(m_eps, p.exponents.h_inf), np.power(m_eps, p.exponents.H_sup)))
 
 
 def thm33_block_bounds(
@@ -448,15 +456,26 @@ def liminf_growth_estimate(
 
     Evidence, not proof: the estimate is the min over the sampled (nu, k)
     rectangle, and `bounded_away` reports whether it clears `floor`.
+    Indices past a per-index rho and samples whose nu/rho_k overflows
+    float64 are left out; EmptyAdmissibleSet reports a rectangle with no
+    sample left.
     """
     nus = np.geomspace(1.0, 1e3, 13) if nu_grid is None else np.asarray(nu_grid, float)
-    ks = [int(k) for k in k_range]
+    defined = math.inf if rho.per_index is None else len(rho.per_index)
+    ks = [int(k) for k in k_range if k <= defined]
     gamma = math.inf
+    sampled = False
     for k in ks:
         r = rho.at(k)
-        us = nus / r
-        ratios = family.bind(np.full(us.shape, k))(us) / us
-        gamma = min(gamma, float(np.min(ratios)))
+        with np.errstate(over="ignore"):
+            us = nus / r
+        us = us[np.isfinite(us)]
+        if us.size:
+            sampled = True
+            ratios = family.bind(np.full(us.shape, k))(us) / us
+            gamma = min(gamma, float(np.min(ratios)))
+    if not sampled:
+        raise EmptyAdmissibleSet("no sampled (k, nu) has rho_k defined and nu / rho_k finite")
     return GrowthEstimate(
         gamma=gamma,
         nu_range=(float(nus[0]), float(nus[-1])),
@@ -558,6 +577,12 @@ def run_inclusion_matrix(
     space against the family space, attaching a doubling report (T35) and
     a sampled growth estimate (T36); T37/T38 scan for non-inclusion
     witnesses.  Reports name the flag mode used for every density verdict.
+
+    Each sequence is computed once, in one engine call for every space its
+    theorems read: the family space at alpha, at `beta` for T31, and the
+    plain-average space for T35/T36.  Consecutive entries with equal
+    parameters (all seeded draws of a corpus) share one `BlockEngine`, and
+    the previous engine is dropped before the next one is built.
     """
     requested = [t for t in THEOREMS if t in set(theorems)]
     verdict_rows: list[dict] = []
@@ -567,17 +592,15 @@ def run_inclusion_matrix(
     slack = inequality_slack
 
     cache: dict[tuple, str] = {}
-    stats: dict[tuple, dict] = {}  # block statistics of the current sequence
+    stats: dict[tuple, dict] = {}  # (alpha, tag) -> block statistics of the current sequence
+    engine: BlockEngine | None = None
+    engine_params: SpaceParams | None = None
+    engine_spaces: list[tuple] = []
 
-    def verdict_of(
-        i: int, x: Sequence, p: SpaceParams, statistic: str, mode: str, tag: str = "family"
-    ) -> str:
+    def verdict_of(i: int, p: SpaceParams, statistic: str, mode: str, tag: str = "family") -> str:
         key = (i, statistic, mode, p.alpha, tag)
         if key not in cache:
-            space = (p.alpha, tag)
-            if space not in stats:
-                stats[space] = block_statistics(x, p)
-            bundle = stats[space][STRONG if statistic == STRONG else mode]
+            bundle = stats[(p.alpha, tag)][STRONG if statistic == STRONG else mode]
             v = classify_trajectory(bundle.sup.values, verdict_tol, tail_window)
             label = f"{statistic}[{tag}]@alpha={p.alpha:g}" + (
                 f",flags={mode}" if statistic == SHAT_DENSITY else ""
@@ -599,11 +622,20 @@ def run_inclusion_matrix(
         sid = f"seq_{i:03d}"
         if first is None:
             first = p
-        stats.clear()
+        if requested:
+            if p != engine_params:
+                engine = None  # free the previous engine's buffers before allocating the next
+                spaces = {(p.alpha, "family"): p}
+                if "T31" in requested:
+                    spaces[(beta, "family")] = p.with_alpha(beta)
+                if "T35" in requested or "T36" in requested:
+                    spaces[(p.alpha, "plain")] = replace(p, family=ConstantFamily(LinearSlope(1.0)))
+                engine, engine_params, engine_spaces = BlockEngine(spaces.values()), p, list(spaces)
+            stats = dict(zip(engine_spaces, engine(x)))
         for theorem in requested:
             if theorem == "T31":
-                ante = verdict_of(i, x, p, STRONG, MODULAR_FLAGS)
-                cons = verdict_of(i, x, p.with_alpha(beta), SHAT_DENSITY, RAW_FLAGS)
+                ante = verdict_of(i, p, STRONG, MODULAR_FLAGS)
+                cons = verdict_of(i, p.with_alpha(beta), SHAT_DENSITY, RAW_FLAGS)
                 status = _implication_status(ante, cons)
                 implications.append(
                     {
@@ -618,12 +650,17 @@ def run_inclusion_matrix(
                 if isinstance(p.family, ConstantFamily) and p.rho.constant is not None:
                     lo = _thm31_floor(p, beta)
                     lhs = stats[(p.alpha, "family")][STRONG].per_m[0].values
-                    rhs = stats[(beta, "family")][RAW_FLAGS].per_m[0].values * lo
-                    bad = rhs - lhs > slack * np.maximum(1.0, np.abs(rhs))
+                    density = stats[(beta, "family")][RAW_FLAGS].per_m[0].values
+                    with np.errstate(invalid="ignore"):  # an infinite floor meets 0 and inf
+                        rhs = np.where(density > 0, density * lo, 0.0)
+                        gap = rhs - lhs
+                    bad = np.where(
+                        np.isinf(rhs), lhs < rhs, gap > slack * np.maximum(1.0, np.abs(rhs))
+                    )
                     t31_violations += int(np.count_nonzero(bad))
             elif theorem == "T33":
-                ante = verdict_of(i, x, p, SHAT_DENSITY, RAW_FLAGS)
-                cons = verdict_of(i, x, p, STRONG, MODULAR_FLAGS)
+                ante = verdict_of(i, p, SHAT_DENSITY, RAW_FLAGS)
+                cons = verdict_of(i, p, STRONG, MODULAR_FLAGS)
                 status = _implication_status(ante, cons)
                 implications.append(
                     {
@@ -641,9 +678,8 @@ def run_inclusion_matrix(
                     }
                 )
             elif theorem in ("T35", "T36"):
-                plain = replace(p, family=ConstantFamily(LinearSlope(1.0)))
-                v_plain = verdict_of(i, x, plain, STRONG, MODULAR_FLAGS, tag="plain")
-                v_family = verdict_of(i, x, p, STRONG, MODULAR_FLAGS)
+                v_plain = verdict_of(i, p, STRONG, MODULAR_FLAGS, tag="plain")
+                v_family = verdict_of(i, p, STRONG, MODULAR_FLAGS)
                 if theorem == "T35":
                     ante, cons = v_plain, v_family
                 else:
@@ -660,8 +696,8 @@ def run_inclusion_matrix(
                     }
                 )
             elif theorem in ("T37", "T38"):
-                strong_v = verdict_of(i, x, p, STRONG, MODULAR_FLAGS)
-                shat_v = verdict_of(i, x, p, SHAT_DENSITY, MODULAR_FLAGS)
+                strong_v = verdict_of(i, p, STRONG, MODULAR_FLAGS)
+                shat_v = verdict_of(i, p, SHAT_DENSITY, MODULAR_FLAGS)
                 if theorem == "T37" and strong_v == CONVERGES and shat_v == DIVERGES:
                     witnesses.append(
                         {
@@ -773,7 +809,7 @@ def uniqueness_experiment(
         raise ValueError("need at least two candidate limits")
     tails: list[float] = []
     for L in grid:
-        bundle = uniform_trajectories(x, replace(p, L=L), STRONG, MODULAR_FLAGS)
+        bundle = BlockEngine([replace(p, L=L)])(x)[0][STRONG]
         v = classify_trajectory(bundle.sup.values, verdict_tol, tail_window)
         tails.append(v.tail_mean)
     best = min(tails)

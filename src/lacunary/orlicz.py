@@ -30,7 +30,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import BracketTooSmall, EmptyAdmissibleSet, NegativeArgument
+from .errors import BracketTooSmall, EmptyAdmissibleSet, NegativeArgument, ScaledPrefixOverflow
 from .optimize import bisect_nonincreasing, golden_section_max, grid_then_golden_min
 from .sequences import Sequence
 
@@ -526,8 +526,9 @@ def modular(
     """Finite-prefix modular sum_{k=1}^{N} M_k(|x_k| / rho_k)."""
     n = x.horizon
     ks = np.arange(1, n + 1)
-    us = np.abs(x.values) / rho.array(1, n)
-    return float(np.sum(family.bind(ks)(us)))
+    with np.errstate(over="ignore"):  # a quotient or a sum past float64 is an honest +inf
+        us = np.abs(x.values) / rho.array(1, n)
+        return float(np.sum(family.bind(ks)(us)))
 
 
 def luxemburg_norm(
@@ -548,7 +549,8 @@ def luxemburg_norm(
     kernel, ax = family.bind(np.arange(1, x.horizon + 1)), np.abs(x.values)  # reused by every step
 
     def g(rho: float) -> float:  # bit for bit modular(family, x, RhoSequence(constant=rho))
-        return float(np.sum(kernel(ax / rho)))
+        with np.errstate(over="ignore"):
+            return float(np.sum(kernel(ax / rho)))
 
     lo = hi = 1.0
     if g(1.0) > 1.0:
@@ -609,8 +611,12 @@ def orlicz_norm(
 
     def objective(k: float) -> float:  # bit for bit (1 + modular(family, x.scaled(k))) / k
         if not math.isfinite(ax_max * k):
-            raise ValueError("sequence values must be finite (no NaN/inf)")
-        return (1.0 + float(np.sum(kernel(ax * k)))) / k
+            raise ScaledPrefixOverflow(
+                f"sequence values must be finite (no NaN/inf): the search scaled "
+                f"max |x_k| = {ax_max:g} by k = {k:g} past float64"
+            )
+        with np.errstate(over="ignore"):  # a modular past float64 is an honest +inf
+            return (1.0 + float(np.sum(kernel(ax * k)))) / k
 
     grid = [2.0**e for e in range(-20, 21)]
     k_star, value, at_boundary = grid_then_golden_min(objective, grid, tol)
@@ -743,11 +749,13 @@ def delta2_check(
         if not np.any(admissible):
             continue
         c_k = c_of(k)
-        for u, mu, m2u in zip(us[admissible], m_u[admissible], m_2u[admissible]):
+        # Python floats: the same IEEE arithmetic, and a ratio past float64 is +inf without a warning
+        samples = zip(us[admissible].tolist(), m_u[admissible].tolist(), m_2u[admissible].tolist())
+        for u, mu, m2u in samples:
             tested += 1
             if mu == 0.0:
                 if m2u > c_k:
-                    violations.append((k, float(u)))
+                    violations.append((k, u))
                 continue
             K_est = max(K_est, (m2u - c_k) / mu)
     if tested == 0:

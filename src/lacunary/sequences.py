@@ -27,6 +27,7 @@ from .errors import (
     NonFiniteTransform,
     NotStrictlyIncreasing,
     PrefixExceedsBound,
+    ScheduleOverflow,
     SupportExceedsHorizon,
     TailBoundUnsatisfiable,
 )
@@ -131,6 +132,8 @@ class LacunarySchedule:
         for a, b in zip(cuts, cuts[1:]):
             if b <= a:
                 raise NotStrictlyIncreasing(f"cut points must strictly increase: {a} !< {b}")
+        if cuts[-1] > np.iinfo(np.int64).max:  # cut points are int64 in the block arithmetic
+            raise ScheduleOverflow("the last cut point is past the largest array index 2**63 - 1")
 
     @property
     def num_blocks(self) -> int:
@@ -203,7 +206,12 @@ def build_lacunary(rule: Explicit | Geometric, h_floor: int = 2) -> LacunarySche
     elif isinstance(rule, Geometric):
         cuts_list = [0]
         for r in range(1, rule.count + 1):
-            k_r = max(cuts_list[-1] + 1, math.ceil(rule.base * rule.ratio**r))
+            try:
+                k_r = max(cuts_list[-1] + 1, math.ceil(rule.base * rule.ratio**r))
+            except OverflowError:  # ratio**r past float64, or base * ratio**r infinite
+                raise ScheduleOverflow(
+                    f"cut point k_{r} = ceil(base * ratio**{r}) overflows float64"
+                ) from None
             cuts_list.append(k_r)
         cuts = tuple(cuts_list)
     else:

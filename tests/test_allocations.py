@@ -1,4 +1,5 @@
-"""Allocation budgets: each prefix-sized array exists once on the way to the engine.
+"""Allocation budgets: each prefix-sized array exists once on the way to the engine,
+and the engine reuses its buffers from one sequence to the next.
 
 tracemalloc traces numpy's data allocations, so an extra prefix-sized copy
 shows up here as a peak above its budget, in units of one prefix of float64.
@@ -10,10 +11,14 @@ import tracemalloc
 import numpy as np
 
 from lacunary import (
+    BlockEngine,
     ConstantFamily,
+    ExponentSequence,
     Geometric,
     Identity,
+    LinearSlope,
     Power,
+    RhoSequence,
     Sequence,
     SpaceParams,
     build_lacunary,
@@ -60,6 +65,41 @@ def test_engine_input_is_one_fresh_prefix():
     y, peak = traced_peak(_transformed_shifted, x, p, p.m_max)
     assert y.flags.writeable and not np.shares_memory(y, x.values)
     assert peak <= 1.5 * PREFIX, f"peak {peak / PREFIX:.2f} prefixes"
+
+
+LONG = 1 << 18  # eight tiles of the engine, so one tile is an eighth of a prefix
+LONG_PREFIX = 8 * LONG
+
+
+def _long_engine_inputs():
+    schedule = build_lacunary(Geometric(1, 2, 18))  # k_R = 2**18 = LONG
+    rng = np.random.default_rng(3)
+    xs = [Sequence(rng.uniform(-1.0, 1.0, LONG + 2)) for _ in range(2)]
+    p = SpaceParams(family=ConstantFamily(Power(2.0)), schedule=schedule, L=0.25, m_max=2)
+    return xs, p
+
+
+def test_one_space_engine_holds_y_and_its_cumsum():
+    """y and its cumulative sum, two flag workspaces and tile temporaries; no terms workspace."""
+    (x, _), p = _long_engine_inputs()
+    stats, peak = traced_peak(lambda: BlockEngine([p])(x))
+    assert len(stats) == 1
+    # y and c are a prefix each, the flags a quarter together: a terms array would add a prefix
+    assert peak <= 2.5 * LONG_PREFIX, f"peak {peak / LONG_PREFIX:.2f} prefixes"
+
+
+def test_engine_call_reuses_its_buffers():
+    """A second call on a same-shape sequence allocates no prefix-sized array (Identity)."""
+    (x1, x2), p = _long_engine_inputs()
+    plain = SpaceParams(
+        family=ConstantFamily(LinearSlope(1.0)), schedule=p.schedule, L=p.L, m_max=p.m_max,
+        rho=RhoSequence(constant=0.7), exponents=ExponentSequence(constant=1.5), alpha=0.6,
+    )
+    engine = BlockEngine([p, plain, p.with_alpha(0.5)])
+    engine(x1)
+    stats, peak = traced_peak(engine, x2)
+    assert len(stats) == 3
+    assert peak <= 0.25 * LONG_PREFIX, f"peak {peak / LONG_PREFIX:.2f} prefixes"
 
 
 def test_inclusion_peak_does_not_grow_with_the_corpus(tmp_path):

@@ -1,12 +1,17 @@
 """End-to-end CLI runs: configs, presets, outputs, determinism, exit codes."""
 
+import io
 import json
 import math
+import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
+from test_config import COMMAND_COMPONENTS, _slots, documents
 
 from lacunary import ConstantFamily, Power, complementary
 from lacunary.cli import ReportBundle, main
@@ -612,3 +617,117 @@ class TestOverflow:
         bundle = ReportBundle(config={}, results={"tail_mean": math.nan})
         with pytest.raises(ValueError):
             bundle.write(tmp_path)
+
+
+# ---------------------------------------------------------------------------
+# fuzz: every valid document, with numeric extremes, ends in 0, 1 or 2
+# ---------------------------------------------------------------------------
+
+# caps on the fields that set array sizes, so that every example runs in milliseconds
+SIZE_CAPS = {"count": 6, "horizon": 80, "size": 3, "r_max": 6, "construction_r_max": 6,
+             "m_max": 4, "k_max": 8}
+FLOAT_EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1.0, -1.0, 0.5, 2.0,
+                  1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308]
+INT_EXTREMES = [0, 1, 2, -1]
+
+
+@st.composite
+def fuzzed_documents(draw):
+    """A valid document of a random command with sizes capped and a few numbers at extremes."""
+    component = draw(st.sampled_from(COMMAND_COMPONENTS))
+    doc = draw(documents(component))
+    numbers = []
+    for container, key in _slots(doc):
+        value = container[key]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            continue
+        if isinstance(value, int) and key in SIZE_CAPS:
+            container[key] = min(value, SIZE_CAPS[key])
+        numbers.append((container, key))
+    for _ in range(draw(st.integers(0, 3))):
+        if numbers:
+            container, key = draw(st.sampled_from(numbers))
+            extremes = INT_EXTREMES if isinstance(container[key], int) else FLOAT_EXTREMES
+            container[key] = draw(st.sampled_from(extremes))
+    return component.name, doc
+
+
+def run_fuzzed(command, doc):
+    """Run the CLI in-process on `doc`; every ending must be an exit code, never an exception."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        cfg = write_config(tmp, doc)
+        err = io.StringIO()
+        with warnings.catch_warnings(), redirect_stderr(err), redirect_stdout(io.StringIO()):
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main([command, "--config", str(cfg), "--out", str(tmp / "out")])
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert err.getvalue().startswith(("config error: ", "error: ")), err.getvalue()
+        report = tmp / "out" / "report.json"
+        if report.exists():
+            json.loads(report.read_text(), parse_constant=_reject_constant)
+        else:
+            assert code == 1
+        return code
+
+
+HUGE = 1.7976931348623157e308
+# inputs the fuzz found ending in a traceback, a RuntimeWarning or a NaN in report.json
+FUZZ_FINDINGS = {
+    "t31-infinite-floor": (0, {
+        "command": "inclusion", "family": {"kind": "constant", "function": {"kind": "exp_minus_one"}},
+        "schedule": {"kind": "geometric", "count": 6}, "space": {"epsilon": 1e300, "m_max": 4},
+        "corpus": {"size": 3}}),
+    "geometric-ratio-overflow": (1, {
+        "command": "classify", "sequence": {"kind": "explicit", "values": [1.0, 2.0]},
+        "family": {"kind": "index_scaled"}, "schedule": {"kind": "geometric", "ratio": HUGE}}),
+    "cut-point-past-int64": (1, {
+        "command": "inclusion", "schedule": {"kind": "geometric", "base": 1e300, "count": 6}}),
+    "modular-tiny-rho": (0, {
+        "command": "norms", "sequence": {"kind": "alternating01", "horizon": 4},
+        "family": {"kind": "constant"}, "rho": {"kind": "constant", "value": 5e-324}}),
+    "thm38-slope-overflow": (1, {
+        "command": "classify", "construction": {"theorem": "thm38", "rho": HUGE, "r_max": 6}}),
+    "thm38-height-overflow": (1, {
+        "command": "classify", "construction": {"theorem": "thm38", "nu": HUGE, "r_max": 2}}),
+    "verdict-infinite-tail": (0, {
+        "command": "classify", "construction": {
+            "theorem": "thm38", "nu": 1e300, "r_max": 6,
+            "family": {"kind": "index_power", "exponents": [2.0]}}}),
+    "delta2-tiny-slope": (0, {
+        "command": "norms", "sequence": {"kind": "constant", "value": 0.0, "horizon": 4},
+        "family": {"kind": "spike", "default_slope": 5e-324}, "delta2": {}}),
+    "growth-tiny-rho": (1, {
+        "command": "inclusion", "schedule": {"kind": "geometric", "count": 6},
+        "space": {"m_max": 4, "rho": {"kind": "constant", "value": 5e-324}}, "corpus": {"size": 3}}),
+    "luxemburg-sum-overflow": (1, {
+        "command": "norms", "family": {"kind": "index_scaled"},
+        "sequence": {"kind": "random_bounded", "horizon": 4, "center": HUGE}}),
+    "amemiya-scaled-overflow": (1, {
+        "command": "norms", "sequence": {"kind": "explicit", "values": [1e300, 2.0]},
+        "family": {"kind": "spike", "default_slope": 5e-324}}),
+    "growth-short-rho": (0, {
+        "command": "inclusion", "schedule": {"kind": "geometric", "count": 1},
+        "space": {"m_max": 4, "rho": {"kind": "per_index", "values": [1.0, 2.0]}},
+        "corpus": {"size": 3}}),
+}
+
+
+@pytest.mark.parametrize("name", FUZZ_FINDINGS)
+def test_fuzz_finding_ends_cleanly(name):
+    code, doc = FUZZ_FINDINGS[name]
+    assert run_fuzzed(doc["command"], doc) == code
+
+
+@given(case=fuzzed_documents())
+@settings(max_examples=60, deadline=None)
+def test_fuzzed_document_ends_in_an_exit_code(case):
+    run_fuzzed(*case)
+
+
+@pytest.mark.fuzz_long
+@given(case=fuzzed_documents())
+@settings(max_examples=3000, deadline=None)
+def test_fuzzed_document_ends_in_an_exit_code_long(case):
+    run_fuzzed(*case)

@@ -1,6 +1,7 @@
 """Densities, block statistics, flags, verdicts, and the proof inequalities."""
 
 import math
+from dataclasses import replace
 from unittest.mock import patch
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lacunary import (
+    BlockEngine,
     CesaroC1,
     ConstantFamily,
     CustomFamily,
@@ -25,7 +27,6 @@ from lacunary import (
     Shift,
     SpaceParams,
     SpikeFamily,
-    block_statistics,
     build_lacunary,
     classify_trajectory,
     density_order_alpha,
@@ -37,8 +38,6 @@ from lacunary import (
     thm31_block_bounds,
     thm33_block_bounds,
     thm34_triangle_bounds,
-    uniform_trajectories,
-    uniform_verdict,
     window_mean,
 )
 from lacunary import convergence
@@ -50,7 +49,7 @@ from lacunary.convergence import (
     SHAT_DENSITY,
     STRONG,
 )
-from lacunary.errors import FlagsShorterThanSchedule, HorizonTooShort
+from lacunary.errors import FlagsShorterThanSchedule, HorizonTooShort, NonFiniteStatistic
 
 
 def brute_density(flags, n, alpha):
@@ -241,23 +240,29 @@ class TestStrongStatistic:
         assert_engine_matches_standalone(Sequence(rng.uniform(-2, 2, s.last_index + 2)), p)
 
 
-def assert_engine_matches_standalone(x, p):
-    """Every per-m trajectory of `block_statistics` equals its standalone one bit for bit."""
-    stats = block_statistics(x, p)
+def assert_stats_match_standalone(x, p, stats):
+    """Every bundle of one engine result for space p equals the standalone statistics bit for bit."""
     for m in range(p.m_max + 1):
         standalone = strong_block_statistic(x, p, m).values
         assert stats[STRONG].per_m[m].values.tobytes() == standalone.tobytes()
         for mode in (MODULAR_FLAGS, RAW_FLAGS):
             standalone = lacunary_density(shat_flags(x, p, m, mode), p.schedule, p.alpha).values
             assert stats[mode].per_m[m].values.tobytes() == standalone.tobytes()
-    return stats
+    for key, bundle in stats.items():
+        assert [t.m for t in bundle.per_m] == list(range(p.m_max + 1))
+        assert np.array_equal(bundle.sup.values,
+                              np.max(np.stack([t.values for t in bundle.per_m]), axis=0))
+        assert bundle.statistic == (STRONG if key == STRONG else SHAT_DENSITY)
+        assert bundle.flag_mode == (None if key == STRONG else key)
 
 
-def assert_bundle_matches_standalone(data):
-    """Draw a space and a prefix; the engine must equal the standalone statistics bitwise."""
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    s = build_lacunary(Geometric(1, 2, data.draw(st.integers(1, 6), label="blocks")))
-    m_max = data.draw(st.integers(0, 6), label="m_max")
+def assert_engine_matches_standalone(x, p):
+    """A one-space engine equals the standalone statistics bit for bit."""
+    assert_stats_match_standalone(x, p, BlockEngine([p])(x)[0])
+
+
+def draw_terms(data, rng, s):
+    """The fields a space's terms depend on: family, rho (constant or per-index) and exponents."""
     if data.draw(st.booleans(), label="per-index rho"):
         rho = RhoSequence(constant=None, per_index=tuple(rng.uniform(0.5, 2.0, s.last_index)))
     else:
@@ -266,26 +271,89 @@ def assert_bundle_matches_standalone(data):
         exponents = ExponentSequence(constant=None, per_index=(1.0, 2.0, 0.5, 1.3))
     else:
         exponents = ExponentSequence(constant=data.draw(st.sampled_from([1.0, 0.5, 2.0, 1.7])))
+    return dict(family=data.draw(st.sampled_from(ENGINE_FAMILIES)), rho=rho, exponents=exponents)
+
+
+def assert_bundle_matches_standalone(data):
+    """Draw a space and a prefix; the engine must equal the standalone statistics bitwise."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    s = build_lacunary(Geometric(1, 2, data.draw(st.integers(1, 6), label="blocks")))
+    m_max = data.draw(st.integers(0, 6), label="m_max")
     p = _params(
         s,
-        family=data.draw(st.sampled_from(ENGINE_FAMILIES)),
         matrix=data.draw(st.sampled_from([Identity(), CesaroC1(), Shift(d=2)])),
         m_max=m_max,
-        rho=rho,
-        exponents=exponents,
         epsilon=data.draw(st.sampled_from([1e-3, 0.1, 0.5])),
         L=data.draw(st.sampled_from([0.0, 0.05, -0.3])),
         alpha=data.draw(st.sampled_from([1.0, 0.6])),
+        **draw_terms(data, rng, s),
     )
-    x = Sequence(rng.uniform(-2, 2, s.last_index + m_max + 2))
+    assert_engine_matches_standalone(Sequence(rng.uniform(-2, 2, s.last_index + m_max + 2)), p)
 
-    stats = assert_engine_matches_standalone(x, p)
-    for key, bundle in stats.items():
-        assert [t.m for t in bundle.per_m] == list(range(m_max + 1))
-        assert np.array_equal(bundle.sup.values,
-                              np.max(np.stack([t.values for t in bundle.per_m]), axis=0))
-        statistic = STRONG if key == STRONG else SHAT_DENSITY
-        assert uniform_trajectories(x, p, statistic, key).statistic == statistic
+
+class TestSharedEngine:
+    @given(data=st.data(), tile=st.sampled_from([1, 3, 8, 64]))
+    @settings(max_examples=40, deadline=None)
+    def test_every_space_of_every_call_matches_standalone(self, data, tile):
+        """One engine over 1-3 spaces, called on several sequences in a row.
+
+        Each (sequence, space) result equals the standalone statistics bit
+        for bit, also on the call after one that raised, and results of
+        earlier calls do not change when the engine's buffers are reused.
+        """
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        s = build_lacunary(Geometric(1, 2, data.draw(st.integers(2, 6), label="blocks")))
+        shared = dict(
+            schedule=s,
+            m_max=data.draw(st.integers(1, 4), label="m_max"),  # >= 1: a window can be inf - inf
+            matrix=data.draw(st.sampled_from([Identity(), Shift(d=2)])),
+            epsilon=data.draw(st.sampled_from([1e-3, 0.1, 0.5])),
+            L=data.draw(st.sampled_from([0.0, 0.05, -0.3])),
+        )
+        spaces = []
+        for _ in range(data.draw(st.integers(1, 3), label="spaces")):
+            alpha = data.draw(st.sampled_from([1.0, 0.6, 0.35]))
+            if spaces and data.draw(st.booleans(), label="same terms, other alpha"):
+                spaces.append(spaces[-1].with_alpha(alpha))
+            else:
+                spaces.append(SpaceParams(alpha=alpha, **shared, **draw_terms(data, rng, s)))
+        horizon = s.last_index + shared["m_max"] + 2
+        overflowing = Sequence(np.full(horizon, 1e308))  # its prefix sum is inf from index 2 on
+        with patch.object(convergence, "_TILE", tile):
+            engine = BlockEngine(spaces)
+            calls = []
+            for _ in range(data.draw(st.integers(2, 4), label="calls")):
+                if data.draw(st.booleans(), label="a raising call first"):
+                    with pytest.raises(NonFiniteStatistic, match=r"NaN at m=\d+, block r=\d+"):
+                        engine(overflowing)
+                x = Sequence(rng.uniform(-2, 2, horizon))
+                results = engine(x)
+                assert len(results) == len(spaces)
+                for p, stats in zip(spaces, results):
+                    assert_stats_match_standalone(x, p, stats)
+                calls.append((results, _bits(results)))
+        for results, bits in calls:
+            assert _bits(results) == bits
+
+    def test_spaces_must_share_the_pass(self):
+        s = build_lacunary(Geometric(1, 2, 4))
+        p = _params(s, m_max=1)
+        for other in (dict(L=0.5), dict(epsilon=0.2), dict(m_max=2), dict(matrix=CesaroC1()),
+                      dict(schedule=build_lacunary(Geometric(1, 2, 5)))):
+            with pytest.raises(ValueError, match="must agree"):
+                BlockEngine([p, replace(p, **other)])
+        with pytest.raises(ValueError, match="at least one space"):
+            BlockEngine([])
+
+
+def _bits(results):
+    """The bytes of every trajectory of one engine call."""
+    return [
+        t.values.tobytes()
+        for stats in results
+        for bundle in stats.values()
+        for t in (*bundle.per_m, bundle.sup)
+    ]
 
 
 class TestVerdicts:
@@ -293,8 +361,9 @@ class TestVerdicts:
         s = build_lacunary(Geometric(1, 2, 6))
         p = _params(s, L=1.0, m_max=2)
         x = Sequence(np.full(s.last_index + 2, 1.0))
-        assert uniform_verdict(x, p, STRONG).decision == CONVERGES
-        assert uniform_verdict(x, p, SHAT_DENSITY).decision == CONVERGES
+        stats = BlockEngine([p])(x)[0]
+        for key in (STRONG, MODULAR_FLAGS, RAW_FLAGS):
+            assert classify_trajectory(stats[key].sup.values).decision == CONVERGES
 
     def test_flat_positive_trajectory_diverges(self):
         v = classify_trajectory(np.full(12, 0.8))
@@ -307,6 +376,14 @@ class TestVerdicts:
     def test_growing_midscale_is_inconclusive(self):
         v = classify_trajectory(np.linspace(0.001, 0.005, 12))
         assert v.decision == "Inconclusive"
+
+    def test_infinite_tail_diverges_without_a_slope(self):
+        """+inf is an honest "too large": no NaN slope, no warning."""
+        for tail in ([1.0, math.inf, math.inf], [math.inf, 2.0, 1.0]):
+            v = classify_trajectory(np.array(tail), tail_window=3)
+            assert (v.decision, v.tail_mean, v.tail_slope) == (DIVERGES, math.inf, None)
+        v = classify_trajectory(np.array([1e308, 1.7e308, 1e308]), tail_window=3)  # the sum overflows
+        assert (v.decision, v.tail_mean) == (DIVERGES, math.inf)
 
     def test_tail_window_one(self):
         v = classify_trajectory(np.array([1.0, 0.0]), tail_window=1)
@@ -336,6 +413,12 @@ class TestProofInequalities:
                     for m in (0, 3):
                         lhs, rhs = thm31_block_bounds(x, p, beta=1.0, m=m)
                         assert np.all(lhs >= rhs - 1e-12 * np.maximum(1.0, np.abs(rhs)))
+
+    def test_thm31_infinite_floor_bounds_nothing_without_exceptions(self):
+        s = build_lacunary(Geometric(1, 2, 4))
+        p = _params(s, family=ConstantFamily(ExpMinusOne()), epsilon=1e300, alpha=0.5)
+        lhs, rhs = thm31_block_bounds(Sequence(np.zeros(s.last_index)), p, beta=1.0)
+        assert np.all(lhs == 0.0) and np.all(rhs == 0.0)
 
     def test_thm31_requires_alpha_below_beta(self):
         s = build_lacunary(Geometric(1, 2, 5))

@@ -1,12 +1,14 @@
 """Constructions, witnesses, the inclusion matrix, and limit uniqueness."""
 
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lacunary import (
+    BlockEngine,
     CesaroC1,
     ConstantFamily,
     CounterexampleSpec,
@@ -19,15 +21,22 @@ from lacunary import (
     build_lacunary,
     build_thm37,
     build_thm38,
+    classify_trajectory,
     liminf_growth_estimate,
     random_bounded_sequence,
     run_inclusion_matrix,
-    uniform_verdict,
     uniqueness_experiment,
 )
-from lacunary.convergence import CONVERGES, DIVERGES, SHAT_DENSITY, STRONG
+from lacunary import experiments
+from lacunary.convergence import CONVERGES, DIVERGES, MODULAR_FLAGS, STRONG
 from lacunary.errors import HypothesisUnsatisfiable
 from lacunary.experiments import _phi
+
+
+def decisions(x, p):
+    """The verdicts of the strong statistic and the modular exception density of x in space p."""
+    stats = BlockEngine([p])(x)[0]
+    return tuple(classify_trajectory(stats[key].sup.values).decision for key in (STRONG, MODULAR_FLAGS))
 
 
 class TestBuildThm37:
@@ -61,14 +70,12 @@ class TestBuildThm37:
 
     def test_verdicts_witness_the_non_inclusion(self):
         x, s, p = build_thm37(CounterexampleSpec(theorem="thm37", r_max=14))
-        assert uniform_verdict(x, p, STRONG).decision == CONVERGES
-        assert uniform_verdict(x, p, SHAT_DENSITY).decision == DIVERGES
+        assert decisions(x, p) == (CONVERGES, DIVERGES)
 
     def test_degenerate_zero_height(self):
         x, s, p = build_thm37(CounterexampleSpec(theorem="thm37", nu=0.0, r_max=6))
         assert not np.any(x.values)
-        assert uniform_verdict(x, p, STRONG).decision == CONVERGES
-        assert uniform_verdict(x, p, SHAT_DENSITY).decision == CONVERGES
+        assert decisions(x, p) == (CONVERGES, CONVERGES)
 
     def test_non_vanishing_family_is_rejected(self):
         spec = CounterexampleSpec(
@@ -136,7 +143,7 @@ class TestBuildThm38:
 
     def test_strong_verdict_diverges(self):
         x, s, p = build_thm38(CounterexampleSpec(theorem="thm38", r_max=10))
-        assert uniform_verdict(x, p, STRONG).decision == DIVERGES
+        assert decisions(x, p)[0] == DIVERGES
 
 
 def _plain_params(schedule, **kw):
@@ -199,6 +206,51 @@ class TestInclusionMatrix:
         corpus += [(x37, p37), (x38, p38)]
         want = run_inclusion_matrix(corpus).to_dict()
         assert run_inclusion_matrix(entry for entry in corpus).to_dict() == want
+
+    def test_one_engine_call_per_sequence_matches_one_engine_per_space(self):
+        """T31 at beta != alpha: the family space at both alphas (and the plain
+        space) come from one engine call per sequence, and the report equals
+        the one computed with a separate engine for every space."""
+        rng = np.random.default_rng(31)
+        s = build_lacunary(Geometric(1, 2, 7))
+        p = _plain_params(s, alpha=0.5, epsilon=0.3)
+        corpus = [
+            (random_bounded_sequence(rng, s.last_index + 2, 0.0, 1.0, 0.05, 3.0), p)
+            for _ in range(5)
+        ]
+        x37, _, p37 = build_thm37(CounterexampleSpec(theorem="thm37", r_max=8))
+        x38, _, p38 = build_thm38(CounterexampleSpec(theorem="thm38", r_max=8))
+        corpus += [(x37, p37), (x38, p38)]
+
+        built, calls = [], []
+
+        class Counted(BlockEngine):
+            def __init__(self, spaces):
+                super().__init__(spaces)
+                built.append(len(self.spaces))
+
+            def __call__(self, x):
+                calls.append(x)
+                return super().__call__(x)
+
+        class OneEnginePerSpace:
+            def __init__(self, spaces):
+                self.engines = [BlockEngine([q]) for q in spaces]
+
+            def __call__(self, x):
+                return [engine(x)[0] for engine in self.engines]
+
+        for theorems, spaces in ((["T31"], 2), (experiments.THEOREMS, 3)):
+            built.clear()
+            calls.clear()
+            with patch.object(experiments, "BlockEngine", Counted):
+                shared = run_inclusion_matrix(corpus, theorems, beta=0.8).to_dict()
+            assert built == [spaces] * 3  # the draws share one engine, each construction has its own
+            assert len(calls) == len(corpus)
+            with patch.object(experiments, "BlockEngine", OneEnginePerSpace):
+                assert run_inclusion_matrix(corpus, theorems, beta=0.8).to_dict() == shared
+            assert any(row["space"].endswith("alpha=0.8,flags=raw") for row in shared["verdicts"])
+            assert shared["theorem_results"]["T31"]["block_inequality_violations"] == 0
 
     def test_reports_are_deterministic(self):
         def make():
