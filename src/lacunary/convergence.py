@@ -27,11 +27,11 @@ indices, computing each tile's deviations and raw flags once and then the
 terms and modular flags of each space.  Numerical contract: window sums
 come from a sequential cumulative sum (`np.cumsum`), block sums are a
 pairwise `np.sum` over each block's slice, and exception counts are exact
-integers.  Every per-m trajectory is therefore bitwise equal to its
-standalone counterpart (`strong_block_statistic`, `lacunary_density` of
-`shat_flags`), whatever the tile size or the other spaces of the engine,
-and results are deterministic.  NaN is never a result: a NaN block sum
-raises `NonFiniteStatistic`.
+integers.  Every per-m trajectory is therefore bitwise equal to the slow
+per-statistic reference in `tests/reference.py` (`strong_block_statistic`,
+`lacunary_density` of `shat_flags`), whatever the tile size or the other
+spaces of the engine, and results are deterministic.  NaN is never a
+result: a NaN block sum raises `NonFiniteStatistic`.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import FlagsShorterThanSchedule, HorizonTooShort, NonFiniteStatistic
+from .errors import HorizonTooShort, NonFiniteStatistic
 from .orlicz import ExponentSequence, MusielakOrliczFamily, RhoSequence
 from .sequences import (
     Identity,
@@ -221,21 +221,6 @@ def density_order_alpha(flags: np.typing.ArrayLike, alpha: float) -> np.ndarray:
     return np.cumsum(f) / n**alpha
 
 
-def lacunary_density(
-    flags: np.typing.ArrayLike, schedule: LacunarySchedule, alpha: float
-) -> BlockTrajectory:
-    """v_r = |{k in I_r : flag_k}| / h_r**alpha."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    f = np.asarray(flags, dtype=bool)
-    if f.size < schedule.last_index:
-        raise FlagsShorterThanSchedule(
-            f"flags cover {f.size} indices, schedule ends at {schedule.last_index}"
-        )
-    h_alpha = schedule.block_lengths.astype(np.float64) ** alpha
-    return BlockTrajectory(_block_counts(f, schedule) / h_alpha, kind=SHAT_DENSITY)
-
-
 # ---------------------------------------------------------------------------
 # block averages
 # ---------------------------------------------------------------------------
@@ -254,56 +239,6 @@ def ntheta_statistic(x: Sequence, schedule: LacunarySchedule, L: float = 0.0) ->
 def ntheta_norm(x: Sequence, schedule: LacunarySchedule) -> float:
     """sup_r (1/h_r) * sum_{k in I_r} |x_k|, the block-average norm."""
     return float(np.max(ntheta_statistic(x, schedule, L=0.0).values))
-
-
-def _transformed_shifted(x: Sequence, p: SpaceParams, lookahead: int) -> np.ndarray:
-    """(A(x))_n - L for n = 1..k_R + lookahead: the one fresh copy, which the caller may overwrite."""
-    z = transform_sequence(p.matrix, x, p.schedule.last_index + lookahead, p.matrix_tol)
-    return z.values - p.L
-
-
-def _window_deviations(x: Sequence, p: SpaceParams, m: int) -> np.ndarray:
-    """|t_{km}(A(x) - L)| for k = 1..k_R: transform, shift by L, window-mean."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    k_end = p.schedule.last_index
-    y = _transformed_shifted(x, p, m)
-    if m == 0:
-        return np.abs(y[:k_end])
-    c = np.concatenate(([0.0], np.cumsum(y[: k_end + m])))
-    return np.abs((c[m + 1 :] - c[:k_end]) / (m + 1))
-
-
-def _terms_from(devs: np.ndarray, p: SpaceParams) -> np.ndarray:
-    """(M_k(devs_k / rho_k))**s_k for k = 1..k_R."""
-    k_end = p.schedule.last_index
-    us = devs / p.rho.array(1, k_end)
-    ks = np.arange(1, k_end + 1)
-    terms = p.family.bind(ks)(us)
-    if not p.exponents.is_identically_one:
-        terms = terms ** p.exponents.array(1, k_end)
-    return terms
-
-
-def strong_block_statistic(x: Sequence, p: SpaceParams, m: int = 0) -> BlockTrajectory:
-    """The summed block statistic at window m (see module docstring)."""
-    terms = _terms_from(_window_deviations(x, p, m), p)
-    return BlockTrajectory(_block_average(terms, p.schedule, p.alpha), kind=STRONG, m=m)
-
-
-def shat_flags(
-    x: Sequence, p: SpaceParams, m: int = 0, mode: str = MODULAR_FLAGS
-) -> np.ndarray:
-    """Exception flags over k = 1..k_R at window m.
-
-    mode "modular": flag_k = term_k >= epsilon (per-term membership reading);
-    mode "raw":     flag_k = |t_{km}(A(x) - L)| >= epsilon.
-    """
-    if mode == MODULAR_FLAGS:
-        return _terms_from(_window_deviations(x, p, m), p) >= p.epsilon
-    if mode == RAW_FLAGS:
-        return _window_deviations(x, p, m) >= p.epsilon
-    raise ValueError(f"unknown flag mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -373,15 +308,15 @@ class BlockEngine:
 
     One call computes y = A(x) - L for the largest lookahead and one
     cumulative sum of y_1..y_{k_R + m_max}; its prefixes are the per-m
-    cumulative sums of `_window_deviations`, bit for bit.  The indices are
+    cumulative sums of the reference's `_window_deviations`
+    (`tests/reference.py`), bit for bit.  The indices are
     split into tiles of `_TILE`.  For each m, every tile computes its
     deviations and raw flags once; then each group of spaces sharing
     (family, rho, exponents) gets its terms and modular flags.  Block sums
     and exact exception counts come from the unchanged block reductions
     over whole workspaces, once per group (the raw counts once per call),
     and are divided by h_r**alpha per space, so tiles need not line up with
-    blocks and each per-m trajectory is bitwise identical to its standalone
-    counterpart.
+    blocks and each per-m trajectory is bitwise identical to that reference.
 
     Memory: the engine owns its buffers and reuses them for every call.
     Its first call, once the transform has succeeded, binds each family to

@@ -14,8 +14,9 @@ test suite and the CLI check against:
     at 1, witnessing the reverse non-inclusion for unbounded families.
 
 The remaining helpers turn the per-block proof inequalities of the
-inclusion theorems into machine-checkable bounds and run corpora of
-sequences through antecedent/consequent space pairs.
+inclusion theorems into machine-checkable bounds, read from `BlockEngine`
+results (so a NaN statistic raises NonFiniteStatistic, as everywhere), and
+run corpora of sequences through antecedent/consequent space pairs.
 """
 
 from __future__ import annotations
@@ -37,11 +38,7 @@ from .convergence import (
     BlockEngine,
     SpaceParams,
     _block_average,
-    _block_counts,
-    _window_deviations,
     classify_trajectory,
-    shat_flags,
-    strong_block_statistic,
 )
 from .errors import EmptyAdmissibleSet, HypothesisUnsatisfiable
 from .orlicz import (
@@ -320,6 +317,25 @@ def _require_constant_setup(p: SpaceParams) -> tuple[float, float]:
     return p.rho.constant, p.epsilon
 
 
+def _at_window(x: Sequence, spaces: list[SpaceParams], m: int) -> list[dict[str, np.ndarray]]:
+    """Per space, each bundle's trajectory at window m, from one engine with m_max = m."""
+    results = BlockEngine([replace(q, m_max=m) for q in spaces])(x)
+    return [{key: bundle.per_m[m].values for key, bundle in stats.items()} for stats in results]
+
+
+def _power_range(value: float, exponents: ExponentSequence) -> tuple[float, float]:
+    """(min, max) of value**h_inf and value**H_sup; a power past float64 is an honest +inf."""
+    with np.errstate(over="ignore"):
+        powers = np.power(value, exponents.h_inf), np.power(value, exponents.H_sup)
+    return float(min(powers)), float(max(powers))
+
+
+def _bound_times_density(bound: float, density: np.ndarray) -> np.ndarray:
+    """bound * density per block, where an infinite bound times no exception is 0."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(density > 0, density * bound, 0.0)
+
+
 def thm31_block_bounds(
     x: Sequence, p: SpaceParams, beta: float, m: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -335,12 +351,8 @@ def thm31_block_bounds(
     lhs >= rhs holds exactly in real arithmetic.
     """
     lo = _thm31_floor(p, beta)
-    lhs = strong_block_statistic(x, p, m).values
-
-    counts = _block_counts(shat_flags(x, p, m, mode=RAW_FLAGS), p.schedule)
-    h_beta = p.schedule.block_lengths.astype(np.float64) ** beta
-    with np.errstate(invalid="ignore"):  # an infinite floor times no exception is 0
-        return lhs, np.where(counts > 0, counts / h_beta * lo, 0.0)
+    own, at_beta = _at_window(x, [p, p.with_alpha(beta)], m)
+    return own[STRONG], _bound_times_density(lo, at_beta[RAW_FLAGS])
 
 
 def _thm31_floor(p: SpaceParams, beta: float) -> float:
@@ -348,9 +360,7 @@ def _thm31_floor(p: SpaceParams, beta: float) -> float:
     if beta < p.alpha or not 0 < beta <= 1:
         raise ValueError("need alpha <= beta <= 1")
     rho_c, eps = _require_constant_setup(p)
-    m_eps = p.family.function(eps / rho_c)
-    with np.errstate(over="ignore"):  # a floor past float64 is an honest +inf
-        return float(min(np.power(m_eps, p.exponents.h_inf), np.power(m_eps, p.exponents.H_sup)))
+    return _power_range(p.family.function(eps / rho_c), p.exponents)[0]
 
 
 def thm33_block_bounds(
@@ -366,7 +376,7 @@ def thm33_block_bounds(
 
     K = T / rho.  T must dominate |t_{km}(A(x) - L)| over the evaluated
     range (e.g. T = max |x_k - L| for the identity matrix); a ValueError
-    reports the observed sup when it does not.  The underlying hypothesis
+    names the first block where it does not.  The underlying hypothesis
     h_r / h_r**alpha -> 1 forces alpha = 1 for growing blocks; a warning
     is emitted for alpha < 1.
     """
@@ -377,22 +387,27 @@ def thm33_block_bounds(
             "satisfiable at alpha = 1 for growing blocks",
             stacklevel=2,
         )
-    devs = _window_deviations(x, p, m)
-    observed = float(np.max(devs)) if devs.size else 0.0
-    if observed > T * (1 + 1e-12):
-        raise ValueError(f"T={T} does not dominate the window deviations (sup {observed})")
+    T = float(T)
+    if not T >= 0:
+        raise ValueError(f"T={T} does not dominate the window deviations: T must be >= 0")
+    limit = T * (1 + 1e-12)
+    if limit < math.inf:  # raw flags at the float after `limit` mark the deviations above it
+        (above,) = _at_window(x, [replace(p, epsilon=float(np.nextafter(limit, math.inf)))], m)
+        blocks = np.flatnonzero(above[RAW_FLAGS])
+        if blocks.size:
+            raise ValueError(
+                f"T={T} does not dominate the window deviations at m={m}, "
+                f"first in block r={blocks[0] + 1}"
+            )
 
-    lhs = strong_block_statistic(x, p, m).values
-    counts = _block_counts(devs >= p.epsilon, p.schedule)
+    (own,) = _at_window(x, [p], m)
     h = p.schedule.block_lengths.astype(np.float64)
-    h_alpha = h**p.alpha
     M = p.family.function
-    m_K = M(T / rho_c)
-    m_eps = M(eps / rho_c)
-    big = max(m_K**p.exponents.h_inf, m_K**p.exponents.H_sup)
-    small = max(m_eps**p.exponents.h_inf, m_eps**p.exponents.H_sup)
-    rhs = big * counts / h_alpha + (h / h_alpha) * small
-    return lhs, rhs
+    big = _power_range(M(T / rho_c), p.exponents)[1]
+    small = _power_range(M(eps / rho_c), p.exponents)[1]
+    with np.errstate(over="ignore"):
+        rhs = _bound_times_density(big, own[RAW_FLAGS]) + (h / h**p.alpha) * small
+    return own[STRONG], rhs
 
 
 def thm34_triangle_bounds(
@@ -421,18 +436,17 @@ def thm34_triangle_bounds(
     us = np.full(k_end, abs(L1 - L2) / rho)
     terms = p.family.bind(ks)(us)
     if not p.exponents.is_identically_one:
-        terms = terms ** p.exponents.array(1, k_end)
+        with np.errstate(over="ignore"):  # a term past float64 is an honest +inf
+            terms = terms ** p.exponents.array(1, k_end)
     lhs = _block_average(terms, sched, p.alpha)
 
     D = p.exponents.D
-    v1 = strong_block_statistic(
-        x, replace(p, L=L1, rho=RhoSequence(constant=rho1)), m
-    ).values
-    v2 = strong_block_statistic(
-        x, replace(p, L=L2, rho=RhoSequence(constant=rho2)), m
-    ).values
-    rhs = D * v1 + D * v2
-    return lhs, rhs
+    v1, v2 = (  # the spaces of one engine share L, so one engine per candidate limit
+        _at_window(x, [replace(p, L=L, rho=RhoSequence(constant=r))], m)[0][STRONG]
+        for L, r in ((L1, rho1), (L2, rho2))
+    )
+    with np.errstate(over="ignore"):
+        return lhs, D * v1 + D * v2
 
 
 @dataclass(frozen=True)
@@ -648,11 +662,10 @@ def run_inclusion_matrix(
                     }
                 )
                 if isinstance(p.family, ConstantFamily) and p.rho.constant is not None:
-                    lo = _thm31_floor(p, beta)
                     lhs = stats[(p.alpha, "family")][STRONG].per_m[0].values
                     density = stats[(beta, "family")][RAW_FLAGS].per_m[0].values
-                    with np.errstate(invalid="ignore"):  # an infinite floor meets 0 and inf
-                        rhs = np.where(density > 0, density * lo, 0.0)
+                    rhs = _bound_times_density(_thm31_floor(p, beta), density)
+                    with np.errstate(invalid="ignore"):  # inf - inf where both sides are infinite
                         gap = rhs - lhs
                     bad = np.where(
                         np.isinf(rhs), lhs < rhs, gap > slack * np.maximum(1.0, np.abs(rhs))

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from lacunary import (
+    BlockEngine,
     ConstantFamily,
     ExponentSequence,
     Explicit,
@@ -29,11 +30,11 @@ from lacunary import (
     orlicz_norm,
     random_bounded_sequence,
     run_inclusion_matrix,
-    strong_block_statistic,
     thm31_block_bounds,
     window_mean,
 )
 from lacunary.cli import cmd_classify, cmd_counterexample, load_preset
+from lacunary.convergence import STRONG
 
 
 def report(n, name, ok, detail):
@@ -235,7 +236,7 @@ def test_criterion_7_definitional_collapse():
             exponents=ExponentSequence(constant=1.0),
         )
         x = Sequence(rng.uniform(-3, 3, sched.last_index))
-        strong = strong_block_statistic(x, p, 0).values
+        strong = BlockEngine([p])(x)[0][STRONG].per_m[0].values
         expected = ntheta_statistic(x, sched, L=L).values * sched.block_lengths.astype(
             float
         ) ** (1.0 - alpha)

@@ -25,7 +25,6 @@ from lacunary import (
     random_bounded_sequence,
 )
 from lacunary.cli import main
-from lacunary.convergence import _transformed_shifted
 from lacunary.sequences import transform_sequence
 
 N = 1 << 16
@@ -55,16 +54,6 @@ def test_identity_transform_is_a_view_of_x():
     z = transform_sequence(Identity(), x, N - 3)
     assert np.shares_memory(z.values, x.values)
     assert not z.values.flags.writeable
-
-
-def test_engine_input_is_one_fresh_prefix():
-    """y = A(x) - L is the one copy the engine makes of x, and it may overwrite it."""
-    schedule = build_lacunary(Geometric(1, 2, 16))  # k_R = 2**16 = N
-    x = Sequence(np.linspace(-1.0, 1.0, N + 2))
-    p = SpaceParams(family=ConstantFamily(Power(2.0)), schedule=schedule, L=0.25, m_max=2)
-    y, peak = traced_peak(_transformed_shifted, x, p, p.m_max)
-    assert y.flags.writeable and not np.shares_memory(y, x.values)
-    assert peak <= 1.5 * PREFIX, f"peak {peak / PREFIX:.2f} prefixes"
 
 
 LONG = 1 << 18  # eight tiles of the engine, so one tile is an eighth of a prefix

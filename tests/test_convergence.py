@@ -30,11 +30,8 @@ from lacunary import (
     build_lacunary,
     classify_trajectory,
     density_order_alpha,
-    lacunary_density,
     ntheta_norm,
     ntheta_statistic,
-    shat_flags,
-    strong_block_statistic,
     thm31_block_bounds,
     thm33_block_bounds,
     thm34_triangle_bounds,
@@ -50,6 +47,7 @@ from lacunary.convergence import (
     STRONG,
 )
 from lacunary.errors import FlagsShorterThanSchedule, HorizonTooShort, NonFiniteStatistic
+from reference import lacunary_density, shat_flags, strong_block_statistic
 
 
 def brute_density(flags, n, alpha):
@@ -163,10 +161,10 @@ class TestStrongStatistic:
         s = build_lacunary(Geometric(1, 2, 6))
         p = _params(s, L=2.5, m_max=3)
         x = Sequence(np.full(s.last_index + 3, 2.5))
+        stats = BlockEngine([p])(x)[0]
         for m in range(4):
-            assert np.all(strong_block_statistic(x, p, m).values == 0.0)
-            assert not shat_flags(x, p, m).any()
-            assert not shat_flags(x, p, m, mode=RAW_FLAGS).any()
+            for key in (STRONG, MODULAR_FLAGS, RAW_FLAGS):
+                assert np.all(stats[key].per_m[m].values == 0.0)
 
     def test_collapses_to_ntheta(self):
         rng = np.random.default_rng(3)
@@ -174,7 +172,7 @@ class TestStrongStatistic:
         for alpha in (0.4, 1.0):
             p = _params(s, alpha=alpha, L=0.25)
             x = Sequence(rng.uniform(-1, 1, s.last_index))
-            strong = strong_block_statistic(x, p, 0).values
+            strong = BlockEngine([p])(x)[0][STRONG].per_m[0].values
             base = ntheta_statistic(x, s, L=0.25).values
             expected = base * s.block_lengths.astype(float) ** (1.0 - alpha)
             assert strong == pytest.approx(expected, rel=1e-12)
@@ -186,7 +184,7 @@ class TestStrongStatistic:
                     rho=RhoSequence(constant=1.3))
         m = 4
         x = Sequence(rng.uniform(-2, 2, s.last_index + m))
-        got = strong_block_statistic(x, p, m).values
+        got = BlockEngine([p])(x)[0][STRONG].per_m[m].values
         # direct composition: window_mean per index, then family term, block mean
         shifted = Sequence(x.values - 0.1)
         for r in range(1, s.num_blocks + 1):
@@ -202,7 +200,7 @@ class TestStrongStatistic:
         p = _params(s, family=ConstantFamily(Power(2.0)), epsilon=0.2, alpha=0.7)
         x = Sequence(rng.uniform(-1, 1, s.last_index))
         flags = shat_flags(x, p, 0)
-        dens = lacunary_density(flags, s, p.alpha).values
+        dens = BlockEngine([p])(x)[0][MODULAR_FLAGS].per_m[0].values
         manual = np.array(
             [np.count_nonzero(flags[s.block_slice(r)]) for r in range(1, s.num_blocks + 1)]
         ) / s.block_lengths.astype(float) ** p.alpha
@@ -238,6 +236,15 @@ class TestStrongStatistic:
         rho = RhoSequence(constant=None, per_index=tuple(rng.uniform(0.5, 2.0, s.last_index)))
         p = _params(s, family=family, m_max=2, rho=rho, epsilon=0.1, L=0.05, alpha=0.6)
         assert_engine_matches_standalone(Sequence(rng.uniform(-2, 2, s.last_index + 2)), p)
+
+    def test_overflowing_power_matches_standalone(self):
+        """A finite term past float64 under its exponent is +inf in the engine and the reference alike."""
+        s = build_lacunary(Geometric(1, 2, 5))
+        p = _params(s, family=ConstantFamily(Power(2.0)), m_max=2,
+                    exponents=ExponentSequence(constant=3.0))
+        x = Sequence(np.full(s.last_index + 2, 1e150))  # each term (1e150**2)**3 overflows
+        assert_engine_matches_standalone(x, p)
+        assert np.all(BlockEngine([p])(x)[0][STRONG].sup.values == math.inf)
 
 
 def assert_stats_match_standalone(x, p, stats):
@@ -452,6 +459,35 @@ class TestProofInequalities:
         x = Sequence(np.full(s.last_index, 2.0))
         with pytest.raises(ValueError, match="dominate"):
             thm33_block_bounds(x, p, T=1.0)
+        for T in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="dominate"):
+                thm33_block_bounds(x, p, T=T)
+        y = Sequence(np.linspace(-1.0, 0.5, s.last_index + 2))
+        T = float(np.max(np.abs(y.values[: s.last_index])))  # the sup of the deviations at m = 0
+        thm33_block_bounds(y, p, T=T)
+        with pytest.raises(ValueError, match="dominate.*block r=1"):
+            thm33_block_bounds(y, p, T=0.99)  # y_1 = -1 lies in block 1
+
+    def test_bounds_overflow_to_inf_and_never_return_nan(self):
+        """Powers past float64 are +inf in every bound, with no exception or RuntimeWarning;
+        a NaN statistic raises NonFiniteStatistic."""
+        s = build_lacunary(Geometric(1, 2, 5))
+        p = _params(s, family=ConstantFamily(Power(2.0)), m_max=2,
+                    exponents=ExponentSequence(constant=3.0))
+        ones = Sequence(np.ones(s.last_index + 2))
+        lhs, rhs = thm33_block_bounds(ones, p, T=1e150)  # M(T)**3 = (1e300)**3
+        assert np.all(np.isfinite(lhs)) and np.all(rhs == math.inf)
+        lhs, rhs = thm34_triangle_bounds(ones, p, 0.0, 1e60, 0.5, 0.5)  # (M(1e60))**3 = (1e120)**3
+        assert np.all(lhs == math.inf) and np.all(rhs == math.inf)
+        big = Sequence(np.full(s.last_index + 2, 1e150))
+        for m in (0, 2):
+            lhs, rhs = thm31_block_bounds(big, p, beta=1.0, m=m)
+            assert np.all(lhs == math.inf) and np.all(np.isfinite(rhs))
+            lhs, rhs = thm33_block_bounds(big, p, T=1e150, m=m)
+            assert np.all(lhs == math.inf) and np.all(rhs == math.inf)
+        huge = Sequence(np.full(s.last_index + 2, 1e308))  # a window sum at m = 1 is inf - inf
+        with pytest.raises(NonFiniteStatistic, match="NaN at m=1"):
+            thm31_block_bounds(huge, p, beta=1.0, m=1)
 
     def test_thm34_triangle_random(self):
         rng = np.random.default_rng(44)

@@ -1,6 +1,7 @@
 """Constructions, witnesses, the inclusion matrix, and limit uniqueness."""
 
 import math
+from dataclasses import replace
 from unittest.mock import patch
 
 import numpy as np
@@ -12,6 +13,7 @@ from lacunary import (
     CesaroC1,
     ConstantFamily,
     CounterexampleSpec,
+    Explicit,
     Geometric,
     LinearSlope,
     Power,
@@ -61,10 +63,11 @@ class TestBuildThm37:
             assert val < 2.0**-r
 
     def test_flags_mark_exactly_the_plateau(self):
-        from lacunary import shat_flags
-
         x, s, p = build_thm37(CounterexampleSpec(theorem="thm37", r_max=8))
-        flags = shat_flags(x, p, 0)
+        # one index per block, so each block's density is that index's flag
+        unit_blocks = build_lacunary(Explicit(tuple(range(s.last_index + 1))))
+        stats = BlockEngine([replace(p, schedule=unit_blocks, m_max=0)])(x)[0]
+        flags = stats[MODULAR_FLAGS].per_m[0].values == 1.0
         expected = x.values[: s.last_index] > 0
         assert np.array_equal(flags, expected)
 
@@ -109,20 +112,17 @@ class TestBuildThm38:
         assert np.all(x.values[mask] > 0.0)
 
     def test_statistics_match_analytic_values(self):
-        from lacunary import lacunary_density, shat_flags, strong_block_statistic
-
         x, s, p = build_thm38(CounterexampleSpec(theorem="thm38", r_max=10))
-        strong = strong_block_statistic(x, p, 0).values
+        stats = BlockEngine([p])(x)[0]
+        strong = stats[STRONG].per_m[0].values
         assert np.all(strong >= 1.0 - 1e-9)
-        dens = lacunary_density(shat_flags(x, p, 0), s, p.alpha).values
+        dens = stats[MODULAR_FLAGS].per_m[0].values
         assert dens == pytest.approx(1.0 / s.block_lengths.astype(float), rel=1e-12)
 
     def test_single_block_boundary_case(self):
         x, s, p = build_thm38(CounterexampleSpec(theorem="thm38", r_max=1))
         assert s.num_blocks == 1
-        from lacunary import strong_block_statistic
-
-        assert strong_block_statistic(x, p, 0).values[0] >= 1.0 - 1e-9
+        assert BlockEngine([p])(x)[0][STRONG].per_m[0].values[0] >= 1.0 - 1e-9
 
     def test_explicit_spike_heights(self):
         x, s, p = build_thm38(
