@@ -36,6 +36,7 @@ from .config import (
     SPACE,
     load_config,
     materialize,
+    parse_json,
     validate_config,
 )
 from .convergence import (
@@ -469,7 +470,7 @@ def load_preset(name: str) -> dict:
     path = resources.files("lacunary").joinpath("presets", f"{name}.json")
     if not path.is_file():
         raise ConfigError(f"unknown preset {name!r}")
-    return json.loads(path.read_text())
+    return parse_json(path.read_text(), f"preset {name!r}")
 
 
 def _adapt_preset(doc: dict, command: str) -> dict:

@@ -701,12 +701,24 @@ def materialize(doc: dict, command: str, seed: int | None = None) -> dict:
     return _command_component(doc, command).materialize(doc, seed)
 
 
-def load_config(path: str | Path) -> dict:
+def parse_json(text: str, source: str | Path) -> Any:
+    """The JSON document in `text`; a syntax error or NaN/Infinity/-Infinity is a ConfigError.
+
+    Python's json accepts the three constants, and NaN passes every bound
+    of the validation walk because it fails every comparison.
+    """
+
+    def reject(name: str) -> Any:
+        raise ConfigError(f"{source}: {name} is not a JSON number; use a finite number")
+
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
+        return json.loads(text, parse_constant=reject)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+        raise ConfigError(f"{source}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+
+
+def load_config(path: str | Path) -> dict:
+    doc = parse_json(Path(path).read_text(), path)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     return doc

@@ -37,12 +37,12 @@ result: a NaN block sum raises `NonFiniteStatistic`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
-from .errors import HorizonTooShort, NonFiniteStatistic
+from .errors import NonFiniteStatistic
 from .orlicz import ExponentSequence, MusielakOrliczFamily, RhoSequence
 from .sequences import (
     Identity,
@@ -95,9 +95,6 @@ class SpaceParams:
                 f"the schedule needs {self.schedule.last_index}"
             )
 
-    def with_alpha(self, alpha: float) -> "SpaceParams":
-        return replace(self, alpha=alpha)
-
 
 @dataclass(frozen=True, eq=False)
 class BlockTrajectory:
@@ -136,9 +133,12 @@ class Verdict:
     trajectory relaxing toward a positive limit is not converging to
     zero).  Anything else is Inconclusive.
 
-    A tail past float64 has tail mean +inf, an honest "too large", and
-    classifies as DoesNotConverge; its slope is None when the least-squares
-    fit is undefined (the tail holds +inf, or the fit overflows).
+    A finite tail whose sum overflows float64 has its mean taken on the
+    tail divided by its largest |value|, then scaled back, so the mean is
+    finite.  A tail past float64 has tail mean +inf, an honest "too
+    large", and classifies as DoesNotConverge; its slope is None when the
+    least-squares fit is undefined (the tail holds +inf, or the fit
+    overflows).
     """
 
     decision: str
@@ -169,10 +169,14 @@ def classify_trajectory(
     tail = v[-win:]
     slope: float | None = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # sums past float64 are +inf
+        finite = bool(np.all(np.isfinite(tail)))
         tail_mean = float(np.mean(tail))
+        if finite and not math.isfinite(tail_mean):  # only the sum overflowed
+            s = float(np.max(np.abs(tail)))
+            tail_mean = s * float(np.mean(tail / s))
         if win >= 2:
             r_idx = np.arange(win, dtype=np.float64)
-            fit = float(np.polyfit(r_idx, tail, 1)[0]) if np.all(np.isfinite(tail)) else math.nan
+            fit = float(np.polyfit(r_idx, tail, 1)[0]) if finite else math.nan
             slope = None if math.isnan(fit) else fit
 
     if tail_mean <= tol and slope is not None and slope <= slack:
@@ -205,40 +209,6 @@ def _block_sums(values: np.ndarray, sched: LacunarySchedule) -> np.ndarray:
 def _block_average(values: np.ndarray, sched: LacunarySchedule, alpha: float) -> np.ndarray:
     """(1 / h_r**alpha) * sum_{k in I_r} values_k, each block a pairwise np.sum."""
     return _block_sums(values, sched) / sched.block_lengths.astype(np.float64) ** alpha
-
-
-# ---------------------------------------------------------------------------
-# densities
-# ---------------------------------------------------------------------------
-
-
-def density_order_alpha(flags: np.typing.ArrayLike, alpha: float) -> np.ndarray:
-    """d(n) = |{k <= n : flag_k}| / n**alpha for n = 1..len(flags)."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    f = np.asarray(flags, dtype=np.float64)
-    n = np.arange(1, f.size + 1, dtype=np.float64)
-    return np.cumsum(f) / n**alpha
-
-
-# ---------------------------------------------------------------------------
-# block averages
-# ---------------------------------------------------------------------------
-
-
-def ntheta_statistic(x: Sequence, schedule: LacunarySchedule, L: float = 0.0) -> BlockTrajectory:
-    """Plain block averages v_r = (1/h_r) * sum_{k in I_r} |x_k - L|."""
-    if x.horizon < schedule.last_index:
-        raise HorizonTooShort(
-            f"prefix length {x.horizon} < schedule end {schedule.last_index}"
-        )
-    dev = np.abs(x.values[: schedule.last_index] - L)
-    return BlockTrajectory(_block_average(dev, schedule, 1.0), kind="ntheta")
-
-
-def ntheta_norm(x: Sequence, schedule: LacunarySchedule) -> float:
-    """sup_r (1/h_r) * sum_{k in I_r} |x_k|, the block-average norm."""
-    return float(np.max(ntheta_statistic(x, schedule, L=0.0).values))
 
 
 # ---------------------------------------------------------------------------

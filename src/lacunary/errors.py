@@ -5,10 +5,6 @@ class LacunaryError(Exception):
     """Base class for all package errors."""
 
 
-class IndexOutOfHorizon(LacunaryError):
-    """A window or index reaches past the stored prefix; supply a longer one."""
-
-
 class SupportExceedsHorizon(LacunaryError):
     """A matrix row needs sequence values beyond the stored prefix."""
 
@@ -42,7 +38,7 @@ class NegativeArgument(LacunaryError):
 
 
 class ScaledPrefixOverflow(LacunaryError, ValueError):
-    """A norm search scaled the prefix past float64, as Sequence.scaled would refuse to."""
+    """A norm search scaled the prefix past float64, where Sequence would refuse the values."""
 
 
 class BracketTooSmall(LacunaryError):
@@ -55,14 +51,6 @@ class NoInteriorMinimum(LacunaryError):
 
 class EmptyAdmissibleSet(LacunaryError):
     """No (k, u) sample passed the small-argument filter of the doubling check."""
-
-
-class FlagsShorterThanSchedule(LacunaryError):
-    """Exception flags must cover every index of the schedule's last block."""
-
-
-class HorizonTooShort(LacunaryError):
-    """The sequence prefix is too short for the schedule plus window lookahead."""
 
 
 class NonFiniteStatistic(LacunaryError):

@@ -111,11 +111,6 @@ class CounterexampleSpec:
             raise ValueError(f"need {self.r_max} spike heights, got {len(self.nu_values)}")
 
 
-def _phi(family: MusielakOrliczFamily, k: int, u: float, s: float = 1.0) -> float:
-    val = family.member(k)(u)
-    return val if s == 1.0 else val**s
-
-
 def build_thm37(spec: CounterexampleSpec) -> tuple[Sequence, LacunarySchedule, SpaceParams]:
     """Half-block plateau construction with its schedule and space parameters.
 
@@ -136,7 +131,7 @@ def build_thm37(spec: CounterexampleSpec) -> tuple[Sequence, LacunarySchedule, S
     u = spec.nu / spec.rho
 
     def tail_value(k: int) -> float:
-        return _phi(family, k, u)
+        return family.member(k)(u)
 
     # cut points: smallest n_r keeping block lengths nondecreasing with
     # tail_value(n_r + 1) < 2**-r; one extra phantom cut for window lookahead
@@ -266,7 +261,7 @@ def build_thm38(spec: CounterexampleSpec) -> tuple[Sequence, LacunarySchedule, S
     else:
         family = spec.family
     for r in range(R):
-        got = _phi(family, spikes[r], nus[r] / spec.rho)
+        got = family.member(spikes[r])(nus[r] / spec.rho)
         if not got >= h_alpha[r] * (1.0 - 1e-12):
             raise HypothesisUnsatisfiable(
                 f"M_(n_{r + 1})(nu_{r + 1}/rho) = {got} < h_{r + 1}**alpha = {h_alpha[r]}"
@@ -351,7 +346,7 @@ def thm31_block_bounds(
     lhs >= rhs holds exactly in real arithmetic.
     """
     lo = _thm31_floor(p, beta)
-    own, at_beta = _at_window(x, [p, p.with_alpha(beta)], m)
+    own, at_beta = _at_window(x, [p, replace(p, alpha=beta)], m)
     return own[STRONG], _bound_times_density(lo, at_beta[RAW_FLAGS])
 
 
@@ -641,7 +636,7 @@ def run_inclusion_matrix(
                 engine = None  # free the previous engine's buffers before allocating the next
                 spaces = {(p.alpha, "family"): p}
                 if "T31" in requested:
-                    spaces[(beta, "family")] = p.with_alpha(beta)
+                    spaces[(beta, "family")] = replace(p, alpha=beta)
                 if "T35" in requested or "T36" in requested:
                     spaces[(p.alpha, "plain")] = replace(p, family=ConstantFamily(LinearSlope(1.0)))
                 engine, engine_params, engine_spaces = BlockEngine(spaces.values()), p, list(spaces)
@@ -649,7 +644,7 @@ def run_inclusion_matrix(
         for theorem in requested:
             if theorem == "T31":
                 ante = verdict_of(i, p, STRONG, MODULAR_FLAGS)
-                cons = verdict_of(i, p.with_alpha(beta), SHAT_DENSITY, RAW_FLAGS)
+                cons = verdict_of(i, replace(p, alpha=beta), SHAT_DENSITY, RAW_FLAGS)
                 status = _implication_status(ante, cons)
                 implications.append(
                     {

@@ -497,11 +497,6 @@ class ExponentSequence:
     def D(self) -> float:
         return max(1.0, 2.0 ** (self.H_sup - 1.0))
 
-    def at(self, k: int) -> float:
-        if self.constant is not None:
-            return self.constant
-        return self.per_index[min(k - 1, len(self.per_index) - 1)]
-
     def array(self, start: int, stop: int) -> np.ndarray:
         if self.constant is not None:
             return np.full(stop - start + 1, self.constant)
@@ -609,7 +604,8 @@ def orlicz_norm(
     kernel, ax = family.bind(np.arange(1, x.horizon + 1)), np.abs(x.values)  # reused by every step
     ax_max = float(np.max(ax))
 
-    def objective(k: float) -> float:  # bit for bit (1 + modular(family, x.scaled(k))) / k
+    # bit for bit (1 + modular(family, Sequence(x.values * k))) / k
+    def objective(k: float) -> float:
         if not math.isfinite(ax_max * k):
             raise ScaledPrefixOverflow(
                 f"sequence values must be finite (no NaN/inf): the search scaled "

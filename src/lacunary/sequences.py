@@ -1,15 +1,16 @@
-"""Finite-prefix sequences, block schedules, window means, and matrix transforms.
+"""Finite-prefix sequences, block schedules, and matrix transforms.
 
 An infinite real sequence is represented by its prefix (x_1..x_N); every
 limit statement downstream becomes a finite trajectory.  Indexing is 1-based
 throughout, matching the block convention I_r = (k_{r-1}, k_r].
 
 All operations here are pure functions of immutable inputs, safe to call
-concurrently and bitwise reproducible.  A window mean is one pairwise
-`np.sum`.  A matrix operator's `transform` gives a whole prefix of rows:
-Identity and Shift slice x, CesaroC1 divides a sequential `np.cumsum` by
-n, RowTable sums each row in increasing column order, and
-`geometric_tail` runs a backward recurrence.
+concurrently and bitwise reproducible.  A matrix operator's `transform`
+gives a whole prefix of rows: Identity and Shift slice x, CesaroC1
+divides a sequential `np.cumsum` by n, RowTable sums each row in
+increasing column order, and `geometric_tail` runs a backward recurrence.
+Window means are not computed here: `BlockEngine` (convergence.py) takes
+them from one cumulative sum of the transformed prefix.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import numpy as np
 
 from .errors import (
     EmptySchedule,
-    IndexOutOfHorizon,
     NonFiniteTransform,
     NotStrictlyIncreasing,
     PrefixExceedsBound,
@@ -65,23 +65,6 @@ class Sequence:
     def horizon(self) -> int:
         return int(self.values.size)
 
-    def at(self, k: int) -> float:
-        """x_k, 1-based."""
-        if not 1 <= k <= self.horizon:
-            raise IndexOutOfHorizon(f"index {k} outside prefix of length {self.horizon}")
-        return float(self.values[k - 1])
-
-    def window(self, n: int, m: int) -> np.ndarray:
-        """The values x_n..x_{n+m} as an array view."""
-        if n < 1 or m < 0 or n + m > self.horizon:
-            raise IndexOutOfHorizon(
-                f"window [{n}, {n + m}] outside prefix of length {self.horizon}"
-            )
-        return self.values[n - 1 : n + m]
-
-    def scaled(self, c: float) -> "Sequence":
-        return Sequence._adopt(self.values * c)
-
     def __len__(self) -> int:
         return self.horizon
 
@@ -96,27 +79,14 @@ def _owned(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def window_mean(x: Sequence, m: int, n: int) -> float:
-    """Mean of the window x_n..x_{n+m}; window_mean(x, 0, n) = x_n.
-
-    Raises IndexOutOfHorizon when n + m exceeds the prefix: the caller must
-    supply a longer prefix, never a silently padded one.
-    """
-    if m < 0:
-        raise ValueError("window length parameter m must be >= 0")
-    w = x.window(n, m)
-    return float(np.sum(w) / (m + 1))
-
-
 @dataclass(frozen=True)
 class LacunarySchedule:
     """Increasing cut points k_0=0 < k_1 < ... < k_R and the blocks they induce.
 
     Block r (1-based) is the integer range I_r = (k_{r-1}, k_r] with length
-    h_r = k_r - k_{r-1} and ratio phi_r = k_r / k_{r-1} for r >= 2.  Strict
-    increase is enforced; growth conditions (nondecreasing h_r, a floor on
-    the last block) are soft checks reported in `warnings` because finite
-    data cannot witness h_r -> infinity.
+    h_r = k_r - k_{r-1}.  Strict increase is enforced; growth conditions
+    (nondecreasing h_r, a floor on the last block) are soft checks reported
+    in `warnings` because finite data cannot witness h_r -> infinity.
     """
 
     cut_points: tuple[int, ...]
@@ -147,27 +117,9 @@ class LacunarySchedule:
         h.flags.writeable = False
         return h
 
-    @cached_property
-    def ratios(self) -> tuple[float, ...]:
-        """phi_r = k_r / k_{r-1} for r = 2..R."""
-        c = self.cut_points
-        return tuple(c[r] / c[r - 1] for r in range(2, len(c)))
-
     @property
     def last_index(self) -> int:
         return self.cut_points[-1]
-
-    def block(self, r: int) -> range:
-        """Indices of I_r = (k_{r-1}, k_r], 1-based."""
-        if not 1 <= r <= self.num_blocks:
-            raise IndexError(f"block {r} outside 1..{self.num_blocks}")
-        return range(self.cut_points[r - 1] + 1, self.cut_points[r] + 1)
-
-    def block_slice(self, r: int) -> slice:
-        """0-based slice selecting block r from an array aligned with x_1..x_N."""
-        if not 1 <= r <= self.num_blocks:
-            raise IndexError(f"block {r} outside 1..{self.num_blocks}")
-        return slice(self.cut_points[r - 1], self.cut_points[r])
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
-"""The slow per-statistic reference for `BlockEngine`.
+"""The slow per-statistic reference for `BlockEngine`, and direct formulas.
 
-Each function computes one statistic of one space at one window m the
-direct way: transform the prefix, shift by L, take the window means from a
-fresh cumulative sum, evaluate the family terms and reduce per block.  The
-engine's results must equal these bit for bit.
+Each statistic function computes one statistic of one space at one window
+m the direct way: transform the prefix, shift by L, take the window means
+from a fresh cumulative sum, evaluate the family terms and reduce per
+block.  The engine's results must equal these bit for bit.
+
+`window_mean` and `block_average` are the textbook formulas, a plain
+Python sum each, for tests that check the engine up to rounding.
 """
 
 import numpy as np
@@ -17,7 +20,26 @@ from lacunary.convergence import (
     _block_average,
     _block_counts,
 )
-from lacunary.errors import FlagsShorterThanSchedule
+
+
+def window_mean(values, m: int, n: int) -> float:
+    """t_{mn} = (x_n + ... + x_{n+m}) / (m + 1), 1-based, summed left to right."""
+    total = 0.0
+    for j in range(n - 1, n + m):
+        total += values[j]
+    return total / (m + 1)
+
+
+def block_average(x: Sequence, schedule: LacunarySchedule, L: float = 0.0) -> np.ndarray:
+    """Plain block averages v_r = (1 / h_r) * sum_{k in I_r} |x_k - L|, summed left to right."""
+    cuts = schedule.cut_points
+    averages = []
+    for a, b in zip(cuts, cuts[1:]):
+        total = 0.0
+        for v in x.values[a:b]:
+            total += abs(float(v) - L)
+        averages.append(total / (b - a))
+    return np.array(averages)
 
 
 def lacunary_density(
@@ -28,9 +50,7 @@ def lacunary_density(
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     f = np.asarray(flags, dtype=bool)
     if f.size < schedule.last_index:
-        raise FlagsShorterThanSchedule(
-            f"flags cover {f.size} indices, schedule ends at {schedule.last_index}"
-        )
+        raise ValueError(f"flags cover {f.size} indices, schedule ends at {schedule.last_index}")
     h_alpha = schedule.block_lengths.astype(np.float64) ** alpha
     return BlockTrajectory(_block_counts(f, schedule) / h_alpha, kind=SHAT_DENSITY)
 

@@ -7,6 +7,7 @@ shows up here as a peak above its budget, in units of one prefix of float64.
 
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 
@@ -84,7 +85,7 @@ def test_engine_call_reuses_its_buffers():
         family=ConstantFamily(LinearSlope(1.0)), schedule=p.schedule, L=p.L, m_max=p.m_max,
         rho=RhoSequence(constant=0.7), exponents=ExponentSequence(constant=1.5), alpha=0.6,
     )
-    engine = BlockEngine([p, plain, p.with_alpha(0.5)])
+    engine = BlockEngine([p, plain, replace(p, alpha=0.5)])
     engine(x1)
     stats, peak = traced_peak(engine, x2)
     assert len(stats) == 3

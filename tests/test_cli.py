@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from test_config import COMMAND_COMPONENTS, _slots, documents
 
-from lacunary import ConstantFamily, Power, complementary
+from lacunary import ConstantFamily, Power, cli, complementary
 from lacunary.cli import ReportBundle, main
 from lacunary.config import CLASSIFY_CONSTRUCTION, COMMANDS
 
@@ -532,6 +532,51 @@ class TestErrorBoundary:
         )
 
 
+NON_FINITE_DOCS = {
+    "norms": {"command": "norms", "sequence": {"kind": "explicit", "values": [1.0, 2.0]},
+              "family": {"kind": "constant", "function": {"kind": "power", "p": 2.0}},
+              "luxemburg_tol": None},
+    "classify": {**BASE_CLASSIFY, "space": {"L": None, "m_max": 4}},
+    "counterexample": {"command": "counterexample", "theorem": "thm37", "nu": None},
+    "inclusion": {"command": "inclusion", "space": {"epsilon": None}},
+}
+
+
+def _with_value(doc, value):
+    """`doc` with its one None slot set to `value`."""
+    if isinstance(doc, dict):
+        return {k: value if v is None else _with_value(v, value) for k, v in doc.items()}
+    return doc
+
+
+@pytest.mark.parametrize(
+    "value", [math.nan, math.inf, -math.inf], ids=["NaN", "Infinity", "-Infinity"]
+)
+@pytest.mark.parametrize("command", NON_FINITE_DOCS)
+def test_non_json_constant_is_a_config_error(tmp_path, command, value):
+    """json reads NaN and +-Infinity, and NaN passes every bound: the loader refuses them."""
+    cfg = write_config(tmp_path, _with_value(NON_FINITE_DOCS[command], value))
+    assert json.dumps(value) in cfg.read_text()
+    err = io.StringIO()
+    with warnings.catch_warnings(), redirect_stderr(err), redirect_stdout(io.StringIO()):
+        warnings.simplefilter("error")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    expected = f"config error: {cfg}: {json.dumps(value)} is not a JSON number"
+    assert err.getvalue().startswith(expected)
+    assert "Traceback" not in err.getvalue()
+    assert not (tmp_path / "out").exists()
+
+
+def test_preset_with_a_non_json_constant_is_a_config_error(tmp_path, monkeypatch, capsys):
+    """Presets go through the same parser as configs."""
+    (tmp_path / "presets").mkdir()
+    (tmp_path / "presets" / "bad.json").write_text('{"command": "counterexample", "nu": NaN}')
+    monkeypatch.setattr(cli.resources, "files", lambda package: tmp_path)
+    assert main(["counterexample", "--preset", "bad", "--out", str(tmp_path / "out")]) == 1
+    expected = "config error: preset 'bad': NaN is not a JSON number; use a finite number\n"
+    assert capsys.readouterr().err == expected
+
+
 def _reject_constant(name):
     raise ValueError(f"report.json holds the non-JSON token {name}")
 
@@ -558,6 +603,20 @@ class TestOverflow:
         strong = self.run_quietly(tmp_path, doc)["results"]["verdicts"]["strong"]
         assert strong["decision"] == "DoesNotConverge"
         assert strong["tail_mean"] == "inf"
+
+    def test_classify_finite_tail_whose_sum_overflows(self, tmp_path):
+        """The tail 1e308, 1.7e308, 1e308 sums past float64; its mean is reported, not inf."""
+        doc = {
+            "command": "classify",
+            "sequence": {"kind": "explicit", "values": [1e308, 1.7e308, 1e308, 1, 1, 1, 1, 1, 1]},
+            "family": {"kind": "constant", "function": {"kind": "linear"}},
+            "schedule": {"kind": "explicit", "cut_points": [0, 1, 2, 3]},
+            "space": {"m_max": 0},
+            "verdict": {"tail_window": 3},
+        }
+        strong = self.run_quietly(tmp_path, doc)["results"]["verdicts"]["strong"]
+        assert strong["decision"] == "DoesNotConverge"
+        assert strong["tail_mean"] == 1.23333333333e308
 
     def test_norms_conjugate_of_an_overflowing_power(self, tmp_path):
         doc = {

@@ -29,13 +29,9 @@ from lacunary import (
     SpikeFamily,
     build_lacunary,
     classify_trajectory,
-    density_order_alpha,
-    ntheta_norm,
-    ntheta_statistic,
     thm31_block_bounds,
     thm33_block_bounds,
     thm34_triangle_bounds,
-    window_mean,
 )
 from lacunary import convergence
 from lacunary.convergence import (
@@ -46,8 +42,14 @@ from lacunary.convergence import (
     SHAT_DENSITY,
     STRONG,
 )
-from lacunary.errors import FlagsShorterThanSchedule, HorizonTooShort, NonFiniteStatistic
-from reference import lacunary_density, shat_flags, strong_block_statistic
+from lacunary.errors import NonFiniteStatistic, SupportExceedsHorizon
+from reference import (
+    block_average,
+    lacunary_density,
+    shat_flags,
+    strong_block_statistic,
+    window_mean,
+)
 
 
 def brute_density(flags, n, alpha):
@@ -55,30 +57,36 @@ def brute_density(flags, n, alpha):
     return count / n**alpha
 
 
+def initial_density(flags, n, alpha):
+    """|{k <= n : flag_k}| / n**alpha, the engine's raw density of x = flags on the block (0, n]."""
+    one_block = build_lacunary(Explicit((0, n)))
+    p = SpaceParams(family=ConstantFamily(LinearSlope(1.0)), schedule=one_block,
+                    alpha=alpha, epsilon=0.5, m_max=0)
+    x = Sequence(np.asarray(flags[:n], dtype=np.float64))
+    return BlockEngine([p])(x)[0][RAW_FLAGS].per_m[0].values[0]
+
+
 class TestDensityOrderAlpha:
     def test_all_false(self):
-        d = density_order_alpha([False] * 20, 1.0)
-        assert np.all(d == 0.0)
+        assert all(initial_density([False] * 20, n, 1.0) == 0.0 for n in (1, 7, 20))
 
     def test_squares_at_alpha_one(self):
         n_max = 10_000
         flags = [math.isqrt(n) ** 2 == n for n in range(1, n_max + 1)]
-        d = density_order_alpha(flags, 1.0)
-        assert d[-1] == pytest.approx(0.01)  # 100 squares below 10**4
+        assert initial_density(flags, n_max, 1.0) == pytest.approx(0.01)  # 100 squares below 10**4
         for n in (10, 100, 5000, 10_000):
-            assert d[n - 1] == pytest.approx(brute_density(flags, n, 1.0))
+            assert initial_density(flags, n, 1.0) == pytest.approx(brute_density(flags, n, 1.0))
 
     def test_squares_at_alpha_half(self):
         n_max = 10_000
         flags = [math.isqrt(n) ** 2 == n for n in range(1, n_max + 1)]
-        d = density_order_alpha(flags, 0.5)
-        assert d[-1] == pytest.approx(1.0)
+        assert initial_density(flags, n_max, 0.5) == pytest.approx(1.0)
 
     def test_alpha_range(self):
         with pytest.raises(ValueError):
-            density_order_alpha([True], 0.0)
+            initial_density([True], 1, 0.0)
         with pytest.raises(ValueError):
-            density_order_alpha([True], 1.5)
+            initial_density([True], 1, 1.5)
 
 
 class TestLacunaryDensity:
@@ -107,37 +115,42 @@ class TestLacunaryDensity:
 
     def test_short_flags_raise(self):
         s = build_lacunary(Geometric(1, 2, 4))
-        with pytest.raises(FlagsShorterThanSchedule):
+        with pytest.raises(ValueError):
             lacunary_density([True] * (s.last_index - 1), s, 1.0)
+
+
+def plain_block_averages(x, s, L=0.0):
+    """The engine's plain space: (1/h_r) * sum_{k in I_r} |x_k - L| (M(u) = u, m = 0, alpha = 1)."""
+    p = SpaceParams(family=ConstantFamily(LinearSlope(1.0)), schedule=s, L=L, m_max=0)
+    return BlockEngine([p])(x)[0][STRONG].per_m[0].values
 
 
 class TestNTheta:
     def test_constant_at_limit(self):
         s = build_lacunary(Geometric(1, 2, 6))
         x = Sequence(np.full(s.last_index, 4.0))
-        t = ntheta_statistic(x, s, L=4.0)
-        assert np.all(t.values == 0.0)
-        assert ntheta_norm(x, s) == pytest.approx(4.0)
+        assert np.all(plain_block_averages(x, s, L=4.0) == 0.0)
+        assert np.max(plain_block_averages(x, s)) == pytest.approx(4.0)
 
     def test_alternating_around_half(self):
         s = build_lacunary(Geometric(1, 2, 8))  # even block lengths
         vals = np.zeros(s.last_index)
         vals[1::2] = 1.0
-        t = ntheta_statistic(Sequence(vals), s, L=0.5)
-        assert np.allclose(t.values, 0.5, rtol=0, atol=1e-15)
+        t = plain_block_averages(Sequence(vals), s, L=0.5)
+        assert np.allclose(t, 0.5, rtol=0, atol=1e-15)
 
     def test_block_spikes_normalize_to_one(self):
         s = build_lacunary(Geometric(1, 2, 8))
         vals = np.zeros(s.last_index)
         for r in range(1, s.num_blocks + 1):
             vals[s.cut_points[r] - 1] = float(s.block_lengths[r - 1])  # h_r**1
-        t = ntheta_statistic(Sequence(vals), s, L=0.0)
-        assert np.allclose(t.values, 1.0, rtol=1e-15, atol=0)
+        t = plain_block_averages(Sequence(vals), s)
+        assert np.allclose(t, 1.0, rtol=1e-15, atol=0)
 
     def test_horizon_check(self):
         s = build_lacunary(Geometric(1, 2, 6))
-        with pytest.raises(HorizonTooShort):
-            ntheta_statistic(Sequence(np.full(s.last_index - 1, 1.0)), s)
+        with pytest.raises(SupportExceedsHorizon):
+            plain_block_averages(Sequence(np.full(s.last_index - 1, 1.0)), s)
 
 
 def _params(schedule, family=None, **kw):
@@ -173,7 +186,7 @@ class TestStrongStatistic:
             p = _params(s, alpha=alpha, L=0.25)
             x = Sequence(rng.uniform(-1, 1, s.last_index))
             strong = BlockEngine([p])(x)[0][STRONG].per_m[0].values
-            base = ntheta_statistic(x, s, L=0.25).values
+            base = block_average(x, s, L=0.25)
             expected = base * s.block_lengths.astype(float) ** (1.0 - alpha)
             assert strong == pytest.approx(expected, rel=1e-12)
 
@@ -186,10 +199,10 @@ class TestStrongStatistic:
         x = Sequence(rng.uniform(-2, 2, s.last_index + m))
         got = BlockEngine([p])(x)[0][STRONG].per_m[m].values
         # direct composition: window_mean per index, then family term, block mean
-        shifted = Sequence(x.values - 0.1)
+        shifted = x.values - 0.1
         for r in range(1, s.num_blocks + 1):
             total = 0.0
-            for k in s.block(r):
+            for k in range(s.cut_points[r - 1] + 1, s.cut_points[r] + 1):
                 t = abs(window_mean(shifted, m, k))
                 total += Power(2.0)(t / 1.3)
             assert got[r - 1] == pytest.approx(total / s.block_lengths[r - 1], rel=1e-12)
@@ -202,7 +215,7 @@ class TestStrongStatistic:
         flags = shat_flags(x, p, 0)
         dens = BlockEngine([p])(x)[0][MODULAR_FLAGS].per_m[0].values
         manual = np.array(
-            [np.count_nonzero(flags[s.block_slice(r)]) for r in range(1, s.num_blocks + 1)]
+            [np.count_nonzero(flags[a:b]) for a, b in zip(s.cut_points, s.cut_points[1:])]
         ) / s.block_lengths.astype(float) ** p.alpha
         assert np.array_equal(dens, manual)
 
@@ -321,7 +334,7 @@ class TestSharedEngine:
         for _ in range(data.draw(st.integers(1, 3), label="spaces")):
             alpha = data.draw(st.sampled_from([1.0, 0.6, 0.35]))
             if spaces and data.draw(st.booleans(), label="same terms, other alpha"):
-                spaces.append(spaces[-1].with_alpha(alpha))
+                spaces.append(replace(spaces[-1], alpha=alpha))
             else:
                 spaces.append(SpaceParams(alpha=alpha, **shared, **draw_terms(data, rng, s)))
         horizon = s.last_index + shared["m_max"] + 2
@@ -389,8 +402,14 @@ class TestVerdicts:
         for tail in ([1.0, math.inf, math.inf], [math.inf, 2.0, 1.0]):
             v = classify_trajectory(np.array(tail), tail_window=3)
             assert (v.decision, v.tail_mean, v.tail_slope) == (DIVERGES, math.inf, None)
-        v = classify_trajectory(np.array([1e308, 1.7e308, 1e308]), tail_window=3)  # the sum overflows
-        assert (v.decision, v.tail_mean) == (DIVERGES, math.inf)
+
+    def test_finite_tail_whose_sum_overflows_has_a_finite_mean(self):
+        """The sum 3.7e308 is past float64; the mean of the tail scaled by its max is not."""
+        v = classify_trajectory(np.array([1e308, 1.7e308, 1e308]), tail_window=3)
+        assert (v.decision, v.tail_mean) == (DIVERGES, 1.2333333333333335e308)
+        assert v.tail_mean == pytest.approx(1e308 / 3 + 1.7e308 / 3 + 1e308 / 3, rel=1e-15)
+        small = classify_trajectory(np.array([1e300, 1.7e300, 1e300]), tail_window=3)
+        assert small.tail_mean == pytest.approx(v.tail_mean * 1e-8, rel=1e-15)
 
     def test_tail_window_one(self):
         v = classify_trajectory(np.array([1.0, 0.0]), tail_window=1)

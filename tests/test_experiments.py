@@ -32,7 +32,6 @@ from lacunary import (
 from lacunary import experiments
 from lacunary.convergence import CONVERGES, DIVERGES, MODULAR_FLAGS, STRONG
 from lacunary.errors import HypothesisUnsatisfiable
-from lacunary.experiments import _phi
 
 
 def decisions(x, p):
@@ -59,7 +58,7 @@ class TestBuildThm37:
     def test_defining_inequality_at_each_cut(self):
         x, s, p = build_thm37(CounterexampleSpec(theorem="thm37", r_max=9))
         for r in range(1, s.num_blocks + 1):
-            val = _phi(p.family, s.cut_points[r] + 1, 1.0)
+            val = p.family.member(s.cut_points[r] + 1)(1.0)
             assert val < 2.0**-r
 
     def test_flags_mark_exactly_the_plateau(self):
@@ -98,8 +97,8 @@ class TestBuildThm38:
         h_alpha = s.block_lengths.astype(float) ** p.alpha
         for r in range(1, s.num_blocks + 1):
             n_r = s.cut_points[r]
-            nu_r = x.at(n_r)
-            got = _phi(p.family, n_r, nu_r / 1.0)
+            nu_r = x.values[n_r - 1]
+            got = p.family.member(n_r)(nu_r / 1.0)
             assert got >= h_alpha[r - 1] * (1 - 1e-12)
             assert got == pytest.approx(h_alpha[r - 1], rel=1e-12)
 
@@ -128,7 +127,7 @@ class TestBuildThm38:
         x, s, p = build_thm38(
             CounterexampleSpec(theorem="thm38", r_max=3, nu_values=(1.0, 10.0, 100.0))
         )
-        assert x.at(s.cut_points[2]) == 10.0
+        assert x.values[s.cut_points[2] - 1] == 10.0
 
     def test_decreasing_heights_rejected(self):
         with pytest.raises(HypothesisUnsatisfiable):

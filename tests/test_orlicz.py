@@ -506,7 +506,7 @@ class TestLuxemburg:
         fam = ConstantFamily(Power(2.0))
         x = Sequence(np.asarray(vals))
         tol = 1e-9
-        lhs = luxemburg_norm(fam, x.scaled(sign * c), tol=tol)
+        lhs = luxemburg_norm(fam, Sequence(x.values * (sign * c)), tol=tol)
         rhs = c * luxemburg_norm(fam, x, tol=tol)
         assert lhs == pytest.approx(rhs, abs=2 * tol)
 
@@ -586,7 +586,7 @@ def reference_amemiya(family, x, tol):
         return AmemiyaValue(0.0, False)
 
     def objective(k):
-        return (1.0 + modular(family, x.scaled(k))) / k
+        return (1.0 + modular(family, Sequence(x.values * k))) / k
 
     grid = [2.0**e for e in range(-20, 21)]
     _, value, at_boundary = orlicz.grid_then_golden_min(objective, grid, tol)
@@ -705,7 +705,7 @@ class TestScalarSequences:
         assert s.h_inf == 0.5 and s.H_sup == 2.0
         assert s.D == 2.0  # max(1, 2**(2-1))
         assert ExponentSequence(constant=1.0).D == 1.0
-        assert s.at(10) == 1.0  # past the list: repeat last
+        assert s.array(10, 10)[0] == 1.0  # past the list: repeat last
 
     def test_family_index_extension(self):
         fam = IndexPowerFamily((1.0, 2.0))
