@@ -718,7 +718,11 @@ def parse_json(text: str, source: str | Path) -> Any:
 
 
 def load_config(path: str | Path) -> dict:
-    doc = parse_json(Path(path).read_text(), path)
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ConfigError(f"{path}: {exc.strerror}") from exc
+    doc = parse_json(text, path)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     return doc

@@ -31,7 +31,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import BracketTooSmall, EmptyAdmissibleSet, NegativeArgument, ScaledPrefixOverflow
-from .optimize import bisect_nonincreasing, golden_section_max, grid_then_golden_min
+from .optimize import brent_min, secant_crossing
 from .sequences import Sequence
 
 Kernel = Callable[[np.ndarray], np.ndarray]
@@ -526,14 +526,57 @@ def modular(
         return float(np.sum(family.bind(ks)(us)))
 
 
+def _bound_prefix(family: MusielakOrliczFamily, x: Sequence) -> tuple[Kernel, np.ndarray]:
+    """The family's kernel on the indices 1..N and |x|, built once for every step of a search."""
+    return family.bind(np.arange(1, x.horizon + 1)), np.abs(x.values)
+
+
+def _luxemburg_bracket(
+    kernel: Kernel, ax: np.ndarray
+) -> tuple[Callable[[float], float], float, float, float, float]:
+    """The map g(rho) = modular(x / rho) and a bracket lo < rho_L <= hi = 2 lo.
+
+    Returns (g, lo, g(lo), hi, g(hi)) with g(lo) > 1 >= g(hi), found by
+    doubling or halving rho from 1, so both ends are powers of two.  g is bit
+    for bit modular(family, x, RhoSequence(constant=rho)).
+    """
+
+    def g(rho: float) -> float:
+        with np.errstate(over="ignore"):
+            return float(np.sum(kernel(ax / rho)))
+
+    lo = hi = 1.0
+    g_lo = g_hi = g(1.0)
+    if g_hi > 1.0:
+        for _ in range(200):
+            lo, g_lo, hi = hi, g_hi, hi * 2.0
+            g_hi = g(hi)
+            if g_hi <= 1.0:
+                return g, lo, g_lo, hi, g_hi
+        raise BracketTooSmall(
+            "modular stays above 1 up to rho = 2**200; the prefix is too large "
+            "for the family or the family violates the growth axioms"
+        )
+    for _ in range(200):
+        hi, g_hi, lo = lo, g_lo, lo * 0.5
+        g_lo = g(lo)
+        if g_lo > 1.0:
+            return g, lo, g_lo, hi, g_hi
+    raise BracketTooSmall(
+        "modular stays <= 1 down to rho = 2**-200; the prefix is too small "
+        "for the family or the family is degenerate"
+    )
+
+
 def luxemburg_norm(
     family: MusielakOrliczFamily, x: Sequence, tol: float = 1e-10
 ) -> float:
-    """inf { rho > 0 : modular(x / rho) <= 1 } by bracketing + bisection.
+    """inf { rho > 0 : modular(x / rho) <= 1 } by bracketing + a safeguarded secant.
 
     The map rho -> modular(family, x, rho) is nonincreasing with a single
-    crossing of 1 for any nonzero prefix, so the bracket is expanded
-    geometrically from rho = 1 and then bisected; the returned value is the
+    crossing of 1 for any nonzero prefix.  The bracket is expanded
+    geometrically from rho = 1 and then closed by `secant_crossing` (Illinois
+    secant steps, bisection when they stall); the returned value is the
     upper bracket end, hence feasible (modular <= 1) and within `tol` of
     the infimum.
     """
@@ -541,36 +584,8 @@ def luxemburg_norm(
         raise ValueError("tol must be > 0")
     if not np.any(x.values):
         return 0.0
-    kernel, ax = family.bind(np.arange(1, x.horizon + 1)), np.abs(x.values)  # reused by every step
-
-    def g(rho: float) -> float:  # bit for bit modular(family, x, RhoSequence(constant=rho))
-        with np.errstate(over="ignore"):
-            return float(np.sum(kernel(ax / rho)))
-
-    lo = hi = 1.0
-    if g(1.0) > 1.0:
-        for _ in range(200):
-            hi *= 2.0
-            if g(hi) <= 1.0:
-                break
-        else:
-            raise BracketTooSmall(
-                "modular stays above 1 up to rho = 2**200; the prefix is too large "
-                "for the family or the family violates the growth axioms"
-            )
-        lo = hi / 2.0
-    else:
-        for _ in range(200):
-            lo *= 0.5
-            if g(lo) > 1.0:
-                break
-        else:
-            raise BracketTooSmall(
-                "modular stays <= 1 down to rho = 2**-200; the prefix is too small "
-                "for the family or the family is degenerate"
-            )
-        hi = lo * 2.0
-    return bisect_nonincreasing(g, 1.0, lo, hi, tol)
+    g, lo, g_lo, hi, g_hi = _luxemburg_bracket(*_bound_prefix(family, x))
+    return secant_crossing(g, lo, g_lo, hi, g_hi, tol)
 
 
 @dataclass(frozen=True)
@@ -590,32 +605,53 @@ class AmemiyaValue:
 def orlicz_norm(
     family: MusielakOrliczFamily, x: Sequence, tol: float = 1e-9
 ) -> AmemiyaValue:
-    """inf over k > 0 of (1 + modular(k * x)) / k.
+    """inf over k > 0 of (1 + modular(k * x)) / k, by Brent's method.
 
-    A log-spaced grid over k in [2**-20, 2**20] brackets the minimum, golden
-    section refines it, and a still-descending right edge keeps doubling
-    until the marginal improvement drops below `tol` (then the value is
-    returned with `at_boundary=True`).
+    The objective F(k) is quasiconvex for convex M_k.  Its minimizer is at
+    least 1 / (2 hi), where hi is the upper end of the Luxemburg bracket:
+    F(k) >= 1/k, and F(1/hi) <= 2 hi because modular(x / hi) <= 1.  The
+    search starts from k = 1/hi and doubles the right end while F keeps
+    improving by more than `tol`; a still-descending last doubling returns
+    the value with `at_boundary=True` (the infimum is approached as
+    k -> inf), and 60 doublings that all improve raise NoInteriorMinimum.
+
+    Raises ScaledPrefixOverflow when max |x_k| / tol is past float64: F
+    improves by at most 1/(2k) per doubling, so the stop rule may scale the
+    prefix by up to k = 1/tol, and there the scaled prefix is not finite.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
     if not np.any(x.values):
         return AmemiyaValue(0.0, False)
-    kernel, ax = family.bind(np.arange(1, x.horizon + 1)), np.abs(x.values)  # reused by every step
+    kernel, ax = _bound_prefix(family, x)
     ax_max = float(np.max(ax))
 
-    # bit for bit (1 + modular(family, Sequence(x.values * k))) / k
-    def objective(k: float) -> float:
+    def check_scale(k: float) -> None:
         if not math.isfinite(ax_max * k):
             raise ScaledPrefixOverflow(
                 f"sequence values must be finite (no NaN/inf): the search scaled "
                 f"max |x_k| = {ax_max:g} by k = {k:g} past float64"
             )
+
+    # bit for bit (1 + modular(family, Sequence(x.values * k))) / k
+    def objective(k: float) -> float:
+        check_scale(k)
         with np.errstate(over="ignore"):  # a modular past float64 is an honest +inf
             return (1.0 + float(np.sum(kernel(ax * k)))) / k
 
-    grid = [2.0**e for e in range(-20, 21)]
-    k_star, value, at_boundary = grid_then_golden_min(objective, grid, tol)
+    check_scale(1.0 / tol)
+    _, lo, g_lo, hi, g_hi = _luxemburg_bracket(kernel, ax)
+    # lo and hi are powers of two, so x * (1 / hi) has the bits of x / hi, and
+    # F at k = 1/hi and at k = 1/lo (the first doubling) is known from the
+    # bracket bit for bit; the lower end 1 / (2 hi) needs no rounding margin
+    known = {1.0 / lo: (1.0 + g_lo) * lo}
+
+    def step(k: float) -> float:
+        return known.pop(k) if k in known else objective(k)
+
+    _, value, at_boundary = brent_min(
+        step, 0.5 / hi, 2.0 / hi, tol, start=(1.0 / hi, (1.0 + g_hi) * hi), max_expansions=60
+    )
     return AmemiyaValue(value, at_boundary)
 
 
@@ -642,11 +678,12 @@ def complementary(
 ) -> ConjugateValue:
     """Young conjugate N_k(v) = sup { |v| u - M_k(u) : u >= 0 } on [0, u_max].
 
-    The integrand is concave (M_k convex), so golden section is exact up to
-    tolerance; its bracket is first halved from u_max until M_k is finite at
-    the upper end.  Boundary attainment (relative to u_max) is flagged, not
-    raised, unless `require_interior` is set, in which case BracketTooSmall
-    signals that the maximizer sat at u_max without the slope turning over.
+    The integrand is concave (M_k convex), so Brent's method (minimizing its
+    negative) is exact up to the absolute tolerance `tol`; its bracket is
+    first halved from u_max until M_k is finite at the upper end.  Boundary
+    attainment (relative to u_max) is flagged, not raised, unless
+    `require_interior` is set, in which case BracketTooSmall signals that the
+    maximizer sat at u_max without the slope turning over.
     """
     M = family.member(k)
     a = abs(v)
@@ -658,12 +695,12 @@ def complementary(
         return -math.inf if math.isinf(m) else a * u - m
 
     # M is nondecreasing, so the maximizer lies where M is finite: halve the
-    # bracket's upper end past any overflow before the golden section
+    # bracket's upper end past any overflow before the search
     u_hi = u_max
     while math.isfinite(u_hi) and math.isinf(M(u_hi)):
         u_hi *= 0.5
-    u_star, value = golden_section_max(g, 0.0, u_hi, tol)
-    value = max(value, 0.0)  # u = 0 always gives 0
+    u_star, neg_value, _ = brent_min(lambda u: -g(u), 0.0, u_hi, tol)
+    value = max(-neg_value, 0.0)  # u = 0 always gives 0
     # boundary attainment: maximizer at the edge with the slope still positive
     at_boundary = False
     if u_max - u_star <= max(10 * tol, 1e-9 * u_max):

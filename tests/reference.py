@@ -7,11 +7,27 @@ block.  The engine's results must equal these bit for bit.
 
 `window_mean` and `block_average` are the textbook formulas, a plain
 Python sum each, for tests that check the engine up to rounding.
+
+The norm searches' reference is the plain route: bisection for the
+Luxemburg crossing, a 41-point log grid over k in [2**-20, 2**20] refined
+by golden section for the Amemiya minimum, golden section for the
+conjugate, and one `modular` call per step.
 """
+
+import math
+from typing import Callable
 
 import numpy as np
 
-from lacunary import BlockTrajectory, LacunarySchedule, Sequence, SpaceParams, transform_sequence
+from lacunary import (
+    BlockTrajectory,
+    LacunarySchedule,
+    RhoSequence,
+    Sequence,
+    SpaceParams,
+    modular,
+    transform_sequence,
+)
 from lacunary.convergence import (
     MODULAR_FLAGS,
     RAW_FLAGS,
@@ -20,6 +36,8 @@ from lacunary.convergence import (
     _block_average,
     _block_counts,
 )
+from lacunary.errors import BracketTooSmall, NoInteriorMinimum, ScaledPrefixOverflow
+from lacunary.orlicz import AmemiyaValue
 
 
 def window_mean(values, m: int, n: int) -> float:
@@ -98,3 +116,166 @@ def shat_flags(
     if mode == RAW_FLAGS:
         return _window_deviations(x, p, m) >= p.epsilon
     raise ValueError(f"unknown flag mode {mode!r}")
+
+
+# ---------------------------------------------------------------------------
+# the norm searches: bisection, log grid + golden section
+# ---------------------------------------------------------------------------
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
+
+
+def bisect_nonincreasing(
+    g: Callable[[float], float], target: float, lo: float, hi: float, tol: float, max_iter: int = 200
+) -> float:
+    """The crossing of a nonincreasing g with `target`, given g(lo) > target >= g(hi).
+
+    Returns the upper end of the final bracket: g(result) <= target, and the
+    result sits within `tol` above the crossing.
+    """
+    for _ in range(max_iter):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        if g(mid) > target:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def golden_section_min(
+    f: Callable[[float], float], a: float, b: float, tol: float, max_iter: int = 400
+) -> tuple[float, float]:
+    """Minimize a unimodal f on [a, b]; returns (argmin, min value)."""
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(max_iter):
+        if abs(b - a) <= tol:
+            break
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = f(d)
+    if fc < fd:
+        return c, fc
+    return d, fd
+
+
+def golden_section_max(
+    f: Callable[[float], float], a: float, b: float, tol: float, max_iter: int = 400
+) -> tuple[float, float]:
+    """Maximize a unimodal f on [a, b]; returns (argmax, max value)."""
+    x, fx = golden_section_min(lambda u: -f(u), a, b, tol, max_iter)
+    return x, -fx
+
+
+def grid_then_golden_min(
+    f: Callable[[float], float],
+    grid: list[float],
+    tol: float,
+    max_expansions: int = 60,
+    expansion_factor: float = 2.0,
+) -> tuple[float, float, bool]:
+    """Minimize f over (0, inf) from an ascending positive grid; returns (argmin, value, at_boundary).
+
+    Golden section refines around the best grid point.  While the right edge
+    is the best and still improves by more than `tol`, the grid is extended
+    geometrically; `at_boundary` is set when the last extension is the best.
+    Raises NoInteriorMinimum when `max_expansions` extensions all improve by
+    more than `tol`.
+    """
+    xs = list(grid)
+    vals = [f(x) for x in xs]
+    at_boundary = False
+    best = min(range(len(xs)), key=lambda i: vals[i])
+    if best == len(xs) - 1:
+        for n_ext in range(max_expansions + 1):
+            if n_ext == max_expansions:
+                raise NoInteriorMinimum(
+                    f"objective still improving by more than {tol} after "
+                    f"{max_expansions} bracket expansions"
+                )
+            x_new = xs[-1] * expansion_factor
+            v_new = f(x_new)
+            improved = vals[-1] - v_new
+            xs.append(x_new)
+            vals.append(v_new)
+            if v_new >= vals[-2] or improved <= tol:
+                break
+        best = min(range(len(xs)), key=lambda i: vals[i])
+        at_boundary = best == len(xs) - 1
+    lo = xs[best - 1] if best > 0 else xs[0] * 0.5
+    hi = xs[best + 1] if best + 1 < len(xs) else xs[-1] * expansion_factor
+    x_star, v_star = golden_section_min(f, lo, hi, tol=tol * max(1.0, lo))
+    if vals[best] < v_star:
+        x_star, v_star = xs[best], vals[best]
+    return x_star, v_star, at_boundary
+
+
+def reference_luxemburg(family, x: Sequence, tol: float) -> float:
+    """The Luxemburg norm by doubling/halving from rho = 1, then bisection; one `modular` per step."""
+    if not np.any(x.values):
+        return 0.0
+
+    def g(rho):
+        return modular(family, x, RhoSequence(constant=rho))
+
+    lo = hi = 1.0
+    if g(1.0) > 1.0:
+        for _ in range(200):
+            hi *= 2.0
+            if g(hi) <= 1.0:
+                break
+        else:
+            raise BracketTooSmall("up")
+        lo = hi / 2.0
+    else:
+        for _ in range(200):
+            lo *= 0.5
+            if g(lo) > 1.0:
+                break
+        else:
+            raise BracketTooSmall("down")
+        hi = lo * 2.0
+    return bisect_nonincreasing(g, 1.0, lo, hi, tol)
+
+
+def amemiya_objective(family, x: Sequence) -> Callable[[float], float]:
+    """k -> (1 + modular(k x)) / k through a scaled `Sequence`; k x past float64 is ScaledPrefixOverflow."""
+
+    def objective(k):
+        with np.errstate(over="ignore"):
+            scaled = x.values * k
+        if not np.all(np.isfinite(scaled)):
+            raise ScaledPrefixOverflow(f"k = {k:g} scales the prefix past float64")
+        return (1.0 + modular(family, Sequence(scaled))) / k
+
+    return objective
+
+
+def reference_amemiya(family, x: Sequence, tol: float) -> tuple[AmemiyaValue, float]:
+    """The Amemiya norm by the log grid plus golden section; returns (value, argmin k)."""
+    if not np.any(x.values):
+        return AmemiyaValue(0.0, False), 0.0
+    grid = [2.0**e for e in range(-20, 21)]
+    k_star, value, at_boundary = grid_then_golden_min(amemiya_objective(family, x), grid, tol)
+    return AmemiyaValue(value, at_boundary), k_star
+
+
+def reference_conjugate(family, k: int, v: float, u_max: float, tol: float) -> tuple[float, float]:
+    """sup { |v| u - M_k(u) : 0 <= u <= u_max } by golden section; returns (value, argmax u).
+
+    The bracket's upper end is first halved from u_max until M_k is finite there.
+    """
+    M = family.member(k)
+    u_hi = u_max
+    while math.isinf(M(u_hi)):
+        u_hi *= 0.5
+    u_star, value = golden_section_max(lambda u: abs(v) * u - M(u), 0.0, u_hi, tol)
+    return max(value, 0.0), u_star

@@ -379,6 +379,15 @@ class TestConfigHandling:
         assert "line 2" in err
 
     @pytest.mark.parametrize(
+        "name, reason", [("missing.json", "No such file or directory"), ("", "Is a directory")],
+        ids=["missing", "directory"],
+    )
+    def test_unreadable_config_is_a_config_error(self, tmp_path, capsys, name, reason):
+        path = tmp_path / name
+        assert run_cli(["norms", "--config", path, "--out", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err == f"config error: {path}: {reason}\n"
+
+    @pytest.mark.parametrize(
         "path,doc",
         [
             ("$.family.function", {**BASE_CLASSIFY, "family": {

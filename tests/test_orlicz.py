@@ -2,7 +2,9 @@
 
 Norm values are pinned against closed forms (ell_p); the conjugate is
 checked both against its closed form and an independent dense-grid
-maximizer, so the golden-section route never verifies itself.
+maximizer, so the search never verifies itself.  The searches are also
+compared with the plain bisection and grid + golden-section route in
+`tests/reference.py`.
 """
 
 import math
@@ -37,9 +39,11 @@ from lacunary import (
     verify_orlicz_axioms,
 )
 from lacunary import orlicz
-from lacunary.errors import BracketTooSmall, EmptyAdmissibleSet, NegativeArgument
-from lacunary.optimize import bisect_nonincreasing, grid_then_golden_min
-from lacunary.orlicz import AmemiyaValue, table_axiom_failures
+from lacunary.errors import BracketTooSmall, EmptyAdmissibleSet, LacunaryError, NegativeArgument
+from lacunary.experiments import random_bounded_sequence
+from lacunary.optimize import brent_min, secant_crossing
+from lacunary.orlicz import table_axiom_failures
+from reference import amemiya_objective, reference_amemiya, reference_conjugate, reference_luxemburg
 
 
 EXTREME_ARGUMENTS = [
@@ -468,7 +472,7 @@ class TestComplementary:
         assert complementary(fam, 3, 2.0).value == 0.0
 
     def test_overflow_at_the_bracket_end_is_halved_away(self):
-        # u**200 is +inf at both first golden-section probes of [0, 1e3]
+        # u**200 is +inf on most of [0, 1e3]
         fam = ConstantFamily(Power(200.0))
         got = complementary(fam, 1, 1.0)
         assert not got.at_boundary
@@ -552,47 +556,6 @@ class TestOrliczNorm:
                 assert lux - 1e-6 <= orl <= 2 * lux + 1e-6
 
 
-def reference_luxemburg(family, x, tol):
-    """The Luxemburg search with one `modular` call per step (the reference)."""
-    if not np.any(x.values):
-        return 0.0
-
-    def g(rho):
-        return modular(family, x, RhoSequence(constant=rho))
-
-    lo = hi = 1.0
-    if g(1.0) > 1.0:
-        for _ in range(200):
-            hi *= 2.0
-            if g(hi) <= 1.0:
-                break
-        else:
-            raise BracketTooSmall("up")
-        lo = hi / 2.0
-    else:
-        for _ in range(200):
-            lo *= 0.5
-            if g(lo) > 1.0:
-                break
-        else:
-            raise BracketTooSmall("down")
-        hi = lo * 2.0
-    return orlicz.bisect_nonincreasing(g, 1.0, lo, hi, tol)
-
-
-def reference_amemiya(family, x, tol):
-    """The Amemiya search with one `modular` of a scaled copy per step (the reference)."""
-    if not np.any(x.values):
-        return AmemiyaValue(0.0, False)
-
-    def objective(k):
-        return (1.0 + modular(family, Sequence(x.values * k))) / k
-
-    grid = [2.0**e for e in range(-20, 21)]
-    _, value, at_boundary = orlicz.grid_then_golden_min(objective, grid, tol)
-    return AmemiyaValue(value, at_boundary)
-
-
 TABLE = Table(((0.0, 0.0), (1.0, 1.5), (2.0, 4.5)))
 SEARCH_FAMILIES = [
     ConstantFamily(Power(2.5)),
@@ -606,28 +569,46 @@ SEARCH_FAMILIES = [
     SpikeFamily(((2, 5.0), (7, 0.5)), 1.0),
     CustomFamily((TABLE, ScaledPower(2.0, 0.75), PowerOverP(3.0), Power(2.5))),
 ]
+EPS = np.finfo(np.float64).eps
 
 
 def recorded(search, *args):
-    """The result (or error class) of a search and every (argument, value) its solver evaluated."""
+    """The result (or error class) of a search and every (argument, value) its kernels saw.
+
+    The values handed to a kernel (the bracket ends of the secant, the start
+    point of Brent's method) count as steps, as do its own evaluations.
+    """
     steps = []
 
-    def recording(solver):
-        def wrapper(f, *rest, **kwargs):
-            def logged(u):
-                steps.append((u, f(u)))
-                return steps[-1][1]
-
-            return solver(logged, *rest, **kwargs)
+    def logged(f):
+        def wrapper(u):
+            steps.append((u, f(u)))
+            return steps[-1][1]
 
         return wrapper
 
-    with mock.patch.object(orlicz, "bisect_nonincreasing", recording(bisect_nonincreasing)), \
-            mock.patch.object(orlicz, "grid_then_golden_min", recording(grid_then_golden_min)):
+    def secant(g, lo, g_lo, hi, g_hi, tol):
+        steps.extend([(lo, g_lo), (hi, g_hi)])
+        return secant_crossing(logged(g), lo, g_lo, hi, g_hi, tol)
+
+    def brent(f, a, b, tol, start=None, **kwargs):
+        if start is not None:
+            steps.append(start)
+        return brent_min(logged(f), a, b, tol, start, **kwargs)
+
+    with mock.patch.object(orlicz, "secant_crossing", secant), \
+            mock.patch.object(orlicz, "brent_min", brent):
         try:
             return search(*args), steps
-        except Exception as exc:  # the searches must fail alike
+        except LacunaryError as exc:  # the searches must fail alike
             return type(exc), steps
+
+
+def outcome(search, *args):
+    try:
+        return search(*args)
+    except LacunaryError as exc:
+        return type(exc)
 
 
 class TestSearchesAgainstModularPerStep:
@@ -643,8 +624,13 @@ class TestSearchesAgainstModularPerStep:
     @settings(max_examples=60, deadline=None)
     def test_bitwise_equal(self, family, n, scale, seed):
         x = Sequence(np.random.default_rng(seed).uniform(-1.0, 1.0, n) * scale)
-        assert recorded(luxemburg_norm, family, x, 1e-10) == recorded(reference_luxemburg, family, x, 1e-10)
-        assert recorded(orlicz_norm, family, x, 1e-9) == recorded(reference_amemiya, family, x, 1e-9)
+        _, steps = recorded(luxemburg_norm, family, x, 1e-10)
+        assert bool(steps) == bool(np.any(x.values))
+        assert [v for _, v in steps] == [modular(family, x, RhoSequence(constant=rho)) for rho, _ in steps]
+        _, steps = recorded(orlicz_norm, family, x, 1e-9)
+        assert bool(steps) == bool(np.any(x.values))
+        objective = amemiya_objective(family, x)
+        assert [v for _, v in steps] == [objective(k) for k, _ in steps]
 
     def test_overflowing_scale_raises_like_a_scaled_sequence(self):
         with pytest.raises(ValueError) as scaled:
@@ -656,6 +642,134 @@ class TestSearchesAgainstModularPerStep:
     def test_exhausted_bracket_is_a_lacunary_error(self, value):
         with pytest.raises(BracketTooSmall):
             luxemburg_norm(ConstantFamily(LinearSlope(1.0)), Sequence(np.array([value, 0.0])))
+
+
+def amemiya_slack(family, x, k, tol):
+    """How far above the reference the Amemiya search may end, for its final point k.
+
+    Brent's stop test puts k within 2 (tol max(1, a) / 3 + eps k) <= delta =
+    tol max(1, k) of a minimizer k* of F(k) = (1 + I(k)) / k over its final
+    bracket, where I(k) = modular(k x).  The reference's value is at least
+    that minimum (an interior k* minimizes F over (0, inf); at the boundary
+    both searches end on the same bracket [k_last / 2, 2 k_last], since they
+    double on powers of two by the same stop rule).  So
+    new - reference <= F(k) - F(k*) <= delta * L, with L the largest |F'| on
+    [a, b] = [k - 2 delta, k + 2 delta] (which holds k and k*).  With I
+    convex and nondecreasing, F' = I'/k - (1 + I)/k**2 is a difference of two
+    nonnegative terms, I'(k) <= I'(b) <= (I(c) - I(b)) / (c - b) for c > b,
+    and so L <= max((I(c) - I(b)) / ((c - b) a), (1 + I(b)) / a**2) with
+    c = 2 b - a.  Each computed F carries a relative rounding error of at
+    most (n + 2) eps (the n-term sum, the 1 and the division); it enters the
+    two values compared and any comparison it decides, so 4 (n + 2) eps F(k)
+    is added.
+    """
+    delta = tol * max(1.0, k)
+    a, b = k - 2 * delta, k + 2 * delta
+    c = 2 * b - a
+    I = lambda t: modular(family, Sequence(x.values * t))
+    slope = max((I(c) - I(b)) / ((c - b) * a), (1.0 + I(b)) / a**2)
+    return delta * slope + 4 * (x.horizon + 2) * EPS * (1.0 + I(k)) / k
+
+
+class TestSearchesAgainstReference:
+    """The secant and Brent searches against bisection and grid + golden section
+    (`tests/reference.py`), on every search family, at scales up to 1e3 and with
+    one value near float64's largest."""
+
+    @given(
+        family=st.sampled_from(SEARCH_FAMILIES),
+        n=st.integers(1, 200),
+        scale=st.sampled_from([0.0, 1e-3, 0.1, 1.0, 10.0, 1e3]),
+        huge=st.one_of(st.none(), st.floats(1e303, 1.7e308)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    @example(family=CustomFamily((TABLE, ScaledPower(2.0, 0.75), PowerOverP(3.0), Power(2.5))),
+             n=1, scale=1.0, huge=1e303, seed=0)
+    def test_within_tolerance_of_the_reference(self, family, n, scale, huge, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.uniform(-1.0, 1.0, n) * scale
+        if huge is not None:
+            values[rng.integers(n)] = huge * rng.choice([-1.0, 1.0])
+        x = Sequence(values)
+
+        lux, ref = outcome(luxemburg_norm, family, x, 1e-10), outcome(reference_luxemburg, family, x, 1e-10)
+        if isinstance(ref, type) or isinstance(lux, type):  # an error class
+            assert lux is ref
+        else:
+            assert abs(lux - ref) <= 1e-10
+            assert lux == 0.0 or modular(family, x, RhoSequence(constant=lux)) <= 1.0
+
+        (ame, steps), ref = recorded(orlicz_norm, family, x, 1e-9), outcome(reference_amemiya, family, x, 1e-9)
+        if isinstance(ref, type) or isinstance(ame, type):
+            assert ame is ref
+            return
+        ref_value, _ = ref
+        assert ame.at_boundary == ref_value.at_boundary
+        if ame.value == 0.0:
+            assert ref_value.value == 0.0
+            return
+        k = [k for k, v in steps if v == ame.value][-1]  # Brent's final point
+        assert ame.value <= ref_value.value + amemiya_slack(family, x, k, 1e-9)
+
+
+class TestSearchEvaluationCount:
+    """Kernel calls per search on the norms shapes of the benchmark's cli-mix workload."""
+
+    @staticmethod
+    def kernel_calls(search, family, x, tol):
+        calls = 0
+        bind = type(family).bind
+
+        def counting_bind(self, ks):
+            kernel = bind(self, ks)
+
+            def counted(us):
+                nonlocal calls
+                calls += 1
+                return kernel(us)
+
+            return counted
+
+        with mock.patch.object(type(family), "bind", counting_bind):
+            search(family, x, tol)
+        return calls
+
+    @pytest.mark.parametrize("family, horizon", [
+        (ConstantFamily(Power(2.5)), 100_000),
+        (IndexPowerFamily((1.5, 2.5, 2.0, 3.0)), 100_000),
+        (CustomFamily((TABLE, ScaledPower(2.0, 0.75), PowerOverP(3.0), Power(2.5))), 1_000),
+    ], ids=["constant-power", "index-power", "custom"])
+    def test_at_most_20_luxemburg_and_25_amemiya_evaluations(self, family, horizon):
+        for seed in range(2):
+            x = random_bounded_sequence(
+                np.random.default_rng(seed), horizon, radius=1.0, exception_density=0.001
+            )
+            assert self.kernel_calls(luxemburg_norm, family, x, 1e-10) <= 20
+            assert self.kernel_calls(orlicz_norm, family, x, 1e-9) <= 25
+
+
+class TestConjugateAgainstReference:
+    @pytest.mark.parametrize("family", SEARCH_FAMILIES, ids=lambda f: type(f).__name__)
+    def test_within_tolerance_of_golden_section(self, family):
+        """Brent's argmax is within tol + 2 eps u of the maximizer u*, golden
+        section's within tol, so both lie in [a, b] = [u_ref - 3 tol, u_ref + 3 tol]
+        and the two values differ by at most 3 tol L, L the largest |g'| of the
+        integrand g(u) = v u - M_k(u) on [a, b].  g is concave with g' <= v
+        (M_k is nondecreasing), so every slope on [a, b] lies between the secant
+        slope (g(b + h) - g(b)) / h and v.  Each value carries a rounding error
+        of a few eps (v u + M_k(u))."""
+        tol = 1e-10
+        for k in (1, 2, 3, 5):
+            M = family.member(k)
+            for v in (0.5, 1.0, 2.0, 7.0):
+                got = complementary(family, k, v, tol=tol)
+                if got.at_boundary:
+                    continue
+                ref, u_ref = reference_conjugate(family, k, v, 1e3, tol)
+                b, h = u_ref + 3 * tol, 6 * tol
+                slope = max(v, -(v * h - (M(b + h) - M(b))) / h)
+                assert abs(got.value - ref) <= 3 * tol * slope + 4 * EPS * (v * b + M(b))
 
 
 class TestDelta2:
