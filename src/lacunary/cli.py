@@ -7,6 +7,12 @@ per block with m = "sup").  Floats are printed at 12 significant digits so
 identical configs reproduce identical bytes; the timestamp lives only in
 report.json.
 
+report.json is written by one streaming encoder in a single walk: it
+rounds each float as it writes it, writes +-inf as "inf"/"-inf", and
+gives the same bytes as `json.dump(..., indent=2, sort_keys=True,
+allow_nan=False)` of the rounded tree, without building that tree or the
+whole text.
+
 Exit codes: 0 when all requested computations completed (math PASS/FAIL
 lands in the report), 1 on config or computation errors, 2 under
 --strict when any reported check failed.
@@ -16,12 +22,13 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import json
+import math
 import sys
 from dataclasses import dataclass, field
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterator
+from typing import Any, Iterator, TextIO
 
 import numpy as np
 
@@ -73,20 +80,113 @@ def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def _round_floats(obj):
-    """Clamp every float to 12 significant digits for stable output; +-inf become "inf"/"-inf"."""
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        text = _fmt(obj)
-        return text if text in ("inf", "-inf") else float(text)
-    return obj
+def _float_json(x: float) -> str:
+    """A float at 12 significant digits; +-inf as the strings "inf"/"-inf", NaN refused."""
+    text = _fmt(x)
+    if text in ("inf", "-inf"):
+        return f'"{text}"'
+    value = float(text)
+    if value != value:
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return repr(value)
+
+
+# the text of a value of exactly one of these types; other leaves go to _scalar_json
+_EXACT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_json,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _scalar_json(value: Any) -> str:
+    """The text of a leaf of another type: numpy scalars and subclasses, as `json` takes them."""
+    if isinstance(value, (bool, np.bool_)):  # np.bool_ is no np.integer, but check it first
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return int.__repr__(int(value))
+    if isinstance(value, (float, np.floating)):
+        return _float_json(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _key_json(key: Any) -> str:
+    """A dict key as `json` writes it: non-str keys become strings, floats unrounded."""
+    if not isinstance(key, str):
+        if isinstance(key, float):
+            if not math.isfinite(key):
+                raise ValueError(f"Out of range float values are not JSON compliant: {key!r}")
+            key = float.__repr__(key)
+        elif key is None or isinstance(key, bool):
+            key = "null" if key is None else "true" if key else "false"
+        elif isinstance(key, int):
+            key = int.__repr__(key)
+        else:
+            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return encode_basestring_ascii(key)
+
+
+_FLUSH_PARTS = 2048  # pieces of text gathered before they are written
+
+
+def _write_json(obj: Any, fh: TextIO) -> None:
+    """Write `obj` to `fh` in one walk, as `json.dump(obj, fh, indent=2, sort_keys=True,
+    allow_nan=False)` would write `obj` with every float at 12 significant digits.
+
+    Tuples are written as lists.  Text is gathered in pieces and written
+    whenever `_FLUSH_PARTS` have gathered, so a large echo is never held
+    whole.
+    """
+    parts: list[str] = []
+    append = parts.append
+
+    def encode(value: Any, indent: str) -> None:
+        text = _EXACT.get(type(value))
+        if text is not None:
+            append(text(value))
+        elif isinstance(value, dict):
+            if not value:
+                append("{}")
+                return
+            inner = indent + "  "
+            comma = ",\n" + inner
+            sep = "{\n" + inner
+            for key, item in sorted(value.items()):
+                append(f"{sep}{_key_json(key)}: ")
+                encode(item, inner)
+                sep = comma
+                if len(parts) >= _FLUSH_PARTS:
+                    fh.write("".join(parts))
+                    parts.clear()
+            append(f"\n{indent}}}")
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                append("[]")
+                return
+            inner = indent + "  "
+            comma = ",\n" + inner
+            sep = "[\n" + inner
+            for item in value:
+                text = _EXACT.get(type(item))
+                if text is not None:  # a leaf in a list, the bulk of a table echo: no call
+                    append(sep + text(item))
+                else:
+                    append(sep)
+                    encode(item, inner)
+                sep = comma
+                if len(parts) >= _FLUSH_PARTS:
+                    fh.write("".join(parts))
+                    parts.clear()
+            append(f"\n{indent}]")
+        else:
+            append(_scalar_json(value))
+
+    encode(obj, "")
+    fh.write("".join(parts))
 
 
 def _verdict_dict(v: Verdict) -> dict:
@@ -136,12 +236,12 @@ class ReportBundle:
             "tool": "lacunary",
             "version": __version__,
             "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-            "config": _round_floats(self.config),
-            "results": _round_floats(self.results),
-            "checks": _round_floats(self.checks),
+            "config": self.config,
+            "results": self.results,
+            "checks": self.checks,
         }
         with open(out_dir / "report.json", "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
+            _write_json(report, fh)
             fh.write("\n")
         for name, rows in self.trajectories.items():
             with open(out_dir / f"{name}.csv", "w") as fh:

@@ -20,7 +20,8 @@ else:
     at run time reads it;
   * the echoed config: `materialize` fills every default into a fresh
     document, so re-running the echo reproduces the run byte for byte
-    (timestamp aside).  Numbers are echoed as floats, integers as ints;
+    (timestamp aside).  Numbers are echoed as floats, integers as ints,
+    by a normalizer compiled once per field from the tables;
   * the library objects: `Component.build` turns an echoed section into
     its object and reports a rejected value as a ConfigError.
 
@@ -146,14 +147,23 @@ class Component:
         }
         return _keyed(self.key, kinds) if self.key else kinds[None]
 
+    @functools.cached_property
+    def _echo(self) -> dict[str | None, list[tuple[str, Field, Normalizer]]]:
+        """Per kind, each field with the normalizer of its echo, compiled on first use."""
+        return {
+            name: [(n, f, _normalizer(f.schema)) for n, f in kind.fields.items()]
+            for name, kind in self.kinds.items()
+        }
+
     def _kind(self, doc: dict) -> Kind:
         return self.kinds[doc[self.key] if self.key else None]
 
     def materialize(self, doc: dict, seed: int | None = None, root: dict | None = None) -> dict:
         """A fresh copy of a validated `doc` with every default filled in."""
-        out = {self.key: doc[self.key]} if self.key else {}
+        tag = doc[self.key] if self.key else None
+        out = {self.key: tag} if self.key else {}
         root = out if root is None else root
-        for name, f in self._kind(doc).fields.items():
+        for name, f, normalize in self._echo[tag]:
             if name in doc:
                 value = doc[name]
             elif f.default is OMIT:
@@ -164,7 +174,7 @@ class Component:
                 if seed < f.schema["minimum"]:
                     raise ConfigError(f"--seed must be >= {f.schema['minimum']}, got {seed}")
                 value = seed
-            out[name] = _normalize(value, f.schema, seed, root)
+            out[name] = normalize(value, seed, root)
         return out
 
     def build(self, doc: dict, **extra: Any) -> Any:
@@ -188,28 +198,41 @@ def _json(schema: Any) -> Any:
     return schema
 
 
+# the echo of a validated value: (value, seed, root) -> fresh containers, numbers cast by type
+Normalizer = Callable[[Any, int | None, dict], Any]
 _CASTS = (("integer", int), ("number", float), ("boolean", bool))
 
 
-def _normalize(value: Any, schema: Any, seed: int | None, root: dict) -> Any:
-    """The echo of a validated value: fresh containers, numbers cast by type."""
+def _normalizer(schema: dict | Component) -> Normalizer:
+    """The normalizer of a field's JSON constraint (or of its Component), compiled."""
     if isinstance(schema, Component):
-        return schema.materialize(value, seed, root)
-    if value is None:
-        return None
+        return schema.materialize
+    items = schema.get("items")
+    if isinstance(items, Component):  # the tables hold components only as fields or items
+        return lambda value, seed, root: [items.materialize(v, seed, root) for v in value]
+    cast = _cast(schema)
+    return lambda value, seed, root: cast(value)
+
+
+def _cast(schema: dict) -> Callable[[Any], Any]:
+    """The echo of a value of a constraint that holds no component; null stays null."""
     types = schema.get("type", ())
     types = (types,) if isinstance(types, str) else types
     if "array" in types:
         if "prefixItems" in schema:
-            return [_normalize(v, s, seed, root) for v, s in zip(value, schema["prefixItems"])]
-        return [_normalize(v, schema["items"], seed, root) for v in value]
+            casts = [_cast(s) for s in schema["prefixItems"]]
+            return lambda value: [c(v) for c, v in zip(casts, value)]
+        item = _cast(schema["items"])
+        return lambda value: list(map(item, value))
     if "object" in types:
-        item = schema["additionalProperties"]
-        return {str(k): _normalize(v, item, seed, root) for k, v in value.items()}
-    for name, cast in _CASTS:
-        if name in types:
-            return cast(value)
-    return value
+        item = _cast(schema["additionalProperties"])
+        return lambda value: {str(k): item(v) for k, v in value.items()}
+    cast = next((c for name, c in _CASTS if name in types), None)
+    if cast is None:  # const, enum: echoed as given
+        return lambda value: value
+    if "null" in types:
+        return lambda value: None if value is None else cast(value)
+    return cast
 
 
 def _build(value: Any, schema: Any) -> Any:
@@ -332,6 +355,8 @@ def _compile(schema: dict | Component) -> Check:
             values = _compile(arg)
         else:
             raise ValueError(f"no check for the JSON schema keyword {keyword!r}")
+    if not prefix and items is None and values is None:
+        return _leaf(tests)
 
     def check(value: Any) -> Error | None:
         for test in tests:
@@ -351,6 +376,21 @@ def _compile(schema: dict | Component) -> Check:
                 if (error := values(v)) is not None:
                     best = _better(best, k, error)
         return best
+
+    return check
+
+
+def _leaf(tests: list[Callable[[Any], str | None]]) -> Check:
+    """The check of a constraint with nothing below it: its tests alone, in order."""
+    if len(tests) == 1:
+        (test,) = tests
+        return lambda value: None if (message := test(value)) is None else ((), message)
+
+    def check(value: Any) -> Error | None:
+        for test in tests:
+            if (message := test(value)) is not None:
+                return (), message
+        return None
 
     return check
 
@@ -486,7 +526,7 @@ MATRIX = Component("matrix", {
     "cesaro_c1": Kind(CesaroC1),
     "shift": Kind(lambda offset: Shift(offset), offset=Field(INT, 1)),
     "row_table": Kind(
-        lambda rows: RowTable(tuple(tuple(map(tuple, row)) for row in rows)),
+        RowTable,
         rows=Field(_array(_array(COLUMN_COEFF))),
     ),
     "geometric_tail": Kind(geometric_tail, decay=Field(NUM, 0.5), x_bound=Field(NUM, 1.0)),

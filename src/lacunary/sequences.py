@@ -246,14 +246,18 @@ class RowTable(MatrixOperator):
     kind = "row_table"
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple((int(k), float(a)) for k, a in row) for row in self.rows)
-        for i, row in enumerate(rows):
+        rows = []
+        for n, row in enumerate(self.rows, start=1):  # one pass: cast, check, keep
+            pairs = []
             for k, a in row:
+                k, a = int(k), float(a)
                 if k < 1:
-                    raise ValueError(f"row {i + 1}: column index {k} < 1")
+                    raise ValueError(f"row {n}: column index {k} < 1")
                 if not math.isfinite(a):
-                    raise ValueError(f"row {i + 1}: coefficient at k={k} not finite")
-        object.__setattr__(self, "rows", rows)
+                    raise ValueError(f"row {n}: coefficient at k={k} not finite")
+                pairs.append((k, a))
+            rows.append(tuple(pairs))
+        object.__setattr__(self, "rows", tuple(rows))
 
     @cached_property
     def _columns(self) -> tuple[np.ndarray, np.ndarray]:

@@ -12,8 +12,15 @@ The norm searches' reference is the plain route: bisection for the
 Luxemburg crossing, a 41-point log grid over k in [2**-20, 2**20] refined
 by golden section for the Amemiya minimum, golden section for the
 conjugate, and one `modular` call per step.
+
+The report's references are the interpreted routes: `materialize` reads
+each field's JSON constraint at every node of the echo (`normalize`), and
+`encode_report` rounds a copy of the whole tree (`round_floats`) before
+`json.dumps` writes it.  The compiled normalizer and the streaming writer
+must give the same echo and the same bytes.
 """
 
+import json
 import math
 from typing import Callable
 
@@ -36,7 +43,8 @@ from lacunary.convergence import (
     _block_average,
     _block_counts,
 )
-from lacunary.errors import BracketTooSmall, NoInteriorMinimum, ScaledPrefixOverflow
+from lacunary.config import OMIT, Component
+from lacunary.errors import BracketTooSmall, ConfigError, NoInteriorMinimum, ScaledPrefixOverflow
 from lacunary.orlicz import AmemiyaValue
 
 
@@ -279,3 +287,71 @@ def reference_conjugate(family, k: int, v: float, u_max: float, tol: float) -> t
         u_hi *= 0.5
     u_star, value = golden_section_max(lambda u: abs(v) * u - M(u), 0.0, u_hi, tol)
     return max(value, 0.0), u_star
+
+
+# ---------------------------------------------------------------------------
+# the report: interpreted echo, rounded copy + json.dumps
+# ---------------------------------------------------------------------------
+
+_CASTS = (("integer", int), ("number", float), ("boolean", bool))
+
+
+def materialize(component: Component, doc: dict, seed=None, root=None) -> dict:
+    """`component.materialize(doc, seed)` with `normalize` at every field."""
+    out = {component.key: doc[component.key]} if component.key else {}
+    root = out if root is None else root
+    for name, f in component._kind(doc).fields.items():
+        if name in doc:
+            value = doc[name]
+        elif f.default is OMIT:
+            continue
+        else:
+            value = f.default(root) if callable(f.default) else f.default
+        if f.seeded and seed is not None:
+            if seed < f.schema["minimum"]:
+                raise ConfigError(f"--seed must be >= {f.schema['minimum']}, got {seed}")
+            value = seed
+        out[name] = normalize(value, f.schema, seed, root)
+    return out
+
+
+def normalize(value, schema, seed, root):
+    """The echo of a validated value: fresh containers, numbers cast by type."""
+    if isinstance(schema, Component):
+        return materialize(schema, value, seed, root)
+    if value is None:
+        return None
+    types = schema.get("type", ())
+    types = (types,) if isinstance(types, str) else types
+    if "array" in types:
+        if "prefixItems" in schema:
+            return [normalize(v, s, seed, root) for v, s in zip(value, schema["prefixItems"])]
+        return [normalize(v, schema["items"], seed, root) for v in value]
+    if "object" in types:
+        item = schema["additionalProperties"]
+        return {str(k): normalize(v, item, seed, root) for k, v in value.items()}
+    for name, cast in _CASTS:
+        if name in types:
+            return cast(value)
+    return value
+
+
+def round_floats(obj):
+    """Clamp every float to 12 significant digits for stable output; +-inf become "inf"/"-inf"."""
+    if isinstance(obj, dict):
+        return {k: round_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [round_floats(v) for v in obj]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        text = f"{float(obj):.12g}"
+        return text if text in ("inf", "-inf") else float(text)
+    return obj
+
+
+def encode_report(obj) -> str:
+    """The JSON text of the tree `obj` in report.json (the file adds a final newline)."""
+    return json.dumps(round_floats(obj), indent=2, sort_keys=True, allow_nan=False)

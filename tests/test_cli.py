@@ -9,13 +9,16 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
+import reference
 from hypothesis import given, settings, strategies as st
 from test_config import COMMAND_COMPONENTS, _slots, documents
 
 from lacunary import ConstantFamily, Power, cli, complementary
 from lacunary.cli import ReportBundle, main
-from lacunary.config import CLASSIFY_CONSTRUCTION, COMMANDS
+from lacunary.config import CLASSIFY_CONSTRUCTION, COMMANDS, _command_component, materialize
+from lacunary.errors import ConfigError
 
 
 def run_cli(args):
@@ -688,6 +691,89 @@ class TestOverflow:
 
 
 # ---------------------------------------------------------------------------
+# report.json: the streaming writer against round_floats + json.dumps
+# ---------------------------------------------------------------------------
+
+EXTREME_FLOATS = st.sampled_from(
+    [math.inf, -math.inf, 0.0, -0.0, 1e308, -1.7976931348623157e308, 5e-324, -5e-324,
+     2.2250738585072014e-308, 1e-5, 1e16, 123456789012.5, 0.1]
+)
+FLOATS = st.floats(allow_nan=False) | EXTREME_FLOATS
+LEAVES = (
+    st.none() | st.booleans() | st.integers() | FLOATS | st.text(max_size=6)
+    | FLOATS.map(np.float64) | st.floats(width=32, allow_nan=False).map(np.float32)
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64) | st.integers(-5, 5).map(np.int32)
+    | st.booleans().map(np.bool_)
+)
+TREES = st.recursive(
+    LEAVES,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=3).map(tuple)
+        | st.dictionaries(st.text(max_size=4), children, max_size=4)
+        | st.dictionaries(st.integers(-3, 3) | st.floats(-2, 2), children, max_size=3)
+    ),
+    max_leaves=30,
+)
+
+
+def written(obj):
+    buf = io.StringIO()
+    cli._write_json(obj, buf)
+    return buf.getvalue()
+
+
+@given(tree=TREES)
+@settings(max_examples=150, deadline=None)
+def test_writer_matches_the_reference_encoder(tree):
+    assert written(tree) == reference.encode_report(tree)
+
+
+@pytest.mark.parametrize(
+    "tree,error",
+    [
+        ({"a": [1.0, (2, math.nan)]}, ValueError),
+        ({"a": np.float64("nan")}, ValueError),
+        ([np.float32("nan")], ValueError),
+        ({math.inf: 1.0}, ValueError),
+        ({1: 0.0, "1": 0.0}, TypeError),
+        ({(1, 2): 0.0}, TypeError),
+        ({"a": np.zeros(2)}, TypeError),
+        ({"a": {1, 2}}, TypeError),
+    ],
+    ids=["nan", "numpy-nan", "float32-nan", "inf-key", "mixed-keys", "tuple-key", "array", "set"],
+)
+def test_writer_raises_as_the_reference_encoder(tree, error):
+    with pytest.raises(error):
+        reference.encode_report(tree)
+    with pytest.raises(error):
+        written(tree)
+
+
+def test_large_row_table_report_matches_reference_encoder(tmp_path):
+    """A 4096-row table echo (cli-mix shape), written in many pieces, has the reference's bytes."""
+    rows = 4096
+    doc = {
+        "command": "classify",
+        "sequence": {"kind": "random_bounded", "horizon": rows + 1, "radius": 0.3,
+                     "exception_density": 0.001, "seed": 5},
+        "family": {"kind": "spike", "slopes": {"17": 3.0, "2500": 40.0}, "default_slope": 1.0},
+        "schedule": {"kind": "geometric", "count": 12},
+        "matrix": {"kind": "row_table", "rows": [[[n, 0.5], [n + 1, 0.5]] for n in range(1, rows + 1)]},
+        "space": {"m_max": 0},
+    }
+    assert run_cli(["classify", "--config", write_config(tmp_path, doc), "--out", tmp_path]) == 0
+    bundle = cli.cmd_classify(json.loads(json.dumps(doc)))
+    tree = {"tool": "lacunary", "version": cli.__version__, "timestamp": "",
+            "config": bundle.config, "results": bundle.results, "checks": bundle.checks}
+    text = reference.encode_report(tree) + "\n"
+    expected = b"".join(
+        ln for ln in text.encode().splitlines(keepends=True) if not ln.startswith(b'  "timestamp": ')
+    )
+    assert report_bytes_without_timestamp(tmp_path) == expected
+
+
+# ---------------------------------------------------------------------------
 # fuzz: every valid document, with numeric extremes, ends in 0, 1 or 2
 # ---------------------------------------------------------------------------
 
@@ -799,3 +885,28 @@ def test_fuzzed_document_ends_in_an_exit_code(case):
 @settings(max_examples=3000, deadline=None)
 def test_fuzzed_document_ends_in_an_exit_code_long(case):
     run_fuzzed(*case)
+
+
+@given(case=fuzzed_documents(), seed=st.none() | st.integers(-1, 2**31), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_compiled_echo_matches_the_interpreted_echo(case, seed, data):
+    """Numbers respelled (2.0 as 2, 2 as 2.0, null as 2 or 2.0) echo as the interpreted walk
+    echoes them, type and all."""
+    command, doc = case
+    for container, key in list(_slots(doc)):
+        value = container[key]
+        if value is None and data.draw(st.booleans()):
+            container[key] = data.draw(st.sampled_from([2, 2.0]))
+        elif type(value) in (int, float) and data.draw(st.booleans()):
+            if type(value) is int:
+                container[key] = float(value)
+            elif value.is_integer():
+                container[key] = int(value)
+    component = _command_component(doc, command)
+    try:
+        expected = reference.materialize(component, doc, seed)
+    except ConfigError:
+        with pytest.raises(ConfigError):
+            materialize(doc, command, seed)
+        return
+    assert repr(materialize(doc, command, seed)) == repr(expected)
