@@ -58,9 +58,8 @@ from .convergence import (
 )
 from .errors import ConfigError, LacunaryError
 from .experiments import (
+    CONSTRUCTIONS,
     CounterexampleSpec,
-    build_thm37,
-    build_thm38,
     random_bounded_sequence,
     run_inclusion_matrix,
 )
@@ -324,19 +323,40 @@ def _space_params(echo: dict) -> SpaceParams:
 def _construct(echo: dict) -> tuple[Sequence, SpaceParams]:
     """Run the construction `echo` describes and echo the m_max it resolved."""
     spec = CONSTRUCTION.build(echo)
-    builder = build_thm37 if spec.theorem == "thm37" else build_thm38
-    x, _, params = builder(spec)
+    x, _, params = CONSTRUCTIONS[spec.theorem](spec)
     echo["m_max"] = params.m_max
     return x, params
 
 
-def _verdicts(
-    strong: UniformTrajectories, shat: UniformTrajectories, verdict: dict
-) -> tuple[Verdict, Verdict]:
-    return (
-        classify_trajectory(strong.sup.values, **verdict),
-        classify_trajectory(shat.sup.values, **verdict),
+def _block_run(
+    echo: dict, x: Sequence, params: SpaceParams, flag_mode: str
+) -> tuple[ReportBundle, UniformTrajectories, UniformTrajectories, Verdict]:
+    """One engine run of x in one space: the report, trajectories and verdicts that classify
+    and counterexample share; also returns the strong and density bundles and the density
+    verdict, for the construction checks."""
+    stats = BlockEngine([params])(x)[0]
+    strong, shat = stats[STRONG], stats[flag_mode]
+    v_strong = classify_trajectory(strong.sup.values, **echo["verdict"])
+    v_shat = classify_trajectory(shat.sup.values, **echo["verdict"])
+    results = {
+        "horizon": x.horizon,
+        "num_blocks": params.schedule.num_blocks,
+        "last_index": params.schedule.last_index,
+        "m_max": params.m_max,
+        "epsilon": params.epsilon,
+        "flag_mode": flag_mode,
+        "verdicts": {STRONG: _verdict_dict(v_strong), SHAT_DENSITY: _verdict_dict(v_shat)},
+    }
+    _report_axioms(results, params.family)
+    bundle = ReportBundle(
+        config=echo,
+        results=results,
+        trajectories={
+            "trajectory": _trajectory_rows(strong),
+            "trajectory_shat": _trajectory_rows(shat),
+        },
     )
+    return bundle, strong, shat, v_shat
 
 
 def cmd_classify(doc: dict, seed: int | None = None) -> ReportBundle:
@@ -348,58 +368,35 @@ def cmd_classify(doc: dict, seed: int | None = None) -> ReportBundle:
         x = SEQUENCE.build(echo["sequence"])
         params = _space_params(echo)
 
-    flag_mode = echo["flag_mode"]
-    stats = BlockEngine([params])(x)[0]
-    strong, shat = stats[STRONG], stats[flag_mode]
-    v_strong, v_shat = _verdicts(strong, shat, echo["verdict"])
-    results = {
-        "horizon": x.horizon,
-        "num_blocks": params.schedule.num_blocks,
-        "last_index": params.schedule.last_index,
-        "m_max": params.m_max,
-        "epsilon": params.epsilon,
-        "flag_mode": flag_mode,
-        "verdicts": {STRONG: _verdict_dict(v_strong), SHAT_DENSITY: _verdict_dict(v_shat)},
-        "schedule_warnings": list(params.schedule.warnings),
+    bundle = _block_run(echo, x, params, echo["flag_mode"])[0]
+    bundle.results["schedule_warnings"] = list(params.schedule.warnings)
+    return bundle
+
+
+def _check(name: str, observed: float, target: float, tolerance: float, passed: bool) -> dict:
+    return {
+        "name": name,
+        "observed": observed,
+        "target": target,
+        "tolerance": tolerance,
+        "passed": bool(passed),
     }
-    _report_axioms(results, params.family)
-    return ReportBundle(
-        config=echo,
-        results=results,
-        trajectories={
-            "trajectory": _trajectory_rows(strong),
-            "trajectory_shat": _trajectory_rows(shat),
-        },
-    )
 
 
 def _thm37_checks(
     checks: dict, strong: UniformTrajectories, v_shat: Verdict
 ) -> list[dict]:
-    gap = abs(v_shat.tail_mean - checks["shat_tail_target"])
-    out = [
-        {
-            "name": "shat_tail_near_half",
-            "observed": v_shat.tail_mean,
-            "target": checks["shat_tail_target"],
-            "tolerance": checks["shat_tail_tol"],
-            "passed": bool(gap <= checks["shat_tail_tol"]),
-        }
-    ]
+    target, tol = checks["shat_tail_target"], checks["shat_tail_tol"]
+    gap = abs(v_shat.tail_mean - target)
     r0 = checks["strong_bound_min_r"]
     vals = strong.sup.values
     scaled = [vals[r - 1] * 2.0**r for r in range(r0, len(vals) + 1)]
     worst = max(scaled) if scaled else 0.0
-    out.append(
-        {
-            "name": "strong_dominated_by_two_pow_minus_r",
-            "observed": worst,
-            "target": checks["strong_bound_coeff"],
-            "tolerance": 0.0,
-            "passed": bool(worst <= checks["strong_bound_coeff"]),
-        }
-    )
-    return out
+    coeff = checks["strong_bound_coeff"]
+    return [
+        _check("shat_tail_near_half", v_shat.tail_mean, target, tol, gap <= tol),
+        _check("strong_dominated_by_two_pow_minus_r", worst, coeff, 0.0, worst <= coeff),
+    ]
 
 
 def _thm38_checks(
@@ -409,93 +406,47 @@ def _thm38_checks(
     expected = 1.0 / h_alpha
     observed = shat.per_m[0].values
     worst_gap = float(np.max(np.abs(observed - expected)))
-    out = [
-        {
-            "name": "shat_density_equals_one_over_h_alpha",
-            "observed": worst_gap,
-            "target": 0.0,
-            "tolerance": checks["shat_exact_tol"],
-            "passed": bool(worst_gap <= checks["shat_exact_tol"]),
-        }
-    ]
     r0 = checks["shat_density_min_r"]
     tail_max = float(np.max(observed[r0 - 1 :])) if r0 <= observed.size else 0.0
-    out.append(
-        {
-            "name": "shat_density_small_tail",
-            "observed": tail_max,
-            "target": checks["shat_density_max"],
-            "tolerance": 0.0,
-            "passed": bool(tail_max <= checks["shat_density_max"]),
-        }
-    )
     strong_min = float(np.min(strong.sup.values))
-    out.append(
-        {
-            "name": "strong_at_least_one",
-            "observed": strong_min,
-            "target": checks["strong_min"],
-            "tolerance": 0.0,
-            "passed": bool(strong_min >= checks["strong_min"]),
-        }
-    )
-    return out
+    exact, most, least = checks["shat_exact_tol"], checks["shat_density_max"], checks["strong_min"]
+    return [
+        _check("shat_density_equals_one_over_h_alpha", worst_gap, 0.0, exact, worst_gap <= exact),
+        _check("shat_density_small_tail", tail_max, most, 0.0, tail_max <= most),
+        _check("strong_at_least_one", strong_min, least, 0.0, strong_min >= least),
+    ]
 
 
 def cmd_counterexample(doc: dict, seed: int | None = None) -> ReportBundle:
     validate_config(doc, "counterexample")
     echo = materialize(doc, "counterexample", seed)
     x, params = _construct(echo)
-
-    stats = BlockEngine([params])(x)[0]
-    strong, shat = stats[STRONG], stats[MODULAR_FLAGS]
-    v_strong, v_shat = _verdicts(strong, shat, echo["verdict"])
-
-    notes = []
+    bundle, strong, shat, v_shat = _block_run(echo, x, params, MODULAR_FLAGS)
     if echo["theorem"] == "thm37":
-        checks = _thm37_checks(echo["checks"], strong, v_shat)
+        bundle.checks = _thm37_checks(echo["checks"], strong, v_shat)
         expected = {
             "strong": "block values dominated by 2**-(r-1), tending to 0",
             "shat_density": "tail at 1/2",
         }
-        notes.append(
+        note = (
             "witness direction: summed statistic vanishes while the exception "
             "density stays at 1/2, so density membership fails"
         )
     else:
-        checks = _thm38_checks(echo["checks"], strong, shat, params)
+        bundle.checks = _thm38_checks(echo["checks"], strong, shat, params)
         expected = {
             "strong": "every block value at least 1",
             "shat_density": "block values 1/h_r**alpha, tending to 0",
         }
-        notes.append(
+        note = (
             "witness direction: the summed statistic never drops below 1, a "
             "non-membership certificate for the summed class even though the "
             "exception density vanishes"
         )
-
-    results = {
-        "horizon": x.horizon,
-        "num_blocks": params.schedule.num_blocks,
-        "last_index": params.schedule.last_index,
-        "cut_points": list(params.schedule.cut_points),
-        "epsilon": params.epsilon,
-        "m_max": params.m_max,
-        "flag_mode": MODULAR_FLAGS,
-        "expected_limits": expected,
-        "notes": notes,
-        "verdicts": {STRONG: _verdict_dict(v_strong), SHAT_DENSITY: _verdict_dict(v_shat)},
-    }
-    _report_axioms(results, params.family)
-    return ReportBundle(
-        config=echo,
-        results=results,
-        checks=checks,
-        trajectories={
-            "trajectory": _trajectory_rows(strong),
-            "trajectory_shat": _trajectory_rows(shat),
-        },
+    bundle.results.update(
+        cut_points=list(params.schedule.cut_points), expected_limits=expected, notes=[note]
     )
+    return bundle
 
 
 def cmd_inclusion(doc: dict, seed: int | None = None) -> ReportBundle:
@@ -525,10 +476,11 @@ def cmd_inclusion(doc: dict, seed: int | None = None) -> ReportBundle:
             except ValueError as exc:
                 raise ConfigError(f"corpus: {exc}") from exc
             yield x, params
-        for theorem, builder in (("thm37", build_thm37), ("thm38", build_thm38)):
+        for theorem, build in CONSTRUCTIONS.items():
             if corpus_doc[f"include_{theorem}"]:
-                spec = CounterexampleSpec(theorem=theorem, r_max=corpus_doc["construction_r_max"])
-                x_c, _, p_c = builder(spec)
+                x_c, _, p_c = build(
+                    CounterexampleSpec(theorem=theorem, r_max=corpus_doc["construction_r_max"])
+                )
                 yield x_c, p_c
 
     report = run_inclusion_matrix(

@@ -16,7 +16,10 @@ test suite and the CLI check against:
 The remaining helpers turn the per-block proof inequalities of the
 inclusion theorems into machine-checkable bounds, read from `BlockEngine`
 results (so a NaN statistic raises NonFiniteStatistic, as everywhere), and
-run corpora of sequences through antecedent/consequent space pairs.
+run corpora of sequences through antecedent/consequent space pairs.  The
+`inclusion` command checks only T31's bound, at m = 0; `thm33_block_bounds`,
+`thm34_triangle_bounds` and `uniqueness_experiment` are library functions
+that no command runs.
 """
 
 from __future__ import annotations
@@ -92,7 +95,7 @@ class CounterexampleSpec:
     horizon_cap: int = 1 << 22
 
     def __post_init__(self) -> None:
-        if self.theorem not in ("thm37", "thm38"):
+        if self.theorem not in CONSTRUCTIONS:
             raise ValueError(f"theorem must be 'thm37' or 'thm38', got {self.theorem!r}")
         if self.nu < 0:
             raise ValueError("nu must be >= 0")
@@ -109,6 +112,25 @@ class CounterexampleSpec:
             raise ValueError("schedule rule must produce exactly r_max blocks")
         if self.nu_values is not None and len(self.nu_values) != self.r_max:
             raise ValueError(f"need {self.r_max} spike heights, got {len(self.nu_values)}")
+
+
+def _construction(
+    spec: CounterexampleSpec, values: np.ndarray, family: MusielakOrliczFamily,
+    schedule: LacunarySchedule, epsilon: float, m_max: int,
+) -> tuple[Sequence, LacunarySchedule, SpaceParams]:
+    """A construction's prefix, schedule and space: identity matrix, unit exponents, L = 0."""
+    params = SpaceParams(
+        family=family,
+        schedule=schedule,
+        alpha=spec.alpha,
+        epsilon=epsilon,
+        L=0.0,
+        m_max=m_max,
+        rho=RhoSequence(constant=spec.rho),
+        exponents=ExponentSequence(constant=1.0),
+        matrix=Identity(),
+    )
+    return Sequence._adopt(values), schedule, params
 
 
 def build_thm37(spec: CounterexampleSpec) -> tuple[Sequence, LacunarySchedule, SpaceParams]:
@@ -206,18 +228,7 @@ def build_thm37(spec: CounterexampleSpec) -> tuple[Sequence, LacunarySchedule, S
     else:
         epsilon = 1e-3
 
-    params = SpaceParams(
-        family=family,
-        schedule=schedule,
-        alpha=spec.alpha,
-        epsilon=epsilon,
-        L=0.0,
-        m_max=m_max,
-        rho=RhoSequence(constant=spec.rho),
-        exponents=ExponentSequence(constant=1.0),
-        matrix=Identity(),
-    )
-    return Sequence._adopt(values), schedule, params
+    return _construction(spec, values, family, schedule, epsilon, m_max)
 
 
 def build_thm38(spec: CounterexampleSpec) -> tuple[Sequence, LacunarySchedule, SpaceParams]:
@@ -285,18 +296,11 @@ def build_thm38(spec: CounterexampleSpec) -> tuple[Sequence, LacunarySchedule, S
         values[spikes[r] - 1] = nus[r]
 
     epsilon = min(1.0, 0.5 * float(np.min(h_alpha)))
-    params = SpaceParams(
-        family=family,
-        schedule=schedule,
-        alpha=spec.alpha,
-        epsilon=epsilon,
-        L=0.0,
-        m_max=m_max,
-        rho=RhoSequence(constant=spec.rho),
-        exponents=ExponentSequence(constant=1.0),
-        matrix=Identity(),
-    )
-    return Sequence._adopt(values), schedule, params
+    return _construction(spec, values, family, schedule, epsilon, m_max)
+
+
+# the builder of each construction, by the theorem it witnesses
+CONSTRUCTIONS = {"thm37": build_thm37, "thm38": build_thm38}
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +349,9 @@ def thm31_block_bounds(
     Valid for alpha <= beta, constant family and constant rho; then
     lhs >= rhs holds exactly in real arithmetic.
     """
-    lo = _thm31_floor(p, beta)
-    own, at_beta = _at_window(x, [p, replace(p, alpha=beta)], m)
-    return own[STRONG], _bound_times_density(lo, at_beta[RAW_FLAGS])
+    floor = _thm31_floor(p, beta)  # checks the setup before the engine runs
+    own, at_beta = BlockEngine([replace(q, m_max=m) for q in (p, replace(p, alpha=beta))])(x)
+    return _thm31_sides(own, at_beta, floor, m)
 
 
 def _thm31_floor(p: SpaceParams, beta: float) -> float:
@@ -356,6 +360,21 @@ def _thm31_floor(p: SpaceParams, beta: float) -> float:
         raise ValueError("need alpha <= beta <= 1")
     rho_c, eps = _require_constant_setup(p)
     return _power_range(p.family.function(eps / rho_c), p.exponents)[0]
+
+
+def _thm31_sides(own: dict, at_beta: dict, floor: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """T31's (lhs, rhs) per block at window m, from the engine bundles at alpha and at beta."""
+    lhs = own[STRONG].per_m[m].values
+    return lhs, _bound_times_density(floor, at_beta[RAW_FLAGS].per_m[m].values)
+
+
+def _thm31_violations(lhs: np.ndarray, rhs: np.ndarray, slack: float) -> int:
+    """Blocks where lhs falls below rhs by more than slack * max(1, |rhs|); below an
+    infinite rhs, any smaller lhs."""
+    with np.errstate(invalid="ignore"):  # inf - inf where both sides are infinite
+        gap = rhs - lhs
+    bad = np.where(np.isinf(rhs), lhs < rhs, gap > slack * np.maximum(1.0, np.abs(rhs)))
+    return int(np.count_nonzero(bad))
 
 
 def thm33_block_bounds(
@@ -568,6 +587,46 @@ def _implication_status(antecedent: str, consequent: str) -> str:
     return "INCONCLUSIVE"
 
 
+def _t33_note(alpha: float) -> str:
+    return "h_r/h_r**alpha -> 1 requires alpha = 1" if alpha < 1 else "alpha = 1"
+
+
+_RAW = {"flag_mode": RAW_FLAGS}
+_SAMPLED = {"note": "conditional on sampled hypothesis"}
+_STRONG_SHAT = ((STRONG, "alpha"), (MODULAR_FLAGS, "alpha"))
+_PLAIN_FAMILY = ((STRONG, "plain"), (STRONG, "alpha"))
+
+# theorem -> (the two verdicts it reads, in the order first asked, each as (bundle, space);
+# the index of the antecedent; the fixed fields of its implication rows, a callable field
+# taking alpha, or None for a witness theorem).  The spaces are the family space at alpha or
+# at beta and the plain-average space.  A witness theorem reads (strong, shat), and its
+# witnesses are the sequences whose implication row would FAIL.
+_THEOREM_TABLE = {
+    "T31": (((STRONG, "alpha"), (RAW_FLAGS, "beta")), 0, _RAW),
+    "T33": (((RAW_FLAGS, "alpha"), (STRONG, "alpha")), 0, {**_RAW, "hypothesis_note": _t33_note}),
+    "T35": (_PLAIN_FAMILY, 0, _SAMPLED),
+    "T36": (_PLAIN_FAMILY, 1, _SAMPLED),
+    "T37": (_STRONG_SHAT, 0, None),
+    "T38": (_STRONG_SHAT, 1, None),
+}
+
+
+def _label(bundle: str, alpha: float, tag: str) -> str:
+    """The membership column of a verdict: statistic, space, alpha and a density's flags."""
+    if bundle == STRONG:
+        return f"{STRONG}[{tag}]@alpha={alpha:g}"
+    return f"{SHAT_DENSITY}[{tag}]@alpha={alpha:g},flags={bundle}"
+
+
+def _space(p: SpaceParams, name: str, beta: float) -> tuple[tuple[float, str], SpaceParams]:
+    """The (alpha, tag) and parameters of the space `name` of the table, for entry p."""
+    if name == "plain":
+        return (p.alpha, "plain"), replace(p, family=ConstantFamily(LinearSlope(1.0)))
+    if name == "beta":
+        return (beta, "family"), replace(p, alpha=beta)
+    return (p.alpha, "family"), p
+
+
 def run_inclusion_matrix(
     corpus: Iterable[tuple[Sequence, SpaceParams]],
     theorems: Iterable[str] = THEOREMS,
@@ -581,11 +640,12 @@ def run_inclusion_matrix(
 
     Per theorem: T31 checks the summed statistic at alpha against the raw
     exception density at `beta` (and machine-checks the per-block lower
-    bound when the setup is constant-family/constant-rho); T33 checks the
-    reverse inclusion for bounded rows; T35/T36 compare the plain-average
-    space against the family space, attaching a doubling report (T35) and
-    a sampled growth estimate (T36); T37/T38 scan for non-inclusion
-    witnesses.  Reports name the flag mode used for every density verdict.
+    bound at m = 0 when the setup is constant-family/constant-rho); T33
+    checks the reverse inclusion for bounded rows; T35/T36 compare the
+    plain-average space against the family space, attaching a doubling
+    report (T35) and a sampled growth estimate (T36); T37/T38 scan for
+    non-inclusion witnesses.  `_THEOREM_TABLE` holds what each theorem
+    reads.  Reports name the flag mode used for every density verdict.
 
     Each sequence is computed once, in one engine call for every space its
     theorems read: the family space at alpha, at `beta` for T31, and the
@@ -594,174 +654,79 @@ def run_inclusion_matrix(
     the previous engine is dropped before the next one is built.
     """
     requested = [t for t in THEOREMS if t in set(theorems)]
+    read = {name for t in requested for _, name in _THEOREM_TABLE[t][0]}
+    names = [name for name in ("alpha", "beta", "plain") if name in read]
     verdict_rows: list[dict] = []
     implications: list[dict] = []
     witnesses: list[dict] = []
-    theorem_results: dict = {}
-    slack = inequality_slack
+    fails = dict.fromkeys(requested, 0)
 
-    cache: dict[tuple, str] = {}
-    stats: dict[tuple, dict] = {}  # (alpha, tag) -> block statistics of the current sequence
     engine: BlockEngine | None = None
     engine_params: SpaceParams | None = None
-    engine_spaces: list[tuple] = []
-
-    def verdict_of(i: int, p: SpaceParams, statistic: str, mode: str, tag: str = "family") -> str:
-        key = (i, statistic, mode, p.alpha, tag)
-        if key not in cache:
-            bundle = stats[(p.alpha, tag)][STRONG if statistic == STRONG else mode]
-            v = classify_trajectory(bundle.sup.values, verdict_tol, tail_window)
-            label = f"{statistic}[{tag}]@alpha={p.alpha:g}" + (
-                f",flags={mode}" if statistic == SHAT_DENSITY else ""
-            )
-            verdict_rows.append(
-                {
-                    "sequence": f"seq_{i:03d}",
-                    "space": label,
-                    "decision": v.decision,
-                    "tail_mean": v.tail_mean,
-                }
-            )
-            cache[key] = v.decision
-        return cache[key]
-
     t31_violations = 0
     first: SpaceParams | None = None
-    for i, (x, p) in enumerate(corpus):
-        sid = f"seq_{i:03d}"
+    n = 0
+    for n, (x, p) in enumerate(corpus, start=1):
+        sid = f"seq_{n - 1:03d}"
         if first is None:
             first = p
-        if requested:
-            if p != engine_params:
-                engine = None  # free the previous engine's buffers before allocating the next
-                spaces = {(p.alpha, "family"): p}
-                if "T31" in requested:
-                    spaces[(beta, "family")] = replace(p, alpha=beta)
-                if "T35" in requested or "T36" in requested:
-                    spaces[(p.alpha, "plain")] = replace(p, family=ConstantFamily(LinearSlope(1.0)))
-                engine, engine_params, engine_spaces = BlockEngine(spaces.values()), p, list(spaces)
-            stats = dict(zip(engine_spaces, engine(x)))
-        for theorem in requested:
-            if theorem == "T31":
-                ante = verdict_of(i, p, STRONG, MODULAR_FLAGS)
-                cons = verdict_of(i, replace(p, alpha=beta), SHAT_DENSITY, RAW_FLAGS)
-                status = _implication_status(ante, cons)
-                implications.append(
-                    {
-                        "theorem": "T31",
-                        "sequence": sid,
-                        "antecedent": ante,
-                        "consequent": cons,
-                        "flag_mode": RAW_FLAGS,
-                        "status": status,
-                    }
-                )
-                if isinstance(p.family, ConstantFamily) and p.rho.constant is not None:
-                    lhs = stats[(p.alpha, "family")][STRONG].per_m[0].values
-                    density = stats[(beta, "family")][RAW_FLAGS].per_m[0].values
-                    rhs = _bound_times_density(_thm31_floor(p, beta), density)
-                    with np.errstate(invalid="ignore"):  # inf - inf where both sides are infinite
-                        gap = rhs - lhs
-                    bad = np.where(
-                        np.isinf(rhs), lhs < rhs, gap > slack * np.maximum(1.0, np.abs(rhs))
-                    )
-                    t31_violations += int(np.count_nonzero(bad))
-            elif theorem == "T33":
-                ante = verdict_of(i, p, SHAT_DENSITY, RAW_FLAGS)
-                cons = verdict_of(i, p, STRONG, MODULAR_FLAGS)
-                status = _implication_status(ante, cons)
-                implications.append(
-                    {
-                        "theorem": "T33",
-                        "sequence": sid,
-                        "antecedent": ante,
-                        "consequent": cons,
-                        "flag_mode": RAW_FLAGS,
-                        "status": status,
-                        "hypothesis_note": (
-                            "h_r/h_r**alpha -> 1 requires alpha = 1"
-                            if p.alpha < 1
-                            else "alpha = 1"
-                        ),
-                    }
-                )
-            elif theorem in ("T35", "T36"):
-                v_plain = verdict_of(i, p, STRONG, MODULAR_FLAGS, tag="plain")
-                v_family = verdict_of(i, p, STRONG, MODULAR_FLAGS)
-                if theorem == "T35":
-                    ante, cons = v_plain, v_family
-                else:
-                    ante, cons = v_family, v_plain
-                status = _implication_status(ante, cons)
-                implications.append(
-                    {
-                        "theorem": theorem,
-                        "sequence": sid,
-                        "antecedent": ante,
-                        "consequent": cons,
-                        "status": status,
-                        "note": "conditional on sampled hypothesis",
-                    }
-                )
-            elif theorem in ("T37", "T38"):
-                strong_v = verdict_of(i, p, STRONG, MODULAR_FLAGS)
-                shat_v = verdict_of(i, p, SHAT_DENSITY, MODULAR_FLAGS)
-                if theorem == "T37" and strong_v == CONVERGES and shat_v == DIVERGES:
-                    witnesses.append(
-                        {
-                            "theorem": "T37",
-                            "sequence": sid,
-                            "strong": strong_v,
-                            "shat": shat_v,
-                            "flag_mode": MODULAR_FLAGS,
-                        }
-                    )
-                if theorem == "T38" and shat_v == CONVERGES and strong_v == DIVERGES:
-                    witnesses.append(
-                        {
-                            "theorem": "T38",
-                            "sequence": sid,
-                            "strong": strong_v,
-                            "shat": shat_v,
-                            "flag_mode": MODULAR_FLAGS,
-                        }
-                    )
-
-    for theorem in requested:
-        rows = [imp for imp in implications if imp["theorem"] == theorem]
-        if theorem in ("T37", "T38"):
-            found = [w for w in witnesses if w["theorem"] == theorem]
-            theorem_results[theorem] = {
-                "kind": "witness",
-                "witnesses_found": len(found),
-            }
+        if not requested:
             continue
-        fails = sum(1 for imp in rows if imp["status"] == "FAIL")
-        result = {
-            "kind": "implication",
-            "rows": len(rows),
-            "fail_rows": fails,
-            "pass": fails == 0,
+        if p != engine_params:
+            engine = None  # free the previous engine's buffers before allocating the next
+            built = {name: _space(p, name, beta) for name in names}
+            keys = {name: key for name, (key, _) in built.items()}
+            spaces = dict(built.values())  # beta = alpha reads the family space once
+            engine, engine_params = BlockEngine(spaces.values()), p
+        stats = dict(zip(spaces, engine(x)))
+        decided: dict[tuple, str] = {}  # (bundle, alpha, tag) -> decision, for this sequence
+        for theorem in requested:
+            reads, at, fields = _THEOREM_TABLE[theorem]
+            got = []
+            for bundle, name in reads:
+                key = (bundle, *keys[name])
+                if key not in decided:
+                    v = classify_trajectory(stats[key[1:]][bundle].sup.values, verdict_tol,
+                                            tail_window)
+                    decided[key] = v.decision
+                    verdict_rows.append({"sequence": sid, "space": _label(*key),
+                                         "decision": v.decision, "tail_mean": v.tail_mean})
+                got.append(decided[key])
+            ante, cons = got[at], got[1 - at]
+            status = _implication_status(ante, cons)
+            fails[theorem] += status == "FAIL"
+            if fields is not None:
+                row = {k: v(p.alpha) if callable(v) else v for k, v in fields.items()}
+                implications.append({**row, "theorem": theorem, "sequence": sid,
+                                     "antecedent": ante, "consequent": cons, "status": status})
+            elif status == "FAIL":
+                witnesses.append({"theorem": theorem, "sequence": sid, "strong": got[0],
+                                  "shat": got[1], "flag_mode": MODULAR_FLAGS})
+        constant = isinstance(p.family, ConstantFamily) and p.rho.constant is not None
+        if "T31" in requested and constant:  # the per-block bound, at m = 0
+            floor = _thm31_floor(p, beta)
+            lhs, rhs = _thm31_sides(stats[keys["alpha"]], stats[keys["beta"]], floor, 0)
+            t31_violations += _thm31_violations(lhs, rhs, inequality_slack)
+
+    theorem_results: dict = {
+        t: {"kind": "witness", "witnesses_found": fails[t]}
+        if _THEOREM_TABLE[t][2] is None
+        else {"kind": "implication", "rows": n, "fail_rows": fails[t], "pass": fails[t] == 0}
+        for t in requested
+    }
+    if "T31" in theorem_results:
+        theorem_results["T31"]["block_inequality_violations"] = t31_violations
+    if first is not None and "T35" in theorem_results:
+        rep = delta2_check(first.family)
+        theorem_results["T35"]["delta2"] = {
+            "K_estimate": rep.K_estimate, "held": rep.held, "a": rep.a, "c_rule": rep.c_rule
         }
-        if theorem == "T31":
-            result["block_inequality_violations"] = t31_violations
-        if theorem == "T35" and first is not None:
-            rep = delta2_check(first.family)
-            result["delta2"] = {
-                "K_estimate": rep.K_estimate,
-                "held": rep.held,
-                "a": rep.a,
-                "c_rule": rep.c_rule,
-            }
-        if theorem == "T36" and first is not None:
-            est = liminf_growth_estimate(first.family, first.rho)
-            result["liminf"] = {
-                "gamma": est.gamma,
-                "bounded_away": est.bounded_away,
-                "nu_range": list(est.nu_range),
-            }
-            result["note"] = "conditional on sampled hypothesis"
-        theorem_results[theorem] = result
+    if first is not None and "T36" in theorem_results:
+        est = liminf_growth_estimate(first.family, first.rho)
+        theorem_results["T36"]["liminf"] = {
+            "gamma": est.gamma, "bounded_away": est.bounded_away, "nu_range": list(est.nu_range)
+        }
+        theorem_results["T36"].update(_SAMPLED)
 
     return InclusionReport(
         corpus_id=corpus_id,

@@ -240,14 +240,21 @@ class Shift(MatrixOperator):
 
 @dataclass(frozen=True)
 class RowTable(MatrixOperator):
-    """Explicit finite-support rows: rows[n-1] lists (k, a_nk) pairs."""
+    """Explicit finite-support rows: rows[n-1] lists (k, a_nk) pairs.
+
+    Construction casts and checks each pair once and, in the same pass,
+    gathers the (k - 1, a) arrays `transform` reads: shape (rows, widest
+    row), each row sorted as `sorted(row)`.  Padding has k - 1 = -1 and
+    a = 0.0: `transform` gathers it from a 0.0 appended to x, so a padded
+    column adds an exact 0.0 to a row's sum.
+    """
 
     rows: tuple[tuple[tuple[int, float], ...], ...]
     kind = "row_table"
 
     def __post_init__(self) -> None:
-        rows = []
-        for n, row in enumerate(self.rows, start=1):  # one pass: cast, check, keep
+        rows, ks, coefs = [], [], []
+        for n, row in enumerate(self.rows, start=1):  # one pass: cast, check, keep, gather
             pairs = []
             for k, a in row:
                 k, a = int(k), float(a)
@@ -256,30 +263,22 @@ class RowTable(MatrixOperator):
                 if not math.isfinite(a):
                     raise ValueError(f"row {n}: coefficient at k={k} not finite")
                 pairs.append((k, a))
+                ks.append(k)
+                coefs.append(a)
             rows.append(tuple(pairs))
         object.__setattr__(self, "rows", tuple(rows))
 
-    @cached_property
-    def _columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """(k - 1, a) arrays of shape (rows, widest row), each row sorted as `sorted(row)`.
-
-        Padding has k - 1 = -1 and a = 0.0: `transform` gathers it from a 0.0
-        appended to x, so a padded column adds an exact 0.0 to a row's sum.
-        """
-        lengths = np.array([len(row) for row in self.rows], dtype=np.int64)
-        pairs = [pair for row in self.rows for pair in row]
-        ks = np.array([k for k, _ in pairs], dtype=np.int64)
-        coefs = np.array([a for _, a in pairs], dtype=np.float64)
-        rows = np.repeat(np.arange(lengths.size), lengths)
-        order = np.lexsort((coefs, ks, rows))  # by row, then as sorted() orders (k, a) pairs
-        starts = np.cumsum(lengths) - lengths
-        pos = np.arange(ks.size) - starts[rows]
+        lengths = np.array([len(row) for row in rows], dtype=np.int64)
+        ks, coefs = np.array(ks, dtype=np.int64), np.array(coefs, dtype=np.float64)
+        at = np.repeat(np.arange(lengths.size), lengths)
+        order = np.lexsort((coefs, ks, at))  # by row, then as sorted() orders (k, a) pairs
+        pos = np.arange(ks.size) - (np.cumsum(lengths) - lengths)[at]
         width = int(lengths.max(initial=0))
         cols = np.full((lengths.size, width), -1, dtype=np.int64)
         a = np.zeros((lengths.size, width))
-        cols[rows, pos] = ks[order] - 1
-        a[rows, pos] = coefs[order]
-        return cols, a
+        cols[at, pos] = ks[order] - 1
+        a[at, pos] = coefs[order]
+        object.__setattr__(self, "_columns", (cols, a))
 
     def transform(self, x: np.ndarray, out_len: int, tol: float) -> np.ndarray:
         cols, a = (arr[:out_len] for arr in self._columns)

@@ -66,6 +66,36 @@ def test_preset_outputs_match_golden(tmp_path, command, preset):
         assert (tmp_path / name).read_bytes() == (golden / name).read_bytes()
 
 
+# every theorem, beta != alpha, witnesses for T37 and T38, FAIL rows under T31, T33 and T36
+INCLUSION_ALL_THEOREMS = {
+    "command": "inclusion",
+    "beta": 0.8,
+    "space": {"alpha": 0.5, "m_max": 2, "epsilon": 0.3},
+    "corpus": {
+        "size": 5,
+        "exception_density": 0.05,
+        "include_thm37": True,
+        "include_thm38": True,
+        "construction_r_max": 14,
+    },
+}
+
+
+def test_inclusion_outputs_match_golden(tmp_path):
+    """The inclusion report and membership table, byte for byte.
+
+    The golden files under tests/golden/inclusion-all-theorems/ were
+    written by the version before the theorem table drove the run; do not
+    regenerate them to make a refactor pass.
+    """
+    cfg = write_config(tmp_path, INCLUSION_ALL_THEOREMS)
+    out = tmp_path / "out"
+    assert run_cli(["inclusion", "--config", cfg, "--out", out]) == 0
+    golden = GOLDEN / "inclusion-all-theorems"
+    assert report_bytes_without_timestamp(out) == (golden / "report.json").read_bytes()
+    assert (out / "membership.csv").read_bytes() == (golden / "membership.csv").read_bytes()
+
+
 class TestNorms:
     def test_ell2_closed_form(self, tmp_path):
         cfg = write_config(

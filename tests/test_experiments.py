@@ -173,6 +173,25 @@ class TestInclusionMatrix:
         assert report.theorem_results["T31"]["fail_rows"] == 0
         assert report.theorem_results["T31"]["block_inequality_violations"] == 0
 
+    def test_planted_t31_violation_is_counted(self):
+        """x_k = eps with L = 0, M(u) = u**2 and alpha = beta: every raw flag is set and
+        T31's sides are equal in every block.  With the floor scaled by 1 + 1e-6, the
+        run and thm31_block_bounds both see rhs above lhs in every block."""
+        s = build_lacunary(Geometric(1, 2, 6))
+        p = _plain_params(s, alpha=1.0, epsilon=0.5)
+        x = Sequence(np.full(s.last_index + p.m_max, p.epsilon))
+        lhs, rhs = experiments.thm31_block_bounds(x, p, beta=1.0)
+        assert np.array_equal(lhs, rhs) and np.all(lhs > 0)
+        report = run_inclusion_matrix([(x, p)], ["T31"], beta=1.0)
+        assert report.theorem_results["T31"]["block_inequality_violations"] == 0
+
+        floor = experiments._thm31_floor
+        with patch.object(experiments, "_thm31_floor", lambda q, b: floor(q, b) * (1 + 1e-6)):
+            report = run_inclusion_matrix([(x, p)], ["T31"], beta=1.0)
+            lhs, rhs = experiments.thm31_block_bounds(x, p, beta=1.0)
+        assert report.theorem_results["T31"]["block_inequality_violations"] == s.num_blocks
+        assert np.all(lhs < rhs)
+
     def test_thm37_row_is_witnessed(self):
         x, s, p = build_thm37(CounterexampleSpec(theorem="thm37", r_max=14))
         report = run_inclusion_matrix([(x, p)], ["T37"])
