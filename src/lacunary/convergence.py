@@ -43,7 +43,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import NonFiniteStatistic
-from .orlicz import ExponentSequence, MusielakOrliczFamily, RhoSequence
+from .orlicz import ExponentSequence, MusielakOrliczFamily, RhoSequence, power_in_place
 from .sequences import (
     Identity,
     LacunarySchedule,
@@ -241,7 +241,9 @@ def _uniform(
 class _TermGroup:
     """Spaces of an engine sharing (family, rho, exponents), hence terms and modular flags."""
 
-    def __init__(self, p: SpaceParams, terms: np.ndarray, bounds: list[tuple[int, int]]) -> None:
+    def __init__(
+        self, p: SpaceParams, terms: np.ndarray, bounds: list[tuple[int, int]], on_dev: bool
+    ) -> None:
         k_end = p.schedule.last_index
         if p.rho.constant is None:
             self.rho = p.rho.array(1, k_end)
@@ -252,19 +254,22 @@ class _TermGroup:
         self.exps = None if p.exponents.is_identically_one else p.exponents.array(1, k_end)
         self.kernels = [p.family.bind(np.arange(a + 1, b + 1)) for a, b in bounds]
         self.terms = terms
+        self.on_dev = on_dev  # the terms are the deviations' own storage
         self.flags = np.empty(k_end, dtype=bool)
 
     def tile(self, t: int, a: int, b: int, dev: np.ndarray, epsilon: float) -> None:
         """Terms and modular flags of tile t = [a, b) from its deviations `dev`.
 
-        `dev` may be the terms' own storage: it is read before it is written.
+        The kernel runs in place on the tile's terms, which first hold the
+        quotient dev / rho, or else `dev` itself: the first group's terms are
+        its storage, the other groups' terms take one copy of it.
         """
-        u = dev if self.rho is None else np.divide(dev, self.rho[a:b], out=self.terms[a:b])
-        if self.exps is None:
-            self.terms[a:b] = self.kernels[t](u)
-        else:  # not in place: numpy's pow loop may change with in-place aliasing
-            np.power(self.kernels[t](u), self.exps[a:b], out=self.terms[a:b])
-        np.greater_equal(self.terms[a:b], epsilon, out=self.flags[a:b])
+        terms = dev if self.on_dev else self.terms[a:b]
+        u = dev if self.rho is None else np.divide(dev, self.rho[a:b], out=terms)
+        self.kernels[t](u, out=terms)
+        if self.exps is not None:
+            power_in_place(terms, self.exps[a:b])
+        np.greater_equal(terms, epsilon, out=self.flags[a:b])
 
 
 class BlockEngine:
@@ -295,10 +300,12 @@ class BlockEngine:
     workspace; the first group's terms are y's own storage (a tile reads y
     at m = 0 before it writes its terms, and its deviations are computed in
     place there).  Every later call allocates nothing of prefix size beyond
-    the transform's output (for Identity a view of x) and tile-sized
-    temporaries, so it touches no fresh prefix-sized pages.  Results never
-    alias the buffers.  Because the buffers are shared, an engine serves
-    one caller at a time.
+    the transform's output (for Identity a view of x), so it touches no
+    fresh prefix-sized pages.  The kernels run in place on the terms
+    workspace (`bind`'s `out=`), so the tiles make no temporaries either,
+    except in the `table` and `custom` kinds, whose formulas build
+    tile-sized ones.  Results never alias the buffers.  Because the buffers
+    are shared, an engine serves one caller at a time.
 
     Overflow is an honest +inf.  A NaN strong block sum (a window sum
     inf - inf, for one) raises NonFiniteStatistic naming the first (m, block).
@@ -339,7 +346,7 @@ class BlockEngine:
         self._raw_flags = np.empty(k_end, dtype=bool)
         self._bounds = [(a, min(a + _TILE, k_end)) for a in range(0, k_end, _TILE)]
         self._groups = [
-            _TermGroup(q, self._y[:k_end] if g == 0 else np.empty(k_end), self._bounds)
+            _TermGroup(q, self._y[:k_end] if g == 0 else np.empty(k_end), self._bounds, g == 0)
             for g, q in enumerate(self._leaders)
         ]
         self._c = np.empty(k_end + p.m_max + 1) if p.m_max else None

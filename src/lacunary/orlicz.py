@@ -11,21 +11,26 @@ and the two norms computed here are
     luxemburg:  inf { rho > 0 : I(x / rho) <= 1 }
     amemiya:    inf { (1 + I(k x)) / k : k > 0 }   (the "second" norm)
 
-Kernel contract: each function kind has exactly one array formula, run by
+Kernel contract: each function kind has exactly one array formula, an
+in-place one (`_formula(out)` overwrites out with M(out)), run by
 `eval_many`; the scalar `M(u)` is its one-element case, so both give the
 same bits.  A family is evaluated through `family.bind(ks)`, which gathers
 the per-index data (exponents, slopes, member groups) once and returns a
 kernel `us -> M_{ks}(us)` for any number of argument arrays;
-`family.member(k)(u)` has the bits of `family.bind([k])([u])[0]`.  Arguments
-must be >= 0 (NegativeArgument otherwise).  Overflow is a silent +inf,
-an honest "too large" value that the searches and verdicts handle.
+`family.member(k)(u)` has the bits of `family.bind([k])([u])[0]`.  Like a
+numpy ufunc, a kernel takes `out=`: `kernel(us)` returns a fresh array and
+leaves `us` as it is, while `kernel(us, out=w)` writes into the caller's
+float64 array `w` (which may be `us` itself) and returns it, with the same
+bits; so a caller that owns a workspace evaluates without a temporary.
+Arguments must be >= 0 (NegativeArgument otherwise).  Overflow is a silent
++inf, an honest "too large" value that the searches and verdicts handle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Iterable
 
 import numpy as np
@@ -34,7 +39,8 @@ from .errors import BracketTooSmall, EmptyAdmissibleSet, NegativeArgument, Scale
 from .optimize import brent_min, secant_crossing
 from .sequences import Sequence
 
-Kernel = Callable[[np.ndarray], np.ndarray]
+Kernel = Callable[..., np.ndarray]  # (us, out=None) -> M_{ks}(us), see `bind`
+Formula = Callable[[np.ndarray], object]  # overwrites its argument `out` with M(out)
 
 
 def _arguments(us) -> np.ndarray:
@@ -44,24 +50,48 @@ def _arguments(us) -> np.ndarray:
     return us
 
 
+def power_in_place(out: np.ndarray, p: np.ndarray) -> None:
+    """out **= p elementwise for an exponent array `p`, with the bits of `out ** p`.
+
+    On a one-element `out`, numpy's in-place power reads `p` as a scalar
+    exponent and takes its shortcuts (square for 2, sqrt for 0.5), which
+    `out ** p` does not; that one case goes through a temporary.
+    """
+    if out.size == 1:
+        out[...] = out**p
+    else:
+        np.power(out, p, out=out)
+
+
+def _evaluate(formula: Formula, us, out: np.ndarray | None = None) -> np.ndarray:
+    """The in-place `formula` on the checked `us`, run in `out` (or a fresh copy of us)."""
+    us = _arguments(us)
+    if out is None:
+        out = us.copy()
+    elif out is not us:
+        np.copyto(out, us)
+    with np.errstate(over="ignore"):
+        formula(out)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # single Orlicz functions
 # ---------------------------------------------------------------------------
 
 
 class OrliczFunction:
-    """Base class; subclasses implement their one array formula in `_formula`."""
+    """Base class; subclasses implement their one array formula, in place, in `_formula`."""
 
     label = "abstract"
 
-    def _formula(self, us: np.ndarray) -> np.ndarray:
+    def _formula(self, out: np.ndarray) -> None:
+        """Overwrite `out` with M(out) elementwise."""
         raise NotImplementedError
 
     def eval_many(self, us: np.ndarray) -> np.ndarray:
-        """M(us) elementwise; overflow gives +inf without a warning."""
-        us = _arguments(us)
-        with np.errstate(over="ignore"):
-            return self._formula(us)
+        """M(us) elementwise, as a fresh array; overflow gives +inf without a warning."""
+        return _evaluate(self._formula, us)
 
     def __call__(self, u: float) -> float:
         """M(u), the one-element case of `eval_many`: the same bits as in an array."""
@@ -79,8 +109,8 @@ class Power(OrliczFunction):
         if self.p < 1:
             raise ValueError("power exponent must be >= 1 for convexity")
 
-    def _formula(self, us: np.ndarray) -> np.ndarray:
-        return us**self.p
+    def _formula(self, out: np.ndarray) -> None:
+        out **= self.p  # the square/power dispatch of `us ** p`
 
 
 @dataclass(frozen=True)
@@ -95,8 +125,9 @@ class ScaledPower(OrliczFunction):
         if self.p < 1 or self.c <= 0:
             raise ValueError("need p >= 1 and c > 0")
 
-    def _formula(self, us: np.ndarray) -> np.ndarray:
-        return self.c * us**self.p
+    def _formula(self, out: np.ndarray) -> None:
+        out **= self.p
+        out *= self.c
 
 
 @dataclass(frozen=True)
@@ -110,8 +141,9 @@ class PowerOverP(OrliczFunction):
         if self.p <= 1:
             raise ValueError("need p > 1")
 
-    def _formula(self, us: np.ndarray) -> np.ndarray:
-        return us**self.p / self.p
+    def _formula(self, out: np.ndarray) -> None:
+        out **= self.p
+        out /= self.p
 
 
 @dataclass(frozen=True)
@@ -120,8 +152,8 @@ class ExpMinusOne(OrliczFunction):
 
     label = "exp_minus_one"
 
-    def _formula(self, us: np.ndarray) -> np.ndarray:
-        return np.expm1(us)
+    def _formula(self, out: np.ndarray) -> None:
+        np.expm1(out, out=out)
 
 
 @dataclass(frozen=True)
@@ -135,8 +167,8 @@ class LinearSlope(OrliczFunction):
         if self.c <= 0:
             raise ValueError("slope must be > 0")
 
-    def _formula(self, us: np.ndarray) -> np.ndarray:
-        return self.c * us
+    def _formula(self, out: np.ndarray) -> None:
+        np.multiply(self.c, out, out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,14 +197,11 @@ class Table(OrliczFunction):
             raise ValueError("knots must be finite")
         object.__setattr__(self, "knots", knots)
 
-    def _formula(self, us: np.ndarray) -> np.ndarray:
+    def _formula(self, out: np.ndarray) -> None:
         xs = np.array([a for a, _ in self.knots])
         ys = np.array([b for _, b in self.knots])
-        out = np.interp(us, xs, ys)
         slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
-        beyond = us > xs[-1]
-        out = np.where(beyond, ys[-1] + slope * (us - xs[-1]), out)
-        return out
+        out[...] = np.where(out > xs[-1], ys[-1] + slope * (out - xs[-1]), np.interp(out, xs, ys))
 
 
 @dataclass(frozen=True)
@@ -262,34 +291,32 @@ class MusielakOrliczFamily:
         """
         return _Member(self._bind(np.array([k], dtype=np.int64)))
 
-    def _bind(self, ks: np.ndarray) -> Kernel:
-        """The array formula us -> M_{ks}(us), with the data of the indices gathered."""
+    def _bind(self, ks: np.ndarray) -> Formula:
+        """The in-place array formula out -> M_{ks}(out), with the data of the indices gathered."""
         raise NotImplementedError
 
     def bind(self, ks: np.ndarray) -> Kernel:
-        """The kernel us -> M_{ks[i]}(us[i]) elementwise, for any number of `us` arrays.
+        """The kernel (us, out=None) -> M_{ks[i]}(us[i]) elementwise, for any number of `us` arrays.
 
-        The per-index data is gathered here, once; overflow gives +inf without a warning.
+        The per-index data is gathered here, once; overflow gives +inf without
+        a warning.  `kernel(us)` returns a fresh array and never writes to
+        `us`.  `kernel(us, out=w)` writes the same bits into the float64 array
+        `w` of us's shape and returns it: in place when `w` is `us` itself,
+        after one copy of `us` into `w` otherwise, so a caller that owns `w`
+        allocates nothing of the prefix's size.
         """
-        formula = self._bind(np.asarray(ks, dtype=np.int64))
-
-        def kernel(us: np.ndarray) -> np.ndarray:
-            us = _arguments(us)
-            with np.errstate(over="ignore"):
-                return formula(us)
-
-        return kernel
+        return partial(_evaluate, self._bind(np.asarray(ks, dtype=np.int64)))
 
 
 @dataclass(frozen=True, eq=False)
 class _Member(OrliczFunction):
     """One member of a family: its array formula bound to one index."""
 
-    formula: Kernel
+    formula: Formula
     label = "member"
 
-    def _formula(self, us: np.ndarray) -> np.ndarray:
-        return self.formula(us)
+    def _formula(self, out: np.ndarray) -> None:
+        self.formula(out)
 
 
 @dataclass(frozen=True)
@@ -302,7 +329,7 @@ class ConstantFamily(MusielakOrliczFamily):
     def member(self, k: int) -> OrliczFunction:
         return self.function
 
-    def _bind(self, ks: np.ndarray) -> Kernel:
+    def _bind(self, ks: np.ndarray) -> Formula:
         return self.function._formula
 
 
@@ -312,9 +339,9 @@ class IndexScaledFamily(MusielakOrliczFamily):
 
     label = "index_scaled"
 
-    def _bind(self, ks: np.ndarray) -> Kernel:
+    def _bind(self, ks: np.ndarray) -> Formula:
         ks = ks.astype(np.float64)
-        return lambda us: us / ks
+        return lambda out: np.divide(out, ks, out=out)
 
 
 @dataclass(frozen=True)
@@ -332,9 +359,9 @@ class IndexPowerFamily(MusielakOrliczFamily):
             raise ValueError("every exponent must be >= 1")
         object.__setattr__(self, "exponents", exps)
 
-    def _bind(self, ks: np.ndarray) -> Kernel:
+    def _bind(self, ks: np.ndarray) -> Formula:
         p = np.asarray(self.exponents)[np.minimum(ks - 1, len(self.exponents) - 1)]
-        return lambda us: us**p
+        return lambda out: power_in_place(out, p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -357,7 +384,7 @@ class SpikeFamily(MusielakOrliczFamily):
     def _table(self) -> dict[int, float]:
         return dict(self.slopes)
 
-    def _bind(self, ks: np.ndarray) -> Kernel:
+    def _bind(self, ks: np.ndarray) -> Formula:
         keys = sorted(self._table)
         slopes = np.array([self._table[k] for k in keys])
         keys = np.array(keys, dtype=np.int64)
@@ -366,7 +393,7 @@ class SpikeFamily(MusielakOrliczFamily):
             pos = np.minimum(np.searchsorted(keys, ks), keys.size - 1)
             hit = keys[pos] == ks
             c[hit] = slopes[pos[hit]]
-        return lambda us: c * us
+        return lambda out: np.multiply(c, out, out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -383,18 +410,18 @@ class CustomFamily(MusielakOrliczFamily):
     def member(self, k: int) -> OrliczFunction:
         return self.functions[min(k - 1, len(self.functions) - 1)]
 
-    def _bind(self, ks: np.ndarray) -> Kernel:
-        """One `eval_many` call per member, on the positions of the indices it serves."""
+    def _bind(self, ks: np.ndarray) -> Formula:
+        """One formula call per member, on a copy of the positions of the indices it serves."""
         idx = np.minimum(ks - 1, len(self.functions) - 1)
         order = np.argsort(idx, kind="stable")
         runs = np.split(order, np.flatnonzero(np.diff(idx[order])) + 1) if idx.size else []
         groups = [(self.functions[idx[run[0]]], run) for run in runs]
 
-        def formula(us: np.ndarray) -> np.ndarray:
-            out = np.empty(us.shape)
-            for M, run in groups:
-                out[run] = M.eval_many(us[run])
-            return out
+        def formula(out: np.ndarray) -> None:
+            for M, run in groups:  # the runs are disjoint: each reads its positions before writing them
+                part = out[run]
+                M._formula(part)
+                out[run] = part
 
         return formula
 
@@ -523,27 +550,36 @@ def modular(
     ks = np.arange(1, n + 1)
     with np.errstate(over="ignore"):  # a quotient or a sum past float64 is an honest +inf
         us = np.abs(x.values) / rho.array(1, n)
-        return float(np.sum(family.bind(ks)(us)))
+        return float(np.sum(family.bind(ks)(us, out=us)))
 
 
-def _bound_prefix(family: MusielakOrliczFamily, x: Sequence) -> tuple[Kernel, np.ndarray]:
-    """The family's kernel on the indices 1..N and |x|, built once for every step of a search."""
-    return family.bind(np.arange(1, x.horizon + 1)), np.abs(x.values)
+def _bound_prefix(
+    family: MusielakOrliczFamily, x: Sequence
+) -> tuple[Kernel, np.ndarray, np.ndarray]:
+    """The family's kernel on the indices 1..N, |x| and a workspace of its size.
+
+    Made once for every step of a search: each step writes its scaled
+    prefix into the workspace and runs the kernel there in place.
+    """
+    kernel = family.bind(np.arange(1, x.horizon + 1))  # the index array is freed here
+    ax = np.abs(x.values)
+    return kernel, ax, np.empty_like(ax)
 
 
 def _luxemburg_bracket(
-    kernel: Kernel, ax: np.ndarray
+    kernel: Kernel, ax: np.ndarray, work: np.ndarray
 ) -> tuple[Callable[[float], float], float, float, float, float]:
     """The map g(rho) = modular(x / rho) and a bracket lo < rho_L <= hi = 2 lo.
 
     Returns (g, lo, g(lo), hi, g(hi)) with g(lo) > 1 >= g(hi), found by
     doubling or halving rho from 1, so both ends are powers of two.  g is bit
-    for bit modular(family, x, RhoSequence(constant=rho)).
+    for bit modular(family, x, RhoSequence(constant=rho)); each call
+    overwrites the workspace `work`.
     """
 
     def g(rho: float) -> float:
         with np.errstate(over="ignore"):
-            return float(np.sum(kernel(ax / rho)))
+            return float(np.sum(kernel(np.divide(ax, rho, out=work), out=work)))
 
     lo = hi = 1.0
     g_lo = g_hi = g(1.0)
@@ -623,7 +659,7 @@ def orlicz_norm(
         raise ValueError("tol must be > 0")
     if not np.any(x.values):
         return AmemiyaValue(0.0, False)
-    kernel, ax = _bound_prefix(family, x)
+    kernel, ax, work = _bound_prefix(family, x)  # one workspace for the bracket and Brent's steps
     ax_max = float(np.max(ax))
 
     def check_scale(k: float) -> None:
@@ -637,10 +673,10 @@ def orlicz_norm(
     def objective(k: float) -> float:
         check_scale(k)
         with np.errstate(over="ignore"):  # a modular past float64 is an honest +inf
-            return (1.0 + float(np.sum(kernel(ax * k)))) / k
+            return (1.0 + float(np.sum(kernel(np.multiply(ax, k, out=work), out=work)))) / k
 
     check_scale(1.0 / tol)
-    _, lo, g_lo, hi, g_hi = _luxemburg_bracket(kernel, ax)
+    _, lo, g_lo, hi, g_hi = _luxemburg_bracket(kernel, ax, work)
     # lo and hi are powers of two, so x * (1 / hi) has the bits of x / hi, and
     # F at k = 1/hi and at k = 1/lo (the first doubling) is known from the
     # bracket bit for bit; the lower end 1 / (2 hi) needs no rounding margin

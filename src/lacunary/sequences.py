@@ -73,7 +73,7 @@ def _owned(arr: np.ndarray) -> np.ndarray:
     """The float64 array `arr`, checked as a prefix and made read-only."""
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("a sequence needs a one-dimensional, nonempty prefix")
-    if not np.all(np.isfinite(arr)):
+    if not (math.isfinite(np.min(arr)) and math.isfinite(np.max(arr))):  # NaN propagates; no temporary
         raise ValueError("sequence values must be finite (no NaN/inf)")
     arr.flags.writeable = False
     return arr
@@ -238,6 +238,9 @@ class Shift(MatrixOperator):
         return np.concatenate((np.zeros(lo), x[lo + self.d : out_len + self.d]))
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)  # the largest column index a table stores
+
+
 @dataclass(frozen=True)
 class RowTable(MatrixOperator):
     """Explicit finite-support rows: rows[n-1] lists (k, a_nk) pairs.
@@ -260,6 +263,8 @@ class RowTable(MatrixOperator):
                 k, a = int(k), float(a)
                 if k < 1:
                     raise ValueError(f"row {n}: column index {k} < 1")
+                if k > _INT64_MAX:
+                    raise ValueError(f"row {n}: column index {k} is past int64")
                 if not math.isfinite(a):
                     raise ValueError(f"row {n}: coefficient at k={k} not finite")
                 pairs.append((k, a))

@@ -13,6 +13,11 @@ Luxemburg crossing, a 41-point log grid over k in [2**-20, 2**20] refined
 by golden section for the Amemiya minimum, golden section for the
 conjugate, and one `modular` call per step.
 
+The Orlicz kernels' reference is the allocating route they replaced:
+`allocating_eval_many` and `allocating_bind` build each M_k(u) as a fresh
+array (`us ** p`, `c * us`, ...).  The in-place kernels must give the same
+bits, in whatever buffer they write.
+
 The report's references are the interpreted routes: `materialize` reads
 each field's JSON constraint at every node of the echo (`normalize`), and
 `encode_report` rounds a copy of the whole tree (`round_floats`) before
@@ -28,10 +33,21 @@ import numpy as np
 
 from lacunary import (
     BlockTrajectory,
+    ConstantFamily,
+    CustomFamily,
+    ExpMinusOne,
+    IndexPowerFamily,
+    IndexScaledFamily,
     LacunarySchedule,
+    LinearSlope,
+    Power,
+    PowerOverP,
     RhoSequence,
+    ScaledPower,
     Sequence,
     SpaceParams,
+    SpikeFamily,
+    Table,
     modular,
     transform_sequence,
 )
@@ -124,6 +140,59 @@ def shat_flags(
     if mode == RAW_FLAGS:
         return _window_deviations(x, p, m) >= p.epsilon
     raise ValueError(f"unknown flag mode {mode!r}")
+
+
+# ---------------------------------------------------------------------------
+# the Orlicz kernels: the allocating formulas
+# ---------------------------------------------------------------------------
+
+def allocating_eval_many(M, us: np.ndarray) -> np.ndarray:
+    """M(us) as a fresh array, by the formula of M's kind."""
+    with np.errstate(over="ignore"):
+        if isinstance(M, Power):
+            return us**M.p
+        if isinstance(M, ScaledPower):
+            return M.c * us**M.p
+        if isinstance(M, PowerOverP):
+            return us**M.p / M.p
+        if isinstance(M, ExpMinusOne):
+            return np.expm1(us)
+        if isinstance(M, LinearSlope):
+            return M.c * us
+        assert isinstance(M, Table)
+        xs = np.array([a for a, _ in M.knots])
+        ys = np.array([b for _, b in M.knots])
+        out = np.interp(us, xs, ys)
+        slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
+        return np.where(us > xs[-1], ys[-1] + slope * (us - xs[-1]), out)
+
+
+def allocating_bind(family, ks, us: np.ndarray) -> np.ndarray:
+    """M_{ks}(us) elementwise as a fresh array; `ks` broadcasts against `us`."""
+    ks = np.asarray(ks, dtype=np.int64)
+    if isinstance(family, ConstantFamily):
+        return allocating_eval_many(family.function, us)
+    if isinstance(family, CustomFamily):
+        idx = np.broadcast_to(np.minimum(ks - 1, len(family.functions) - 1), us.shape)
+        out = np.empty(us.shape)
+        for i in np.unique(idx):
+            at = idx == i
+            out[at] = allocating_eval_many(family.functions[i], us[at])
+        return out
+    with np.errstate(over="ignore"):
+        if isinstance(family, IndexScaledFamily):
+            return us / ks.astype(np.float64)
+        if isinstance(family, IndexPowerFamily):
+            return us ** np.asarray(family.exponents)[np.minimum(ks - 1, len(family.exponents) - 1)]
+        assert isinstance(family, SpikeFamily)
+        c = np.full(ks.shape, family.default_slope)
+        table = dict(family.slopes)
+        keys = np.array(sorted(table), dtype=np.int64)
+        if keys.size:
+            pos = np.minimum(np.searchsorted(keys, ks), keys.size - 1)
+            hit = keys[pos] == ks
+            c[hit] = np.array([table[k] for k in sorted(table)])[pos[hit]]
+        return c * us
 
 
 # ---------------------------------------------------------------------------

@@ -524,6 +524,12 @@ class TestErrorBoundary:
             tmp_path, capsys, doc, "config error: rho: rho defined up to index 1, the sequence needs 3"
         )
 
+    def test_row_table_column_index_past_int64(self, tmp_path, capsys):
+        doc = {**BASE_CLASSIFY, "matrix": {"kind": "row_table", "rows": [[[2**70, 1.0]]]}}
+        self.run_expect_error(
+            tmp_path, capsys, doc, f"config error: matrix: row 1: column index {2**70} is past int64\n"
+        )
+
     def test_t31_beta_below_space_alpha(self, tmp_path, capsys):
         doc = {"command": "inclusion", "beta": 0.5, "space": {"alpha": 1.0}}
         self.run_expect_error(

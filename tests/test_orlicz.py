@@ -43,7 +43,13 @@ from lacunary.errors import BracketTooSmall, EmptyAdmissibleSet, LacunaryError, 
 from lacunary.experiments import random_bounded_sequence
 from lacunary.optimize import brent_min, secant_crossing
 from lacunary.orlicz import table_axiom_failures
-from reference import amemiya_objective, reference_amemiya, reference_conjugate, reference_luxemburg
+from reference import (
+    allocating_bind,
+    amemiya_objective,
+    reference_amemiya,
+    reference_conjugate,
+    reference_luxemburg,
+)
 
 
 EXTREME_ARGUMENTS = [
@@ -115,46 +121,7 @@ class TestEval:
         assert fam.bind(ks)(us).tobytes() == loop.tobytes()
 
 
-# Test-only copies of the formulas the array kernels replaced: the per-kind
-# `eval_many` and family `eval_at` bodies, and the scalar `_eval` bodies.
-OLD_EVAL_MANY = {
-    Power: lambda M, us: us**M.p,
-    ScaledPower: lambda M, us: M.c * us**M.p,
-    PowerOverP: lambda M, us: us**M.p / M.p,
-    ExpMinusOne: lambda M, us: np.expm1(us),
-    LinearSlope: lambda M, us: M.c * us,
-    Table: lambda M, us: old_table_eval_many(M, us),
-}
-
-
-def old_table_eval_many(M, us):
-    xs = np.array([a for a, _ in M.knots])
-    ys = np.array([b for _, b in M.knots])
-    out = np.interp(us, xs, ys)
-    slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
-    return np.where(us > xs[-1], ys[-1] + slope * (us - xs[-1]), out)
-
-
-def old_eval_at(family, ks, us):
-    ks = np.asarray(ks, dtype=np.int64)
-    us = np.asarray(us, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        if isinstance(family, ConstantFamily):
-            return OLD_EVAL_MANY[type(family.function)](family.function, us)
-        if isinstance(family, IndexScaledFamily):
-            return us / np.asarray(ks, dtype=np.float64)
-        if isinstance(family, IndexPowerFamily):
-            return us ** np.asarray(family.exponents)[np.minimum(ks - 1, len(family.exponents) - 1)]
-        c = np.full(ks.shape, family.default_slope)
-        table = dict(family.slopes)
-        keys = np.array(sorted(table), dtype=np.int64)
-        if keys.size:
-            pos = np.minimum(np.searchsorted(keys, ks), keys.size - 1)
-            hit = keys[pos] == ks
-            c[hit] = np.array([table[k] for k in sorted(table)])[pos[hit]]
-        return c * us
-
-
+# Test-only copies of the scalar `_eval` bodies the array kernels replaced.
 def old_scalar(M, u):
     if u == 0.0:
         return 0.0
@@ -242,8 +209,8 @@ class TestKernels:
     def test_bind_is_bitwise_the_old_eval_at(self, family, pairs):
         ks, us = split(pairs)
         kernel = family.bind(ks)
-        assert kernel(us).tobytes() == old_eval_at(family, ks, us).tobytes()
-        assert kernel(2.0 * us).tobytes() == old_eval_at(family, ks, 2.0 * us).tobytes()
+        assert kernel(us).tobytes() == allocating_bind(family, ks, us).tobytes()
+        assert kernel(2.0 * us).tobytes() == allocating_bind(family, ks, 2.0 * us).tobytes()
 
     @given(
         functions=st.lists(FUNCTIONS, min_size=1, max_size=5).map(tuple),
@@ -313,6 +280,79 @@ class TestKernels:
                 orlicz._arguments(us)
         else:
             assert orlicz._arguments(us).tobytes() == arr.tobytes()
+
+
+class TestKernelOut:
+    """`kernel(us, out=w)` writes the bits of the allocating formulas (`tests/reference.py`)
+    wherever `w` is, and `kernel(us)` leaves `us` as it was."""
+
+    @given(family=st.one_of(FAMILIES, CUSTOM_FAMILIES), pairs=PAIRS, offset=st.integers(0, 5))
+    @example(family=IndexPowerFamily((2.0,)), pairs=[(1, 3.2530809568010897)], offset=0)  # see power_in_place
+    @example(family=IndexPowerFamily((2.0, 3.0)), pairs=[(1, 3.2530809568010897), (2, 1.5)], offset=1)
+    @settings(max_examples=150, deadline=None)
+    def test_every_layout_gives_the_reference_bits(self, family, pairs, offset):
+        ks, us = split(pairs)
+        want = allocating_bind(family, ks, us).tobytes()
+        kernel = family.bind(ks)
+        given_us = us.tobytes()
+
+        fresh = kernel(us)
+        assert fresh.tobytes() == want
+        assert us.tobytes() == given_us and not np.shares_memory(fresh, us)
+
+        inplace = us.copy()  # out is us itself
+        assert kernel(inplace, out=inplace) is inplace
+        assert inplace.tobytes() == want
+
+        separate = np.full(us.shape, np.nan)
+        assert kernel(us, out=separate) is separate
+        assert separate.tobytes() == want and us.tobytes() == given_us
+
+        work = np.full(us.size + offset + 3, -1.0)  # an offset view into a larger workspace
+        view = work[offset : offset + us.size]
+        assert kernel(us, out=view) is view
+        assert view.tobytes() == want
+        view[:] = us
+        assert kernel(view, out=view) is view
+        assert view.tobytes() == want
+        assert np.all(work[:offset] == -1.0) and np.all(work[offset + us.size :] == -1.0)
+
+    @given(family=st.one_of(FAMILIES, CUSTOM_FAMILIES), k=st.integers(1, 60), us=ARGUMENTS)
+    @settings(max_examples=100, deadline=None)
+    def test_member_and_eval_many_keep_their_bits_and_inputs(self, family, k, us):
+        """`member(k).eval_many` broadcasts one index's data over `us`, as before
+        (for a constant or custom family it is the function's own `eval_many`)."""
+        us = np.array(us)
+        given_us = us.tobytes()
+        got = family.member(k).eval_many(us)
+        assert got.tobytes() == allocating_bind(family, [k], us).tobytes()
+        assert us.tobytes() == given_us
+
+    @given(
+        us=ARGUMENTS,
+        exponents=st.lists(
+            st.sampled_from([0.5, 1.0, 2.0, 3.0]) | st.floats(0.1, 12.0), min_size=1, max_size=40
+        ),
+        offset=st.integers(0, 5),
+    )
+    @example(us=[3.2530809568010897], exponents=[2.0], offset=0)
+    @example(us=[0.3], exponents=[0.5], offset=3)
+    @settings(max_examples=150, deadline=None)
+    def test_power_in_place_is_the_allocating_power(self, us, exponents, offset):
+        """The engine's exponent step and the index_power kernel: `out ** p` bit for bit,
+        one-element arrays included, in the array itself and in an offset view."""
+        us = np.array(us)
+        p = np.resize(np.array(exponents), us.shape)
+        with np.errstate(over="ignore"):
+            want = (us**p).tobytes()
+            inplace = us.copy()
+            orlicz.power_in_place(inplace, p)
+            work = np.full(us.size + offset, -1.0)
+            view = work[offset:]
+            view[:] = us
+            orlicz.power_in_place(view, p)
+        assert inplace.tobytes() == want
+        assert view.tobytes() == want
 
 
 def pairwise_axioms(M, grid, growth_floor=0.0, tol=1e-12):
@@ -724,10 +764,10 @@ class TestSearchEvaluationCount:
         def counting_bind(self, ks):
             kernel = bind(self, ks)
 
-            def counted(us):
+            def counted(us, out=None):
                 nonlocal calls
                 calls += 1
-                return kernel(us)
+                return kernel(us, out=out)
 
             return counted
 
