@@ -11,7 +11,11 @@ report.json is written by one streaming encoder in a single walk: it
 rounds each float as it writes it, writes +-inf as "inf"/"-inf", and
 gives the same bytes as `json.dump(..., indent=2, sort_keys=True,
 allow_nan=False)` of the rounded tree, without building that tree or the
-whole text.
+whole text.  A list whose leaves all sit at one depth (a list of numbers,
+a table of pairs) is written 256 items at a time, each chunk with one
+template: its leaves are formatted in bulk, a column of one type at a
+time, and its brackets and indentation come from one template string
+per list length and depth.
 
 Exit codes: 0 when all requested computations completed (math PASS/FAIL
 lands in the report), 1 on config or computation errors, 2 under
@@ -23,9 +27,11 @@ from __future__ import annotations
 import argparse
 import datetime
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Iterator, TextIO
@@ -129,6 +135,71 @@ def _key_json(key: Any) -> str:
     return encode_basestring_ascii(key)
 
 
+# A `.12g` text and the repr of the float it parses to have the same digits unless that
+# float is subnormal, and the same layout except that repr adds ".0" to a whole number and
+# writes exponents 12 to 15 in full.  _SHORT_REPR finds the texts that need repr itself.
+_SHORT_REPR = re.compile(r"e\+1[2-5]$|e-3(?:0[89]|[12])", re.MULTILINE)
+_WHOLE = re.compile(r"^(-?\d+)$", re.MULTILINE)
+
+
+def _bulk_texts(leaves: list) -> list[str] | None:
+    """The texts of leaves of one exact type, without a Python step per leaf for floats,
+    ints and strings; None when the types are mixed or a float is not finite."""
+    types = set(map(type, leaves))
+    if types == {float}:
+        if not all(map(math.isfinite, leaves)):
+            return None
+        text = "\n".join(["%.12g"] * len(leaves)) % tuple(leaves)  # _float_json in bulk
+        if _SHORT_REPR.search(text):
+            return list(map(float.__repr__, map(float, text.split("\n"))))
+        return _WHOLE.sub(r"\1.0", text).split("\n")
+    if len(types) == 1 and types <= _EXACT.keys():
+        return list(map(_EXACT[types.pop()], leaves))
+    return None
+
+
+def _items_text(items: list | tuple, indent: str) -> str | None:
+    """The texts of `items` at `indent`, joined by commas, when all their leaves sit at
+    one depth below them (leaves, lists of leaves, ...); otherwise None.
+
+    The leaves are formatted in bulk (a column at a time when the innermost
+    lists have one length), and one `%` template holds the brackets and
+    indentation: built bottom-up, one per list length at each depth when
+    the lists below are alike.
+    """
+    levels, leaves = [], items  # per depth below the items, the lengths of its lists
+    while leaves and set(map(type, leaves)) <= {list, tuple}:
+        levels.append(list(map(len, leaves)))
+        leaves = list(chain.from_iterable(leaves))
+    width = levels[-1][0] if levels and len(set(levels[-1])) == 1 else 1
+    columns = [_bulk_texts(leaves[j::width]) for j in range(width)]  # no container passes
+    if None in columns:
+        if any(issubclass(t, (dict, list, tuple)) for t in set(map(type, leaves))):
+            return None
+        texts = [_EXACT.get(type(v), _scalar_json)(v) for v in leaves]  # the first bad leaf raises
+    else:
+        texts = [""] * len(leaves)
+        for j, column in enumerate(columns):
+            texts[j::width] = column
+    children = ["%s"] * len(leaves)
+    for depth in range(len(levels) - 1, -1, -1):
+        inner = indent + "  " * (depth + 1)
+        close = "\n" + indent + "  " * depth + "]"
+
+        def wrap(parts: list[str]) -> str:
+            return f"[\n{inner}" + f",\n{inner}".join(parts) + close if parts else "[]"
+
+        lengths = levels[depth]
+        if len(set(children)) <= 1:  # alike below: one template per length
+            by_length = {n: wrap(children[:1] * n) for n in set(lengths)}
+            children = list(map(by_length.__getitem__, lengths))
+        else:
+            rest = iter(children)
+            children = [wrap(list(islice(rest, n))) for n in lengths]
+    return f",\n{indent}".join(children) % tuple(texts)
+
+
+_CHUNK = 256  # items of a list written by one template; a longer list is written chunk by chunk
 _FLUSH_PARTS = 2048  # pieces of text gathered before they are written
 
 
@@ -137,8 +208,8 @@ def _write_json(obj: Any, fh: TextIO) -> None:
     allow_nan=False)` would write `obj` with every float at 12 significant digits.
 
     Tuples are written as lists.  Text is gathered in pieces and written
-    whenever `_FLUSH_PARTS` have gathered, so a large echo is never held
-    whole.
+    whenever `_FLUSH_PARTS` have gathered, so a large report is never held
+    whole; a list is written a chunk of items at a time (`_items_text`).
     """
     parts: list[str] = []
     append = parts.append
@@ -169,15 +240,18 @@ def _write_json(obj: Any, fh: TextIO) -> None:
             inner = indent + "  "
             comma = ",\n" + inner
             sep = "[\n" + inner
-            for item in value:
-                text = _EXACT.get(type(item))
-                if text is not None:  # a leaf in a list, the bulk of a table echo: no call
-                    append(sep + text(item))
+            for start in range(0, len(value), _CHUNK):
+                chunk = value[start : start + _CHUNK]
+                text = _items_text(chunk, inner)
+                if text is not None:
+                    append(sep + text)
+                    sep = comma
                 else:
-                    append(sep)
-                    encode(item, inner)
-                sep = comma
-                if len(parts) >= _FLUSH_PARTS:
+                    for item in chunk:
+                        append(sep)
+                        encode(item, inner)
+                        sep = comma
+                if len(parts) >= _FLUSH_PARTS or len(value) > _CHUNK:
                     fh.write("".join(parts))
                     parts.clear()
             append(f"\n{indent}]")

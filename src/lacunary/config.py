@@ -15,13 +15,17 @@ else:
     keyword its JSON Schema (Draft 2020-12) meaning and error wording, and
     of all the errors reports the shallowest, then the one with the
     greatest path (keys compared as strings, indices as numbers).
+    Every array of numbers is a `NumberArray`, whose check is a scan at
+    C speed over the whole array; the walk runs over it only to word an
+    error the scan cannot rule out, so the messages are the walk's.
     `Component.schema` renders the same tables as a JSON Schema; it is
     kept as the reference the tests check the walk against, and nothing
     at run time reads it;
   * the echoed config: `materialize` fills every default into a fresh
     document, so re-running the echo reproduces the run byte for byte
     (timestamp aside).  Numbers are echoed as floats, integers as ints,
-    by a normalizer compiled once per field from the tables;
+    by a normalizer compiled once per field from the tables; an integer
+    past float64 in a number field is a ConfigError;
   * the library objects: `Component.build` turns an echoed section into
     its object and reports a rejected value as a ConfigError.
 
@@ -35,6 +39,7 @@ import json
 import numbers
 import re
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Any, Callable
 
@@ -174,7 +179,10 @@ class Component:
                 if seed < f.schema["minimum"]:
                     raise ConfigError(f"--seed must be >= {f.schema['minimum']}, got {seed}")
                 value = seed
-            out[name] = normalize(value, seed, root)
+            try:
+                out[name] = normalize(value, seed, root)
+            except OverflowError as exc:  # an integer past float64 in a number field
+                raise ConfigError(f"{self.name}.{name}: {exc}") from exc
         return out
 
     def build(self, doc: dict, **extra: Any) -> Any:
@@ -216,12 +224,11 @@ def _normalizer(schema: dict | Component) -> Normalizer:
 
 def _cast(schema: dict) -> Callable[[Any], Any]:
     """The echo of a value of a constraint that holds no component; null stays null."""
+    if isinstance(schema, NumberArray):
+        return schema.cast()
     types = schema.get("type", ())
     types = (types,) if isinstance(types, str) else types
     if "array" in types:
-        if "prefixItems" in schema:
-            casts = [_cast(s) for s in schema["prefixItems"]]
-            return lambda value: [c(v) for c, v in zip(casts, value)]
         item = _cast(schema["items"])
         return lambda value: list(map(item, value))
     if "object" in types:
@@ -343,6 +350,15 @@ def _compile(schema: dict | Component) -> Check:
     """The check of a field's JSON constraint (or of its Component)."""
     if isinstance(schema, Component):
         return schema.check
+    walk = _walk(schema)
+    if isinstance(schema, NumberArray):  # the walk only words the error of an array the scan cannot pass
+        scan = schema.scan()
+        return lambda value: None if scan(value) else walk(value)
+    return walk
+
+
+def _walk(schema: dict) -> Check:
+    """The per-element check of a JSON constraint: its tests, then its items or values."""
     tests, prefix, items, values = [], [], None, None
     for keyword, arg in schema.items():
         if keyword in _TESTS:
@@ -469,13 +485,78 @@ ALPHA = {"type": "number", "exclusiveMinimum": 0, "maximum": 1}
 INT = {"type": "integer"}
 NAT = {"type": "integer", "minimum": 0}
 POS_INT = {"type": "integer", "minimum": 1}
-NUMS = {"type": "array", "items": NUM, "minItems": 1}
-PAIR = {"type": "array", "items": NUM, "minItems": 2, "maxItems": 2}
-COLUMN_COEFF = {"type": "array", "prefixItems": [INT, NUM], "minItems": 2, "maxItems": 2}
 
 
 def _array(items: dict | Component, **constraints: Any) -> dict:
     return {"type": "array", "items": items, **constraints}
+
+
+_EXACT_TYPES = {"integer": {int}, "number": {int, float}}
+_EXTREMES = {"minimum": min, "exclusiveMinimum": min, "maximum": max}  # the extreme a bound tests
+
+
+class NumberArray(dict):
+    """The JSON constraint of `depth` nested arrays of numbers: of leaves (`leaf` an integer
+    or number constraint) or of [first, second] pairs (`leaf` a tuple of two).
+
+    `scan()` tells whether an array is surely valid without a Python step per element:
+    container types, pair lengths and leaf types by `set(map(...))`, bounds by `min`/`max`
+    (so only integer leaves take bounds: a NaN would hide from `min`).  Only an exact `int`
+    passes an integer slot and an exact `int`/`float` a number slot; anything else (`2.0`
+    as an integer, a bool, a numpy scalar) is left to the walk, which gives the verdict
+    and words the error.  `cast()` echoes a valid array with one comprehension.
+    """
+
+    def __init__(self, leaf: dict | tuple[dict, dict], depth: int = 1, **constraints: Any):
+        self.leaves, self.depth, item = (leaf,), depth, leaf
+        if isinstance(leaf, tuple):
+            self.leaves, item = leaf, {"type": "array", "prefixItems": list(leaf), "minItems": 2, "maxItems": 2}
+        if any(c["type"] != "integer" and len(c) > 1 for c in self.leaves):
+            raise ValueError(f"only integer leaves of a NumberArray take bounds, not {self.leaves}")
+        for _ in range(depth - 1):
+            item = _array(item)
+        super().__init__(_array(item, **constraints))
+
+    def scan(self) -> Callable[[Any], bool]:
+        width, depth, min_items = len(self.leaves), self.depth, self.get("minItems", 0)
+        columns = [
+            (_EXACT_TYPES[c["type"]], [(_EXTREMES[k], _TESTS[k](b)) for k, b in c.items() if k != "type"])
+            for c in self.leaves
+        ]
+
+        def scan(value: Any) -> bool:
+            if type(value) is not list or len(value) < min_items:
+                return False
+            items = value
+            for level in range(depth if width == 2 else depth - 1):  # down to the leaves
+                if not set(map(type, items)) <= {list}:
+                    return False
+                if level == depth - 1 and not set(map(len, items)) <= {2}:  # the pairs
+                    return False
+                items = list(chain.from_iterable(items))
+            for j, (types, bounds) in enumerate(columns):
+                column = items[j::width]
+                if not set(map(type, column)) <= types:
+                    return False
+                if column and any(test(extreme(column)) for extreme, test in bounds):
+                    return False
+            return True
+
+        return scan
+
+    def cast(self) -> Callable[[list], list]:
+        casts = [_cast(c) for c in self.leaves]
+        if len(casts) == 2:
+            first, second = casts
+            cast = lambda value: [[first(a), second(b)] for a, b in value]  # noqa: E731
+        else:
+            cast = lambda value: list(map(casts[0], value))  # noqa: E731
+        for _ in range(self.depth - 1):
+            cast = (lambda inner: lambda value: list(map(inner, value)))(cast)
+        return cast
+
+
+NUMS = NumberArray(NUM, minItems=1)
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +569,7 @@ FUNCTION = Component("function", {
     "power_over_p": Kind(PowerOverP, p=Field(NUM, 2.0)),
     "exp_minus_one": Kind(ExpMinusOne),
     "linear": Kind(LinearSlope, c=Field(NUM, 1.0)),
-    "table": Kind(lambda knots: Table(tuple(map(tuple, knots))), knots=Field(_array(PAIR))),
+    "table": Kind(lambda knots: Table(tuple(map(tuple, knots))), knots=Field(NumberArray((NUM, NUM)))),
 })
 
 FAMILY = Component("family", {
@@ -517,7 +598,7 @@ SCHEDULE = Component("schedule", {
     ),
     "explicit": Kind(
         lambda cut_points: Explicit(tuple(cut_points)),
-        cut_points=Field(_array(INT, minItems=2)),
+        cut_points=Field(NumberArray(INT, minItems=2)),
     ),
 })
 
@@ -527,7 +608,7 @@ MATRIX = Component("matrix", {
     "shift": Kind(lambda offset: Shift(offset), offset=Field(INT, 1)),
     "row_table": Kind(
         RowTable,
-        rows=Field(_array(_array(COLUMN_COEFF))),
+        rows=Field(NumberArray((INT, NUM), depth=2)),
     ),
     "geometric_tail": Kind(geometric_tail, decay=Field(NUM, 0.5), x_bound=Field(NUM, 1.0)),
 })
@@ -638,7 +719,7 @@ NORMS = Component("norms", Kind(
     luxemburg_tol=Field(POS, 1e-10),
     orlicz_tol=Field(POS, 1e-9),
     complementary=Field(Component("complementary", Kind(
-        indices=Field(_array(POS_INT, minItems=1), [1]),
+        indices=Field(NumberArray({**POS_INT, "maximum": int(np.iinfo(np.int64).max)}, minItems=1), [1]),
         v_values=Field(NUMS, [0.0, 1.0, 2.0]),
         u_max=Field(POS, 1e3),
     )), OMIT),
@@ -755,6 +836,8 @@ def parse_json(text: str, source: str | Path) -> Any:
         return json.loads(text, parse_constant=reject)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{source}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise ConfigError(f"{source}: {exc}") from exc
 
 
 def load_config(path: str | Path) -> dict:

@@ -16,8 +16,9 @@ them from one cumulative sum of the transformed prefix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -241,40 +242,38 @@ class Shift(MatrixOperator):
 _INT64_MAX = int(np.iinfo(np.int64).max)  # the largest column index a table stores
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RowTable(MatrixOperator):
     """Explicit finite-support rows: rows[n-1] lists (k, a_nk) pairs.
 
-    Construction casts and checks each pair once and, in the same pass,
-    gathers the (k - 1, a) arrays `transform` reads: shape (rows, widest
-    row), each row sorted as `sorted(row)`.  Padding has k - 1 = -1 and
-    a = 0.0: `transform` gathers it from a 0.0 appended to x, so a padded
-    column adds an exact 0.0 to a row's sum.
+    Construction casts and checks the pairs with whole-array operations and
+    keeps only the (k - 1, a) arrays `transform` reads: shape (rows,
+    widest row), each row sorted as `sorted(row)`.  Padding has k - 1 = -1
+    and a = 0.0: `transform` gathers it from a 0.0 appended to x, so a
+    padded column adds an exact 0.0 to a row's sum.  A table keeps no copy
+    of `rows`, so tables compare by identity.
     """
 
-    rows: tuple[tuple[tuple[int, float], ...], ...]
+    rows: InitVar[tuple[tuple[tuple[int, float], ...], ...]]
     kind = "row_table"
 
-    def __post_init__(self) -> None:
-        rows, ks, coefs = [], [], []
-        for n, row in enumerate(self.rows, start=1):  # one pass: cast, check, keep, gather
-            pairs = []
-            for k, a in row:
-                k, a = int(k), float(a)
-                if k < 1:
-                    raise ValueError(f"row {n}: column index {k} < 1")
-                if k > _INT64_MAX:
-                    raise ValueError(f"row {n}: column index {k} is past int64")
-                if not math.isfinite(a):
-                    raise ValueError(f"row {n}: coefficient at k={k} not finite")
-                pairs.append((k, a))
-                ks.append(k)
-                coefs.append(a)
-            rows.append(tuple(pairs))
-        object.__setattr__(self, "rows", tuple(rows))
+    def __post_init__(self, rows) -> None:
+        pairs = list(chain.from_iterable(rows))
+        lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        ks, coefs = zip(*pairs, strict=True) if pairs else ((), ())
+        ks = list(map(int, ks))
+        coefs = np.array(coefs, dtype=np.float64)
+        k_ok = not ks or (min(ks) >= 1 and max(ks) <= _INT64_MAX)
+        bad_k = len(ks) if k_ok else next(i for i, k in enumerate(ks) if not 1 <= k <= _INT64_MAX)
+        bad_a = np.flatnonzero(~np.isfinite(coefs[:bad_k]))
+        if bad_k < len(ks) or bad_a.size:  # the first offending pair, as a pass in order finds it
+            i = int(bad_a[0]) if bad_a.size else bad_k
+            n, k = int(np.searchsorted(np.cumsum(lengths), i, side="right")) + 1, ks[i]
+            if i < bad_k:
+                raise ValueError(f"row {n}: coefficient at k={k} not finite")
+            raise ValueError(f"row {n}: column index {k} " + ("< 1" if k < 1 else "is past int64"))
 
-        lengths = np.array([len(row) for row in rows], dtype=np.int64)
-        ks, coefs = np.array(ks, dtype=np.int64), np.array(coefs, dtype=np.float64)
+        ks = np.array(ks, dtype=np.int64)
         at = np.repeat(np.arange(lengths.size), lengths)
         order = np.lexsort((coefs, ks, at))  # by row, then as sorted() orders (k, a) pairs
         pos = np.arange(ks.size) - (np.cumsum(lengths) - lengths)[at]
@@ -286,15 +285,16 @@ class RowTable(MatrixOperator):
         object.__setattr__(self, "_columns", (cols, a))
 
     def transform(self, x: np.ndarray, out_len: int, tol: float) -> np.ndarray:
+        n_rows = len(self._columns[0])
         cols, a = (arr[:out_len] for arr in self._columns)
         past = np.flatnonzero(cols.max(axis=1, initial=-1) >= x.size)
         if past.size:
             n = int(past[0]) + 1
             k = int(cols[n - 1][cols[n - 1] >= x.size][0]) + 1
             raise _beyond_horizon(n, f"has support at k={k}, horizon is {x.size}")
-        if out_len > len(self.rows):
-            n = len(self.rows) + 1
-            raise _beyond_horizon(n, f"not defined (table has {len(self.rows)} rows)")
+        if out_len > n_rows:
+            n = n_rows + 1
+            raise _beyond_horizon(n, f"not defined (table has {n_rows} rows)")
         xp = np.append(x, 0.0)
         total = np.zeros(out_len)
         for j in range(cols.shape[1]):  # column by column: each row's sequential sum

@@ -380,7 +380,10 @@ def materialize(component: Component, doc: dict, seed=None, root=None) -> dict:
             if seed < f.schema["minimum"]:
                 raise ConfigError(f"--seed must be >= {f.schema['minimum']}, got {seed}")
             value = seed
-        out[name] = normalize(value, f.schema, seed, root)
+        try:
+            out[name] = normalize(value, f.schema, seed, root)
+        except OverflowError as exc:  # an integer past float64 in a number field
+            raise ConfigError(f"{component.name}.{name}: {exc}") from exc
     return out
 
 

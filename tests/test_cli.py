@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import random
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -530,6 +531,12 @@ class TestErrorBoundary:
             tmp_path, capsys, doc, f"config error: matrix: row 1: column index {2**70} is past int64\n"
         )
 
+    def test_integer_literal_past_the_digit_limit(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text('{"command": "norms", "sequence": {"kind": "explicit", "values": [1%s]}}' % ("0" * 5000))
+        assert run_cli(["norms", "--config", cfg, "--out", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {cfg}: Exceeds the limit")
+
     def test_t31_beta_below_space_alpha(self, tmp_path, capsys):
         doc = {"command": "inclusion", "beta": 0.5, "space": {"alpha": 1.0}}
         self.run_expect_error(
@@ -765,6 +772,64 @@ def test_writer_matches_the_reference_encoder(tree):
     assert written(tree) == reference.encode_report(tree)
 
 
+# leaves that share text or value: 0.0/-0.0, 1/1.0/True, plus subnormals and numpy scalars
+TRICKY = [0.0, -0.0, 1, 1.0, True, False, None, "x", math.inf, -math.inf, 5e-324, -5e-324, 0.1,
+          1e16, 1.5e15, 123456789012.5, 2**70, np.float64(-0.0), np.float64(0.5), np.int64(1),
+          np.float32(0.1), np.bool_(True)]
+# floats whose repr differs in layout or digits from their 12-digit text
+TRICKY_FLOATS = st.sampled_from([1.5e15, -2.5e12, 1e13, 5e-324, 1e-308, 2.2250738585072014e-308,
+                                 1e300, 0.1, -0.0, 1.0, 100.0, 1e-5, 1e-4])
+POOLS = (
+    st.lists(st.sampled_from(TRICKY) | FLOATS | st.integers(), min_size=1, max_size=6)
+    | st.lists(FLOATS | TRICKY_FLOATS, min_size=1, max_size=6)  # one type per column: the bulk paths
+    | st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=6)
+)
+
+
+@st.composite
+def long_arrays(draw):
+    """A long list of leaves, of equal-length leaf lists, of lists of them (a row table), or
+    of lists of leaf lists of any length."""
+    pool, n, width = draw(POOLS), draw(st.integers(1, 2000)), draw(st.integers(1, 3))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    columns = [[rng.choice(pool) for _ in range(n * 4)] for _ in range(width)]
+    leaf = iter(zip(*columns))
+
+    def item():
+        return list(next(leaf))
+
+    shape = draw(st.sampled_from(["leaves", "lists", "tuples", "rows", "ragged"]))
+    if shape == "leaves":
+        return columns[0][:n]
+    if shape == "lists":
+        return [item() for _ in range(n)]
+    if shape == "tuples":
+        return [tuple(item()) for _ in range(n)]
+    if shape == "rows":
+        return [[item() for _ in range(rng.choice([0, 1, 2, 2, 3]))] for _ in range(n)]
+    return [[item()[: rng.randint(0, width)] for _ in range(rng.randint(0, 3))] for _ in range(n)]
+
+
+@given(array=long_arrays(), nested=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_writer_matches_the_reference_encoder_on_long_arrays(array, nested):
+    tree = {"config": {"matrix": {"rows": array}}} if nested else array
+    got, want = written(tree), reference.encode_report(tree)
+    assert got.splitlines() == want.splitlines()  # a failure reports the first line apart, quickly
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "array",
+    [[0.5] * 4000 + [math.nan], [[n, 0.5] for n in range(4000)] + [[4000, math.nan]],
+     [[[n, 0.5], [n + 1, 0.5]] for n in range(4000)] + [[[4000, np.float64(math.nan)]]]],
+    ids=["leaves", "pairs", "rows"],
+)
+def test_writer_refuses_a_nan_deep_in_a_long_array(array):
+    with pytest.raises(ValueError):
+        written({"rows": array})
+
+
 @pytest.mark.parametrize(
     "tree,error",
     [
@@ -819,6 +884,8 @@ SIZE_CAPS = {"count": 6, "horizon": 80, "size": 3, "r_max": 6, "construction_r_m
 FLOAT_EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1.0, -1.0, 0.5, 2.0,
                   1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308]
 INT_EXTREMES = [0, 1, 2, -1]
+HUGE_INTS = [2**63, 2**64, 10**400]  # past int64 and float64; never for a size field
+FLOAT_EXTREMES.append(10**400)  # an integer literal past float64 in a number field
 
 
 @st.composite
@@ -837,7 +904,10 @@ def fuzzed_documents(draw):
     for _ in range(draw(st.integers(0, 3))):
         if numbers:
             container, key = draw(st.sampled_from(numbers))
-            extremes = INT_EXTREMES if isinstance(container[key], int) else FLOAT_EXTREMES
+            if not isinstance(container[key], int):
+                extremes = FLOAT_EXTREMES
+            else:
+                extremes = INT_EXTREMES + (HUGE_INTS if key not in SIZE_CAPS else [])
             container[key] = draw(st.sampled_from(extremes))
     return component.name, doc
 
@@ -901,6 +971,24 @@ FUZZ_FINDINGS = {
         "command": "inclusion", "schedule": {"kind": "geometric", "count": 1},
         "space": {"m_max": 4, "rho": {"kind": "per_index", "values": [1.0, 2.0]}},
         "corpus": {"size": 3}}),
+    "power-past-float64": (1, {
+        "command": "norms", "sequence": {"kind": "explicit", "values": [1.0]},
+        "family": {"kind": "constant", "function": {"kind": "power", "p": 10**400}}}),
+    "row-table-coefficient-past-float64": (1, {
+        "command": "classify", "sequence": {"kind": "explicit", "values": [1.0, 2.0, 3.0]},
+        "family": {"kind": "index_scaled"}, "schedule": {"kind": "explicit", "cut_points": [0, 1, 2]},
+        "matrix": {"kind": "row_table", "rows": [[[1, 10**400]], [[2, 1.0]], [[3, 1.0]]]},
+        "space": {"m_max": 0}}),
+    "space-L-past-float64": (1, {
+        "command": "classify", "sequence": {"kind": "explicit", "values": [1.0, 2.0, 3.0]},
+        "family": {"kind": "index_scaled"}, "schedule": {"kind": "explicit", "cut_points": [0, 1, 2]},
+        "space": {"m_max": 0, "L": 10**400}}),
+    "schedule-base-past-float64": (1, {
+        "command": "classify", "sequence": {"kind": "explicit", "values": [1.0, 2.0, 3.0]},
+        "family": {"kind": "index_scaled"}, "schedule": {"kind": "geometric", "base": 10**400}}),
+    "complementary-index-past-int64": (1, {
+        "command": "norms", "sequence": {"kind": "explicit", "values": [1.0]},
+        "family": {"kind": "index_scaled"}, "complementary": {"indices": [1, 2**64]}}),
 }
 
 
@@ -935,7 +1023,8 @@ def test_compiled_echo_matches_the_interpreted_echo(case, seed, data):
             container[key] = data.draw(st.sampled_from([2, 2.0]))
         elif type(value) in (int, float) and data.draw(st.booleans()):
             if type(value) is int:
-                container[key] = float(value)
+                if abs(value) <= 2**1023:  # an integer past float64 has no float spelling
+                    container[key] = float(value)
             elif value.is_integer():
                 container[key] = int(value)
     component = _command_component(doc, command)

@@ -2,13 +2,17 @@
 the compiled validation walk agrees with jsonschema on the rendered schema."""
 
 import copy
+import math
 import re
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lacunary import config
 from lacunary.config import (
+    CLASSIFY,
     CLASSIFY_CONSTRUCTION,
     COMMANDS,
     CONSTRUCTION,
@@ -21,6 +25,7 @@ from lacunary.config import (
     SCHEDULE,
     SEQUENCE,
     Component,
+    NumberArray,
     _command_component,
     _compile,
     materialize,
@@ -228,3 +233,103 @@ class TestValidationWalk:
             assert reported.split(": ", 1)[0].removeprefix("config field ") in shallowest
             best = jsonschema.exceptions.best_match(errors)
             assert reported == f"config field {best.json_path}: {best.message}"
+
+
+# ---------------------------------------------------------------------------
+# numeric arrays: one NumberArray constraint, scanned without a per-element walk
+# ---------------------------------------------------------------------------
+
+
+def _numeric_leaves(schema):
+    """Whether a JSON constraint is, or holds below its arrays, a number or integer leaf."""
+    if not isinstance(schema, dict):
+        return False
+    types = schema.get("type", ())
+    if {"number", "integer"} & set([types] if isinstance(types, str) else types):
+        return True
+    return any(map(_numeric_leaves, [schema.get("items"), *schema.get("prefixItems", ())]))
+
+
+def test_every_numeric_array_is_a_number_array():
+    """An array field with number or integer leaves must be declared as a NumberArray, so that
+    it is scanned, not walked element by element."""
+    loose = [
+        f"{component.name}.{name}"
+        for command in COMMAND_COMPONENTS
+        for component in _components(command)
+        for kind in component.kinds.values()
+        for name, f in kind.fields.items()
+        if isinstance(f.schema, dict) and f.schema.get("type") == "array"
+        and _numeric_leaves(f.schema["items"]) and not isinstance(f.schema, NumberArray)
+    ]
+    assert loose == []
+
+
+LONG = 4000
+BASE = {"command": "classify", "sequence": {"kind": "explicit", "values": [1.0]},
+        "family": {"kind": "index_scaled"}, "schedule": {"kind": "geometric"}}
+
+
+def long_table(rows=LONG):
+    return {"kind": "row_table", "rows": [[[n, 0.5], [n + 1, 0.5]] for n in range(1, rows + 1)]}
+
+
+DEEP_MUTATIONS = {  # (section, index path into its long array, value): a change near the end
+    "row-bool": ("matrix", (LONG - 1, 1, 0), True),
+    "row-2.5-as-integer": ("matrix", (LONG - 1, 1, 0), 2.5),
+    "row-2.0-as-integer": ("matrix", (LONG - 1, 1, 0), 2.0),
+    "row-string": ("matrix", (LONG - 1, 1, 1), "x"),
+    "row-3-item-pair": ("matrix", (LONG - 1, 1), [LONG, 0.5, 7]),
+    "row-empty": ("matrix", (LONG - 1,), []),
+    "value-bool": ("sequence", (LONG - 1,), False),
+    "value-string": ("sequence", (LONG - 1,), "x"),
+    "value-null": ("sequence", (LONG - 2,), None),
+    "value-numpy": ("sequence", (LONG - 1,), np.float64(2.5)),
+    "value-nan": ("sequence", (LONG - 1,), math.nan),
+}
+
+
+@pytest.mark.parametrize("name", DEEP_MUTATIONS)
+def test_deep_mutation_in_a_long_array_as_best_match(name):
+    section, where, value = DEEP_MUTATIONS[name]
+    long = long_table() if section == "matrix" else {"kind": "explicit", "values": [0.5] * LONG}
+    container = long["rows" if section == "matrix" else "values"]
+    for i in where[:-1]:
+        container = container[i]
+    container[where[-1]] = value
+    doc = {**BASE, section: long}
+    validator = jsonschema.Draft202012Validator(CLASSIFY.schema)
+    best = jsonschema.exceptions.best_match(validator.iter_errors(doc))
+    try:
+        validate_config(doc, "classify")
+    except ConfigError as exc:
+        assert best is not None and str(exc) == f"config field {best.json_path}: {best.message}"
+    else:
+        assert best is None
+
+
+def test_long_table_takes_no_per_element_walk(monkeypatch):
+    """Validating, echoing and building the cli-mix-shaped 4100-row table never walks an array
+    element by element; a table the scan cannot pass is walked once."""
+    walks = []
+    walk = config._walk
+
+    def counting(schema):
+        check = walk(schema)
+        if not isinstance(schema, NumberArray):
+            return check
+        return lambda value: walks.append(schema) or check(value)
+
+    monkeypatch.setattr(config, "_walk", counting)
+    monkeypatch.setattr(Component, "check", property(Component.check.func))  # compiled afresh
+    doc = {**BASE, "matrix": long_table(4100)}
+    rows = doc["matrix"]["rows"]
+    validate_config(doc, "classify")
+    echo = materialize(doc, "classify")
+    assert echo["matrix"]["rows"] == rows and echo["matrix"]["rows"] is not rows
+    MATRIX.build(echo["matrix"])
+    assert walks == []
+    rows[4099][1][1] = True
+    with pytest.raises(ConfigError, match=re.escape("$.matrix.rows[4099][1][1]: True is not of type")):
+        validate_config(doc, "classify")
+    assert len(walks) == 1

@@ -1,5 +1,6 @@
 """Window means, matrix rows, and block schedules against direct-sum oracles."""
 
+import math
 import re
 
 import numpy as np
@@ -161,6 +162,23 @@ def row_table_row(rows):
     return row
 
 
+COLUMNS = st.sampled_from([1, 2, 7, 2**63 - 1]) | st.sampled_from([0, -3, 2**63, 2**70])
+COEFFICIENTS = st.sampled_from([0.5, -1.0, 0.0, 1]) | st.sampled_from([math.inf, -math.inf, math.nan])
+
+
+def first_offending_pair(rows):
+    """The message of RowTable's checks for the first bad (k, a) pair in row order, or None."""
+    for n, row in enumerate(rows, start=1):
+        for k, a in row:
+            if k < 1:
+                return f"row {n}: column index {k} < 1"
+            if k > 2**63 - 1:
+                return f"row {n}: column index {k} is past int64"
+            if not math.isfinite(a):
+                return f"row {n}: coefficient at k={k} not finite"
+    return None
+
+
 def geometric_row(decay, x_bound):
     """The full coefficient row (1-decay) * decay**(k-n), k >= n, summed against x."""
 
@@ -232,7 +250,18 @@ class TestTransformAgainstRowByRow:
         if planted:  # one column past the horizon
             rows[int(rng.integers(0, len(rows)))].append((x.size + 1, 1.0))
         A = RowTable(rows)
-        self.check(A, row_table_row(A.rows), x, out_len)
+        self.check(A, row_table_row(rows), x, out_len)
+
+    @given(rows=st.lists(st.lists(st.tuples(COLUMNS, COEFFICIENTS), max_size=3), max_size=8))
+    @settings(max_examples=80, deadline=None)
+    def test_row_table_rejects_the_first_offending_pair(self, rows):
+        """The whole-array checks name the pair a pass over the pairs in order meets first."""
+        expected = first_offending_pair(rows)
+        if expected is None:
+            RowTable(rows)
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+                RowTable(rows)
 
     @given(data=prefixes())
     @settings(max_examples=40, deadline=None)
