@@ -408,7 +408,7 @@ def _block_run(
     """One engine run of x in one space: the report, trajectories and verdicts that classify
     and counterexample share; also returns the strong and density bundles and the density
     verdict, for the construction checks."""
-    stats = BlockEngine([params])(x)[0]
+    stats = BlockEngine([params], (STRONG, flag_mode))(x)[0]
     strong, shat = stats[STRONG], stats[flag_mode]
     v_strong = classify_trajectory(strong.sup.values, **echo["verdict"])
     v_shat = classify_trajectory(shat.sup.values, **echo["verdict"])
@@ -659,6 +659,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except LacunaryError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a size field past what memory holds
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
     failed = bundle.failed_checks

@@ -316,9 +316,11 @@ def _require_constant_setup(p: SpaceParams) -> tuple[float, float]:
     return p.rho.constant, p.epsilon
 
 
-def _at_window(x: Sequence, spaces: list[SpaceParams], m: int) -> list[dict[str, np.ndarray]]:
-    """Per space, each bundle's trajectory at window m, from one engine with m_max = m."""
-    results = BlockEngine([replace(q, m_max=m) for q in spaces])(x)
+def _at_window(
+    x: Sequence, spaces: list[SpaceParams], m: int, bundles: tuple[str, ...]
+) -> list[dict[str, np.ndarray]]:
+    """Per space, each of `bundles`' trajectories at window m, from one engine with m_max = m."""
+    results = BlockEngine([replace(q, m_max=m) for q in spaces], bundles)(x)
     return [{key: bundle.per_m[m].values for key, bundle in stats.items()} for stats in results]
 
 
@@ -350,7 +352,8 @@ def thm31_block_bounds(
     lhs >= rhs holds exactly in real arithmetic.
     """
     floor = _thm31_floor(p, beta)  # checks the setup before the engine runs
-    own, at_beta = BlockEngine([replace(q, m_max=m) for q in (p, replace(p, alpha=beta))])(x)
+    spaces = [replace(q, m_max=m) for q in (p, replace(p, alpha=beta))]
+    own, at_beta = BlockEngine(spaces, (STRONG, RAW_FLAGS))(x)
     return _thm31_sides(own, at_beta, floor, m)
 
 
@@ -406,7 +409,8 @@ def thm33_block_bounds(
         raise ValueError(f"T={T} does not dominate the window deviations: T must be >= 0")
     limit = T * (1 + 1e-12)
     if limit < math.inf:  # raw flags at the float after `limit` mark the deviations above it
-        (above,) = _at_window(x, [replace(p, epsilon=float(np.nextafter(limit, math.inf)))], m)
+        at_limit = replace(p, epsilon=float(np.nextafter(limit, math.inf)))
+        (above,) = _at_window(x, [at_limit], m, (RAW_FLAGS,))
         blocks = np.flatnonzero(above[RAW_FLAGS])
         if blocks.size:
             raise ValueError(
@@ -414,7 +418,7 @@ def thm33_block_bounds(
                 f"first in block r={blocks[0] + 1}"
             )
 
-    (own,) = _at_window(x, [p], m)
+    (own,) = _at_window(x, [p], m, (STRONG, RAW_FLAGS))
     h = p.schedule.block_lengths.astype(np.float64)
     M = p.family.function
     big = _power_range(M(T / rho_c), p.exponents)[1]
@@ -456,7 +460,7 @@ def thm34_triangle_bounds(
 
     D = p.exponents.D
     v1, v2 = (  # the spaces of one engine share L, so one engine per candidate limit
-        _at_window(x, [replace(p, L=L, rho=RhoSequence(constant=r))], m)[0][STRONG]
+        _at_window(x, [replace(p, L=L, rho=RhoSequence(constant=r))], m, (STRONG,))[0][STRONG]
         for L, r in ((L1, rho1), (L2, rho2))
     )
     with np.errstate(over="ignore"):
@@ -649,13 +653,15 @@ def run_inclusion_matrix(
 
     Each sequence is computed once, in one engine call for every space its
     theorems read: the family space at alpha, at `beta` for T31, and the
-    plain-average space for T35/T36.  Consecutive entries with equal
-    parameters (all seeded draws of a corpus) share one `BlockEngine`, and
-    the previous engine is dropped before the next one is built.
+    plain-average space for T35/T36, and of only the bundles they read.
+    Consecutive entries with equal parameters (all seeded draws of a
+    corpus) share one `BlockEngine`, and the previous engine is dropped
+    before the next one is built.
     """
     requested = [t for t in THEOREMS if t in set(theorems)]
-    read = {name for t in requested for _, name in _THEOREM_TABLE[t][0]}
-    names = [name for name in ("alpha", "beta", "plain") if name in read]
+    pairs = [pair for t in requested for pair in _THEOREM_TABLE[t][0]]  # (bundle, space) read
+    bundles = {bundle for bundle, _ in pairs}
+    names = [name for name in ("alpha", "beta", "plain") if name in {n for _, n in pairs}]
     verdict_rows: list[dict] = []
     implications: list[dict] = []
     witnesses: list[dict] = []
@@ -677,7 +683,7 @@ def run_inclusion_matrix(
             built = {name: _space(p, name, beta) for name in names}
             keys = {name: key for name, (key, _) in built.items()}
             spaces = dict(built.values())  # beta = alpha reads the family space once
-            engine, engine_params = BlockEngine(spaces.values()), p
+            engine, engine_params = BlockEngine(spaces.values(), bundles), p
         stats = dict(zip(spaces, engine(x)))
         decided: dict[tuple, str] = {}  # (bundle, alpha, tag) -> decision, for this sequence
         for theorem in requested:
@@ -782,7 +788,7 @@ def uniqueness_experiment(
         raise ValueError("need at least two candidate limits")
     tails: list[float] = []
     for L in grid:
-        bundle = BlockEngine([replace(p, L=L)])(x)[0][STRONG]
+        bundle = BlockEngine([replace(p, L=L)], (STRONG,))(x)[0][STRONG]
         v = classify_trajectory(bundle.sup.values, verdict_tol, tail_window)
         tails.append(v.tail_mean)
     best = min(tails)

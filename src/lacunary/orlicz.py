@@ -22,8 +22,10 @@ numpy ufunc, a kernel takes `out=`: `kernel(us)` returns a fresh array and
 leaves `us` as it is, while `kernel(us, out=w)` writes into the caller's
 float64 array `w` (which may be `us` itself) and returns it, with the same
 bits; so a caller that owns a workspace evaluates without a temporary.
-Arguments must be >= 0 (NegativeArgument otherwise).  Overflow is a silent
-+inf, an honest "too large" value that the searches and verdicts handle.
+Arguments must be >= 0 (NegativeArgument otherwise); `BlockEngine` runs the
+bound formulas (`_bind`) without that check, since its arguments |t| / rho
+are >= 0 or NaN by construction.  Overflow is a silent +inf, an honest
+"too large" value that the searches and verdicts handle.
 """
 
 from __future__ import annotations
@@ -61,6 +63,20 @@ def power_in_place(out: np.ndarray, p: np.ndarray) -> None:
         out[...] = out**p
     else:
         np.power(out, p, out=out)
+
+
+def scalar_power_in_place(out: np.ndarray, p: float) -> None:
+    """out **= p for a scalar exponent `p`, with the bits of `out ** p`.
+
+    numpy turns `out ** 2.0` into a square (x * x), and `out **= 2.0` gives
+    the same bits, but its in-place path took about twice as long as
+    `np.square` on numpy 2.4 (18 against 8.5 µs per 2^15 elements); so
+    p == 2.0 goes to `np.square` in place.
+    """
+    if p == 2.0:
+        np.square(out, out=out)
+    else:
+        out **= p
 
 
 def _evaluate(formula: Formula, us, out: np.ndarray | None = None) -> np.ndarray:
@@ -110,7 +126,8 @@ class Power(OrliczFunction):
             raise ValueError("power exponent must be >= 1 for convexity")
 
     def _formula(self, out: np.ndarray) -> None:
-        out **= self.p  # the square/power dispatch of `us ** p`
+        # the bits of `us ** p`; `out **= p` has the square's bits at p = 2 but runs slower in place
+        scalar_power_in_place(out, self.p)
 
 
 @dataclass(frozen=True)
@@ -126,7 +143,7 @@ class ScaledPower(OrliczFunction):
             raise ValueError("need p >= 1 and c > 0")
 
     def _formula(self, out: np.ndarray) -> None:
-        out **= self.p
+        scalar_power_in_place(out, self.p)
         out *= self.c
 
 
@@ -142,7 +159,7 @@ class PowerOverP(OrliczFunction):
             raise ValueError("need p > 1")
 
     def _formula(self, out: np.ndarray) -> None:
-        out **= self.p
+        scalar_power_in_place(out, self.p)
         out /= self.p
 
 

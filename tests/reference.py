@@ -56,7 +56,6 @@ from lacunary.convergence import (
     RAW_FLAGS,
     SHAT_DENSITY,
     STRONG,
-    _block_average,
     _block_counts,
 )
 from lacunary.config import OMIT, Component
@@ -122,9 +121,12 @@ def _terms_from(devs: np.ndarray, p: SpaceParams) -> np.ndarray:
 
 
 def strong_block_statistic(x: Sequence, p: SpaceParams, m: int = 0) -> BlockTrajectory:
-    """The summed block statistic at window m."""
+    """The summed block statistic at window m: each block's terms summed by `np.sum`."""
     terms = _terms_from(_window_deviations(x, p, m), p)
-    return BlockTrajectory(_block_average(terms, p.schedule, p.alpha), kind=STRONG, m=m)
+    cuts = p.schedule.cut_points
+    sums = np.array([np.sum(terms[a:b]) for a, b in zip(cuts, cuts[1:])])
+    average = sums / p.schedule.block_lengths.astype(np.float64) ** p.alpha
+    return BlockTrajectory(average, kind=STRONG, m=m)
 
 
 def shat_flags(

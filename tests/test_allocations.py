@@ -31,6 +31,8 @@ from lacunary import (
     random_bounded_sequence,
 )
 from lacunary.cli import main
+from lacunary.convergence import MODULAR_FLAGS, RAW_FLAGS, STRONG
+from lacunary import convergence
 from lacunary.sequences import transform_sequence
 
 N = 1 << 16
@@ -81,6 +83,39 @@ def test_one_space_engine_holds_y_and_its_cumsum():
     assert len(stats) == 1
     # y and c are a prefix each, the flags a quarter together: a terms array would add a prefix
     assert peak <= 2.5 * LONG_PREFIX, f"peak {peak / LONG_PREFIX:.2f} prefixes"
+
+
+def test_engine_without_raw_flags_has_no_raw_flag_workspace():
+    """y, its cumulative sum and the modular flags; the raw flags are not asked for."""
+    (x, _), p = _long_engine_inputs()
+    stats, peak = traced_peak(lambda: BlockEngine([p], (STRONG, MODULAR_FLAGS))(x))
+    assert list(stats[0]) == [STRONG, MODULAR_FLAGS]
+    # y and c are a prefix each, the modular flags an eighth: raw flags would add an eighth
+    assert peak <= 2.2 * LONG_PREFIX, f"peak {peak / LONG_PREFIX:.3f} prefixes"
+
+
+def test_raw_flags_alone_bind_no_kernel(monkeypatch):
+    """An engine asked only for the raw flags never evaluates the family.
+
+    index_power's formula holds its exponents, a prefix of float64 over
+    all tiles; the engine holds y, its cumulative sum and the raw flags.
+    """
+    bound = []
+    bind = IndexPowerFamily._bind
+
+    def counted(self, ks):
+        bound.append(ks.size)
+        return bind(self, ks)
+
+    monkeypatch.setattr(IndexPowerFamily, "_bind", counted)
+    (x, _), p = _long_engine_inputs()
+    q = replace(p, family=IndexPowerFamily((1.5, 2.5, 2.0)))
+    stats, peak = traced_peak(lambda: BlockEngine([q], (RAW_FLAGS,))(x))
+    assert list(stats[0]) == [RAW_FLAGS]
+    assert bound == []
+    assert peak <= 2.2 * LONG_PREFIX, f"peak {peak / LONG_PREFIX:.3f} prefixes"
+    BlockEngine([q], (STRONG,))(x)  # the exponents are bound once per tile when terms are read
+    assert len(bound) == LONG // convergence._TILE
 
 
 def test_engine_call_reuses_its_buffers():

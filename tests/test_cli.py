@@ -18,6 +18,7 @@ from test_config import COMMAND_COMPONENTS, _slots, documents
 
 from lacunary import ConstantFamily, Power, cli, complementary
 from lacunary.cli import ReportBundle, main
+from lacunary.convergence import BUNDLES, MODULAR_FLAGS, STRONG
 from lacunary.config import CLASSIFY_CONSTRUCTION, COMMANDS, _command_component, materialize
 from lacunary.errors import ConfigError
 
@@ -246,6 +247,35 @@ class TestClassify:
             },
         )
         assert run_cli(["classify", "--config", cfg, "--out", tmp_path / "out"]) == 1
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        BASE_CLASSIFY,
+        {**BASE_CLASSIFY, "flag_mode": "raw"},
+        {"command": "classify", "construction": {"theorem": "thm38", "r_max": 6}},
+        {"command": "counterexample", "theorem": "thm37", "r_max": 8},
+        {"command": "counterexample", "theorem": "thm38", "r_max": 6},
+    ],
+    ids=["classify-modular", "classify-raw", "classify-construction", "thm37", "thm38"],
+)
+def test_block_run_computes_only_the_bundles_it_writes(tmp_path, monkeypatch, doc):
+    """classify and counterexample write the strong trajectory and the density of one flag
+    mode; their engine must ask for exactly those bundles, not the engine's default."""
+    asked = []
+
+    class Recording(cli.BlockEngine):
+        def __init__(self, spaces, bundles=BUNDLES):
+            super().__init__(spaces, bundles)
+            asked.append(set(bundles))
+
+    monkeypatch.setattr(cli, "BlockEngine", Recording)
+    command = doc["command"]
+    assert run_cli([command, "--config", write_config(tmp_path, doc), "--out", tmp_path / "out"]) == 0
+    written = {STRONG, read_report(tmp_path / "out")["results"]["flag_mode"]}
+    assert written == {STRONG, doc.get("flag_mode", MODULAR_FLAGS)}
+    assert asked == [written]
 
 
 class TestCounterexample:
@@ -989,6 +1019,10 @@ FUZZ_FINDINGS = {
     "complementary-index-past-int64": (1, {
         "command": "norms", "sequence": {"kind": "explicit", "values": [1.0]},
         "family": {"kind": "index_scaled"}, "complementary": {"indices": [1, 2**64]}}),
+    # 8e13 bytes for the prefix: numpy refuses the allocation at once
+    "horizon-past-memory": (1, {
+        "command": "norms", "sequence": {"kind": "constant", "value": 1.0, "horizon": 10**13},
+        "family": {"kind": "index_scaled"}}),
 }
 
 

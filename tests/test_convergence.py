@@ -1,6 +1,7 @@
 """Densities, block statistics, flags, verdicts, and the proof inequalities."""
 
 import math
+from itertools import combinations
 from dataclasses import replace
 from unittest.mock import patch
 
@@ -27,6 +28,7 @@ from lacunary import (
     Shift,
     SpaceParams,
     SpikeFamily,
+    Table,
     build_lacunary,
     classify_trajectory,
     thm31_block_bounds,
@@ -35,6 +37,7 @@ from lacunary import (
 )
 from lacunary import convergence
 from lacunary.convergence import (
+    BUNDLES,
     CONVERGES,
     DIVERGES,
     MODULAR_FLAGS,
@@ -281,7 +284,7 @@ def assert_engine_matches_standalone(x, p):
     assert_stats_match_standalone(x, p, BlockEngine([p])(x)[0])
 
 
-def draw_terms(data, rng, s):
+def draw_terms(data, rng, s, families=ENGINE_FAMILIES):
     """The fields a space's terms depend on: family, rho (constant or per-index) and exponents."""
     if data.draw(st.booleans(), label="per-index rho"):
         rho = RhoSequence(constant=None, per_index=tuple(rng.uniform(0.5, 2.0, s.last_index)))
@@ -291,7 +294,7 @@ def draw_terms(data, rng, s):
         exponents = ExponentSequence(constant=None, per_index=(1.0, 2.0, 0.5, 1.3))
     else:
         exponents = ExponentSequence(constant=data.draw(st.sampled_from([1.0, 0.5, 2.0, 1.7])))
-    return dict(family=data.draw(st.sampled_from(ENGINE_FAMILIES)), rho=rho, exponents=exponents)
+    return dict(family=data.draw(st.sampled_from(families)), rho=rho, exponents=exponents)
 
 
 def assert_bundle_matches_standalone(data):
@@ -374,6 +377,73 @@ def _bits(results):
         for bundle in stats.values()
         for t in (*bundle.per_m, bundle.sup)
     ]
+
+
+SUBSET_FAMILIES = [
+    ConstantFamily(Power(2.0)),
+    IndexPowerFamily((1.0, 2.5, 2.0)),
+    ConstantFamily(Table(((0.0, 0.0), (0.5, 0.2), (1.0, 1.0)))),
+    CustomFamily((Power(2.0), Table(((0.0, 0.0), (1.0, 0.5), (2.0, 3.0))), LinearSlope(0.5),
+                  ExpMinusOne())),
+]
+SUBSETS = [subset for size in (1, 2, 3) for subset in combinations(BUNDLES, size)]
+
+
+class TestBundleSubsets:
+    @given(data=st.data(), tile=st.sampled_from([1, 3, 8, 64]))
+    @settings(max_examples=40, deadline=None)
+    def test_each_subset_is_the_full_engine_restricted(self, data, tile):
+        """For every nonempty subset of the bundles, an engine asked for it returns exactly
+        those bundles, each bit for bit the full engine's, for two groups of spaces (and a
+        third space sharing the first one's terms)."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        s = build_lacunary(Geometric(1, 2, data.draw(st.integers(1, 6), label="blocks")))
+        shared = dict(
+            schedule=s,
+            m_max=data.draw(st.integers(0, 4), label="m_max"),
+            matrix=data.draw(st.sampled_from([Identity(), Shift(d=2)])),
+            epsilon=data.draw(st.sampled_from([1e-3, 0.1, 0.5])),
+            L=data.draw(st.sampled_from([0.0, 0.05, -0.3])),
+        )
+        first = SpaceParams(alpha=1.0, **shared, **draw_terms(data, rng, s, SUBSET_FAMILIES))
+        others = [f for f in SUBSET_FAMILIES if f is not first.family]  # a second group
+        second = SpaceParams(alpha=0.6, **shared, **draw_terms(data, rng, s, others))
+        spaces = [first, second, replace(first, alpha=0.35)]
+        x = Sequence(rng.uniform(-2, 2, s.last_index + shared["m_max"] + 2))
+        with patch.object(convergence, "_TILE", tile):
+            full = BlockEngine(spaces)(x)
+            for subset in SUBSETS:
+                engine = BlockEngine(spaces, subset)
+                assert engine.bundles == subset
+                for stats, want in zip(engine(x), full):
+                    assert list(stats) == list(subset)
+                    for key in subset:
+                        got, expected = stats[key], want[key]
+                        assert (got.statistic, got.flag_mode) == (expected.statistic,
+                                                                  expected.flag_mode)
+                        for t, u in zip((*got.per_m, got.sup), (*expected.per_m, expected.sup)):
+                            assert (t.m, t.kind, t.values.tobytes()) == (u.m, u.kind,
+                                                                        u.values.tobytes())
+
+    def test_a_nan_strong_sum_raises_only_when_strong_is_asked_for(self):
+        """A window sum inf - inf is a NaN strong statistic, which raises; the flags of the
+        same windows are exact counts, so an engine without STRONG returns them."""
+        s = build_lacunary(Geometric(1, 2, 4))
+        p = _params(s, family=ConstantFamily(Power(2.0)), m_max=2)
+        huge = Sequence(np.full(s.last_index + 2, 1e308))  # its prefix sum is inf from index 2 on
+        for subset in SUBSETS:
+            if STRONG in subset:
+                with pytest.raises(NonFiniteStatistic, match="NaN at m=1"):
+                    BlockEngine([p], subset)(huge)
+            else:
+                assert list(BlockEngine([p], subset)(huge)[0]) == list(subset)
+
+    def test_bundles_must_be_a_nonempty_subset(self):
+        p = _params(build_lacunary(Geometric(1, 2, 4)))
+        for bundles in ((), ("strong", "shat"), STRONG):  # a bare string is its characters
+            with pytest.raises(ValueError, match="nonempty subset"):
+                BlockEngine([p], bundles)
+        assert BlockEngine([p], (RAW_FLAGS, STRONG, RAW_FLAGS)).bundles == (STRONG, RAW_FLAGS)
 
 
 class TestVerdicts:

@@ -30,7 +30,7 @@ from lacunary import (
     uniqueness_experiment,
 )
 from lacunary import experiments
-from lacunary.convergence import CONVERGES, DIVERGES, MODULAR_FLAGS, STRONG
+from lacunary.convergence import CONVERGES, DIVERGES, MODULAR_FLAGS, RAW_FLAGS, STRONG
 from lacunary.errors import HypothesisUnsatisfiable
 
 
@@ -243,27 +243,31 @@ class TestInclusionMatrix:
         built, calls = [], []
 
         class Counted(BlockEngine):
-            def __init__(self, spaces):
-                super().__init__(spaces)
-                built.append(len(self.spaces))
+            def __init__(self, spaces, bundles):
+                super().__init__(spaces, bundles)
+                built.append((len(self.spaces), self.bundles))
 
             def __call__(self, x):
                 calls.append(x)
                 return super().__call__(x)
 
         class OneEnginePerSpace:
-            def __init__(self, spaces):
-                self.engines = [BlockEngine([q]) for q in spaces]
+            def __init__(self, spaces, bundles):
+                self.engines = [BlockEngine([q], bundles) for q in spaces]
 
             def __call__(self, x):
                 return [engine(x)[0] for engine in self.engines]
 
-        for theorems, spaces in ((["T31"], 2), (experiments.THEOREMS, 3)):
+        for theorems, spaces, bundles in (
+            (["T31"], 2, (STRONG, RAW_FLAGS)),
+            (experiments.THEOREMS, 3, (STRONG, MODULAR_FLAGS, RAW_FLAGS)),
+        ):
             built.clear()
             calls.clear()
             with patch.object(experiments, "BlockEngine", Counted):
                 shared = run_inclusion_matrix(corpus, theorems, beta=0.8).to_dict()
-            assert built == [spaces] * 3  # the draws share one engine, each construction has its own
+            # the draws share one engine, each construction has its own; each computes what is read
+            assert built == [(spaces, bundles)] * 3
             assert len(calls) == len(corpus)
             with patch.object(experiments, "BlockEngine", OneEnginePerSpace):
                 assert run_inclusion_matrix(corpus, theorems, beta=0.8).to_dict() == shared

@@ -17,10 +17,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lacunary import (
+    BlockEngine,
     ConstantFamily,
     CustomFamily,
     ExpMinusOne,
     ExponentSequence,
+    Geometric,
     IndexPowerFamily,
     IndexScaledFamily,
     LinearSlope,
@@ -29,8 +31,10 @@ from lacunary import (
     RhoSequence,
     ScaledPower,
     Sequence,
+    SpaceParams,
     SpikeFamily,
     Table,
+    build_lacunary,
     complementary,
     delta2_check,
     luxemburg_norm,
@@ -45,6 +49,7 @@ from lacunary.optimize import brent_min, secant_crossing
 from lacunary.orlicz import table_axiom_failures
 from reference import (
     allocating_bind,
+    allocating_eval_many,
     amemiya_objective,
     reference_amemiya,
     reference_conjugate,
@@ -353,6 +358,79 @@ class TestKernelOut:
             orlicz.power_in_place(view, p)
         assert inplace.tobytes() == want
         assert view.tobytes() == want
+
+
+# 0, -0, subnormals, normals whose square is subnormal or overflows, the largest float, +inf
+SQUARE_EXTREMES = [
+    0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-160, 1.4e-154, 1e154, 1.35e154,
+    1.3407807929942596e154, 1e200, 1.7976931348623157e308, math.inf,
+]
+
+
+class TestSquarePath:
+    """The scalar-exponent formulas send p = 2 to `np.square`; the bits stay those of `us ** 2.0`."""
+
+    @given(
+        us=st.lists(st.sampled_from(SQUARE_EXTREMES) | st.floats(0.0), min_size=1, max_size=40),
+        c=st.sampled_from([1.0, 0.5, 3.0, 1e300]) | st.floats(1e-3, 1e3),
+    )
+    @example(us=SQUARE_EXTREMES, c=1e300)
+    @settings(max_examples=100, deadline=None)
+    def test_square_keeps_the_bits_of_us_squared(self, us, c):
+        us = np.array(us)
+        given_us = us.tobytes()
+        with np.errstate(over="ignore"):
+            square = us**2.0
+            cases = [(Power(2.0), square), (ScaledPower(2.0, c), square * c),
+                     (PowerOverP(2.0), square / 2.0)]
+        for M, want in cases:
+            want = want.tobytes()
+            assert allocating_eval_many(M, us).tobytes() == want
+            assert M.eval_many(us).tobytes() == want
+            assert np.array([M(float(u)) for u in us]).tobytes() == want
+            kernel = ConstantFamily(M).bind(np.arange(1, us.size + 1))
+            assert kernel(us).tobytes() == want
+            separate = np.full(us.shape, np.nan)
+            assert kernel(us, out=separate).tobytes() == want
+            inplace = us.copy()
+            assert kernel(inplace, out=inplace).tobytes() == want
+            assert us.tobytes() == given_us
+
+    def test_square_overflow_is_a_silent_inf(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for M in (Power(2.0), ScaledPower(2.0, 2.0), PowerOverP(2.0)):
+                assert M(1e200) == math.inf
+                assert M.eval_many(np.array([1e200, 1.0]))[0] == math.inf
+
+
+def test_engine_tiles_skip_the_argument_check(monkeypatch):
+    """The engine runs each family's formula unchecked (its arguments are >= 0 or NaN);
+    the public kernel still checks, and still raises on a negative argument."""
+    calls = []
+    check = orlicz._arguments
+
+    def counted(us):
+        calls.append(1)
+        return check(us)
+
+    monkeypatch.setattr(orlicz, "_arguments", counted)
+    s = build_lacunary(Geometric(1, 2, 6))
+    rng = np.random.default_rng(11)
+    rho = RhoSequence(constant=None, per_index=tuple(rng.uniform(0.5, 2.0, s.last_index)))
+    families = [
+        ConstantFamily(Power(2.0)), IndexPowerFamily((1.0, 2.5, 2.0)), IndexScaledFamily(),
+        ConstantFamily(Table(((0.0, 0.0), (1.0, 0.5), (2.0, 3.0)))),
+        CustomFamily((Power(2.0), ExpMinusOne(), LinearSlope(0.5))),
+    ]
+    spaces = [SpaceParams(family=f, schedule=s, m_max=2, rho=r, epsilon=0.1)
+              for f in families for r in (rho, RhoSequence())]
+    x = Sequence(rng.uniform(-2, 2, s.last_index + 2))
+    assert len(BlockEngine(spaces)(x)) == len(spaces)
+    assert calls == []
+    with pytest.raises(NegativeArgument):
+        ConstantFamily(Power(2.0)).bind(np.arange(1, 3))(np.array([1.0, -0.5]))
+    assert calls == [1]
 
 
 def pairwise_axioms(M, grid, growth_floor=0.0, tol=1e-12):
