@@ -71,11 +71,10 @@ from .experiments import (
 )
 from .orlicz import (
     MusielakOrliczFamily,
+    PrefixNorms,
     complementary,
     delta2_check,
-    luxemburg_norm,
     modular,
-    orlicz_norm,
     table_axiom_failures,
 )
 from .sequences import Sequence, build_lacunary
@@ -344,8 +343,9 @@ def cmd_norms(doc: dict, seed: int | None = None) -> ReportBundle:
         raise ConfigError(
             f"rho: rho defined up to index {len(rho.per_index)}, the sequence needs {x.horizon}"
         )
-    lux = luxemburg_norm(family, x, echo["luxemburg_tol"])
-    orl = orlicz_norm(family, x, echo["orlicz_tol"])
+    norms = PrefixNorms(family, x)
+    lux, orl = norms.luxemburg(echo["luxemburg_tol"]), norms.amemiya(echo["orlicz_tol"])
+    del norms  # its |x| and workspace go before `modular` allocates its own prefix arrays
     results: dict = {
         "horizon": x.horizon,
         "modular": modular(family, x, rho),

@@ -6,7 +6,7 @@ indexed by position generalizes this; the modular of a finite prefix is
 
     I(x) = sum_k M_k(|x_k| / rho_k),
 
-and the two norms computed here are
+and the two norms computed here, both by one `PrefixNorms(family, x)`, are
 
     luxemburg:  inf { rho > 0 : I(x / rho) <= 1 }
     amemiya:    inf { (1 + I(k x)) / k : k > 0 }   (the "second" norm)
@@ -570,77 +570,6 @@ def modular(
         return float(np.sum(family.bind(ks)(us, out=us)))
 
 
-def _bound_prefix(
-    family: MusielakOrliczFamily, x: Sequence
-) -> tuple[Kernel, np.ndarray, np.ndarray]:
-    """The family's kernel on the indices 1..N, |x| and a workspace of its size.
-
-    Made once for every step of a search: each step writes its scaled
-    prefix into the workspace and runs the kernel there in place.
-    """
-    kernel = family.bind(np.arange(1, x.horizon + 1))  # the index array is freed here
-    ax = np.abs(x.values)
-    return kernel, ax, np.empty_like(ax)
-
-
-def _luxemburg_bracket(
-    kernel: Kernel, ax: np.ndarray, work: np.ndarray
-) -> tuple[Callable[[float], float], float, float, float, float]:
-    """The map g(rho) = modular(x / rho) and a bracket lo < rho_L <= hi = 2 lo.
-
-    Returns (g, lo, g(lo), hi, g(hi)) with g(lo) > 1 >= g(hi), found by
-    doubling or halving rho from 1, so both ends are powers of two.  g is bit
-    for bit modular(family, x, RhoSequence(constant=rho)); each call
-    overwrites the workspace `work`.
-    """
-
-    def g(rho: float) -> float:
-        with np.errstate(over="ignore"):
-            return float(np.sum(kernel(np.divide(ax, rho, out=work), out=work)))
-
-    lo = hi = 1.0
-    g_lo = g_hi = g(1.0)
-    if g_hi > 1.0:
-        for _ in range(200):
-            lo, g_lo, hi = hi, g_hi, hi * 2.0
-            g_hi = g(hi)
-            if g_hi <= 1.0:
-                return g, lo, g_lo, hi, g_hi
-        raise BracketTooSmall(
-            "modular stays above 1 up to rho = 2**200; the prefix is too large "
-            "for the family or the family violates the growth axioms"
-        )
-    for _ in range(200):
-        hi, g_hi, lo = lo, g_lo, lo * 0.5
-        g_lo = g(lo)
-        if g_lo > 1.0:
-            return g, lo, g_lo, hi, g_hi
-    raise BracketTooSmall(
-        "modular stays <= 1 down to rho = 2**-200; the prefix is too small "
-        "for the family or the family is degenerate"
-    )
-
-
-def luxemburg_norm(
-    family: MusielakOrliczFamily, x: Sequence, tol: float = 1e-10
-) -> float:
-    """inf { rho > 0 : modular(x / rho) <= 1 } by bracketing + a safeguarded secant.
-
-    The map rho -> modular(family, x, rho) is nonincreasing with a single
-    crossing of 1 for any nonzero prefix.  The bracket is expanded
-    geometrically from rho = 1 and then closed by `secant_crossing` (Illinois
-    secant steps, bisection when they stall); the returned value is the
-    upper bracket end, hence feasible (modular <= 1) and within `tol` of
-    the infimum.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
-    if not np.any(x.values):
-        return 0.0
-    g, lo, g_lo, hi, g_hi = _luxemburg_bracket(*_bound_prefix(family, x))
-    return secant_crossing(g, lo, g_lo, hi, g_hi, tol)
-
-
 @dataclass(frozen=True)
 class AmemiyaValue:
     """Value of the inf_k (1 + modular(k x)) / k norm plus a boundary flag.
@@ -655,57 +584,128 @@ class AmemiyaValue:
     at_boundary: bool
 
 
-def orlicz_norm(
-    family: MusielakOrliczFamily, x: Sequence, tol: float = 1e-9
-) -> AmemiyaValue:
-    """inf over k > 0 of (1 + modular(k * x)) / k, by Brent's method.
+class PrefixNorms:
+    """The Luxemburg and Amemiya norms of one prefix x under one family.
 
-    The objective F(k) is quasiconvex for convex M_k.  Its minimizer is at
-    least 1 / (2 hi), where hi is the upper end of the Luxemburg bracket:
-    F(k) >= 1/k, and F(1/hi) <= 2 hi because modular(x / hi) <= 1.  The
-    search starts from k = 1/hi and doubles the right end while F keeps
-    improving by more than `tol`; a still-descending last doubling returns
-    the value with `at_boundary=True` (the infimum is approached as
-    k -> inf), and 60 doublings that all improve raise NoInteriorMinimum.
-
-    Raises ScaledPrefixOverflow when max |x_k| / tol is past float64: F
-    improves by at most 1/(2k) per doubling, so the stop rule may scale the
-    prefix by up to k = 1/tol, and there the scaled prefix is not finite.
+    Built once per (family, prefix): it binds the family's kernel on the
+    indices 1..N, takes |x| and allocates one workspace, into which every
+    step of either search writes its scaled prefix and runs the kernel in
+    place.  The Luxemburg bracket does not depend on the tolerance, so it is
+    found at most once and serves both searches.  Every step is bit for bit
+    the `modular` of the scaled prefix.
     """
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
-    if not np.any(x.values):
-        return AmemiyaValue(0.0, False)
-    kernel, ax, work = _bound_prefix(family, x)  # one workspace for the bracket and Brent's steps
-    ax_max = float(np.max(ax))
 
-    def check_scale(k: float) -> None:
-        if not math.isfinite(ax_max * k):
-            raise ScaledPrefixOverflow(
-                f"sequence values must be finite (no NaN/inf): the search scaled "
-                f"max |x_k| = {ax_max:g} by k = {k:g} past float64"
+    def __init__(self, family: MusielakOrliczFamily, x: Sequence) -> None:
+        self._kernel = family.bind(np.arange(1, x.horizon + 1))  # the index array is freed here
+        self._ax = np.abs(x.values)
+        self._work = np.empty_like(self._ax)
+        self._zero = not np.any(self._ax)
+
+    def _scaled_modular(self, scale: Callable[..., np.ndarray], factor: float) -> float:
+        """The modular of scale(|x|, factor), scaled and evaluated in the workspace."""
+        with np.errstate(over="ignore"):  # a scaled prefix or a modular past float64 is an honest +inf
+            return float(np.sum(self._kernel(scale(self._ax, factor, out=self._work), out=self._work)))
+
+    def _g(self, rho: float) -> float:
+        """modular(x / rho), bit for bit modular(family, x, RhoSequence(constant=rho))."""
+        return self._scaled_modular(np.divide, rho)
+
+    @cached_property
+    def bracket(self) -> tuple[float, float, float, float]:
+        """(lo, g(lo), hi, g(hi)) with lo < rho_L <= hi = 2 lo and g(lo) > 1 >= g(hi).
+
+        g(rho) = modular(x / rho); the bracket is found by doubling or halving
+        rho from 1, so both ends are powers of two.  A zero prefix has none
+        (BracketTooSmall); both searches return 0 for it without reading this.
+        """
+        g = self._g
+        lo = hi = 1.0
+        g_lo = g_hi = g(1.0)
+        if g_hi > 1.0:
+            for _ in range(200):
+                lo, g_lo, hi = hi, g_hi, hi * 2.0
+                g_hi = g(hi)
+                if g_hi <= 1.0:
+                    return lo, g_lo, hi, g_hi
+            raise BracketTooSmall(
+                "modular stays above 1 up to rho = 2**200; the prefix is too large "
+                "for the family or the family violates the growth axioms"
             )
+        for _ in range(200):
+            hi, g_hi, lo = lo, g_lo, lo * 0.5
+            g_lo = g(lo)
+            if g_lo > 1.0:
+                return lo, g_lo, hi, g_hi
+        raise BracketTooSmall(
+            "modular stays <= 1 down to rho = 2**-200; the prefix is too small "
+            "for the family or the family is degenerate"
+        )
 
-    # bit for bit (1 + modular(family, Sequence(x.values * k))) / k
-    def objective(k: float) -> float:
-        check_scale(k)
-        with np.errstate(over="ignore"):  # a modular past float64 is an honest +inf
-            return (1.0 + float(np.sum(kernel(np.multiply(ax, k, out=work), out=work)))) / k
+    def luxemburg(self, tol: float = 1e-10) -> float:
+        """inf { rho > 0 : modular(x / rho) <= 1 } by bracketing + a safeguarded secant.
 
-    check_scale(1.0 / tol)
-    _, lo, g_lo, hi, g_hi = _luxemburg_bracket(kernel, ax, work)
-    # lo and hi are powers of two, so x * (1 / hi) has the bits of x / hi, and
-    # F at k = 1/hi and at k = 1/lo (the first doubling) is known from the
-    # bracket bit for bit; the lower end 1 / (2 hi) needs no rounding margin
-    known = {1.0 / lo: (1.0 + g_lo) * lo}
+        The map rho -> modular(family, x, rho) is nonincreasing with a single
+        crossing of 1 for any nonzero prefix.  The bracket is expanded
+        geometrically from rho = 1 and then closed by `secant_crossing`
+        (Illinois secant steps, bisection when they stall); the returned value
+        is the upper bracket end, hence feasible (modular <= 1) and within
+        `tol` of the infimum.
+        """
+        if tol <= 0:
+            raise ValueError("tol must be > 0")
+        if self._zero:
+            return 0.0
+        return secant_crossing(self._g, *self.bracket, tol)
 
-    def step(k: float) -> float:
-        return known.pop(k) if k in known else objective(k)
+    def amemiya(self, tol: float = 1e-9) -> AmemiyaValue:
+        """inf over k > 0 of (1 + modular(k * x)) / k, by Brent's method.
 
-    _, value, at_boundary = brent_min(
-        step, 0.5 / hi, 2.0 / hi, tol, start=(1.0 / hi, (1.0 + g_hi) * hi), max_expansions=60
-    )
-    return AmemiyaValue(value, at_boundary)
+        The objective F(k) is quasiconvex for convex M_k.  Its minimizer is
+        at least 1 / (2 hi), where hi is the upper end of the Luxemburg
+        bracket: F(k) >= 1/k, and F(1/hi) <= 2 hi because modular(x / hi) <= 1.
+        The search starts from k = 1/hi and doubles the right end while F
+        keeps improving by more than `tol`; a still-descending last doubling
+        returns the value with `at_boundary=True` (the infimum is approached
+        as k -> inf), and 60 doublings that all improve raise
+        NoInteriorMinimum.
+
+        Raises ScaledPrefixOverflow when max |x_k| / tol is past float64: F
+        improves by at most 1/(2k) per doubling, so the stop rule may scale
+        the prefix by up to k = 1/tol, and there the scaled prefix is not
+        finite.
+        """
+        if tol <= 0:
+            raise ValueError("tol must be > 0")
+        if self._zero:
+            return AmemiyaValue(0.0, False)
+        ax_max = float(np.max(self._ax))
+
+        def check_scale(k: float) -> None:
+            if not math.isfinite(ax_max * k):
+                raise ScaledPrefixOverflow(
+                    f"sequence values must be finite (no NaN/inf): the search scaled "
+                    f"max |x_k| = {ax_max:g} by k = {k:g} past float64"
+                )
+
+        # bit for bit (1 + modular(family, Sequence(x.values * k))) / k
+        def objective(k: float) -> float:
+            check_scale(k)
+            return (1.0 + self._scaled_modular(np.multiply, k)) / k
+
+        check_scale(1.0 / tol)
+        lo, g_lo, hi, g_hi = self.bracket
+        # lo and hi are powers of two, so x * (1 / hi) has the bits of x / hi, and
+        # F at k = 1/hi and at k = 1/lo (the first doubling) is known from the
+        # bracket bit for bit; the lower end 1 / (2 hi) needs no rounding margin
+        known = {1.0 / lo: (1.0 + g_lo) * lo}
+
+        def step(k: float) -> float:
+            return known.pop(k) if k in known else objective(k)
+
+        _, value, at_boundary = brent_min(
+            step, 0.5 / hi, 2.0 / hi, tol, start=(1.0 / hi, (1.0 + g_hi) * hi), max_expansions=60
+        )
+        return AmemiyaValue(value, at_boundary)
 
 
 @dataclass(frozen=True)
@@ -727,16 +727,13 @@ def complementary(
     v: float,
     u_max: float = 1e3,
     tol: float = 1e-10,
-    require_interior: bool = False,
 ) -> ConjugateValue:
     """Young conjugate N_k(v) = sup { |v| u - M_k(u) : u >= 0 } on [0, u_max].
 
     The integrand is concave (M_k convex), so Brent's method (minimizing its
     negative) is exact up to the absolute tolerance `tol`; its bracket is
     first halved from u_max until M_k is finite at the upper end.  Boundary
-    attainment (relative to u_max) is flagged, not raised, unless
-    `require_interior` is set, in which case BracketTooSmall signals that the
-    maximizer sat at u_max without the slope turning over.
+    attainment (relative to u_max) is flagged, not raised.
     """
     M = family.member(k)
     a = abs(v)
@@ -758,13 +755,9 @@ def complementary(
     at_boundary = False
     if u_max - u_star <= max(10 * tol, 1e-9 * u_max):
         h = max(u_max * 1e-7, 1e-9)
-        if g(u_max) >= g(u_max - h):
+        if g(u_max) >= g(max(u_max - h, 0.0)):  # below h the probe is u = 0
             at_boundary = True
             value = max(value, g(u_max))
-    if at_boundary and require_interior:
-        raise BracketTooSmall(
-            f"conjugate maximizer at u_max={u_max} with nonnegative slope; widen the bracket"
-        )
     return ConjugateValue(value, at_boundary)
 
 
@@ -785,9 +778,9 @@ class Delta2Report:
 
     a: float
     K_estimate: float
-    c_rule: str
     samples_tested: int
     violations: tuple[tuple[int, float], ...]
+    c_rule = "2^-k"  # the summable c_k that delta2_check uses
 
     @property
     def held(self) -> bool:
@@ -802,27 +795,19 @@ def _default_u_grid() -> np.ndarray:
 def delta2_check(
     family: MusielakOrliczFamily,
     a: float = 1.0,
-    c_values: tuple[float, ...] | None = None,
     u_samples: np.ndarray | None = None,
     k_range: Iterable[int] = range(1, 33),
 ) -> Delta2Report:
     """Estimate the doubling constant of a family on the admissible set.
 
     The admissible set per index k is { u in u_samples : M_k(u) <= a }; `a`
-    is uniform across k (configurable).  When `c_values` is None the
-    summable default c_k = 2**-k is used.
+    is uniform across k (configurable); c_k = 2**-k, a summable sequence.
     """
     if a <= 0:
         raise ValueError("threshold a must be > 0")
     us = _default_u_grid() if u_samples is None else np.asarray(u_samples, dtype=np.float64)
     us = us[us > 0]
     ks = [int(k) for k in k_range]
-    if c_values is None:
-        c_rule = "2^-k"
-        c_of = lambda k: 2.0**-k
-    else:
-        c_rule = "supplied"
-        c_of = lambda k: c_values[min(k - 1, len(c_values) - 1)]
 
     K_est = 0.0
     tested = 0
@@ -834,7 +819,7 @@ def delta2_check(
         admissible = m_u <= a
         if not np.any(admissible):
             continue
-        c_k = c_of(k)
+        c_k = 2.0**-k
         # Python floats: the same IEEE arithmetic, and a ratio past float64 is +inf without a warning
         samples = zip(us[admissible].tolist(), m_u[admissible].tolist(), m_2u[admissible].tolist())
         for u, mu, m2u in samples:
@@ -849,7 +834,6 @@ def delta2_check(
     return Delta2Report(
         a=a,
         K_estimate=max(K_est, 0.0),
-        c_rule=c_rule,
         samples_tested=tested,
         violations=tuple(violations),
     )

@@ -19,14 +19,13 @@ from lacunary import (
     Geometric,
     Power,
     PowerOverP,
+    PrefixNorms,
     RhoSequence,
     Sequence,
     SpaceParams,
     build_lacunary,
     complementary,
     delta2_check,
-    luxemburg_norm,
-    orlicz_norm,
     random_bounded_sequence,
     run_inclusion_matrix,
     thm31_block_bounds,
@@ -103,9 +102,10 @@ def test_criterion_3_norm_oracles():
         for p in (1.0, 1.5, 2.0, 3.0):
             fam = ConstantFamily(Power(p))
             closed_form = float(np.sum(np.abs(x.values) ** p) ** (1.0 / p))
-            lux = luxemburg_norm(fam, x, tol=1e-11)
+            norms = PrefixNorms(fam, x)
+            lux = norms.luxemburg(tol=1e-11)
             worst_gap = max(worst_gap, abs(lux - closed_form))
-            orl = orlicz_norm(fam, x, tol=1e-9).value
+            orl = norms.amemiya(tol=1e-9).value
             if not (lux - 1e-6 <= orl <= 2.0 * lux + 1e-6):
                 sandwich_ok = False
     ok = report(

@@ -1,6 +1,6 @@
 """Allocation budgets: each prefix-sized array exists once on the way to the engine,
-the engine reuses its buffers from one sequence to the next, and a norm search
-evaluates every step in one workspace.
+the engine reuses its buffers from one sequence to the next, and the norm searches
+evaluate every step in one workspace.
 
 tracemalloc traces numpy's data allocations, so an extra prefix-sized copy
 shows up here as a peak above its budget, in units of one prefix of float64.
@@ -22,12 +22,11 @@ from lacunary import (
     IndexPowerFamily,
     LinearSlope,
     Power,
+    PrefixNorms,
     RhoSequence,
     Sequence,
     SpaceParams,
     build_lacunary,
-    luxemburg_norm,
-    orlicz_norm,
     random_bounded_sequence,
 )
 from lacunary.cli import main
@@ -138,16 +137,21 @@ def test_engine_call_reuses_its_buffers():
     [(ConstantFamily(Power(2.5)), 2), (IndexPowerFamily((1.5, 2.5, 2.0, 3.0)), 3)],
     ids=["constant-power", "index-power"],
 )
-@pytest.mark.parametrize("search", [luxemburg_norm, orlicz_norm])
-def test_norm_search_holds_abs_x_and_one_workspace(search, family, prefixes):
-    """Every step of a search writes its scaled prefix into one workspace and evaluates there.
+def test_norm_search_holds_abs_x_and_one_workspace(family, prefixes):
+    """Every step of both searches writes its scaled prefix into one workspace and evaluates there.
 
     |x| and the workspace are a prefix each; index_power's kernel also holds
-    its exponent array.  A temporary per step would add a prefix.
+    its exponent array.  A temporary per step, or a workspace per search,
+    would add a prefix.
     """
     x = random_bounded_sequence(np.random.default_rng(7), N, 0.0, 1.0, 0.001, 3.0)
-    value, peak = traced_peak(search, family, x)
-    assert value
+
+    def both_norms():
+        norms = PrefixNorms(family, x)
+        return norms.luxemburg(), norms.amemiya().value
+
+    (lux, ame), peak = traced_peak(both_norms)
+    assert lux and ame
     assert peak <= (prefixes + 0.25) * PREFIX, f"peak {peak / PREFIX:.2f} prefixes"
 
 

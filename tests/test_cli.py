@@ -98,6 +98,47 @@ def test_inclusion_outputs_match_golden(tmp_path):
     assert (out / "membership.csv").read_bytes() == (golden / "membership.csv").read_bytes()
 
 
+def _norms_golden_config(family):
+    return {
+        "command": "norms",
+        "sequence": {
+            "kind": "random_bounded", "horizon": 1000, "radius": 1.0,
+            "exception_density": 0.01, "exception_scale": 3.0, "seed": 20150,
+        },
+        "family": family,
+        "complementary": {"indices": [1, 2, 3], "v_values": [0.5, 1.0, 2.0], "u_max": 1e3},
+        "delta2": {"a": 1.0, "k_max": 8},
+    }
+
+
+NORMS_GOLDEN = {
+    "norms-constant-power": _norms_golden_config({"kind": "constant", "function": {"kind": "power", "p": 2.5}}),
+    "norms-custom": _norms_golden_config({
+        "kind": "custom",
+        "functions": [
+            {"kind": "table", "knots": [[0.0, 0.0], [1.0, 1.5], [2.0, 4.5]]},
+            {"kind": "scaled_power", "p": 2.0, "c": 0.75},
+            {"kind": "power_over_p", "p": 3.0},
+            {"kind": "power", "p": 2.5},
+        ],
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NORMS_GOLDEN))
+def test_norms_outputs_match_golden(tmp_path, name):
+    """The norms report (modular, both norms, conjugates, doubling constant), byte for byte.
+
+    The golden files under tests/golden/norms-*/ were written by the version
+    in which each norm search bound the family and bracketed the prefix on
+    its own; do not regenerate them to make a refactor pass.
+    """
+    cfg = write_config(tmp_path, NORMS_GOLDEN[name])
+    out = tmp_path / "out"
+    assert run_cli(["norms", "--config", cfg, "--out", out]) == 0
+    assert report_bytes_without_timestamp(out) == (GOLDEN / name / "report.json").read_bytes()
+
+
 class TestNorms:
     def test_ell2_closed_form(self, tmp_path):
         cfg = write_config(

@@ -26,8 +26,10 @@ from lacunary import (
     IndexPowerFamily,
     IndexScaledFamily,
     LinearSlope,
+    MusielakOrliczFamily,
     Power,
     PowerOverP,
+    PrefixNorms,
     RhoSequence,
     ScaledPower,
     Sequence,
@@ -37,12 +39,11 @@ from lacunary import (
     build_lacunary,
     complementary,
     delta2_check,
-    luxemburg_norm,
     modular,
-    orlicz_norm,
     verify_orlicz_axioms,
 )
 from lacunary import orlicz
+from lacunary.cli import cmd_norms
 from lacunary.errors import BracketTooSmall, EmptyAdmissibleSet, LacunaryError, NegativeArgument
 from lacunary.experiments import random_bounded_sequence
 from lacunary.optimize import brent_min, secant_crossing
@@ -573,8 +574,12 @@ class TestComplementary:
     def test_linear_conjugate_flags_boundary(self):
         got = complementary(ConstantFamily(LinearSlope(1.0)), 1, 2.0)
         assert got.at_boundary
-        with pytest.raises(BracketTooSmall):
-            complementary(ConstantFamily(LinearSlope(1.0)), 1, 2.0, require_interior=True)
+
+    def test_u_max_below_the_probe_step(self):
+        # the slope probe u_max - 1e-9 would be negative; it is clamped at u = 0
+        got = complementary(ConstantFamily(Power(2.0)), 1, 1.0, u_max=1e-10)
+        assert got.at_boundary
+        assert got.value == 1e-10 - 1e-20
 
     def test_young_conjugate_grid(self):
         for p in (1.5, 2.0, 3.0):
@@ -601,21 +606,21 @@ class TestComplementary:
 class TestLuxemburg:
     def test_ell1_closed_form(self):
         fam = ConstantFamily(Power(1.0))
-        got = luxemburg_norm(fam, Sequence(np.array([1.0, 2.0, 3.0])))
+        got = PrefixNorms(fam, Sequence(np.array([1.0, 2.0, 3.0]))).luxemburg()
         assert got == pytest.approx(6.0, abs=1e-9)
 
     def test_ell2_closed_form(self):
         fam = ConstantFamily(Power(2.0))
-        got = luxemburg_norm(fam, Sequence(np.array([3.0, 4.0])))
+        got = PrefixNorms(fam, Sequence(np.array([3.0, 4.0]))).luxemburg()
         assert got == pytest.approx(5.0, abs=1e-9)
 
     def test_zero_sequence(self):
-        assert luxemburg_norm(ConstantFamily(Power(2.0)), Sequence(np.zeros(3))) == 0.0
+        assert PrefixNorms(ConstantFamily(Power(2.0)), Sequence(np.zeros(3))).luxemburg() == 0.0
 
     def test_feasibility_of_returned_value(self):
         fam = ConstantFamily(ExpMinusOne())
         x = Sequence(np.array([0.2, 1.5, 0.9]))
-        rho = luxemburg_norm(fam, x, tol=1e-12)
+        rho = PrefixNorms(fam, x).luxemburg(tol=1e-12)
         assert modular(fam, x, RhoSequence(constant=rho)) <= 1.0 + 1e-12
 
     @given(
@@ -628,8 +633,8 @@ class TestLuxemburg:
         fam = ConstantFamily(Power(2.0))
         x = Sequence(np.asarray(vals))
         tol = 1e-9
-        lhs = luxemburg_norm(fam, Sequence(x.values * (sign * c)), tol=tol)
-        rhs = c * luxemburg_norm(fam, x, tol=tol)
+        lhs = PrefixNorms(fam, Sequence(x.values * (sign * c))).luxemburg(tol=tol)
+        rhs = c * PrefixNorms(fam, x).luxemburg(tol=tol)
         assert lhs == pytest.approx(rhs, abs=2 * tol)
 
     def test_unit_ball_modular_consistency(self):
@@ -639,25 +644,25 @@ class TestLuxemburg:
             x = Sequence(rng.uniform(-1, 1, size=rng.integers(1, 20)) * 0.2)
             if not np.any(x.values):
                 continue
-            if luxemburg_norm(fam, x, tol=1e-12) <= 1.0:
+            if PrefixNorms(fam, x).luxemburg(tol=1e-12) <= 1.0:
                 assert modular(fam, x) <= 1.0 + 1e-9
 
 
 class TestOrliczNorm:
     def test_ell1_like_infimum_at_infinity(self):
         fam = ConstantFamily(Power(1.0))
-        got = orlicz_norm(fam, Sequence(np.array([1.0, 1.0])))
+        got = PrefixNorms(fam, Sequence(np.array([1.0, 1.0]))).amemiya()
         assert got.at_boundary
         assert got.value == pytest.approx(2.0, abs=1e-6)
 
     def test_zero_sequence(self):
-        got = orlicz_norm(ConstantFamily(Power(2.0)), Sequence(np.zeros(4)))
+        got = PrefixNorms(ConstantFamily(Power(2.0)), Sequence(np.zeros(4))).amemiya()
         assert got.value == 0.0 and not got.at_boundary
 
     def test_interior_minimum_from_calculus(self):
         # objective (1 + k**2)/k has derivative zero at k = 1, value 2
         fam = ConstantFamily(Power(2.0))
-        got = orlicz_norm(fam, Sequence(np.array([1.0, 0.0, 0.0])))
+        got = PrefixNorms(fam, Sequence(np.array([1.0, 0.0, 0.0]))).amemiya()
         assert not got.at_boundary
         assert got.value == pytest.approx(2.0, abs=1e-6)
 
@@ -669,8 +674,8 @@ class TestOrliczNorm:
                 x = Sequence(rng.uniform(-2, 2, size=rng.integers(1, 16)))
                 if not np.any(x.values):
                     continue
-                lux = luxemburg_norm(fam, x, tol=1e-10)
-                orl = orlicz_norm(fam, x, tol=1e-9).value
+                norms = PrefixNorms(fam, x)
+                lux, orl = norms.luxemburg(tol=1e-10), norms.amemiya(tol=1e-9).value
                 assert lux - 1e-6 <= orl <= 2 * lux + 1e-6
 
 
@@ -742,10 +747,11 @@ class TestSearchesAgainstModularPerStep:
     @settings(max_examples=60, deadline=None)
     def test_bitwise_equal(self, family, n, scale, seed):
         x = Sequence(np.random.default_rng(seed).uniform(-1.0, 1.0, n) * scale)
-        _, steps = recorded(luxemburg_norm, family, x, 1e-10)
+        norms = PrefixNorms(family, x)
+        _, steps = recorded(norms.luxemburg, 1e-10)
         assert bool(steps) == bool(np.any(x.values))
         assert [v for _, v in steps] == [modular(family, x, RhoSequence(constant=rho)) for rho, _ in steps]
-        _, steps = recorded(orlicz_norm, family, x, 1e-9)
+        _, steps = recorded(norms.amemiya, 1e-9)
         assert bool(steps) == bool(np.any(x.values))
         objective = amemiya_objective(family, x)
         assert [v for _, v in steps] == [objective(k) for k, _ in steps]
@@ -754,12 +760,12 @@ class TestSearchesAgainstModularPerStep:
         with pytest.raises(ValueError) as scaled:
             Sequence(np.array([np.inf]))
         with pytest.raises(ValueError, match=re.escape(str(scaled.value))):
-            orlicz_norm(ConstantFamily(LinearSlope(1.0)), Sequence(np.array([1e303, 1.0])))
+            PrefixNorms(ConstantFamily(LinearSlope(1.0)), Sequence(np.array([1e303, 1.0]))).amemiya()
 
     @pytest.mark.parametrize("value", [1e303, 1e-70], ids=["too-large", "too-small"])
     def test_exhausted_bracket_is_a_lacunary_error(self, value):
         with pytest.raises(BracketTooSmall):
-            luxemburg_norm(ConstantFamily(LinearSlope(1.0)), Sequence(np.array([value, 0.0])))
+            PrefixNorms(ConstantFamily(LinearSlope(1.0)), Sequence(np.array([value, 0.0]))).luxemburg()
 
 
 def amemiya_slack(family, x, k, tol):
@@ -811,14 +817,15 @@ class TestSearchesAgainstReference:
             values[rng.integers(n)] = huge * rng.choice([-1.0, 1.0])
         x = Sequence(values)
 
-        lux, ref = outcome(luxemburg_norm, family, x, 1e-10), outcome(reference_luxemburg, family, x, 1e-10)
+        norms = PrefixNorms(family, x)
+        lux, ref = outcome(norms.luxemburg, 1e-10), outcome(reference_luxemburg, family, x, 1e-10)
         if isinstance(ref, type) or isinstance(lux, type):  # an error class
             assert lux is ref
         else:
             assert abs(lux - ref) <= 1e-10
             assert lux == 0.0 or modular(family, x, RhoSequence(constant=lux)) <= 1.0
 
-        (ame, steps), ref = recorded(orlicz_norm, family, x, 1e-9), outcome(reference_amemiya, family, x, 1e-9)
+        (ame, steps), ref = recorded(norms.amemiya, 1e-9), outcome(reference_amemiya, family, x, 1e-9)
         if isinstance(ref, type) or isinstance(ame, type):
             assert ame is ref
             return
@@ -835,7 +842,8 @@ class TestSearchEvaluationCount:
     """Kernel calls per search on the norms shapes of the benchmark's cli-mix workload."""
 
     @staticmethod
-    def kernel_calls(search, family, x, tol):
+    def kernel_calls(family, answer):
+        """The kernel calls, of kernels that `family` binds, while `answer()` runs."""
         calls = 0
         bind = type(family).bind
 
@@ -850,7 +858,7 @@ class TestSearchEvaluationCount:
             return counted
 
         with mock.patch.object(type(family), "bind", counting_bind):
-            search(family, x, tol)
+            answer()
         return calls
 
     @pytest.mark.parametrize("family, horizon", [
@@ -859,12 +867,45 @@ class TestSearchEvaluationCount:
         (CustomFamily((TABLE, ScaledPower(2.0, 0.75), PowerOverP(3.0), Power(2.5))), 1_000),
     ], ids=["constant-power", "index-power", "custom"])
     def test_at_most_20_luxemburg_and_25_amemiya_evaluations(self, family, horizon):
+        """Each search alone stays within its budget; one object answering both
+        evaluates the bracket once, so it saves exactly the bracket's evaluations."""
         for seed in range(2):
             x = random_bounded_sequence(
                 np.random.default_rng(seed), horizon, radius=1.0, exception_density=0.001
             )
-            assert self.kernel_calls(luxemburg_norm, family, x, 1e-10) <= 20
-            assert self.kernel_calls(orlicz_norm, family, x, 1e-9) <= 25
+            lux = self.kernel_calls(family, lambda: PrefixNorms(family, x).luxemburg(1e-10))
+            ame = self.kernel_calls(family, lambda: PrefixNorms(family, x).amemiya(1e-9))
+            assert lux <= 20
+            assert ame <= 25
+            bracket = self.kernel_calls(family, lambda: PrefixNorms(family, x).bracket)
+
+            def both():
+                norms = PrefixNorms(family, x)
+                norms.luxemburg(1e-10)
+                norms.amemiya(1e-9)
+
+            assert self.kernel_calls(family, both) == lux + ame - bracket
+
+    def test_norms_command_binds_the_full_prefix_twice(self):
+        """The two searches share one bind of the indices 1..N; `modular` makes the other."""
+        horizon = 1_000
+        doc = {
+            "command": "norms",
+            "sequence": {"kind": "random_bounded", "horizon": horizon, "radius": 1.0, "seed": 3},
+            "family": {"kind": "constant", "function": {"kind": "power", "p": 2.5}},
+            "complementary": {"indices": [1, 2], "v_values": [1.0], "u_max": 1e3},
+            "delta2": {"a": 1.0, "k_max": 4},
+        }
+        sizes = []
+        bind = MusielakOrliczFamily.bind
+
+        def counting_bind(self, ks):
+            sizes.append(len(ks))
+            return bind(self, ks)
+
+        with mock.patch.object(MusielakOrliczFamily, "bind", counting_bind):
+            cmd_norms(doc)
+        assert sizes.count(horizon) == 2
 
 
 class TestConjugateAgainstReference:
