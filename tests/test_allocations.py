@@ -132,18 +132,34 @@ def test_engine_call_reuses_its_buffers():
     assert peak <= 0.05 * LONG_PREFIX, f"peak {peak / LONG_PREFIX:.3f} prefixes"
 
 
-@pytest.mark.parametrize(
+NORM_FAMILIES = pytest.mark.parametrize(
     "family, prefixes",
     [(ConstantFamily(Power(2.5)), 2), (IndexPowerFamily((1.5, 2.5, 2.0, 3.0)), 3)],
     ids=["constant-power", "index-power"],
 )
-def test_norm_search_holds_abs_x_and_one_workspace(family, prefixes):
-    """Every step of both searches writes its scaled prefix into one workspace and evaluates there.
+
+
+@NORM_FAMILIES
+@pytest.mark.parametrize(
+    "search",
+    [lambda norms: norms.luxemburg(), lambda norms: norms.amemiya().value],
+    ids=["luxemburg_norm", "orlicz_norm"],
+)
+def test_norm_search_holds_abs_x_and_one_workspace(search, family, prefixes):
+    """Every step of a search writes its scaled prefix into one workspace and evaluates there.
 
     |x| and the workspace are a prefix each; index_power's kernel also holds
-    its exponent array.  A temporary per step, or a workspace per search,
-    would add a prefix.
+    its exponent array.  A temporary per step would add a prefix.
     """
+    x = random_bounded_sequence(np.random.default_rng(7), N, 0.0, 1.0, 0.001, 3.0)
+    value, peak = traced_peak(lambda: search(PrefixNorms(family, x)))
+    assert value
+    assert peak <= (prefixes + 0.25) * PREFIX, f"peak {peak / PREFIX:.2f} prefixes"
+
+
+@NORM_FAMILIES
+def test_both_norm_searches_share_one_workspace(family, prefixes):
+    """One PrefixNorms answers both searches in the budget of one: a workspace per search would add a prefix."""
     x = random_bounded_sequence(np.random.default_rng(7), N, 0.0, 1.0, 0.001, 3.0)
 
     def both_norms():
