@@ -16,31 +16,20 @@ per-index term above (the per-term reading of the defining statistic);
 bound counts.  Reports must name the mode in use.
 
 `BlockEngine` computes the strong statistic and both exception densities
-for every m = 0..m_max in one pass per sequence, from one transform and
-one cumulative sum, for a group of spaces that differ only in family, rho,
-exponents and alpha.  Its `bundles` argument names the results its caller
-reads (STRONG, MODULAR_FLAGS, RAW_FLAGS; all three by default), and it
-computes only those: without RAW_FLAGS there is no raw-flag workspace,
-comparison or count; without MODULAR_FLAGS no modular comparison or
-count; with neither STRONG nor MODULAR_FLAGS no family term at all.  It
-is built once per group and then called once per sequence; it owns its
-buffers (y = A(x) - L, its cumulative sum, and the terms and flag
-workspaces it needs) and reuses them for every call, so after the first
-call it allocates nothing of prefix size but the transform's output, and
-it serves one caller at a time.  Its m-loop runs over tiles of `_TILE`
-indices, computing each tile's deviations (and raw flags) once and then
-the terms (and modular flags) of each group of spaces.  The terms come from the family's
-in-place formula (`_bind`), run without the public kernel's argument
-check: u = |t_{km}| / rho_k with rho_k > 0, so u >= 0 or NaN, and the
-check could never fire.  Numerical contract: window sums come from a
-sequential cumulative sum (`np.cumsum`), block sums are a pairwise
-`np.add.reduce` over each block's slice, and exception counts are exact
-integers.  Every per-m trajectory is therefore bitwise equal to the slow
-per-statistic reference in `tests/reference.py` (`strong_block_statistic`,
-`lacunary_density` of `shat_flags`), whatever the tile size, the other
-spaces of the engine or the other bundles asked for, and results are
-deterministic.  NaN is never a result: a NaN strong block sum raises
-`NonFiniteStatistic`.
+for every m = 0..m_max in one pass per sequence, from one transform, for a
+group of spaces that differ only in family, rho, exponents and alpha, and
+only the bundles (STRONG, MODULAR_FLAGS, RAW_FLAGS) its caller names.  It
+streams: each tile of whole blocks, or of nodes of a long block's
+pairwise-sum tree, takes y = A(x) - L, its cumulative sum and every window
+while it is in cache, so the engine holds no array of the prefix's length.
+Numerical contract: window sums come from a sequential cumulative sum
+(`np.cumsum`), block sums are the pairwise `np.add.reduce` of each block,
+and exception counts are exact integers.  Every per-m trajectory is
+therefore bitwise equal to the slow per-statistic reference in
+`tests/reference.py` (`strong_block_statistic`, `lacunary_density` of
+`shat_flags`), whatever the tile size, the other spaces of the engine or
+the other bundles asked for.  NaN is never a result: a NaN strong block
+sum raises `NonFiniteStatistic`.
 """
 
 from __future__ import annotations
@@ -52,7 +41,13 @@ from typing import Iterable
 import numpy as np
 
 from .errors import NonFiniteStatistic
-from .orlicz import ExponentSequence, MusielakOrliczFamily, RhoSequence, power_in_place
+from .orlicz import (
+    ExponentSequence,
+    MusielakOrliczFamily,
+    RhoSequence,
+    power_in_place,
+    values_per_tile,
+)
 from .sequences import (
     Identity,
     LacunarySchedule,
@@ -203,13 +198,6 @@ def classify_trajectory(
 # ---------------------------------------------------------------------------
 
 
-def _block_counts(flags: np.ndarray, sched: LacunarySchedule) -> np.ndarray:
-    """|{k in I_r : flags_k}| for r = 1..R, exact, as float64."""
-    cuts = sched.cut_points
-    counts = [np.count_nonzero(flags[a:b]) for a, b in zip(cuts, cuts[1:])]
-    return np.array(counts, dtype=np.float64)
-
-
 def _block_sums(values: np.ndarray, sched: LacunarySchedule) -> np.ndarray:
     """sum_{k in I_r} values_k for r = 1..R, each block a pairwise sum.
 
@@ -253,43 +241,107 @@ def _uniform(
     )
 
 
+_PAIRWISE_LEAF = 128  # numpy's PW_BLOCKSIZE: its pairwise sum never splits a run this short
+
+
+class _TilePlan:
+    """The tiles of a schedule's indices, each a run of leaves whose sums add up to the block sums.
+
+    A leaf is a whole block, or, for a block longer than the node width
+    max(tile, 128), one node of numpy's pairwise-sum tree over the block:
+    numpy sums a run of n > 128 elements as the sum of its first
+    n2 = n//2 - (n//2) % 8 and the sum of the rest, and a run of at most
+    128 in one loop.  So `np.add.reduce` of each leaf, added up the tree in
+    float64, is `np.add.reduce` of the whole block bit for bit (the test
+    of the plan pins this to the installed numpy).  Consecutive leaves are
+    packed into one tile of at most `tile` indices; a longer leaf is a
+    tile of its own.
+    """
+
+    def __init__(self, cuts: tuple[int, ...], tile: int) -> None:
+        width = max(tile, _PAIRWISE_LEAF)
+        leaves: list[tuple[int, int]] = []
+
+        def split(lo: int, hi: int):
+            """The tree over [lo, hi): a leaf's number, or a pair (left, right) of trees."""
+            n = hi - lo
+            if n <= width:
+                leaves.append((lo, hi))
+                return len(leaves) - 1
+            half = n // 2 - (n // 2) % 8
+            return split(lo, lo + half), split(lo + half, hi)
+
+        self.first_leaf = []  # per block, the number of its first leaf
+        self.trees = []  # per block, its tree of leaves
+        for a, b in zip(cuts, cuts[1:]):
+            self.first_leaf.append(len(leaves))
+            self.trees.append(split(a, b))
+        self.leaves = len(leaves)
+        # per tile: its index range [a, b), the numbers of its leaves and their slices in the tile
+        self.tiles: list[tuple[int, int, slice, list[slice]]] = []
+        first = 0
+        for j in range(1, len(leaves) + 1):
+            if j == len(leaves) or leaves[j][1] - leaves[first][0] > tile:
+                a, b = leaves[first][0], leaves[j - 1][1]
+                pieces = [slice(lo - a, hi - a) for lo, hi in leaves[first:j]]
+                self.tiles.append((a, b, slice(first, j), pieces))
+                first = j
+        self.width = max(b - a for a, b, _, _ in self.tiles)
+
+    def block_sums(self, leaf_sums: np.ndarray) -> np.ndarray:
+        """The block sums, per row, from the leaf sums of shape (rows, leaves), up each tree."""
+
+        def up(tree):
+            return leaf_sums[:, tree] if isinstance(tree, int) else up(tree[0]) + up(tree[1])
+
+        return np.stack([up(tree) for tree in self.trees], axis=1)
+
+    def block_counts(self, leaf_counts: np.ndarray) -> np.ndarray:
+        """The block counts, per row, from the exact leaf counts of shape (rows, leaves), as float64."""
+        return np.add.reduceat(leaf_counts, self.first_leaf, axis=1).astype(np.float64)
+
+
 class _TermGroup:
     """Spaces of an engine sharing (family, rho, exponents), hence terms and modular flags."""
 
-    def __init__(
-        self, p: SpaceParams, terms: np.ndarray, bounds: list[tuple[int, int]], on_dev: bool,
-        modular: bool,
-    ) -> None:
-        k_end = p.schedule.last_index
+    def __init__(self, p: SpaceParams, plan: _TilePlan, on_dev: bool, modular: bool) -> None:
+        bounds = [(a, b) for a, b, _, _ in plan.tiles]
         if p.rho.constant is None:
-            self.rho = p.rho.array(1, k_end)
+            self.rho = values_per_tile(p.rho.per_index, bounds)
         elif p.rho.constant != 1.0:
-            self.rho = np.broadcast_to(p.rho.constant, (k_end,))
+            self.rho = [p.rho.constant] * len(bounds)
         else:
             self.rho = None  # x / 1.0 == x for every float64
-        self.exps = None if p.exponents.is_identically_one else p.exponents.array(1, k_end)
-        self.formulas = [p.family._bind(np.arange(a + 1, b + 1, dtype=np.int64)) for a, b in bounds]
-        self.terms = terms
-        self.on_dev = on_dev  # the terms are the deviations' own storage
-        self.flags = np.empty(k_end, dtype=bool) if modular else None
+        exps = p.exponents
+        if exps.is_identically_one:
+            self.exps = None
+        else:
+            self.exps = values_per_tile(exps.per_index or (exps.constant,), bounds)
+        self.formulas = p.family._bind_tiles(bounds)
+        self.terms = None if on_dev else np.empty(plan.width)  # on_dev: the deviations' storage
+        self.flags = np.empty(plan.width, dtype=bool) if modular else None
 
-    def tile(self, t: int, a: int, b: int, dev: np.ndarray, epsilon: float) -> None:
-        """Terms, and modular flags if asked for, of tile t = [a, b) from its deviations `dev`.
+    def tile(self, t: int, dev: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray | None]:
+        """The terms, and the modular flags if asked for, of tile t from its deviations `dev`.
 
         The formula runs in place on the tile's terms, which first hold the
         quotient dev / rho, or else `dev` itself: the first group's terms are
         its storage, the other groups' terms take one copy of it.
         """
-        terms = dev if self.on_dev else self.terms[a:b]
+        n = dev.size
+        terms = dev if self.terms is None else self.terms[:n]
         if self.rho is not None:
-            np.divide(dev, self.rho[a:b], out=terms)
-        elif not self.on_dev:
+            np.divide(dev, self.rho[t], out=terms)
+        elif terms is not dev:
             np.copyto(terms, dev)
         self.formulas[t](terms)
         if self.exps is not None:
-            power_in_place(terms, self.exps[a:b])
-        if self.flags is not None:
-            np.greater_equal(terms, epsilon, out=self.flags[a:b])
+            power_in_place(terms, self.exps[t])
+        if self.flags is None:
+            return terms, None
+        flags = self.flags[:n]
+        np.greater_equal(terms, epsilon, out=flags)
+        return terms, flags
 
 
 class BlockEngine:
@@ -303,41 +355,52 @@ class BlockEngine:
     dict per space, in order, holding each bundle asked for under its name;
     a bundle not asked for is absent, never filled in.
 
-    One call computes y = A(x) - L for the largest lookahead and one
-    cumulative sum of y_1..y_{k_R + m_max}; its prefixes are the per-m
-    cumulative sums of the reference's `_window_deviations`
-    (`tests/reference.py`), bit for bit.  The indices are split into
-    tiles of `_TILE`.  For each m, every tile computes its deviations and,
-    for RAW_FLAGS, its raw flags once; then, for STRONG or MODULAR_FLAGS,
-    each group of spaces sharing (family, rho, exponents) gets its terms
-    and, for MODULAR_FLAGS, its modular flags.  Block sums and exact
-    exception counts come from the unchanged block reductions over whole
-    workspaces, once per group (the raw counts once per call), and are
-    divided by h_r**alpha per space, so tiles need not line up with blocks
-    and each per-m trajectory is bitwise identical to that reference,
-    whichever bundles are asked for.
+    One call transforms x once, to z = A(x) for the largest lookahead, and
+    then streams over the tiles of a `_TilePlan` built from the schedule:
+    whole blocks packed up to `_TILE` indices, and the blocks longer than
+    that split into nodes of numpy's pairwise-sum tree.  Each tile writes
+    y = z - L for its indices and the m_max after them, takes |y| (the
+    deviations at m = 0), and then the cumulative sum of y after the carry
+    c_a = y_1 + ... + y_a of the tiles before it, in place, so its window
+    sums are those of one sequential cumulative sum over the prefix, as in
+    the reference's `_window_deviations` (`tests/reference.py`), bit for
+    bit.  Then, while the tile is in cache, for each m it computes its
+    deviations and, for RAW_FLAGS, its raw flags once; for STRONG or
+    MODULAR_FLAGS each group of spaces sharing (family, rho, exponents)
+    gets its terms and, for MODULAR_FLAGS, its modular flags; and each leaf
+    of the tile is reduced, to an `np.add.reduce` sum and an exact count.
+    After the last tile the leaf sums are added up each block's tree, which
+    gives `np.add.reduce` of the whole block, and the counts are summed per
+    block; both are divided by h_r**alpha per space.  So each per-m
+    trajectory is bitwise identical to that reference, whatever the tile
+    size and whichever bundles are asked for.
 
-    The terms are the family's in-place formula (`family._bind`, bound to
-    each tile once), run on the terms workspace without `bind`'s argument
-    check: the argument is u = |t_{km}| / rho_k, and rho_k > 0 is finite
-    (`RhoSequence`), so u >= 0 or NaN, and the check passes NaN.  The
-    formula runs inside the engine's own errstate, which ignores overflow
-    as `bind` does.
+    The terms are the family's in-place formula (`family._bind_tiles`,
+    bound to each tile once), run on the terms workspace without `bind`'s
+    argument check: the argument is u = |t_{km}| / rho_k, and rho_k > 0 is
+    finite (`RhoSequence`), so u >= 0 or NaN, and the check passes NaN.
+    The formula runs inside the engine's own errstate, which ignores
+    overflow as `bind` does.
 
-    Memory: the engine owns its buffers and reuses them for every call.
-    Its first call, once the transform has succeeded, allocates y and its
-    cumulative sum, the raw-flag workspace if RAW_FLAGS is asked for and,
-    if STRONG or MODULAR_FLAGS is, binds each group's family to each tile
-    and allocates a terms workspace per group (and a modular-flag workspace
-    for MODULAR_FLAGS); the first group's terms are y's own storage (a tile
-    reads y at m = 0 before it writes its terms, and its deviations are
-    computed in place there).  Every later call allocates nothing of prefix
-    size beyond the transform's output (for Identity a view of x), so it
-    touches no fresh prefix-sized pages.  The formulas run in place, so the
-    tiles make no temporaries either, except in the `table` and `custom`
-    kinds, whose formulas build tile-sized ones.  Results never alias the
-    buffers.  Because the buffers are shared, an engine serves one caller
-    at a time.
+    Memory: the engine holds no array of the prefix's length.  Its first
+    call, once the transform has succeeded, builds the tile plan, makes
+    the tile workspaces (the cumulative sum of y, of the widest tile plus
+    m_max + 1, the deviations, and the raw flags if RAW_FLAGS is asked for)
+    and, if STRONG or MODULAR_FLAGS is, binds each group's family to each
+    tile and makes a terms workspace for each group but the first (whose
+    terms overwrite the deviations) and, for MODULAR_FLAGS, a modular-flag
+    workspace, all a tile wide.  Per-index data is held per tile: the
+    exponents of `index_power` and of the exponent sequence, which the
+    tiles past the listed exponents share as one tile-wide array, and a
+    per-index rho, which lists every index.  The `index_scaled`, `spike`
+    and `custom` formulas keep their per-index data per tile too, as long
+    as the prefix over all tiles.  Each call then fills (m_max + 1) x
+    leaves sums and counts.  It allocates nothing of prefix size beyond the
+    transform's output (for Identity a view of x), and the formulas run in
+    place, so the tiles make no temporaries, except in the `table` and
+    `custom` kinds, whose formulas build tile-sized ones.  Results never
+    alias the workspaces.  Because the workspaces are shared, an engine
+    serves one caller at a time.
 
     Overflow is an honest +inf.  With STRONG asked for, a NaN strong block
     sum (a window sum inf - inf, for one) raises NonFiniteStatistic naming
@@ -369,88 +432,92 @@ class BlockEngine:
         self._group_of = [keys.index((q.family, q.rho, q.exponents)) for q in self.spaces]
         lengths = p.schedule.block_lengths.astype(np.float64)
         self._h_alpha = {q.alpha: lengths**q.alpha for q in self.spaces}
-        self._y: np.ndarray | None = None  # the buffers, made by the first call
+        self._plan: _TilePlan | None = None  # the plan and the workspaces, made by the first call
 
     def _allocate(self) -> None:
-        """Bind the families to the tiles and make the buffers, once for the engine.
+        """Plan the tiles, bind the families to them and make the workspaces, once for the engine.
 
         The first call does this after its transform has succeeded, so a
         prefix shorter than the schedule fails as it would without the
-        engine, before anything of the schedule's size is allocated.
+        engine, before the families are bound.
         """
         p = self.spaces[0]
-        k_end = p.schedule.last_index
-        self._y = np.empty(k_end + p.m_max)
-        self._raw_flags = np.empty(k_end, dtype=bool) if RAW_FLAGS in self.bundles else None
-        self._bounds = [(a, min(a + _TILE, k_end)) for a in range(0, k_end, _TILE)]
+        plan = _TilePlan(p.schedule.cut_points, _TILE)
+        self._c = np.empty(plan.width + p.m_max + 1)  # c[1:] is y, then c its cumulative sum
+        self._dev = np.empty(plan.width)
+        self._raw_flags = np.empty(plan.width, dtype=bool) if RAW_FLAGS in self.bundles else None
         modular = MODULAR_FLAGS in self.bundles
-        self._groups = [
-            _TermGroup(q, self._y[:k_end] if g == 0 else np.empty(k_end), self._bounds, g == 0,
-                       modular)
-            for g, q in enumerate(self._leaders)
-        ]
-        self._c = np.empty(k_end + p.m_max + 1) if p.m_max else None
-        if p.m_max:
-            self._c[0] = 0.0
+        self._groups = [_TermGroup(q, plan, g == 0, modular) for g, q in enumerate(self._leaders)]
+        self._plan = plan
 
     def __call__(self, x: Sequence) -> list[dict[str, UniformTrajectories]]:
         p = self.spaces[0]
-        sched = p.schedule
-        k_end = sched.last_index
-        z = transform_sequence(p.matrix, x, k_end + p.m_max, p.matrix_tol)
-        if self._y is None:
+        m_max, epsilon = p.m_max, p.epsilon
+        z = transform_sequence(p.matrix, x, p.schedule.last_index + m_max, p.matrix_tol).values
+        if self._plan is None:
             self._allocate()
-        y, c, raw_flags, groups = self._y, self._c, self._raw_flags, self._groups
+        plan, raw_flags, groups = self._plan, self._raw_flags, self._groups
         strong, modular = STRONG in self.bundles, MODULAR_FLAGS in self.bundles
-        tile_order = groups[1:] + groups[:1]  # the first group's terms overwrite the deviations
-        raw_counts: list[np.ndarray] = []
-        sums: list[list[np.ndarray]] = [[] for _ in groups]
-        counts: list[list[np.ndarray]] = [[] for _ in groups]
+        order = [*range(1, len(groups)), 0] if groups else []  # the first group's terms overwrite dev
+        shape = (m_max + 1, plan.leaves)
+        raw_counts = np.empty(shape, dtype=np.int64) if raw_flags is not None else None
+        sums = [np.empty(shape) if strong else None for _ in groups]
+        counts = [np.empty(shape, dtype=np.int64) if modular else None for _ in groups]
+        carry = 0.0
         with np.errstate(over="ignore", invalid="ignore"):
-            np.subtract(z.values, p.L, out=y)
-            if p.m_max:
-                np.cumsum(y[: k_end + p.m_max], out=c[1:])
-            for m in range(p.m_max + 1):
-                for t, (a, b) in enumerate(self._bounds):
-                    dev = y[a:b]  # the deviations, then the first group's terms, of this tile
-                    if m == 0:
-                        np.abs(dev, out=dev)
-                    else:
-                        np.subtract(c[a + m + 1 : b + m + 1], c[a:b], out=dev)
+            for t, (a, b, leaves, pieces) in enumerate(plan.tiles):
+                n = b - a
+                c, dev = self._c[: n + m_max + 1], self._dev[:n]
+                np.subtract(z[a : b + m_max], p.L, out=c[1:])
+                np.abs(c[1 : n + 1], out=dev)
+                if m_max:  # the cumulative sum of y after the carry, in place
+                    if a:
+                        c[0] = carry
+                        np.cumsum(c, out=c)
+                    else:  # c_1 = y_1, not 0.0 + y_1, which would turn -0.0 into +0.0
+                        np.cumsum(c[1:], out=c[1:])
+                        c[0] = 0.0
+                    carry = c[n]
+                for m in range(m_max + 1):
+                    if m:
+                        np.subtract(c[m + 1 : n + m + 1], c[:n], out=dev)
                         dev /= m + 1
                         np.abs(dev, out=dev)
                     if raw_flags is not None:
-                        np.greater_equal(dev, p.epsilon, out=raw_flags[a:b])
-                    for group in tile_order:
-                        group.tile(t, a, b, dev, p.epsilon)
-                if raw_flags is not None:
-                    raw_counts.append(_block_counts(raw_flags, sched))
-                for g, group in enumerate(groups):
-                    if strong:
-                        block_sums = _block_sums(group.terms, sched)
-                        nan_blocks = np.flatnonzero(np.isnan(block_sums))
-                        if nan_blocks.size:
-                            raise NonFiniteStatistic(
-                                f"the strong statistic is NaN at m={m}, block r={nan_blocks[0] + 1}: "
-                                "a window sum or a family term is not a number (for instance a "
-                                "window sum inf - inf after the prefix sum overflowed)"
-                            )
-                        sums[g].append(block_sums)
-                    if modular:
-                        counts[g].append(_block_counts(group.flags, sched))
-        raw = {
-            alpha: _uniform([n / h for n in raw_counts], SHAT_DENSITY, RAW_FLAGS)
-            for alpha, h in self._h_alpha.items()
-        } if raw_flags is not None else {}
+                        flags = raw_flags[:n]
+                        np.greater_equal(dev, epsilon, out=flags)
+                        raw_counts[m, leaves] = [np.count_nonzero(flags[s]) for s in pieces]
+                    for g in order:
+                        terms, flags = groups[g].tile(t, dev, epsilon)
+                        if strong:
+                            sums[g][m, leaves] = [np.add.reduce(terms[s]) for s in pieces]
+                        if modular:
+                            counts[g][m, leaves] = [np.count_nonzero(flags[s]) for s in pieces]
+            if strong:
+                sums = [plan.block_sums(s) for s in sums]
+        if strong:
+            nan = np.argwhere(np.isnan(np.stack(sums, axis=1)))  # rows (m, group, block), in order
+            if nan.size:
+                m, _, r = nan[0]
+                raise NonFiniteStatistic(
+                    f"the strong statistic is NaN at m={m}, block r={r + 1}: "
+                    "a window sum or a family term is not a number (for instance a "
+                    "window sum inf - inf after the prefix sum overflowed)"
+                )
+        raw = {}
+        if raw_flags is not None:
+            raw_counts = plan.block_counts(raw_counts)
+            raw = {alpha: _uniform(list(raw_counts / h), SHAT_DENSITY, RAW_FLAGS)
+                   for alpha, h in self._h_alpha.items()}
+        counts = [plan.block_counts(n) for n in counts] if modular else counts
         results = []
         for q, g in zip(self.spaces, self._group_of):
             h = self._h_alpha[q.alpha]
             stats = {}
             if strong:
-                stats[STRONG] = _uniform([s / h for s in sums[g]], STRONG, None)
+                stats[STRONG] = _uniform(list(sums[g] / h), STRONG, None)
             if modular:
-                stats[MODULAR_FLAGS] = _uniform([n / h for n in counts[g]], SHAT_DENSITY,
-                                                MODULAR_FLAGS)
+                stats[MODULAR_FLAGS] = _uniform(list(counts[g] / h), SHAT_DENSITY, MODULAR_FLAGS)
             if raw_flags is not None:
                 stats[RAW_FLAGS] = raw[q.alpha]
             results.append(stats)

@@ -549,9 +549,19 @@ def random_bounded_sequence(
         )
     values = rng.uniform(center - radius, center + radius, size=horizon)
     if exception_density > 0:
-        draws = np.empty(horizon)  # both uniform draws, one after the other
-        at = np.flatnonzero(rng.random(out=draws) < exception_density)
-        signs = np.where(rng.random(out=draws)[at] < 0.5, -1.0, 1.0)
+        # two uniform draws of the whole horizon, one after the other, each taken
+        # a chunk at a time into one buffer: the same stream as two whole draws
+        step = 2**15
+        chunk = np.empty(min(horizon, step))
+        hits = [a + np.flatnonzero(rng.random(out=chunk[: horizon - a]) < exception_density)
+                for a in range(0, horizon, step)]
+        at = np.concatenate(hits) if hits else np.empty(0, dtype=np.intp)
+        negative = np.empty(at.size, dtype=bool)
+        for a in range(0, horizon, step):
+            u = rng.random(out=chunk[: horizon - a])
+            lo, hi = np.searchsorted(at, (a, a + step))
+            negative[lo:hi] = u[at[lo:hi] - a] < 0.5
+        signs = np.where(negative, -1.0, 1.0)
         values[at] = center + signs * exception_scale * radius
     return Sequence._adopt(values)
 

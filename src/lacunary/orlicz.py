@@ -65,6 +65,23 @@ def power_in_place(out: np.ndarray, p: np.ndarray) -> None:
         np.power(out, p, out=out)
 
 
+def values_per_tile(values: tuple[float, ...], bounds: list[tuple[int, int]]) -> list[np.ndarray]:
+    """values_k for the indices k = a+1..b of each tile [a, b); indices past the list take its last.
+
+    The tiles lying wholly past the list share one read-only array of the
+    last value, so the tiles of a long prefix hold no array of its length.
+    That array is contiguous: as an exponent, a stride-0 broadcast would
+    make numpy's power take its scalar shortcuts (square for 2, sqrt for
+    0.5), which change the bits.
+    """
+    arr = np.asarray(values, dtype=np.float64)
+    last = arr.size - 1
+    tail = np.full(max((b - a for a, b in bounds if a >= last), default=0), arr[last])
+    tail.flags.writeable = False
+    return [tail[: b - a] if a >= last else arr[np.minimum(np.arange(a, b), last)]
+            for a, b in bounds]
+
+
 def scalar_power_in_place(out: np.ndarray, p: float) -> None:
     """out **= p for a scalar exponent `p`, with the bits of `out ** p`.
 
@@ -312,6 +329,10 @@ class MusielakOrliczFamily:
         """The in-place array formula out -> M_{ks}(out), with the data of the indices gathered."""
         raise NotImplementedError
 
+    def _bind_tiles(self, bounds: list[tuple[int, int]]) -> list[Formula]:
+        """The in-place formula of each tile [a, b) of the indices, bound to k = a+1..b."""
+        return [self._bind(np.arange(a + 1, b + 1, dtype=np.int64)) for a, b in bounds]
+
     def bind(self, ks: np.ndarray) -> Kernel:
         """The kernel (us, out=None) -> M_{ks[i]}(us[i]) elementwise, for any number of `us` arrays.
 
@@ -379,6 +400,10 @@ class IndexPowerFamily(MusielakOrliczFamily):
     def _bind(self, ks: np.ndarray) -> Formula:
         p = np.asarray(self.exponents)[np.minimum(ks - 1, len(self.exponents) - 1)]
         return lambda out: power_in_place(out, p)
+
+    def _bind_tiles(self, bounds: list[tuple[int, int]]) -> list[Formula]:
+        """As `_bind` per tile, with the tiles past the exponent list sharing one exponent array."""
+        return [partial(power_in_place, p=p) for p in values_per_tile(self.exponents, bounds)]
 
 
 @dataclass(frozen=True, eq=False)

@@ -56,7 +56,6 @@ from lacunary.convergence import (
     RAW_FLAGS,
     SHAT_DENSITY,
     STRONG,
-    _block_counts,
 )
 from lacunary.config import OMIT, Component
 from lacunary.errors import BracketTooSmall, ConfigError, NoInteriorMinimum, ScaledPrefixOverflow
@@ -81,6 +80,23 @@ def block_average(x: Sequence, schedule: LacunarySchedule, L: float = 0.0) -> np
             total += abs(float(v) - L)
         averages.append(total / (b - a))
     return np.array(averages)
+
+
+def whole_draw_bounded_sequence(rng, horizon, center, radius, exception_density, exception_scale):
+    """`random_bounded_sequence` with each exception draw taken whole, as one prefix of uniforms."""
+    values = rng.uniform(center - radius, center + radius, size=horizon)
+    if exception_density > 0:
+        at = np.flatnonzero(rng.random(horizon) < exception_density)
+        signs = np.where(rng.random(horizon)[at] < 0.5, -1.0, 1.0)
+        values[at] = center + signs * exception_scale * radius
+    return values
+
+
+def _block_counts(flags: np.ndarray, sched: LacunarySchedule) -> np.ndarray:
+    """|{k in I_r : flags_k}| for r = 1..R, exact, as float64."""
+    cuts = sched.cut_points
+    counts = [np.count_nonzero(flags[a:b]) for a, b in zip(cuts, cuts[1:])]
+    return np.array(counts, dtype=np.float64)
 
 
 def lacunary_density(

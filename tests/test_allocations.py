@@ -1,6 +1,6 @@
 """Allocation budgets: each prefix-sized array exists once on the way to the engine,
-the engine reuses its buffers from one sequence to the next, and the norm searches
-evaluate every step in one workspace.
+the engine streams over tiles and holds no array of the prefix's length, and the
+norm searches evaluate every step in one workspace.
 
 tracemalloc traces numpy's data allocations, so an extra prefix-sized copy
 shows up here as a peak above its budget, in units of one prefix of float64.
@@ -48,14 +48,6 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
-def test_random_draw_peaks_near_two_prefixes():
-    """The uniform draw becomes the values; both exception draws share one buffer."""
-    rng = np.random.default_rng(5)
-    x, peak = traced_peak(random_bounded_sequence, rng, N, 0.0, 0.3, 0.001, 3.0)
-    assert x.horizon == N
-    assert peak <= 2.5 * PREFIX, f"peak {peak / PREFIX:.2f} prefixes"
-
-
 def test_identity_transform_is_a_view_of_x():
     x = Sequence(np.linspace(-1.0, 1.0, N))
     z = transform_sequence(Identity(), x, N - 3)
@@ -75,46 +67,63 @@ def _long_engine_inputs():
     return xs, p
 
 
-def test_one_space_engine_holds_y_and_its_cumsum():
-    """y and its cumulative sum, two flag workspaces and tile temporaries; no terms workspace."""
+def test_random_draw_holds_the_values_and_one_chunk():
+    """The uniform draw becomes the values; both exception draws pass through one chunk."""
+    rng = np.random.default_rng(5)
+    x, peak = traced_peak(random_bounded_sequence, rng, LONG, 0.0, 0.3, 0.001, 3.0)
+    assert x.horizon == LONG
+    # the values are a prefix and the chunk an eighth: a prefix-sized draw buffer would add a prefix
+    assert peak <= 1.3 * LONG_PREFIX, f"peak {peak / LONG_PREFIX:.2f} prefixes"
+
+
+def test_one_space_engine_holds_only_tile_wide_workspaces():
+    """The cumulative sum, the deviations and two flag workspaces, each a tile wide."""
     (x, _), p = _long_engine_inputs()
     stats, peak = traced_peak(lambda: BlockEngine([p])(x))
     assert len(stats) == 1
-    # y and c are a prefix each, the flags a quarter together: a terms array would add a prefix
-    assert peak <= 2.5 * LONG_PREFIX, f"peak {peak / LONG_PREFIX:.2f} prefixes"
+    # a tile is an eighth of a prefix: one array of the prefix's length would add a prefix
+    assert peak <= 0.6 * LONG_PREFIX, f"peak {peak / LONG_PREFIX:.2f} prefixes"
 
 
 def test_engine_without_raw_flags_has_no_raw_flag_workspace():
-    """y, its cumulative sum and the modular flags; the raw flags are not asked for."""
+    """The cumulative sum, the deviations and the modular flags; the raw flags are not asked for."""
     (x, _), p = _long_engine_inputs()
+    _, with_raw = traced_peak(lambda: BlockEngine([p], (STRONG, MODULAR_FLAGS, RAW_FLAGS))(x))
     stats, peak = traced_peak(lambda: BlockEngine([p], (STRONG, MODULAR_FLAGS))(x))
     assert list(stats[0]) == [STRONG, MODULAR_FLAGS]
-    # y and c are a prefix each, the modular flags an eighth: raw flags would add an eighth
-    assert peak <= 2.2 * LONG_PREFIX, f"peak {peak / LONG_PREFIX:.3f} prefixes"
+    # the raw flags are a tile of bools, _TILE bytes
+    assert peak <= with_raw - convergence._TILE // 2, f"peaks {peak} and {with_raw} bytes"
+
+
+def test_index_power_engine_shares_the_exponents_past_its_list():
+    """index_power binds the exponents of the tile that meets its list; the other tiles
+    share one tile-wide array of the last exponent, so the engine holds two tiles of them."""
+    (x, _), p = _long_engine_inputs()
+    q = replace(p, family=IndexPowerFamily((1.5, 2.5, 2.0)))
+    stats, peak = traced_peak(lambda: BlockEngine([q])(x))
+    assert len(stats) == 1
+    # an exponent array per tile would add a prefix over the eight tiles
+    assert peak <= 0.8 * LONG_PREFIX, f"peak {peak / LONG_PREFIX:.2f} prefixes"
 
 
 def test_raw_flags_alone_bind_no_kernel(monkeypatch):
-    """An engine asked only for the raw flags never evaluates the family.
-
-    index_power's formula holds its exponents, a prefix of float64 over
-    all tiles; the engine holds y, its cumulative sum and the raw flags.
-    """
+    """An engine asked only for the raw flags never binds or evaluates the family."""
     bound = []
-    bind = IndexPowerFamily._bind
+    bind_tiles = IndexPowerFamily._bind_tiles
 
-    def counted(self, ks):
-        bound.append(ks.size)
-        return bind(self, ks)
+    def counted(self, bounds):
+        bound.append(len(bounds))
+        return bind_tiles(self, bounds)
 
-    monkeypatch.setattr(IndexPowerFamily, "_bind", counted)
+    monkeypatch.setattr(IndexPowerFamily, "_bind_tiles", counted)
     (x, _), p = _long_engine_inputs()
     q = replace(p, family=IndexPowerFamily((1.5, 2.5, 2.0)))
     stats, peak = traced_peak(lambda: BlockEngine([q], (RAW_FLAGS,))(x))
     assert list(stats[0]) == [RAW_FLAGS]
     assert bound == []
-    assert peak <= 2.2 * LONG_PREFIX, f"peak {peak / LONG_PREFIX:.3f} prefixes"
-    BlockEngine([q], (STRONG,))(x)  # the exponents are bound once per tile when terms are read
-    assert len(bound) == LONG // convergence._TILE
+    assert peak <= 0.5 * LONG_PREFIX, f"peak {peak / LONG_PREFIX:.3f} prefixes"
+    BlockEngine([q], (STRONG,))(x)  # the family is bound once, to every tile, when terms are read
+    assert bound == [LONG // convergence._TILE]
 
 
 def test_engine_call_reuses_its_buffers():
@@ -189,3 +198,24 @@ def test_inclusion_peak_does_not_grow_with_the_corpus(tmp_path):
     (code5, peak5), (code20, peak20) = run(5), run(20)
     assert code5 == code20 == 0
     assert peak20 - peak5 <= 1.5 * PREFIX, f"peaks {peak5 / PREFIX:.2f} and {peak20 / PREFIX:.2f} prefixes"
+
+
+def test_warm_long_classify_holds_one_prefix(tmp_path):
+    """A classify of the long-prefix shape (m_max = 32), after a first run: the drawn
+    prefix, the draw's chunk and the engine's tile-wide workspaces."""
+    doc = {
+        "command": "classify",
+        "sequence": {"kind": "random_bounded", "horizon": LONG + 32, "radius": 0.3,
+                     "exception_density": 0.001, "seed": 11},
+        "family": {"kind": "constant", "function": {"kind": "power", "p": 2.0}},
+        "schedule": {"kind": "geometric", "count": 18},  # k_R = 2**18 = LONG
+        "space": {"m_max": 32},
+    }
+    cfg = tmp_path / "classify.json"
+    cfg.write_text(json.dumps(doc))
+    argv = ["classify", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    code, peak = traced_peak(main, argv)
+    assert code == 0
+    # y, its cumulative sum or a draw buffer of the prefix's length would each add a prefix
+    assert peak <= 1.6 * LONG_PREFIX, f"peak {peak / LONG_PREFIX:.2f} prefixes"

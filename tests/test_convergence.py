@@ -253,6 +253,17 @@ class TestStrongStatistic:
         p = _params(s, family=family, m_max=2, rho=rho, epsilon=0.1, L=0.05, alpha=0.6)
         assert_engine_matches_standalone(Sequence(rng.uniform(-2, 2, s.last_index + 2)), p)
 
+    @pytest.mark.parametrize("tile", [1, 3, 64, 128, 129, 700])
+    def test_split_blocks_match_standalone(self, tile):
+        """Blocks past the node width max(tile, 128), of odd and even lengths, split into
+        nodes of numpy's pairwise tree, and small blocks packed around them."""
+        rng = np.random.default_rng(tile)
+        s = build_lacunary(Explicit((0, 3, 4, 300, 1301, 1302, 1310, 3357)))
+        p = _params(s, family=IndexPowerFamily((1.0, 2.5, 1.5, 2.0)), m_max=3, epsilon=0.1,
+                    L=0.05, alpha=0.6, exponents=ExponentSequence(constant=0.5))
+        with patch.object(convergence, "_TILE", tile):
+            assert_engine_matches_standalone(Sequence(rng.uniform(-2, 2, s.last_index + 3)), p)
+
     def test_overflowing_power_matches_standalone(self):
         """A finite term past float64 under its exponent is +inf in the engine and the reference alike."""
         s = build_lacunary(Geometric(1, 2, 5))
@@ -261,6 +272,48 @@ class TestStrongStatistic:
         x = Sequence(np.full(s.last_index + 2, 1e150))  # each term (1e150**2)**3 overflows
         assert_engine_matches_standalone(x, p)
         assert np.all(BlockEngine([p])(x)[0][STRONG].sup.values == math.inf)
+
+
+PLAN_LENGTHS = st.one_of(
+    st.integers(1, 5000),
+    st.builds(lambda k, d: max(1, 2**k + d), st.integers(7, 17), st.integers(-9, 9)),
+)
+
+
+@given(
+    lengths=st.lists(PLAN_LENGTHS, min_size=1, max_size=4),
+    tile=st.sampled_from([1, 3, 8, 64, 128, 129, 2**15]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=120, deadline=None)
+def test_tile_plan_adds_up_numpys_pairwise_sum(lengths, tile, seed):
+    """The leaf sums of the tile plan, added up each block's tree, are `np.add.reduce`
+    of the block bit for bit; the tiles cover the indices in order, each at most `tile`
+    wide unless it is one leaf, and no leaf is wider than max(tile, 128)."""
+    cuts = tuple(np.cumsum([0, *lengths]).tolist())
+    plan = convergence._TilePlan(cuts, tile)
+    rng = np.random.default_rng(seed)
+    n = cuts[-1]
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)  # many magnitudes
+    leaf_sums = np.empty((1, plan.leaves))
+    leaf_counts = np.empty((1, plan.leaves), dtype=np.int64)
+    end = 0
+    for a, b, leaves, pieces in plan.tiles:
+        assert a == end and b > a and b - a <= plan.width
+        assert b - a <= tile or len(pieces) == 1
+        end = b
+        tile_values = values[a:b]
+        assert all(s.stop - s.start <= max(tile, 128) for s in pieces)
+        leaf_sums[0, leaves] = [np.add.reduce(tile_values[s]) for s in pieces]
+        leaf_counts[0, leaves] = [np.count_nonzero(tile_values[s] > 0) for s in pieces]
+    assert end == n
+    want = np.array([np.add.reduce(values[a:b]) for a, b in zip(cuts, cuts[1:])])
+    assert plan.block_sums(leaf_sums)[0].tobytes() == want.tobytes(), (
+        "the leaf sums no longer add up to numpy's pairwise sum: has numpy's pairwise "
+        f"algorithm changed? (numpy {np.__version__})"
+    )
+    counts = [np.count_nonzero(values[a:b] > 0) for a, b in zip(cuts, cuts[1:])]
+    assert plan.block_counts(leaf_counts)[0].tolist() == counts
 
 
 def assert_stats_match_standalone(x, p, stats):

@@ -32,6 +32,19 @@ from lacunary import (
 from lacunary import experiments
 from lacunary.convergence import CONVERGES, DIVERGES, MODULAR_FLAGS, RAW_FLAGS, STRONG
 from lacunary.errors import HypothesisUnsatisfiable
+from reference import whole_draw_bounded_sequence
+
+
+@pytest.mark.parametrize("horizon", [1, 7, 2**15, 2**15 + 1, 3 * 2**15 - 5])
+@pytest.mark.parametrize("density", [0.001, 0.3, 1.0])
+def test_chunked_exception_draws_match_whole_draws(horizon, density):
+    """The exception draws, taken a chunk at a time, are the values and the RNG stream of
+    whole draws, also at a ragged last chunk."""
+    rng, whole = np.random.default_rng(horizon), np.random.default_rng(horizon)
+    x = random_bounded_sequence(rng, horizon, 0.5, 0.3, density, 3.0)
+    want = whole_draw_bounded_sequence(whole, horizon, 0.5, 0.3, density, 3.0)
+    assert x.values.tobytes() == want.tobytes()
+    assert rng.random(3).tobytes() == whole.random(3).tobytes()
 
 
 def decisions(x, p):
