@@ -273,12 +273,9 @@ def _verdict_dict(v: Verdict) -> dict:
 
 
 def _trajectory_rows(bundle: UniformTrajectories) -> list[tuple[int, str, float]]:
-    rows: list[tuple[int, str, float]] = []
-    for traj in bundle.per_m:
-        for r, value in enumerate(traj.values, start=1):
-            rows.append((r, str(traj.m), float(value)))
-    for r, value in enumerate(bundle.sup.values, start=1):
-        rows.append((r, "sup", float(value)))
+    rows = [(r, str(m), value) for m, values in enumerate(bundle.per_m.tolist())
+            for r, value in enumerate(values, start=1)]
+    rows += [(r, "sup", value) for r, value in enumerate(bundle.sup.tolist(), start=1)]
     return rows
 
 
@@ -408,10 +405,10 @@ def _block_run(
     """One engine run of x in one space: the report, trajectories and verdicts that classify
     and counterexample share; also returns the strong and density bundles and the density
     verdict, for the construction checks."""
-    stats = BlockEngine([params], (STRONG, flag_mode))(x)[0]
+    stats = BlockEngine([(params, (STRONG, flag_mode))])(x)[0]
     strong, shat = stats[STRONG], stats[flag_mode]
-    v_strong = classify_trajectory(strong.sup.values, **echo["verdict"])
-    v_shat = classify_trajectory(shat.sup.values, **echo["verdict"])
+    v_strong = classify_trajectory(strong.sup, **echo["verdict"])
+    v_shat = classify_trajectory(shat.sup, **echo["verdict"])
     results = {
         "horizon": x.horizon,
         "num_blocks": params.schedule.num_blocks,
@@ -463,7 +460,7 @@ def _thm37_checks(
     target, tol = checks["shat_tail_target"], checks["shat_tail_tol"]
     gap = abs(v_shat.tail_mean - target)
     r0 = checks["strong_bound_min_r"]
-    vals = strong.sup.values
+    vals = strong.sup
     scaled = [vals[r - 1] * 2.0**r for r in range(r0, len(vals) + 1)]
     worst = max(scaled) if scaled else 0.0
     coeff = checks["strong_bound_coeff"]
@@ -478,11 +475,11 @@ def _thm38_checks(
 ) -> list[dict]:
     h_alpha = params.schedule.block_lengths.astype(np.float64) ** params.alpha
     expected = 1.0 / h_alpha
-    observed = shat.per_m[0].values
+    observed = shat.per_m[0]
     worst_gap = float(np.max(np.abs(observed - expected)))
     r0 = checks["shat_density_min_r"]
     tail_max = float(np.max(observed[r0 - 1 :])) if r0 <= observed.size else 0.0
-    strong_min = float(np.min(strong.sup.values))
+    strong_min = float(np.min(strong.sup))
     exact, most, least = checks["shat_exact_tol"], checks["shat_density_max"], checks["strong_min"]
     return [
         _check("shat_density_equals_one_over_h_alpha", worst_gap, 0.0, exact, worst_gap <= exact),

@@ -18,18 +18,19 @@ bound counts.  Reports must name the mode in use.
 `BlockEngine` computes the strong statistic and both exception densities
 for every m = 0..m_max in one pass per sequence, from one transform, for a
 group of spaces that differ only in family, rho, exponents and alpha, and
-only the bundles (STRONG, MODULAR_FLAGS, RAW_FLAGS) its caller names.  It
-streams: each tile of whole blocks, or of nodes of a long block's
-pairwise-sum tree, takes y = A(x) - L, its cumulative sum and every window
-while it is in cache, so the engine holds no array of the prefix's length.
+of each space only the bundles (STRONG, MODULAR_FLAGS, RAW_FLAGS) its
+caller reads.  It streams: each tile of whole blocks, or of nodes of a long
+block's pairwise-sum tree, takes y = A(x) - L, its cumulative sum and every
+window while it is in cache, so the engine holds no array of the prefix's
+length.
 Numerical contract: window sums come from a sequential cumulative sum
 (`np.cumsum`), block sums are the pairwise `np.add.reduce` of each block,
 and exception counts are exact integers.  Every per-m trajectory is
 therefore bitwise equal to the slow per-statistic reference in
 `tests/reference.py` (`strong_block_statistic`, `lacunary_density` of
 `shat_flags`), whatever the tile size, the other spaces of the engine or
-the other bundles asked for.  NaN is never a result: a NaN strong block
-sum raises `NonFiniteStatistic`.
+the bundles they read.  NaN is never a result: a NaN strong block sum
+raises `NonFiniteStatistic`, and a negative one `NegativeStatistic`.
 """
 
 from __future__ import annotations
@@ -40,9 +41,11 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import NonFiniteStatistic
+from .errors import NegativeStatistic, NonFiniteStatistic
 from .orlicz import (
+    ConstantFamily,
     ExponentSequence,
+    LinearSlope,
     MusielakOrliczFamily,
     RhoSequence,
     power_in_place,
@@ -99,26 +102,6 @@ class SpaceParams:
                 f"rho defined up to index {len(per_index)}, "
                 f"the schedule needs {self.schedule.last_index}"
             )
-
-
-@dataclass(frozen=True, eq=False)
-class BlockTrajectory:
-    """One value per schedule block; `m` records the window if per-m."""
-
-    values: np.ndarray
-    kind: str
-    m: int | None = None
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=np.float64)
-        if np.any(arr < 0):
-            raise ValueError("block statistics are nonnegative by construction")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-
-    def __len__(self) -> int:
-        return int(self.values.size)
 
 
 CONVERGES = "ConvergesToZero"
@@ -221,24 +204,28 @@ def _block_average(values: np.ndarray, sched: LacunarySchedule, alpha: float) ->
 
 @dataclass(frozen=True, eq=False)
 class UniformTrajectories:
-    """Per-m trajectories plus their per-block sup (the uniform-in-m surrogate)."""
+    """One bundle's per-m trajectories, read-only float64 of shape (m_max + 1, R), plus their
+    read-only per-block sup, `per_m.max(axis=0)` (the uniform-in-m surrogate)."""
 
-    per_m: tuple[BlockTrajectory, ...]
-    sup: BlockTrajectory
+    per_m: np.ndarray
+    sup: np.ndarray
     statistic: str
     flag_mode: str | None
 
 
-def _uniform(
-    per_m: list[np.ndarray], statistic: str, flag_mode: str | None
-) -> UniformTrajectories:
-    sup = BlockTrajectory(np.max(np.stack(per_m), axis=0), kind=f"{statistic}_sup")
-    return UniformTrajectories(
-        per_m=tuple(BlockTrajectory(v, kind=statistic, m=m) for m, v in enumerate(per_m)),
-        sup=sup,
-        statistic=statistic,
-        flag_mode=flag_mode,
-    )
+def _uniform(per_m: np.ndarray, bundle: str) -> UniformTrajectories:
+    """The bundle `bundle` of `per_m`, a fresh array it takes over; a negative value raises
+    NegativeStatistic naming the first (m, block)."""
+    statistic, flag_mode = (STRONG, None) if bundle == STRONG else (SHAT_DENSITY, bundle)
+    if per_m.min() < 0:
+        m, r = np.argwhere(per_m < 0)[0]
+        raise NegativeStatistic(
+            f"the {statistic} statistic is negative at m={m}, block r={r + 1}: "
+            "a family member takes negative values"
+        )
+    sup = per_m.max(axis=0)
+    per_m.flags.writeable = sup.flags.writeable = False
+    return UniformTrajectories(per_m, sup, statistic, flag_mode)
 
 
 _PAIRWISE_LEAF = 128  # numpy's PW_BLOCKSIZE: its pairwise sum never splits a run this short
@@ -301,42 +288,54 @@ class _TilePlan:
         return np.add.reduceat(leaf_counts, self.first_leaf, axis=1).astype(np.float64)
 
 
-class _TermGroup:
-    """Spaces of an engine sharing (family, rho, exponents), hence terms and modular flags."""
+_PLAIN = ConstantFamily(LinearSlope(1.0))  # M(u) = u, the family of the plain-average space
 
-    def __init__(self, p: SpaceParams, plan: _TilePlan, on_dev: bool, modular: bool) -> None:
-        bounds = [(a, b) for a, b, _, _ in plan.tiles]
-        if p.rho.constant is None:
-            self.rho = values_per_tile(p.rho.per_index, bounds)
-        elif p.rho.constant != 1.0:
-            self.rho = [p.rho.constant] * len(bounds)
-        else:
-            self.rho = None  # x / 1.0 == x for every float64
-        exps = p.exponents
-        if exps.is_identically_one:
-            self.exps = None
-        else:
-            self.exps = values_per_tile(exps.per_index or (exps.constant,), bounds)
-        self.formulas = p.family._bind_tiles(bounds)
-        self.terms = None if on_dev else np.empty(plan.width)  # on_dev: the deviations' storage
+
+class _TermGroup:
+    """Spaces of an engine sharing (family, rho, exponents), hence terms and modular flags.
+
+    `strong` and `modular` say whether some space of the group reads STRONG
+    or MODULAR_FLAGS.  A plain group (M(u) = u, rho 1, exponents 1) has no
+    formula: its terms are the deviations, as 1.0 * u is u bit for bit.
+    """
+
+    def __init__(self, p: SpaceParams, plan: _TilePlan, strong: bool, modular: bool) -> None:
+        self.strong, self.formulas = strong, None
+        if not (p.family == _PLAIN and p.rho.constant == 1.0 and p.exponents.is_identically_one):
+            bounds = [(a, b) for a, b, _, _ in plan.tiles]
+            if p.rho.constant is None:
+                self.rho = values_per_tile(p.rho.per_index, bounds)
+            elif p.rho.constant != 1.0:
+                self.rho = [p.rho.constant] * len(bounds)
+            else:
+                self.rho = None  # x / 1.0 == x for every float64
+            exps = p.exponents
+            if exps.is_identically_one:
+                self.exps = None
+            else:
+                self.exps = values_per_tile(exps.per_index or (exps.constant,), bounds)
+            self.formulas = p.family._bind_tiles(bounds)
+        self.terms = None  # the deviations' storage, unless the engine gives a workspace
         self.flags = np.empty(plan.width, dtype=bool) if modular else None
 
     def tile(self, t: int, dev: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray | None]:
-        """The terms, and the modular flags if asked for, of tile t from its deviations `dev`.
+        """The terms, and the modular flags if read, of tile t from its deviations `dev`.
 
-        The formula runs in place on the tile's terms, which first hold the
-        quotient dev / rho, or else `dev` itself: the first group's terms are
-        its storage, the other groups' terms take one copy of it.
+        A plain group's terms are `dev` itself.  Otherwise the formula runs in
+        place on the tile's terms, which first hold the quotient dev / rho, or
+        else `dev`: without a workspace the terms are dev's storage, with one
+        they take one copy of it.
         """
         n = dev.size
         terms = dev if self.terms is None else self.terms[:n]
-        if self.rho is not None:
-            np.divide(dev, self.rho[t], out=terms)
-        elif terms is not dev:
-            np.copyto(terms, dev)
-        self.formulas[t](terms)
-        if self.exps is not None:
-            power_in_place(terms, self.exps[t])
+        if self.formulas is not None:
+            if self.rho is not None:
+                np.divide(dev, self.rho[t], out=terms)
+            elif terms is not dev:
+                np.copyto(terms, dev)
+            self.formulas[t](terms)
+            if self.exps is not None:
+                power_in_place(terms, self.exps[t])
         if self.flags is None:
             return terms, None
         flags = self.flags[:n]
@@ -347,13 +346,13 @@ class _TermGroup:
 class BlockEngine:
     """The block statistics for m = 0..m_max, of one sequence at a time, for a group of spaces.
 
-    The spaces must agree on (schedule, m_max, matrix, matrix_tol, L,
-    epsilon); they may differ in family, rho, exponents and alpha.
-    `bundles` names what the caller reads, any nonempty subset of BUNDLES:
-    the strong bundle STRONG and the exception-density bundles of the flag
-    modes MODULAR_FLAGS and RAW_FLAGS.  Calling the engine on x returns one
-    dict per space, in order, holding each bundle asked for under its name;
-    a bundle not asked for is absent, never filled in.
+    `reads` lists (space, bundles) pairs: a space and what its caller reads
+    of it, any nonempty subset of BUNDLES, that is the strong bundle STRONG
+    and the exception-density bundles of the flag modes MODULAR_FLAGS and
+    RAW_FLAGS.  The spaces must agree on (schedule, m_max, matrix,
+    matrix_tol, L, epsilon); they may differ in family, rho, exponents and
+    alpha.  Calling the engine on x returns one dict per pair, in order,
+    holding each bundle the pair reads under its name, and no other.
 
     One call transforms x once, to z = A(x) for the largest lookahead, and
     then streams over the tiles of a `_TilePlan` built from the schedule:
@@ -365,73 +364,80 @@ class BlockEngine:
     sums are those of one sequential cumulative sum over the prefix, as in
     the reference's `_window_deviations` (`tests/reference.py`), bit for
     bit.  Then, while the tile is in cache, for each m it computes its
-    deviations and, for RAW_FLAGS, its raw flags once; for STRONG or
-    MODULAR_FLAGS each group of spaces sharing (family, rho, exponents)
-    gets its terms and, for MODULAR_FLAGS, its modular flags; and each leaf
-    of the tile is reduced, to an `np.add.reduce` sum and an exact count.
-    After the last tile the leaf sums are added up each block's tree, which
-    gives `np.add.reduce` of the whole block, and the counts are summed per
-    block; both are divided by h_r**alpha per space.  So each per-m
-    trajectory is bitwise identical to that reference, whatever the tile
-    size and whichever bundles are asked for.
+    deviations and, if a space reads RAW_FLAGS, its raw flags once; each
+    group of spaces sharing (family, rho, exponents) gets its terms if one
+    of them reads STRONG or MODULAR_FLAGS, and its modular flags if one
+    reads MODULAR_FLAGS; and each leaf of the tile is reduced, to an
+    `np.add.reduce` sum per group read for STRONG and an exact count per
+    flag array.  After the last tile the leaf sums are added up each
+    block's tree, which gives `np.add.reduce` of the whole block, and the
+    counts are summed per block; both are divided by h_r**alpha per space.
+    So each per-m trajectory is bitwise identical to that reference,
+    whatever the tile size and whatever the other pairs read.
 
     The terms are the family's in-place formula (`family._bind_tiles`,
     bound to each tile once), run on the terms workspace without `bind`'s
     argument check: the argument is u = |t_{km}| / rho_k, and rho_k > 0 is
     finite (`RhoSequence`), so u >= 0 or NaN, and the check passes NaN.
     The formula runs inside the engine's own errstate, which ignores
-    overflow as `bind` does.
+    overflow as `bind` does.  The plain-average space, M(u) = u with rho 1
+    and exponents 1, reads the deviations in place: no formula, no copy.
+    Its group runs first, and the last group to run writes its terms over
+    the deviations.
 
     Memory: the engine holds no array of the prefix's length.  Its first
-    call, once the transform has succeeded, builds the tile plan, makes
-    the tile workspaces (the cumulative sum of y, of the widest tile plus
-    m_max + 1, the deviations, and the raw flags if RAW_FLAGS is asked for)
-    and, if STRONG or MODULAR_FLAGS is, binds each group's family to each
-    tile and makes a terms workspace for each group but the first (whose
-    terms overwrite the deviations) and, for MODULAR_FLAGS, a modular-flag
-    workspace, all a tile wide.  Per-index data is held per tile: the
-    exponents of `index_power` and of the exponent sequence, which the
-    tiles past the listed exponents share as one tile-wide array, and a
-    per-index rho, which lists every index.  The `index_scaled`, `spike`
-    and `custom` formulas keep their per-index data per tile too, as long
-    as the prefix over all tiles.  Each call then fills (m_max + 1) x
-    leaves sums and counts.  It allocates nothing of prefix size beyond the
-    transform's output (for Identity a view of x), and the formulas run in
-    place, so the tiles make no temporaries, except in the `table` and
-    `custom` kinds, whose formulas build tile-sized ones.  Results never
-    alias the workspaces.  Because the workspaces are shared, an engine
-    serves one caller at a time.
+    call, once the transform has succeeded, builds the tile plan, binds
+    each read group's family to each tile, but the plain one's, and makes
+    the tile workspaces: the cumulative sum of y, of the widest tile plus
+    m_max + 1, the deviations, the raw flags if a space reads RAW_FLAGS, a
+    terms workspace for each group with a formula but the last to run, and
+    a modular-flag workspace for each group read for MODULAR_FLAGS, all a
+    tile wide.  Per-index data is held per tile: the exponents of
+    `index_power` and of the exponent sequence, which the tiles past the
+    listed exponents share as one tile-wide array, and a per-index rho,
+    which lists every index.  The `index_scaled`, `spike` and `custom`
+    formulas keep their per-index data per tile too, as long as the prefix
+    over all tiles.  Each call then fills (m_max + 1) x leaves sums and
+    counts, and returns each bundle as one (m_max + 1) x R array and its
+    sup, read-only, which never alias the workspaces.  It allocates nothing
+    of prefix size beyond the transform's output (for Identity a view of
+    x), and the formulas run in place, so the tiles make no temporaries,
+    except in the `table` and `custom` kinds, whose formulas build
+    tile-sized ones.  Because the workspaces are shared, an engine serves
+    one caller at a time.
 
-    Overflow is an honest +inf.  With STRONG asked for, a NaN strong block
-    sum (a window sum inf - inf, for one) raises NonFiniteStatistic naming
-    the first (m, block); flags are exact counts and never NaN.
+    Overflow is an honest +inf.  A NaN block sum of a group read for STRONG
+    (a window sum inf - inf, for one) raises NonFiniteStatistic, and a
+    negative bundle value (a family member below zero) NegativeStatistic,
+    each naming the first (m, block); flags are exact counts, never NaN.
     """
 
-    def __init__(self, spaces: Iterable[SpaceParams], bundles: Iterable[str] = BUNDLES) -> None:
-        self.spaces = tuple(spaces)
-        if not self.spaces:
+    def __init__(self, reads: Iterable[tuple[SpaceParams, Iterable[str]]]) -> None:
+        self.reads: list[tuple[SpaceParams, tuple[str, ...]]] = []
+        groups: dict[tuple, tuple[SpaceParams, set[str]]] = {}  # per group: first space, reads
+        for q, bundles in reads:
+            asked = set(bundles)
+            if not asked or not asked <= set(BUNDLES):
+                raise ValueError(f"bundles must be a nonempty subset of {BUNDLES}, got {sorted(asked)}")
+            self.reads.append((q, tuple(b for b in BUNDLES if b in asked)))
+            if asked & {STRONG, MODULAR_FLAGS}:
+                groups.setdefault((q.family, q.rho, q.exponents), (q, set()))[1].update(asked)
+        if not self.reads:
             raise ValueError("an engine needs at least one space")
-        asked = set(bundles)
-        if not asked or not asked <= set(BUNDLES):
-            raise ValueError(f"bundles must be a nonempty subset of {BUNDLES}, got {sorted(asked)}")
-        self.bundles = tuple(b for b in BUNDLES if b in asked)
-        p = self.spaces[0]
+        p = self.reads[0][0]
         shared = (p.schedule, p.m_max, p.matrix, p.matrix_tol, p.L, p.epsilon)
         if any((q.schedule, q.m_max, q.matrix, q.matrix_tol, q.L, q.epsilon) != shared
-               for q in self.spaces[1:]):
+               for q, _ in self.reads[1:]):
             raise ValueError(
                 "the spaces of one engine must agree on schedule, m_max, matrix, "
                 "matrix_tol, L and epsilon"
             )
-        leaders: dict[tuple, SpaceParams] = {}  # the first space of each group sharing terms
-        for q in self.spaces:
-            leaders.setdefault((q.family, q.rho, q.exponents), q)
-        keys = list(leaders)
-        termed = STRONG in asked or MODULAR_FLAGS in asked
-        self._leaders = list(leaders.values()) if termed else []
-        self._group_of = [keys.index((q.family, q.rho, q.exponents)) for q in self.spaces]
+        number = {key: g for g, key in enumerate(groups)}
+        self._group_of = [number.get((q.family, q.rho, q.exponents)) for q, _ in self.reads]
+        self._leaders = list(groups.values())
+        self._raw = any(RAW_FLAGS in bundles for _, bundles in self.reads)
         lengths = p.schedule.block_lengths.astype(np.float64)
-        self._h_alpha = {q.alpha: lengths**q.alpha for q in self.spaces}
+        self._h_alpha = {q.alpha: lengths**q.alpha for q, _ in self.reads}
         self._plan: _TilePlan | None = None  # the plan and the workspaces, made by the first call
 
     def _allocate(self) -> None:
@@ -441,28 +447,32 @@ class BlockEngine:
         prefix shorter than the schedule fails as it would without the
         engine, before the families are bound.
         """
-        p = self.spaces[0]
+        p = self.reads[0][0]
         plan = _TilePlan(p.schedule.cut_points, _TILE)
         self._c = np.empty(plan.width + p.m_max + 1)  # c[1:] is y, then c its cumulative sum
         self._dev = np.empty(plan.width)
-        self._raw_flags = np.empty(plan.width, dtype=bool) if RAW_FLAGS in self.bundles else None
-        modular = MODULAR_FLAGS in self.bundles
-        self._groups = [_TermGroup(q, plan, g == 0, modular) for g, q in enumerate(self._leaders)]
-        self._plan = plan
+        self._raw_flags = np.empty(plan.width, dtype=bool) if self._raw else None
+        groups = [_TermGroup(q, plan, STRONG in read, MODULAR_FLAGS in read)
+                  for q, read in self._leaders]
+        # the plain groups read the deviations, so they run first; the last group overwrites them
+        self._order = sorted(range(len(groups)), key=lambda g: groups[g].formulas is not None)
+        for g in self._order[:-1]:
+            if groups[g].formulas is not None:
+                groups[g].terms = np.empty(plan.width)
+        self._groups, self._plan = groups, plan
 
     def __call__(self, x: Sequence) -> list[dict[str, UniformTrajectories]]:
-        p = self.spaces[0]
+        p = self.reads[0][0]
         m_max, epsilon = p.m_max, p.epsilon
         z = transform_sequence(p.matrix, x, p.schedule.last_index + m_max, p.matrix_tol).values
         if self._plan is None:
             self._allocate()
-        plan, raw_flags, groups = self._plan, self._raw_flags, self._groups
-        strong, modular = STRONG in self.bundles, MODULAR_FLAGS in self.bundles
-        order = [*range(1, len(groups)), 0] if groups else []  # the first group's terms overwrite dev
+        plan, raw_flags, groups, order = self._plan, self._raw_flags, self._groups, self._order
         shape = (m_max + 1, plan.leaves)
         raw_counts = np.empty(shape, dtype=np.int64) if raw_flags is not None else None
-        sums = [np.empty(shape) if strong else None for _ in groups]
-        counts = [np.empty(shape, dtype=np.int64) if modular else None for _ in groups]
+        sums = [np.empty(shape) if group.strong else None for group in groups]
+        counts = [None if group.flags is None else np.empty(shape, dtype=np.int64)
+                  for group in groups]
         carry = 0.0
         with np.errstate(over="ignore", invalid="ignore"):
             for t, (a, b, leaves, pieces) in enumerate(plan.tiles):
@@ -489,14 +499,14 @@ class BlockEngine:
                         raw_counts[m, leaves] = [np.count_nonzero(flags[s]) for s in pieces]
                     for g in order:
                         terms, flags = groups[g].tile(t, dev, epsilon)
-                        if strong:
+                        if sums[g] is not None:
                             sums[g][m, leaves] = [np.add.reduce(terms[s]) for s in pieces]
-                        if modular:
+                        if flags is not None:
                             counts[g][m, leaves] = [np.count_nonzero(flags[s]) for s in pieces]
-            if strong:
-                sums = [plan.block_sums(s) for s in sums]
-        if strong:
-            nan = np.argwhere(np.isnan(np.stack(sums, axis=1)))  # rows (m, group, block), in order
+            sums = [None if s is None else plan.block_sums(s) for s in sums]
+        read = [s for s in sums if s is not None]
+        if read:
+            nan = np.argwhere(np.isnan(np.stack(read, axis=1)))  # rows (m, group, block), in order
             if nan.size:
                 m, _, r = nan[0]
                 raise NonFiniteStatistic(
@@ -504,21 +514,13 @@ class BlockEngine:
                     "a window sum or a family term is not a number (for instance a "
                     "window sum inf - inf after the prefix sum overflowed)"
                 )
-        raw = {}
-        if raw_flags is not None:
-            raw_counts = plan.block_counts(raw_counts)
-            raw = {alpha: _uniform(list(raw_counts / h), SHAT_DENSITY, RAW_FLAGS)
-                   for alpha, h in self._h_alpha.items()}
-        counts = [plan.block_counts(n) for n in counts] if modular else counts
+        raw = None if raw_counts is None else plan.block_counts(raw_counts)
+        counts = [None if n is None else plan.block_counts(n) for n in counts]
         results = []
-        for q, g in zip(self.spaces, self._group_of):
+        for (q, bundles), g in zip(self.reads, self._group_of):
             h = self._h_alpha[q.alpha]
-            stats = {}
-            if strong:
-                stats[STRONG] = _uniform(list(sums[g] / h), STRONG, None)
-            if modular:
-                stats[MODULAR_FLAGS] = _uniform(list(counts[g] / h), SHAT_DENSITY, MODULAR_FLAGS)
-            if raw_flags is not None:
-                stats[RAW_FLAGS] = raw[q.alpha]
-            results.append(stats)
+            per_block = {RAW_FLAGS: raw}
+            if g is not None:
+                per_block.update({STRONG: sums[g], MODULAR_FLAGS: counts[g]})
+            results.append({bundle: _uniform(per_block[bundle] / h, bundle) for bundle in bundles})
         return results

@@ -317,11 +317,11 @@ def _require_constant_setup(p: SpaceParams) -> tuple[float, float]:
 
 
 def _at_window(
-    x: Sequence, spaces: list[SpaceParams], m: int, bundles: tuple[str, ...]
+    x: Sequence, reads: list[tuple[SpaceParams, tuple[str, ...]]], m: int
 ) -> list[dict[str, np.ndarray]]:
-    """Per space, each of `bundles`' trajectories at window m, from one engine with m_max = m."""
-    results = BlockEngine([replace(q, m_max=m) for q in spaces], bundles)(x)
-    return [{key: bundle.per_m[m].values for key, bundle in stats.items()} for stats in results]
+    """Per (space, bundles) read, each bundle at window m, from one engine with m_max = m."""
+    results = BlockEngine([(replace(q, m_max=m), bundles) for q, bundles in reads])(x)
+    return [{key: bundle.per_m[m] for key, bundle in stats.items()} for stats in results]
 
 
 def _power_range(value: float, exponents: ExponentSequence) -> tuple[float, float]:
@@ -352,8 +352,8 @@ def thm31_block_bounds(
     lhs >= rhs holds exactly in real arithmetic.
     """
     floor = _thm31_floor(p, beta)  # checks the setup before the engine runs
-    spaces = [replace(q, m_max=m) for q in (p, replace(p, alpha=beta))]
-    own, at_beta = BlockEngine(spaces, (STRONG, RAW_FLAGS))(x)
+    reads = [(replace(p, m_max=m), (STRONG,)), (replace(p, alpha=beta, m_max=m), (RAW_FLAGS,))]
+    own, at_beta = BlockEngine(reads)(x)
     return _thm31_sides(own, at_beta, floor, m)
 
 
@@ -367,8 +367,7 @@ def _thm31_floor(p: SpaceParams, beta: float) -> float:
 
 def _thm31_sides(own: dict, at_beta: dict, floor: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     """T31's (lhs, rhs) per block at window m, from the engine bundles at alpha and at beta."""
-    lhs = own[STRONG].per_m[m].values
-    return lhs, _bound_times_density(floor, at_beta[RAW_FLAGS].per_m[m].values)
+    return own[STRONG].per_m[m], _bound_times_density(floor, at_beta[RAW_FLAGS].per_m[m])
 
 
 def _thm31_violations(lhs: np.ndarray, rhs: np.ndarray, slack: float) -> int:
@@ -410,7 +409,7 @@ def thm33_block_bounds(
     limit = T * (1 + 1e-12)
     if limit < math.inf:  # raw flags at the float after `limit` mark the deviations above it
         at_limit = replace(p, epsilon=float(np.nextafter(limit, math.inf)))
-        (above,) = _at_window(x, [at_limit], m, (RAW_FLAGS,))
+        (above,) = _at_window(x, [(at_limit, (RAW_FLAGS,))], m)
         blocks = np.flatnonzero(above[RAW_FLAGS])
         if blocks.size:
             raise ValueError(
@@ -418,7 +417,7 @@ def thm33_block_bounds(
                 f"first in block r={blocks[0] + 1}"
             )
 
-    (own,) = _at_window(x, [p], m, (STRONG, RAW_FLAGS))
+    (own,) = _at_window(x, [(p, (STRONG, RAW_FLAGS))], m)
     h = p.schedule.block_lengths.astype(np.float64)
     M = p.family.function
     big = _power_range(M(T / rho_c), p.exponents)[1]
@@ -460,7 +459,7 @@ def thm34_triangle_bounds(
 
     D = p.exponents.D
     v1, v2 = (  # the spaces of one engine share L, so one engine per candidate limit
-        _at_window(x, [replace(p, L=L, rho=RhoSequence(constant=r))], m, (STRONG,))[0][STRONG]
+        _at_window(x, [(replace(p, L=L, rho=RhoSequence(constant=r)), (STRONG,))], m)[0][STRONG]
         for L, r in ((L1, rho1), (L2, rho2))
     )
     with np.errstate(over="ignore"):
@@ -663,14 +662,13 @@ def run_inclusion_matrix(
 
     Each sequence is computed once, in one engine call for every space its
     theorems read: the family space at alpha, at `beta` for T31, and the
-    plain-average space for T35/T36, and of only the bundles they read.
+    plain-average space for T35/T36, and of each only the bundles read of it.
     Consecutive entries with equal parameters (all seeded draws of a
     corpus) share one `BlockEngine`, and the previous engine is dropped
     before the next one is built.
     """
     requested = [t for t in THEOREMS if t in set(theorems)]
     pairs = [pair for t in requested for pair in _THEOREM_TABLE[t][0]]  # (bundle, space) read
-    bundles = {bundle for bundle, _ in pairs}
     names = [name for name in ("alpha", "beta", "plain") if name in {n for _, n in pairs}]
     verdict_rows: list[dict] = []
     implications: list[dict] = []
@@ -693,7 +691,8 @@ def run_inclusion_matrix(
             built = {name: _space(p, name, beta) for name in names}
             keys = {name: key for name, (key, _) in built.items()}
             spaces = dict(built.values())  # beta = alpha reads the family space once
-            engine, engine_params = BlockEngine(spaces.values(), bundles), p
+            wants = {key: {bundle for bundle, name in pairs if keys[name] == key} for key in spaces}
+            engine, engine_params = BlockEngine((q, wants[key]) for key, q in spaces.items()), p
         stats = dict(zip(spaces, engine(x)))
         decided: dict[tuple, str] = {}  # (bundle, alpha, tag) -> decision, for this sequence
         for theorem in requested:
@@ -702,8 +701,7 @@ def run_inclusion_matrix(
             for bundle, name in reads:
                 key = (bundle, *keys[name])
                 if key not in decided:
-                    v = classify_trajectory(stats[key[1:]][bundle].sup.values, verdict_tol,
-                                            tail_window)
+                    v = classify_trajectory(stats[key[1:]][bundle].sup, verdict_tol, tail_window)
                     decided[key] = v.decision
                     verdict_rows.append({"sequence": sid, "space": _label(*key),
                                          "decision": v.decision, "tail_mean": v.tail_mean})
@@ -798,8 +796,8 @@ def uniqueness_experiment(
         raise ValueError("need at least two candidate limits")
     tails: list[float] = []
     for L in grid:
-        bundle = BlockEngine([replace(p, L=L)], (STRONG,))(x)[0][STRONG]
-        v = classify_trajectory(bundle.sup.values, verdict_tol, tail_window)
+        bundle = BlockEngine([(replace(p, L=L), (STRONG,))])(x)[0][STRONG]
+        v = classify_trajectory(bundle.sup, verdict_tol, tail_window)
         tails.append(v.tail_mean)
     best = min(tails)
     argmin_set = tuple(L for L, t in zip(grid, tails) if t <= best + argmin_tol)

@@ -32,7 +32,6 @@ from typing import Callable
 import numpy as np
 
 from lacunary import (
-    BlockTrajectory,
     ConstantFamily,
     CustomFamily,
     ExpMinusOne,
@@ -51,12 +50,7 @@ from lacunary import (
     modular,
     transform_sequence,
 )
-from lacunary.convergence import (
-    MODULAR_FLAGS,
-    RAW_FLAGS,
-    SHAT_DENSITY,
-    STRONG,
-)
+from lacunary.convergence import MODULAR_FLAGS, RAW_FLAGS
 from lacunary.config import OMIT, Component
 from lacunary.errors import BracketTooSmall, ConfigError, NoInteriorMinimum, ScaledPrefixOverflow
 from lacunary.orlicz import AmemiyaValue
@@ -101,7 +95,7 @@ def _block_counts(flags: np.ndarray, sched: LacunarySchedule) -> np.ndarray:
 
 def lacunary_density(
     flags: np.typing.ArrayLike, schedule: LacunarySchedule, alpha: float
-) -> BlockTrajectory:
+) -> np.ndarray:
     """v_r = |{k in I_r : flag_k}| / h_r**alpha."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
@@ -109,7 +103,7 @@ def lacunary_density(
     if f.size < schedule.last_index:
         raise ValueError(f"flags cover {f.size} indices, schedule ends at {schedule.last_index}")
     h_alpha = schedule.block_lengths.astype(np.float64) ** alpha
-    return BlockTrajectory(_block_counts(f, schedule) / h_alpha, kind=SHAT_DENSITY)
+    return _block_counts(f, schedule) / h_alpha
 
 
 def _window_deviations(x: Sequence, p: SpaceParams, m: int) -> np.ndarray:
@@ -136,13 +130,12 @@ def _terms_from(devs: np.ndarray, p: SpaceParams) -> np.ndarray:
     return terms
 
 
-def strong_block_statistic(x: Sequence, p: SpaceParams, m: int = 0) -> BlockTrajectory:
+def strong_block_statistic(x: Sequence, p: SpaceParams, m: int = 0) -> np.ndarray:
     """The summed block statistic at window m: each block's terms summed by `np.sum`."""
     terms = _terms_from(_window_deviations(x, p, m), p)
     cuts = p.schedule.cut_points
     sums = np.array([np.sum(terms[a:b]) for a, b in zip(cuts, cuts[1:])])
-    average = sums / p.schedule.block_lengths.astype(np.float64) ** p.alpha
-    return BlockTrajectory(average, kind=STRONG, m=m)
+    return sums / p.schedule.block_lengths.astype(np.float64) ** p.alpha
 
 
 def shat_flags(

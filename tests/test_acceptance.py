@@ -235,7 +235,7 @@ def test_criterion_7_definitional_collapse():
             exponents=ExponentSequence(constant=1.0),
         )
         x = Sequence(rng.uniform(-3, 3, sched.last_index))
-        strong = BlockEngine([p])(x)[0][STRONG].per_m[0].values
+        strong = BlockEngine([(p, (STRONG,))])(x)[0][STRONG].per_m[0]
         expected = block_average(x, sched, L=L) * sched.block_lengths.astype(float) ** (1.0 - alpha)
         gap = np.max(np.abs(strong - expected) / np.maximum(1.0, np.abs(expected)))
         worst = max(worst, float(gap))

@@ -30,7 +30,7 @@ from lacunary import (
     random_bounded_sequence,
 )
 from lacunary.cli import main
-from lacunary.convergence import MODULAR_FLAGS, RAW_FLAGS, STRONG
+from lacunary.convergence import BUNDLES, MODULAR_FLAGS, RAW_FLAGS, STRONG
 from lacunary import convergence
 from lacunary.sequences import transform_sequence
 
@@ -79,7 +79,7 @@ def test_random_draw_holds_the_values_and_one_chunk():
 def test_one_space_engine_holds_only_tile_wide_workspaces():
     """The cumulative sum, the deviations and two flag workspaces, each a tile wide."""
     (x, _), p = _long_engine_inputs()
-    stats, peak = traced_peak(lambda: BlockEngine([p])(x))
+    stats, peak = traced_peak(lambda: BlockEngine([(p, BUNDLES)])(x))
     assert len(stats) == 1
     # a tile is an eighth of a prefix: one array of the prefix's length would add a prefix
     assert peak <= 0.6 * LONG_PREFIX, f"peak {peak / LONG_PREFIX:.2f} prefixes"
@@ -88,8 +88,8 @@ def test_one_space_engine_holds_only_tile_wide_workspaces():
 def test_engine_without_raw_flags_has_no_raw_flag_workspace():
     """The cumulative sum, the deviations and the modular flags; the raw flags are not asked for."""
     (x, _), p = _long_engine_inputs()
-    _, with_raw = traced_peak(lambda: BlockEngine([p], (STRONG, MODULAR_FLAGS, RAW_FLAGS))(x))
-    stats, peak = traced_peak(lambda: BlockEngine([p], (STRONG, MODULAR_FLAGS))(x))
+    _, with_raw = traced_peak(lambda: BlockEngine([(p, BUNDLES)])(x))
+    stats, peak = traced_peak(lambda: BlockEngine([(p, (STRONG, MODULAR_FLAGS))])(x))
     assert list(stats[0]) == [STRONG, MODULAR_FLAGS]
     # the raw flags are a tile of bools, _TILE bytes
     assert peak <= with_raw - convergence._TILE // 2, f"peaks {peak} and {with_raw} bytes"
@@ -100,7 +100,7 @@ def test_index_power_engine_shares_the_exponents_past_its_list():
     share one tile-wide array of the last exponent, so the engine holds two tiles of them."""
     (x, _), p = _long_engine_inputs()
     q = replace(p, family=IndexPowerFamily((1.5, 2.5, 2.0)))
-    stats, peak = traced_peak(lambda: BlockEngine([q])(x))
+    stats, peak = traced_peak(lambda: BlockEngine([(q, BUNDLES)])(x))
     assert len(stats) == 1
     # an exponent array per tile would add a prefix over the eight tiles
     assert peak <= 0.8 * LONG_PREFIX, f"peak {peak / LONG_PREFIX:.2f} prefixes"
@@ -118,12 +118,35 @@ def test_raw_flags_alone_bind_no_kernel(monkeypatch):
     monkeypatch.setattr(IndexPowerFamily, "_bind_tiles", counted)
     (x, _), p = _long_engine_inputs()
     q = replace(p, family=IndexPowerFamily((1.5, 2.5, 2.0)))
-    stats, peak = traced_peak(lambda: BlockEngine([q], (RAW_FLAGS,))(x))
+    stats, peak = traced_peak(lambda: BlockEngine([(q, (RAW_FLAGS,))])(x))
     assert list(stats[0]) == [RAW_FLAGS]
     assert bound == []
     assert peak <= 0.5 * LONG_PREFIX, f"peak {peak / LONG_PREFIX:.3f} prefixes"
-    BlockEngine([q], (STRONG,))(x)  # the family is bound once, to every tile, when terms are read
+    BlockEngine([(q, (STRONG,))])(x)  # the family is bound once, to every tile, when terms are read
     assert bound == [LONG // convergence._TILE]
+
+
+def test_plain_space_reads_the_deviations_in_place(monkeypatch):
+    """The inclusion engine's plain-average space (M(u) = u, rho 1, exponents 1, read for
+    the strong statistic) beside the family space read for every bundle: the plain group
+    never calls its formula and adds no terms or modular-flag workspace to the family's."""
+    calls = []
+    formula = LinearSlope._formula
+
+    def counted(self, out):
+        calls.append(out.size)
+        return formula(self, out)
+
+    monkeypatch.setattr(LinearSlope, "_formula", counted)
+    (x, _), p = _long_engine_inputs()
+    plain = replace(p, family=ConstantFamily(LinearSlope(1.0)))
+    _, alone = traced_peak(lambda: BlockEngine([(p, BUNDLES)])(x))
+    stats, peak = traced_peak(lambda: BlockEngine([(p, BUNDLES), (plain, (STRONG,))])(x))
+    assert [list(s) for s in stats] == [list(BUNDLES), [STRONG]]
+    assert calls == []
+    # a terms workspace is 8 * _TILE bytes and a flag workspace _TILE bytes; the plain
+    # group adds only its (m_max + 1) x leaves sums and its result arrays
+    assert peak - alone <= convergence._TILE // 4, f"peaks {peak} and {alone} bytes"
 
 
 def test_engine_call_reuses_its_buffers():
@@ -133,7 +156,7 @@ def test_engine_call_reuses_its_buffers():
         family=ConstantFamily(LinearSlope(1.0)), schedule=p.schedule, L=p.L, m_max=p.m_max,
         rho=RhoSequence(constant=0.7), exponents=ExponentSequence(constant=1.5), alpha=0.6,
     )
-    engine = BlockEngine([p, plain, replace(p, alpha=0.5)])
+    engine = BlockEngine([(q, BUNDLES) for q in (p, plain, replace(p, alpha=0.5))])
     engine(x1)
     stats, peak = traced_peak(engine, x2)
     assert len(stats) == 3

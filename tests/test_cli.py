@@ -18,7 +18,7 @@ from test_config import COMMAND_COMPONENTS, _slots, documents
 
 from lacunary import ConstantFamily, Power, cli, complementary
 from lacunary.cli import ReportBundle, main
-from lacunary.convergence import BUNDLES, MODULAR_FLAGS, STRONG
+from lacunary.convergence import MODULAR_FLAGS, STRONG
 from lacunary.config import CLASSIFY_CONSTRUCTION, COMMANDS, _command_component, materialize
 from lacunary.errors import ConfigError
 
@@ -303,13 +303,14 @@ class TestClassify:
 )
 def test_block_run_computes_only_the_bundles_it_writes(tmp_path, monkeypatch, doc):
     """classify and counterexample write the strong trajectory and the density of one flag
-    mode; their engine must ask for exactly those bundles, not the engine's default."""
+    mode; their engine must ask for exactly those bundles of their one space."""
     asked = []
 
     class Recording(cli.BlockEngine):
-        def __init__(self, spaces, bundles=BUNDLES):
-            super().__init__(spaces, bundles)
-            asked.append(set(bundles))
+        def __init__(self, reads):
+            reads = list(reads)
+            super().__init__(reads)
+            asked.extend(set(bundles) for _, bundles in reads)
 
     monkeypatch.setattr(cli, "BlockEngine", Recording)
     command = doc["command"]
@@ -317,6 +318,28 @@ def test_block_run_computes_only_the_bundles_it_writes(tmp_path, monkeypatch, do
     written = {STRONG, read_report(tmp_path / "out")["results"]["flag_mode"]}
     assert written == {STRONG, doc.get("flag_mode", MODULAR_FLAGS)}
     assert asked == [written]
+
+
+NEGATIVE_TABLE = {"kind": "constant", "function": {"kind": "table", "knots": [[0, 0], [1, -1]]}}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {**BASE_CLASSIFY, "family": NEGATIVE_TABLE, "space": {"m_max": 4}},
+        {"command": "inclusion", "family": NEGATIVE_TABLE,
+         "schedule": {"kind": "geometric", "count": 6}, "corpus": {"size": 3}},
+    ],
+    ids=["classify", "inclusion"],
+)
+def test_negative_table_member_ends_in_an_error(tmp_path, capsys, doc):
+    """The axiom check reports a table member below zero without refusing it; the engine's
+    nonnegativity check then ends the run in `error: ...` and exit code 1, not a traceback."""
+    command = doc["command"]
+    assert run_cli([command, "--config", write_config(tmp_path, doc), "--out", tmp_path / "out"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: the strong statistic is negative at m=0, block r=1: "
+    )
 
 
 class TestCounterexample:
@@ -955,6 +978,8 @@ SIZE_CAPS = {"count": 6, "horizon": 80, "size": 3, "r_max": 6, "construction_r_m
 FLOAT_EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1.0, -1.0, 0.5, 2.0,
                   1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308]
 INT_EXTREMES = [0, 1, 2, -1]
+# table functions: a valid one and one whose member is negative, which the axiom check only reports
+TABLE_KNOTS = [[[0, 0], [1, 1]], [[0, 0], [1, -1]]]
 HUGE_INTS = [2**63, 2**64, 10**400]  # past int64 and float64; never for a size field
 FLOAT_EXTREMES.append(10**400)  # an integer literal past float64 in a number field
 
@@ -964,6 +989,9 @@ def fuzzed_documents(draw):
     """A valid document of a random command with sizes capped and a few numbers at extremes."""
     component = draw(st.sampled_from(COMMAND_COMPONENTS))
     doc = draw(documents(component))
+    for container, key in list(_slots(doc)):
+        if key == "knots":
+            container[key] = draw(st.sampled_from(TABLE_KNOTS))
     numbers = []
     for container, key in _slots(doc):
         value = container[key]

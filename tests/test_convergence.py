@@ -45,7 +45,7 @@ from lacunary.convergence import (
     SHAT_DENSITY,
     STRONG,
 )
-from lacunary.errors import NonFiniteStatistic, SupportExceedsHorizon
+from lacunary.errors import NegativeStatistic, NonFiniteStatistic, SupportExceedsHorizon
 from reference import (
     block_average,
     lacunary_density,
@@ -66,7 +66,7 @@ def initial_density(flags, n, alpha):
     p = SpaceParams(family=ConstantFamily(LinearSlope(1.0)), schedule=one_block,
                     alpha=alpha, epsilon=0.5, m_max=0)
     x = Sequence(np.asarray(flags[:n], dtype=np.float64))
-    return BlockEngine([p])(x)[0][RAW_FLAGS].per_m[0].values[0]
+    return BlockEngine([(p, (RAW_FLAGS,))])(x)[0][RAW_FLAGS].per_m[0, 0]
 
 
 class TestDensityOrderAlpha:
@@ -96,12 +96,12 @@ class TestLacunaryDensity:
     def test_no_flags(self):
         s = build_lacunary(Geometric(1, 2, 6))
         t = lacunary_density([False] * s.last_index, s, 1.0)
-        assert np.all(t.values == 0.0)
+        assert np.all(t == 0.0)
 
     def test_all_flags(self):
         s = build_lacunary(Geometric(1, 2, 6))
         t = lacunary_density([True] * s.last_index, s, 1.0)
-        assert np.all(t.values == 1.0)
+        assert np.all(t == 1.0)
 
     def test_half_block_flags_give_half(self):
         s = build_lacunary(Geometric(1, 2, 10))
@@ -112,9 +112,9 @@ class TestLacunaryDensity:
             flags[start : start + math.ceil(h_r / 2)] = True
         t = lacunary_density(flags, s, 1.0)
         # even block lengths: exactly one half
-        assert t.values[-1] == pytest.approx(0.5)
+        assert t[-1] == pytest.approx(0.5)
         for r in range(2, s.num_blocks + 1):
-            assert t.values[r - 1] == pytest.approx(0.5, abs=1.0 / s.block_lengths[r - 1])
+            assert t[r - 1] == pytest.approx(0.5, abs=1.0 / s.block_lengths[r - 1])
 
     def test_short_flags_raise(self):
         s = build_lacunary(Geometric(1, 2, 4))
@@ -125,7 +125,7 @@ class TestLacunaryDensity:
 def plain_block_averages(x, s, L=0.0):
     """The engine's plain space: (1/h_r) * sum_{k in I_r} |x_k - L| (M(u) = u, m = 0, alpha = 1)."""
     p = SpaceParams(family=ConstantFamily(LinearSlope(1.0)), schedule=s, L=L, m_max=0)
-    return BlockEngine([p])(x)[0][STRONG].per_m[0].values
+    return BlockEngine([(p, (STRONG,))])(x)[0][STRONG].per_m[0]
 
 
 class TestNTheta:
@@ -177,10 +177,10 @@ class TestStrongStatistic:
         s = build_lacunary(Geometric(1, 2, 6))
         p = _params(s, L=2.5, m_max=3)
         x = Sequence(np.full(s.last_index + 3, 2.5))
-        stats = BlockEngine([p])(x)[0]
-        for m in range(4):
-            for key in (STRONG, MODULAR_FLAGS, RAW_FLAGS):
-                assert np.all(stats[key].per_m[m].values == 0.0)
+        stats = BlockEngine([(p, BUNDLES)])(x)[0]
+        for key in BUNDLES:
+            assert stats[key].per_m.shape == (4, s.num_blocks)
+            assert np.all(stats[key].per_m == 0.0)
 
     def test_collapses_to_ntheta(self):
         rng = np.random.default_rng(3)
@@ -188,7 +188,7 @@ class TestStrongStatistic:
         for alpha in (0.4, 1.0):
             p = _params(s, alpha=alpha, L=0.25)
             x = Sequence(rng.uniform(-1, 1, s.last_index))
-            strong = BlockEngine([p])(x)[0][STRONG].per_m[0].values
+            strong = BlockEngine([(p, (STRONG,))])(x)[0][STRONG].per_m[0]
             base = block_average(x, s, L=0.25)
             expected = base * s.block_lengths.astype(float) ** (1.0 - alpha)
             assert strong == pytest.approx(expected, rel=1e-12)
@@ -200,7 +200,7 @@ class TestStrongStatistic:
                     rho=RhoSequence(constant=1.3))
         m = 4
         x = Sequence(rng.uniform(-2, 2, s.last_index + m))
-        got = BlockEngine([p])(x)[0][STRONG].per_m[m].values
+        got = BlockEngine([(p, (STRONG,))])(x)[0][STRONG].per_m[m]
         # direct composition: window_mean per index, then family term, block mean
         shifted = x.values - 0.1
         for r in range(1, s.num_blocks + 1):
@@ -216,7 +216,7 @@ class TestStrongStatistic:
         p = _params(s, family=ConstantFamily(Power(2.0)), epsilon=0.2, alpha=0.7)
         x = Sequence(rng.uniform(-1, 1, s.last_index))
         flags = shat_flags(x, p, 0)
-        dens = BlockEngine([p])(x)[0][MODULAR_FLAGS].per_m[0].values
+        dens = BlockEngine([(p, (MODULAR_FLAGS,))])(x)[0][MODULAR_FLAGS].per_m[0]
         manual = np.array(
             [np.count_nonzero(flags[a:b]) for a, b in zip(s.cut_points, s.cut_points[1:])]
         ) / s.block_lengths.astype(float) ** p.alpha
@@ -271,7 +271,7 @@ class TestStrongStatistic:
                     exponents=ExponentSequence(constant=3.0))
         x = Sequence(np.full(s.last_index + 2, 1e150))  # each term (1e150**2)**3 overflows
         assert_engine_matches_standalone(x, p)
-        assert np.all(BlockEngine([p])(x)[0][STRONG].sup.values == math.inf)
+        assert np.all(BlockEngine([(p, (STRONG,))])(x)[0][STRONG].sup == math.inf)
 
 
 PLAN_LENGTHS = st.one_of(
@@ -316,25 +316,32 @@ def test_tile_plan_adds_up_numpys_pairwise_sum(lengths, tile, seed):
     assert plan.block_counts(leaf_counts)[0].tolist() == counts
 
 
+def standalone(x, p, m, key):
+    """The reference trajectory of bundle `key` of space p at window m."""
+    if key == STRONG:
+        return strong_block_statistic(x, p, m)
+    return lacunary_density(shat_flags(x, p, m, key), p.schedule, p.alpha)
+
+
 def assert_stats_match_standalone(x, p, stats):
-    """Every bundle of one engine result for space p equals the standalone statistics bit for bit."""
-    for m in range(p.m_max + 1):
-        standalone = strong_block_statistic(x, p, m).values
-        assert stats[STRONG].per_m[m].values.tobytes() == standalone.tobytes()
-        for mode in (MODULAR_FLAGS, RAW_FLAGS):
-            standalone = lacunary_density(shat_flags(x, p, m, mode), p.schedule, p.alpha).values
-            assert stats[mode].per_m[m].values.tobytes() == standalone.tobytes()
+    """Every bundle of one engine result for space p equals the standalone statistics bit for
+    bit, as one read-only (m_max + 1, R) array and its read-only sup over m."""
     for key, bundle in stats.items():
-        assert [t.m for t in bundle.per_m] == list(range(p.m_max + 1))
-        assert np.array_equal(bundle.sup.values,
-                              np.max(np.stack([t.values for t in bundle.per_m]), axis=0))
+        assert bundle.per_m.dtype == np.float64
+        assert bundle.per_m.shape == (p.m_max + 1, p.schedule.num_blocks)
+        for m in range(p.m_max + 1):
+            assert bundle.per_m[m].tobytes() == standalone(x, p, m, key).tobytes()
+        assert bundle.sup.tobytes() == bundle.per_m.max(axis=0).tobytes()
+        assert not bundle.per_m.flags.writeable and not bundle.sup.flags.writeable
         assert bundle.statistic == (STRONG if key == STRONG else SHAT_DENSITY)
         assert bundle.flag_mode == (None if key == STRONG else key)
 
 
 def assert_engine_matches_standalone(x, p):
-    """A one-space engine equals the standalone statistics bit for bit."""
-    assert_stats_match_standalone(x, p, BlockEngine([p])(x)[0])
+    """A one-space engine asked for every bundle equals the standalone statistics bit for bit."""
+    stats = BlockEngine([(p, BUNDLES)])(x)[0]
+    assert list(stats) == list(BUNDLES)
+    assert_stats_match_standalone(x, p, stats)
 
 
 def draw_terms(data, rng, s, families=ENGINE_FAMILIES):
@@ -396,7 +403,7 @@ class TestSharedEngine:
         horizon = s.last_index + shared["m_max"] + 2
         overflowing = Sequence(np.full(horizon, 1e308))  # its prefix sum is inf from index 2 on
         with patch.object(convergence, "_TILE", tile):
-            engine = BlockEngine(spaces)
+            engine = BlockEngine([(q, BUNDLES) for q in spaces])
             calls = []
             for _ in range(data.draw(st.integers(2, 4), label="calls")):
                 if data.draw(st.booleans(), label="a raising call first"):
@@ -417,18 +424,15 @@ class TestSharedEngine:
         for other in (dict(L=0.5), dict(epsilon=0.2), dict(m_max=2), dict(matrix=CesaroC1()),
                       dict(schedule=build_lacunary(Geometric(1, 2, 5)))):
             with pytest.raises(ValueError, match="must agree"):
-                BlockEngine([p, replace(p, **other)])
+                BlockEngine([(p, BUNDLES), (replace(p, **other), (STRONG,))])
         with pytest.raises(ValueError, match="at least one space"):
             BlockEngine([])
 
 
 def _bits(results):
-    """The bytes of every trajectory of one engine call."""
+    """The bytes of every bundle of one engine call."""
     return [
-        t.values.tobytes()
-        for stats in results
-        for bundle in stats.values()
-        for t in (*bundle.per_m, bundle.sup)
+        a.tobytes() for stats in results for bundle in stats.values() for a in (bundle.per_m, bundle.sup)
     ]
 
 
@@ -442,13 +446,19 @@ SUBSET_FAMILIES = [
 SUBSETS = [subset for size in (1, 2, 3) for subset in combinations(BUNDLES, size)]
 
 
+EVERY_FAMILY = [*ENGINE_FAMILIES, *SUBSET_FAMILIES[2:], ConstantFamily(LinearSlope(1.0))]
+PLAIN = ConstantFamily(LinearSlope(1.0))  # with rho 1 and exponents 1, the plain-average space
+
+
 class TestBundleSubsets:
     @given(data=st.data(), tile=st.sampled_from([1, 3, 8, 64]))
     @settings(max_examples=40, deadline=None)
     def test_each_subset_is_the_full_engine_restricted(self, data, tile):
-        """For every nonempty subset of the bundles, an engine asked for it returns exactly
-        those bundles, each bit for bit the full engine's, for two groups of spaces (and a
-        third space sharing the first one's terms)."""
+        """One engine over 1-4 spaces, each asked for its own nonempty subset of the bundles:
+        each space gets exactly those bundles, each bit for bit a one-space engine asked for
+        all bundles and the reference.  The spaces draw every family kind, constant and
+        per-index rho, exponent sequences and alpha; some share a previous space's terms, and
+        some are the plain-average space, whose terms are its deviations."""
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         s = build_lacunary(Geometric(1, 2, data.draw(st.integers(1, 6), label="blocks")))
         shared = dict(
@@ -458,25 +468,31 @@ class TestBundleSubsets:
             epsilon=data.draw(st.sampled_from([1e-3, 0.1, 0.5])),
             L=data.draw(st.sampled_from([0.0, 0.05, -0.3])),
         )
-        first = SpaceParams(alpha=1.0, **shared, **draw_terms(data, rng, s, SUBSET_FAMILIES))
-        others = [f for f in SUBSET_FAMILIES if f is not first.family]  # a second group
-        second = SpaceParams(alpha=0.6, **shared, **draw_terms(data, rng, s, others))
-        spaces = [first, second, replace(first, alpha=0.35)]
+        reads = []
+        for _ in range(data.draw(st.integers(1, 4), label="spaces")):
+            terms = data.draw(st.sampled_from(["plain", "drawn", "as the previous space"]))
+            if terms == "plain":
+                fields = dict(family=PLAIN)
+            elif terms == "drawn" or not reads:
+                fields = draw_terms(data, rng, s, EVERY_FAMILY)
+            else:
+                q = reads[-1][0]
+                fields = dict(family=q.family, rho=q.rho, exponents=q.exponents)
+            alpha = data.draw(st.sampled_from([1.0, 0.6, 0.35]), label="alpha")
+            reads.append((SpaceParams(alpha=alpha, **shared, **fields), data.draw(st.sampled_from(SUBSETS))))
         x = Sequence(rng.uniform(-2, 2, s.last_index + shared["m_max"] + 2))
         with patch.object(convergence, "_TILE", tile):
-            full = BlockEngine(spaces)(x)
-            for subset in SUBSETS:
-                engine = BlockEngine(spaces, subset)
-                assert engine.bundles == subset
-                for stats, want in zip(engine(x), full):
-                    assert list(stats) == list(subset)
-                    for key in subset:
-                        got, expected = stats[key], want[key]
-                        assert (got.statistic, got.flag_mode) == (expected.statistic,
-                                                                  expected.flag_mode)
-                        for t, u in zip((*got.per_m, got.sup), (*expected.per_m, expected.sup)):
-                            assert (t.m, t.kind, t.values.tobytes()) == (u.m, u.kind,
-                                                                        u.values.tobytes())
+            results = BlockEngine(reads)(x)
+            assert len(results) == len(reads)
+            for (p, subset), stats in zip(reads, results):
+                assert list(stats) == list(subset)
+                (alone,) = BlockEngine([(p, BUNDLES)])(x)
+                for key in subset:
+                    got, want = stats[key], alone[key]
+                    assert (got.statistic, got.flag_mode) == (want.statistic, want.flag_mode)
+                    assert got.per_m.tobytes() == want.per_m.tobytes()
+                    assert got.sup.tobytes() == want.sup.tobytes()
+                assert_stats_match_standalone(x, p, stats)
 
     def test_a_nan_strong_sum_raises_only_when_strong_is_asked_for(self):
         """A window sum inf - inf is a NaN strong statistic, which raises; the flags of the
@@ -487,16 +503,64 @@ class TestBundleSubsets:
         for subset in SUBSETS:
             if STRONG in subset:
                 with pytest.raises(NonFiniteStatistic, match="NaN at m=1"):
-                    BlockEngine([p], subset)(huge)
+                    BlockEngine([(p, subset)])(huge)
             else:
-                assert list(BlockEngine([p], subset)(huge)[0]) == list(subset)
+                assert list(BlockEngine([(p, subset)])(huge)[0]) == list(subset)
 
     def test_bundles_must_be_a_nonempty_subset(self):
         p = _params(build_lacunary(Geometric(1, 2, 4)))
         for bundles in ((), ("strong", "shat"), STRONG):  # a bare string is its characters
             with pytest.raises(ValueError, match="nonempty subset"):
-                BlockEngine([p], bundles)
-        assert BlockEngine([p], (RAW_FLAGS, STRONG, RAW_FLAGS)).bundles == (STRONG, RAW_FLAGS)
+                BlockEngine([(p, BUNDLES), (p, bundles)])
+        engine = BlockEngine([(p, (RAW_FLAGS, STRONG, RAW_FLAGS)), (p, {MODULAR_FLAGS})])
+        assert [bundles for _, bundles in engine.reads] == [(STRONG, RAW_FLAGS), (MODULAR_FLAGS,)]
+
+    def test_a_negative_strong_value_raises_naming_the_first_window_and_block(self):
+        """A family member below zero makes the strong statistic negative, which raises
+        NegativeStatistic at the first (m, block); the flags of the same windows are counts."""
+        s = build_lacunary(Explicit((0, 2, 4, 8)))
+        p = _params(s, family=ConstantFamily(Table(((0.0, 0.0), (1.0, -1.0)))), m_max=1,
+                    epsilon=0.5)
+        x = Sequence(np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]))  # M(x_3) = -1
+        for subset in SUBSETS:
+            if STRONG in subset:
+                with pytest.raises(NegativeStatistic, match="negative at m=0, block r=2"):
+                    BlockEngine([(p, subset)])(x)
+            else:
+                assert list(BlockEngine([(p, subset)])(x)[0]) == list(subset)
+        stats = BlockEngine([(p, (RAW_FLAGS,))])(x)[0]
+        assert stats[RAW_FLAGS].per_m.tolist() == [[0.0, 0.5, 0.0], [0.5, 0.5, 0.0]]
+
+
+class TestResultArrays:
+    def test_results_are_read_only_and_never_alias_the_workspaces(self):
+        """Each bundle is one read-only (m_max + 1, R) array and its read-only sup, bitwise
+        per_m.max(axis=0); neither shares memory with a workspace of the engine, and the
+        arrays of a first call are unchanged by a second call on another sequence."""
+        rng = np.random.default_rng(8)
+        s = build_lacunary(Geometric(1, 2, 9))
+        p = _params(s, family=ConstantFamily(Power(2.0)), m_max=3, epsilon=0.1, L=0.05)
+        reads = [(p, BUNDLES), (replace(p, family=PLAIN, alpha=0.6), BUNDLES),
+                 (replace(p, rho=RhoSequence(constant=0.7)), (STRONG, MODULAR_FLAGS))]
+        horizon = s.last_index + p.m_max
+        with patch.object(convergence, "_TILE", 64):
+            engine = BlockEngine(reads)
+            first = engine(Sequence(rng.uniform(-2, 2, horizon)))
+            bits = _bits(first)
+            workspaces = [engine._c, engine._dev, engine._raw_flags,
+                          *(a for g in engine._groups for a in (g.terms, g.flags) if a is not None)]
+            for stats in first:
+                for bundle in stats.values():
+                    assert bundle.per_m.shape == (p.m_max + 1, s.num_blocks)
+                    assert bundle.sup.tobytes() == bundle.per_m.max(axis=0).tobytes()
+                    for a in (bundle.per_m, bundle.sup):
+                        assert not a.flags.writeable
+                        with pytest.raises(ValueError, match="read-only"):
+                            a[...] = 0.0
+                        assert not any(np.shares_memory(a, w) for w in workspaces)
+            second = engine(Sequence(rng.uniform(-2, 2, horizon)))
+        assert _bits(second) != bits
+        assert _bits(first) == bits
 
 
 class TestVerdicts:
@@ -504,9 +568,9 @@ class TestVerdicts:
         s = build_lacunary(Geometric(1, 2, 6))
         p = _params(s, L=1.0, m_max=2)
         x = Sequence(np.full(s.last_index + 2, 1.0))
-        stats = BlockEngine([p])(x)[0]
-        for key in (STRONG, MODULAR_FLAGS, RAW_FLAGS):
-            assert classify_trajectory(stats[key].sup.values).decision == CONVERGES
+        stats = BlockEngine([(p, BUNDLES)])(x)[0]
+        for key in BUNDLES:
+            assert classify_trajectory(stats[key].sup).decision == CONVERGES
 
     def test_flat_positive_trajectory_diverges(self):
         v = classify_trajectory(np.full(12, 0.8))

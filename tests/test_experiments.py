@@ -49,8 +49,8 @@ def test_chunked_exception_draws_match_whole_draws(horizon, density):
 
 def decisions(x, p):
     """The verdicts of the strong statistic and the modular exception density of x in space p."""
-    stats = BlockEngine([p])(x)[0]
-    return tuple(classify_trajectory(stats[key].sup.values).decision for key in (STRONG, MODULAR_FLAGS))
+    stats = BlockEngine([(p, (STRONG, MODULAR_FLAGS))])(x)[0]
+    return tuple(classify_trajectory(stats[key].sup).decision for key in (STRONG, MODULAR_FLAGS))
 
 
 class TestBuildThm37:
@@ -78,8 +78,8 @@ class TestBuildThm37:
         x, s, p = build_thm37(CounterexampleSpec(theorem="thm37", r_max=8))
         # one index per block, so each block's density is that index's flag
         unit_blocks = build_lacunary(Explicit(tuple(range(s.last_index + 1))))
-        stats = BlockEngine([replace(p, schedule=unit_blocks, m_max=0)])(x)[0]
-        flags = stats[MODULAR_FLAGS].per_m[0].values == 1.0
+        stats = BlockEngine([(replace(p, schedule=unit_blocks, m_max=0), (MODULAR_FLAGS,))])(x)[0]
+        flags = stats[MODULAR_FLAGS].per_m[0] == 1.0
         expected = x.values[: s.last_index] > 0
         assert np.array_equal(flags, expected)
 
@@ -125,16 +125,16 @@ class TestBuildThm38:
 
     def test_statistics_match_analytic_values(self):
         x, s, p = build_thm38(CounterexampleSpec(theorem="thm38", r_max=10))
-        stats = BlockEngine([p])(x)[0]
-        strong = stats[STRONG].per_m[0].values
+        stats = BlockEngine([(p, (STRONG, MODULAR_FLAGS))])(x)[0]
+        strong = stats[STRONG].per_m[0]
         assert np.all(strong >= 1.0 - 1e-9)
-        dens = stats[MODULAR_FLAGS].per_m[0].values
+        dens = stats[MODULAR_FLAGS].per_m[0]
         assert dens == pytest.approx(1.0 / s.block_lengths.astype(float), rel=1e-12)
 
     def test_single_block_boundary_case(self):
         x, s, p = build_thm38(CounterexampleSpec(theorem="thm38", r_max=1))
         assert s.num_blocks == 1
-        assert BlockEngine([p])(x)[0][STRONG].per_m[0].values[0] >= 1.0 - 1e-9
+        assert BlockEngine([(p, (STRONG,))])(x)[0][STRONG].per_m[0, 0] >= 1.0 - 1e-9
 
     def test_explicit_spike_heights(self):
         x, s, p = build_thm38(
@@ -256,31 +256,31 @@ class TestInclusionMatrix:
         built, calls = [], []
 
         class Counted(BlockEngine):
-            def __init__(self, spaces, bundles):
-                super().__init__(spaces, bundles)
-                built.append((len(self.spaces), self.bundles))
+            def __init__(self, reads):
+                super().__init__(reads)
+                built.append(tuple(bundles for _, bundles in self.reads))
 
             def __call__(self, x):
                 calls.append(x)
                 return super().__call__(x)
 
         class OneEnginePerSpace:
-            def __init__(self, spaces, bundles):
-                self.engines = [BlockEngine([q], bundles) for q in spaces]
+            def __init__(self, reads):
+                self.engines = [BlockEngine([read]) for read in reads]
 
             def __call__(self, x):
                 return [engine(x)[0] for engine in self.engines]
 
-        for theorems, spaces, bundles in (
-            (["T31"], 2, (STRONG, RAW_FLAGS)),
-            (experiments.THEOREMS, 3, (STRONG, MODULAR_FLAGS, RAW_FLAGS)),
+        for theorems, reads in (  # per space (alpha, beta, plain), the bundles read of it
+            (["T31"], ((STRONG,), (RAW_FLAGS,))),
+            (experiments.THEOREMS, ((STRONG, MODULAR_FLAGS, RAW_FLAGS), (RAW_FLAGS,), (STRONG,))),
         ):
             built.clear()
             calls.clear()
             with patch.object(experiments, "BlockEngine", Counted):
                 shared = run_inclusion_matrix(corpus, theorems, beta=0.8).to_dict()
             # the draws share one engine, each construction has its own; each computes what is read
-            assert built == [(spaces, bundles)] * 3
+            assert built == [reads] * 3
             assert len(calls) == len(corpus)
             with patch.object(experiments, "BlockEngine", OneEnginePerSpace):
                 assert run_inclusion_matrix(corpus, theorems, beta=0.8).to_dict() == shared

@@ -44,6 +44,7 @@ from lacunary import (
 )
 from lacunary import orlicz
 from lacunary.cli import cmd_norms
+from lacunary.convergence import BUNDLES
 from lacunary.errors import BracketTooSmall, EmptyAdmissibleSet, LacunaryError, NegativeArgument
 from lacunary.experiments import random_bounded_sequence
 from lacunary.optimize import brent_min, secant_crossing
@@ -427,7 +428,7 @@ def test_engine_tiles_skip_the_argument_check(monkeypatch):
     spaces = [SpaceParams(family=f, schedule=s, m_max=2, rho=r, epsilon=0.1)
               for f in families for r in (rho, RhoSequence())]
     x = Sequence(rng.uniform(-2, 2, s.last_index + 2))
-    assert len(BlockEngine(spaces)(x)) == len(spaces)
+    assert len(BlockEngine([(q, BUNDLES) for q in spaces])(x)) == len(spaces)
     assert calls == []
     with pytest.raises(NegativeArgument):
         ConstantFamily(Power(2.0)).bind(np.arange(1, 3))(np.array([1.0, -0.5]))
