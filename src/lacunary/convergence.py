@@ -300,19 +300,17 @@ class _TermGroup:
     """
 
     def __init__(self, p: SpaceParams, plan: _TilePlan, strong: bool, modular: bool) -> None:
-        self.strong, self.formulas = strong, None
-        if not (p.family == _PLAIN and p.rho.constant == 1.0 and p.exponents.is_identically_one):
+        self.strong = strong
+        self.plain = p.family == _PLAIN and p.rho.constant == 1.0 and p.exponents.is_identically_one
+        self.rho = self.exps = self.formulas = None  # x / 1.0 == x, x**1 == x; plain: M(x) == x
+        if not self.plain:
             bounds = [(a, b) for a, b, _, _ in plan.tiles]
             if p.rho.constant is None:
                 self.rho = values_per_tile(p.rho.per_index, bounds)
             elif p.rho.constant != 1.0:
                 self.rho = [p.rho.constant] * len(bounds)
-            else:
-                self.rho = None  # x / 1.0 == x for every float64
-            exps = p.exponents
-            if exps.is_identically_one:
-                self.exps = None
-            else:
+            if not p.exponents.is_identically_one:
+                exps = p.exponents
                 self.exps = values_per_tile(exps.per_index or (exps.constant,), bounds)
             self.formulas = p.family._bind_tiles(bounds)
         self.terms = None  # the deviations' storage, unless the engine gives a workspace
@@ -328,7 +326,7 @@ class _TermGroup:
         """
         n = dev.size
         terms = dev if self.terms is None else self.terms[:n]
-        if self.formulas is not None:
+        if not self.plain:
             if self.rho is not None:
                 np.divide(dev, self.rho[t], out=terms)
             elif terms is not dev:
@@ -455,9 +453,9 @@ class BlockEngine:
         groups = [_TermGroup(q, plan, STRONG in read, MODULAR_FLAGS in read)
                   for q, read in self._leaders]
         # the plain groups read the deviations, so they run first; the last group overwrites them
-        self._order = sorted(range(len(groups)), key=lambda g: groups[g].formulas is not None)
+        self._order = sorted(range(len(groups)), key=lambda g: not groups[g].plain)
         for g in self._order[:-1]:
-            if groups[g].formulas is not None:
+            if not groups[g].plain:
                 groups[g].terms = np.empty(plan.width)
         self._groups, self._plan = groups, plan
 
