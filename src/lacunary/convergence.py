@@ -20,9 +20,9 @@ for every m = 0..m_max in one pass per sequence, from one transform, for a
 group of spaces that differ only in family, rho, exponents and alpha, and
 of each space only the bundles (STRONG, MODULAR_FLAGS, RAW_FLAGS) its
 caller reads.  It streams: each tile of whole blocks, or of nodes of a long
-block's pairwise-sum tree, takes y = A(x) - L, its cumulative sum and every
-window while it is in cache, so the engine holds no array of the prefix's
-length.
+block's pairwise-sum tree, reads its slice of A(x), takes y = A(x) - L, its
+cumulative sum and every window while it is in cache, so the engine holds no
+array of the prefix's length, and for Identity reads x only tile by tile.
 Numerical contract: window sums come from a sequential cumulative sum
 (`np.cumsum`), block sums are the pairwise `np.add.reduce` of each block,
 and exception counts are exact integers.  Every per-m trajectory is
@@ -355,14 +355,17 @@ class BlockEngine:
     One call transforms x once, to z = A(x) for the largest lookahead, and
     then streams over the tiles of a `_TilePlan` built from the schedule:
     whole blocks packed up to `_TILE` indices, and the blocks longer than
-    that split into nodes of numpy's pairwise-sum tree.  Each tile writes
-    y = z - L for its indices and the m_max after them, takes |y| (the
+    that split into nodes of numpy's pairwise-sum tree.  Each tile reads z
+    for its indices and the m_max after them with `z.read` into the
+    cumulative-sum workspace, writes y = z - L there, takes |y| (the
     deviations at m = 0), and then the cumulative sum of y after the carry
     c_a = y_1 + ... + y_a of the tiles before it, in place, so its window
     sums are those of one sequential cumulative sum over the prefix, as in
     the reference's `_window_deviations` (`tests/reference.py`), bit for
     bit.  Then, while the tile is in cache, for each m it computes its
-    deviations and, if a space reads RAW_FLAGS, its raw flags once; each
+    deviations, dividing by m + 1, or multiplying by 2**-k when
+    m + 1 = 2**k, which is the same correctly rounded quotient, and, if a
+    space reads RAW_FLAGS, its raw flags once; each
     group of spaces sharing (family, rho, exponents) gets its terms if one
     of them reads STRONG or MODULAR_FLAGS, and its modular flags if one
     reads MODULAR_FLAGS; and each leaf of the tile is reduced, to an
@@ -383,7 +386,10 @@ class BlockEngine:
     Its group runs first, and the last group to run writes its terms over
     the deviations.
 
-    Memory: the engine holds no array of the prefix's length.  Its first
+    Memory: the engine holds no array of the prefix's length, and for
+    Identity it reads x one tile at a time: a drawn prefix
+    (`random_bounded_sequence`) is drawn tile by tile into the workspace and
+    never as a whole, so the call holds O(tile) memory at any k_R.  Its first
     call, once the transform has succeeded, builds the tile plan, binds
     each read group's family to each tile, but the plain one's, and makes
     the tile workspaces: the cumulative sum of y, of the widest tile plus
@@ -398,10 +404,11 @@ class BlockEngine:
     over all tiles.  Each call then fills (m_max + 1) x leaves sums and
     counts, and returns each bundle as one (m_max + 1) x R array and its
     sup, read-only, which never alias the workspaces.  It allocates nothing
-    of prefix size beyond the transform's output (for Identity a view of
-    x), and the formulas run in place, so the tiles make no temporaries,
-    except in the `table` and `custom` kinds, whose formulas build
-    tile-sized ones.  Because the workspaces are shared, an engine serves
+    of prefix size beyond the transform's output (for Identity a prefix of
+    x that nothing reads whole), and the formulas run in place, so the
+    tiles make no temporaries, except a drawn tile's exception flags and
+    positions, and the tile-sized ones the formulas of the `table` and
+    `custom` kinds build.  Because the workspaces are shared, an engine serves
     one caller at a time.
 
     Overflow is an honest +inf.  A NaN block sum of a group read for STRONG
@@ -462,7 +469,7 @@ class BlockEngine:
     def __call__(self, x: Sequence) -> list[dict[str, UniformTrajectories]]:
         p = self.reads[0][0]
         m_max, epsilon = p.m_max, p.epsilon
-        z = transform_sequence(p.matrix, x, p.schedule.last_index + m_max, p.matrix_tol).values
+        z = transform_sequence(p.matrix, x, p.schedule.last_index + m_max, p.matrix_tol)
         if self._plan is None:
             self._allocate()
         plan, raw_flags, groups, order = self._plan, self._raw_flags, self._groups, self._order
@@ -476,7 +483,7 @@ class BlockEngine:
             for t, (a, b, leaves, pieces) in enumerate(plan.tiles):
                 n = b - a
                 c, dev = self._c[: n + m_max + 1], self._dev[:n]
-                np.subtract(z[a : b + m_max], p.L, out=c[1:])
+                np.subtract(z.read(a, b + m_max, out=c[1:]), p.L, out=c[1:])
                 np.abs(c[1 : n + 1], out=dev)
                 if m_max:  # the cumulative sum of y after the carry, in place
                     if a:
@@ -489,7 +496,10 @@ class BlockEngine:
                 for m in range(m_max + 1):
                     if m:
                         np.subtract(c[m + 1 : n + m + 1], c[:n], out=dev)
-                        dev /= m + 1
+                        if m & (m + 1):
+                            dev /= m + 1
+                        else:  # m + 1 = 2**k: times 2**-k is the same correctly rounded quotient
+                            dev *= 1.0 / (m + 1)
                         np.abs(dev, out=dev)
                     if raw_flags is not None:
                         flags = raw_flags[:n]

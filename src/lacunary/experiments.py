@@ -55,6 +55,7 @@ from .orlicz import (
     delta2_check,
 )
 from .sequences import (
+    DrawnPrefix,
     Explicit,
     Geometric,
     Identity,
@@ -528,12 +529,23 @@ def random_bounded_sequence(
     exception_density: float = 0.0,
     exception_scale: float = 3.0,
 ) -> Sequence:
-    """Uniform draw in [center-radius, center+radius] with planted exceptions.
+    """Uniform draw in [center-radius, center+radius] with planted exceptions, as a drawn prefix.
 
     Exception indices (chosen at `exception_density`) sit at
     center +/- exception_scale * radius, outside the bounded band, so
     membership of the draw in the density classes is controlled by design.
-    Raises ValueError when the band's width or an exception value is not finite.
+
+    The draw is three streams of n = horizon uniforms of `rng`, one after
+    the other: x_k = uniform(center - radius, center + radius) from the
+    first, an exception at k where the second's k-th uniform is below
+    `exception_density`, and its sign negative where the third's k-th is
+    below 0.5.  Without exceptions only the first is drawn.  The result
+    records rng's state and draws only what is read of it (see
+    `DrawnPrefix`); rng itself is advanced past the whole draw at once, by
+    n or 3n steps.  That needs `advance` to skip one double per step, so
+    rng must run on PCG64 or PCG64DXSM (`default_rng` gives PCG64).
+    Raises ValueError for any other generator, for a horizon below 1, and
+    when the band's width or an exception value is not finite.
     """
     if not math.isfinite((center + radius) - (center - radius)):
         raise ValueError(
@@ -546,23 +558,13 @@ def random_bounded_sequence(
             f"center +/- exception_scale * radius must be finite, got center={center:g}, "
             f"radius={radius:g}, exception_scale={exception_scale:g}"
         )
-    values = rng.uniform(center - radius, center + radius, size=horizon)
+    if horizon < 1:
+        raise ValueError("a sequence needs a one-dimensional, nonempty prefix")
+    lo, hi = float(center - radius), float(center + radius)
+    exceptions = None
     if exception_density > 0:
-        # two uniform draws of the whole horizon, one after the other, each taken
-        # a chunk at a time into one buffer: the same stream as two whole draws
-        step = 2**15
-        chunk = np.empty(min(horizon, step))
-        hits = [a + np.flatnonzero(rng.random(out=chunk[: horizon - a]) < exception_density)
-                for a in range(0, horizon, step)]
-        at = np.concatenate(hits) if hits else np.empty(0, dtype=np.intp)
-        negative = np.empty(at.size, dtype=bool)
-        for a in range(0, horizon, step):
-            u = rng.random(out=chunk[: horizon - a])
-            lo, hi = np.searchsorted(at, (a, a + step))
-            negative[lo:hi] = u[at[lo:hi] - a] < 0.5
-        signs = np.where(negative, -1.0, 1.0)
-        values[at] = center + signs * exception_scale * radius
-    return Sequence._adopt(values)
+        exceptions = center + np.array([-1.0, 1.0]) * exception_scale * radius
+    return DrawnPrefix.draw(rng, horizon, lo, hi - lo, exception_density, exceptions)
 
 
 @dataclass(frozen=True, eq=False)

@@ -230,11 +230,13 @@ class Table(OrliczFunction):
         if any(not (math.isfinite(u) and math.isfinite(v)) for u, v in knots):
             raise ValueError("knots must be finite")
         object.__setattr__(self, "knots", knots)
+        xs, ys = (np.array(column) for column in zip(*knots))
+        xs.flags.writeable = ys.flags.writeable = False
+        # the knot arrays and the last segment's slope, built once for every call of _formula
+        object.__setattr__(self, "_interp", (xs, ys, (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])))
 
     def _formula(self, out: np.ndarray) -> None:
-        xs = np.array([a for a, _ in self.knots])
-        ys = np.array([b for _, b in self.knots])
-        slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
+        xs, ys, slope = self._interp
         out[...] = np.where(out > xs[-1], ys[-1] + slope * (out - xs[-1]), np.interp(out, xs, ys))
 
 

@@ -5,7 +5,9 @@ limit statement downstream becomes a finite trajectory.  Indexing is 1-based
 throughout, matching the block convention I_r = (k_{r-1}, k_r].
 
 All operations here are pure functions of immutable inputs, safe to call
-concurrently and bitwise reproducible.  A matrix operator's `transform`
+concurrently and bitwise reproducible; the one exception is a drawn prefix
+(`random_bounded_sequence`), whose reads share one private generator, so it
+serves one reader at a time.  A matrix operator's `transform`
 gives a whole prefix of rows: Identity and Shift slice x, CesaroC1
 divides a sequential `np.cumsum` by n, RowTable sums each row in
 increasing column order, and `geometric_tail` runs a backward recurrence.
@@ -34,22 +36,23 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True, eq=False)
 class Sequence:
     """A finite real prefix x_1..x_N standing in for an infinite sequence.
 
-    `values` is a read-only float64 array that the Sequence owns.
-    `Sequence(values)` copies what it is given, once.  The package's own
-    constructors hand over an array they have just made with `_adopt`,
-    which takes it without a copy; `transform_sequence` of Identity adopts
-    a view of x, which is read-only already.  Either way the prefix must be
-    one-dimensional, nonempty and finite.
+    `values` is the whole prefix as a read-only float64 array.  `read(a, b)`
+    gives x_{a+1}..x_b, and `prefix(n)` the Sequence x_1..x_n; neither reads
+    more than it is asked for.  `Sequence(values)` copies what it is given,
+    once; the package's own constructors hand over an array they have just
+    made with `_adopt`, which takes it without a copy.  Either way the
+    prefix must be one-dimensional, nonempty and finite.  A drawn prefix
+    (`random_bounded_sequence`) holds no array: it draws its values on the
+    first access to `values`, and each `read` draws only its slice.
     """
 
-    values: np.ndarray
+    __slots__ = ("_values",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _owned(np.array(self.values, dtype=np.float64)))
+    def __init__(self, values) -> None:
+        self._values = _owned(np.array(values, dtype=np.float64))
 
     @classmethod
     def _adopt(cls, values: np.ndarray) -> "Sequence":
@@ -59,15 +62,37 @@ class Sequence:
         hold no other writable reference to it.
         """
         seq = object.__new__(cls)
-        object.__setattr__(seq, "values", _owned(values))
+        seq._values = _owned(values)
         return seq
 
     @property
+    def values(self) -> np.ndarray:
+        return self._values
+
+    @property
     def horizon(self) -> int:
-        return int(self.values.size)
+        return int(self._values.size)
 
     def __len__(self) -> int:
         return self.horizon
+
+    def read(self, a: int, b: int, out: np.ndarray | None = None) -> np.ndarray:
+        """x_{a+1}..x_b for 0 <= a <= b <= horizon.
+
+        Here a read-only view of `values`, and `out` is left alone.  A drawn
+        prefix draws them into `out` (float64, b - a long; a fresh array if
+        None) and returns it.  So a caller that passes `out` must use the
+        returned array, which is `out` only for a drawn prefix.
+        """
+        if not 0 <= a <= b <= self.horizon:
+            raise IndexError(f"cannot read x_{a + 1}..x_{b} of a prefix of {self.horizon}")
+        return self._values[a:b]
+
+    def prefix(self, n: int) -> "Sequence":
+        """x_1..x_n for 1 <= n <= horizon, read by no one: a view of this checked prefix."""
+        seq = object.__new__(Sequence)
+        seq._values = self._values[:n]
+        return seq
 
 
 def _owned(arr: np.ndarray) -> np.ndarray:
@@ -78,6 +103,106 @@ def _owned(arr: np.ndarray) -> np.ndarray:
         raise ValueError("sequence values must be finite (no NaN/inf)")
     arr.flags.writeable = False
     return arr
+
+
+_DRAW_TILE = 2**15  # indices per read when a drawn prefix draws its whole `values`
+
+
+@dataclass(frozen=True, eq=False)
+class _Draw:
+    """One seeded draw of n values: the generator state it starts from and what it maps the
+    uniforms to.  Stream u[0:n] gives the values lo + span * u, u[n:2n] < density marks the
+    exceptions, and u[2n:3n] < 0.5 picks exceptions[0] (negative) over exceptions[1]."""
+
+    state: dict
+    kind: type
+    n: int
+    lo: float
+    span: float
+    density: float
+    exceptions: np.ndarray | None  # (negative, positive) exception values, if density > 0
+
+
+class DrawnPrefix(Sequence):
+    """x_1..x_horizon of a `_Draw`, drawn only where it is read (`random_bounded_sequence`).
+
+    `read(a, b, out)` positions one private generator at a, n + a and
+    2n + a with `advance` and fills `out`: the exception stream first and
+    then the sign stream, each drawn into `out` and reduced to the tile's
+    exception positions and signs, then the values over them.  `values`
+    draws the whole prefix the same way, a tile at a time into one fresh
+    array, once, and keeps it; `horizon` and `prefix` draw nothing.  A
+    prefix of a drawn prefix is the same draw cut short, so its values are
+    those of the longer one.  The generator is shared by every read, so a
+    drawn prefix serves one reader at a time.
+    """
+
+    __slots__ = ("_draw", "_horizon", "_bits", "_gen", "_at")
+
+    def __init__(self, draw: _Draw, horizon: int) -> None:
+        self._draw, self._horizon, self._values, self._gen = draw, horizon, None, None
+
+    @classmethod
+    def draw(cls, rng: np.random.Generator, n: int, lo: float, span: float, density: float,
+             exceptions: np.ndarray | None) -> "DrawnPrefix":
+        """The draw of n values from rng's next uniforms (see `_Draw`).  rng is advanced past
+        it at once, n or 3n steps, so it must run on PCG64 or PCG64DXSM (else ValueError)."""
+        bits = rng.bit_generator
+        if not isinstance(bits, (np.random.PCG64, np.random.PCG64DXSM)):
+            raise ValueError(
+                "a drawn prefix needs a PCG64 or PCG64DXSM generator, whose advance(k) skips "
+                f"k draws, got {type(bits).__name__}"
+            )
+        draw = _Draw(bits.state, type(bits), n, lo, span, density, exceptions)
+        bits.advance(3 * n if density > 0 else n)
+        if draw.state["has_uint32"]:  # advance drops the half-used output of a 32-bit draw
+            bits.state = {**bits.state, "has_uint32": 1, "uinteger": draw.state["uinteger"]}
+        return cls(draw, n)
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            h = self._horizon
+            values = np.empty(h)
+            for a in range(0, h, _DRAW_TILE):
+                self.read(a, min(a + _DRAW_TILE, h), out=values[a : a + _DRAW_TILE])
+            values.flags.writeable = False
+            self._values = values
+        return self._values
+
+    @property
+    def horizon(self) -> int:
+        return self._horizon
+
+    def read(self, a: int, b: int, out: np.ndarray | None = None) -> np.ndarray:
+        if not 0 <= a <= b <= self._horizon:
+            raise IndexError(f"cannot read x_{a + 1}..x_{b} of a prefix of {self._horizon}")
+        d = self._draw
+        out = np.empty(b - a) if out is None else out
+        if d.density > 0:
+            self._fill(d.n + a, out)
+            hits = np.flatnonzero(out < d.density)
+            self._fill(2 * d.n + a, out)
+            negative = out[hits] < 0.5
+        self._fill(a, out)
+        out *= d.span  # lo + span * u: the bits of Generator.uniform(lo, lo + span)
+        out += d.lo
+        if d.density > 0:
+            out[hits] = np.where(negative, *d.exceptions)
+        return out
+
+    def _fill(self, at: int, out: np.ndarray) -> None:
+        """out = the uniforms u[at : at + out.size] of the draw's stream."""
+        if self._gen is None:
+            self._bits = self._draw.kind(0)
+            self._bits.state = self._draw.state
+            self._gen, self._at = np.random.Generator(self._bits), 0
+        self._bits.advance(at - self._at)  # backwards too: advance counts modulo the period
+        self._gen.random(out=out)
+        self._at = at + out.size
+
+    def prefix(self, n: int) -> "DrawnPrefix":
+        return DrawnPrefix(self._draw, n)
 
 
 @dataclass(frozen=True)
@@ -205,10 +330,15 @@ class Identity(MatrixOperator):
     kind = "identity"
 
     def transform(self, x: np.ndarray, out_len: int, tol: float) -> np.ndarray:
-        if out_len > x.size:
-            n = x.size + 1
-            raise _beyond_horizon(n, f"needs x_{n}, horizon is {x.size}")
+        _within_horizon(out_len, x.size)
         return x[:out_len]
+
+
+def _within_horizon(out_len: int, horizon: int) -> None:
+    """Raise SupportExceedsHorizon unless the Identity rows 1..out_len lie within the horizon."""
+    if out_len > horizon:
+        n = horizon + 1
+        raise _beyond_horizon(n, f"needs x_{n}, horizon is {horizon}")
 
 
 @dataclass(frozen=True)
@@ -370,12 +500,18 @@ def transform_sequence(
 ) -> Sequence:
     """The prefix (A_1(x), ..., A_out_len(x)) as a Sequence.
 
-    The Sequence adopts the transform's output without a copy; for Identity
-    it is a view of x.  A row that overflows float64 raises
-    NonFiniteTransform naming the first such row, without a numpy warning.
+    For Identity it is `x.prefix(out_len)`, which reads nothing of x: a view
+    of an array-backed x, whose finiteness was checked when x was made, or
+    the same draw cut at out_len, which stays undrawn.  Every other
+    transform reads `x.values` and the Sequence adopts its output without a
+    copy.  A row that overflows float64 raises NonFiniteTransform naming the
+    first such row, without a numpy warning.
     """
     if out_len < 1:
         raise ValueError("out_len must be >= 1")
+    if isinstance(A, Identity):
+        _within_horizon(out_len, x.horizon)
+        return x.prefix(out_len)
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.asarray(A.transform(x.values, out_len, tol), dtype=np.float64)
     try:

@@ -77,7 +77,9 @@ def block_average(x: Sequence, schedule: LacunarySchedule, L: float = 0.0) -> np
 
 
 def whole_draw_bounded_sequence(rng, horizon, center, radius, exception_density, exception_scale):
-    """`random_bounded_sequence` with each exception draw taken whole, as one prefix of uniforms."""
+    """The eager draw that `random_bounded_sequence` stands for: the values, then each exception
+    stream, drawn whole from rng one after the other.  A drawn prefix must read the slices of this
+    array bit for bit and leave rng where this leaves it."""
     values = rng.uniform(center - radius, center + radius, size=horizon)
     if exception_density > 0:
         at = np.flatnonzero(rng.random(horizon) < exception_density)

@@ -67,13 +67,54 @@ def _long_engine_inputs():
     return xs, p
 
 
-def test_random_draw_holds_the_values_and_one_chunk():
-    """The uniform draw becomes the values; both exception draws pass through one chunk."""
+def test_random_draw_values_are_drawn_in_place():
+    """`values` of a drawn prefix is one array; each tile's three streams are drawn into its
+    own slice of it, so the draw needs no buffer of its own."""
     rng = np.random.default_rng(5)
-    x, peak = traced_peak(random_bounded_sequence, rng, LONG, 0.0, 0.3, 0.001, 3.0)
-    assert x.horizon == LONG
-    # the values are a prefix and the chunk an eighth: a prefix-sized draw buffer would add a prefix
-    assert peak <= 1.3 * LONG_PREFIX, f"peak {peak / LONG_PREFIX:.2f} prefixes"
+    values, peak = traced_peak(lambda: random_bounded_sequence(rng, LONG, 0.0, 0.3, 0.001, 3.0).values)
+    assert values.size == LONG
+    # the values are a prefix; a tile-wide draw buffer would add an eighth, a prefix-sized one a prefix
+    assert peak <= 1.1 * LONG_PREFIX, f"peak {peak / LONG_PREFIX:.2f} prefixes"
+
+
+def test_engine_over_a_drawn_prefix_never_draws_it_whole():
+    """The engine reads a drawn prefix tile by tile into its cumulative-sum workspace: the
+    draw and the engine together hold tile-wide arrays only."""
+    schedule = build_lacunary(Geometric(1, 2, 18))  # k_R = 2**18 = LONG
+    p = SpaceParams(family=ConstantFamily(Power(2.0)), schedule=schedule, m_max=2)
+
+    def drawn_and_classified():
+        x = random_bounded_sequence(np.random.default_rng(3), LONG + 2, 0.0, 0.3, 0.001, 3.0)
+        return BlockEngine([(p, (STRONG, MODULAR_FLAGS))])(x)
+
+    stats, peak = traced_peak(drawn_and_classified)
+    assert list(stats[0]) == [STRONG, MODULAR_FLAGS]
+    # a tile is an eighth of a prefix; drawing the prefix whole would add a prefix
+    assert peak <= 0.5 * LONG_PREFIX, f"peak {peak / LONG_PREFIX:.2f} prefixes"
+
+
+HUGE_DRAW = {"kind": "random_bounded", "horizon": 10**13, "radius": 0.3,
+             "exception_density": 0.001, "seed": 11}  # 8e13 bytes, were it drawn whole
+
+
+def test_classify_over_a_huge_draw_reads_only_the_schedule(tmp_path):
+    """classify reads x_1..x_{k_R + m_max} of a drawn prefix, whatever its horizon."""
+    doc = {"command": "classify", "sequence": HUGE_DRAW, "family": {"kind": "index_scaled"},
+           "schedule": {"kind": "geometric", "count": 12}}
+    cfg = tmp_path / "classify.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["classify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["results"]["horizon"] == 10**13
+
+
+def test_norms_over_a_huge_draw_is_out_of_memory(tmp_path, capsys):
+    """norms read the whole prefix, so the same draw cannot be made."""
+    doc = {"command": "norms", "sequence": HUGE_DRAW, "family": {"kind": "index_scaled"}}
+    cfg = tmp_path / "norms.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["norms", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: out of memory")
 
 
 def test_one_space_engine_holds_only_tile_wide_workspaces():
@@ -184,6 +225,7 @@ def test_norm_search_holds_abs_x_and_one_workspace(search, family, prefixes):
     its exponent array.  A temporary per step would add a prefix.
     """
     x = random_bounded_sequence(np.random.default_rng(7), N, 0.0, 1.0, 0.001, 3.0)
+    x.values  # drawn before tracing: the budget is the search's, not the draw's
     value, peak = traced_peak(lambda: search(PrefixNorms(family, x)))
     assert value
     assert peak <= (prefixes + 0.25) * PREFIX, f"peak {peak / PREFIX:.2f} prefixes"
@@ -193,6 +235,7 @@ def test_norm_search_holds_abs_x_and_one_workspace(search, family, prefixes):
 def test_both_norm_searches_share_one_workspace(family, prefixes):
     """One PrefixNorms answers both searches in the budget of one: a workspace per search would add a prefix."""
     x = random_bounded_sequence(np.random.default_rng(7), N, 0.0, 1.0, 0.001, 3.0)
+    x.values  # drawn before tracing: the budget is the searches', not the draw's
 
     def both_norms():
         norms = PrefixNorms(family, x)

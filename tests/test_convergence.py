@@ -274,6 +274,24 @@ class TestStrongStatistic:
         assert np.all(BlockEngine([(p, (STRONG,))])(x)[0][STRONG].sup == math.inf)
 
 
+@pytest.mark.parametrize("k", range(1, 8))
+def test_a_power_of_two_window_multiplies_to_the_quotients_bits(k):
+    """x / 2**k and x * 2**-k are the correctly rounded value of the same real, so the m-loop
+    multiplies when m + 1 = 2**k: the same bits on every double, subnormal, infinite or NaN."""
+    rng = np.random.default_rng(k)
+    x = np.concatenate([
+        rng.integers(0, 2**64, 10**5, dtype=np.uint64, endpoint=False).view(np.float64),
+        10.0 ** rng.uniform(-320, 308, 10**5) * rng.choice([-1.0, 1.0], 10**5),
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+         math.inf, -math.inf, math.nan],
+    ])
+    quotient, product = x.copy(), x.copy()
+    with np.errstate(under="ignore", invalid="ignore"):
+        quotient /= 2**k
+        product *= 1.0 / 2**k
+    assert quotient.tobytes() == product.tobytes()
+
+
 PLAN_LENGTHS = st.one_of(
     st.integers(1, 5000),
     st.builds(lambda k, d: max(1, 2**k + d), st.integers(7, 17), st.integers(-9, 9)),

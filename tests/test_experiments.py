@@ -13,24 +13,33 @@ from lacunary import (
     CesaroC1,
     ConstantFamily,
     CounterexampleSpec,
+    CustomFamily,
+    ExpMinusOne,
     Explicit,
     Geometric,
+    Identity,
+    IndexPowerFamily,
+    IndexScaledFamily,
     LinearSlope,
     Power,
+    RowTable,
     Sequence,
+    Shift,
     SpaceParams,
     SpikeFamily,
+    Table,
     build_lacunary,
     build_thm37,
     build_thm38,
     classify_trajectory,
+    geometric_tail,
     liminf_growth_estimate,
     random_bounded_sequence,
     run_inclusion_matrix,
     uniqueness_experiment,
 )
-from lacunary import experiments
-from lacunary.convergence import CONVERGES, DIVERGES, MODULAR_FLAGS, RAW_FLAGS, STRONG
+from lacunary import convergence, experiments
+from lacunary.convergence import BUNDLES, CONVERGES, DIVERGES, MODULAR_FLAGS, RAW_FLAGS, STRONG
 from lacunary.errors import HypothesisUnsatisfiable
 from reference import whole_draw_bounded_sequence
 
@@ -45,6 +54,124 @@ def test_chunked_exception_draws_match_whole_draws(horizon, density):
     want = whole_draw_bounded_sequence(whole, horizon, 0.5, 0.3, density, 3.0)
     assert x.values.tobytes() == want.tobytes()
     assert rng.random(3).tobytes() == whole.random(3).tobytes()
+
+
+def valid_draw(center, radius, density, scale):
+    """Whether random_bounded_sequence accepts these bounds: a finite band and exceptions."""
+    finite = math.isfinite((center + radius) - (center - radius))
+    return finite and (density <= 0 or all(math.isfinite(center + s * scale * radius) for s in (-1.0, 1.0)))
+
+
+EXTREME_CENTERS = st.sampled_from([0.0, -0.0, -2.5, 5e-324, 1e300, -1e300, 1.7976931348623157e308])
+EXTREME_RADII = st.sampled_from([0.0, 5e-324, 1e-300, 0.3, 1e300, 8e307])
+
+
+class TestDrawnPrefix:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        horizon=st.integers(1, 3000),
+        center=EXTREME_CENTERS | st.floats(-1e6, 1e6),
+        radius=EXTREME_RADII | st.floats(0.0, 1e3),
+        density=st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0),
+        scale=st.sampled_from([0.0, 3.0]) | st.floats(0.0, 10.0),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_read_is_the_slice_of_the_eager_draw(self, seed, horizon, center, radius, density, scale, data):
+        """Any [a, b), read in any order, into `out` or not, is the eager reference's slice bit for
+        bit, also at extreme centers and radii (the values are lo + span * random(), pinned here
+        against Generator.uniform), and the caller's generator ends where the eager draw leaves it."""
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        if not valid_draw(center, radius, density, scale):
+            with pytest.raises(ValueError):
+                random_bounded_sequence(rng, horizon, center, radius, density, scale)
+            return
+        x = random_bounded_sequence(rng, horizon, center, radius, density, scale)
+        want = whole_draw_bounded_sequence(ref_rng, horizon, center, radius, density, scale)
+        for _ in range(data.draw(st.integers(1, 3), label="reads")):
+            a = data.draw(st.integers(0, horizon), label="a")
+            b = data.draw(st.integers(a, horizon), label="b")
+            if data.draw(st.booleans(), label="into out"):
+                out = np.full(b - a, np.nan)
+                assert x.read(a, b, out=out) is out
+            else:
+                out = x.read(a, b)
+            assert out.tobytes() == want[a:b].tobytes()
+        assert x.values.tobytes() == want.tobytes()
+        assert rng.random() == ref_rng.random()  # the reads leave the caller's generator alone
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        blocks=st.integers(1, 6),
+        m_max=st.integers(0, 4),
+        extra=st.integers(2, 40),
+        center=st.floats(-2.0, 2.0),
+        radius=st.floats(0.0, 1.0),
+        density=st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0),
+        scale=st.floats(0.0, 3.0),
+        tile=st.sampled_from([1, 3, 8, 64, convergence._TILE]),
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_engine_over_the_draw_is_the_engine_over_its_values(
+        self, seed, blocks, m_max, extra, center, radius, density, scale, tile, data
+    ):
+        """For every family and matrix kind, an engine over a drawn prefix returns the bits of
+        the same engine over a Sequence of the eager reference's values."""
+        s = build_lacunary(Geometric(1, 2, blocks))
+        out_len = s.last_index + m_max
+        horizon = out_len + extra
+        x = random_bounded_sequence(np.random.default_rng(seed), horizon, center, radius, density, scale)
+        want = Sequence(whole_draw_bounded_sequence(
+            np.random.default_rng(seed), horizon, center, radius, density, scale))
+        matrix = data.draw(st.sampled_from([
+            Identity(), CesaroC1(), Shift(d=2),
+            RowTable(tuple(((n, 0.5), (n + 1, 0.5)) for n in range(1, out_len + 1))),
+            geometric_tail(0.5, x_bound=5.0),  # |x| <= |center| + scale * radius <= 5
+        ]), label="matrix")
+        family = data.draw(st.sampled_from([
+            ConstantFamily(Power(2.0)), ConstantFamily(LinearSlope(1.0)), IndexScaledFamily(),
+            IndexPowerFamily((1.0, 2.5, 1.5)), SpikeFamily(((2, 5.0), (9, 0.25)), default_slope=0.8),
+            CustomFamily((Power(2.0), Table(((0.0, 0.0), (1.0, 0.5), (2.0, 3.0))), ExpMinusOne())),
+        ]), label="family")
+        p = SpaceParams(family=family, schedule=s, m_max=m_max, matrix=matrix, matrix_tol=1.0,
+                        epsilon=data.draw(st.sampled_from([1e-3, 0.5])), L=0.25)
+        with patch.object(convergence, "_TILE", tile):
+            got, expected = BlockEngine([(p, BUNDLES)])(x), BlockEngine([(p, BUNDLES)])(want)
+        for key in BUNDLES:
+            assert got[0][key].per_m.tobytes() == expected[0][key].per_m.tobytes()
+
+    def test_a_32_bit_draw_left_in_the_generator_stays_there(self):
+        """advance drops the half-used 64-bit output of a 32-bit draw; the draw puts it back."""
+        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        for g in (rng, ref_rng):
+            g.integers(0, 2**32, dtype=np.uint32)
+        random_bounded_sequence(rng, 50, 0.0, 1.0, 0.1, 3.0)
+        whole_draw_bounded_sequence(ref_rng, 50, 0.0, 1.0, 0.1, 3.0)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert rng.integers(0, 2**32, 3, dtype=np.uint32).tolist() == ref_rng.integers(
+            0, 2**32, 3, dtype=np.uint32).tolist()
+
+    def test_pcg64dxsm_draws_as_eagerly(self):
+        rng = np.random.Generator(np.random.PCG64DXSM(9))
+        x = random_bounded_sequence(rng, 300, 0.5, 0.3, 0.2, 3.0)
+        want = whole_draw_bounded_sequence(np.random.Generator(np.random.PCG64DXSM(9)), 300, 0.5, 0.3, 0.2, 3.0)
+        assert x.read(17, 250).tobytes() == want[17:250].tobytes()
+
+    @pytest.mark.parametrize("bits", [np.random.Philox, np.random.MT19937, np.random.SFC64])
+    def test_a_generator_without_a_stepwise_advance_is_refused(self, bits):
+        """Philox's advance counts blocks of outputs, and the others have none: no eager fallback."""
+        with pytest.raises(ValueError, match="PCG64"):
+            random_bounded_sequence(np.random.Generator(bits(1)), 10)
+
+    def test_horizon_and_prefix_draw_nothing(self):
+        x = random_bounded_sequence(np.random.default_rng(1), 10**15, 0.0, 1.0, 0.01, 3.0)
+        assert x.horizon == len(x) == 10**15
+        head = x.prefix(100)
+        assert head.horizon == 100
+        assert head.values.tobytes() == x.read(0, 100).tobytes()
+        with pytest.raises(IndexError):
+            head.read(0, 101)
 
 
 def decisions(x, p):

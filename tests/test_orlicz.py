@@ -362,6 +362,22 @@ class TestKernelOut:
         assert view.tobytes() == want
 
 
+@given(M=tables(), us=st.lists(st.floats(0.0, 1e3) | st.sampled_from([0.0, 5e-324, 1e300, math.inf]),
+                              min_size=1, max_size=30))
+@settings(max_examples=100, deadline=None)
+def test_table_built_once_keeps_the_bits_of_the_knot_formula(M, us):
+    """A table builds its knot arrays and last slope once; every call, the one-element M(u) of
+    the conjugate search too, has the bits of the formula that rebuilt them per call."""
+    us = np.array(us)
+    want = allocating_eval_many(M, us).tobytes()
+    with np.errstate(over="ignore", invalid="ignore"):  # inf past the last knot: 0 * inf when flat
+        for _ in range(2):
+            assert M.eval_many(us).tobytes() == want
+            assert np.array([M(float(u)) for u in us]).tobytes() == want
+    xs, ys, _ = M._interp
+    assert not (xs.flags.writeable or ys.flags.writeable)
+
+
 # 0, -0, subnormals, normals whose square is subnormal or overflows, the largest float, +inf
 SQUARE_EXTREMES = [
     0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-160, 1.4e-154, 1e154, 1.35e154,

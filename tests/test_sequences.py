@@ -113,6 +113,20 @@ class TestSequenceType:
                 Sequence._adopt(bad)
 
 
+    def test_read_and_prefix_are_views_of_the_checked_prefix(self):
+        x = Sequence(np.arange(1.0, 11.0))
+        out = np.full(3, np.nan)
+        got = x.read(2, 5, out=out)
+        assert got.tolist() == [3.0, 4.0, 5.0] and np.shares_memory(got, x.values)
+        assert np.isnan(out).all()  # an array-backed read leaves `out` alone
+        head = x.prefix(4)
+        assert head.horizon == 4 and np.shares_memory(head.values, x.values)
+        assert not head.values.flags.writeable
+        for a, b in ((-1, 2), (3, 2), (0, 11)):
+            with pytest.raises(IndexError):
+                x.read(a, b)
+
+
 def row_by_row(row, x, out_len, tol):
     """Reference transform: one row at a time, errors tagged with the failing row."""
     out = np.empty(out_len)
