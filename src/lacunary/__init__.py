@@ -52,7 +52,6 @@ from .orlicz import (
     complementary,
     delta2_check,
     modular,
-    verify_orlicz_axioms,
 )
 from .sequences import (
     CesaroC1,
@@ -122,5 +121,4 @@ __all__ = [
     "thm34_triangle_bounds",
     "transform_sequence",
     "uniqueness_experiment",
-    "verify_orlicz_axioms",
 ]

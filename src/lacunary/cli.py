@@ -70,12 +70,10 @@ from .experiments import (
     run_inclusion_matrix,
 )
 from .orlicz import (
-    MusielakOrliczFamily,
     PrefixNorms,
     complementary,
     delta2_check,
     modular,
-    table_axiom_failures,
 )
 from .sequences import Sequence, build_lacunary
 
@@ -370,15 +368,7 @@ def cmd_norms(doc: dict, seed: int | None = None) -> ReportBundle:
             "violations": [list(v) for v in rep.violations],
             "held": rep.held,
         }
-    _report_axioms(results, family)
     return ReportBundle(config=echo, results=results)
-
-
-def _report_axioms(results: dict, family: MusielakOrliczFamily) -> None:
-    """Add `axiom_failures` to `results` when a table member of `family` fails an axiom."""
-    failures = table_axiom_failures(family)
-    if failures:
-        results["axiom_failures"] = failures
 
 
 def _space_params(echo: dict) -> SpaceParams:
@@ -418,7 +408,6 @@ def _block_run(
         "flag_mode": flag_mode,
         "verdicts": {STRONG: _verdict_dict(v_strong), SHAT_DENSITY: _verdict_dict(v_shat)},
     }
-    _report_axioms(results, params.family)
     bundle = ReportBundle(
         config=echo,
         results=results,
@@ -562,7 +551,6 @@ def cmd_inclusion(doc: dict, seed: int | None = None) -> ReportBundle:
         tail_window=verdict["tail_window"],
     )
     results = report.to_dict()
-    _report_axioms(results, params.family)
 
     spaces = sorted({row["space"] for row in report.verdicts})
     by_seq: dict[str, dict[str, str]] = {}

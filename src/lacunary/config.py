@@ -185,14 +185,18 @@ class Component:
                 raise ConfigError(f"{self.name}.{name}: {exc}") from exc
         return out
 
-    def build(self, doc: dict, **extra: Any) -> Any:
-        """The library object of a materialized `doc`; keys of other sections are ignored."""
+    def build(self, doc: dict, *, label: str | None = None, **extra: Any) -> Any:
+        """The library object of a materialized `doc`; keys of other sections are ignored.
+
+        A ValueError of the constructor becomes a ConfigError whose message
+        starts with `label`, the component's name unless given.
+        """
         kind = self._kind(doc)
-        args = {n: _build(doc[n], f.schema) for n, f in kind.fields.items() if n in doc}
+        args = {n: _build(n, doc[n], f.schema) for n, f in kind.fields.items() if n in doc}
         try:
             return kind.build(**args, **extra)
         except ValueError as exc:
-            raise ConfigError(f"{self.name}: {exc}") from exc
+            raise ConfigError(f"{label or self.name}: {exc}") from exc
 
 
 def _json(schema: Any) -> Any:
@@ -242,11 +246,12 @@ def _cast(schema: dict) -> Callable[[Any], Any]:
     return cast
 
 
-def _build(value: Any, schema: Any) -> Any:
+def _build(name: str, value: Any, schema: Any) -> Any:
+    """The library value of field `name`; an item of a list of components is labelled `name[i]`."""
     if isinstance(schema, Component):
         return schema.build(value)
     if isinstance(schema, dict) and isinstance(schema.get("items"), Component):
-        return [schema["items"].build(v) for v in value]
+        return [schema["items"].build(v, label=f"{name}[{i}]") for i, v in enumerate(value)]
     return value
 
 

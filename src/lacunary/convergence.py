@@ -30,7 +30,8 @@ therefore bitwise equal to the slow per-statistic reference in
 `tests/reference.py` (`strong_block_statistic`, `lacunary_density` of
 `shat_flags`), whatever the tile size, the other spaces of the engine or
 the bundles they read.  NaN is never a result: a NaN strong block sum
-raises `NonFiniteStatistic`, and a negative one `NegativeStatistic`.
+raises `NonFiniteStatistic`.  No statistic is negative: every buildable
+family member is >= 0 on u >= 0 (see `OrliczFunction`).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import NegativeStatistic, NonFiniteStatistic
+from .errors import NonFiniteStatistic
 from .orlicz import (
     ConstantFamily,
     ExponentSequence,
@@ -214,15 +215,8 @@ class UniformTrajectories:
 
 
 def _uniform(per_m: np.ndarray, bundle: str) -> UniformTrajectories:
-    """The bundle `bundle` of `per_m`, a fresh array it takes over; a negative value raises
-    NegativeStatistic naming the first (m, block)."""
+    """The bundle `bundle` of `per_m`, a fresh array it takes over."""
     statistic, flag_mode = (STRONG, None) if bundle == STRONG else (SHAT_DENSITY, bundle)
-    if per_m.min() < 0:
-        m, r = np.argwhere(per_m < 0)[0]
-        raise NegativeStatistic(
-            f"the {statistic} statistic is negative at m={m}, block r={r + 1}: "
-            "a family member takes negative values"
-        )
     sup = per_m.max(axis=0)
     per_m.flags.writeable = sup.flags.writeable = False
     return UniformTrajectories(per_m, sup, statistic, flag_mode)
@@ -412,9 +406,8 @@ class BlockEngine:
     one caller at a time.
 
     Overflow is an honest +inf.  A NaN block sum of a group read for STRONG
-    (a window sum inf - inf, for one) raises NonFiniteStatistic, and a
-    negative bundle value (a family member below zero) NegativeStatistic,
-    each naming the first (m, block); flags are exact counts, never NaN.
+    (a window sum inf - inf, for one) raises NonFiniteStatistic naming the
+    first (m, block); flags are exact counts, never NaN.
     """
 
     def __init__(self, reads: Iterable[tuple[SpaceParams, Iterable[str]]]) -> None:

@@ -57,10 +57,6 @@ class NonFiniteStatistic(LacunaryError):
     """A block statistic came out NaN; NaN is never reported as a result."""
 
 
-class NegativeStatistic(LacunaryError):
-    """A block statistic came out negative: a family member takes negative values."""
-
-
 class HypothesisUnsatisfiable(LacunaryError):
     """A counterexample construction could not meet its defining inequality."""
 

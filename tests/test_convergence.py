@@ -45,7 +45,7 @@ from lacunary.convergence import (
     SHAT_DENSITY,
     STRONG,
 )
-from lacunary.errors import NegativeStatistic, NonFiniteStatistic, SupportExceedsHorizon
+from lacunary.errors import NonFiniteStatistic, SupportExceedsHorizon
 from reference import (
     block_average,
     lacunary_density,
@@ -532,22 +532,6 @@ class TestBundleSubsets:
                 BlockEngine([(p, BUNDLES), (p, bundles)])
         engine = BlockEngine([(p, (RAW_FLAGS, STRONG, RAW_FLAGS)), (p, {MODULAR_FLAGS})])
         assert [bundles for _, bundles in engine.reads] == [(STRONG, RAW_FLAGS), (MODULAR_FLAGS,)]
-
-    def test_a_negative_strong_value_raises_naming_the_first_window_and_block(self):
-        """A family member below zero makes the strong statistic negative, which raises
-        NegativeStatistic at the first (m, block); the flags of the same windows are counts."""
-        s = build_lacunary(Explicit((0, 2, 4, 8)))
-        p = _params(s, family=ConstantFamily(Table(((0.0, 0.0), (1.0, -1.0)))), m_max=1,
-                    epsilon=0.5)
-        x = Sequence(np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]))  # M(x_3) = -1
-        for subset in SUBSETS:
-            if STRONG in subset:
-                with pytest.raises(NegativeStatistic, match="negative at m=0, block r=2"):
-                    BlockEngine([(p, subset)])(x)
-            else:
-                assert list(BlockEngine([(p, subset)])(x)[0]) == list(subset)
-        stats = BlockEngine([(p, (RAW_FLAGS,))])(x)[0]
-        assert stats[RAW_FLAGS].per_m.tolist() == [[0.0, 0.5, 0.0], [0.5, 0.5, 0.0]]
 
 
 class TestResultArrays:

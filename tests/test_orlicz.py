@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from lacunary import (
     BlockEngine,
@@ -40,19 +40,26 @@ from lacunary import (
     complementary,
     delta2_check,
     modular,
-    verify_orlicz_axioms,
 )
 from lacunary import orlicz
 from lacunary.cli import cmd_norms
+from lacunary.config import FAMILY
 from lacunary.convergence import BUNDLES
-from lacunary.errors import BracketTooSmall, EmptyAdmissibleSet, LacunaryError, NegativeArgument
+from lacunary.errors import (
+    BracketTooSmall,
+    ConfigError,
+    EmptyAdmissibleSet,
+    LacunaryError,
+    NegativeArgument,
+)
 from lacunary.experiments import random_bounded_sequence
 from lacunary.optimize import brent_min, secant_crossing
-from lacunary.orlicz import table_axiom_failures
 from reference import (
     allocating_bind,
     allocating_eval_many,
     amemiya_objective,
+    pairwise_axioms,
+    raw_table,
     reference_amemiya,
     reference_conjugate,
     reference_luxemburg,
@@ -158,19 +165,21 @@ def ordered_bits(x):
 
 
 @st.composite
-def tables(draw, convex=None):
-    """Tables with 2-8 knots; convex ones have nondecreasing nonnegative slopes."""
+def tables(draw):
+    """Tables with 2-8 knots built by cumulative sums from positive nondecreasing slopes.
+
+    Equal slopes on a segment far shorter than the abscissa before it can
+    round apart by more than the slack of `Table`; such a draw is rejected.
+    """
     n = draw(st.integers(1, 7))
     steps = np.array(draw(st.lists(st.floats(1e-3, 10.0), min_size=n, max_size=n)))
+    slopes = np.sort(draw(st.lists(st.floats(1e-3, 10.0), min_size=n, max_size=n)))
     xs = np.concatenate([[0.0], np.cumsum(steps)])
-    if convex is None:
-        convex = draw(st.booleans())
-    if convex:
-        slopes = np.sort(draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n)))
-        ys = np.concatenate([[0.0], np.cumsum(slopes * steps)])
-    else:
-        ys = [0.0] + draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))
-    return Table(tuple(zip(xs, ys)))
+    ys = np.concatenate([[0.0], np.cumsum(slopes * steps)])
+    try:
+        return Table(tuple(zip(xs, ys)))
+    except ValueError:
+        reject()
 
 
 EXPONENTS = st.floats(1.0, 12.0)
@@ -180,7 +189,7 @@ FUNCTIONS = st.one_of(
     st.builds(PowerOverP, st.floats(1.01, 12.0)),
     st.just(ExpMinusOne()),
     st.builds(LinearSlope, st.floats(1e-3, 1e3)),
-    tables(convex=True),
+    tables(),
 )
 ARGUMENT = st.one_of(st.floats(0.0, 20.0), st.floats(0.0, 1e300))
 ARGUMENTS = st.lists(ARGUMENT, min_size=1, max_size=40)
@@ -370,10 +379,9 @@ def test_table_built_once_keeps_the_bits_of_the_knot_formula(M, us):
     the conjugate search too, has the bits of the formula that rebuilt them per call."""
     us = np.array(us)
     want = allocating_eval_many(M, us).tobytes()
-    with np.errstate(over="ignore", invalid="ignore"):  # inf past the last knot: 0 * inf when flat
-        for _ in range(2):
-            assert M.eval_many(us).tobytes() == want
-            assert np.array([M(float(u)) for u in us]).tobytes() == want
+    for _ in range(2):
+        assert M.eval_many(us).tobytes() == want
+        assert np.array([M(float(u)) for u in us]).tobytes() == want
     xs, ys, _ = M._interp
     assert not (xs.flags.writeable or ys.flags.writeable)
 
@@ -451,77 +459,103 @@ def test_engine_tiles_skip_the_argument_check(monkeypatch):
     assert calls == [1]
 
 
-def pairwise_axioms(M, grid, growth_floor=0.0, tol=1e-12):
-    """Test-only copy of the axiom check with its O(g**2) loop of scalar calls."""
-    g = sorted(float(u) for u in grid)
-    vals = {u: M(u) for u in g}
-    scale = max(abs(v) for v in vals.values()) or 1.0
-    slack = tol * max(1.0, scale)
-    zero_at_zero = vals[0.0] == 0.0
-    positive = all(vals[u] > 0 for u in g if u > 0)
-    nondecreasing = all(vals[b] >= vals[a] - slack for a, b in zip(g, g[1:]))
-    midpoint_convex = True
-    for i, a in enumerate(g):
-        for b in g[i + 1 :]:
-            if M(0.5 * (a + b)) > 0.5 * (vals[a] + vals[b]) + slack:
-                midpoint_convex = False
-                break
-        if not midpoint_convex:
-            break
-    growth = vals[g[-1]] > growth_floor
-    checks = [("zero_at_zero", zero_at_zero), ("positive", positive), ("nondecreasing", nondecreasing),
-              ("midpoint_convex", midpoint_convex), ("growth", growth)]
-    failures = tuple(name for name, ok in checks if not ok)
-    return orlicz.AxiomReport(
-        zero_at_zero, positive, nondecreasing, midpoint_convex, growth, growth_floor, failures
-    )
+@st.composite
+def knot_slopes(draw):
+    """Knots from a first slope of any sign, then slope gaps each 0 or >= 1e-6 relative.
+
+    Abscissae step by 0.5-4 and slopes stay of order 1, so a gap of 0
+    rounds apart by far less than the relative 1e-12 slack of `Table`,
+    and a fall of 1e-6 or more bends the knots by far more than the grid's
+    slack of 1e-12 * max(1, max |M|): both checks see the same tables.
+    Half the draws have a positive first slope and no fall; the rest may have either.
+    """
+    n = draw(st.integers(1, 7))
+    steps = np.array(draw(st.lists(st.floats(0.5, 4.0), min_size=n, max_size=n)))
+    first, gap = st.floats(1.0, 4.0), st.just(0.0) | st.floats(1e-6, 0.25)
+    if draw(st.booleans()):
+        first, gap = first | st.just(0.0) | st.floats(-4.0, -1.0), gap | st.floats(-0.25, -1e-6)
+    slopes = [draw(first)]
+    for _ in range(n - 1):
+        slopes.append(slopes[-1] + abs(slopes[-1]) * draw(gap))
+    xs = np.concatenate([[0.0], np.cumsum(steps)])
+    ys = np.concatenate([[0.0], np.cumsum(np.array(slopes) * steps)])
+    return [(float(u), float(v)) for u, v in zip(xs, ys)]
+
+
+def builds(knots) -> bool:
+    """Whether `Table` accepts `knots`."""
+    try:
+        Table(knots)
+    except ValueError:
+        return False
+    return True
 
 
 class TestAxioms:
     def test_power_passes(self):
-        rep = verify_orlicz_axioms(Power(1.5), [0, 0.5, 1, 2, 4])
-        assert rep.all_pass
+        assert pairwise_axioms(Power(1.5), [0, 0.5, 1, 2, 4]) == ()
 
     def test_concave_table_fails_convexity(self):
-        M = Table(((0.0, 0.0), (1.0, 2.0), (2.0, 3.0)))
-        rep = verify_orlicz_axioms(M, [0, 1, 2])
-        assert not rep.midpoint_convex
-        assert "midpoint_convex" in rep.failures
+        knots = ((0.0, 0.0), (1.0, 2.0), (2.0, 3.0))
+        assert pairwise_axioms(raw_table(knots), [0, 1, 2]) == ("midpoint_convex",)
+        with pytest.raises(ValueError, match="knot slopes must not fall"):
+            Table(knots)
 
     def test_table_axiom_failures_name_the_member(self):
-        concave = Table(((0.0, 0.0), (1.0, 5.0), (2.0, 5.5)))
-        convex = Table(((0.0, 0.0), (1.0, 1.5), (2.0, 4.5)))
-        assert table_axiom_failures(ConstantFamily(concave)) == {"function": ["midpoint_convex"]}
-        assert table_axiom_failures(CustomFamily((convex, concave, Power(2.0)))) == {
-            "functions[1]": ["midpoint_convex"]
-        }
-        assert table_axiom_failures(ConstantFamily(convex)) == {}
-        assert table_axiom_failures(IndexScaledFamily()) == {}
+        """A refused table is a config error naming the member as the config does."""
+        concave = {"kind": "table", "knots": [[0.0, 0.0], [1.0, 5.0], [2.0, 5.5]]}
+        convex = {"kind": "table", "knots": [[0.0, 0.0], [1.0, 1.5], [2.0, 4.5]]}
+        with pytest.raises(ConfigError, match=r"^function: knot slopes must not fall"):
+            FAMILY.build({"kind": "constant", "function": concave})
+        with pytest.raises(ConfigError, match=r"^functions\[1\]: knot slopes must not fall"):
+            FAMILY.build({"kind": "custom", "functions": [convex, concave, {"kind": "power", "p": 2.0}]})
+        FAMILY.build({"kind": "custom", "functions": [convex, convex]})
+
+    @pytest.mark.parametrize(
+        "knots,message",
+        [
+            (((0.0, 0.0), (1.0, 0.0), (2.0, 1.0)), "first knot slope must be > 0"),
+            (((0.0, 0.0), (1.0, -1.0)), "first knot slope must be > 0"),
+            (((0.0, 0.0), (1.0, -1.7e308), (2.0, 1.7e308)), "knot slopes must be finite"),
+            (((0.0, 0.0), (0.5, 1.7e308), (1.0, 1.75e308)), "knot slopes must be finite"),
+            (((0.0, 0.0), (1.0, 1.0), (2.0, 2.0 - 1e-11)), "knot slopes must not fall"),
+        ],
+    )
+    def test_table_refuses_knots_that_break_an_axiom(self, knots, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                Table(knots)
+
+    def test_slack_is_relative_to_the_slope(self):
+        """A slope may fall by 1e-12 of itself, whatever its size, and by no more."""
+        for s in (1e-200, 1.0, 1e200):
+            assert builds(((0.0, 0.0), (1.0, s), (2.0, s + s * (1 - 0.5e-12))))
+            assert not builds(((0.0, 0.0), (1.0, s), (2.0, s + s * (1 - 2e-12))))
+
+    @given(knots=knot_slopes())
+    @example(knots=[(0.0, 0.0), (1.0, 0.0)])
+    @example(knots=[(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (3.0, 3.0)])
+    @settings(max_examples=300, deadline=None)
+    def test_exact_rules_agree_with_the_grid_on_the_knots(self, knots):
+        passes = pairwise_axioms(raw_table(knots), [u for u, _ in knots]) == ()
+        assert builds(knots) == passes
+
+    @given(M=tables(), fall=st.floats(1e-3, 0.999))
+    @settings(max_examples=100, deadline=None)
+    def test_exact_rules_are_stricter_when_the_last_segment_falls(self, M, fall):
+        """A last segment that falls within the grid's slack passes the grid on the knots, though
+        M goes below 0 past them; `Table` refuses it."""
+        top = M.knots[-1][1]
+        knots = [(u, v * 1e-14 / top) for u, v in M.knots]  # every value, so every bend, below the slack
+        knots.append((knots[-1][0] + 1.0, knots[-1][1] * (1.0 - fall)))
+        assert pairwise_axioms(raw_table(knots), [u for u, _ in knots]) == ()
+        assert raw_table(knots)(1e6) < 0
+        assert not builds(knots)
 
     def test_linear_passes_any_grid(self):
         for grid in ([0, 1], [0, 0.1, 0.2], [0, 3, 10, 100]):
-            assert verify_orlicz_axioms(LinearSlope(1.0), grid).all_pass
-
-    @given(
-        M=st.one_of(tables(), st.builds(Power, st.floats(1.0, 40.0)), st.just(ExpMinusOne())),
-        extra=st.lists(st.one_of(st.floats(0.0, 80.0), st.floats(0.0, 1e300)), max_size=30),
-        use_knots=st.booleans(),
-        growth_floor=st.floats(0.0, 100.0),
-        tol=st.sampled_from([0.0, 1e-12, 1e-3]),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_broadcast_matches_the_pairwise_loop(self, M, extra, use_knots, growth_floor, tol):
-        knots = [u for u, _ in M.knots] if isinstance(M, Table) and use_knots else [0.0]
-        grid = knots + extra
-        got = verify_orlicz_axioms(M, grid, growth_floor, tol)
-        assert got == pairwise_axioms(M, grid, growth_floor, tol)
-        assert type(got.midpoint_convex) is bool and type(got.nondecreasing) is bool
-
-    def test_grid_preconditions(self):
-        with pytest.raises(ValueError):
-            verify_orlicz_axioms(Power(2.0), [])
-        with pytest.raises(ValueError):
-            verify_orlicz_axioms(Power(2.0), [1, 2])
+            assert pairwise_axioms(LinearSlope(1.0), grid) == ()
 
     def test_all_shipped_families_pass_on_log_grid(self):
         grid = [0.0] + list(np.geomspace(1e-3, 10.0, 99))
@@ -539,8 +573,15 @@ class TestAxioms:
             Table(((0.0, 0.0), (1.0, 1.0), (2.0, 3.0), (4.0, 9.0))),
         ]
         for M in shipped:
-            rep = verify_orlicz_axioms(M, grid)
-            assert rep.all_pass, (M, rep.failures)
+            assert pairwise_axioms(M, grid) == (), M
+
+    @given(family=st.one_of(FAMILIES, CUSTOM_FAMILIES), pairs=PAIRS)
+    @settings(max_examples=150, deadline=None)
+    def test_every_buildable_member_is_nonnegative(self, family, pairs):
+        """Every family member that can be built is >= 0 on u >= 0, so no block statistic of the
+        engine is negative and it checks none."""
+        ks, us = split(pairs)
+        assert np.all(family.bind(ks)(us) >= 0)
 
 
 class TestModular:
