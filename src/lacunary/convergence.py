@@ -178,27 +178,6 @@ def classify_trajectory(
 
 
 # ---------------------------------------------------------------------------
-# per-block reductions
-# ---------------------------------------------------------------------------
-
-
-def _block_sums(values: np.ndarray, sched: LacunarySchedule) -> np.ndarray:
-    """sum_{k in I_r} values_k for r = 1..R, each block a pairwise sum.
-
-    `np.add.reduce` is `np.sum`'s own reduction without its Python wrapper,
-    so the bits are `np.sum`'s.  `np.add.reduceat` would sum in another
-    order and change the last bits.
-    """
-    cuts = sched.cut_points
-    return np.array([np.add.reduce(values[a:b]) for a, b in zip(cuts, cuts[1:])])
-
-
-def _block_average(values: np.ndarray, sched: LacunarySchedule, alpha: float) -> np.ndarray:
-    """(1 / h_r**alpha) * sum_{k in I_r} values_k, each block a pairwise sum."""
-    return _block_sums(values, sched) / sched.block_lengths.astype(np.float64) ** alpha
-
-
-# ---------------------------------------------------------------------------
 # sup over m and verdicts
 # ---------------------------------------------------------------------------
 

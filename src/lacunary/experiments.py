@@ -16,10 +16,12 @@ test suite and the CLI check against:
 The remaining helpers turn the per-block proof inequalities of the
 inclusion theorems into machine-checkable bounds, read from `BlockEngine`
 results (so a NaN statistic raises NonFiniteStatistic, as everywhere), and
-run corpora of sequences through antecedent/consequent space pairs.  The
-`inclusion` command checks only T31's bound, at m = 0; `thm33_block_bounds`,
-`thm34_triangle_bounds` and `uniqueness_experiment` are library functions
-that no command runs.
+run corpora of sequences through antecedent/consequent space pairs.  Each
+bound is one engine call at the space's own m_max and returns its two sides
+per window and block, as (m_max + 1, R) arrays: the spaces are uniform in
+m, and so are the bounds.  The `inclusion` command checks T31's bound at
+every window; `thm33_block_bounds`, `thm34_triangle_bounds` and
+`uniqueness_experiment` are library functions that no command runs.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .convergence import (
     STRONG,
     BlockEngine,
     SpaceParams,
-    _block_average,
     classify_trajectory,
 )
 from .errors import EmptyAdmissibleSet, HypothesisUnsatisfiable
@@ -317,14 +318,6 @@ def _require_constant_setup(p: SpaceParams) -> tuple[float, float]:
     return p.rho.constant, p.epsilon
 
 
-def _at_window(
-    x: Sequence, reads: list[tuple[SpaceParams, tuple[str, ...]]], m: int
-) -> list[dict[str, np.ndarray]]:
-    """Per (space, bundles) read, each bundle at window m, from one engine with m_max = m."""
-    results = BlockEngine([(replace(q, m_max=m), bundles) for q, bundles in reads])(x)
-    return [{key: bundle.per_m[m] for key, bundle in stats.items()} for stats in results]
-
-
 def _power_range(value: float, exponents: ExponentSequence) -> tuple[float, float]:
     """(min, max) of value**h_inf and value**H_sup; a power past float64 is an honest +inf."""
     with np.errstate(over="ignore"):
@@ -338,24 +331,21 @@ def _bound_times_density(bound: float, density: np.ndarray) -> np.ndarray:
         return np.where(density > 0, density * bound, 0.0)
 
 
-def thm31_block_bounds(
-    x: Sequence, p: SpaceParams, beta: float, m: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lower bound of the summed statistic by the raw exception count.
+def thm31_block_bounds(x: Sequence, p: SpaceParams, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Lower bound of the summed statistic by the raw exception count, at every window.
 
-    Returns (lhs, rhs) per block with
+    Returns (lhs, rhs), each of shape (m_max + 1, R), with
 
-      lhs_r = strong statistic at order alpha,
-      rhs_r = |{k in I_r : |t_{km}(A(x)) - L| >= eps}| / h_r**beta
-              * min(M(eps1)**h_inf, M(eps1)**H_sup),   eps1 = eps / rho.
+      lhs_{m,r} = strong statistic at order alpha,
+      rhs_{m,r} = |{k in I_r : |t_{km}(A(x) - L)| >= eps}| / h_r**beta
+                  * min(M(eps1)**h_inf, M(eps1)**H_sup),   eps1 = eps / rho.
 
     Valid for alpha <= beta, constant family and constant rho; then
     lhs >= rhs holds exactly in real arithmetic.
     """
     floor = _thm31_floor(p, beta)  # checks the setup before the engine runs
-    reads = [(replace(p, m_max=m), (STRONG,)), (replace(p, alpha=beta, m_max=m), (RAW_FLAGS,))]
-    own, at_beta = BlockEngine(reads)(x)
-    return _thm31_sides(own, at_beta, floor, m)
+    own, at_beta = BlockEngine([(p, (STRONG,)), (replace(p, alpha=beta), (RAW_FLAGS,))])(x)
+    return _thm31_sides(own, at_beta, floor)
 
 
 def _thm31_floor(p: SpaceParams, beta: float) -> float:
@@ -366,34 +356,35 @@ def _thm31_floor(p: SpaceParams, beta: float) -> float:
     return _power_range(p.family.function(eps / rho_c), p.exponents)[0]
 
 
-def _thm31_sides(own: dict, at_beta: dict, floor: float, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """T31's (lhs, rhs) per block at window m, from the engine bundles at alpha and at beta."""
-    return own[STRONG].per_m[m], _bound_times_density(floor, at_beta[RAW_FLAGS].per_m[m])
+def _thm31_sides(own: dict, at_beta: dict, floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """T31's (lhs, rhs) per window and block, from the engine bundles at alpha and at beta."""
+    return own[STRONG].per_m, _bound_times_density(floor, at_beta[RAW_FLAGS].per_m)
 
 
-def _thm31_violations(lhs: np.ndarray, rhs: np.ndarray, slack: float) -> int:
-    """Blocks where lhs falls below rhs by more than slack * max(1, |rhs|); below an
-    infinite rhs, any smaller lhs."""
+_INEQUALITY_SLACK = 1e-12  # the relative rounding allowance of T31's per-block check
+
+
+def _thm31_violations(lhs: np.ndarray, rhs: np.ndarray) -> int:
+    """Blocks where, at some window, lhs falls below rhs by more than the slack times
+    max(1, |rhs|); below an infinite rhs, any smaller lhs."""
     with np.errstate(invalid="ignore"):  # inf - inf where both sides are infinite
         gap = rhs - lhs
-    bad = np.where(np.isinf(rhs), lhs < rhs, gap > slack * np.maximum(1.0, np.abs(rhs)))
-    return int(np.count_nonzero(bad))
+    bad = np.where(np.isinf(rhs), lhs < rhs, gap > _INEQUALITY_SLACK * np.maximum(1.0, np.abs(rhs)))
+    return int(np.count_nonzero(bad.any(axis=0)))
 
 
-def thm33_block_bounds(
-    x: Sequence, p: SpaceParams, T: float, m: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Upper bound of the summed statistic for uniformly bounded transforms.
+def thm33_block_bounds(x: Sequence, p: SpaceParams, T: float) -> tuple[np.ndarray, np.ndarray]:
+    """Upper bound of the summed statistic for uniformly bounded transforms, at every window.
 
-    Returns (lhs, rhs) per block with
+    Returns (lhs, rhs), each of shape (m_max + 1, R), with
 
-      lhs_r = strong statistic at order alpha,
-      rhs_r = max(M(K)**h_inf, M(K)**H_sup) * raw exception density
-              + (h_r / h_r**alpha) * max(M(eps1)**h_inf, M(eps1)**H_sup),
+      lhs_{m,r} = strong statistic at order alpha,
+      rhs_{m,r} = max(M(K)**h_inf, M(K)**H_sup) * raw exception density
+                  + (h_r / h_r**alpha) * max(M(eps1)**h_inf, M(eps1)**H_sup),
 
-    K = T / rho.  T must dominate |t_{km}(A(x) - L)| over the evaluated
-    range (e.g. T = max |x_k - L| for the identity matrix); a ValueError
-    names the first block where it does not.  The underlying hypothesis
+    K = T / rho.  T must dominate |t_{km}(A(x) - L)| for every m <= m_max
+    (e.g. T = max |x_k - L| for the identity matrix); a ValueError names
+    the first (m, block) where it does not.  The underlying hypothesis
     h_r / h_r**alpha -> 1 forces alpha = 1 for growing blocks; a warning
     is emitted for alpha < 1.
     """
@@ -410,61 +401,56 @@ def thm33_block_bounds(
     limit = T * (1 + 1e-12)
     if limit < math.inf:  # raw flags at the float after `limit` mark the deviations above it
         at_limit = replace(p, epsilon=float(np.nextafter(limit, math.inf)))
-        (above,) = _at_window(x, [(at_limit, (RAW_FLAGS,))], m)
-        blocks = np.flatnonzero(above[RAW_FLAGS])
-        if blocks.size:
+        (above,) = BlockEngine([(at_limit, (RAW_FLAGS,))])(x)
+        found = np.argwhere(above[RAW_FLAGS].per_m)  # rows (m, block), in order
+        if found.size:
+            m, r = found[0]
             raise ValueError(
-                f"T={T} does not dominate the window deviations at m={m}, "
-                f"first in block r={blocks[0] + 1}"
+                f"T={T} does not dominate the window deviations at m={m}, first in block r={r + 1}"
             )
 
-    (own,) = _at_window(x, [(p, (STRONG, RAW_FLAGS))], m)
+    (own,) = BlockEngine([(p, (STRONG, RAW_FLAGS))])(x)
     h = p.schedule.block_lengths.astype(np.float64)
     M = p.family.function
     big = _power_range(M(T / rho_c), p.exponents)[1]
     small = _power_range(M(eps / rho_c), p.exponents)[1]
     with np.errstate(over="ignore"):
-        rhs = _bound_times_density(big, own[RAW_FLAGS]) + (h / h**p.alpha) * small
-    return own[STRONG], rhs
+        rhs = _bound_times_density(big, own[RAW_FLAGS].per_m) + (h / h**p.alpha) * small
+    return own[STRONG].per_m, rhs
 
 
 def thm34_triangle_bounds(
-    x: Sequence,
-    p: SpaceParams,
-    L1: float,
-    L2: float,
-    rho1: float,
-    rho2: float,
-    m: int = 0,
+    x: Sequence, p: SpaceParams, L1: float, L2: float, rho1: float, rho2: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Modular triangle bound separating two candidate limits.
+    """Modular triangle bound separating two candidate limits, at every window.
 
-    With rho = max(2*rho1, 2*rho2) and D = max(1, 2**(H_sup - 1)):
+    Returns (lhs, rhs), each of shape (m_max + 1, R).  With
+    rho = max(2*rho1, 2*rho2) and D = max(1, 2**(H_sup - 1)):
 
-      lhs_r = (1/h_r**alpha) * sum_{k in I_r} (M_k(|L1 - L2| / rho))**s_k
-      rhs_r = D * strong_r(L=L1, rho1) + D * strong_r(L=L2, rho2)
+      lhs_{m,r} = (1/h_r**alpha) * sum_{k in I_r} (M_k(|L1 - L2| / rho))**s_k
+      rhs_{m,r} = D * strong_{m,r}(L=L1, rho1) + D * strong_{m,r}(L=L2, rho2)
 
     and lhs <= rhs holds in real arithmetic; a tail of rhs near zero
     therefore pins |L1 - L2| to zero, which is the uniqueness argument.
+    lhs does not depend on m: it is the engine's strong statistic of the
+    constant prefix |L1 - L2| at L = 0, m_max = 0 and that rho, whose
+    deviations are the constant itself.  A ValueError reports an |L1 - L2|
+    that is not finite.
     """
-    rho = max(2.0 * rho1, 2.0 * rho2)
-    sched = p.schedule
-    k_end = sched.last_index
-    ks = np.arange(1, k_end + 1)
-    us = np.full(k_end, abs(L1 - L2) / rho)
-    terms = p.family.bind(ks)(us)
-    if not p.exponents.is_identically_one:
-        with np.errstate(over="ignore"):  # a term past float64 is an honest +inf
-            terms = terms ** p.exponents.array(1, k_end)
-    lhs = _block_average(terms, sched, p.alpha)
-
+    gap = abs(L1 - L2)
+    if not math.isfinite(gap):
+        raise ValueError(f"|L1 - L2| = {gap} is not finite")
+    q = replace(p, L=0.0, m_max=0, rho=RhoSequence(constant=max(2.0 * rho1, 2.0 * rho2)),
+                matrix=Identity())
+    (lhs,) = BlockEngine([(q, (STRONG,))])(Sequence._adopt(np.full(p.schedule.last_index, gap)))
     D = p.exponents.D
     v1, v2 = (  # the spaces of one engine share L, so one engine per candidate limit
-        _at_window(x, [(replace(p, L=L, rho=RhoSequence(constant=r)), (STRONG,))], m)[0][STRONG]
+        BlockEngine([(replace(p, L=L, rho=RhoSequence(constant=r)), (STRONG,))])(x)[0][STRONG].per_m
         for L, r in ((L1, rho1), (L2, rho2))
     )
     with np.errstate(over="ignore"):
-        return lhs, D * v1 + D * v2
+        rhs = D * v1 + D * v2
+    return np.broadcast_to(lhs[STRONG].per_m, rhs.shape), rhs
 
 
 @dataclass(frozen=True)
@@ -576,7 +562,6 @@ class InclusionReport:
     Inconclusive never fails an implication.
     """
 
-    corpus_id: str
     verdicts: tuple[dict, ...]
     implications: tuple[dict, ...]
     theorem_results: dict
@@ -584,7 +569,7 @@ class InclusionReport:
 
     def to_dict(self) -> dict:
         return {
-            "corpus_id": self.corpus_id,
+            "corpus_id": "corpus",
             "verdicts": list(self.verdicts),
             "implications": list(self.implications),
             "theorem_results": self.theorem_results,
@@ -648,14 +633,14 @@ def run_inclusion_matrix(
     beta: float = 1.0,
     verdict_tol: float = 1e-3,
     tail_window: int | None = None,
-    inequality_slack: float = 1e-12,
-    corpus_id: str = "corpus",
 ) -> InclusionReport:
     """Run antecedent/consequent verdict pairs for each requested theorem.
 
     Per theorem: T31 checks the summed statistic at alpha against the raw
-    exception density at `beta` (and machine-checks the per-block lower
-    bound at m = 0 when the setup is constant-family/constant-rho); T33
+    exception density at `beta` (and, when the setup is constant-family and
+    constant-rho, machine-checks the per-block lower bound at every window
+    m = 0..m_max: `block_inequality_violations` counts the blocks where it
+    fails at some m, up to a relative slack of 1e-12); T33
     checks the reverse inclusion for bounded rows; T35/T36 compare the
     plain-average space against the family space, attaching a doubling
     report (T35) and a sampled growth estimate (T36); T37/T38 scan for
@@ -719,10 +704,11 @@ def run_inclusion_matrix(
                 witnesses.append({"theorem": theorem, "sequence": sid, "strong": got[0],
                                   "shat": got[1], "flag_mode": MODULAR_FLAGS})
         constant = isinstance(p.family, ConstantFamily) and p.rho.constant is not None
-        if "T31" in requested and constant:  # the per-block bound, at m = 0
+        if "T31" in requested and constant:  # the per-block bound, at every window
             floor = _thm31_floor(p, beta)
-            lhs, rhs = _thm31_sides(stats[keys["alpha"]], stats[keys["beta"]], floor, 0)
-            t31_violations += _thm31_violations(lhs, rhs, inequality_slack)
+            t31_violations += _thm31_violations(
+                *_thm31_sides(stats[keys["alpha"]], stats[keys["beta"]], floor)
+            )
 
     theorem_results: dict = {
         t: {"kind": "witness", "witnesses_found": fails[t]}
@@ -745,7 +731,6 @@ def run_inclusion_matrix(
         theorem_results["T36"].update(_SAMPLED)
 
     return InclusionReport(
-        corpus_id=corpus_id,
         verdicts=tuple(verdict_rows),
         implications=tuple(implications),
         theorem_results=theorem_results,

@@ -219,12 +219,28 @@ class Table(OrliczFunction):
     Orlicz axioms hold exactly when the knot slopes s_i = (M_i - M_{i-1}) /
     (u_i - u_{i-1}) are finite, s_1 > 0 (positivity) and the slopes never
     fall (convexity, which with s_1 > 0 also gives monotonicity and
-    unbounded growth); construction refuses any other table.  "Never fall"
-    is s_{i+1} >= s_i - 1e-12 |s_i|, because slopes recomputed from knots
-    built by a cumulative sum round: of 20 000 such tables of 2-8 knots
-    with repeated slopes (steps and slopes uniform in [1e-3, 10]), no slack
-    refused 8115 and this one none.  Equal slopes on a segment far shorter
-    than the abscissa before it can still round past it.
+    unbounded growth); construction refuses any other table, and any table
+    with a slope <= 0, so that every member is >= 0 on u >= 0 (the block
+    engine evaluates its terms unchecked).
+
+    "Never fall" allows for the rounding of the knots.  A table computed
+    from a convex line, by a cumulative sum of steps for one, holds floats:
+    take each knot increment off the line's by at most eps (|start| + |end|)
+    of its coordinate, eps = 2**-52 (one rounding of each end, or one of
+    the sum and one of its step).  With X_i = |u_{i-1}| + |u_i| and
+    Y_i = |M_{i-1}| + |M_i|, the computed slope is then off the line's by
+    eps (Y_i + |s_i| X_i) / (u_i - u_{i-1}) from the increments, and by
+    1.5 eps |s_i| <= 1.5 eps |s_i| X_i / (u_i - u_{i-1}) from the two
+    subtractions and the division (X_i >= u_i - u_{i-1} as u_0 = 0), to
+    first order.  So s_i is within
+
+      e_i = 4 eps (Y_i + |s_i| X_i) / (u_i - u_{i-1})
+
+    of the line's slope, the factor 4 over 2.5 leaving room for the
+    second-order terms, and the line's slopes never fall: a table passes
+    when s_{i+1} >= s_i - (e_i + e_{i+1}).  A short segment after long
+    ones has a large e_i, as its slope is a small difference of large
+    ordinates.
     """
 
     knots: tuple[tuple[float, float], ...]
@@ -250,8 +266,14 @@ class Table(OrliczFunction):
             raise ValueError("knot slopes must be finite")
         if not slopes[0] > 0:
             raise ValueError("the first knot slope must be > 0 for positivity")
-        if np.any(slopes[1:] < slopes[:-1] - 1e-12 * np.abs(slopes[:-1])):
+        # e_i of the docstring; 4 eps |u_i| and 4 eps |M_i| first, which cannot overflow
+        du, dm = (4 * 2.0**-52 * np.abs(v) for v in (xs, ys))
+        with np.errstate(over="ignore"):  # an allowance past float64 is an honest +inf
+            rounding = (dm[:-1] + dm[1:] + np.abs(slopes) * (du[:-1] + du[1:])) / np.diff(xs)
+        if np.any(slopes[1:] < slopes[:-1] - (rounding[:-1] + rounding[1:])):
             raise ValueError("knot slopes must not fall, for convexity")
+        if not (slopes > 0).all():
+            raise ValueError("every knot slope must be > 0 for positivity")
         # the knot arrays and the last segment's slope, built once for every call of _formula
         object.__setattr__(self, "_interp", (xs, ys, slopes[-1]))
 

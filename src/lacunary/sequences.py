@@ -327,18 +327,9 @@ def _beyond_horizon(n: int, detail: str) -> SupportExceedsHorizon:
 
 @dataclass(frozen=True)
 class Identity(MatrixOperator):
+    """The identity matrix; `transform_sequence` answers it with a prefix of x."""
+
     kind = "identity"
-
-    def transform(self, x: np.ndarray, out_len: int, tol: float) -> np.ndarray:
-        _within_horizon(out_len, x.size)
-        return x[:out_len]
-
-
-def _within_horizon(out_len: int, horizon: int) -> None:
-    """Raise SupportExceedsHorizon unless the Identity rows 1..out_len lie within the horizon."""
-    if out_len > horizon:
-        n = horizon + 1
-        raise _beyond_horizon(n, f"needs x_{n}, horizon is {horizon}")
 
 
 @dataclass(frozen=True)
@@ -510,7 +501,9 @@ def transform_sequence(
     if out_len < 1:
         raise ValueError("out_len must be >= 1")
     if isinstance(A, Identity):
-        _within_horizon(out_len, x.horizon)
+        if out_len > x.horizon:
+            n = x.horizon + 1
+            raise _beyond_horizon(n, f"needs x_{n}, horizon is {x.horizon}")
         return x.prefix(out_len)
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.asarray(A.transform(x.values, out_len, tol), dtype=np.float64)

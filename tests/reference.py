@@ -3,7 +3,9 @@
 Each statistic function computes one statistic of one space at one window
 m the direct way: transform the prefix, shift by L, take the window means
 from a fresh cumulative sum, evaluate the family terms and reduce per
-block.  The engine's results must equal these bit for bit.
+block.  The engine's results must equal these bit for bit, and so must
+`thm34_triangle_bounds`' left side, which the engine computes from a
+constant prefix, equal `triangle_gap_statistic`, the formula it replaced.
 
 `window_mean` and `block_average` are the textbook formulas, a plain
 Python sum each, for tests that check the engine up to rounding.
@@ -142,6 +144,23 @@ def strong_block_statistic(x: Sequence, p: SpaceParams, m: int = 0) -> np.ndarra
     terms = _terms_from(_window_deviations(x, p, m), p)
     cuts = p.schedule.cut_points
     sums = np.array([np.sum(terms[a:b]) for a, b in zip(cuts, cuts[1:])])
+    return sums / p.schedule.block_lengths.astype(np.float64) ** p.alpha
+
+
+def triangle_gap_statistic(
+    p: SpaceParams, L1: float, L2: float, rho1: float, rho2: float
+) -> np.ndarray:
+    """T34's left side, (1/h_r**alpha) * sum_{k in I_r} (M_k(|L1 - L2| / rho))**s_k with
+    rho = max(2*rho1, 2*rho2), from the kernel over the whole prefix and `np.add.reduce`
+    per block."""
+    rho = max(2.0 * rho1, 2.0 * rho2)
+    k_end = p.schedule.last_index
+    terms = p.family.bind(np.arange(1, k_end + 1))(np.full(k_end, abs(L1 - L2) / rho))
+    if not p.exponents.is_identically_one:
+        with np.errstate(over="ignore"):  # a term past float64 is an honest +inf
+            terms = terms ** p.exponents.array(1, k_end)
+    cuts = p.schedule.cut_points
+    sums = np.array([np.add.reduce(terms[a:b]) for a, b in zip(cuts, cuts[1:])])
     return sums / p.schedule.block_lengths.astype(np.float64) ** p.alpha
 
 

@@ -51,6 +51,7 @@ from reference import (
     lacunary_density,
     shat_flags,
     strong_block_statistic,
+    triangle_gap_statistic,
     window_mean,
 )
 
@@ -625,9 +626,9 @@ class TestProofInequalities:
                             exponents=ExponentSequence(constant=None, per_index=(0.5, 1.5)))
                 for _ in range(20):
                     x = Sequence(rng.uniform(-2, 2, s.last_index + 3))
-                    for m in (0, 3):
-                        lhs, rhs = thm31_block_bounds(x, p, beta=1.0, m=m)
-                        assert np.all(lhs >= rhs - 1e-12 * np.maximum(1.0, np.abs(rhs)))
+                    lhs, rhs = thm31_block_bounds(x, p, beta=1.0)
+                    assert lhs.shape == rhs.shape == (p.m_max + 1, s.num_blocks)
+                    assert np.all(lhs >= rhs - 1e-12 * np.maximum(1.0, np.abs(rhs)))
 
     def test_thm31_infinite_floor_bounds_nothing_without_exceptions(self):
         s = build_lacunary(Geometric(1, 2, 4))
@@ -650,9 +651,9 @@ class TestProofInequalities:
         for _ in range(30):
             x = Sequence(rng.uniform(-1.5, 1.5, s.last_index + 2))
             T = float(np.max(np.abs(x.values)))
-            for m in (0, 2):
-                lhs, rhs = thm33_block_bounds(x, p, T=T, m=m)
-                assert np.all(lhs <= rhs + 1e-12 * np.maximum(1.0, rhs))
+            lhs, rhs = thm33_block_bounds(x, p, T=T)
+            assert lhs.shape == rhs.shape == (p.m_max + 1, s.num_blocks)
+            assert np.all(lhs <= rhs + 1e-12 * np.maximum(1.0, rhs))
 
     def test_thm33_warns_below_alpha_one(self):
         s = build_lacunary(Geometric(1, 2, 5))
@@ -676,6 +677,19 @@ class TestProofInequalities:
         with pytest.raises(ValueError, match="dominate.*block r=1"):
             thm33_block_bounds(y, p, T=0.99)  # y_1 = -1 lies in block 1
 
+    def test_thm33_names_the_first_window_it_fails(self):
+        """A value just past the last block is read only by the windows m >= 1 of the last
+        block; T must dominate those too."""
+        s = build_lacunary(Geometric(1, 2, 5))
+        p = _params(s, family=ConstantFamily(Power(2.0)), m_max=2)
+        values = np.zeros(s.last_index + 2)
+        values[s.last_index] = 10.0
+        x = Sequence(values)
+        with pytest.raises(ValueError, match=f"dominate.* at m=1, first in block r={s.num_blocks}$"):
+            thm33_block_bounds(x, p, T=1.0)
+        lhs, rhs = thm33_block_bounds(x, p, T=10.0)
+        assert lhs[0].max() == 0.0 and lhs[1:, -1].min() > 0.0
+
     def test_bounds_overflow_to_inf_and_never_return_nan(self):
         """Powers past float64 are +inf in every bound, with no exception or RuntimeWarning;
         a NaN statistic raises NonFiniteStatistic."""
@@ -687,15 +701,16 @@ class TestProofInequalities:
         assert np.all(np.isfinite(lhs)) and np.all(rhs == math.inf)
         lhs, rhs = thm34_triangle_bounds(ones, p, 0.0, 1e60, 0.5, 0.5)  # (M(1e60))**3 = (1e120)**3
         assert np.all(lhs == math.inf) and np.all(rhs == math.inf)
+        with pytest.raises(ValueError, match=r"\|L1 - L2\| = inf is not finite"):
+            thm34_triangle_bounds(ones, p, 1e308, -1e308, 0.5, 0.5)
         big = Sequence(np.full(s.last_index + 2, 1e150))
-        for m in (0, 2):
-            lhs, rhs = thm31_block_bounds(big, p, beta=1.0, m=m)
-            assert np.all(lhs == math.inf) and np.all(np.isfinite(rhs))
-            lhs, rhs = thm33_block_bounds(big, p, T=1e150, m=m)
-            assert np.all(lhs == math.inf) and np.all(rhs == math.inf)
+        lhs, rhs = thm31_block_bounds(big, p, beta=1.0)
+        assert np.all(lhs == math.inf) and np.all(np.isfinite(rhs))
+        lhs, rhs = thm33_block_bounds(big, p, T=1e150)
+        assert np.all(lhs == math.inf) and np.all(rhs == math.inf)
         huge = Sequence(np.full(s.last_index + 2, 1e308))  # a window sum at m = 1 is inf - inf
         with pytest.raises(NonFiniteStatistic, match="NaN at m=1"):
-            thm31_block_bounds(huge, p, beta=1.0, m=1)
+            thm31_block_bounds(huge, p, beta=1.0)
 
     def test_thm34_triangle_random(self):
         rng = np.random.default_rng(44)
@@ -708,6 +723,31 @@ class TestProofInequalities:
                 x = Sequence(rng.uniform(-2, 2, s.last_index + 2))
                 L1, L2 = rng.uniform(-1, 1, 2)
                 rho1, rho2 = rng.uniform(0.5, 2.0, 2)
-                for m in (0, 2):
-                    lhs, rhs = thm34_triangle_bounds(x, p, L1, L2, rho1, rho2, m=m)
-                    assert np.all(lhs <= rhs + 1e-12 * np.maximum(1.0, rhs))
+                lhs, rhs = thm34_triangle_bounds(x, p, L1, L2, rho1, rho2)
+                assert lhs.shape == rhs.shape == (p.m_max + 1, s.num_blocks)
+                assert np.all(lhs <= rhs + 1e-12 * np.maximum(1.0, rhs))
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_thm34_gap_side_matches_the_reference(self, data):
+        """T34's left side, the engine's strong statistic of the constant prefix |L1 - L2|,
+        equals the kernel-over-the-prefix formula bit for bit in every row."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        s = build_lacunary(Geometric(1, 2, data.draw(st.integers(1, 7), label="blocks")))
+        families = ENGINE_FAMILIES + [
+            ConstantFamily(ExpMinusOne()),
+            ConstantFamily(LinearSlope(1.0)),
+            ConstantFamily(Table(((0.0, 0.0), (0.5, 0.2), (2.0, 3.0)))),
+            CustomFamily((Power(2.0), ExpMinusOne(), LinearSlope(0.5))),
+        ]
+        terms = draw_terms(data, rng, s, families)
+        p = _params(s, family=terms["family"], exponents=terms["exponents"],
+                    m_max=data.draw(st.integers(0, 3), label="m_max"),
+                    alpha=data.draw(st.sampled_from([1.0, 0.6]), label="alpha"))
+        L1, L2 = (data.draw(st.sampled_from([0.0, 0.3, -1.25, 2.0, 1e60]), label=f"L{i}") for i in (1, 2))
+        rho1, rho2 = (data.draw(st.sampled_from([0.5, 0.25, 0.7, 1.9]), label=f"rho{i}") for i in (1, 2))
+        x = Sequence(rng.uniform(-2, 2, s.last_index + p.m_max))
+        lhs, rhs = thm34_triangle_bounds(x, p, L1, L2, rho1, rho2)
+        reference = triangle_gap_statistic(p, L1, L2, rho1, rho2)
+        assert lhs.shape == rhs.shape == (p.m_max + 1, s.num_blocks)
+        assert all(row.tobytes() == reference.tobytes() for row in lhs)

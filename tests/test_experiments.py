@@ -16,12 +16,14 @@ from lacunary import (
     CustomFamily,
     ExpMinusOne,
     Explicit,
+    ExponentSequence,
     Geometric,
     Identity,
     IndexPowerFamily,
     IndexScaledFamily,
     LinearSlope,
     Power,
+    RhoSequence,
     RowTable,
     Sequence,
     Shift,
@@ -331,6 +333,62 @@ class TestInclusionMatrix:
             lhs, rhs = experiments.thm31_block_bounds(x, p, beta=1.0)
         assert report.theorem_results["T31"]["block_inequality_violations"] == s.num_blocks
         assert np.all(lhs < rhs)
+
+    def test_planted_t31_violation_at_a_later_window_is_counted(self):
+        """x = 0, 1, 0, 1, ... with eps = 0.5, M(u) = u**2 and alpha = beta = 1.  At m = 0 the
+        ones are the exceptions and lhs = 4 rhs / (1 + 1e-6); at m = 1 every window mean is 0.5,
+        so every index is an exception and, with the floor scaled by 1 + 1e-6, rhs is above lhs
+        in every block.  Only a check at every window counts them."""
+        s = build_lacunary(Geometric(1, 2, 6))
+        p = _plain_params(s, alpha=1.0, epsilon=0.5, m_max=1)
+        x = Sequence(np.arange(s.last_index + p.m_max) % 2.0)
+        floor = experiments._thm31_floor
+        with patch.object(experiments, "_thm31_floor", lambda q, b: floor(q, b) * (1 + 1e-6)):
+            report = run_inclusion_matrix([(x, p)], ["T31"], beta=1.0)
+            lhs, rhs = experiments.thm31_block_bounds(x, p, beta=1.0)
+        assert np.all(lhs[0] > rhs[0]) and np.all(lhs[1] < rhs[1])
+        assert report.theorem_results["T31"]["block_inequality_violations"] == s.num_blocks
+
+    @given(
+        blocks=st.integers(2, 6),
+        alpha=st.sampled_from([0.3, 0.7, 1.0]),
+        beta_is_one=st.booleans(),
+        epsilon=st.sampled_from([0.25, 0.5, 1.0]),
+        m_max=st.integers(0, 3),
+        rho=st.sampled_from([0.7, 1.0, 1.3]),
+        exponents=st.sampled_from([ExponentSequence(constant=1.0), ExponentSequence(constant=2.0),
+                                   ExponentSequence(constant=None, per_index=(0.5, 1.5, 1.0))]),
+        function=st.sampled_from([Power(2.0), Power(1.5), ExpMinusOne(), LinearSlope(1.0)]),
+        density=st.sampled_from([0.0, 0.05, 0.2]),
+        scale=st.sampled_from([1.0, 1.0 + 1e-6, 1.5, 4.0]),
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(1, 4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_t31_count_is_the_blocks_where_the_bound_fails_at_some_window(
+        self, blocks, alpha, beta_is_one, epsilon, m_max, rho, exponents, function, density,
+        scale, seed, size,
+    ):
+        """`inclusion`'s count equals the blocks where thm31_block_bounds' sides, on the same
+        draws, fail at some m; a floor scaled past 1 plants failures at some windows."""
+        s = build_lacunary(Geometric(1, 2, blocks))
+        beta = 1.0 if beta_is_one else alpha
+        p = SpaceParams(family=ConstantFamily(function), schedule=s, alpha=alpha, epsilon=epsilon,
+                        m_max=m_max, rho=RhoSequence(constant=rho), exponents=exponents)
+        rng = np.random.default_rng(seed)
+        corpus = [(random_bounded_sequence(rng, s.last_index + m_max, 0.0, 1.0, density), p)
+                  for _ in range(size)]
+        floor = experiments._thm31_floor
+        expected = 0
+        with patch.object(experiments, "_thm31_floor", lambda q, b: floor(q, b) * scale):
+            report = run_inclusion_matrix(corpus, ["T31"], beta=beta)
+            for x, _ in corpus:
+                lhs, rhs = experiments.thm31_block_bounds(x, p, beta=beta)
+                with np.errstate(invalid="ignore"):
+                    gap = rhs - lhs
+                bad = np.where(np.isinf(rhs), lhs < rhs, gap > 1e-12 * np.maximum(1.0, np.abs(rhs)))
+                expected += int(np.count_nonzero(bad.any(axis=0)))
+        assert report.theorem_results["T31"]["block_inequality_violations"] == expected
 
     def test_thm37_row_is_witnessed(self):
         x, s, p = build_thm37(CounterexampleSpec(theorem="thm37", r_max=14))

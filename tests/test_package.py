@@ -50,3 +50,34 @@ def test_every_error_class_has_a_raiser():
                     constructed.add(node.func.id)
     assert subclasses, "errors.py defines no LacunaryError subclass"
     assert sorted(subclasses - constructed) == []
+
+
+def test_every_private_helper_has_a_caller():
+    """Each module-level private function or class of the package is named by package code
+    other than its own definition.
+
+    A name counts where it is read (`_helper(...)`), taken as an attribute
+    (`module._helper`) or imported.  A helper that no other code names is
+    left over from a deletion.
+    """
+    package = Path(lacunary.__file__).resolve().parent
+    trees = [ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))]
+
+    def names(node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr
+            elif isinstance(sub, ast.alias):
+                yield sub.name
+
+    statements = [stmt for tree in trees for stmt in tree.body]
+    helpers = [stmt for stmt in statements
+               if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+               and stmt.name.startswith("_") and not stmt.name.startswith("__")]
+    named = [(stmt, set(names(stmt))) for stmt in statements]
+    unused = [helper.name for helper in helpers
+              if not any(helper.name in found for stmt, found in named if stmt is not helper)]
+    assert helpers, "the package defines no private helper"
+    assert unused == []
