@@ -237,10 +237,12 @@ class Table(OrliczFunction):
       e_i = 4 eps (Y_i + |s_i| X_i) / (u_i - u_{i-1})
 
     of the line's slope, the factor 4 over 2.5 leaving room for the
-    second-order terms, and the line's slopes never fall: a table passes
-    when s_{i+1} >= s_i - (e_i + e_{i+1}).  A short segment after long
-    ones has a large e_i, as its slope is a small difference of large
-    ordinates.
+    second-order terms.  A table passes when some slopes t_i that never
+    fall have |s_i - t_i| <= e_i, that is when s_i - e_i <= s_j + e_j for
+    every i < j: the whole chain, not neighbours only, as a short middle
+    segment has a large e_i and must not hide a fall between the long
+    segments on either side of it.  A short segment after long ones has a
+    large e_i, as its slope is a small difference of large ordinates.
     """
 
     knots: tuple[tuple[float, float], ...]
@@ -270,7 +272,7 @@ class Table(OrliczFunction):
         du, dm = (4 * 2.0**-52 * np.abs(v) for v in (xs, ys))
         with np.errstate(over="ignore"):  # an allowance past float64 is an honest +inf
             rounding = (dm[:-1] + dm[1:] + np.abs(slopes) * (du[:-1] + du[1:])) / np.diff(xs)
-        if np.any(slopes[1:] < slopes[:-1] - (rounding[:-1] + rounding[1:])):
+        if np.any(np.maximum.accumulate(slopes - rounding)[:-1] > (slopes + rounding)[1:]):
             raise ValueError("knot slopes must not fall, for convexity")
         if not (slopes > 0).all():
             raise ValueError("every knot slope must be > 0 for positivity")

@@ -310,6 +310,8 @@ def build_lacunary(rule: Explicit | Geometric, h_floor: int = 2) -> LacunarySche
 class MatrixOperator:
     """Infinite matrix A = (a_nk); `transform` gives A_1(x)..A_out_len(x) of x_1..x_N.
 
+    `transform_sequence` is the entry point: it answers Identity itself, so
+    Identity has no `transform`, and calls `transform` for every other kind.
     Finite-support rows are exact (SupportExceedsHorizon past the horizon);
     generator rows certify their truncation error below `tol`.  Errors name
     the first failing row as `at output index n=<n>`.
@@ -318,7 +320,7 @@ class MatrixOperator:
     kind = "abstract"
 
     def transform(self, x: np.ndarray, out_len: int, tol: float) -> np.ndarray:
-        raise NotImplementedError
+        raise NotImplementedError(f"the {self.kind} matrix has no transform; call transform_sequence")
 
 
 def _beyond_horizon(n: int, detail: str) -> SupportExceedsHorizon:

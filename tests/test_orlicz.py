@@ -516,6 +516,7 @@ class TestAxioms:
             (((0.0, 0.0), (1.0, -1.7e308), (2.0, 1.7e308)), "knot slopes must be finite"),
             (((0.0, 0.0), (0.5, 1.7e308), (1.0, 1.75e308)), "knot slopes must be finite"),
             (((0.0, 0.0), (1.0, 1.0), (2.0, 2.0 - 1e-11)), "knot slopes must not fall"),
+            (((0.0, 0.0), (1.0, 1.0), (1.0 + 2**-52, 1.0 + 2**-52), (2.0, 1.5)), "knot slopes must not fall"),
             (((0.0, 0.0), (1.0, 1.0), (1.0 + 2**-52, 1.0)), "every knot slope must be > 0"),
         ],
     )
