@@ -239,10 +239,10 @@ class Table(OrliczFunction):
     of the line's slope, the factor 4 over 2.5 leaving room for the
     second-order terms.  A table passes when some slopes t_i that never
     fall have |s_i - t_i| <= e_i, that is when s_i - e_i <= s_j + e_j for
-    every i < j: the whole chain, not neighbours only, as a short middle
-    segment has a large e_i and must not hide a fall between the long
-    segments on either side of it.  A short segment after long ones has a
-    large e_i, as its slope is a small difference of large ordinates.
+    every i < j.  A short segment after long ones has a large e_i, as its
+    slope is a small difference of large ordinates; comparing the whole
+    chain, not neighbours only, keeps such a segment from hiding a fall
+    between the long segments on either side of it.
     """
 
     knots: tuple[tuple[float, float], ...]
