@@ -20,16 +20,12 @@ from .errors import LacunaryError
 from .experiments import (
     CounterexampleSpec,
     InclusionReport,
-    UniquenessReport,
     build_thm37,
     build_thm38,
     liminf_growth_estimate,
     random_bounded_sequence,
     run_inclusion_matrix,
     thm31_block_bounds,
-    thm33_block_bounds,
-    thm34_triangle_bounds,
-    uniqueness_experiment,
 )
 from .orlicz import (
     ConstantFamily,
@@ -103,7 +99,6 @@ __all__ = [
     "SpaceParams",
     "SpikeFamily",
     "Table",
-    "UniquenessReport",
     "Verdict",
     "build_lacunary",
     "build_thm37",
@@ -117,8 +112,5 @@ __all__ = [
     "random_bounded_sequence",
     "run_inclusion_matrix",
     "thm31_block_bounds",
-    "thm33_block_bounds",
-    "thm34_triangle_bounds",
     "transform_sequence",
-    "uniqueness_experiment",
 ]

@@ -517,7 +517,6 @@ def cmd_inclusion(doc: dict, seed: int | None = None) -> ReportBundle:
         raise ConfigError(f"beta: T31 needs beta >= space.alpha = {alpha:g}, got {echo['beta']:g}")
     params = _space_params(echo)
     corpus_doc = echo["corpus"]
-    verdict = echo["verdict"]
 
     def corpus() -> Iterator[tuple[Sequence, SpaceParams]]:
         """The seeded draws, then the constructions, made one at a time as the run asks."""
@@ -547,8 +546,7 @@ def cmd_inclusion(doc: dict, seed: int | None = None) -> ReportBundle:
         corpus(),
         echo["theorems"],
         beta=echo["beta"],
-        verdict_tol=verdict["tol"],
-        tail_window=verdict["tail_window"],
+        verdict=echo["verdict"],
     )
     results = report.to_dict()
 

@@ -189,16 +189,13 @@ class UniformTrajectories:
 
     per_m: np.ndarray
     sup: np.ndarray
-    statistic: str
-    flag_mode: str | None
 
 
-def _uniform(per_m: np.ndarray, bundle: str) -> UniformTrajectories:
-    """The bundle `bundle` of `per_m`, a fresh array it takes over."""
-    statistic, flag_mode = (STRONG, None) if bundle == STRONG else (SHAT_DENSITY, bundle)
+def _uniform(per_m: np.ndarray) -> UniformTrajectories:
+    """The trajectories of `per_m`, a fresh array it takes over."""
     sup = per_m.max(axis=0)
     per_m.flags.writeable = sup.flags.writeable = False
-    return UniformTrajectories(per_m, sup, statistic, flag_mode)
+    return UniformTrajectories(per_m, sup)
 
 
 _PAIRWISE_LEAF = 128  # numpy's PW_BLOCKSIZE: its pairwise sum never splits a run this short
@@ -502,5 +499,5 @@ class BlockEngine:
             per_block = {RAW_FLAGS: raw}
             if g is not None:
                 per_block.update({STRONG: sums[g], MODULAR_FLAGS: counts[g]})
-            results.append({bundle: _uniform(per_block[bundle] / h, bundle) for bundle in bundles})
+            results.append({bundle: _uniform(per_block[bundle] / h) for bundle in bundles})
         return results

@@ -13,23 +13,20 @@ test suite and the CLI check against:
     density is 1/h_r**alpha (tends to 0) while the summed statistic stays
     at 1, witnessing the reverse non-inclusion for unbounded families.
 
-The remaining helpers turn the per-block proof inequalities of the
-inclusion theorems into machine-checkable bounds, read from `BlockEngine`
-results (so a NaN statistic raises NonFiniteStatistic, as everywhere), and
-run corpora of sequences through antecedent/consequent space pairs.  Each
-bound is one engine call at the space's own m_max and returns its two sides
-per window and block, as (m_max + 1, R) arrays: the spaces are uniform in
-m, and so are the bounds.  The `inclusion` command checks T31's bound at
-every window; `thm33_block_bounds`, `thm34_triangle_bounds` and
-`uniqueness_experiment` are library functions that no command runs.
+The remaining helpers run corpora of sequences through antecedent/consequent
+space pairs and turn T31's per-block proof inequality into a
+machine-checkable bound, read from `BlockEngine` results (so a NaN
+statistic raises NonFiniteStatistic, as everywhere).  The bound is one
+engine call at the space's own m_max and returns its two sides per window
+and block, as (m_max + 1, R) arrays: the spaces are uniform in m, and so is
+the bound.  The `inclusion` command checks it at every window.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence as TypingSequence
+from typing import Iterable
 
 import numpy as np
 
@@ -67,6 +64,8 @@ from .sequences import (
 
 THEOREMS = ("T31", "T33", "T35", "T36", "T37", "T38")
 
+_HORIZON_CAP = 1 << 22  # the furthest cut point thm37's search for a vanishing tail tries
+
 
 # ---------------------------------------------------------------------------
 # counterexample constructions
@@ -94,7 +93,6 @@ class CounterexampleSpec:
     family: MusielakOrliczFamily | None = None
     schedule_rule: Geometric | Explicit | None = None
     nu_values: tuple[float, ...] | None = None
-    horizon_cap: int = 1 << 22
 
     def __post_init__(self) -> None:
         if self.theorem not in CONSTRUCTIONS:
@@ -146,7 +144,7 @@ def build_thm37(spec: CounterexampleSpec) -> tuple[Sequence, LacunarySchedule, S
     so the per-term membership flags mark exactly the plateau indices.
 
     Raises HypothesisUnsatisfiable when the family tail cannot reach
-    2**-r within `horizon_cap`, or is not nonincreasing where probed.
+    2**-r within a horizon of 2**22, or is not nonincreasing where probed.
     """
     if spec.theorem != "thm37":
         raise ValueError("spec.theorem must be 'thm37'")
@@ -170,10 +168,10 @@ def build_thm37(spec: CounterexampleSpec) -> tuple[Sequence, LacunarySchedule, S
             hi = lo
             while tail_value(hi + 1) >= target:
                 hi = max(hi + 1, hi * 2)
-                if hi > spec.horizon_cap:
+                if hi > _HORIZON_CAP:
                     raise HypothesisUnsatisfiable(
                         f"tail of M_k(nu/rho) never drops below 2**-{r} "
-                        f"within the horizon cap {spec.horizon_cap}"
+                        f"within the horizon cap {_HORIZON_CAP}"
                     )
             # smallest valid point in (lo, hi]
             a, b = lo, hi
@@ -318,19 +316,6 @@ def _require_constant_setup(p: SpaceParams) -> tuple[float, float]:
     return p.rho.constant, p.epsilon
 
 
-def _power_range(value: float, exponents: ExponentSequence) -> tuple[float, float]:
-    """(min, max) of value**h_inf and value**H_sup; a power past float64 is an honest +inf."""
-    with np.errstate(over="ignore"):
-        powers = np.power(value, exponents.h_inf), np.power(value, exponents.H_sup)
-    return float(min(powers)), float(max(powers))
-
-
-def _bound_times_density(bound: float, density: np.ndarray) -> np.ndarray:
-    """bound * density per block, where an infinite bound times no exception is 0."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.where(density > 0, density * bound, 0.0)
-
-
 def thm31_block_bounds(x: Sequence, p: SpaceParams, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Lower bound of the summed statistic by the raw exception count, at every window.
 
@@ -353,12 +338,17 @@ def _thm31_floor(p: SpaceParams, beta: float) -> float:
     if beta < p.alpha or not 0 < beta <= 1:
         raise ValueError("need alpha <= beta <= 1")
     rho_c, eps = _require_constant_setup(p)
-    return _power_range(p.family.function(eps / rho_c), p.exponents)[0]
+    value, exps = p.family.function(eps / rho_c), p.exponents
+    with np.errstate(over="ignore"):  # a power past float64 is an honest +inf
+        return float(min(np.power(value, exps.h_inf), np.power(value, exps.H_sup)))
 
 
 def _thm31_sides(own: dict, at_beta: dict, floor: float) -> tuple[np.ndarray, np.ndarray]:
-    """T31's (lhs, rhs) per window and block, from the engine bundles at alpha and at beta."""
-    return own[STRONG].per_m, _bound_times_density(floor, at_beta[RAW_FLAGS].per_m)
+    """T31's (lhs, rhs) per window and block, from the engine bundles at alpha and at beta;
+    rhs is floor * density, where an infinite floor times no exception is 0."""
+    density = at_beta[RAW_FLAGS].per_m
+    with np.errstate(over="ignore", invalid="ignore"):
+        return own[STRONG].per_m, np.where(density > 0, density * floor, 0.0)
 
 
 _INEQUALITY_SLACK = 1e-12  # the relative rounding allowance of T31's per-block check
@@ -371,86 +361,6 @@ def _thm31_violations(lhs: np.ndarray, rhs: np.ndarray) -> int:
         gap = rhs - lhs
     bad = np.where(np.isinf(rhs), lhs < rhs, gap > _INEQUALITY_SLACK * np.maximum(1.0, np.abs(rhs)))
     return int(np.count_nonzero(bad.any(axis=0)))
-
-
-def thm33_block_bounds(x: Sequence, p: SpaceParams, T: float) -> tuple[np.ndarray, np.ndarray]:
-    """Upper bound of the summed statistic for uniformly bounded transforms, at every window.
-
-    Returns (lhs, rhs), each of shape (m_max + 1, R), with
-
-      lhs_{m,r} = strong statistic at order alpha,
-      rhs_{m,r} = max(M(K)**h_inf, M(K)**H_sup) * raw exception density
-                  + (h_r / h_r**alpha) * max(M(eps1)**h_inf, M(eps1)**H_sup),
-
-    K = T / rho.  T must dominate |t_{km}(A(x) - L)| for every m <= m_max
-    (e.g. T = max |x_k - L| for the identity matrix); a ValueError names
-    the first (m, block) where it does not.  The underlying hypothesis
-    h_r / h_r**alpha -> 1 forces alpha = 1 for growing blocks; a warning
-    is emitted for alpha < 1.
-    """
-    rho_c, eps = _require_constant_setup(p)
-    if p.alpha < 1.0:
-        warnings.warn(
-            "the bounded-inclusion hypothesis h_r/h_r**alpha -> 1 is only "
-            "satisfiable at alpha = 1 for growing blocks",
-            stacklevel=2,
-        )
-    T = float(T)
-    if not T >= 0:
-        raise ValueError(f"T={T} does not dominate the window deviations: T must be >= 0")
-    limit = T * (1 + 1e-12)
-    if limit < math.inf:  # raw flags at the float after `limit` mark the deviations above it
-        at_limit = replace(p, epsilon=float(np.nextafter(limit, math.inf)))
-        (above,) = BlockEngine([(at_limit, (RAW_FLAGS,))])(x)
-        found = np.argwhere(above[RAW_FLAGS].per_m)  # rows (m, block), in order
-        if found.size:
-            m, r = found[0]
-            raise ValueError(
-                f"T={T} does not dominate the window deviations at m={m}, first in block r={r + 1}"
-            )
-
-    (own,) = BlockEngine([(p, (STRONG, RAW_FLAGS))])(x)
-    h = p.schedule.block_lengths.astype(np.float64)
-    M = p.family.function
-    big = _power_range(M(T / rho_c), p.exponents)[1]
-    small = _power_range(M(eps / rho_c), p.exponents)[1]
-    with np.errstate(over="ignore"):
-        rhs = _bound_times_density(big, own[RAW_FLAGS].per_m) + (h / h**p.alpha) * small
-    return own[STRONG].per_m, rhs
-
-
-def thm34_triangle_bounds(
-    x: Sequence, p: SpaceParams, L1: float, L2: float, rho1: float, rho2: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Modular triangle bound separating two candidate limits, at every window.
-
-    Returns (lhs, rhs), each of shape (m_max + 1, R).  With
-    rho = max(2*rho1, 2*rho2) and D = max(1, 2**(H_sup - 1)):
-
-      lhs_{m,r} = (1/h_r**alpha) * sum_{k in I_r} (M_k(|L1 - L2| / rho))**s_k
-      rhs_{m,r} = D * strong_{m,r}(L=L1, rho1) + D * strong_{m,r}(L=L2, rho2)
-
-    and lhs <= rhs holds in real arithmetic; a tail of rhs near zero
-    therefore pins |L1 - L2| to zero, which is the uniqueness argument.
-    lhs does not depend on m: it is the engine's strong statistic of the
-    constant prefix |L1 - L2| at L = 0, m_max = 0 and that rho, whose
-    deviations are the constant itself.  A ValueError reports an |L1 - L2|
-    that is not finite.
-    """
-    gap = abs(L1 - L2)
-    if not math.isfinite(gap):
-        raise ValueError(f"|L1 - L2| = {gap} is not finite")
-    q = replace(p, L=0.0, m_max=0, rho=RhoSequence(constant=max(2.0 * rho1, 2.0 * rho2)),
-                matrix=Identity())
-    (lhs,) = BlockEngine([(q, (STRONG,))])(Sequence._adopt(np.full(p.schedule.last_index, gap)))
-    D = p.exponents.D
-    v1, v2 = (  # the spaces of one engine share L, so one engine per candidate limit
-        BlockEngine([(replace(p, L=L, rho=RhoSequence(constant=r)), (STRONG,))])(x)[0][STRONG].per_m
-        for L, r in ((L1, rho1), (L2, rho2))
-    )
-    with np.errstate(over="ignore"):
-        rhs = D * v1 + D * v2
-    return np.broadcast_to(lhs[STRONG].per_m, rhs.shape), rhs
 
 
 @dataclass(frozen=True)
@@ -631,8 +541,7 @@ def run_inclusion_matrix(
     corpus: Iterable[tuple[Sequence, SpaceParams]],
     theorems: Iterable[str] = THEOREMS,
     beta: float = 1.0,
-    verdict_tol: float = 1e-3,
-    tail_window: int | None = None,
+    verdict: dict | None = None,
 ) -> InclusionReport:
     """Run antecedent/consequent verdict pairs for each requested theorem.
 
@@ -646,6 +555,8 @@ def run_inclusion_matrix(
     report (T35) and a sampled growth estimate (T36); T37/T38 scan for
     non-inclusion witnesses.  `_THEOREM_TABLE` holds what each theorem
     reads.  Reports name the flag mode used for every density verdict.
+    `verdict` holds the keyword arguments of every `classify_trajectory`
+    call (the config's verdict section: tol, tail_window, slope_slack).
 
     Each sequence is computed once, in one engine call for every space its
     theorems read: the family space at alpha, at `beta` for T31, and the
@@ -655,6 +566,7 @@ def run_inclusion_matrix(
     before the next one is built.
     """
     requested = [t for t in THEOREMS if t in set(theorems)]
+    verdict = verdict or {}
     pairs = [pair for t in requested for pair in _THEOREM_TABLE[t][0]]  # (bundle, space) read
     names = [name for name in ("alpha", "beta", "plain") if name in {n for _, n in pairs}]
     verdict_rows: list[dict] = []
@@ -688,7 +600,7 @@ def run_inclusion_matrix(
             for bundle, name in reads:
                 key = (bundle, *keys[name])
                 if key not in decided:
-                    v = classify_trajectory(stats[key[1:]][bundle].sup, verdict_tol, tail_window)
+                    v = classify_trajectory(stats[key[1:]][bundle].sup, **verdict)
                     decided[key] = v.decision
                     verdict_rows.append({"sequence": sid, "space": _label(*key),
                                          "decision": v.decision, "tail_mean": v.tail_mean})
@@ -735,72 +647,4 @@ def run_inclusion_matrix(
         implications=tuple(implications),
         theorem_results=theorem_results,
         witnesses=tuple(witnesses),
-    )
-
-
-# ---------------------------------------------------------------------------
-# limit uniqueness
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class UniquenessReport:
-    """Tail means of the summed statistic over a grid of candidate limits.
-
-    status: UNIQUE (near-minimal set has diameter <= 2 * grid step),
-    NO_LIMIT (no candidate reaches the convergence tolerance), or
-    AMBIGUOUS (several well-separated candidates tie).
-    """
-
-    l_grid: tuple[float, ...]
-    tail_means: tuple[float, ...]
-    argmin_set: tuple[float, ...]
-    diameter: float
-    grid_step: float
-    status: str
-
-    @property
-    def passed(self) -> bool:
-        return self.status != "AMBIGUOUS"
-
-    @property
-    def argmin_L(self) -> float:
-        best = min(range(len(self.tail_means)), key=lambda i: self.tail_means[i])
-        return self.l_grid[best]
-
-
-def uniqueness_experiment(
-    x: Sequence,
-    p: SpaceParams,
-    L_grid: TypingSequence[float],
-    verdict_tol: float = 1e-3,
-    argmin_tol: float = 1e-3,
-    tail_window: int | None = None,
-) -> UniquenessReport:
-    """Scan candidate limits and report where the summed statistic bottoms out."""
-    grid = sorted(float(L) for L in L_grid)
-    if len(grid) < 2:
-        raise ValueError("need at least two candidate limits")
-    tails: list[float] = []
-    for L in grid:
-        bundle = BlockEngine([(replace(p, L=L), (STRONG,))])(x)[0][STRONG]
-        v = classify_trajectory(bundle.sup, verdict_tol, tail_window)
-        tails.append(v.tail_mean)
-    best = min(tails)
-    argmin_set = tuple(L for L, t in zip(grid, tails) if t <= best + argmin_tol)
-    diameter = argmin_set[-1] - argmin_set[0]
-    grid_step = max(b - a for a, b in zip(grid, grid[1:]))
-    if best > verdict_tol:
-        status = "NO_LIMIT"
-    elif diameter <= 2.0 * grid_step:
-        status = "UNIQUE"
-    else:
-        status = "AMBIGUOUS"
-    return UniquenessReport(
-        l_grid=tuple(grid),
-        tail_means=tuple(tails),
-        argmin_set=argmin_set,
-        diameter=diameter,
-        grid_step=grid_step,
-        status=status,
     )

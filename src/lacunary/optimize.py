@@ -14,6 +14,7 @@ from .errors import NoInteriorMinimum
 
 _GOLD = (3.0 - math.sqrt(5.0)) / 2.0  # 1 - 1/phi: the golden-section fraction
 _EPS = 2.0**-52  # float64 machine epsilon: a step of eps * |x| moves x by at least one ulp
+_MAX_ITER = 500  # Brent steps before `brent_min` returns its best point
 
 
 def secant_crossing(
@@ -81,7 +82,6 @@ def brent_min(
     tol: float,
     start: tuple[float, float] | None = None,
     max_expansions: int = 0,
-    max_iter: int = 500,
 ) -> tuple[float, float, bool]:
     """Minimize a unimodal f on [a, b] by Brent's method; returns (argmin, min, at_boundary).
 
@@ -126,7 +126,7 @@ def brent_min(
                 f"{max_expansions} bracket expansions"
             )
     tol = tol * max(1.0, a)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         m = 0.5 * (a + b)
         tol1 = 0.5 * tol + _EPS * abs(x)
         tol2 = 2.0 * tol1

@@ -490,8 +490,7 @@ class RhoSequence:
 class ExponentSequence:
     """Positive exponents s_k with derived envelope constants.
 
-    h_inf = inf_k s_k, H_sup = sup_k s_k and D = max(1, 2**(H_sup - 1)), the
-    constant in the power triangle inequality (a+b)**s <= D (a**s + b**s).
+    h_inf = inf_k s_k and H_sup = sup_k s_k.
     """
 
     constant: float | None = 1.0
@@ -516,10 +515,6 @@ class ExponentSequence:
     @property
     def H_sup(self) -> float:
         return self.constant if self.constant is not None else max(self.per_index)
-
-    @property
-    def D(self) -> float:
-        return max(1.0, 2.0 ** (self.H_sup - 1.0))
 
     def array(self, start: int, stop: int) -> np.ndarray:
         if self.constant is not None:
@@ -701,19 +696,21 @@ class ConjugateValue:
     at_boundary: bool
 
 
+_CONJUGATE_TOL = 1e-10  # the absolute tolerance of the conjugate's maximizer
+
+
 def complementary(
     family: MusielakOrliczFamily,
     k: int,
     v: float,
     u_max: float = 1e3,
-    tol: float = 1e-10,
 ) -> ConjugateValue:
     """Young conjugate N_k(v) = sup { |v| u - M_k(u) : u >= 0 } on [0, u_max].
 
     The integrand is concave (M_k convex), so Brent's method (minimizing its
-    negative) is exact up to the absolute tolerance `tol`; its bracket is
-    first halved from u_max until M_k is finite at the upper end.  Boundary
-    attainment (relative to u_max) is flagged, not raised.
+    negative) is exact up to the absolute tolerance `_CONJUGATE_TOL`; its
+    bracket is first halved from u_max until M_k is finite at the upper end.
+    Boundary attainment (relative to u_max) is flagged, not raised.
     """
     M = family.member(k)
     a = abs(v)
@@ -729,11 +726,11 @@ def complementary(
     u_hi = u_max
     while math.isfinite(u_hi) and math.isinf(M(u_hi)):
         u_hi *= 0.5
-    u_star, neg_value, _ = brent_min(lambda u: -g(u), 0.0, u_hi, tol)
+    u_star, neg_value, _ = brent_min(lambda u: -g(u), 0.0, u_hi, _CONJUGATE_TOL)
     value = max(-neg_value, 0.0)  # u = 0 always gives 0
     # boundary attainment: maximizer at the edge with the slope still positive
     at_boundary = False
-    if u_max - u_star <= max(10 * tol, 1e-9 * u_max):
+    if u_max - u_star <= max(10 * _CONJUGATE_TOL, 1e-9 * u_max):
         h = max(u_max * 1e-7, 1e-9)
         if g(u_max) >= g(max(u_max - h, 0.0)):  # below h the probe is u = 0
             at_boundary = True

@@ -205,18 +205,22 @@ class DrawnPrefix(Sequence):
         return DrawnPrefix(self._draw, n)
 
 
+_H_FLOOR = 2  # a shorter last block is reported in a schedule's warnings
+
+
 @dataclass(frozen=True)
 class LacunarySchedule:
     """Increasing cut points k_0=0 < k_1 < ... < k_R and the blocks they induce.
 
     Block r (1-based) is the integer range I_r = (k_{r-1}, k_r] with length
     h_r = k_r - k_{r-1}.  Strict increase is enforced; growth conditions
-    (nondecreasing h_r, a floor on the last block) are soft checks reported
-    in `warnings` because finite data cannot witness h_r -> infinity.
+    (nondecreasing h_r, a last block of at least 2 indices) are soft checks
+    that `warnings` reports, computed from the cut points, because finite
+    data cannot witness h_r -> infinity.
     """
 
     cut_points: tuple[int, ...]
-    warnings: tuple[str, ...] = field(default=(), compare=False)
+    warnings: tuple[str, ...] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         cuts = tuple(int(c) for c in self.cut_points)
@@ -230,6 +234,13 @@ class LacunarySchedule:
                 raise NotStrictlyIncreasing(f"cut points must strictly increase: {a} !< {b}")
         if cuts[-1] > np.iinfo(np.int64).max:  # cut points are int64 in the block arithmetic
             raise ScheduleOverflow("the last cut point is past the largest array index 2**63 - 1")
+        h = self.block_lengths
+        warnings = []
+        if np.any(h[1:] < h[:-1]):
+            warnings.append("block lengths are not nondecreasing")
+        if h[-1] < _H_FLOOR:
+            warnings.append(f"last block length {int(h[-1])} below floor {_H_FLOOR}")
+        object.__setattr__(self, "warnings", tuple(warnings))
 
     @property
     def num_blocks(self) -> int:
@@ -272,12 +283,11 @@ class Geometric:
             raise ValueError("geometric count must be >= 1")
 
 
-def build_lacunary(rule: Explicit | Geometric, h_floor: int = 2) -> LacunarySchedule:
+def build_lacunary(rule: Explicit | Geometric) -> LacunarySchedule:
     """Validate a schedule rule into a LacunarySchedule.
 
-    Growth is reported, not enforced: the returned schedule carries warnings
-    when block lengths are not nondecreasing or the last block is shorter
-    than `h_floor`.
+    Growth is reported, not enforced: the schedule's `warnings` name block
+    lengths that are not nondecreasing and a last block shorter than 2.
     """
     if isinstance(rule, Explicit):
         cuts = tuple(int(c) for c in rule.cut_points)
@@ -294,17 +304,7 @@ def build_lacunary(rule: Explicit | Geometric, h_floor: int = 2) -> LacunarySche
         cuts = tuple(cuts_list)
     else:
         raise TypeError(f"unknown schedule rule {rule!r}")
-
-    warnings: list[str] = []
-    sched = LacunarySchedule(cuts)
-    h = sched.block_lengths
-    if np.any(h[1:] < h[:-1]):
-        warnings.append("block lengths are not nondecreasing")
-    if h[-1] < h_floor:
-        warnings.append(f"last block length {int(h[-1])} below floor {h_floor}")
-    if warnings:
-        sched = LacunarySchedule(cuts, warnings=tuple(warnings))
-    return sched
+    return LacunarySchedule(cuts)
 
 
 class MatrixOperator:

@@ -3,9 +3,13 @@
 Each statistic function computes one statistic of one space at one window
 m the direct way: transform the prefix, shift by L, take the window means
 from a fresh cumulative sum, evaluate the family terms and reduce per
-block.  The engine's results must equal these bit for bit, and so must
-`thm34_triangle_bounds`' left side, which the engine computes from a
-constant prefix, equal `triangle_gap_statistic`, the formula it replaced.
+block.  The engine's results must equal these bit for bit.
+
+`thm33_block_bounds` and `thm34_triangle_bounds` are the T33 and T34
+per-block proof bounds, read from engine calls: the tests check that the
+engine's statistics satisfy their inequalities.  T34's left side, the
+engine's strong statistic of a constant prefix, must equal
+`triangle_gap_statistic`, the kernel-over-the-prefix formula, bit for bit.
 
 `window_mean` and `block_average` are the textbook formulas, a plain
 Python sum each, for tests that check the engine up to rounding.
@@ -34,14 +38,17 @@ must give the same echo and the same bytes.
 
 import json
 import math
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
 
 from lacunary import (
+    BlockEngine,
     ConstantFamily,
     CustomFamily,
     ExpMinusOne,
+    Identity,
     IndexPowerFamily,
     IndexScaledFamily,
     LacunarySchedule,
@@ -57,7 +64,7 @@ from lacunary import (
     modular,
     transform_sequence,
 )
-from lacunary.convergence import MODULAR_FLAGS, RAW_FLAGS
+from lacunary.convergence import MODULAR_FLAGS, RAW_FLAGS, STRONG
 from lacunary.config import OMIT, Component
 from lacunary.errors import BracketTooSmall, ConfigError, NoInteriorMinimum, ScaledPrefixOverflow
 from lacunary.orlicz import AmemiyaValue
@@ -162,6 +169,64 @@ def triangle_gap_statistic(
     cuts = p.schedule.cut_points
     sums = np.array([np.add.reduce(terms[a:b]) for a, b in zip(cuts, cuts[1:])])
     return sums / p.schedule.block_lengths.astype(np.float64) ** p.alpha
+
+
+def thm33_block_bounds(x: Sequence, p: SpaceParams, T: float) -> tuple[np.ndarray, np.ndarray]:
+    """T33's upper bound of the summed statistic for uniformly bounded transforms, at every
+    window: (lhs, rhs), each of shape (m_max + 1, R), with
+
+      lhs_{m,r} = strong statistic at order alpha,
+      rhs_{m,r} = max(M(K)**h_inf, M(K)**H_sup) * raw exception density
+                  + (h_r / h_r**alpha) * max(M(eps1)**h_inf, M(eps1)**H_sup),
+
+    K = T / rho and eps1 = eps / rho, for a constant family and constant rho.
+    lhs <= rhs holds in real arithmetic when T dominates |t_{km}(A(x) - L)|
+    for every m <= m_max (e.g. T = max |x_k - L| for the identity matrix)
+    and alpha = 1.  A power past float64 is an honest +inf, and an infinite
+    bound times no exception is 0.
+    """
+    (own,) = BlockEngine([(p, (STRONG, RAW_FLAGS))])(x)
+    h = p.schedule.block_lengths.astype(np.float64)
+    M, rho, s = p.family.function, p.rho.constant, p.exponents
+    density = own[RAW_FLAGS].per_m
+    with np.errstate(over="ignore", invalid="ignore"):
+        big, small = (max(np.power(M(u / rho), s.h_inf), np.power(M(u / rho), s.H_sup))
+                      for u in (T, p.epsilon))
+        rhs = np.where(density > 0, density * big, 0.0) + (h / h**p.alpha) * small
+    return own[STRONG].per_m, rhs
+
+
+def thm34_triangle_bounds(
+    x: Sequence, p: SpaceParams, L1: float, L2: float, rho1: float, rho2: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """T34's modular triangle bound separating two candidate limits, at every window.
+
+    Returns (lhs, rhs), each of shape (m_max + 1, R).  With
+    rho = max(2*rho1, 2*rho2) and D = max(1, 2**(H_sup - 1)), the constant
+    in the power triangle inequality (a+b)**s <= D (a**s + b**s):
+
+      lhs_{m,r} = (1/h_r**alpha) * sum_{k in I_r} (M_k(|L1 - L2| / rho))**s_k
+      rhs_{m,r} = D * strong_{m,r}(L=L1, rho1) + D * strong_{m,r}(L=L2, rho2)
+
+    and lhs <= rhs holds in real arithmetic.  lhs does not depend on m: it
+    is the engine's strong statistic of the constant prefix |L1 - L2| at
+    L = 0, m_max = 0 and that rho.  A ValueError reports an |L1 - L2| that
+    is not finite.
+    """
+    gap = abs(L1 - L2)
+    if not math.isfinite(gap):
+        raise ValueError(f"|L1 - L2| = {gap} is not finite")
+    q = replace(p, L=0.0, m_max=0, rho=RhoSequence(constant=max(2.0 * rho1, 2.0 * rho2)),
+                matrix=Identity())
+    (lhs,) = BlockEngine([(q, (STRONG,))])(Sequence(np.full(p.schedule.last_index, gap)))
+    D = max(1.0, 2.0 ** (p.exponents.H_sup - 1.0))
+    v1, v2 = (  # the spaces of one engine share L, so one engine per candidate limit
+        BlockEngine([(replace(p, L=L, rho=RhoSequence(constant=r)), (STRONG,))])(x)[0][STRONG].per_m
+        for L, r in ((L1, rho1), (L2, rho2))
+    )
+    with np.errstate(over="ignore"):
+        rhs = D * v1 + D * v2
+    return np.broadcast_to(lhs[STRONG].per_m, rhs.shape), rhs
 
 
 def shat_flags(

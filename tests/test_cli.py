@@ -99,6 +99,22 @@ def test_inclusion_outputs_match_golden(tmp_path):
     assert (out / "membership.csv").read_bytes() == (golden / "membership.csv").read_bytes()
 
 
+def test_inclusion_verdicts_honour_the_slope_slack(tmp_path):
+    """The verdict section reaches every inclusion verdict whole, slope_slack included: a
+    corpus of near-zero draws converges, and a negative slack makes the same tails
+    Inconclusive, as it does for classify."""
+    doc = {"command": "inclusion", "theorems": ["T31"], "corpus": {"size": 2, "radius": 1e-9}}
+    decisions = {}
+    for slack in (None, -1.0):
+        out = tmp_path / f"out-{slack}"
+        cfg = write_config(tmp_path, {**doc, "verdict": {"slope_slack": slack}}, f"{slack}.json")
+        assert run_cli(["inclusion", "--config", cfg, "--out", out]) == 0
+        report = read_report(out)
+        assert report["config"]["verdict"]["slope_slack"] == slack
+        decisions[slack] = {row["decision"] for row in report["results"]["verdicts"]}
+    assert decisions == {None: {"ConvergesToZero"}, -1.0: {"Inconclusive"}}
+
+
 def _norms_golden_config(family):
     return {
         "command": "norms",

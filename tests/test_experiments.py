@@ -1,4 +1,4 @@
-"""Constructions, witnesses, the inclusion matrix, and limit uniqueness."""
+"""Constructions, witnesses, the inclusion matrix, and the corpus draws."""
 
 import math
 from dataclasses import replace
@@ -38,7 +38,6 @@ from lacunary import (
     liminf_growth_estimate,
     random_bounded_sequence,
     run_inclusion_matrix,
-    uniqueness_experiment,
 )
 from lacunary import convergence, experiments
 from lacunary.convergence import BUNDLES, CONVERGES, DIVERGES, MODULAR_FLAGS, RAW_FLAGS, STRONG
@@ -222,9 +221,7 @@ class TestBuildThm37:
         assert decisions(x, p) == (CONVERGES, CONVERGES)
 
     def test_non_vanishing_family_is_rejected(self):
-        spec = CounterexampleSpec(
-            theorem="thm37", r_max=5, family=ConstantFamily(Power(2.0)), horizon_cap=1 << 12
-        )
+        spec = CounterexampleSpec(theorem="thm37", r_max=5, family=ConstantFamily(Power(2.0)))
         with pytest.raises(HypothesisUnsatisfiable):
             build_thm37(spec)
 
@@ -509,38 +506,6 @@ class TestGrowthEstimate:
         est = liminf_growth_estimate(IndexScaledFamily(), k_range=range(1, 200))
         assert est.gamma == pytest.approx(1.0 / 199)
         assert est.gamma < 0.01
-
-
-class TestUniqueness:
-    def test_constant_sequence_argmin_at_value(self):
-        s = build_lacunary(Geometric(1, 2, 6))
-        p = _plain_params(s, alpha=1.0, m_max=1)
-        x = Sequence(np.full(s.last_index + 1, 5.0))
-        rep = uniqueness_experiment(x, p, [4.9, 5.0, 5.1])
-        assert rep.argmin_L == 5.0
-        assert rep.status == "UNIQUE"
-        assert rep.passed
-
-    def test_cesaro_alternating_argmin_at_half(self):
-        s = build_lacunary(Geometric(1, 2, 12))
-        p = SpaceParams(
-            family=ConstantFamily(Power(1.0)),
-            schedule=s,
-            alpha=1.0,
-            m_max=1,
-            matrix=CesaroC1(),
-        )
-        vals = np.zeros(s.last_index + 1)
-        vals[1::2] = 1.0
-        rep = uniqueness_experiment(Sequence(vals), p, [0.3, 0.4, 0.5, 0.6, 0.7])
-        assert rep.argmin_L == 0.5
-        assert rep.status == "UNIQUE"
-
-    def test_spike_construction_has_no_limit(self):
-        x, s, p = build_thm38(CounterexampleSpec(theorem="thm38", r_max=8))
-        rep = uniqueness_experiment(x, p, [-1.0, 0.0, 1.0])
-        assert rep.status == "NO_LIMIT"
-        assert min(rep.tail_means) >= 0.9
 
 
 class TestRandomBoundedSequence:

@@ -9,6 +9,17 @@ from pathlib import Path
 import lacunary
 
 
+def _names(node):
+    """Every name `node` reads, takes as an attribute or imports."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
+
+
 def test_every_public_name_resolves_once():
     names = lacunary.__all__
     assert sorted(set(names)) == sorted(names), "a name is listed twice in __all__"
@@ -63,21 +74,37 @@ def test_every_private_helper_has_a_caller():
     package = Path(lacunary.__file__).resolve().parent
     trees = [ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))]
 
-    def names(node):
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Name):
-                yield sub.id
-            elif isinstance(sub, ast.Attribute):
-                yield sub.attr
-            elif isinstance(sub, ast.alias):
-                yield sub.name
-
     statements = [stmt for tree in trees for stmt in tree.body]
     helpers = [stmt for stmt in statements
                if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
                and stmt.name.startswith("_") and not stmt.name.startswith("__")]
-    named = [(stmt, set(names(stmt))) for stmt in statements]
+    named = [(stmt, set(_names(stmt))) for stmt in statements]
     unused = [helper.name for helper in helpers
               if not any(helper.name in found for stmt, found in named if stmt is not helper)]
     assert helpers, "the package defines no private helper"
+    assert unused == []
+
+
+def test_every_public_name_is_used_by_the_package_or_a_release_criterion():
+    """Each name in `__all__` is named by package code other than `__init__.py` and its own
+    definition, or by the release criteria in tests/test_acceptance.py.
+
+    The public library is what the package itself runs: a function that no
+    command reaches and no release criterion checks belongs with the tests
+    (tests/reference.py), not in `__all__`.
+    """
+    package = Path(lacunary.__file__).resolve().parent
+    acceptance = Path(__file__).resolve().parent / "test_acceptance.py"
+
+    def defines(stmt, name):
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            return stmt.name == name
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+        return any(isinstance(t, ast.Name) and t.id == name for t in targets)
+
+    named = [(stmt, set(_names(stmt))) for path in sorted(package.glob("*.py"))
+             if path.name != "__init__.py" for stmt in ast.parse(path.read_text()).body]
+    used = set(_names(ast.parse(acceptance.read_text())))
+    unused = [name for name in lacunary.__all__ if name not in used
+              and not any(name in found for stmt, found in named if not defines(stmt, name))]
     assert unused == []

@@ -12,6 +12,7 @@ from lacunary import (
     Explicit,
     Geometric,
     Identity,
+    LacunarySchedule,
     RowTable,
     Sequence,
     Shift,
@@ -452,6 +453,14 @@ class TestBuildLacunary:
     def test_growth_warnings_are_soft(self):
         s = build_lacunary(Explicit((0, 10, 12)))  # h decreases: warn, not reject
         assert any("nondecreasing" in w for w in s.warnings)
-        s2 = build_lacunary(Explicit((0, 1)), h_floor=2)
+        s2 = build_lacunary(Explicit((0, 1)))
         assert any("floor" in w for w in s2.warnings)
         assert build_lacunary(Geometric(1, 2, 6)).warnings == ()
+
+    def test_a_schedule_built_directly_carries_its_warnings(self):
+        """The warnings come from the cut points, however the schedule is made, and do not
+        take part in equality."""
+        s = LacunarySchedule((0, 10, 12))
+        assert s.warnings == ("block lengths are not nondecreasing",)
+        assert s == build_lacunary(Explicit((0, 10, 12)))
+        assert LacunarySchedule((0, 1, 3, 7)).warnings == ()
