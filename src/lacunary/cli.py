@@ -11,11 +11,12 @@ report.json is written by one streaming encoder in a single walk: it
 rounds each float as it writes it, writes +-inf as "inf"/"-inf", and
 gives the same bytes as `json.dump(..., indent=2, sort_keys=True,
 allow_nan=False)` of the rounded tree, without building that tree or the
-whole text.  A list whose leaves all sit at one depth (a list of numbers,
-a table of pairs) is written 256 items at a time, each chunk with one
-template: its leaves are formatted in bulk, a column of one type at a
-time, and its brackets and indentation come from one template string
-per list length and depth.
+whole text.  Dicts and lists are written item by item.  An echoed array
+of numbers (`Numbers`, the config's one value per number array) is
+written straight from its flat columns, 256 items at a time: each chunk
+is one `%` of a template that holds its brackets and indentation, one
+per row length, with its floats formatted in bulk a column at a time and
+its ints by `%d`.
 
 Exit codes: 0 when all requested computations completed (math PASS/FAIL
 lands in the report), 1 on config or computation errors, 2 under
@@ -31,7 +32,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from importlib import resources
-from itertools import chain, islice
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Iterator, TextIO
@@ -44,6 +45,7 @@ from .config import (
     FAMILY,
     MATRIX,
     RHO,
+    Numbers,
     SCHEDULE,
     SEQUENCE,
     SPACE,
@@ -139,64 +141,57 @@ _SHORT_REPR = re.compile(r"e\+1[2-5]$|e-3(?:0[89]|[12])", re.MULTILINE)
 _WHOLE = re.compile(r"^(-?\d+)$", re.MULTILINE)
 
 
-def _bulk_texts(leaves: list) -> list[str] | None:
-    """The texts of leaves of one exact type, without a Python step per leaf for floats,
-    ints and strings; None when the types are mixed or a float is not finite."""
-    types = set(map(type, leaves))
-    if types == {float}:
-        if not all(map(math.isfinite, leaves)):
-            return None
-        text = "\n".join(["%.12g"] * len(leaves)) % tuple(leaves)  # _float_json in bulk
-        if _SHORT_REPR.search(text):
-            return list(map(float.__repr__, map(float, text.split("\n"))))
-        return _WHOLE.sub(r"\1.0", text).split("\n")
-    if len(types) == 1 and types <= _EXACT.keys():
-        return list(map(_EXACT[types.pop()], leaves))
-    return None
+def _float_texts(values: list[float]) -> list[str]:
+    """`_float_json` of each of `values`, finite floats, without a Python step per float."""
+    if not values:
+        return []
+    text = "\n".join(["%.12g"] * len(values)) % tuple(values)
+    if _SHORT_REPR.search(text):
+        return list(map(float.__repr__, map(float, text.split("\n"))))
+    if text.count(".") < len(values):  # a text without a point may be a whole number
+        text = _WHOLE.sub(r"\1.0", text)
+    return text.split("\n")
 
 
-def _items_text(items: list | tuple, indent: str) -> str | None:
-    """The texts of `items` at `indent`, joined by commas, when all their leaves sit at
-    one depth below them (leaves, lists of leaves, ...); otherwise None.
+def _numbers_texts(array: Numbers, indent: str) -> Iterator[str]:
+    """The items at `indent` of an echoed array, `_CHUNK` at a time, each chunk joined by commas.
 
-    The leaves are formatted in bulk (a column at a time when the innermost
-    lists have one length), and one `%` template holds the brackets and
-    indentation: built bottom-up, one per list length at each depth when
-    the lists below are alike.
+    A chunk is one `%` of a template that holds its brackets and indentation,
+    made from one template per row length: an int is written by `%d`, and
+    the floats of a column are formatted in bulk (`_float_texts`).
     """
-    levels, leaves = [], items  # per depth below the items, the lengths of its lists
-    while leaves and set(map(type, leaves)) <= {list, tuple}:
-        levels.append(list(map(len, leaves)))
-        leaves = list(chain.from_iterable(leaves))
-    width = levels[-1][0] if levels and len(set(levels[-1])) == 1 else 1
-    columns = [_bulk_texts(leaves[j::width]) for j in range(width)]  # no container passes
-    if None in columns:
-        if any(issubclass(t, (dict, list, tuple)) for t in set(map(type, leaves))):
-            return None
-        texts = [_EXACT.get(type(v), _scalar_json)(v) for v in leaves]  # the first bad leaf raises
-    else:
-        texts = [""] * len(leaves)
-        for j, column in enumerate(columns):
-            texts[j::width] = column
-    children = ["%s"] * len(leaves)
-    for depth in range(len(levels) - 1, -1, -1):
-        inner = indent + "  " * (depth + 1)
-        close = "\n" + indent + "  " * depth + "]"
 
-        def wrap(parts: list[str]) -> str:
-            return f"[\n{inner}" + f",\n{inner}".join(parts) + close if parts else "[]"
+    def wrap(parts: list[str], at: str) -> str:  # a list whose brackets sit at indent `at`
+        return f"[\n{at}  " + f",\n{at}  ".join(parts) + f"\n{at}]" if parts else "[]"
 
-        lengths = levels[depth]
-        if len(set(children)) <= 1:  # alike below: one template per length
-            by_length = {n: wrap(children[:1] * n) for n in set(lengths)}
-            children = list(map(by_length.__getitem__, lengths))
+    width = len(array.columns)
+    slots = ["%s" if column.dtype == np.float64 else "%d" for column in array.columns]
+    leaf = slots[0] if width == 1 else wrap(slots, indent + "  " * len(array.lengths))
+    rows = array.lengths[0].tolist() if array.lengths else None
+    starts = list(accumulate(rows, initial=0)) if rows is not None else None  # where each row's leaves start
+    by_length: dict[int, str] = {}
+    for first in range(0, len(array), _CHUNK):
+        last = min(first + _CHUNK, len(array))
+        if rows is None:
+            lo, hi, items = first, last, [leaf] * (last - first)
         else:
-            rest = iter(children)
-            children = [wrap(list(islice(rest, n))) for n in lengths]
-    return f",\n{indent}".join(children) % tuple(texts)
+            lo, hi = starts[first], starts[last]
+            for n in set(rows[first:last]) - by_length.keys():
+                by_length[n] = wrap([leaf] * n, indent)
+            items = list(map(by_length.__getitem__, rows[first:last]))
+        leaves = [None] * ((hi - lo) * width)
+        for j, column in enumerate(array.columns):
+            part = column[lo:hi]
+            if part.dtype != np.float64:
+                leaves[j::width] = part.tolist()
+            elif np.isfinite(part).all():
+                leaves[j::width] = _float_texts(part.tolist())
+            else:
+                leaves[j::width] = list(map(_float_json, part.tolist()))
+        yield f",\n{indent}".join(items) % tuple(leaves)
 
 
-_CHUNK = 256  # items of a list written by one template; a longer list is written chunk by chunk
+_CHUNK = 256  # items of an echoed array written by one template
 _FLUSH_PARTS = 2048  # pieces of text gathered before they are written
 
 
@@ -204,59 +199,52 @@ def _write_json(obj: Any, fh: TextIO) -> None:
     """Write `obj` to `fh` in one walk, as `json.dump(obj, fh, indent=2, sort_keys=True,
     allow_nan=False)` would write `obj` with every float at 12 significant digits.
 
-    Tuples are written as lists.  Text is gathered in pieces and written
-    whenever `_FLUSH_PARTS` have gathered, so a large report is never held
-    whole; a list is written a chunk of items at a time (`_items_text`).
+    Tuples are written as lists, and an echoed array of numbers (`Numbers`)
+    as the nested lists it stands for, a chunk of items at a time.  Text is
+    gathered in pieces and written whenever `_FLUSH_PARTS` have gathered, so
+    a large report is never held whole.
     """
     parts: list[str] = []
     append = parts.append
 
+    def flush(least: int = _FLUSH_PARTS) -> None:
+        if len(parts) >= least:
+            fh.write("".join(parts))
+            parts.clear()
+
     def encode(value: Any, indent: str) -> None:
         text = _EXACT.get(type(value))
+        inner = indent + "  "
         if text is not None:
             append(text(value))
         elif isinstance(value, dict):
-            if not value:
-                append("{}")
-                return
-            inner = indent + "  "
-            comma = ",\n" + inner
             sep = "{\n" + inner
             for key, item in sorted(value.items()):
                 append(f"{sep}{_key_json(key)}: ")
                 encode(item, inner)
-                sep = comma
-                if len(parts) >= _FLUSH_PARTS:
-                    fh.write("".join(parts))
-                    parts.clear()
-            append(f"\n{indent}}}")
+                sep = ",\n" + inner
+                flush()
+            append(f"\n{indent}}}" if value else "{}")
         elif isinstance(value, (list, tuple)):
-            if not value:
-                append("[]")
-                return
-            inner = indent + "  "
-            comma = ",\n" + inner
             sep = "[\n" + inner
-            for start in range(0, len(value), _CHUNK):
-                chunk = value[start : start + _CHUNK]
-                text = _items_text(chunk, inner)
-                if text is not None:
-                    append(sep + text)
-                    sep = comma
-                else:
-                    for item in chunk:
-                        append(sep)
-                        encode(item, inner)
-                        sep = comma
-                if len(parts) >= _FLUSH_PARTS or len(value) > _CHUNK:
-                    fh.write("".join(parts))
-                    parts.clear()
-            append(f"\n{indent}]")
+            for item in value:
+                append(sep)
+                encode(item, inner)
+                sep = ",\n" + inner
+                flush()
+            append(f"\n{indent}]" if value else "[]")
+        elif isinstance(value, Numbers):
+            sep = "[\n" + inner
+            for chunk in _numbers_texts(value, inner):
+                append(sep + chunk)
+                sep = ",\n" + inner
+                flush(1)
+            append(f"\n{indent}]" if len(value) else "[]")
         else:
             append(_scalar_json(value))
 
     encode(obj, "")
-    fh.write("".join(parts))
+    flush(1)
 
 
 def _verdict_dict(v: Verdict) -> dict:
@@ -350,8 +338,8 @@ def cmd_norms(doc: dict, seed: int | None = None) -> ReportBundle:
     if "complementary" in echo:
         comp = echo["complementary"]
         samples = []
-        for k in comp["indices"]:
-            for v in comp["v_values"]:
+        for k in comp["indices"].tolist():
+            for v in comp["v_values"].tolist():
                 c = complementary(family, k, v, u_max=comp["u_max"])
                 samples.append(
                     {"k": k, "v": v, "value": c.value, "at_boundary": c.at_boundary}

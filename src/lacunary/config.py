@@ -25,9 +25,14 @@ else:
     document, so re-running the echo reproduces the run byte for byte
     (timestamp aside).  Numbers are echoed as floats, integers as ints,
     by a normalizer compiled once per field from the tables; an integer
-    past float64 in a number field is a ConfigError;
+    past float64 in a number field is a ConfigError.  A number array is
+    echoed as one read-only `Numbers` value: a flat numpy column per leaf
+    slot and the lengths of its lists, so the echo holds no list of the
+    parsed document and none per element;
   * the library objects: `Component.build` turns an echoed section into
-    its object and reports a rejected value as a ConfigError.
+    its object and reports a rejected value as a ConfigError.  A number
+    array reaches its constructor as its columns: a row table's
+    `(lengths, ks, coefs)`, a sequence's values as one float64 array.
 
 Tables are read top to bottom: `FUNCTION` first, the commands last.
 """
@@ -39,7 +44,7 @@ import json
 import numbers
 import re
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import Any, Callable
 
@@ -247,7 +252,15 @@ def _cast(schema: dict) -> Callable[[Any], Any]:
 
 
 def _build(name: str, value: Any, schema: Any) -> Any:
-    """The library value of field `name`; an item of a list of components is labelled `name[i]`."""
+    """The library value of field `name`; an item of a list of components is labelled `name[i]`.
+
+    An array of numbers is handed over as its echo's one column, or as its list lengths then
+    its columns: `(lengths, ks, coefs)` for a row table.
+    """
+    if isinstance(schema, NumberArray):
+        value = schema.cast()(value)
+        arrays = (*value.lengths, *value.columns)
+        return arrays[0] if len(arrays) == 1 else arrays
     if isinstance(schema, Component):
         return schema.build(value)
     if isinstance(schema, dict) and isinstance(schema.get("items"), Component):
@@ -501,46 +514,57 @@ _EXTREMES = {"minimum": min, "exclusiveMinimum": min, "maximum": max}  # the ext
 
 
 class NumberArray(dict):
-    """The JSON constraint of `depth` nested arrays of numbers: of leaves (`leaf` an integer
-    or number constraint) or of [first, second] pairs (`leaf` a tuple of two).
+    """The JSON constraint of an array (`depth` 1) or an array of arrays (`depth` 2) of
+    numbers: of leaves (`leaf` an integer or number constraint) or of [first, second]
+    pairs (`leaf` a tuple of two).
 
     `scan()` tells whether an array is surely valid without a Python step per element:
     container types, pair lengths and leaf types by `set(map(...))`, bounds by `min`/`max`
     (so only integer leaves take bounds: a NaN would hide from `min`).  Only an exact `int`
     passes an integer slot and an exact `int`/`float` a number slot; anything else (`2.0`
     as an integer, a bool, a numpy scalar) is left to the walk, which gives the verdict
-    and words the error.  `cast()` echoes a valid array with one comprehension.
+    and words the error.  `cast()` echoes a valid array as one `Numbers` value.
     """
 
     def __init__(self, leaf: dict | tuple[dict, dict], depth: int = 1, **constraints: Any):
         self.leaves, self.depth, item = (leaf,), depth, leaf
         if isinstance(leaf, tuple):
             self.leaves, item = leaf, {"type": "array", "prefixItems": list(leaf), "minItems": 2, "maxItems": 2}
-        if any(c["type"] != "integer" and len(c) > 1 for c in self.leaves):
-            raise ValueError(f"only integer leaves of a NumberArray take bounds, not {self.leaves}")
-        for _ in range(depth - 1):
+        if any(c["type"] != "integer" and len(c) > 1 for c in self.leaves) or depth not in (1, 2):
+            raise ValueError(f"a NumberArray is 1 or 2 deep and only its integer leaves take bounds, "
+                             f"not {depth} and {self.leaves}")
+        if depth == 2:
             item = _array(item)
         super().__init__(_array(item, **constraints))
 
+    def _split(self, value: Any) -> tuple[list[list[int]], list[list]] | None:
+        """The lengths of the lists below the top and the leaves of each slot, or None when
+        `value` is not lists of the array's shape."""
+        width, lengths, items = len(self.leaves), [], value
+        if type(value) is not list:
+            return None
+        for level in range(self.depth if width == 2 else self.depth - 1):  # down to the leaves
+            if not set(map(type, items)) <= {list}:
+                return None
+            if level < self.depth - 1:
+                lengths.append(list(map(len, items)))
+            elif not set(map(len, items)) <= {2}:  # the pairs
+                return None
+            items = list(chain.from_iterable(items))
+        return lengths, [items[j::width] for j in range(width)]
+
     def scan(self) -> Callable[[Any], bool]:
-        width, depth, min_items = len(self.leaves), self.depth, self.get("minItems", 0)
-        columns = [
+        min_items = self.get("minItems", 0)
+        checks = [
             (_EXACT_TYPES[c["type"]], [(_EXTREMES[k], _TESTS[k](b)) for k, b in c.items() if k != "type"])
             for c in self.leaves
         ]
 
         def scan(value: Any) -> bool:
-            if type(value) is not list or len(value) < min_items:
+            split = self._split(value)
+            if split is None or len(value) < min_items:
                 return False
-            items = value
-            for level in range(depth if width == 2 else depth - 1):  # down to the leaves
-                if not set(map(type, items)) <= {list}:
-                    return False
-                if level == depth - 1 and not set(map(len, items)) <= {2}:  # the pairs
-                    return False
-                items = list(chain.from_iterable(items))
-            for j, (types, bounds) in enumerate(columns):
-                column = items[j::width]
+            for column, (types, bounds) in zip(split[1], checks):
                 if not set(map(type, column)) <= types:
                     return False
                 if column and any(test(extreme(column)) for extreme, test in bounds):
@@ -549,16 +573,56 @@ class NumberArray(dict):
 
         return scan
 
-    def cast(self) -> Callable[[list], list]:
-        casts = [_cast(c) for c in self.leaves]
-        if len(casts) == 2:
-            first, second = casts
-            cast = lambda value: [[first(a), second(b)] for a, b in value]  # noqa: E731
-        else:
-            cast = lambda value: list(map(casts[0], value))  # noqa: E731
-        for _ in range(self.depth - 1):
-            cast = (lambda inner: lambda value: list(map(inner, value)))(cast)
+    def cast(self) -> Callable[[Any], Numbers]:
+        def cast(value: Any) -> Numbers:
+            if isinstance(value, Numbers):  # the echo of an echo is itself
+                return value
+            lengths, columns = self._split(value)
+            lengths = [np.array(n, dtype=np.int64) for n in lengths]
+            columns = [_column(column, c["type"]) for column, c in zip(columns, self.leaves)]
+            for array in lengths + columns:
+                array.flags.writeable = False
+            return Numbers(tuple(lengths), tuple(columns))
+
         return cast
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class Numbers:
+    """The echo of a valid `NumberArray`: one flat read-only column per leaf slot, row-major
+    (int64 for an integer slot, float64 for a number slot), and, for an array of arrays,
+    the lengths of its lists.  An integer column holding a value past int64 holds Python
+    ints (dtype object), so that the builder that reads it words the error.
+    """
+
+    lengths: tuple[np.ndarray, ...]
+    columns: tuple[np.ndarray, ...]
+
+    def __len__(self) -> int:
+        return len(self.lengths[0]) if self.lengths else len(self.columns[0])
+
+    def tolist(self) -> list:
+        """The array as nested lists of Python numbers, as the report writes it."""
+        lists = [column.tolist() for column in self.columns]
+        items = lists[0] if len(lists) == 1 else list(map(list, zip(*lists)))
+        for lengths in self.lengths:
+            rest = iter(items)
+            items = [list(islice(rest, n)) for n in lengths.tolist()]
+        return items
+
+
+def _column(leaves: list, kind: str) -> np.ndarray:
+    """The leaves of one slot of a valid array as a column: float64 for numbers (past float64,
+    float()'s OverflowError), int64 for integers, or Python ints when one is past int64."""
+    if kind == "number":
+        exact = set(map(type, leaves)) <= {int, float}
+        return np.array(leaves if exact else list(map(float, leaves)), dtype=np.float64)
+    if not set(map(type, leaves)) <= {int}:
+        leaves = list(map(int, leaves))  # 2.0 is an integer too
+    try:
+        return np.array(leaves, dtype=np.int64)
+    except OverflowError:
+        return np.array(leaves, dtype=object)
 
 
 NUMS = NumberArray(NUM, minItems=1)
@@ -574,14 +638,14 @@ FUNCTION = Component("function", {
     "power_over_p": Kind(PowerOverP, p=Field(NUM, 2.0)),
     "exp_minus_one": Kind(ExpMinusOne),
     "linear": Kind(LinearSlope, c=Field(NUM, 1.0)),
-    "table": Kind(lambda knots: Table(tuple(map(tuple, knots))), knots=Field(NumberArray((NUM, NUM)))),
+    "table": Kind(lambda knots: Table(tuple(zip(*knots))), knots=Field(NumberArray((NUM, NUM)))),
 })
 
 FAMILY = Component("family", {
     "constant": Kind(ConstantFamily, function=Field(FUNCTION, {"kind": "power"})),
     "index_scaled": Kind(IndexScaledFamily),
     "index_power": Kind(
-        lambda exponents: IndexPowerFamily(tuple(exponents)), exponents=Field(NUMS)
+        lambda exponents: IndexPowerFamily(tuple(exponents.tolist())), exponents=Field(NUMS)
     ),
     "spike": Kind(
         lambda slopes, default_slope: SpikeFamily(
@@ -602,7 +666,7 @@ SCHEDULE = Component("schedule", {
         Geometric, base=Field(NUM, 1.0), ratio=Field(NUM, 2.0), count=Field(POS_INT, 10)
     ),
     "explicit": Kind(
-        lambda cut_points: Explicit(tuple(cut_points)),
+        lambda cut_points: Explicit(tuple(cut_points.tolist())),
         cut_points=Field(NumberArray(INT, minItems=2)),
     ),
 })
@@ -611,10 +675,7 @@ MATRIX = Component("matrix", {
     "identity": Kind(Identity),
     "cesaro_c1": Kind(CesaroC1),
     "shift": Kind(lambda offset: Shift(offset), offset=Field(INT, 1)),
-    "row_table": Kind(
-        RowTable,
-        rows=Field(NumberArray((INT, NUM), depth=2)),
-    ),
+    "row_table": Kind(lambda rows: RowTable(*rows), rows=Field(NumberArray((INT, NUM), depth=2))),
     "geometric_tail": Kind(geometric_tail, decay=Field(NUM, 0.5), x_bound=Field(NUM, 1.0)),
 })
 
@@ -623,7 +684,7 @@ def _scalars(name: str, cls: type[RhoSequence] | type[ExponentSequence]) -> Comp
     return Component(name, {
         "constant": Kind(lambda value: cls(constant=value), value=Field(NUM, 1.0)),
         "per_index": Kind(
-            lambda values: cls(constant=None, per_index=tuple(values)), values=Field(NUMS)
+            lambda values: cls(constant=None, per_index=tuple(values.tolist())), values=Field(NUMS)
         ),
     })
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
-from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -367,27 +366,33 @@ _INT64_MAX = int(np.iinfo(np.int64).max)  # the largest column index a table sto
 
 @dataclass(frozen=True, eq=False)
 class RowTable(MatrixOperator):
-    """Explicit finite-support rows: rows[n-1] lists (k, a_nk) pairs.
+    """Explicit finite-support rows, given flat: row n has `lengths[n-1]` (k, a_nk) pairs, the
+    pairs of all rows in order in the columns `ks` and `coefs`.
 
     Construction casts and checks the pairs with whole-array operations and
     keeps only the (k - 1, a) arrays `transform` reads: shape (rows,
     widest row), each row sorted as `sorted(row)`.  Padding has k - 1 = -1
     and a = 0.0: `transform` gathers it from a 0.0 appended to x, so a
     padded column adds an exact 0.0 to a row's sum.  A table keeps no copy
-    of `rows`, so tables compare by identity.
+    of its input, so tables compare by identity.
     """
 
-    rows: InitVar[tuple[tuple[tuple[int, float], ...], ...]]
+    lengths: InitVar[np.ndarray]
+    ks: InitVar[np.ndarray]
+    coefs: InitVar[np.ndarray]
     kind = "row_table"
 
-    def __post_init__(self, rows) -> None:
-        pairs = list(chain.from_iterable(rows))
-        lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-        ks, coefs = zip(*pairs, strict=True) if pairs else ((), ())
-        ks = list(map(int, ks))
-        coefs = np.array(coefs, dtype=np.float64)
-        k_ok = not ks or (min(ks) >= 1 and max(ks) <= _INT64_MAX)
-        bad_k = len(ks) if k_ok else next(i for i, k in enumerate(ks) if not 1 <= k <= _INT64_MAX)
+    def __post_init__(self, lengths, ks, coefs) -> None:
+        lengths = np.asarray(lengths, dtype=np.int64)
+        coefs = np.asarray(coefs, dtype=np.float64)
+        if not int(lengths.sum()) == len(ks) == coefs.size:
+            raise ValueError("the rows' lengths, ks and coefs do not count the same pairs")
+        try:
+            ks = np.asarray(ks, dtype=np.int64)
+            bad_k = np.flatnonzero(ks < 1)
+        except OverflowError:  # an index past int64: find the first bad one among the exact integers
+            bad_k = np.flatnonzero([not 1 <= k <= _INT64_MAX for k in ks])
+        bad_k = int(bad_k[0]) if bad_k.size else len(ks)
         bad_a = np.flatnonzero(~np.isfinite(coefs[:bad_k]))
         if bad_k < len(ks) or bad_a.size:  # the first offending pair, as a pass in order finds it
             i = int(bad_a[0]) if bad_a.size else bad_k
@@ -396,7 +401,6 @@ class RowTable(MatrixOperator):
                 raise ValueError(f"row {n}: coefficient at k={k} not finite")
             raise ValueError(f"row {n}: column index {k} " + ("< 1" if k < 1 else "is past int64"))
 
-        ks = np.array(ks, dtype=np.int64)
         at = np.repeat(np.arange(lengths.size), lengths)
         order = np.lexsort((coefs, ks, at))  # by row, then as sorted() orders (k, a) pairs
         pos = np.arange(ks.size) - (np.cumsum(lengths) - lengths)[at]

@@ -56,6 +56,7 @@ from lacunary import (
     Power,
     PowerOverP,
     RhoSequence,
+    RowTable,
     ScaledPower,
     Sequence,
     SpaceParams,
@@ -68,6 +69,12 @@ from lacunary.convergence import MODULAR_FLAGS, RAW_FLAGS, STRONG
 from lacunary.config import OMIT, Component
 from lacunary.errors import BracketTooSmall, ConfigError, NoInteriorMinimum, ScaledPrefixOverflow
 from lacunary.orlicz import AmemiyaValue
+
+
+def row_table(rows) -> RowTable:
+    """The RowTable of `rows` given row by row: rows[n-1] lists the (k, a_nk) pairs of row n."""
+    pairs = [pair for row in rows for pair in row]
+    return RowTable([len(row) for row in rows], [k for k, _ in pairs], [a for _, a in pairs])
 
 
 def window_mean(values, m: int, n: int) -> float:

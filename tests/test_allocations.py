@@ -6,6 +6,7 @@ tracemalloc traces numpy's data allocations, so an extra prefix-sized copy
 shows up here as a peak above its budget, in units of one prefix of float64.
 """
 
+import gc
 import json
 import tracemalloc
 from dataclasses import replace
@@ -30,6 +31,7 @@ from lacunary import (
     random_bounded_sequence,
 )
 from lacunary.cli import main
+from lacunary.config import MATRIX, materialize, validate_config
 from lacunary.convergence import BUNDLES, MODULAR_FLAGS, RAW_FLAGS, STRONG
 from lacunary import convergence
 from lacunary.sequences import transform_sequence
@@ -285,3 +287,30 @@ def test_warm_long_classify_holds_one_prefix(tmp_path):
     assert code == 0
     # y, its cumulative sum or a draw buffer of the prefix's length would each add a prefix
     assert peak <= 1.6 * LONG_PREFIX, f"peak {peak / LONG_PREFIX:.2f} prefixes"
+
+
+def test_echo_of_a_long_table_holds_no_object_per_row():
+    """Validated, echoed and built, a 20 000-row table leaves a fixed number of gc-tracked
+    objects alive once its parsed document is dropped: the echo holds flat columns and
+    the table its arrays, never a list per row or pair."""
+
+    def echo_and_build(rows):
+        table = [[[n, 0.5], [n + 1, 1]] for n in range(1, rows + 1)]
+        doc = json.loads(json.dumps({
+            "command": "classify",
+            "sequence": {"kind": "explicit", "values": [0.5] * (rows + 1)},
+            "family": {"kind": "index_scaled"},
+            "schedule": {"kind": "geometric"},
+            "matrix": {"kind": "row_table", "rows": table},
+        }))
+        validate_config(doc, "classify")
+        echo = materialize(doc, "classify")
+        return echo, MATRIX.build(echo["matrix"])
+
+    echo_and_build(10)  # the checks and echoes of the tables are compiled on first use
+    gc.collect()
+    before = len(gc.get_objects())
+    kept = echo_and_build(20_000)
+    gc.collect()
+    alive = len(gc.get_objects()) - before
+    assert kept and alive <= 200, f"{alive} gc-tracked objects alive"

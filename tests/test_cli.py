@@ -4,7 +4,10 @@ import copy
 import io
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -15,12 +18,12 @@ import numpy as np
 import pytest
 import reference
 from hypothesis import given, settings, strategies as st
-from test_config import COMMAND_COMPONENTS, _slots, documents
+from test_config import COMMAND_COMPONENTS, _slots, documents, plain
 
 from lacunary import ConstantFamily, Power, cli, complementary
 from lacunary.cli import ReportBundle, main
 from lacunary.convergence import MODULAR_FLAGS, STRONG
-from lacunary.config import CLASSIFY_CONSTRUCTION, COMMANDS, _command_component, materialize
+from lacunary.config import CLASSIFY, CLASSIFY_CONSTRUCTION, COMMANDS, _command_component, materialize
 from lacunary.errors import ConfigError
 
 
@@ -712,6 +715,59 @@ class TestErrorBoundary:
         )
 
 
+EDGE_CLASSIFY = {
+    "command": "classify",
+    "sequence": {"kind": "explicit", "values": [0.5] * 8},
+    "family": {"kind": "constant"},
+    "schedule": {"kind": "explicit", "cut_points": [0, 2, 4]},
+    "space": {"m_max": 0},
+}
+
+
+def _edge(section, value, **fields):
+    return {**EDGE_CLASSIFY, section: {**EDGE_CLASSIFY.get(section, {}), **value}, **fields}
+
+
+def _rows(first_row):
+    return {"kind": "row_table", "rows": [first_row] + [[[1, 1.0]]] * 4}
+
+
+TOO_BIG = "int too large to convert to float"
+# the edges of the number arrays (integers past int64, past float64), each with its exit code
+# and the last line on stderr
+ARRAY_EDGES = {
+    "cut-points-2**63": (_edge("schedule", {"cut_points": [0, 2, 2**63]}), 1,
+                         "error: the last cut point is past the largest array index 2**63 - 1"),
+    "cut-points-2**64": (_edge("schedule", {"cut_points": [0, 2, 2**64]}), 1,
+                         "error: the last cut point is past the largest array index 2**63 - 1"),
+    "row-k-2**63-1": (_edge("matrix", _rows([[2**63 - 1, 1.0]])), 1,
+                      "error: at output index n=1: row 1 has support at k=9223372036854775807, horizon is 8"),
+    "row-k-2**64": (_edge("matrix", _rows([[2**64, 1.0]])), 1,
+                    "config error: matrix: row 1: column index 18446744073709551616 is past int64"),
+    "row-coefficient-10**400": (_edge("matrix", _rows([[1, 10**400]])), 1, f"config error: matrix.rows: {TOO_BIG}"),
+    "explicit-values-10**400": (_edge("sequence", {"values": [0.5] * 7 + [10**400]}), 1,
+                                f"config error: sequence.values: {TOO_BIG}"),
+    "per-index-rho-10**400": (
+        _edge("space", {"rho": {"kind": "per_index", "values": [1.0] * 7 + [10**400]}}), 1,
+        f"config error: rho.values: {TOO_BIG}"),
+    "index-power-exponents-10**400": (_edge("family", {"kind": "index_power", "exponents": [2.0, 10**400]}), 1,
+                                      f"config error: family.exponents: {TOO_BIG}"),
+    "table-knots-10**400": (
+        _edge("family", {"function": {"kind": "table", "knots": [[0, 0], [1, 10**400]]}}), 1,
+        f"config error: function.knots: {TOO_BIG}"),
+    "all-empty-rows": (_edge("matrix", {"kind": "row_table", "rows": [[]] * 5}), 0, ""),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_EDGES)
+def test_number_array_edge_ends_as_pinned(tmp_path, capsys, name):
+    """Integers past int64 or float64 in an array end in the exit code and message they always had."""
+    doc, code, last_line = ARRAY_EDGES[name]
+    cfg = write_config(tmp_path, doc)
+    assert run_cli(["classify", "--config", cfg, "--out", tmp_path / "out"]) == code
+    assert (capsys.readouterr().err.splitlines() or [""])[-1] == last_line
+
+
 NON_FINITE_DOCS = {
     "norms": {"command": "norms", "sequence": {"kind": "explicit", "values": [1.0, 2.0]},
               "family": {"kind": "constant", "function": {"kind": "power", "p": 2.0}},
@@ -976,10 +1032,23 @@ def test_writer_raises_as_the_reference_encoder(tree, error):
         written(tree)
 
 
-def test_large_row_table_report_matches_reference_encoder(tmp_path):
-    """A 4096-row table echo (cli-mix shape), written in many pieces, has the reference's bytes."""
-    rows = 4096
-    doc = {
+def assert_report_is_the_reference(out, doc):
+    """`classify`'s report.json in `out` has the bytes the reference encoder gives the interpreted
+    echo of `doc` with the results of the same run in-process (timestamp aside)."""
+    doc = json.loads(json.dumps(doc))
+    bundle = cli.cmd_classify(copy.deepcopy(doc))
+    tree = {"tool": "lacunary", "version": cli.__version__, "timestamp": "",
+            "config": reference.materialize(CLASSIFY, doc), "results": bundle.results, "checks": bundle.checks}
+    text = reference.encode_report(tree) + "\n"
+    expected = b"".join(
+        ln for ln in text.encode().splitlines(keepends=True) if not ln.startswith(b'  "timestamp": ')
+    )
+    assert report_bytes_without_timestamp(out) == expected
+
+
+def long_table_doc(rows):
+    """A classify of a `rows`-row table of the cli-mix shape."""
+    return {
         "command": "classify",
         "sequence": {"kind": "random_bounded", "horizon": rows + 1, "radius": 0.3,
                      "exception_density": 0.001, "seed": 5},
@@ -988,15 +1057,73 @@ def test_large_row_table_report_matches_reference_encoder(tmp_path):
         "matrix": {"kind": "row_table", "rows": [[[n, 0.5], [n + 1, 0.5]] for n in range(1, rows + 1)]},
         "space": {"m_max": 0},
     }
+
+
+def test_large_row_table_report_matches_reference_encoder(tmp_path):
+    """A 4096-row table echo (cli-mix shape), written in many pieces, has the reference's bytes."""
+    doc = long_table_doc(4096)
     assert run_cli(["classify", "--config", write_config(tmp_path, doc), "--out", tmp_path]) == 0
-    bundle = cli.cmd_classify(json.loads(json.dumps(doc)))
-    tree = {"tool": "lacunary", "version": cli.__version__, "timestamp": "",
-            "config": bundle.config, "results": bundle.results, "checks": bundle.checks}
-    text = reference.encode_report(tree) + "\n"
-    expected = b"".join(
-        ln for ln in text.encode().splitlines(keepends=True) if not ln.startswith(b'  "timestamp": ')
-    )
-    assert report_bytes_without_timestamp(tmp_path) == expected
+    assert_report_is_the_reference(tmp_path, doc)
+
+
+# coefficients whose echo takes each branch of the bulk float text: ints in a number slot,
+# a signed zero, a subnormal, the exponents that repr writes in full, int64's extremes
+ECHO_COEFFICIENTS = (
+    st.sampled_from([1, -3, 0, -0.0, 5e-324, -5e-324, 0.1, 1e12, 1e16, 2**63 - 1, -(2**63 - 1)])
+    | st.floats(1e12, 1e16) | st.floats(-1e16, -1e12) | st.floats(-2.0, 2.0) | st.integers(-(2**53), 2**53)
+)
+RAGGED_HORIZON = 40
+
+
+@given(rows=st.lists(
+    st.lists(st.tuples(st.integers(1, RAGGED_HORIZON), ECHO_COEFFICIENTS).map(list), max_size=3),
+    min_size=8, max_size=300,
+))
+@settings(max_examples=25, deadline=None)
+def test_ragged_row_table_report_matches_reference_encoder(rows):
+    """Rows of 0 to 3 pairs, longer and shorter than a chunk, echo as the reference writes them."""
+    doc = {
+        "command": "classify",
+        "sequence": {"kind": "random_bounded", "horizon": RAGGED_HORIZON, "seed": 3},
+        "family": {"kind": "constant", "function": {"kind": "linear"}},
+        "schedule": {"kind": "geometric", "count": 3},  # k_R = 8 rows read
+        "matrix": {"kind": "row_table", "rows": rows},
+        "space": {"m_max": 0},
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        assert run_cli(["classify", "--config", write_config(out, doc), "--out", out]) == 0
+        assert_report_is_the_reference(out, doc)
+
+
+def test_long_explicit_sequence_report_matches_reference_encoder(tmp_path):
+    """A 2**17-value explicit sequence, with ints and float edge cases among its values."""
+    rng = np.random.default_rng(17)
+    values = rng.uniform(-1.0, 1.0, 2**17).tolist()
+    for i, v in enumerate([1, -2, 0, -0.0, 5e-324, 1e12, 123456789012345.6, 1e16, 2**63 - 1, -(2**63 - 1)]):
+        values[1000 * i + 7] = v
+    doc = {
+        "command": "classify",
+        "sequence": {"kind": "explicit", "values": values},
+        "family": {"kind": "constant", "function": {"kind": "linear"}},
+        "schedule": {"kind": "geometric", "count": 16},
+        "space": {"m_max": 0},
+    }
+    assert run_cli(["classify", "--config", write_config(tmp_path, doc), "--out", tmp_path]) == 0
+    assert_report_is_the_reference(tmp_path, doc)
+
+
+@pytest.mark.big_config
+def test_fresh_classify_of_a_100k_row_table_matches_reference_encoder(tmp_path):
+    """`lacunary classify` in a new process over a 100 000-row table writes the reference's bytes."""
+    doc = long_table_doc(100_000)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["classify", "--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path)]
+    code = "import sys, lacunary.cli; sys.exit(lacunary.cli.main(sys.argv[1:]))"
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert_report_is_the_reference(tmp_path, doc)
 
 
 # ---------------------------------------------------------------------------
@@ -1178,4 +1305,4 @@ def test_compiled_echo_matches_the_interpreted_echo(case, seed, data):
         with pytest.raises(ConfigError):
             materialize(doc, command, seed)
         return
-    assert repr(materialize(doc, command, seed)) == repr(expected)
+    assert repr(plain(materialize(doc, command, seed))) == repr(expected)

@@ -24,7 +24,6 @@ from lacunary import (
     LinearSlope,
     Power,
     RhoSequence,
-    RowTable,
     Sequence,
     Shift,
     SpaceParams,
@@ -42,7 +41,7 @@ from lacunary import (
 from lacunary import convergence, experiments
 from lacunary.convergence import BUNDLES, CONVERGES, DIVERGES, MODULAR_FLAGS, RAW_FLAGS, STRONG
 from lacunary.errors import HypothesisUnsatisfiable
-from reference import whole_draw_bounded_sequence
+from reference import row_table, whole_draw_bounded_sequence
 
 
 @pytest.mark.parametrize("horizon", [1, 7, 2**15, 2**15 + 1, 3 * 2**15 - 5])
@@ -127,7 +126,7 @@ class TestDrawnPrefix:
             np.random.default_rng(seed), horizon, center, radius, density, scale))
         matrix = data.draw(st.sampled_from([
             Identity(), CesaroC1(), Shift(d=2),
-            RowTable(tuple(((n, 0.5), (n + 1, 0.5)) for n in range(1, out_len + 1))),
+            row_table(tuple(((n, 0.5), (n + 1, 0.5)) for n in range(1, out_len + 1))),
             geometric_tail(0.5, x_bound=5.0),  # |x| <= |center| + scale * radius <= 5
         ]), label="matrix")
         family = data.draw(st.sampled_from([

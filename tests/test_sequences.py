@@ -13,7 +13,6 @@ from lacunary import (
     Geometric,
     Identity,
     LacunarySchedule,
-    RowTable,
     Sequence,
     Shift,
     build_lacunary,
@@ -29,7 +28,7 @@ from lacunary.errors import (
     SupportExceedsHorizon,
     TailBoundUnsatisfiable,
 )
-from reference import window_mean
+from reference import row_table, window_mean
 
 
 class TestWindowMean:
@@ -264,7 +263,7 @@ class TestTransformAgainstRowByRow:
             rows.append(list(zip(cols.tolist(), rng.uniform(-2, 2, width).tolist())))
         if planted:  # one column past the horizon
             rows[int(rng.integers(0, len(rows)))].append((x.size + 1, 1.0))
-        A = RowTable(rows)
+        A = row_table(rows)
         self.check(A, row_table_row(rows), x, out_len)
 
     @given(rows=st.lists(st.lists(st.tuples(COLUMNS, COEFFICIENTS), max_size=3), max_size=8))
@@ -273,10 +272,10 @@ class TestTransformAgainstRowByRow:
         """The whole-array checks name the pair a pass over the pairs in order meets first."""
         expected = first_offending_pair(rows)
         if expected is None:
-            RowTable(rows)
+            row_table(rows)
         else:
             with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
-                RowTable(rows)
+                row_table(rows)
 
     @given(data=prefixes())
     @settings(max_examples=40, deadline=None)
@@ -327,7 +326,7 @@ class TestApplyMatrix:
             transform_sequence(Shift(1), x, 3)
 
     def test_row_table(self):
-        A = RowTable((((1, 0.5), (3, 0.5)),))
+        A = row_table((((1, 0.5), (3, 0.5)),))
         x = Sequence(np.array([2.0, 100.0, 4.0]))
         assert transform_sequence(A, x, 1).values[-1] == 3.0
         with pytest.raises(SupportExceedsHorizon):
@@ -388,8 +387,8 @@ class TestTransformSequence:
         "A,n",
         [
             (CesaroC1(), 2),
-            (RowTable((((1, 1.0), (2, 1.0)),) * 3), 1),
-            (RowTable((((1, 1.0),), ((1, 1.0), (2, -1.0)), ((1, 10.0), (3, -10.0)))), 3),
+            (row_table((((1, 1.0), (2, 1.0)),) * 3), 1),
+            (row_table((((1, 1.0),), ((1, 1.0), (2, -1.0)), ((1, 10.0), (3, -10.0)))), 3),
         ],
     )
     def test_overflowing_row_is_an_error_naming_it(self, A, n):
