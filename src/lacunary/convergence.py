@@ -50,7 +50,6 @@ from .orlicz import (
     MusielakOrliczFamily,
     RhoSequence,
     power_in_place,
-    values_per_tile,
 )
 from .sequences import (
     Identity,
@@ -267,27 +266,43 @@ class _TermGroup:
     `strong` and `modular` say whether some space of the group reads STRONG
     or MODULAR_FLAGS.  A plain group (M(u) = u, rho 1, exponents 1) has no
     formula: its terms are the deviations, as 1.0 * u is u bit for bit.
+    Any other group binds its formula to each tile in `gather`.
     """
 
-    def __init__(self, p: SpaceParams, plan: _TilePlan, strong: bool, modular: bool) -> None:
+    def __init__(self, p: SpaceParams, width: int, strong: bool, modular: bool) -> None:
         self.strong = strong
         self.plain = p.family == _PLAIN and p.rho.constant == 1.0 and p.exponents.is_identically_one
-        self.rho = self.exps = self.formulas = None  # x / 1.0 == x, x**1 == x; plain: M(x) == x
+        self.family = p.family
+        self.formula = None  # the formula of the tile `gather` last bound
+        # rho_k and s_k, None where x / 1.0 == x and x**1 == x: a constant is set here once,
+        # a per-index sequence (`_rho`, `_exps`) is read by `gather` for each tile
+        self.rho = self.exps = self._rho = self._exps = None
         if not self.plain:
-            bounds = [(a, b) for a, b, _, _ in plan.tiles]
-            if p.rho.constant is None:
-                self.rho = values_per_tile(p.rho.per_index, bounds)
-            elif p.rho.constant != 1.0:
-                self.rho = [p.rho.constant] * len(bounds)
-            if not p.exponents.is_identically_one:
-                exps = p.exponents
-                self.exps = values_per_tile(exps.per_index or (exps.constant,), bounds)
-            self.formulas = p.family._bind_tiles(bounds)
+            rho, exps = p.rho, p.exponents
+            if rho.constant is None:
+                self._rho = rho
+            elif rho.constant != 1.0:
+                self.rho = rho.constant
+            if exps.constant is None:
+                self._exps = None if exps.is_identically_one else exps
+            elif exps.constant != 1.0:
+                # contiguous: as an exponent, a stride-0 broadcast would make numpy's power
+                # take its scalar shortcuts (square for 2, sqrt for 0.5), which change the bits
+                self.exps = np.full(width, exps.constant)
         self.terms = None  # the deviations' storage, unless the engine gives a workspace
-        self.flags = np.empty(plan.width, dtype=bool) if modular else None
+        self.flags = np.empty(width, dtype=bool) if modular else None
 
-    def tile(self, t: int, dev: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray | None]:
-        """The terms, and the modular flags if read, of tile t from its deviations `dev`.
+    def gather(self, a: int, ks: np.ndarray) -> None:
+        """Bind the formula, and read the per-index rho_k and s_k, for the tile's indices
+        ks = a+1..b."""
+        self.formula = self.family._bind(ks)
+        if self._rho is not None:
+            self.rho = self._rho.array(a + 1, a + ks.size)
+        if self._exps is not None:
+            self.exps = self._exps.array(a + 1, a + ks.size)
+
+    def tile(self, dev: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray | None]:
+        """The terms, and the modular flags if read, of the bound tile from its deviations `dev`.
 
         A plain group's terms are `dev` itself.  Otherwise the formula runs in
         place on the tile's terms, which first hold the quotient dev / rho, or
@@ -298,12 +313,12 @@ class _TermGroup:
         terms = dev if self.terms is None else self.terms[:n]
         if not self.plain:
             if self.rho is not None:
-                np.divide(dev, self.rho[t], out=terms)
+                np.divide(dev, self.rho, out=terms)
             elif terms is not dev:
                 np.copyto(terms, dev)
-            self.formulas[t](terms)
+            self.formula(terms)
             if self.exps is not None:
-                power_in_place(terms, self.exps[t])
+                power_in_place(terms, self.exps[:n])
         if self.flags is None:
             return terms, None
         flags = self.flags[:n]
@@ -346,40 +361,43 @@ class BlockEngine:
     So each per-m trajectory is bitwise identical to that reference,
     whatever the tile size and whatever the other pairs read.
 
-    The terms are the family's in-place formula (`family._bind_tiles`,
-    bound to each tile once), run on the terms workspace without `bind`'s
-    argument check: the argument is u = |t_{km}| / rho_k, and rho_k > 0 is
-    finite (`RhoSequence`), so u >= 0 or NaN, and the check passes NaN.
-    The formula runs inside the engine's own errstate, which ignores
-    overflow as `bind` does.  The plain-average space, M(u) = u with rho 1
-    and exponents 1, reads the deviations in place: no formula, no copy.
-    Its group runs first, and the last group to run writes its terms over
-    the deviations.
+    The terms are the family's in-place formula, bound by `family._bind`
+    to each tile's indices when the call reaches the tile, and run on the
+    terms workspace without `bind`'s argument check: the argument is
+    u = |t_{km}| / rho_k, and rho_k > 0 is finite (`RhoSequence`), so
+    u >= 0 or NaN, and the check passes NaN.  The formula runs inside the
+    engine's own errstate, which ignores overflow as `bind` does.  The
+    plain-average space, M(u) = u with rho 1 and exponents 1, reads the
+    deviations in place: no formula, no copy.  Its group runs first, and
+    the last group to run writes its terms over the deviations.
 
     Memory: the engine holds no array of the prefix's length, and for
     Identity it reads x one tile at a time: a drawn prefix
     (`random_bounded_sequence`) is drawn tile by tile into the workspace and
     never as a whole, so the call holds O(tile) memory at any k_R.  Its first
-    call, once the transform has succeeded, builds the tile plan, binds
-    each read group's family to each tile, but the plain one's, and makes
+    call, once the transform has succeeded, builds the tile plan and makes
     the tile workspaces: the cumulative sum of y, of the widest tile plus
-    m_max + 1, the deviations, the raw flags if a space reads RAW_FLAGS, a
-    terms workspace for each group with a formula but the last to run, and
-    a modular-flag workspace for each group read for MODULAR_FLAGS, all a
-    tile wide.  Per-index data is held per tile: the exponents of
-    `index_power` and of the exponent sequence, which the tiles past the
-    listed exponents share as one tile-wide array, and a per-index rho,
-    which lists every index.  The `index_scaled`, `spike` and `custom`
-    formulas keep their per-index data per tile too, as long as the prefix
-    over all tiles.  Each call then fills (m_max + 1) x leaves sums and
-    counts, and returns each bundle as one (m_max + 1) x R array and its
-    sup, read-only, which never alias the workspaces.  It allocates nothing
-    of prefix size beyond the transform's output (for Identity a prefix of
-    x that nothing reads whole), and the formulas run in place, so the
-    tiles make no temporaries, except a drawn tile's exception flags and
-    positions, and the tile-sized ones the formulas of the `table` and
-    `custom` kinds build.  Because the workspaces are shared, an engine serves
-    one caller at a time.
+    m_max + 1, the deviations, the raw flags if a space reads RAW_FLAGS,
+    the tile's indices k if a group has a formula, a terms workspace for
+    each group with a formula but the last to run, a modular-flag
+    workspace for each group read for MODULAR_FLAGS, and the exponents of
+    a constant exponent sequence other than 1, all a tile wide.  Each call
+    then gathers, before a tile's m-loop and for each group with a
+    formula, the tile's per-index data: the formula's (the exponents of
+    `index_power`, the slopes of `spike`, the member positions of
+    `custom`, the indices of `index_scaled`; none for a constant family),
+    and a per-index rho_k and s_k; a constant rho stays a scalar.  So the
+    per-index data is a tile wide at any k_R, and a constant-family engine
+    with constant rho and exponents allocates none of it per call.  Each
+    call fills (m_max + 1) x leaves sums and counts, and returns each
+    bundle as one (m_max + 1) x R array and its sup, read-only, which never
+    alias the workspaces.  It allocates nothing of prefix size beyond the
+    transform's output (for Identity a prefix of x that nothing reads
+    whole), and the formulas run in place, so the m-loop makes no
+    temporaries, except a drawn tile's exception flags and positions, and
+    the tile-sized ones the formulas of the `table` and `custom` kinds
+    build.  Because the workspaces are shared, an engine serves one caller
+    at a time.
 
     Overflow is an honest +inf.  A NaN block sum of a group read for STRONG
     (a window sum inf - inf, for one) raises NonFiniteStatistic naming the
@@ -415,24 +433,27 @@ class BlockEngine:
         self._plan: _TilePlan | None = None  # the plan and the workspaces, made by the first call
 
     def _allocate(self) -> None:
-        """Plan the tiles, bind the families to them and make the workspaces, once for the engine.
+        """Plan the tiles and make the workspaces, once for the engine.
 
         The first call does this after its transform has succeeded, so a
         prefix shorter than the schedule fails as it would without the
-        engine, before the families are bound.
+        engine.
         """
         p = self.reads[0][0]
         plan = _TilePlan(p.schedule.cut_points, _TILE)
         self._c = np.empty(plan.width + p.m_max + 1)  # c[1:] is y, then c its cumulative sum
         self._dev = np.empty(plan.width)
         self._raw_flags = np.empty(plan.width, dtype=bool) if self._raw else None
-        groups = [_TermGroup(q, plan, STRONG in read, MODULAR_FLAGS in read)
+        groups = [_TermGroup(q, plan.width, STRONG in read, MODULAR_FLAGS in read)
                   for q, read in self._leaders]
         # the plain groups read the deviations, so they run first; the last group overwrites them
         self._order = sorted(range(len(groups)), key=lambda g: not groups[g].plain)
         for g in self._order[:-1]:
             if not groups[g].plain:
                 groups[g].terms = np.empty(plan.width)
+        self._bound = [group for group in groups if not group.plain]
+        # the indices k = a+1..a+width of the tile at a; shifted in place from tile to tile
+        self._ks = np.arange(1, plan.width + 1) if self._bound else None
         self._groups, self._plan = groups, plan
 
     def __call__(self, x: Sequence) -> list[dict[str, UniformTrajectories]]:
@@ -449,7 +470,7 @@ class BlockEngine:
                   for group in groups]
         carry = 0.0
         with np.errstate(over="ignore", invalid="ignore"):
-            for t, (a, b, leaves, pieces) in enumerate(plan.tiles):
+            for a, b, leaves, pieces in plan.tiles:
                 n = b - a
                 c, dev = self._c[: n + m_max + 1], self._dev[:n]
                 np.subtract(z.read(a, b + m_max, out=c[1:]), p.L, out=c[1:])
@@ -462,6 +483,11 @@ class BlockEngine:
                         np.cumsum(c[1:], out=c[1:])
                         c[0] = 0.0
                     carry = c[n]
+                if self._bound:
+                    ks = self._ks
+                    ks += a + 1 - ks[0]
+                    for group in self._bound:
+                        group.gather(a, ks[:n])
                 for m in range(m_max + 1):
                     if m:
                         np.subtract(c[m + 1 : n + m + 1], c[:n], out=dev)
@@ -475,7 +501,7 @@ class BlockEngine:
                         np.greater_equal(dev, epsilon, out=flags)
                         raw_counts[m, leaves] = [np.count_nonzero(flags[s]) for s in pieces]
                     for g in order:
-                        terms, flags = groups[g].tile(t, dev, epsilon)
+                        terms, flags = groups[g].tile(dev, epsilon)
                         if sums[g] is not None:
                             sums[g][m, leaves] = [np.add.reduce(terms[s]) for s in pieces]
                         if flags is not None:

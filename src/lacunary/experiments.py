@@ -153,7 +153,7 @@ def build_thm37(spec: CounterexampleSpec) -> tuple[Sequence, LacunarySchedule, S
     u = spec.nu / spec.rho
 
     def tail_value(k: int) -> float:
-        return family.member(k)(u)
+        return float(family.bind([k])([u])[0])
 
     # cut points: smallest n_r keeping block lengths nondecreasing with
     # tail_value(n_r + 1) < 2**-r; one extra phantom cut for window lookahead
@@ -271,8 +271,9 @@ def build_thm38(spec: CounterexampleSpec) -> tuple[Sequence, LacunarySchedule, S
         family: MusielakOrliczFamily = SpikeFamily(slopes=slopes, default_slope=1.0)
     else:
         family = spec.family
+    at_spikes = family.bind(spikes)(np.array(nus) / spec.rho)
     for r in range(R):
-        got = family.member(spikes[r])(nus[r] / spec.rho)
+        got = float(at_spikes[r])
         if not got >= h_alpha[r] * (1.0 - 1e-12):
             raise HypothesisUnsatisfiable(
                 f"M_(n_{r + 1})(nu_{r + 1}/rho) = {got} < h_{r + 1}**alpha = {h_alpha[r]}"
@@ -373,22 +374,24 @@ class GrowthEstimate:
     bounded_away: bool
 
 
+_GROWTH_NUS = np.geomspace(1.0, 1e3, 13)  # the nu-grid of the growth estimate
+_GROWTH_NUS.flags.writeable = False
+_GROWTH_FLOOR = 1e-9  # an estimate above it is bounded away from 0
+
+
 def liminf_growth_estimate(
     family: MusielakOrliczFamily,
     rho: RhoSequence = RhoSequence(),
-    nu_grid: np.ndarray | None = None,
     k_range: Iterable[int] = range(1, 65),
-    floor: float = 1e-9,
 ) -> GrowthEstimate:
     """Estimate inf_k M_k(nu/rho_k)/(nu/rho_k) over a nu-grid.
 
     Evidence, not proof: the estimate is the min over the sampled (nu, k)
-    rectangle, and `bounded_away` reports whether it clears `floor`.
+    rectangle, and `bounded_away` reports whether it clears `_GROWTH_FLOOR`.
     Indices past a per-index rho and samples whose nu/rho_k overflows
     float64 are left out; EmptyAdmissibleSet reports a rectangle with no
     sample left.
     """
-    nus = np.geomspace(1.0, 1e3, 13) if nu_grid is None else np.asarray(nu_grid, float)
     defined = math.inf if rho.per_index is None else len(rho.per_index)
     ks = [int(k) for k in k_range if k <= defined]
     gamma = math.inf
@@ -396,7 +399,7 @@ def liminf_growth_estimate(
     for k in ks:
         r = rho.at(k)
         with np.errstate(over="ignore"):
-            us = nus / r
+            us = _GROWTH_NUS / r
         us = us[np.isfinite(us)]
         if us.size:
             sampled = True
@@ -406,9 +409,9 @@ def liminf_growth_estimate(
         raise EmptyAdmissibleSet("no sampled (k, nu) has rho_k defined and nu / rho_k finite")
     return GrowthEstimate(
         gamma=gamma,
-        nu_range=(float(nus[0]), float(nus[-1])),
+        nu_range=(float(_GROWTH_NUS[0]), float(_GROWTH_NUS[-1])),
         k_range=(ks[0], ks[-1]),
-        bounded_away=gamma > floor,
+        bounded_away=gamma > _GROWTH_FLOOR,
     )
 
 

@@ -14,18 +14,20 @@ and the two norms computed here, both by one `PrefixNorms(family, x)`, are
 Kernel contract: each function kind has exactly one array formula, an
 in-place one (`_formula(out)` overwrites out with M(out)), run by
 `eval_many`; the scalar `M(u)` is its one-element case, so both give the
-same bits.  A family is evaluated through `family.bind(ks)`, which gathers
-the per-index data (exponents, slopes, member groups) once and returns a
-kernel `us -> M_{ks}(us)` for any number of argument arrays;
-`family.member(k)(u)` has the bits of `family.bind([k])([u])[0]`.  Like a
+same bits.  A family kind has one hook, `_bind(ks)`, its in-place array
+formula with the per-index data (exponents, slopes, member groups) of the
+indices `ks` gathered.  `family.bind(ks)` is that hook behind the argument
+check: it returns a kernel `us -> M_{ks}(us)` for any number of argument
+arrays, and one member's M_k(u) is `family.bind([k])([u])[0]`.  Like a
 numpy ufunc, a kernel takes `out=`: `kernel(us)` returns a fresh array and
 leaves `us` as it is, while `kernel(us, out=w)` writes into the caller's
 float64 array `w` (which may be `us` itself) and returns it, with the same
 bits; so a caller that owns a workspace evaluates without a temporary.
-Arguments must be >= 0 (NegativeArgument otherwise); `BlockEngine` runs the
-bound formulas (`_bind`) without that check, since its arguments |t| / rho
-are >= 0 or NaN by construction.  Overflow is a silent +inf, an honest
-"too large" value that the searches and verdicts handle.
+Arguments must be >= 0 (NegativeArgument otherwise); `BlockEngine` calls
+`_bind` on each tile's indices and runs the formula without that check,
+since its arguments |t| / rho are >= 0 or NaN by construction.  Overflow
+is a silent +inf, an honest "too large" value that the searches and
+verdicts handle.
 """
 
 from __future__ import annotations
@@ -63,23 +65,6 @@ def power_in_place(out: np.ndarray, p: np.ndarray) -> None:
         out[...] = out**p
     else:
         np.power(out, p, out=out)
-
-
-def values_per_tile(values: tuple[float, ...], bounds: list[tuple[int, int]]) -> list[np.ndarray]:
-    """values_k for the indices k = a+1..b of each tile [a, b); indices past the list take its last.
-
-    The tiles lying wholly past the list share one read-only array of the
-    last value, so the tiles of a long prefix hold no array of its length.
-    That array is contiguous: as an exponent, a stride-0 broadcast would
-    make numpy's power take its scalar shortcuts (square for 2, sqrt for
-    0.5), which change the bits.
-    """
-    arr = np.asarray(values, dtype=np.float64)
-    last = arr.size - 1
-    tail = np.full(max((b - a for a, b in bounds if a >= last), default=0), arr[last])
-    tail.flags.writeable = False
-    return [tail[: b - a] if a >= last else arr[np.minimum(np.arange(a, b), last)]
-            for a, b in bounds]
 
 
 def scalar_power_in_place(out: np.ndarray, p: float) -> None:
@@ -121,7 +106,6 @@ class OrliczFunction:
     terms as nonnegative and does not check them.
     """
 
-    label = "abstract"
 
     def _formula(self, out: np.ndarray) -> None:
         """Overwrite `out` with M(out) elementwise."""
@@ -141,7 +125,6 @@ class Power(OrliczFunction):
     """M(u) = u**p, p >= 1."""
 
     p: float
-    label = "power"
 
     def __post_init__(self) -> None:
         if self.p < 1:
@@ -158,7 +141,6 @@ class ScaledPower(OrliczFunction):
 
     p: float
     c: float
-    label = "scaled_power"
 
     def __post_init__(self) -> None:
         if self.p < 1 or self.c <= 0:
@@ -174,7 +156,6 @@ class PowerOverP(OrliczFunction):
     """M(u) = u**p / p, p > 1; its Young conjugate is v**q / q with 1/p + 1/q = 1."""
 
     p: float
-    label = "power_over_p"
 
     def __post_init__(self) -> None:
         if self.p <= 1:
@@ -189,7 +170,6 @@ class PowerOverP(OrliczFunction):
 class ExpMinusOne(OrliczFunction):
     """M(u) = e**u - 1."""
 
-    label = "exp_minus_one"
 
     def _formula(self, out: np.ndarray) -> None:
         np.expm1(out, out=out)
@@ -200,7 +180,6 @@ class LinearSlope(OrliczFunction):
     """M(u) = c * u, c > 0."""
 
     c: float
-    label = "linear"
 
     def __post_init__(self) -> None:
         if self.c <= 0:
@@ -246,7 +225,6 @@ class Table(OrliczFunction):
     """
 
     knots: tuple[tuple[float, float], ...]
-    label = "table"
 
     def __post_init__(self) -> None:
         knots = tuple((float(u), float(v)) for u, v in self.knots)
@@ -290,26 +268,16 @@ class Table(OrliczFunction):
 
 
 class MusielakOrliczFamily:
-    """A rule k -> M_k; every member must individually be an Orlicz function."""
+    """A rule k -> M_k; every member must individually be an Orlicz function.
 
-    label = "abstract"
-
-    def member(self, k: int) -> OrliczFunction:
-        """M_k, computed by the family's own array formula bound to k.
-
-        So M_k(u) has the bits of bind([k])([u])[0].  The formula's
-        per-index data has one entry and broadcasts over any `us`; a family
-        whose formula cannot broadcast overrides `member`.
-        """
-        return _Member(self._bind(np.array([k], dtype=np.int64)))
+    Each kind implements one hook, `_bind(ks)`, its array formula bound to
+    the indices `ks`; `bind` is that hook behind the argument check, and
+    `BlockEngine` runs it unchecked, bound to one tile at a time.
+    """
 
     def _bind(self, ks: np.ndarray) -> Formula:
         """The in-place array formula out -> M_{ks}(out), with the data of the indices gathered."""
         raise NotImplementedError
-
-    def _bind_tiles(self, bounds: list[tuple[int, int]]) -> list[Formula]:
-        """The in-place formula of each tile [a, b) of the indices, bound to k = a+1..b."""
-        return [self._bind(np.arange(a + 1, b + 1, dtype=np.int64)) for a, b in bounds]
 
     def bind(self, ks: np.ndarray) -> Kernel:
         """The kernel (us, out=None) -> M_{ks[i]}(us[i]) elementwise, for any number of `us` arrays.
@@ -324,26 +292,11 @@ class MusielakOrliczFamily:
         return partial(_evaluate, self._bind(np.asarray(ks, dtype=np.int64)))
 
 
-@dataclass(frozen=True, eq=False)
-class _Member(OrliczFunction):
-    """One member of a family: its array formula bound to one index."""
-
-    formula: Formula
-    label = "member"
-
-    def _formula(self, out: np.ndarray) -> None:
-        self.formula(out)
-
-
 @dataclass(frozen=True)
 class ConstantFamily(MusielakOrliczFamily):
     """M_k = M for every k."""
 
     function: OrliczFunction
-    label = "constant"
-
-    def member(self, k: int) -> OrliczFunction:
-        return self.function
 
     def _bind(self, ks: np.ndarray) -> Formula:
         return self.function._formula
@@ -352,8 +305,6 @@ class ConstantFamily(MusielakOrliczFamily):
 @dataclass(frozen=True)
 class IndexScaledFamily(MusielakOrliczFamily):
     """M_k(u) = u / k; the canonical pointwise-vanishing family."""
-
-    label = "index_scaled"
 
     def _bind(self, ks: np.ndarray) -> Formula:
         ks = ks.astype(np.float64)
@@ -365,7 +316,6 @@ class IndexPowerFamily(MusielakOrliczFamily):
     """M_k(u) = u**p_k; indices past the supplied list repeat the last exponent."""
 
     exponents: tuple[float, ...]
-    label = "index_power"
 
     def __post_init__(self) -> None:
         exps = tuple(float(p) for p in self.exponents)
@@ -374,14 +324,13 @@ class IndexPowerFamily(MusielakOrliczFamily):
         if any(p < 1 for p in exps):
             raise ValueError("every exponent must be >= 1")
         object.__setattr__(self, "exponents", exps)
+        p = np.array(exps)
+        p.flags.writeable = False
+        object.__setattr__(self, "_p", p)  # converted once: the engine binds every tile per call
 
     def _bind(self, ks: np.ndarray) -> Formula:
-        p = np.asarray(self.exponents)[np.minimum(ks - 1, len(self.exponents) - 1)]
+        p = self._p[np.minimum(ks - 1, self._p.size - 1)]
         return lambda out: power_in_place(out, p)
-
-    def _bind_tiles(self, bounds: list[tuple[int, int]]) -> list[Formula]:
-        """As `_bind` per tile, with the tiles past the exponent list sharing one exponent array."""
-        return [partial(power_in_place, p=p) for p in values_per_tile(self.exponents, bounds)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -390,7 +339,6 @@ class SpikeFamily(MusielakOrliczFamily):
 
     slopes: tuple[tuple[int, float], ...]
     default_slope: float = 1.0
-    label = "spike"
 
     def __post_init__(self) -> None:
         if self.default_slope <= 0:
@@ -401,13 +349,14 @@ class SpikeFamily(MusielakOrliczFamily):
         object.__setattr__(self, "slopes", pairs)
 
     @cached_property
-    def _table(self) -> dict[int, float]:
-        return dict(self.slopes)
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The spike indices, sorted, and their slopes; of an index listed twice, the last."""
+        table = dict(self.slopes)
+        keys = sorted(table)
+        return np.array(keys, dtype=np.int64), np.array([table[k] for k in keys])
 
     def _bind(self, ks: np.ndarray) -> Formula:
-        keys = sorted(self._table)
-        slopes = np.array([self._table[k] for k in keys])
-        keys = np.array(keys, dtype=np.int64)
+        keys, slopes = self._table
         c = np.full(ks.shape, self.default_slope)
         if keys.size:
             pos = np.minimum(np.searchsorted(keys, ks), keys.size - 1)
@@ -421,14 +370,10 @@ class CustomFamily(MusielakOrliczFamily):
     """Explicit members per index; indices past the list repeat the last one."""
 
     functions: tuple[OrliczFunction, ...]
-    label = "custom"
 
     def __post_init__(self) -> None:
         if not self.functions:
             raise ValueError("need at least one member function")
-
-    def member(self, k: int) -> OrliczFunction:
-        return self.functions[min(k - 1, len(self.functions) - 1)]
 
     def _bind(self, ks: np.ndarray) -> Formula:
         """One formula call per member, on a copy of the positions of the indices it serves."""
@@ -517,10 +462,13 @@ class ExponentSequence:
         return self.constant if self.constant is not None else max(self.per_index)
 
     def array(self, start: int, stop: int) -> np.ndarray:
+        """s_k for k = start..stop inclusive; indices past the list take its last value."""
         if self.constant is not None:
             return np.full(stop - start + 1, self.constant)
-        idx = np.minimum(np.arange(start, stop + 1) - 1, len(self.per_index) - 1)
-        return np.asarray(self.per_index, dtype=np.float64)[idx]
+        out = np.full(stop - start + 1, self.per_index[-1])
+        listed = self.per_index[start - 1 : stop]
+        out[: len(listed)] = listed
+        return out
 
     @property
     def is_identically_one(self) -> bool:
@@ -712,7 +660,11 @@ def complementary(
     bracket is first halved from u_max until M_k is finite at the upper end.
     Boundary attainment (relative to u_max) is flagged, not raised.
     """
-    M = family.member(k)
+    kernel = family.bind([k])
+
+    def M(u: float) -> float:
+        return float(kernel([u])[0])
+
     a = abs(v)
     if a == 0.0:
         return ConjugateValue(0.0, False)

@@ -489,12 +489,18 @@ def reference_amemiya(family, x: Sequence, tol: float) -> tuple[AmemiyaValue, fl
     return AmemiyaValue(value, at_boundary), k_star
 
 
+def one_member(family, k: int) -> Callable[[float], float]:
+    """u -> M_k(u), the family's kernel bound to the one index k."""
+    kernel = family.bind([k])
+    return lambda u: float(kernel([u])[0])
+
+
 def reference_conjugate(family, k: int, v: float, u_max: float, tol: float) -> tuple[float, float]:
     """sup { |v| u - M_k(u) : 0 <= u <= u_max } by golden section; returns (value, argmax u).
 
     The bracket's upper end is first halved from u_max until M_k is finite there.
     """
-    M = family.member(k)
+    M = one_member(family, k)
     u_hi = u_max
     while math.isinf(M(u_hi)):
         u_hi *= 0.5

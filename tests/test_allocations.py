@@ -17,16 +17,20 @@ import pytest
 from lacunary import (
     BlockEngine,
     ConstantFamily,
+    CustomFamily,
+    ExpMinusOne,
     ExponentSequence,
     Geometric,
     Identity,
     IndexPowerFamily,
+    IndexScaledFamily,
     LinearSlope,
     Power,
     PrefixNorms,
     RhoSequence,
     Sequence,
     SpaceParams,
+    SpikeFamily,
     build_lacunary,
     random_bounded_sequence,
 )
@@ -138,35 +142,66 @@ def test_engine_without_raw_flags_has_no_raw_flag_workspace():
     assert peak <= with_raw - convergence._TILE // 2, f"peaks {peak} and {with_raw} bytes"
 
 
-def test_index_power_engine_shares_the_exponents_past_its_list():
-    """index_power binds the exponents of the tile that meets its list; the other tiles
-    share one tile-wide array of the last exponent, so the engine holds two tiles of them."""
+def test_index_power_engine_holds_one_tile_of_exponents():
+    """index_power binds each tile's exponents when the engine reaches the tile, so the
+    engine holds a tile of them at a time, past its list as within it."""
     (x, _), p = _long_engine_inputs()
     q = replace(p, family=IndexPowerFamily((1.5, 2.5, 2.0)))
     stats, peak = traced_peak(lambda: BlockEngine([(q, BUNDLES)])(x))
     assert len(stats) == 1
-    # an exponent array per tile would add a prefix over the eight tiles
+    # a tile is an eighth of a prefix: an exponent array per tile would add a prefix
     assert peak <= 0.8 * LONG_PREFIX, f"peak {peak / LONG_PREFIX:.2f} prefixes"
 
 
 def test_raw_flags_alone_bind_no_kernel(monkeypatch):
-    """An engine asked only for the raw flags never binds or evaluates the family."""
+    """An engine asked only for the raw flags never binds or evaluates the family; one that
+    reads terms binds it once per tile per call."""
     bound = []
-    bind_tiles = IndexPowerFamily._bind_tiles
+    bind = IndexPowerFamily._bind
 
-    def counted(self, bounds):
-        bound.append(len(bounds))
-        return bind_tiles(self, bounds)
+    def counted(self, ks):
+        bound.append(ks.size)
+        return bind(self, ks)
 
-    monkeypatch.setattr(IndexPowerFamily, "_bind_tiles", counted)
+    monkeypatch.setattr(IndexPowerFamily, "_bind", counted)
     (x, _), p = _long_engine_inputs()
     q = replace(p, family=IndexPowerFamily((1.5, 2.5, 2.0)))
     stats, peak = traced_peak(lambda: BlockEngine([(q, (RAW_FLAGS,))])(x))
     assert list(stats[0]) == [RAW_FLAGS]
     assert bound == []
     assert peak <= 0.5 * LONG_PREFIX, f"peak {peak / LONG_PREFIX:.3f} prefixes"
-    BlockEngine([(q, (STRONG,))])(x)  # the family is bound once, to every tile, when terms are read
-    assert bound == [LONG // convergence._TILE]
+    engine = BlockEngine([(q, (STRONG,))])
+    engine(x)
+    engine(x)
+    assert bound == [convergence._TILE] * (2 * LONG // convergence._TILE)
+
+
+ENGINE_FAMILIES = {
+    "constant": ConstantFamily(Power(2.0)),
+    "index_scaled": IndexScaledFamily(),
+    "index_power": IndexPowerFamily((1.5, 2.5, 2.0)),
+    "spike": SpikeFamily(((2, 5.0), (9, 0.25), (40_000, 3.0)), default_slope=0.8),
+    "custom": CustomFamily((Power(2.0), ExpMinusOne(), LinearSlope(0.5))),
+}
+
+
+@pytest.mark.parametrize("per_index_rho", [False, True], ids=["constant-rho", "per-index-rho"])
+@pytest.mark.parametrize("family", ENGINE_FAMILIES.values(), ids=ENGINE_FAMILIES.keys())
+def test_engine_peak_does_not_grow_with_the_prefix(family, per_index_rho):
+    """The first call binds each tile's family data and reads its rho_k when it reaches the
+    tile, so its peak is the same at k_R = 2**17 as at 2**19, whatever the family and rho."""
+    peaks = []
+    for e in (17, 19):
+        schedule = build_lacunary(Geometric(1, 2, e))  # k_R = 2**e
+        n = schedule.last_index
+        rho = (RhoSequence(constant=None, per_index=tuple(np.linspace(0.5, 2.0, n)))
+               if per_index_rho else RhoSequence(constant=0.7))
+        p = SpaceParams(family=family, schedule=schedule, L=0.25, m_max=2, rho=rho)
+        x = Sequence(np.random.default_rng(3).uniform(-1.0, 1.0, n + 2))
+        engine = BlockEngine([(p, (STRONG,))])
+        peaks.append(traced_peak(engine, x)[1])
+    # the tile plan, the per-block sums and the results grow by 2-5 KB; a prefix of 2**19 is 4 MB
+    assert peaks[1] - peaks[0] <= 8192, f"peaks {peaks} bytes"
 
 
 def test_plain_space_reads_the_deviations_in_place(monkeypatch):

@@ -366,11 +366,18 @@ def draw_terms(data, rng, s, families=ENGINE_FAMILIES):
         rho = RhoSequence(constant=None, per_index=tuple(rng.uniform(0.5, 2.0, s.last_index)))
     else:
         rho = RhoSequence(constant=data.draw(st.sampled_from([1.0, 0.7, 1.9])))
+    # per-index lists end inside, at and past tile boundaries, and past the last index
+    lengths = st.integers(1, s.last_index + 3)
     if data.draw(st.booleans(), label="per-index exponents"):
-        exponents = ExponentSequence(constant=None, per_index=(1.0, 2.0, 0.5, 1.3))
+        n = data.draw(lengths, label="exponents listed")
+        exponents = ExponentSequence(constant=None, per_index=tuple(rng.choice([1.0, 2.0, 0.5, 1.3], n)))
     else:
         exponents = ExponentSequence(constant=data.draw(st.sampled_from([1.0, 0.5, 2.0, 1.7])))
-    return dict(family=data.draw(st.sampled_from(families)), rho=rho, exponents=exponents)
+    family = data.draw(st.sampled_from(families))
+    if isinstance(family, IndexPowerFamily):
+        n = data.draw(lengths, label="index_power exponents listed")
+        family = IndexPowerFamily(tuple(rng.choice([1.0, 2.5, 1.5, 2.0], n)))
+    return dict(family=family, rho=rho, exponents=exponents)
 
 
 def assert_bundle_matches_standalone(data):

@@ -198,7 +198,7 @@ class TestBuildThm37:
     def test_defining_inequality_at_each_cut(self):
         x, s, p = build_thm37(CounterexampleSpec(theorem="thm37", r_max=9))
         for r in range(1, s.num_blocks + 1):
-            val = p.family.member(s.cut_points[r] + 1)(1.0)
+            val = p.family.bind([s.cut_points[r] + 1])([1.0])[0]
             assert val < 2.0**-r
 
     def test_flags_mark_exactly_the_plateau(self):
@@ -236,7 +236,7 @@ class TestBuildThm38:
         for r in range(1, s.num_blocks + 1):
             n_r = s.cut_points[r]
             nu_r = x.values[n_r - 1]
-            got = p.family.member(n_r)(nu_r / 1.0)
+            got = p.family.bind([n_r])([nu_r / 1.0])[0]
             assert got >= h_alpha[r - 1] * (1 - 1e-12)
             assert got == pytest.approx(h_alpha[r - 1], rel=1e-12)
 

@@ -58,6 +58,7 @@ from reference import (
     allocating_bind,
     allocating_eval_many,
     amemiya_objective,
+    one_member,
     pairwise_axioms,
     raw_table,
     reference_amemiya,
@@ -95,7 +96,7 @@ class TestEval:
     def test_examples(self):
         assert Power(2.0)(3.0) == 9.0
         assert ExpMinusOne()(0.0) == 0.0
-        assert IndexScaledFamily().member(5)(2.0) == pytest.approx(0.4)
+        assert IndexScaledFamily().bind([5])([2.0])[0] == pytest.approx(0.4)
         assert ScaledPower(p=2.0, c=3.0)(2.0) == 12.0
         assert PowerOverP(2.0)(4.0) == 8.0
         assert LinearSlope(2.5)(2.0) == 5.0
@@ -131,7 +132,7 @@ class TestEval:
         fam = SpikeFamily(slopes=tuple(slopes.items()), default_slope=default)
         ks = np.array([k for k, _ in pairs], dtype=np.int64)
         us = np.array([u for _, u in pairs], dtype=np.float64)
-        loop = np.array([fam.member(int(k))(float(u)) for k, u in zip(ks, us)], dtype=np.float64)
+        loop = np.array([fam.bind([k])([u])[0] for k, u in zip(ks, us)], dtype=np.float64)
         assert fam.bind(ks)(us).tobytes() == loop.tobytes()
 
 
@@ -236,17 +237,7 @@ class TestKernels:
         got = fam.bind(ks)(us)
         for k in set(ks.tolist()):
             at = ks == k
-            assert got[at].tobytes() == fam.member(k).eval_many(us[at]).tobytes()
-
-    @given(family=st.one_of(FAMILIES, CUSTOM_FAMILIES), pairs=PAIRS)
-    @example(family=IndexScaledFamily(), pairs=[(5, 0.1)])  # (1/5) * 0.1 != 0.1 / 5
-    @example(family=IndexPowerFamily((2.0,)), pairs=[(1, 3.2530809568010897)])  # u ** 2.0 is np.square
-    @settings(max_examples=150, deadline=None)
-    def test_member_is_the_one_index_kernel(self, family, pairs):
-        """M_k(u) from `member(k)` has the bits the engine sees, bind([k])([u])[0]."""
-        for k, u in pairs:
-            one = family.member(k)(u)
-            assert np.float64(one).tobytes() == family.bind([k])(np.array([u]))[0].tobytes()
+            assert got[at].tobytes() == functions[min(k, len(functions)) - 1].eval_many(us[at]).tobytes()
 
     @given(M=FUNCTIONS, us=ARGUMENTS)
     @settings(max_examples=100, deadline=None)
@@ -329,17 +320,6 @@ class TestKernelOut:
         assert kernel(view, out=view) is view
         assert view.tobytes() == want
         assert np.all(work[:offset] == -1.0) and np.all(work[offset + us.size :] == -1.0)
-
-    @given(family=st.one_of(FAMILIES, CUSTOM_FAMILIES), k=st.integers(1, 60), us=ARGUMENTS)
-    @settings(max_examples=100, deadline=None)
-    def test_member_and_eval_many_keep_their_bits_and_inputs(self, family, k, us):
-        """`member(k).eval_many` broadcasts one index's data over `us`, as before
-        (for a constant or custom family it is the function's own `eval_many`)."""
-        us = np.array(us)
-        given_us = us.tobytes()
-        got = family.member(k).eval_many(us)
-        assert got.tobytes() == allocating_bind(family, [k], us).tobytes()
-        assert us.tobytes() == given_us
 
     @given(
         us=ARGUMENTS,
@@ -991,7 +971,7 @@ class TestConjugateAgainstReference:
         of a few eps (v u + M_k(u))."""
         tol = orlicz._CONJUGATE_TOL
         for k in (1, 2, 3, 5):
-            M = family.member(k)
+            M = one_member(family, k)
             for v in (0.5, 1.0, 2.0, 7.0):
                 got = complementary(family, k, v)
                 if got.at_boundary:
@@ -1051,6 +1031,6 @@ class TestScalarSequences:
 
     def test_family_index_extension(self):
         fam = IndexPowerFamily((1.0, 2.0))
-        assert fam.member(5)(3.0) == 9.0
+        assert fam.bind([5])([3.0])[0] == 9.0
         cf = CustomFamily((Power(1.0), Power(2.0)))
-        assert cf.member(9)(2.0) == 4.0
+        assert cf.bind([9])([2.0])[0] == 4.0

@@ -85,6 +85,30 @@ def test_every_private_helper_has_a_caller():
     assert unused == []
 
 
+def test_every_class_attribute_is_read():
+    """Each non-dunder name assigned in a class body of the package, a class constant or a
+    dataclass field's default, is read as an attribute (`obj.name`) by package code.
+
+    A class attribute that nothing reads is left over from a deletion.
+    """
+    package = Path(lacunary.__file__).resolve().parent
+    trees = [ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))]
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+    assigned = set()
+    for cls in nodes:
+        if isinstance(cls, ast.ClassDef):
+            for stmt in cls.body:
+                if isinstance(stmt, ast.Assign):
+                    assigned.update(t.id for t in stmt.targets if isinstance(t, ast.Name))
+                elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None \
+                        and isinstance(stmt.target, ast.Name):
+                    assigned.add(stmt.target.id)
+    read = {node.attr for node in nodes
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    assert assigned, "the package assigns no class attribute"
+    assert sorted(name for name in assigned - read if not name.startswith("__")) == []
+
+
 def test_every_public_name_is_used_by_the_package_or_a_release_criterion():
     """Each name in `__all__` is named by package code other than `__init__.py` and its own
     definition, or by the release criteria in tests/test_acceptance.py.
