@@ -47,7 +47,6 @@ from .orlicz import (
     Table,
     complementary,
     delta2_check,
-    modular,
 )
 from .sequences import (
     CesaroC1,
@@ -108,7 +107,6 @@ __all__ = [
     "delta2_check",
     "geometric_tail",
     "liminf_growth_estimate",
-    "modular",
     "random_bounded_sequence",
     "run_inclusion_matrix",
     "thm31_block_bounds",

@@ -75,7 +75,6 @@ from .orlicz import (
     PrefixNorms,
     complementary,
     delta2_check,
-    modular,
 )
 from .sequences import Sequence, build_lacunary
 
@@ -328,10 +327,9 @@ def cmd_norms(doc: dict, seed: int | None = None) -> ReportBundle:
         )
     norms = PrefixNorms(family, x)
     lux, orl = norms.luxemburg(echo["luxemburg_tol"]), norms.amemiya(echo["orlicz_tol"])
-    del norms  # its |x| and workspace go before `modular` allocates its own prefix arrays
     results: dict = {
         "horizon": x.horizon,
-        "modular": modular(family, x, rho),
+        "modular": norms.modular(rho),
         "luxemburg_norm": lux,
         "orlicz_norm": {"value": orl.value, "at_boundary": orl.at_boundary},
     }

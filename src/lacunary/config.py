@@ -15,9 +15,8 @@ else:
     keyword its JSON Schema (Draft 2020-12) meaning and error wording, and
     of all the errors reports the shallowest, then the one with the
     greatest path (keys compared as strings, indices as numbers).
-    Every array of numbers is a `NumberArray`, whose check is a scan at
-    C speed over the whole array; the walk runs over it only to word an
-    error the scan cannot rule out, so the messages are the walk's.
+    Every array of numbers is a `NumberArray`, checked by a scan at C
+    speed; the walk runs over it only to word an error;
     `Component.schema` renders the same tables as a JSON Schema; it is
     kept as the reference the tests check the walk against, and nothing
     at run time reads it;
@@ -26,9 +25,8 @@ else:
     (timestamp aside).  Numbers are echoed as floats, integers as ints,
     by a normalizer compiled once per field from the tables; an integer
     past float64 in a number field is a ConfigError.  A number array is
-    echoed as one read-only `Numbers` value: a flat numpy column per leaf
-    slot and the lengths of its lists, so the echo holds no list of the
-    parsed document and none per element;
+    echoed as one read-only `Numbers` value of flat numpy columns, from
+    the split its scan made, so it is flattened once per op;
   * the library objects: `Component.build` turns an echoed section into
     its object and reports a rejected value as a ConfigError.  A number
     array reaches its constructor as its columns: a row table's
@@ -273,8 +271,7 @@ def _build(name: str, value: Any, schema: Any) -> Any:
 # ---------------------------------------------------------------------------
 
 # A check takes a value and returns None, or the error to report about it:
-# (path below the value, message).  Of several errors it returns the
-# shallowest, then the one with the greatest path.
+# (path below the value, message), chosen as the module docstring says.
 Error = tuple[tuple, str]
 Check = Callable[[Any], "Error | None"]
 
@@ -523,8 +520,11 @@ class NumberArray(dict):
     (so only integer leaves take bounds: a NaN would hide from `min`).  Only an exact `int`
     passes an integer slot and an exact `int`/`float` a number slot; anything else (`2.0`
     as an integer, a bool, a numpy scalar) is left to the walk, which gives the verdict
-    and words the error.  `cast()` echoes a valid array as one `Numbers` value.
+    and words the error.  `cast()` echoes a valid array as one `Numbers` value, from the
+    split of the scan that passed it.
     """
+
+    _scanned = None  # (array, split) of the scan last passed, for `cast`
 
     def __init__(self, leaf: dict | tuple[dict, dict], depth: int = 1, **constraints: Any):
         self.leaves, self.depth, item = (leaf,), depth, leaf
@@ -569,6 +569,7 @@ class NumberArray(dict):
                     return False
                 if column and any(test(extreme(column)) for extreme, test in bounds):
                     return False
+            self._scanned = value, split
             return True
 
         return scan
@@ -577,7 +578,8 @@ class NumberArray(dict):
         def cast(value: Any) -> Numbers:
             if isinstance(value, Numbers):  # the echo of an echo is itself
                 return value
-            lengths, columns = self._split(value)
+            scanned, self._scanned = self._scanned, None
+            lengths, columns = scanned[1] if scanned and scanned[0] is value else self._split(value)
             lengths = [np.array(n, dtype=np.int64) for n in lengths]
             columns = [_column(column, c["type"]) for column, c in zip(columns, self.leaves)]
             for array in lengths + columns:
@@ -644,9 +646,7 @@ FUNCTION = Component("function", {
 FAMILY = Component("family", {
     "constant": Kind(ConstantFamily, function=Field(FUNCTION, {"kind": "power"})),
     "index_scaled": Kind(IndexScaledFamily),
-    "index_power": Kind(
-        lambda exponents: IndexPowerFamily(tuple(exponents.tolist())), exponents=Field(NUMS)
-    ),
+    "index_power": Kind(IndexPowerFamily, exponents=Field(NUMS)),
     "spike": Kind(
         lambda slopes, default_slope: SpikeFamily(
             tuple(sorted((int(k), v) for k, v in slopes.items())), default_slope
@@ -683,9 +683,7 @@ MATRIX = Component("matrix", {
 def _scalars(name: str, cls: type[RhoSequence] | type[ExponentSequence]) -> Component:
     return Component(name, {
         "constant": Kind(lambda value: cls(constant=value), value=Field(NUM, 1.0)),
-        "per_index": Kind(
-            lambda values: cls(constant=None, per_index=tuple(values.tolist())), values=Field(NUMS)
-        ),
+        "per_index": Kind(lambda values: cls(constant=None, per_index=values), values=Field(NUMS)),
     })
 
 

@@ -121,12 +121,21 @@ class Verdict:
     trajectory relaxing toward a positive limit is not converging to
     zero).  Anything else is Inconclusive.
 
-    A finite tail whose sum overflows float64 has its mean taken on the
-    tail divided by its largest |value|, then scaled back, so the mean is
-    finite.  A tail past float64 has tail mean +inf, an honest "too
-    large", and classifies as DoesNotConverge; its slope is None when the
-    least-squares fit is undefined (the tail holds +inf, or the fit
-    overflows).
+    The slope is the least-squares slope of the tail t_0..t_{w-1} against
+    r, in closed form on the centred index d_r = r - (w - 1) / 2:
+
+        tail_slope = sum_r d_r (t_r - mean) / sum_r d_r**2,
+
+    0.0 for a one-block tail, and exactly 0.0 on a constant tail.  It is
+    within 5 eps (D / S) (max t - min t + 3 eps max |t|) + 2**-1074 of the
+    exact slope of the float tail, where eps = 2**-53, D = sum |d_r| and
+    S = sum d_r**2 (the bound is derived in `tests/oracle.py`, which holds
+    the slope to it).  A finite tail whose sum overflows float64 has its
+    mean taken on the tail divided by its largest |value|, then scaled
+    back, so the mean is finite.  A tail past float64 has tail mean +inf,
+    an honest "too large", and classifies as DoesNotConverge; its slope
+    is None when the fit is undefined (the tail holds a value that is not
+    finite) or past float64.
     """
 
     decision: str
@@ -137,13 +146,41 @@ class Verdict:
     slope_slack: float
 
 
+def _tail_slope(tail: list[float]) -> float | None:
+    """The least-squares slope of a finite tail t_0..t_{w-1} against r, w >= 2; None past float64.
+
+    The closed form on the centred index d_r = r - (w - 1) / 2, whose sum
+    is 0: sum_r d_r (t_r - mean) / S, with S = sum_r d_r**2 = w (w**2 - 1) / 12
+    exact.  It is taken on u = t * 2**-e with 2**(e - 1) <= max |t_r| < 2**e,
+    so |u_r| < 1, no intermediate overflows and the scaling is exact, and
+    scaled back by 2**e.  The mean and the sum are `math.fsum`, correctly
+    rounded.  On a constant tail every u_r - mean is one value and the
+    products of the symmetric d_r cancel, so the slope is exactly 0.
+    """
+    w = len(tail)
+    _, e = math.frexp(max(map(abs, tail)))
+    u = [math.ldexp(t, -e) for t in tail]
+    mean, centre = math.fsum(u) / w, (w - 1) / 2
+    try:
+        return math.ldexp(math.fsum((r - centre) * (t - mean) for r, t in enumerate(u))
+                          / (w * (w * w - 1) / 12), e)
+    except OverflowError:  # the slope is past float64
+        return None
+
+
 def classify_trajectory(
     values: np.ndarray,
     tol: float = 1e-3,
     tail_window: int | None = None,
     slope_slack: float | None = None,
 ) -> Verdict:
-    """Classify a per-block trajectory from its tail mean and slope."""
+    """Classify a per-block trajectory from its tail mean and slope (see `Verdict`).
+
+    The tail is the last `tail_window` blocks (default ceil(R / 3)).  Its
+    mean is `np.mean`; its slope is `_tail_slope`, the closed form
+    sum_r d_r (t_r - mean) / sum_r d_r**2 on the centred index, with no
+    linear-algebra solve, within the bound `Verdict` states.
+    """
     v = np.asarray(values, dtype=np.float64)
     if v.size == 0:
         raise ValueError("cannot classify an empty trajectory")
@@ -155,17 +192,13 @@ def classify_trajectory(
     slack = tol if slope_slack is None else float(slope_slack)
 
     tail = v[-win:]
-    slope: float | None = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # sums past float64 are +inf
         finite = bool(np.all(np.isfinite(tail)))
         tail_mean = float(np.mean(tail))
         if finite and not math.isfinite(tail_mean):  # only the sum overflowed
             s = float(np.max(np.abs(tail)))
             tail_mean = s * float(np.mean(tail / s))
-        if win >= 2:
-            r_idx = np.arange(win, dtype=np.float64)
-            fit = float(np.polyfit(r_idx, tail, 1)[0]) if finite else math.nan
-            slope = None if math.isnan(fit) else fit
+    slope = 0.0 if win == 1 else _tail_slope(tail.tolist()) if finite else None
 
     if tail_mean <= tol and slope is not None and slope <= slack:
         decision = CONVERGES
@@ -266,14 +299,20 @@ class _TermGroup:
     `strong` and `modular` say whether some space of the group reads STRONG
     or MODULAR_FLAGS.  A plain group (M(u) = u, rho 1, exponents 1) has no
     formula: its terms are the deviations, as 1.0 * u is u bit for bit.
-    Any other group binds its formula to each tile in `gather`.
+    A constant family's formula reads no indices and is bound here, once;
+    any other family's is bound to each tile in `gather`, which also reads
+    a per-index rho and exponents.  `gathers` says whether `gather` has
+    anything to do.
     """
 
     def __init__(self, p: SpaceParams, width: int, strong: bool, modular: bool) -> None:
         self.strong = strong
         self.plain = p.family == _PLAIN and p.rho.constant == 1.0 and p.exponents.is_identically_one
         self.family = p.family
-        self.formula = None  # the formula of the tile `gather` last bound
+        self.indexed = not self.plain and not isinstance(p.family, ConstantFamily)
+        self.formula = None  # the constant family's formula, or the one of the tile `gather` last bound
+        if not (self.plain or self.indexed):
+            self.formula = p.family._bind(np.empty(0, dtype=np.int64))
         # rho_k and s_k, None where x / 1.0 == x and x**1 == x: a constant is set here once,
         # a per-index sequence (`_rho`, `_exps`) is read by `gather` for each tile
         self.rho = self.exps = self._rho = self._exps = None
@@ -289,17 +328,19 @@ class _TermGroup:
                 # contiguous: as an exponent, a stride-0 broadcast would make numpy's power
                 # take its scalar shortcuts (square for 2, sqrt for 0.5), which change the bits
                 self.exps = np.full(width, exps.constant)
+        self.gathers = self.indexed or self._rho is not None or self._exps is not None
         self.terms = None  # the deviations' storage, unless the engine gives a workspace
         self.flags = np.empty(width, dtype=bool) if modular else None
 
-    def gather(self, a: int, ks: np.ndarray) -> None:
-        """Bind the formula, and read the per-index rho_k and s_k, for the tile's indices
-        ks = a+1..b."""
-        self.formula = self.family._bind(ks)
+    def gather(self, a: int, b: int, ks: np.ndarray | None) -> None:
+        """Bind the formula to the tile's indices ks = a+1..b if it reads them, and read the
+        per-index rho_k and s_k."""
+        if self.indexed:
+            self.formula = self.family._bind(ks)
         if self._rho is not None:
-            self.rho = self._rho.array(a + 1, a + ks.size)
+            self.rho = self._rho.array(a + 1, b)
         if self._exps is not None:
-            self.exps = self._exps.array(a + 1, a + ks.size)
+            self.exps = self._exps.array(a + 1, b)
 
     def tile(self, dev: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray | None]:
         """The terms, and the modular flags if read, of the bound tile from its deviations `dev`.
@@ -324,6 +365,18 @@ class _TermGroup:
         flags = self.flags[:n]
         np.greater_equal(terms, epsilon, out=flags)
         return terms, flags
+
+
+def _cache_aligned(n: int) -> np.ndarray:
+    """An uninitialized float64 array of n items that starts on a 64-byte cache line.
+
+    The m-loop's passes write the deviations and read them back; numpy's
+    SIMD loops take about 15% longer per pass on an array that starts
+    elsewhere, as a heap block may.
+    """
+    raw = np.empty(8 * n + 64, dtype=np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start : start + 8 * n].view(np.float64)
 
 
 class BlockEngine:
@@ -362,7 +415,9 @@ class BlockEngine:
     whatever the tile size and whatever the other pairs read.
 
     The terms are the family's in-place formula, bound by `family._bind`
-    to each tile's indices when the call reaches the tile, and run on the
+    once when the engine is made for a constant family, whose formula reads
+    no indices, and to each tile's indices when the call reaches the tile
+    for any other family, and run on the
     terms workspace without `bind`'s argument check: the argument is
     u = |t_{km}| / rho_k, and rho_k > 0 is finite (`RhoSequence`), so
     u >= 0 or NaN, and the check passes NaN.  The formula runs inside the
@@ -378,7 +433,8 @@ class BlockEngine:
     call, once the transform has succeeded, builds the tile plan and makes
     the tile workspaces: the cumulative sum of y, of the widest tile plus
     m_max + 1, the deviations, the raw flags if a space reads RAW_FLAGS,
-    the tile's indices k if a group has a formula, a terms workspace for
+    the tile's indices k if a group's formula reads them (a family other
+    than `constant`), a terms workspace for
     each group with a formula but the last to run, a modular-flag
     workspace for each group read for MODULAR_FLAGS, and the exponents of
     a constant exponent sequence other than 1, all a tile wide.  Each call
@@ -386,9 +442,11 @@ class BlockEngine:
     formula, the tile's per-index data: the formula's (the exponents of
     `index_power`, the slopes of `spike`, the member positions of
     `custom`, the indices of `index_scaled`; none for a constant family),
-    and a per-index rho_k and s_k; a constant rho stays a scalar.  So the
+    and a per-index rho_k and s_k, each a view of the sequence's array; a
+    constant rho stays a scalar.  So the
     per-index data is a tile wide at any k_R, and a constant-family engine
-    with constant rho and exponents allocates none of it per call.  Each
+    allocates none of it per call (bar the exponents of indices past a
+    per-index list).  Each
     call fills (m_max + 1) x leaves sums and counts, and returns each
     bundle as one (m_max + 1) x R array and its sup, read-only, which never
     alias the workspaces.  It allocates nothing of prefix size beyond the
@@ -442,7 +500,7 @@ class BlockEngine:
         p = self.reads[0][0]
         plan = _TilePlan(p.schedule.cut_points, _TILE)
         self._c = np.empty(plan.width + p.m_max + 1)  # c[1:] is y, then c its cumulative sum
-        self._dev = np.empty(plan.width)
+        self._dev = _cache_aligned(plan.width)
         self._raw_flags = np.empty(plan.width, dtype=bool) if self._raw else None
         groups = [_TermGroup(q, plan.width, STRONG in read, MODULAR_FLAGS in read)
                   for q, read in self._leaders]
@@ -451,9 +509,10 @@ class BlockEngine:
         for g in self._order[:-1]:
             if not groups[g].plain:
                 groups[g].terms = np.empty(plan.width)
-        self._bound = [group for group in groups if not group.plain]
-        # the indices k = a+1..a+width of the tile at a; shifted in place from tile to tile
-        self._ks = np.arange(1, plan.width + 1) if self._bound else None
+        self._gathering = [group for group in groups if group.gathers]
+        # the indices k = a+1..a+width of the tile at a, if a formula reads them; shifted in
+        # place from tile to tile
+        self._ks = np.arange(1, plan.width + 1) if any(g.indexed for g in groups) else None
         self._groups, self._plan = groups, plan
 
     def __call__(self, x: Sequence) -> list[dict[str, UniformTrajectories]]:
@@ -483,11 +542,12 @@ class BlockEngine:
                         np.cumsum(c[1:], out=c[1:])
                         c[0] = 0.0
                     carry = c[n]
-                if self._bound:
-                    ks = self._ks
+                ks = self._ks
+                if ks is not None:
                     ks += a + 1 - ks[0]
-                    for group in self._bound:
-                        group.gather(a, ks[:n])
+                    ks = ks[:n]
+                for group in self._gathering:
+                    group.gather(a, b, ks)
                 for m in range(m_max + 1):
                     if m:
                         np.subtract(c[m + 1 : n + m + 1], c[:n], out=dev)

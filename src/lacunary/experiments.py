@@ -271,7 +271,11 @@ def build_thm38(spec: CounterexampleSpec) -> tuple[Sequence, LacunarySchedule, S
         family: MusielakOrliczFamily = SpikeFamily(slopes=slopes, default_slope=1.0)
     else:
         family = spec.family
-    at_spikes = family.bind(spikes)(np.array(nus) / spec.rho)
+    with np.errstate(over="ignore"):
+        arguments = np.array(nus) / spec.rho
+    if not np.isfinite(arguments).all():
+        raise HypothesisUnsatisfiable("a spike argument nu_r / rho is past the range of float64")
+    at_spikes = family.bind(spikes)(arguments)
     for r in range(R):
         got = float(at_spikes[r])
         if not got >= h_alpha[r] * (1.0 - 1e-12):

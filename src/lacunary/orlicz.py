@@ -324,12 +324,14 @@ class IndexPowerFamily(MusielakOrliczFamily):
         if any(p < 1 for p in exps):
             raise ValueError("every exponent must be >= 1")
         object.__setattr__(self, "exponents", exps)
-        p = np.array(exps)
+        # converted once, as the engine binds every tile per call: p[k] = p_k for k >= 1, so
+        # `_bind` gathers with no index temporary, clipping a k past the list to the last
+        p = np.array((exps[-1], *exps))
         p.flags.writeable = False
-        object.__setattr__(self, "_p", p)  # converted once: the engine binds every tile per call
+        object.__setattr__(self, "_p", p)
 
     def _bind(self, ks: np.ndarray) -> Formula:
-        p = self._p[np.minimum(ks - 1, self._p.size - 1)]
+        p = self._p.take(ks, mode="clip")
         return lambda out: power_in_place(out, p)
 
 
@@ -396,9 +398,23 @@ class CustomFamily(MusielakOrliczFamily):
 # ---------------------------------------------------------------------------
 
 
+def _positive_finite(values, what: str) -> tuple[tuple[float, ...], np.ndarray]:
+    """`values` as a tuple of floats and as a read-only float64 array, once; each must be > 0."""
+    array = np.array(values, dtype=np.float64)
+    if not array.size or not (np.isfinite(array) & (array > 0)).all():
+        raise ValueError(f"{what} must be strictly positive and finite")
+    array.flags.writeable = False
+    return tuple(array.tolist()), array
+
+
 @dataclass(frozen=True)
 class RhoSequence:
-    """Strictly positive scale factors rho_k, constant or per-index."""
+    """Strictly positive scale factors rho_k, constant or per-index.
+
+    A per-index sequence is held as the `per_index` tuple, which hashing and
+    equality read, and once as a read-only float64 array, of which `array`
+    returns a view.
+    """
 
     constant: float | None = 1.0
     per_index: tuple[float, ...] | None = None
@@ -410,10 +426,9 @@ class RhoSequence:
             if not (self.constant > 0 and math.isfinite(self.constant)):
                 raise ValueError("rho must be strictly positive and finite")
         else:
-            vals = tuple(float(v) for v in self.per_index)
-            if not vals or any(not (v > 0 and math.isfinite(v)) for v in vals):
-                raise ValueError("rho entries must be strictly positive and finite")
+            vals, values = _positive_finite(self.per_index, "rho entries")
             object.__setattr__(self, "per_index", vals)
+            object.__setattr__(self, "_values", values)
 
     def at(self, k: int) -> float:
         if self.constant is not None:
@@ -423,19 +438,20 @@ class RhoSequence:
         return self.per_index[k - 1]
 
     def array(self, start: int, stop: int) -> np.ndarray:
-        """rho_k for k = start..stop inclusive."""
+        """rho_k for k = start..stop inclusive; read-only, a view of a per-index sequence."""
         if self.constant is not None:
             return np.full(stop - start + 1, self.constant)
         if stop > len(self.per_index):
             raise ValueError(f"rho defined up to index {len(self.per_index)}, asked for {stop}")
-        return np.asarray(self.per_index[start - 1 : stop], dtype=np.float64)
+        return self._values[start - 1 : stop]
 
 
 @dataclass(frozen=True)
 class ExponentSequence:
     """Positive exponents s_k with derived envelope constants.
 
-    h_inf = inf_k s_k and H_sup = sup_k s_k.
+    h_inf = inf_k s_k and H_sup = sup_k s_k.  A per-index sequence is held
+    as in `RhoSequence`.
     """
 
     constant: float | None = 1.0
@@ -448,10 +464,9 @@ class ExponentSequence:
             if not (self.constant > 0 and math.isfinite(self.constant)):
                 raise ValueError("exponent must be strictly positive and finite")
         else:
-            vals = tuple(float(v) for v in self.per_index)
-            if not vals or any(not (v > 0 and math.isfinite(v)) for v in vals):
-                raise ValueError("exponents must be strictly positive and finite")
+            vals, values = _positive_finite(self.per_index, "exponents")
             object.__setattr__(self, "per_index", vals)
+            object.__setattr__(self, "_values", values)
 
     @property
     def h_inf(self) -> float:
@@ -462,35 +477,29 @@ class ExponentSequence:
         return self.constant if self.constant is not None else max(self.per_index)
 
     def array(self, start: int, stop: int) -> np.ndarray:
-        """s_k for k = start..stop inclusive; indices past the list take its last value."""
+        """s_k for k = start..stop inclusive; indices past the list take its last value.
+
+        Of a per-index sequence that lists every k asked for, a read-only view.
+        """
         if self.constant is not None:
             return np.full(stop - start + 1, self.constant)
+        if stop <= len(self.per_index):
+            return self._values[start - 1 : stop]
         out = np.full(stop - start + 1, self.per_index[-1])
-        listed = self.per_index[start - 1 : stop]
-        out[: len(listed)] = listed
+        listed = self._values[start - 1 : stop]
+        out[: listed.size] = listed
         return out
 
     @property
     def is_identically_one(self) -> bool:
         if self.constant is not None:
             return self.constant == 1.0
-        return all(v == 1.0 for v in self.per_index)
+        return bool((self._values == 1.0).all())
 
 
 # ---------------------------------------------------------------------------
 # modular and norms
 # ---------------------------------------------------------------------------
-
-
-def modular(
-    family: MusielakOrliczFamily, x: Sequence, rho: RhoSequence = RhoSequence()
-) -> float:
-    """Finite-prefix modular sum_{k=1}^{N} M_k(|x_k| / rho_k)."""
-    n = x.horizon
-    ks = np.arange(1, n + 1)
-    with np.errstate(over="ignore"):  # a quotient or a sum past float64 is an honest +inf
-        us = np.abs(x.values) / rho.array(1, n)
-        return float(np.sum(family.bind(ks)(us, out=us)))
 
 
 @dataclass(frozen=True)
@@ -508,14 +517,15 @@ class AmemiyaValue:
 
 
 class PrefixNorms:
-    """The Luxemburg and Amemiya norms of one prefix x under one family.
+    """The modular and the Luxemburg and Amemiya norms of one prefix x under one family.
 
     Built once per (family, prefix): it binds the family's kernel on the
-    indices 1..N, takes |x| and allocates one workspace, into which every
-    step of either search writes its scaled prefix and runs the kernel in
-    place.  The Luxemburg bracket does not depend on the tolerance, so it is
-    found at most once and serves both searches.  Every step is bit for bit
-    the `modular` of the scaled prefix.
+    indices 1..N, takes |x| and allocates one workspace, into which the
+    modular and every step of either search write their scaled prefix and
+    run the kernel in place.  The Luxemburg bracket does not depend on the
+    tolerance, so it is found at most once and serves both searches.  Each
+    is bit for bit the finite-prefix modular I(x / rho) = sum_k M_k(|x_k| / rho_k)
+    of its scaled prefix, summed by `np.sum`.
     """
 
     def __init__(self, family: MusielakOrliczFamily, x: Sequence) -> None:
@@ -529,8 +539,13 @@ class PrefixNorms:
         with np.errstate(over="ignore"):  # a scaled prefix or a modular past float64 is an honest +inf
             return float(np.sum(self._kernel(scale(self._ax, factor, out=self._work), out=self._work)))
 
+    def modular(self, rho: RhoSequence = RhoSequence()) -> float:
+        """The modular sum_{k=1}^{N} M_k(|x_k| / rho_k); rho must cover the prefix."""
+        scale = rho.constant if rho.constant is not None else rho.array(1, self._ax.size)
+        return self._scaled_modular(np.divide, scale)
+
     def _g(self, rho: float) -> float:
-        """modular(x / rho), bit for bit modular(family, x, RhoSequence(constant=rho))."""
+        """modular(x / rho), bit for bit `modular(RhoSequence(constant=rho))`."""
         return self._scaled_modular(np.divide, rho)
 
     @cached_property

@@ -62,7 +62,6 @@ from lacunary import (
     SpaceParams,
     SpikeFamily,
     Table,
-    modular,
     transform_sequence,
 )
 from lacunary.convergence import MODULAR_FLAGS, RAW_FLAGS, STRONG
@@ -437,6 +436,14 @@ def grid_then_golden_min(
     if vals[best] < v_star:
         x_star, v_star = xs[best], vals[best]
     return x_star, v_star, at_boundary
+
+
+def modular(family, x: Sequence, rho: RhoSequence = RhoSequence()) -> float:
+    """The finite-prefix modular sum_{k=1}^{N} M_k(|x_k| / rho_k), through the checked kernel."""
+    n = x.horizon
+    with np.errstate(over="ignore"):  # a quotient or a sum past float64 is an honest +inf
+        us = np.abs(x.values) / rho.array(1, n)
+        return float(np.sum(family.bind(np.arange(1, n + 1))(us)))
 
 
 def reference_luxemburg(family, x: Sequence, tol: float) -> float:

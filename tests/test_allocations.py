@@ -242,6 +242,32 @@ def test_engine_call_reuses_its_buffers():
     assert peak <= 0.05 * LONG_PREFIX, f"peak {peak / LONG_PREFIX:.3f} prefixes"
 
 
+def test_constant_family_engine_holds_no_index_workspace(monkeypatch):
+    """A constant family's formula reads no indices: its engine binds it once, makes no tile
+    index workspace, and, reused, allocates nothing a tile wide per call, also with a
+    per-index rho, whose tiles are views of its array.  An indexed family's engine keeps the
+    workspace and binds each tile."""
+    binds = []
+    bind = ConstantFamily._bind
+    monkeypatch.setattr(ConstantFamily, "_bind", lambda self, ks: binds.append(ks.size) or bind(self, ks))
+    schedule = build_lacunary(Geometric(1, 2, 18))
+    n = schedule.last_index
+    x = Sequence(np.random.default_rng(3).uniform(-1.0, 1.0, n + 2))
+    per_index = RhoSequence(constant=None, per_index=tuple(np.linspace(0.5, 2.0, n)))
+    for rho in (RhoSequence(constant=0.7), per_index):
+        binds.clear()
+        p = SpaceParams(family=ConstantFamily(Power(2.0)), schedule=schedule, L=0.25, m_max=2, rho=rho)
+        engine = BlockEngine([(p, (STRONG,))])
+        engine(x)
+        _, peak = traced_peak(engine, x)
+        assert engine._ks is None and binds == [0]
+        # a tile of float64 is 8 * _TILE = 256 KB; the results and per-block sums are a few KB
+        assert peak <= convergence._TILE, f"peak {peak} bytes"
+    indexed = BlockEngine([(replace(p, family=IndexPowerFamily((1.5, 2.5))), (STRONG,))])
+    indexed(x)
+    assert indexed._ks is not None
+
+
 NORM_FAMILIES = pytest.mark.parametrize(
     "family, prefixes",
     [(ConstantFamily(Power(2.5)), 2), (IndexPowerFamily((1.5, 2.5, 2.0, 3.0)), 3)],

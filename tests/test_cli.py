@@ -102,6 +102,25 @@ def test_inclusion_outputs_match_golden(tmp_path):
     assert (out / "membership.csv").read_bytes() == (golden / "membership.csv").read_bytes()
 
 
+def test_no_command_reaches_lapack(tmp_path, monkeypatch):
+    """A verdict's slope is a closed form: no preset, classify or inclusion run solves a
+    least-squares problem through `np.linalg`."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.lstsq was called")
+
+    lstsq = np.linalg.lstsq
+    for module in list(sys.modules.values()):  # np.polyfit reads its own binding of the name
+        if getattr(module, "lstsq", None) is lstsq:
+            monkeypatch.setattr(module, "lstsq", refuse)
+    runs = [[command, "--preset", preset] for command in ("counterexample", "classify")
+            for preset in ("thm37-default", "thm38-default")]
+    runs += [["classify", "--config", write_config(tmp_path, BASE_CLASSIFY)],
+             ["inclusion", "--config", write_config(tmp_path, INCLUSION_ALL_THEOREMS, "inclusion.json")]]
+    for i, args in enumerate(runs):
+        assert run_cli([*args, "--out", tmp_path / f"out{i}"]) == 0, args
+
+
 def test_inclusion_verdicts_honour_the_slope_slack(tmp_path):
     """The verdict section reaches every inclusion verdict whole, slope_slack included: a
     corpus of near-zero draws converges, and a negative slack makes the same tails
@@ -850,9 +869,12 @@ class TestOverflow:
             "space": {"m_max": 0},
             "verdict": {"tail_window": 3},
         }
-        strong = self.run_quietly(tmp_path, doc)["results"]["verdicts"]["strong"]
+        verdicts = self.run_quietly(tmp_path, doc)["results"]["verdicts"]
+        strong = verdicts["strong"]
         assert strong["decision"] == "DoesNotConverge"
         assert strong["tail_mean"] == 1.23333333333e308
+        # both tails are flat about their middle value, so their exact slopes are 0
+        assert strong["tail_slope"] == 0.0 == verdicts["shat_density"]["tail_slope"]
 
     def test_norms_conjugate_of_an_overflowing_power(self, tmp_path):
         doc = {

@@ -3,6 +3,7 @@
 import math
 from itertools import combinations
 from dataclasses import replace
+from fractions import Fraction
 from unittest.mock import patch
 
 import numpy as np
@@ -43,6 +44,7 @@ from lacunary.convergence import (
     STRONG,
 )
 from lacunary.errors import NonFiniteStatistic, SupportExceedsHorizon
+import oracle
 from reference import (
     block_average,
     lacunary_density,
@@ -607,6 +609,41 @@ class TestVerdicts:
     def test_tail_window_one(self):
         v = classify_trajectory(np.array([1.0, 0.0]), tail_window=1)
         assert v.tail_slope == 0.0 and v.decision == CONVERGES
+
+    def test_flat_tails_have_slope_exactly_zero(self):
+        """The overflowing tail of ROADMAP item 4 (polyfit gave 1.35e292), and level tails
+        whose mean rounds (0.1 * 7 is not 0.7)."""
+        for tail in ([1e308, 1.7e308, 1e308], [1.0] * 4, [0.1] * 7, [5e-324] * 2, [1e300] * 11):
+            v = classify_trajectory(np.array(tail), tail_window=len(tail))
+            assert v.tail_slope == 0.0 == oracle.tail_slope(tail)
+        assert classify_trajectory(np.array([1e308, 1.7e308, 1e308]), tail_window=3).decision == DIVERGES
+
+    def test_slope_past_float64_is_none(self):
+        v = classify_trajectory(np.array([-1.7e308, 1.7e308]), tail_window=2)
+        assert v.tail_slope is None and v.decision == "Inconclusive"
+        assert oracle.tail_slope([-1.7e308, 1.7e308]) > Fraction(np.finfo(np.float64).max)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        # any floats of magnitude up to 1e300, with subnormals and both zeros
+        st.lists(st.one_of(st.floats(-1e300, 1e300), st.floats(-2.0**-1022, 2.0**-1022),
+                           st.sampled_from([0.0, -0.0])), min_size=1, max_size=11),
+        # one scale from 1e-300 to 1e300 times values in [-1, 1]
+        st.tuples(st.floats(1e-300, 1e300), st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=11))
+        .map(lambda p: [p[0] * v for v in p[1]]),
+        # constant tails, and tails a few ulps off constant
+        st.tuples(st.floats(-1e300, 1e300), st.integers(1, 11)).map(lambda p: [p[0]] * p[1]),
+        st.tuples(st.floats(1e-300, 1e300), st.lists(st.integers(-4, 4), min_size=1, max_size=11))
+        .map(lambda p: [p[0] * (1.0 + k * 2.0**-52) for k in p[1]]),
+    ))
+    def test_mean_and_slope_within_their_bound_of_the_exact_values(self, tail):
+        """`tests/oracle.py` derives both bounds; they are not tuned to the results."""
+        v = classify_trajectory(np.array(tail), tail_window=len(tail))
+        assert abs(Fraction(v.tail_mean) - oracle.tail_mean(tail)) <= oracle.mean_bound(tail)
+        if len(tail) == 1:
+            assert v.tail_slope == 0.0
+        else:
+            assert abs(Fraction(v.tail_slope) - oracle.tail_slope(tail)) <= oracle.slope_bound(tail)
 
     def test_invariant_converges_iff_small_tail_and_slope(self):
         rng = np.random.default_rng(21)

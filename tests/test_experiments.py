@@ -273,6 +273,11 @@ class TestBuildThm38:
                 CounterexampleSpec(theorem="thm38", r_max=3, nu_values=(3.0, 2.0, 1.0))
             )
 
+    def test_spike_argument_past_float64_rejected(self):
+        """nu_r / rho overflows at rho = 5e-324: an unsatisfiable hypothesis, not a warning."""
+        with pytest.raises(HypothesisUnsatisfiable, match="past the range of float64"):
+            build_thm38(CounterexampleSpec(theorem="thm38", r_max=6, rho=5e-324))
+
     def test_user_family_validated_at_spikes(self):
         weak = SpikeFamily(slopes=(), default_slope=1e-6)
         with pytest.raises(HypothesisUnsatisfiable):

@@ -39,7 +39,6 @@ from lacunary import (
     build_lacunary,
     complementary,
     delta2_check,
-    modular,
 )
 from lacunary import orlicz
 from lacunary.cli import cmd_norms
@@ -58,6 +57,7 @@ from reference import (
     allocating_bind,
     allocating_eval_many,
     amemiya_objective,
+    modular,
     one_member,
     pairwise_axioms,
     raw_table,
@@ -578,24 +578,39 @@ class TestAxioms:
 
 
 class TestModular:
+    """`PrefixNorms.modular`, the modular `norms` reports."""
+
     def test_zero_sequence(self):
         fam = ConstantFamily(ExpMinusOne())
-        assert modular(fam, Sequence(np.zeros(7))) == 0.0
+        assert PrefixNorms(fam, Sequence(np.zeros(7))).modular() == 0.0
 
     def test_squares(self):
         fam = ConstantFamily(Power(2.0))
-        assert modular(fam, Sequence(np.array([1.0, 2.0, 3.0]))) == 14.0
+        assert PrefixNorms(fam, Sequence(np.array([1.0, 2.0, 3.0]))).modular() == 14.0
 
     def test_scaled_by_rho(self):
         fam = ConstantFamily(Power(1.0))
         x = Sequence(np.ones(4))
-        assert modular(fam, x, RhoSequence(constant=2.0)) == pytest.approx(2.0)
+        assert PrefixNorms(fam, x).modular(RhoSequence(constant=2.0)) == pytest.approx(2.0)
 
     def test_per_index_rho_must_cover_horizon(self):
         fam = ConstantFamily(Power(1.0))
         rho = RhoSequence(constant=None, per_index=(1.0, 2.0))
         with pytest.raises(ValueError):
-            modular(fam, Sequence(np.ones(3)), rho)
+            PrefixNorms(fam, Sequence(np.ones(3))).modular(rho)
+
+    def test_is_the_reference_modular_bit_for_bit(self):
+        """One workspace for the searches and the modular: the bits of a fresh |x| / rho."""
+        rng = np.random.default_rng(8)
+        x = Sequence(rng.uniform(-3.0, 3.0, 300))
+        rhos = [RhoSequence(), RhoSequence(constant=0.3),
+                RhoSequence(constant=None, per_index=tuple(rng.uniform(0.1, 2.0, 310)))]
+        for family in (ConstantFamily(Power(2.5)), IndexPowerFamily((1.0, 3.0, 1.5)), IndexScaledFamily(),
+                       SpikeFamily(((3, 2.0), (40, 0.5))), CustomFamily((Power(2.0), ExpMinusOne()))):
+            norms = PrefixNorms(family, x)
+            norms.luxemburg()
+            for rho in rhos:
+                assert norms.modular(rho) == modular(family, x, rho)
 
     @given(
         vals=st.lists(st.floats(-5, 5), min_size=1, max_size=20),
@@ -606,8 +621,9 @@ class TestModular:
     def test_nonincreasing_in_rho(self, vals, rho1, factor):
         fam = ConstantFamily(Power(2.0))
         x = Sequence(np.asarray(vals))
-        lo = modular(fam, x, RhoSequence(constant=rho1 * factor))
-        hi = modular(fam, x, RhoSequence(constant=rho1))
+        norms = PrefixNorms(fam, x)
+        lo = norms.modular(RhoSequence(constant=rho1 * factor))
+        hi = norms.modular(RhoSequence(constant=rho1))
         assert lo <= hi + 1e-12 * max(1.0, hi)
 
 
@@ -937,8 +953,8 @@ class TestSearchEvaluationCount:
 
             assert self.kernel_calls(family, both) == lux + ame - bracket
 
-    def test_norms_command_binds_the_full_prefix_twice(self):
-        """The two searches share one bind of the indices 1..N; `modular` makes the other."""
+    def test_norms_command_binds_the_full_prefix_once(self):
+        """The modular and the two searches share one bind of the indices 1..N."""
         horizon = 1_000
         doc = {
             "command": "norms",
@@ -956,7 +972,7 @@ class TestSearchEvaluationCount:
 
         with mock.patch.object(MusielakOrliczFamily, "bind", counting_bind):
             cmd_norms(doc)
-        assert sizes.count(horizon) == 2
+        assert sizes.count(horizon) == 1
 
 
 class TestConjugateAgainstReference:

@@ -132,3 +132,10 @@ def test_every_public_name_is_used_by_the_package_or_a_release_criterion():
     unused = [name for name in lacunary.__all__ if name not in used
               and not any(name in found for stmt, found in named if not defines(stmt, name))]
     assert unused == []
+
+
+def test_no_package_module_names_lapack():
+    """Verdict slopes are a closed form: no package code names `np.polyfit` or `np.linalg`."""
+    package = Path(lacunary.__file__).resolve().parent
+    named = {name for path in package.glob("*.py") for name in _names(ast.parse(path.read_text()))}
+    assert sorted(named & {"polyfit", "linalg", "lstsq"}) == []
