@@ -5,22 +5,18 @@ fully-defaulted config into `<out>/report.json`, and writes plot-ready
 trajectory CSVs with header `r,m,value` (per-m rows first, then one row
 per block with m = "sup").  Floats are printed at 12 significant digits so
 identical configs reproduce identical bytes; the timestamp lives only in
-report.json.
+report.json.  Each output is rewritten in place: opened without
+truncation, written, then cut at its new end.
 
-report.json is written by one streaming encoder in a single walk: it
-rounds each float as it writes it, writes +-inf as "inf"/"-inf", and
-gives the same bytes as `json.dump(..., indent=2, sort_keys=True,
-allow_nan=False)` of the rounded tree, without building that tree or the
-whole text.  Dicts and lists are written item by item.  An echoed array
-of numbers (`Numbers`, the config's one value per number array) is
-written straight from its flat columns, 256 items at a time: each chunk
-is one `%` of a template that holds its brackets and indentation, one
-per row length, with its floats formatted in bulk a column at a time and
-its ints by `%d`.
+report.json is written by one streaming encoder (`_write_json`) in a
+single walk, with the bytes of `json.dump(..., indent=2, sort_keys=True,
+allow_nan=False)` of the tree with its floats rounded and +-inf written as
+"inf"/"-inf", without building that tree or the whole text; an echoed
+number array (`Numbers`) is written from its flat columns (`_numbers_texts`).
 
 Exit codes: 0 when all requested computations completed (math PASS/FAIL
-lands in the report), 1 on config or computation errors, 2 under
---strict when any reported check failed.
+lands in the report), 1 on config or computation errors or an output that
+cannot be written, 2 under --strict when any reported check failed.
 """
 
 from __future__ import annotations
@@ -28,6 +24,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass, field
@@ -257,11 +254,20 @@ def _verdict_dict(v: Verdict) -> dict:
     }
 
 
-def _trajectory_rows(bundle: UniformTrajectories) -> list[tuple[int, str, float]]:
-    rows = [(r, str(m), value) for m, values in enumerate(bundle.per_m.tolist())
-            for r, value in enumerate(values, start=1)]
-    rows += [(r, "sup", value) for r, value in enumerate(bundle.sup.tolist(), start=1)]
-    return rows
+def _trajectory_csv(bundle: UniformTrajectories) -> str:
+    """The trajectory CSV of a bundle: its per-m rows, then its sup rows, by one `%` template."""
+    blocks = range(1, bundle.sup.size + 1)
+    labels = [*map(str, range(len(bundle.per_m))), "sup"]
+    template = "r,m,value\n" + "".join([f"{r},{m},%.12g\n" for m in labels for r in blocks])
+    return template % (*bundle.per_m.ravel().tolist(), *bundle.sup.tolist())
+
+
+def _rewrite(path: Path) -> TextIO:
+    """`path` opened for writing over its old bytes; the writer `truncate()`s it when done.
+
+    On ext4, truncating a file to zero and rewriting it forces a flush at close.
+    """
+    return open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w")
 
 
 @dataclass
@@ -271,7 +277,7 @@ class ReportBundle:
     config: dict
     results: dict
     checks: list[dict] = field(default_factory=list)
-    trajectories: dict[str, list[tuple[int, str, float]]] = field(default_factory=dict)
+    trajectories: dict[str, UniformTrajectories] = field(default_factory=dict)
     membership: tuple[list[str], list[list[str]]] | None = None
 
     @property
@@ -294,20 +300,18 @@ class ReportBundle:
             "results": self.results,
             "checks": self.checks,
         }
-        with open(out_dir / "report.json", "w") as fh:
+        with _rewrite(out_dir / "report.json") as fh:
             _write_json(report, fh)
             fh.write("\n")
-        for name, rows in self.trajectories.items():
-            with open(out_dir / f"{name}.csv", "w") as fh:
-                fh.write("r,m,value\n")
-                for r, m, value in rows:
-                    fh.write(f"{r},{m},{_fmt(value)}\n")
+            fh.truncate()
+        texts = {f"{name}.csv": _trajectory_csv(t) for name, t in self.trajectories.items()}
         if self.membership is not None:
             header, rows = self.membership
-            with open(out_dir / "membership.csv", "w") as fh:
-                fh.write(",".join(header) + "\n")
-                for row in rows:
-                    fh.write(",".join(row) + "\n")
+            texts["membership.csv"] = "".join(",".join(row) + "\n" for row in [header, *rows])
+        for name, text in texts.items():
+            with _rewrite(out_dir / name) as fh:
+                fh.write(text)
+                fh.truncate()
 
 
 # ---------------------------------------------------------------------------
@@ -397,10 +401,7 @@ def _block_run(
     bundle = ReportBundle(
         config=echo,
         results=results,
-        trajectories={
-            "trajectory": _trajectory_rows(strong),
-            "trajectory_shat": _trajectory_rows(shat),
-        },
+        trajectories={"trajectory": strong, "trajectory_shat": shat},
     )
     return bundle, strong, shat, v_shat
 
@@ -622,7 +623,10 @@ def main(argv: list[str] | None = None) -> int:
                 f"config is for command {doc['command']!r}, invoked {args.command!r}"
             )
         bundle = _HANDLERS[args.command](doc, args.seed)
-        bundle.write(args.out)
+        try:
+            bundle.write(args.out)
+        except OSError as exc:  # an --out below a file, a directory where a file goes, ...
+            raise LacunaryError(f"cannot write {exc.filename or args.out}: {exc.strerror or exc}") from exc
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

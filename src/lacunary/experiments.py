@@ -50,6 +50,8 @@ from .orlicz import (
     MusielakOrliczFamily,
     RhoSequence,
     SpikeFamily,
+    _member,
+    _run,
     delta2_check,
 )
 from .sequences import (
@@ -133,6 +135,7 @@ def _construction(
     return Sequence._adopt(values), schedule, params
 
 
+@np.errstate(over="ignore")  # for `_member`: M_k past float64 is an honest +inf
 def build_thm37(spec: CounterexampleSpec) -> tuple[Sequence, LacunarySchedule, SpaceParams]:
     """Half-block plateau construction with its schedule and space parameters.
 
@@ -152,8 +155,8 @@ def build_thm37(spec: CounterexampleSpec) -> tuple[Sequence, LacunarySchedule, S
     m_max = 32 if spec.m_max is None else spec.m_max
     u = spec.nu / spec.rho
 
-    def tail_value(k: int) -> float:
-        return float(family.bind([k])([u])[0])
+    def tail_value(k: int) -> float:  # u = nu / rho >= 0, so M_k runs unchecked
+        return _member(family, k)(u)
 
     # cut points: smallest n_r keeping block lengths nondecreasing with
     # tail_value(n_r + 1) < 2**-r; one extra phantom cut for window lookahead
@@ -275,7 +278,7 @@ def build_thm38(spec: CounterexampleSpec) -> tuple[Sequence, LacunarySchedule, S
         arguments = np.array(nus) / spec.rho
     if not np.isfinite(arguments).all():
         raise HypothesisUnsatisfiable("a spike argument nu_r / rho is past the range of float64")
-    at_spikes = family.bind(spikes)(arguments)
+    at_spikes = _run(family._bind(np.array(spikes, dtype=np.int64)), arguments)  # arguments > 0
     for r in range(R):
         got = float(at_spikes[r])
         if not got >= h_alpha[r] * (1.0 - 1e-12):
@@ -401,13 +404,13 @@ def liminf_growth_estimate(
     gamma = math.inf
     sampled = False
     for k in ks:
-        r = rho.at(k)
+        r = rho.constant if rho.constant is not None else rho.per_index[k - 1]
         with np.errstate(over="ignore"):
             us = _GROWTH_NUS / r
         us = us[np.isfinite(us)]
         if us.size:
             sampled = True
-            ratios = family.bind(np.full(us.shape, k))(us) / us
+            ratios = _run(family._bind(np.full(us.shape, k)), us) / us  # us > 0
             gamma = min(gamma, float(np.min(ratios)))
     if not sampled:
         raise EmptyAdmissibleSet("no sampled (k, nu) has rho_k defined and nu / rho_k finite")

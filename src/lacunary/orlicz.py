@@ -16,35 +16,34 @@ in-place one (`_formula(out)` overwrites out with M(out)), run by
 `eval_many`; the scalar `M(u)` is its one-element case, so both give the
 same bits.  A family kind has one hook, `_bind(ks)`, its in-place array
 formula with the per-index data (exponents, slopes, member groups) of the
-indices `ks` gathered.  `family.bind(ks)` is that hook behind the argument
-check: it returns a kernel `us -> M_{ks}(us)` for any number of argument
-arrays, and one member's M_k(u) is `family.bind([k])([u])[0]`.  Like a
-numpy ufunc, a kernel takes `out=`: `kernel(us)` returns a fresh array and
-leaves `us` as it is, while `kernel(us, out=w)` writes into the caller's
-float64 array `w` (which may be `us` itself) and returns it, with the same
-bits; so a caller that owns a workspace evaluates without a temporary.
-Arguments must be >= 0 (NegativeArgument otherwise); `BlockEngine` calls
-`_bind` on each tile's indices and runs the formula without that check,
-since its arguments |t| / rho are >= 0 or NaN by construction.  Overflow
-is a silent +inf, an honest "too large" value that the searches and
-verdicts handle.
+indices `ks` gathered.  `family.bind(ks)`, the public kernel, is that hook
+behind the argument check (u >= 0, NegativeArgument otherwise): it returns
+`us -> M_{ks}(us)` for any number of argument arrays, and takes `out=` like
+a numpy ufunc, with the same bits; one member's M_k(u) is
+`family.bind([k])([u])[0]`.  The package's own callers pass arguments >= 0
+(or NaN) by construction and run the `_bind` formulas unchecked, with the
+same bits: `BlockEngine` and `PrefixNorms` in their tile workspaces, `_run`
+on a fresh copy, `_member` on one reused one-element buffer.  Overflow is
+a silent +inf, an honest "too large" value that the searches and verdicts
+handle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Iterable
 
 import numpy as np
 
 from .errors import BracketTooSmall, EmptyAdmissibleSet, NegativeArgument, ScaledPrefixOverflow
 from .optimize import brent_min, secant_crossing
-from .sequences import Sequence
+from .sequences import Sequence, _TilePlan
 
-Kernel = Callable[..., np.ndarray]  # (us, out=None) -> M_{ks}(us), see `bind`
 Formula = Callable[[np.ndarray], object]  # overwrites its argument `out` with M(out)
+
+_TILE = 2**15  # indices per tile of `PrefixNorms`
 
 
 def _arguments(us) -> np.ndarray:
@@ -81,9 +80,8 @@ def scalar_power_in_place(out: np.ndarray, p: float) -> None:
         out **= p
 
 
-def _evaluate(formula: Formula, us, out: np.ndarray | None = None) -> np.ndarray:
-    """The in-place `formula` on the checked `us`, run in `out` (or a fresh copy of us)."""
-    us = _arguments(us)
+def _run(formula: Formula, us: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The in-place `formula` on the float64 `us` >= 0, unchecked, run in `out` (or a fresh copy)."""
     if out is None:
         out = us.copy()
     elif out is not us:
@@ -91,6 +89,19 @@ def _evaluate(formula: Formula, us, out: np.ndarray | None = None) -> np.ndarray
     with np.errstate(over="ignore"):
         formula(out)
     return out
+
+
+def _member(family: MusielakOrliczFamily, k: int) -> Callable[[float], float]:
+    """u -> M_k(u) for u >= 0, the bits of `family.bind([k])([u])[0]`: the bound formula run
+    unchecked on one reused one-element buffer, under the caller's `np.errstate(over="ignore")`."""
+    formula, buf = family._bind(np.array([k], dtype=np.int64)), np.empty(1)
+
+    def M(u: float) -> float:
+        buf[0] = u
+        formula(buf)
+        return buf.item()
+
+    return M
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +124,7 @@ class OrliczFunction:
 
     def eval_many(self, us: np.ndarray) -> np.ndarray:
         """M(us) elementwise, as a fresh array; overflow gives +inf without a warning."""
-        return _evaluate(self._formula, us)
+        return _run(self._formula, _arguments(us))
 
     def __call__(self, u: float) -> float:
         """M(u), the one-element case of `eval_many`: the same bits as in an array."""
@@ -279,7 +290,7 @@ class MusielakOrliczFamily:
         """The in-place array formula out -> M_{ks}(out), with the data of the indices gathered."""
         raise NotImplementedError
 
-    def bind(self, ks: np.ndarray) -> Kernel:
+    def bind(self, ks: np.ndarray) -> Callable[..., np.ndarray]:
         """The kernel (us, out=None) -> M_{ks[i]}(us[i]) elementwise, for any number of `us` arrays.
 
         The per-index data is gathered here, once; overflow gives +inf without
@@ -289,7 +300,8 @@ class MusielakOrliczFamily:
         after one copy of `us` into `w` otherwise, so a caller that owns `w`
         allocates nothing of the prefix's size.
         """
-        return partial(_evaluate, self._bind(np.asarray(ks, dtype=np.int64)))
+        formula = self._bind(np.asarray(ks, dtype=np.int64))
+        return lambda us, out=None: _run(formula, _arguments(us), out)
 
 
 @dataclass(frozen=True)
@@ -398,13 +410,21 @@ class CustomFamily(MusielakOrliczFamily):
 # ---------------------------------------------------------------------------
 
 
-def _positive_finite(values, what: str) -> tuple[tuple[float, ...], np.ndarray]:
-    """`values` as a tuple of floats and as a read-only float64 array, once; each must be > 0."""
-    array = np.array(values, dtype=np.float64)
+def _hold(seq: RhoSequence | ExponentSequence, what: str, entries: str) -> None:
+    """Check that `seq` sets exactly one of `constant` and `per_index`, every value > 0 and
+    finite; hold a per-index sequence as a tuple of floats and once as a read-only array."""
+    if (seq.constant is None) == (seq.per_index is None):
+        raise ValueError("set exactly one of constant / per_index")
+    if seq.constant is not None:
+        if not (seq.constant > 0 and math.isfinite(seq.constant)):
+            raise ValueError(f"{what} must be strictly positive and finite")
+        return
+    array = np.array(seq.per_index, dtype=np.float64)
     if not array.size or not (np.isfinite(array) & (array > 0)).all():
-        raise ValueError(f"{what} must be strictly positive and finite")
+        raise ValueError(f"{entries} must be strictly positive and finite")
     array.flags.writeable = False
-    return tuple(array.tolist()), array
+    object.__setattr__(seq, "per_index", tuple(array.tolist()))
+    object.__setattr__(seq, "_values", array)
 
 
 @dataclass(frozen=True)
@@ -420,22 +440,7 @@ class RhoSequence:
     per_index: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if (self.constant is None) == (self.per_index is None):
-            raise ValueError("set exactly one of constant / per_index")
-        if self.constant is not None:
-            if not (self.constant > 0 and math.isfinite(self.constant)):
-                raise ValueError("rho must be strictly positive and finite")
-        else:
-            vals, values = _positive_finite(self.per_index, "rho entries")
-            object.__setattr__(self, "per_index", vals)
-            object.__setattr__(self, "_values", values)
-
-    def at(self, k: int) -> float:
-        if self.constant is not None:
-            return self.constant
-        if k > len(self.per_index):
-            raise ValueError(f"rho defined up to index {len(self.per_index)}, asked for {k}")
-        return self.per_index[k - 1]
+        _hold(self, "rho", "rho entries")
 
     def array(self, start: int, stop: int) -> np.ndarray:
         """rho_k for k = start..stop inclusive; read-only, a view of a per-index sequence."""
@@ -458,15 +463,7 @@ class ExponentSequence:
     per_index: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if (self.constant is None) == (self.per_index is None):
-            raise ValueError("set exactly one of constant / per_index")
-        if self.constant is not None:
-            if not (self.constant > 0 and math.isfinite(self.constant)):
-                raise ValueError("exponent must be strictly positive and finite")
-        else:
-            vals, values = _positive_finite(self.per_index, "exponents")
-            object.__setattr__(self, "per_index", vals)
-            object.__setattr__(self, "_values", values)
+        _hold(self, "exponent", "exponents")
 
     @property
     def h_inf(self) -> float:
@@ -519,25 +516,41 @@ class AmemiyaValue:
 class PrefixNorms:
     """The modular and the Luxemburg and Amemiya norms of one prefix x under one family.
 
-    Built once per (family, prefix): it binds the family's kernel on the
-    indices 1..N, takes |x| and allocates one workspace, into which the
-    modular and every step of either search write their scaled prefix and
-    run the kernel in place.  The Luxemburg bracket does not depend on the
-    tolerance, so it is found at most once and serves both searches.  Each
-    is bit for bit the finite-prefix modular I(x / rho) = sum_k M_k(|x_k| / rho_k)
-    of its scaled prefix, summed by `np.sum`.
+    Built once per (family, prefix): it allocates |x| first, so a prefix
+    past memory fails at once, and fills it tile by tile through `x.read`
+    (a drawn prefix is never drawn whole).  The tiles are those of a
+    `_TilePlan` over the one block [0, N), each bound to the family's
+    formula once.  The modular and every search step scale each tile of |x|
+    into one tile-wide workspace, run its formula there unchecked (|x| / rho
+    and k |x| are >= 0) and sum its leaves; added up the plan's tree, these
+    are `np.sum` of the whole scaled prefix, bit for bit.  Memory: |x| (8
+    bytes per index), a tile, and the per-index data the bound formulas hold
+    (none for a constant family).  The Luxemburg bracket does not depend on
+    the tolerance, so it is found at most once and serves both searches.
     """
 
     def __init__(self, family: MusielakOrliczFamily, x: Sequence) -> None:
-        self._kernel = family.bind(np.arange(1, x.horizon + 1))  # the index array is freed here
-        self._ax = np.abs(x.values)
-        self._work = np.empty_like(self._ax)
+        self._ax = np.empty(x.horizon)
+        self._plan = _TilePlan((0, x.horizon), _TILE)
+        self._formulas = []
+        for a, b, _, _ in self._plan.tiles:
+            part = self._ax[a:b]
+            np.abs(x.read(a, b, out=part), out=part)
+            self._formulas.append(family._bind(np.arange(a + 1, b + 1)))
+        self._work = np.empty(self._plan.width)
         self._zero = not np.any(self._ax)
 
-    def _scaled_modular(self, scale: Callable[..., np.ndarray], factor: float) -> float:
-        """The modular of scale(|x|, factor), scaled and evaluated in the workspace."""
+    def _scaled_modular(self, scale: Callable[..., np.ndarray], factor: float | np.ndarray) -> float:
+        """The modular of scale(|x|, factor), a tile at a time; `factor` is a scalar or per index."""
+        plan = self._plan
+        leaf_sums = np.empty((1, plan.leaves))
         with np.errstate(over="ignore"):  # a scaled prefix or a modular past float64 is an honest +inf
-            return float(np.sum(self._kernel(scale(self._ax, factor, out=self._work), out=self._work)))
+            for (a, b, leaves, pieces), formula in zip(plan.tiles, self._formulas):
+                work = self._work[: b - a]
+                scale(self._ax[a:b], factor if np.isscalar(factor) else factor[a:b], out=work)
+                formula(work)
+                leaf_sums[0, leaves] = [np.add.reduce(work[s]) for s in pieces]
+            return float(plan.block_sums(leaf_sums)[0, 0])
 
     def modular(self, rho: RhoSequence = RhoSequence()) -> float:
         """The modular sum_{k=1}^{N} M_k(|x_k| / rho_k); rho must cover the prefix."""
@@ -662,6 +675,7 @@ class ConjugateValue:
 _CONJUGATE_TOL = 1e-10  # the absolute tolerance of the conjugate's maximizer
 
 
+@np.errstate(over="ignore")  # for `_member`: M_k past float64 is an honest +inf
 def complementary(
     family: MusielakOrliczFamily,
     k: int,
@@ -675,14 +689,12 @@ def complementary(
     bracket is first halved from u_max until M_k is finite at the upper end.
     Boundary attainment (relative to u_max) is flagged, not raised.
     """
-    kernel = family.bind([k])
-
-    def M(u: float) -> float:
-        return float(kernel([u])[0])
-
+    M = _member(family, k)
     a = abs(v)
     if a == 0.0:
         return ConjugateValue(0.0, False)
+    if u_max < 0:
+        raise NegativeArgument("Orlicz functions take u >= 0")
 
     def g(u: float) -> float:
         m = M(u)
@@ -732,8 +744,8 @@ class Delta2Report:
 
 
 def _default_u_grid() -> np.ndarray:
-    # hits 1.0 exactly so power families expose their full doubling ratio
-    return np.unique(np.concatenate([np.geomspace(1e-6, 1.0, 31), np.linspace(1.0, 10.0, 19)]))
+    # increasing; hits 1.0 exactly, once, so power families expose their full doubling ratio
+    return np.concatenate([np.geomspace(1e-6, 1.0, 31), np.linspace(1.0, 10.0, 19)[1:]])
 
 
 def delta2_check(
@@ -757,9 +769,9 @@ def delta2_check(
     tested = 0
     violations: list[tuple[int, float]] = []
     for k in ks:
-        kernel = family.bind(np.full(us.shape, k))
-        m_u = kernel(us)
-        m_2u = kernel(2.0 * us)
+        formula = family._bind(np.full(us.shape, k))  # unchecked: u > 0
+        m_u = _run(formula, us)
+        m_2u = _run(formula, 2.0 * us)
         admissible = m_u <= a
         if not np.any(admissible):
             continue

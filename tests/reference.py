@@ -67,7 +67,7 @@ from lacunary import (
 from lacunary.convergence import MODULAR_FLAGS, RAW_FLAGS, STRONG
 from lacunary.config import OMIT, Component
 from lacunary.errors import BracketTooSmall, ConfigError, NoInteriorMinimum, ScaledPrefixOverflow
-from lacunary.orlicz import AmemiyaValue
+from lacunary.orlicz import AmemiyaValue, PrefixNorms
 
 
 def row_table(rows) -> RowTable:
@@ -444,6 +444,20 @@ def modular(family, x: Sequence, rho: RhoSequence = RhoSequence()) -> float:
     with np.errstate(over="ignore"):  # a quotient or a sum past float64 is an honest +inf
         us = np.abs(x.values) / rho.array(1, n)
         return float(np.sum(family.bind(np.arange(1, n + 1))(us)))
+
+
+class WholePrefixNorms(PrefixNorms):
+    """`PrefixNorms` with every modular one `np.sum` over the whole scaled prefix, through the
+    checked kernel bound to the indices 1..N: the package's searches on the reference modular."""
+
+    def __init__(self, family, x: Sequence) -> None:
+        self._kernel = family.bind(np.arange(1, x.horizon + 1))
+        self._ax = np.abs(x.values)
+        self._zero = not np.any(self._ax)
+
+    def _scaled_modular(self, scale, factor) -> float:
+        with np.errstate(over="ignore"):  # a scaled prefix or a modular past float64 is +inf
+            return float(np.sum(self._kernel(scale(self._ax, factor))))
 
 
 def reference_luxemburg(family, x: Sequence, tol: float) -> float:

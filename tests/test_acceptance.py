@@ -41,7 +41,8 @@ def report(n, name, ok, detail):
 
 
 def sup_rows(bundle, name):
-    return {r: v for r, m, v in bundle.trajectories[name] if m == "sup"}
+    """The rows m = "sup" of a trajectory CSV, {r: value}, from the bundle's trajectories."""
+    return dict(enumerate(bundle.trajectories[name].sup.tolist(), start=1))
 
 
 def test_criterion_1_thm37_reproduction():

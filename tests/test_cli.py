@@ -22,7 +22,7 @@ from test_config import COMMAND_COMPONENTS, _slots, documents, plain
 
 from lacunary import ConstantFamily, Power, cli, complementary
 from lacunary.cli import ReportBundle, main
-from lacunary.convergence import MODULAR_FLAGS, STRONG
+from lacunary.convergence import MODULAR_FLAGS, STRONG, UniformTrajectories
 from lacunary.config import CLASSIFY, CLASSIFY_CONSTRUCTION, COMMANDS, _command_component, materialize
 from lacunary.errors import ConfigError
 
@@ -690,6 +690,21 @@ class TestErrorBoundary:
             tmp_path, capsys, doc, "config error: beta: T31 needs beta >= space.alpha = 1, got 0.5"
         )
 
+    NORMS = {"command": "norms", "sequence": {"kind": "explicit", "values": [0.5, 1.0]},
+             "family": {"kind": "index_scaled"}}
+
+    def test_out_below_a_regular_file(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        cfg = write_config(tmp_path, self.NORMS)
+        assert run_cli(["norms", "--config", cfg, "--out", tmp_path / "file" / "out"]) == 1
+        assert capsys.readouterr().err == f"error: cannot write {tmp_path / 'file' / 'out'}: Not a directory\n"
+
+    def test_report_path_is_a_directory(self, tmp_path, capsys):
+        (tmp_path / "out" / "report.json").mkdir(parents=True)
+        cfg = write_config(tmp_path, self.NORMS)
+        assert run_cli(["norms", "--config", cfg, "--out", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err == f"error: cannot write {tmp_path / 'out' / 'report.json'}: Is a directory\n"
+
     def test_norms_prefix_too_large_for_the_luxemburg_bracket(self, tmp_path, capsys):
         doc = {
             "command": "norms",
@@ -934,6 +949,64 @@ class TestOverflow:
         bundle = ReportBundle(config={}, results={"tail_mean": math.nan})
         with pytest.raises(ValueError):
             bundle.write(tmp_path)
+
+
+# ---------------------------------------------------------------------------
+# output files: rewritten in place, trajectories by one template
+# ---------------------------------------------------------------------------
+
+
+def _bundle(text, rows, blocks):
+    """A bundle whose report holds `text`, with one (rows x blocks) trajectory and a membership table."""
+    per_m = np.arange(rows * blocks, dtype=np.float64).reshape(rows, blocks) / 3
+    trajectories = {"trajectory": UniformTrajectories(per_m, per_m.max(axis=0))}
+    membership = (["sequence", "a"], [[f"s{i}", text] for i in range(rows)])
+    return ReportBundle(config={}, results={"text": text}, trajectories=trajectories, membership=membership)
+
+
+def _files(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def test_a_shorter_rewrite_leaves_exactly_the_new_bytes(tmp_path):
+    """Outputs are written over the old bytes and cut at their new end."""
+    _bundle("x" * 5000, 40, 9).write(tmp_path / "out")
+    _bundle("y", 2, 3).write(tmp_path / "out")
+    _bundle("y", 2, 3).write(tmp_path / "fresh")
+    got, fresh = _files(tmp_path / "out"), _files(tmp_path / "fresh")
+    got.pop("report.json"), fresh.pop("report.json")  # their timestamps differ
+    assert got == fresh
+    assert read_report(tmp_path / "out")["results"] == {"text": "y"}
+    assert (tmp_path / "out" / "report.json").read_bytes().endswith(b"}\n")
+
+
+def test_a_symlinked_output_is_written_through(tmp_path):
+    """As with open(path, "w"), a symlink at an output's path is followed, not replaced."""
+    out, target = tmp_path / "out", tmp_path / "target.csv"
+    out.mkdir()
+    target.write_text("old contents, longer than the new ones\n" * 50)
+    (out / "trajectory.csv").symlink_to(target)
+    _bundle("y", 2, 3).write(out)
+    assert (out / "trajectory.csv").is_symlink()
+    assert target.read_text() == "r,m,value\n1,0,0\n2,0,0.333333333333\n3,0,0.666666666667\n" \
+        "1,1,1\n2,1,1.33333333333\n3,1,1.66666666667\n1,sup,1\n2,sup,1.33333333333\n3,sup,1.66666666667\n"
+
+
+CSV_FLOATS = st.floats() | st.sampled_from(
+    [math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, 1e16, 1e-5, 123456789012.5, 1e22])
+
+
+@given(rows=st.integers(1, 4), blocks=st.integers(1, 5), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_trajectory_csv_is_the_row_by_row_text(rows, blocks, data):
+    """One template per file gives the bytes of one f-string row at a time."""
+    per_m = np.array(data.draw(st.lists(CSV_FLOATS, min_size=rows * blocks, max_size=rows * blocks)))
+    per_m = per_m.reshape(rows, blocks)
+    sup = np.array(data.draw(st.lists(CSV_FLOATS, min_size=blocks, max_size=blocks)))
+    want = "r,m,value\n"
+    for m, values in [*enumerate(per_m.tolist()), ("sup", sup.tolist())]:
+        want += "".join(f"{r},{m},{float(v):.12g}\n" for r, v in enumerate(values, start=1))
+    assert cli._trajectory_csv(UniformTrajectories(per_m, sup)) == want
 
 
 # ---------------------------------------------------------------------------

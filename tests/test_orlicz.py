@@ -26,7 +26,6 @@ from lacunary import (
     IndexPowerFamily,
     IndexScaledFamily,
     LinearSlope,
-    MusielakOrliczFamily,
     Power,
     PowerOverP,
     PrefixNorms,
@@ -40,7 +39,7 @@ from lacunary import (
     complementary,
     delta2_check,
 )
-from lacunary import orlicz
+from lacunary import experiments, orlicz
 from lacunary.cli import cmd_norms
 from lacunary.config import FAMILY
 from lacunary.convergence import BUNDLES
@@ -51,7 +50,7 @@ from lacunary.errors import (
     LacunaryError,
     NegativeArgument,
 )
-from lacunary.experiments import random_bounded_sequence
+from lacunary.experiments import CounterexampleSpec, build_thm37, random_bounded_sequence
 from lacunary.optimize import brent_min, secant_crossing
 from reference import (
     allocating_bind,
@@ -64,6 +63,7 @@ from reference import (
     reference_amemiya,
     reference_conjugate,
     reference_luxemburg,
+    WholePrefixNorms,
 )
 
 
@@ -835,6 +835,83 @@ class TestSearchesAgainstModularPerStep:
             PrefixNorms(ConstantFamily(LinearSlope(1.0)), Sequence(np.array([value, 0.0]))).luxemburg()
 
 
+class TestStreamedNorms:
+    """`PrefixNorms` reads |x| and evaluates every modular a tile at a time; each value is the
+    whole-prefix `np.sum` of the reference, bit for bit, whatever the tile size."""
+
+    @given(
+        family=st.one_of(FAMILIES, CUSTOM_FAMILIES),
+        tile=st.sampled_from([2**7, 2**8, 2**9]),
+        tiles=st.integers(1, 4),
+        offset=st.integers(-2, 2),
+        scale=st.sampled_from([1e-3, 1.0, 10.0]),
+        per_index_rho=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_modular_and_norms_are_the_whole_prefix_sum(
+        self, family, tile, tiles, offset, scale, per_index_rho, seed
+    ):
+        rng = np.random.default_rng(seed)
+        n = tiles * tile + offset
+        x = Sequence(rng.uniform(-1.0, 1.0, n) * scale)
+        rho = (RhoSequence(constant=None, per_index=tuple(rng.uniform(0.1, 2.0, n)))
+               if per_index_rho else RhoSequence(constant=float(rng.uniform(0.1, 2.0))))
+        with mock.patch.object(orlicz, "_TILE", tile):
+            norms = PrefixNorms(family, x)
+        whole = WholePrefixNorms(family, x)
+        assert norms.modular(rho) == whole.modular(rho) == modular(family, x, rho)
+        assert outcome(norms.luxemburg, 1e-10) == outcome(whole.luxemburg, 1e-10)
+        assert outcome(norms.amemiya, 1e-9) == outcome(whole.amemiya, 1e-9)
+
+    def test_a_drawn_prefix_is_read_tile_by_tile(self):
+        """|x| comes from `read`, a tile at a time, so the draw's whole `values` are never made."""
+        x = random_bounded_sequence(np.random.default_rng(4), 1000, radius=1.0, exception_density=0.01)
+        with mock.patch.object(orlicz, "_TILE", 2**7):
+            norms = PrefixNorms(IndexPowerFamily((1.5, 2.5)), x)
+        assert x._values is None
+        assert norms.modular() == modular(IndexPowerFamily((1.5, 2.5)), x)
+
+
+class TestUncheckedMembers:
+    """The package's own member evaluations skip `bind`'s check, with the bits of the checked path."""
+
+    @given(family=st.one_of(FAMILIES, CUSTOM_FAMILIES), k=st.integers(1, 60), u=ARGUMENT)
+    @settings(max_examples=150, deadline=None)
+    def test_member_is_the_checked_kernel(self, family, k, u):
+        with np.errstate(over="ignore"):
+            got = orlicz._member(family, k)(u)
+        assert np.float64(got).tobytes() == np.float64(one_member(family, k)(u)).tobytes()
+
+    @pytest.mark.parametrize("family", SEARCH_FAMILIES, ids=lambda f: type(f).__name__)
+    def test_complementary_is_the_checked_path(self, family):
+        for k in (1, 2, 3, 5):
+            for v in (0.5, 1.0, 2.0, 7.0):
+                for u_max in (1e3, 1e-10):
+                    got = complementary(family, k, v, u_max)
+                    with mock.patch.object(orlicz, "_member", one_member):
+                        assert complementary(family, k, v, u_max) == got
+
+    @pytest.mark.parametrize("spec", [
+        CounterexampleSpec("thm37"),
+        CounterexampleSpec("thm37", nu=3.0, rho=0.5, r_max=9, m_max=4),
+        CounterexampleSpec("thm37", nu=0.7, r_max=5, m_max=0,
+                           family=CustomFamily(tuple(LinearSlope(2.0**-i) for i in range(12)))),
+        CounterexampleSpec("thm37", r_max=5, m_max=0, family=SpikeFamily(((3, 4.0),), 2.0**-12)),
+        CounterexampleSpec("thm37", nu=0.7, r_max=6, family=CustomFamily((LinearSlope(0.5),))),
+    ], ids=["default", "scaled", "custom", "spike", "unsatisfiable"])
+    def test_thm37_tail_values_are_the_checked_path(self, spec):
+        got = outcome(build_thm37, spec)
+        with mock.patch.object(experiments, "_member", one_member):
+            want = outcome(build_thm37, spec)
+        if isinstance(want, type):
+            assert got is want
+            return
+        (x, schedule, params), (x_ref, schedule_ref, params_ref) = got, want
+        assert x.values.tobytes() == x_ref.values.tobytes()
+        assert (schedule, params) == (schedule_ref, params_ref)
+
+
 def amemiya_slack(family, x, k, tol):
     """How far above the reference the Amemiya search may end, for its final point k.
 
@@ -906,25 +983,20 @@ class TestSearchesAgainstReference:
 
 
 class TestSearchEvaluationCount:
-    """Kernel calls per search on the norms shapes of the benchmark's cli-mix workload."""
+    """Modular evaluations per search on the norms shapes of the benchmark's cli-mix workload."""
 
     @staticmethod
     def kernel_calls(family, answer):
-        """The kernel calls, of kernels that `family` binds, while `answer()` runs."""
+        """The modulars of a scaled prefix that `PrefixNorms` evaluates while `answer()` runs."""
         calls = 0
-        bind = type(family).bind
+        evaluate = PrefixNorms._scaled_modular
 
-        def counting_bind(self, ks):
-            kernel = bind(self, ks)
+        def counted(self, scale, factor):
+            nonlocal calls
+            calls += 1
+            return evaluate(self, scale, factor)
 
-            def counted(us, out=None):
-                nonlocal calls
-                calls += 1
-                return kernel(us, out=out)
-
-            return counted
-
-        with mock.patch.object(type(family), "bind", counting_bind):
+        with mock.patch.object(PrefixNorms, "_scaled_modular", counted):
             answer()
         return calls
 
@@ -954,7 +1026,7 @@ class TestSearchEvaluationCount:
             assert self.kernel_calls(family, both) == lux + ame - bracket
 
     def test_norms_command_binds_the_full_prefix_once(self):
-        """The modular and the two searches share one bind of the indices 1..N."""
+        """The modular and the two searches share one `_bind` of the indices 1..N (one tile)."""
         horizon = 1_000
         doc = {
             "command": "norms",
@@ -964,13 +1036,13 @@ class TestSearchEvaluationCount:
             "delta2": {"a": 1.0, "k_max": 4},
         }
         sizes = []
-        bind = MusielakOrliczFamily.bind
+        bind = ConstantFamily._bind
 
         def counting_bind(self, ks):
             sizes.append(len(ks))
             return bind(self, ks)
 
-        with mock.patch.object(MusielakOrliczFamily, "bind", counting_bind):
+        with mock.patch.object(ConstantFamily, "_bind", counting_bind):
             cmd_norms(doc)
         assert sizes.count(horizon) == 1
 
@@ -999,6 +1071,11 @@ class TestConjugateAgainstReference:
 
 
 class TestDelta2:
+    def test_default_grid_is_the_sorted_unique_grid(self):
+        """The grid is built in order, with 1.0 once, bit for bit the old `np.unique` of the two ranges."""
+        old = np.unique(np.concatenate([np.geomspace(1e-6, 1.0, 31), np.linspace(1.0, 10.0, 19)]))
+        assert orlicz._default_u_grid().tobytes() == old.tobytes()
+
     def test_power_families_hit_two_to_p(self):
         for p in (1.0, 2.0, 3.0):
             rep = delta2_check(ConstantFamily(Power(p)))

@@ -139,3 +139,32 @@ def test_no_package_module_names_lapack():
     package = Path(lacunary.__file__).resolve().parent
     named = {name for path in package.glob("*.py") for name in _names(ast.parse(path.read_text()))}
     assert sorted(named & {"polyfit", "linalg", "lstsq"}) == []
+
+
+def test_no_package_module_calls_bind():
+    """The package's own member evaluations pass arguments >= 0 by construction and run the
+    `_bind` formulas unchecked; `bind`, the checked kernel, is for library callers."""
+    package = Path(lacunary.__file__).resolve().parent
+    calls = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "bind"]
+    assert calls == []
+
+
+def test_norms_and_inclusion_leave_numpy_ma_out(tmp_path):
+    """`np.unique` makes numpy import numpy.ma; the doubling check's grid is built without it."""
+    src = str(Path(lacunary.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    (tmp_path / "norms.json").write_text(
+        '{"command": "norms", "sequence": {"kind": "explicit", "values": [0.5, -2.0, 1.0]}, '
+        '"family": {"kind": "index_scaled"}, "delta2": {"a": 1.0, "k_max": 4}}'
+    )
+    code = (
+        "import sys; from lacunary.cli import main; "
+        f"assert main(['norms', '--config', {str(tmp_path / 'norms.json')!r}, '--out', {str(tmp_path / 'n')!r}]) == 0; "
+        f"assert main(['inclusion', '--out', {str(tmp_path / 'i')!r}]) == 0; "
+        "print('numpy.ma' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
