@@ -5,14 +5,18 @@ fully-defaulted config into `<out>/report.json`, and writes plot-ready
 trajectory CSVs with header `r,m,value` (per-m rows first, then one row
 per block with m = "sup").  Floats are printed at 12 significant digits so
 identical configs reproduce identical bytes; the timestamp lives only in
-report.json.  Each output is rewritten in place: opened without
-truncation, written, then cut at its new end.
+report.json.
 
-report.json is written by one streaming encoder (`_write_json`) in a
-single walk, with the bytes of `json.dump(..., indent=2, sort_keys=True,
-allow_nan=False)` of the tree with its floats rounded and +-inf written as
-"inf"/"-inf", without building that tree or the whole text; an echoed
-number array (`Numbers`) is written from its flat columns (`_numbers_texts`).
+report.json is written by one streaming encoder in a single walk: it
+rounds each float as it writes it, writes +-inf as "inf"/"-inf", and
+gives the same bytes as `json.dump(..., indent=2, sort_keys=True,
+allow_nan=False)` of the rounded tree, without building that tree or the
+whole text.  Dicts and lists are written item by item.  An echoed array
+of numbers (`Numbers`, the config's one value per number array) is
+written straight from its flat columns, 256 items at a time: each chunk
+is one `%` of a template that holds its brackets and indentation, one
+per row length, with its floats formatted in bulk a column at a time and
+its ints by `%d`.
 
 Exit codes: 0 when all requested computations completed (math PASS/FAIL
 lands in the report), 1 on config or computation errors or an output that
@@ -24,7 +28,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import math
-import os
 import re
 import sys
 from dataclasses import dataclass, field
@@ -262,14 +265,6 @@ def _trajectory_csv(bundle: UniformTrajectories) -> str:
     return template % (*bundle.per_m.ravel().tolist(), *bundle.sup.tolist())
 
 
-def _rewrite(path: Path) -> TextIO:
-    """`path` opened for writing over its old bytes; the writer `truncate()`s it when done.
-
-    On ext4, truncating a file to zero and rewriting it forces a flush at close.
-    """
-    return open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w")
-
-
 @dataclass
 class ReportBundle:
     """Everything one command produced, ready to be written to <out>."""
@@ -300,18 +295,16 @@ class ReportBundle:
             "results": self.results,
             "checks": self.checks,
         }
-        with _rewrite(out_dir / "report.json") as fh:
+        with open(out_dir / "report.json", "w") as fh:
             _write_json(report, fh)
             fh.write("\n")
-            fh.truncate()
         texts = {f"{name}.csv": _trajectory_csv(t) for name, t in self.trajectories.items()}
         if self.membership is not None:
             header, rows = self.membership
             texts["membership.csv"] = "".join(",".join(row) + "\n" for row in [header, *rows])
         for name, text in texts.items():
-            with _rewrite(out_dir / name) as fh:
+            with open(out_dir / name, "w") as fh:
                 fh.write(text)
-                fh.truncate()
 
 
 # ---------------------------------------------------------------------------

@@ -15,19 +15,23 @@ per-index term above (the per-term reading of the defining statistic);
 `raw` applies it to |t_{km}(A(x) - L)| itself, the set the first inclusion
 bound counts.  Reports must name the mode in use.
 
-`BlockEngine` computes the strong statistic and both exception densities for
-every m = 0..m_max in one pass per sequence, from one transform, for a group
-of spaces that differ only in family, rho, exponents and alpha, and of each
-space only the bundles (STRONG, MODULAR_FLAGS, RAW_FLAGS) its caller reads,
-streaming over tiles of the prefix.  Numerical contract: window sums come
-from a sequential cumulative sum (`np.cumsum`), block sums are the pairwise
-`np.add.reduce` of each block, and exception counts are exact integers.
-Every per-m trajectory is therefore bitwise equal to the slow per-statistic
-reference in `tests/reference.py` (`strong_block_statistic`,
-`lacunary_density` of `shat_flags`), whatever the tile size, the other
-spaces of the engine or the bundles they read.  NaN is never a result: a NaN
-strong block sum raises `NonFiniteStatistic`.  No statistic is negative:
-every buildable family member is >= 0 on u >= 0 (see `OrliczFunction`).
+`BlockEngine` computes the strong statistic and both exception densities
+for every m = 0..m_max in one pass per sequence, from one transform, for a
+group of spaces that differ only in family, rho, exponents and alpha, and
+of each space only the bundles (STRONG, MODULAR_FLAGS, RAW_FLAGS) its
+caller reads.  It streams: each tile of whole blocks, or of nodes of a long
+block's pairwise-sum tree, reads its slice of A(x), takes y = A(x) - L, its
+cumulative sum and every window while it is in cache, so the engine holds no
+array of the prefix's length, and for Identity reads x only tile by tile.
+Numerical contract: window sums come from a sequential cumulative sum
+(`np.cumsum`), block sums are the pairwise `np.add.reduce` of each block,
+and exception counts are exact integers.  Every per-m trajectory is
+therefore bitwise equal to the slow per-statistic reference in
+`tests/reference.py` (`strong_block_statistic`, `lacunary_density` of
+`shat_flags`), whatever the tile size, the other spaces of the engine or
+the bundles they read.  NaN is never a result: a NaN strong block sum
+raises `NonFiniteStatistic`.  No statistic is negative: every buildable
+family member is >= 0 on u >= 0 (see `OrliczFunction`).
 """
 
 from __future__ import annotations
@@ -52,7 +56,6 @@ from .sequences import (
     LacunarySchedule,
     MatrixOperator,
     Sequence,
-    _TilePlan,
     transform_sequence,
 )
 
@@ -227,6 +230,66 @@ def _uniform(per_m: np.ndarray) -> UniformTrajectories:
     return UniformTrajectories(per_m, sup)
 
 
+_PAIRWISE_LEAF = 128  # numpy's PW_BLOCKSIZE: its pairwise sum never splits a run this short
+
+
+class _TilePlan:
+    """The tiles of a schedule's indices, each a run of leaves whose sums add up to the block sums.
+
+    A leaf is a whole block, or, for a block longer than the node width
+    max(tile, 128), one node of numpy's pairwise-sum tree over the block:
+    numpy sums a run of n > 128 elements as the sum of its first
+    n2 = n//2 - (n//2) % 8 and the sum of the rest, and a run of at most
+    128 in one loop.  So `np.add.reduce` of each leaf, added up the tree in
+    float64, is `np.add.reduce` of the whole block bit for bit (the test
+    of the plan pins this to the installed numpy).  Consecutive leaves are
+    packed into one tile of at most `tile` indices; a longer leaf is a
+    tile of its own.
+    """
+
+    def __init__(self, cuts: tuple[int, ...], tile: int) -> None:
+        width = max(tile, _PAIRWISE_LEAF)
+        leaves: list[tuple[int, int]] = []
+
+        def split(lo: int, hi: int):
+            """The tree over [lo, hi): a leaf's number, or a pair (left, right) of trees."""
+            n = hi - lo
+            if n <= width:
+                leaves.append((lo, hi))
+                return len(leaves) - 1
+            half = n // 2 - (n // 2) % 8
+            return split(lo, lo + half), split(lo + half, hi)
+
+        self.first_leaf = []  # per block, the number of its first leaf
+        self.trees = []  # per block, its tree of leaves
+        for a, b in zip(cuts, cuts[1:]):
+            self.first_leaf.append(len(leaves))
+            self.trees.append(split(a, b))
+        self.leaves = len(leaves)
+        # per tile: its index range [a, b), the numbers of its leaves and their slices in the tile
+        self.tiles: list[tuple[int, int, slice, list[slice]]] = []
+        first = 0
+        for j in range(1, len(leaves) + 1):
+            if j == len(leaves) or leaves[j][1] - leaves[first][0] > tile:
+                a, b = leaves[first][0], leaves[j - 1][1]
+                pieces = [slice(lo - a, hi - a) for lo, hi in leaves[first:j]]
+                self.tiles.append((a, b, slice(first, j), pieces))
+                first = j
+        self.width = max(b - a for a, b, _, _ in self.tiles)
+
+    def block_sums(self, leaf_sums: np.ndarray) -> np.ndarray:
+        """The block sums, per row, from the leaf sums of shape (rows, leaves), up each tree."""
+
+        def up(tree):
+            return leaf_sums[:, tree] if isinstance(tree, int) else up(tree[0]) + up(tree[1])
+
+        return np.stack([up(tree) for tree in self.trees], axis=1)
+
+    def block_counts(self, leaf_counts: np.ndarray) -> np.ndarray:
+        """The block counts, per row, from the exact leaf counts of shape (rows, leaves), as float64."""
+        return np.add.reduceat(leaf_counts, self.first_leaf, axis=1).astype(np.float64)
+
+
 _PLAIN = ConstantFamily(LinearSlope(1.0))  # M(u) = u, the family of the plain-average space
 
 
@@ -328,55 +391,71 @@ class BlockEngine:
     holding each bundle the pair reads under its name, and no other.
 
     One call transforms x once, to z = A(x) for the largest lookahead, and
-    streams over the tiles of a `_TilePlan` of the schedule: whole blocks
-    packed up to `_TILE` indices, longer blocks split into nodes of numpy's
-    pairwise-sum tree.  Each tile reads z for its indices and the m_max
-    after them (`z.read`) into the cumulative-sum workspace, writes
-    y = z - L there, takes |y| (the deviations at m = 0), and then the
-    cumulative sum of y after the carry c_a = y_1 + ... + y_a of the tiles
-    before it, in place: its window sums are those of one sequential
-    cumulative sum over the prefix, as in the reference's
-    `_window_deviations` (`tests/reference.py`), bit for bit.  Then, while
-    the tile is in cache, for each m it computes the deviations (dividing
-    by m + 1, or multiplying by 2**-k when m + 1 = 2**k, the same correctly
-    rounded quotient), the raw flags once if a space reads RAW_FLAGS, and
-    for each group of spaces sharing (family, rho, exponents) its terms if
-    one of them reads STRONG or MODULAR_FLAGS and its modular flags if one
-    reads MODULAR_FLAGS; each leaf of the tile is reduced to an
+    then streams over the tiles of a `_TilePlan` built from the schedule:
+    whole blocks packed up to `_TILE` indices, and the blocks longer than
+    that split into nodes of numpy's pairwise-sum tree.  Each tile reads z
+    for its indices and the m_max after them with `z.read` into the
+    cumulative-sum workspace, writes y = z - L there, takes |y| (the
+    deviations at m = 0), and then the cumulative sum of y after the carry
+    c_a = y_1 + ... + y_a of the tiles before it, in place, so its window
+    sums are those of one sequential cumulative sum over the prefix, as in
+    the reference's `_window_deviations` (`tests/reference.py`), bit for
+    bit.  Then, while the tile is in cache, for each m it computes its
+    deviations, dividing by m + 1, or multiplying by 2**-k when
+    m + 1 = 2**k, which is the same correctly rounded quotient, and, if a
+    space reads RAW_FLAGS, its raw flags once; each
+    group of spaces sharing (family, rho, exponents) gets its terms if one
+    of them reads STRONG or MODULAR_FLAGS, and its modular flags if one
+    reads MODULAR_FLAGS; and each leaf of the tile is reduced, to an
     `np.add.reduce` sum per group read for STRONG and an exact count per
     flag array.  After the last tile the leaf sums are added up each
-    block's tree, which gives `np.add.reduce` of the whole block, the
-    counts are summed per block, and both are divided by h_r**alpha per
-    space.  So each per-m trajectory is bitwise that reference's, whatever
-    the tile size and whatever the other pairs read.
+    block's tree, which gives `np.add.reduce` of the whole block, and the
+    counts are summed per block; both are divided by h_r**alpha per space.
+    So each per-m trajectory is bitwise identical to that reference,
+    whatever the tile size and whatever the other pairs read.
 
     The terms are the family's in-place formula, bound by `family._bind`
-    once per engine for a constant family and to each tile's indices for
-    any other, and run in the terms workspace without `bind`'s check: the
-    argument |t_{km}| / rho_k is >= 0 or NaN, as rho_k > 0 is finite
-    (`RhoSequence`).  The formula runs inside the engine's errstate, which
-    ignores overflow as `bind` does.  The plain-average space, M(u) = u
-    with rho 1 and exponents 1, reads the deviations in place; its group
-    runs first, and the last group to run writes its terms over them.
+    once when the engine is made for a constant family, whose formula reads
+    no indices, and to each tile's indices when the call reaches the tile
+    for any other family, and run on the
+    terms workspace without `bind`'s argument check: the argument is
+    u = |t_{km}| / rho_k, and rho_k > 0 is finite (`RhoSequence`), so
+    u >= 0 or NaN, and the check passes NaN.  The formula runs inside the
+    engine's own errstate, which ignores overflow as `bind` does.  The
+    plain-average space, M(u) = u with rho 1 and exponents 1, reads the
+    deviations in place: no formula, no copy.  Its group runs first, and
+    the last group to run writes its terms over the deviations.
 
-    Memory: the engine holds no array of the prefix's length beyond the
+    Memory: the engine holds no array of the prefix's length, and for
+    Identity it reads x one tile at a time: a drawn prefix
+    (`random_bounded_sequence`) is drawn tile by tile into the workspace and
+    never as a whole, so the call holds O(tile) memory at any k_R.  Its first
+    call, once the transform has succeeded, builds the tile plan and makes
+    the tile workspaces: the cumulative sum of y, of the widest tile plus
+    m_max + 1, the deviations, the raw flags if a space reads RAW_FLAGS,
+    the tile's indices k if a group's formula reads them (a family other
+    than `constant`), a terms workspace for
+    each group with a formula but the last to run, a modular-flag
+    workspace for each group read for MODULAR_FLAGS, and the exponents of
+    a constant exponent sequence other than 1, all a tile wide.  Each call
+    then gathers, before a tile's m-loop and for each group with a
+    formula, the tile's per-index data: the formula's (the exponents of
+    `index_power`, the slopes of `spike`, the member positions of
+    `custom`, the indices of `index_scaled`; none for a constant family),
+    and a per-index rho_k and s_k, each a view of the sequence's array; a
+    constant rho stays a scalar.  So the
+    per-index data is a tile wide at any k_R, and a constant-family engine
+    allocates none of it per call (bar the exponents of indices past a
+    per-index list).  Each
+    call fills (m_max + 1) x leaves sums and counts, and returns each
+    bundle as one (m_max + 1) x R array and its sup, read-only, which never
+    alias the workspaces.  It allocates nothing of prefix size beyond the
     transform's output (for Identity a prefix of x that nothing reads
-    whole: a drawn prefix is drawn tile by tile into the workspace).  Its
-    first call, once the transform has succeeded, plans the tiles and makes
-    the tile-wide workspaces: the cumulative sum (plus m_max + 1), the
-    deviations, the raw flags if read, the tile's indices if a formula
-    reads them, a terms workspace for each group with a formula but the
-    last to run, a modular-flag workspace per group read for MODULAR_FLAGS,
-    and the exponents of a constant exponent sequence other than 1.  Before
-    a tile's m-loop, each group with a formula gathers the tile's per-index
-    data (exponents, slopes, member positions or indices; none for a
-    constant family) and views of a per-index rho_k and s_k, so that data
-    is a tile wide at any k_R.  The formulas run in place, so the m-loop
-    makes no temporaries but a drawn tile's exception positions and those
-    the `table` and `custom` formulas build.  Each call returns each bundle
-    as one (m_max + 1) x R array and its sup, read-only, which never alias
-    the workspaces; as the workspaces are shared, an engine serves one
-    caller at a time.
+    whole), and the formulas run in place, so the m-loop makes no
+    temporaries, except a drawn tile's exception flags and positions, and
+    the tile-sized ones the formulas of the `table` and `custom` kinds
+    build.  Because the workspaces are shared, an engine serves one caller
+    at a time.
 
     Overflow is an honest +inf.  A NaN block sum of a group read for STRONG
     (a window sum inf - inf, for one) raises NonFiniteStatistic naming the

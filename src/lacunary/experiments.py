@@ -135,7 +135,6 @@ def _construction(
     return Sequence._adopt(values), schedule, params
 
 
-@np.errstate(over="ignore")  # for `_member`: M_k past float64 is an honest +inf
 def build_thm37(spec: CounterexampleSpec) -> tuple[Sequence, LacunarySchedule, SpaceParams]:
     """Half-block plateau construction with its schedule and space parameters.
 
@@ -155,45 +154,47 @@ def build_thm37(spec: CounterexampleSpec) -> tuple[Sequence, LacunarySchedule, S
     m_max = 32 if spec.m_max is None else spec.m_max
     u = spec.nu / spec.rho
 
-    def tail_value(k: int) -> float:  # u = nu / rho >= 0, so M_k runs unchecked
+    def tail_value(k: int) -> float:  # u >= 0
         return _member(family, k)(u)
 
     # cut points: smallest n_r keeping block lengths nondecreasing with
     # tail_value(n_r + 1) < 2**-r; one extra phantom cut for window lookahead
     cuts = [0]
     h_prev = 1
-    for r in range(1, spec.r_max + 2):
-        target = 2.0**-r
-        lo = cuts[-1] + h_prev
-        if tail_value(lo + 1) < target:
-            n_r = lo
-        else:
-            hi = lo
-            while tail_value(hi + 1) >= target:
-                hi = max(hi + 1, hi * 2)
-                if hi > _HORIZON_CAP:
-                    raise HypothesisUnsatisfiable(
-                        f"tail of M_k(nu/rho) never drops below 2**-{r} "
-                        f"within the horizon cap {_HORIZON_CAP}"
-                    )
-            # smallest valid point in (lo, hi]
-            a, b = lo, hi
-            while a + 1 < b:
-                mid = (a + b) // 2
-                if tail_value(mid + 1) < target:
-                    b = mid
-                else:
-                    a = mid
-            n_r = b
-        cuts.append(n_r)
-        h_prev = cuts[-1] - cuts[-2]
+    with np.errstate(over="ignore"):  # M_k past float64 is +inf
+        for r in range(1, spec.r_max + 2):
+            target = 2.0**-r
+            lo = cuts[-1] + h_prev
+            if tail_value(lo + 1) < target:
+                n_r = lo
+            else:
+                hi = lo
+                while tail_value(hi + 1) >= target:
+                    hi = max(hi + 1, hi * 2)
+                    if hi > _HORIZON_CAP:
+                        raise HypothesisUnsatisfiable(
+                            f"tail of M_k(nu/rho) never drops below 2**-{r} "
+                            f"within the horizon cap {_HORIZON_CAP}"
+                        )
+                # smallest valid point in (lo, hi]
+                a, b = lo, hi
+                while a + 1 < b:
+                    mid = (a + b) // 2
+                    if tail_value(mid + 1) < target:
+                        b = mid
+                    else:
+                        a = mid
+                n_r = b
+            cuts.append(n_r)
+            h_prev = cuts[-1] - cuts[-2]
 
     phantom_cut = cuts[-1]
     cuts = cuts[:-1]
     schedule = build_lacunary(Explicit(tuple(cuts)))
 
     # numeric hypothesis check: nonincreasing, vanishing tail at the probes
-    probes = [tail_value(c + 1) for c in cuts[1:]] + [tail_value(phantom_cut + 1)]
+    with np.errstate(over="ignore"):
+        probes = [tail_value(c + 1) for c in cuts[1:]] + [tail_value(phantom_cut + 1)]
     if any(b > a + 1e-15 for a, b in zip(probes, probes[1:])):
         raise HypothesisUnsatisfiable("M_k(nu/rho) is not nonincreasing along the cut probes")
     for r, val in enumerate(probes[:-1], start=1):
@@ -404,7 +405,7 @@ def liminf_growth_estimate(
     gamma = math.inf
     sampled = False
     for k in ks:
-        r = rho.constant if rho.constant is not None else rho.per_index[k - 1]
+        r = rho.at(k)
         with np.errstate(over="ignore"):
             us = _GROWTH_NUS / r
         us = us[np.isfinite(us)]

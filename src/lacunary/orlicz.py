@@ -16,16 +16,13 @@ in-place one (`_formula(out)` overwrites out with M(out)), run by
 `eval_many`; the scalar `M(u)` is its one-element case, so both give the
 same bits.  A family kind has one hook, `_bind(ks)`, its in-place array
 formula with the per-index data (exponents, slopes, member groups) of the
-indices `ks` gathered.  `family.bind(ks)`, the public kernel, is that hook
-behind the argument check (u >= 0, NegativeArgument otherwise): it returns
-`us -> M_{ks}(us)` for any number of argument arrays, and takes `out=` like
-a numpy ufunc, with the same bits; one member's M_k(u) is
-`family.bind([k])([u])[0]`.  The package's own callers pass arguments >= 0
-(or NaN) by construction and run the `_bind` formulas unchecked, with the
-same bits: `BlockEngine` and `PrefixNorms` in their tile workspaces, `_run`
-on a fresh copy, `_member` on one reused one-element buffer.  Overflow is
-a silent +inf, an honest "too large" value that the searches and verdicts
-handle.
+indices `ks` gathered.  `family.bind(ks)` is that hook behind the argument
+check (u >= 0, NegativeArgument otherwise): a kernel `us -> M_{ks}(us)`
+that takes `out=` like a numpy ufunc; one member's M_k(u) is
+`family.bind([k])([u])[0]`.  The package's own callers pass u >= 0 (or
+NaN) by construction and run the `_bind` formulas unchecked, with the same
+bits.  Overflow is a silent +inf, an honest "too large" value that the
+searches and verdicts handle.
 """
 
 from __future__ import annotations
@@ -39,11 +36,9 @@ import numpy as np
 
 from .errors import BracketTooSmall, EmptyAdmissibleSet, NegativeArgument, ScaledPrefixOverflow
 from .optimize import brent_min, secant_crossing
-from .sequences import Sequence, _TilePlan
+from .sequences import Sequence
 
 Formula = Callable[[np.ndarray], object]  # overwrites its argument `out` with M(out)
-
-_TILE = 2**15  # indices per tile of `PrefixNorms`
 
 
 def _arguments(us) -> np.ndarray:
@@ -92,8 +87,7 @@ def _run(formula: Formula, us: np.ndarray, out: np.ndarray | None = None) -> np.
 
 
 def _member(family: MusielakOrliczFamily, k: int) -> Callable[[float], float]:
-    """u -> M_k(u) for u >= 0, the bits of `family.bind([k])([u])[0]`: the bound formula run
-    unchecked on one reused one-element buffer, under the caller's `np.errstate(over="ignore")`."""
+    """u -> M_k(u) for u >= 0, unchecked, on one reused buffer; the caller ignores overflow."""
     formula, buf = family._bind(np.array([k], dtype=np.int64)), np.empty(1)
 
     def M(u: float) -> float:
@@ -410,21 +404,13 @@ class CustomFamily(MusielakOrliczFamily):
 # ---------------------------------------------------------------------------
 
 
-def _hold(seq: RhoSequence | ExponentSequence, what: str, entries: str) -> None:
-    """Check that `seq` sets exactly one of `constant` and `per_index`, every value > 0 and
-    finite; hold a per-index sequence as a tuple of floats and once as a read-only array."""
-    if (seq.constant is None) == (seq.per_index is None):
-        raise ValueError("set exactly one of constant / per_index")
-    if seq.constant is not None:
-        if not (seq.constant > 0 and math.isfinite(seq.constant)):
-            raise ValueError(f"{what} must be strictly positive and finite")
-        return
-    array = np.array(seq.per_index, dtype=np.float64)
+def _positive_finite(values, what: str) -> tuple[tuple[float, ...], np.ndarray]:
+    """`values` as a tuple of floats and as a read-only float64 array, once; each must be > 0."""
+    array = np.array(values, dtype=np.float64)
     if not array.size or not (np.isfinite(array) & (array > 0)).all():
-        raise ValueError(f"{entries} must be strictly positive and finite")
+        raise ValueError(f"{what} must be strictly positive and finite")
     array.flags.writeable = False
-    object.__setattr__(seq, "per_index", tuple(array.tolist()))
-    object.__setattr__(seq, "_values", array)
+    return tuple(array.tolist()), array
 
 
 @dataclass(frozen=True)
@@ -440,7 +426,22 @@ class RhoSequence:
     per_index: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        _hold(self, "rho", "rho entries")
+        if (self.constant is None) == (self.per_index is None):
+            raise ValueError("set exactly one of constant / per_index")
+        if self.constant is not None:
+            if not (self.constant > 0 and math.isfinite(self.constant)):
+                raise ValueError("rho must be strictly positive and finite")
+        else:
+            vals, values = _positive_finite(self.per_index, "rho entries")
+            object.__setattr__(self, "per_index", vals)
+            object.__setattr__(self, "_values", values)
+
+    def at(self, k: int) -> float:
+        if self.constant is not None:
+            return self.constant
+        if k > len(self.per_index):
+            raise ValueError(f"rho defined up to index {len(self.per_index)}, asked for {k}")
+        return self.per_index[k - 1]
 
     def array(self, start: int, stop: int) -> np.ndarray:
         """rho_k for k = start..stop inclusive; read-only, a view of a per-index sequence."""
@@ -463,7 +464,15 @@ class ExponentSequence:
     per_index: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        _hold(self, "exponent", "exponents")
+        if (self.constant is None) == (self.per_index is None):
+            raise ValueError("set exactly one of constant / per_index")
+        if self.constant is not None:
+            if not (self.constant > 0 and math.isfinite(self.constant)):
+                raise ValueError("exponent must be strictly positive and finite")
+        else:
+            vals, values = _positive_finite(self.per_index, "exponents")
+            object.__setattr__(self, "per_index", vals)
+            object.__setattr__(self, "_values", values)
 
     @property
     def h_inf(self) -> float:
@@ -516,41 +525,26 @@ class AmemiyaValue:
 class PrefixNorms:
     """The modular and the Luxemburg and Amemiya norms of one prefix x under one family.
 
-    Built once per (family, prefix): it allocates |x| first, so a prefix
-    past memory fails at once, and fills it tile by tile through `x.read`
-    (a drawn prefix is never drawn whole).  The tiles are those of a
-    `_TilePlan` over the one block [0, N), each bound to the family's
-    formula once.  The modular and every search step scale each tile of |x|
-    into one tile-wide workspace, run its formula there unchecked (|x| / rho
-    and k |x| are >= 0) and sum its leaves; added up the plan's tree, these
-    are `np.sum` of the whole scaled prefix, bit for bit.  Memory: |x| (8
-    bytes per index), a tile, and the per-index data the bound formulas hold
-    (none for a constant family).  The Luxemburg bracket does not depend on
-    the tolerance, so it is found at most once and serves both searches.
+    Built once per (family, prefix): it binds the family's formula on the
+    indices 1..N, takes |x| and allocates one workspace, into which the
+    modular and every step of either search write their scaled prefix and
+    run the formula in place, unchecked.  The Luxemburg bracket does not
+    depend on the tolerance, so it is found at most once and serves both
+    searches.  Each is bit for bit the finite-prefix modular
+    I(x / rho) = sum_k M_k(|x_k| / rho_k) of its scaled prefix, by `np.sum`.
     """
 
     def __init__(self, family: MusielakOrliczFamily, x: Sequence) -> None:
-        self._ax = np.empty(x.horizon)
-        self._plan = _TilePlan((0, x.horizon), _TILE)
-        self._formulas = []
-        for a, b, _, _ in self._plan.tiles:
-            part = self._ax[a:b]
-            np.abs(x.read(a, b, out=part), out=part)
-            self._formulas.append(family._bind(np.arange(a + 1, b + 1)))
-        self._work = np.empty(self._plan.width)
+        self._formula = family._bind(np.arange(1, x.horizon + 1))  # the index array is freed here
+        self._ax = np.abs(x.values)
+        self._work = np.empty_like(self._ax)
         self._zero = not np.any(self._ax)
 
-    def _scaled_modular(self, scale: Callable[..., np.ndarray], factor: float | np.ndarray) -> float:
-        """The modular of scale(|x|, factor), a tile at a time; `factor` is a scalar or per index."""
-        plan = self._plan
-        leaf_sums = np.empty((1, plan.leaves))
+    def _scaled_modular(self, scale: Callable[..., np.ndarray], factor: float) -> float:
+        """The modular of scale(|x|, factor), scaled and evaluated in the workspace."""
         with np.errstate(over="ignore"):  # a scaled prefix or a modular past float64 is an honest +inf
-            for (a, b, leaves, pieces), formula in zip(plan.tiles, self._formulas):
-                work = self._work[: b - a]
-                scale(self._ax[a:b], factor if np.isscalar(factor) else factor[a:b], out=work)
-                formula(work)
-                leaf_sums[0, leaves] = [np.add.reduce(work[s]) for s in pieces]
-            return float(plan.block_sums(leaf_sums)[0, 0])
+            self._formula(scale(self._ax, factor, out=self._work))
+            return float(np.sum(self._work))
 
     def modular(self, rho: RhoSequence = RhoSequence()) -> float:
         """The modular sum_{k=1}^{N} M_k(|x_k| / rho_k); rho must cover the prefix."""
@@ -675,7 +669,6 @@ class ConjugateValue:
 _CONJUGATE_TOL = 1e-10  # the absolute tolerance of the conjugate's maximizer
 
 
-@np.errstate(over="ignore")  # for `_member`: M_k past float64 is an honest +inf
 def complementary(
     family: MusielakOrliczFamily,
     k: int,
@@ -700,20 +693,21 @@ def complementary(
         m = M(u)
         return -math.inf if math.isinf(m) else a * u - m
 
-    # M is nondecreasing, so the maximizer lies where M is finite: halve the
-    # bracket's upper end past any overflow before the search
-    u_hi = u_max
-    while math.isfinite(u_hi) and math.isinf(M(u_hi)):
-        u_hi *= 0.5
-    u_star, neg_value, _ = brent_min(lambda u: -g(u), 0.0, u_hi, _CONJUGATE_TOL)
-    value = max(-neg_value, 0.0)  # u = 0 always gives 0
-    # boundary attainment: maximizer at the edge with the slope still positive
-    at_boundary = False
-    if u_max - u_star <= max(10 * _CONJUGATE_TOL, 1e-9 * u_max):
-        h = max(u_max * 1e-7, 1e-9)
-        if g(u_max) >= g(max(u_max - h, 0.0)):  # below h the probe is u = 0
-            at_boundary = True
-            value = max(value, g(u_max))
+    with np.errstate(over="ignore"):  # M_k past float64 is an honest +inf
+        # M is nondecreasing, so the maximizer lies where M is finite: halve the
+        # bracket's upper end past any overflow before the search
+        u_hi = u_max
+        while math.isfinite(u_hi) and math.isinf(M(u_hi)):
+            u_hi *= 0.5
+        u_star, neg_value, _ = brent_min(lambda u: -g(u), 0.0, u_hi, _CONJUGATE_TOL)
+        value = max(-neg_value, 0.0)  # u = 0 always gives 0
+        # boundary attainment: maximizer at the edge with the slope still positive
+        at_boundary = False
+        if u_max - u_star <= max(10 * _CONJUGATE_TOL, 1e-9 * u_max):
+            h = max(u_max * 1e-7, 1e-9)
+            if g(u_max) >= g(max(u_max - h, 0.0)):  # below h the probe is u = 0
+                at_boundary = True
+                value = max(value, g(u_max))
     return ConjugateValue(value, at_boundary)
 
 

@@ -204,66 +204,6 @@ class DrawnPrefix(Sequence):
         return DrawnPrefix(self._draw, n)
 
 
-_PAIRWISE_LEAF = 128  # numpy's PW_BLOCKSIZE: its pairwise sum never splits a run this short
-
-
-class _TilePlan:
-    """The tiles of the blocks between `cuts`, each a run of leaves whose sums add up to the block sums.
-
-    A leaf is a whole block, or, for a block longer than the node width
-    max(tile, 128), one node of numpy's pairwise-sum tree over the block:
-    numpy sums a run of n > 128 elements as the sum of its first
-    n2 = n//2 - (n//2) % 8 and the sum of the rest, and a run of at most
-    128 in one loop.  So `np.add.reduce` of each leaf, added up the tree in
-    float64, is `np.add.reduce` of the whole block bit for bit (the test
-    of the plan pins this to the installed numpy).  Consecutive leaves are
-    packed into one tile of at most `tile` indices; a longer leaf is a
-    tile of its own.
-    """
-
-    def __init__(self, cuts: tuple[int, ...], tile: int) -> None:
-        width = max(tile, _PAIRWISE_LEAF)
-        leaves: list[tuple[int, int]] = []
-
-        def split(lo: int, hi: int):
-            """The tree over [lo, hi): a leaf's number, or a pair (left, right) of trees."""
-            n = hi - lo
-            if n <= width:
-                leaves.append((lo, hi))
-                return len(leaves) - 1
-            half = n // 2 - (n // 2) % 8
-            return split(lo, lo + half), split(lo + half, hi)
-
-        self.first_leaf = []  # per block, the number of its first leaf
-        self.trees = []  # per block, its tree of leaves
-        for a, b in zip(cuts, cuts[1:]):
-            self.first_leaf.append(len(leaves))
-            self.trees.append(split(a, b))
-        self.leaves = len(leaves)
-        # per tile: its index range [a, b), the numbers of its leaves and their slices in the tile
-        self.tiles: list[tuple[int, int, slice, list[slice]]] = []
-        first = 0
-        for j in range(1, len(leaves) + 1):
-            if j == len(leaves) or leaves[j][1] - leaves[first][0] > tile:
-                a, b = leaves[first][0], leaves[j - 1][1]
-                pieces = [slice(lo - a, hi - a) for lo, hi in leaves[first:j]]
-                self.tiles.append((a, b, slice(first, j), pieces))
-                first = j
-        self.width = max(b - a for a, b, _, _ in self.tiles)
-
-    def block_sums(self, leaf_sums: np.ndarray) -> np.ndarray:
-        """The block sums, per row, from the leaf sums of shape (rows, leaves), up each tree."""
-
-        def up(tree):
-            return leaf_sums[:, tree] if isinstance(tree, int) else up(tree[0]) + up(tree[1])
-
-        return np.stack([up(tree) for tree in self.trees], axis=1)
-
-    def block_counts(self, leaf_counts: np.ndarray) -> np.ndarray:
-        """The block counts, per row, from the exact leaf counts of shape (rows, leaves), as float64."""
-        return np.add.reduceat(leaf_counts, self.first_leaf, axis=1).astype(np.float64)
-
-
 _H_FLOOR = 2  # a shorter last block is reported in a schedule's warnings
 
 

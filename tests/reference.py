@@ -447,8 +447,8 @@ def modular(family, x: Sequence, rho: RhoSequence = RhoSequence()) -> float:
 
 
 class WholePrefixNorms(PrefixNorms):
-    """`PrefixNorms` with every modular one `np.sum` over the whole scaled prefix, through the
-    checked kernel bound to the indices 1..N: the package's searches on the reference modular."""
+    """`PrefixNorms` with every modular one `np.sum` of a fresh scaled prefix, through the checked
+    kernel bound to the indices 1..N: the package's searches on the reference modular."""
 
     def __init__(self, family, x: Sequence) -> None:
         self._kernel = family.bind(np.arange(1, x.horizon + 1))

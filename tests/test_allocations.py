@@ -37,7 +37,7 @@ from lacunary import (
 from lacunary.cli import main
 from lacunary.config import MATRIX, materialize, validate_config
 from lacunary.convergence import BUNDLES, MODULAR_FLAGS, RAW_FLAGS, STRONG
-from lacunary import convergence, orlicz
+from lacunary import convergence
 from lacunary.sequences import transform_sequence
 
 N = 1 << 16
@@ -270,15 +270,9 @@ def test_constant_family_engine_holds_no_index_workspace(monkeypatch):
 
 NORM_FAMILIES = pytest.mark.parametrize(
     "family, prefixes",
-    [(ConstantFamily(Power(2.5)), 1), (IndexPowerFamily((1.5, 2.5, 2.0, 3.0)), 2)],
+    [(ConstantFamily(Power(2.5)), 2), (IndexPowerFamily((1.5, 2.5, 2.0, 3.0)), 3)],
     ids=["constant-power", "index-power"],
 )
-
-
-def norms_budget(prefixes):
-    """|x| (and index_power's gathered exponents) as whole prefixes, one tile of float64 for the
-    workspace, and a few KB of plan, leaf sums and results."""
-    return prefixes * PREFIX + 8 * orlicz._TILE + 0.05 * PREFIX
 
 
 @NORM_FAMILIES
@@ -288,23 +282,23 @@ def norms_budget(prefixes):
     ids=["luxemburg_norm", "orlicz_norm"],
 )
 def test_norm_search_holds_abs_x_and_one_workspace(search, family, prefixes):
-    """Every step of a search scales |x| into one tile-wide workspace, a tile at a time.
+    """Every step of a search writes its scaled prefix into one workspace and evaluates there.
 
-    |x| is a prefix, read from the undrawn prefix a tile at a time, so the
-    draw is never made whole; index_power's formulas also hold its
-    exponents, gathered once per index.  A temporary per step, or the
-    draw's whole `values`, would add a prefix.
+    |x| and the workspace are a prefix each; index_power's kernel also holds
+    its exponent array.  A temporary per step would add a prefix.
     """
     x = random_bounded_sequence(np.random.default_rng(7), N, 0.0, 1.0, 0.001, 3.0)
+    x.values  # drawn before tracing: the budget is the search's, not the draw's
     value, peak = traced_peak(lambda: search(PrefixNorms(family, x)))
     assert value
-    assert peak <= norms_budget(prefixes), f"peak {peak / PREFIX:.2f} prefixes"
+    assert peak <= (prefixes + 0.25) * PREFIX, f"peak {peak / PREFIX:.2f} prefixes"
 
 
 @NORM_FAMILIES
 def test_both_norm_searches_share_one_workspace(family, prefixes):
-    """One PrefixNorms answers both searches in the budget of one: a workspace per search would add a tile."""
+    """One PrefixNorms answers both searches in the budget of one: a workspace per search would add a prefix."""
     x = random_bounded_sequence(np.random.default_rng(7), N, 0.0, 1.0, 0.001, 3.0)
+    x.values  # drawn before tracing: the budget is the searches', not the draw's
 
     def both_norms():
         norms = PrefixNorms(family, x)
@@ -312,7 +306,7 @@ def test_both_norm_searches_share_one_workspace(family, prefixes):
 
     (lux, ame), peak = traced_peak(both_norms)
     assert lux and ame
-    assert peak <= norms_budget(prefixes), f"peak {peak / PREFIX:.2f} prefixes"
+    assert peak <= (prefixes + 0.25) * PREFIX, f"peak {peak / PREFIX:.2f} prefixes"
 
 
 def test_inclusion_peak_does_not_grow_with_the_corpus(tmp_path):

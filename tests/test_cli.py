@@ -952,7 +952,7 @@ class TestOverflow:
 
 
 # ---------------------------------------------------------------------------
-# output files: rewritten in place, trajectories by one template
+# output files: written whole by open(path, "w"), trajectories by one template
 # ---------------------------------------------------------------------------
 
 
@@ -969,7 +969,7 @@ def _files(out):
 
 
 def test_a_shorter_rewrite_leaves_exactly_the_new_bytes(tmp_path):
-    """Outputs are written over the old bytes and cut at their new end."""
+    """A rerun over longer earlier outputs leaves exactly the new bytes."""
     _bundle("x" * 5000, 40, 9).write(tmp_path / "out")
     _bundle("y", 2, 3).write(tmp_path / "out")
     _bundle("y", 2, 3).write(tmp_path / "fresh")
@@ -990,6 +990,21 @@ def test_a_symlinked_output_is_written_through(tmp_path):
     assert (out / "trajectory.csv").is_symlink()
     assert target.read_text() == "r,m,value\n1,0,0\n2,0,0.333333333333\n3,0,0.666666666667\n" \
         "1,1,1\n2,1,1.33333333333\n3,1,1.66666666667\n1,sup,1\n2,sup,1.33333333333\n3,sup,1.66666666667\n"
+
+
+def test_a_failed_rewrite_leaves_no_old_bytes(tmp_path):
+    """A report that fails part way (a NaN) over a longer earlier one keeps none of the old bytes."""
+    _bundle("x" * 5000, 40, 9).write(tmp_path)
+    with pytest.raises(ValueError):
+        ReportBundle(config={}, results={"a": "y", "tail_mean": math.nan}).write(tmp_path)
+    assert b"x" * 16 not in (tmp_path / "report.json").read_bytes()
+
+
+def test_an_output_linked_to_the_null_device_is_written(tmp_path):
+    """An output may be a link to a device that cannot be truncated, as with open(path, "w")."""
+    (tmp_path / "trajectory.csv").symlink_to(os.devnull)
+    _bundle("y", 2, 3).write(tmp_path)
+    assert read_report(tmp_path)["results"] == {"text": "y"}
 
 
 CSV_FLOATS = st.floats() | st.sampled_from(

@@ -835,42 +835,27 @@ class TestSearchesAgainstModularPerStep:
             PrefixNorms(ConstantFamily(LinearSlope(1.0)), Sequence(np.array([value, 0.0]))).luxemburg()
 
 
-class TestStreamedNorms:
-    """`PrefixNorms` reads |x| and evaluates every modular a tile at a time; each value is the
-    whole-prefix `np.sum` of the reference, bit for bit, whatever the tile size."""
+class TestUncheckedNorms:
+    """`PrefixNorms` runs the family's bound formula unchecked in its workspace; each value is
+    that of the checked kernel on a fresh scaled prefix (`WholePrefixNorms`), bit for bit."""
 
     @given(
         family=st.one_of(FAMILIES, CUSTOM_FAMILIES),
-        tile=st.sampled_from([2**7, 2**8, 2**9]),
-        tiles=st.integers(1, 4),
-        offset=st.integers(-2, 2),
+        n=st.integers(1, 600),
         scale=st.sampled_from([1e-3, 1.0, 10.0]),
         per_index_rho=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=60, deadline=None)
-    def test_modular_and_norms_are_the_whole_prefix_sum(
-        self, family, tile, tiles, offset, scale, per_index_rho, seed
-    ):
+    def test_modular_and_norms_are_the_checked_kernels(self, family, n, scale, per_index_rho, seed):
         rng = np.random.default_rng(seed)
-        n = tiles * tile + offset
         x = Sequence(rng.uniform(-1.0, 1.0, n) * scale)
         rho = (RhoSequence(constant=None, per_index=tuple(rng.uniform(0.1, 2.0, n)))
                if per_index_rho else RhoSequence(constant=float(rng.uniform(0.1, 2.0))))
-        with mock.patch.object(orlicz, "_TILE", tile):
-            norms = PrefixNorms(family, x)
-        whole = WholePrefixNorms(family, x)
+        norms, whole = PrefixNorms(family, x), WholePrefixNorms(family, x)
         assert norms.modular(rho) == whole.modular(rho) == modular(family, x, rho)
         assert outcome(norms.luxemburg, 1e-10) == outcome(whole.luxemburg, 1e-10)
         assert outcome(norms.amemiya, 1e-9) == outcome(whole.amemiya, 1e-9)
-
-    def test_a_drawn_prefix_is_read_tile_by_tile(self):
-        """|x| comes from `read`, a tile at a time, so the draw's whole `values` are never made."""
-        x = random_bounded_sequence(np.random.default_rng(4), 1000, radius=1.0, exception_density=0.01)
-        with mock.patch.object(orlicz, "_TILE", 2**7):
-            norms = PrefixNorms(IndexPowerFamily((1.5, 2.5)), x)
-        assert x._values is None
-        assert norms.modular() == modular(IndexPowerFamily((1.5, 2.5)), x)
 
 
 class TestUncheckedMembers:
@@ -891,6 +876,12 @@ class TestUncheckedMembers:
                     got = complementary(family, k, v, u_max)
                     with mock.patch.object(orlicz, "_member", one_member):
                         assert complementary(family, k, v, u_max) == got
+
+    @pytest.mark.parametrize("family", SEARCH_FAMILIES, ids=lambda f: type(f).__name__)
+    def test_complementary_refuses_a_negative_u_max(self, family):
+        """The bracket [0, u_max] is checked once, as the checked kernel checked M_k(u_max)."""
+        with pytest.raises(NegativeArgument):
+            complementary(family, 3, 1.0, u_max=-1.0)
 
     @pytest.mark.parametrize("spec", [
         CounterexampleSpec("thm37"),
@@ -1026,7 +1017,7 @@ class TestSearchEvaluationCount:
             assert self.kernel_calls(family, both) == lux + ame - bracket
 
     def test_norms_command_binds_the_full_prefix_once(self):
-        """The modular and the two searches share one `_bind` of the indices 1..N (one tile)."""
+        """The modular and the two searches share one `_bind` of the indices 1..N."""
         horizon = 1_000
         doc = {
             "command": "norms",
