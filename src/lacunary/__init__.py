@@ -18,7 +18,6 @@ from .convergence import (
 )
 from .errors import LacunaryError
 from .experiments import (
-    CounterexampleSpec,
     InclusionReport,
     build_thm37,
     build_thm38,
@@ -52,15 +51,14 @@ from .sequences import (
     CesaroC1,
     Explicit,
     Geometric,
+    GeometricTail,
     Identity,
     LacunarySchedule,
     MatrixOperator,
-    RowGenerator,
     RowTable,
     Sequence,
     Shift,
     build_lacunary,
-    geometric_tail,
     transform_sequence,
 )
 
@@ -69,13 +67,13 @@ __all__ = [
     "BlockEngine",
     "CesaroC1",
     "ConstantFamily",
-    "CounterexampleSpec",
     "CustomFamily",
     "Delta2Report",
     "ExpMinusOne",
     "Explicit",
     "ExponentSequence",
     "Geometric",
+    "GeometricTail",
     "Identity",
     "InclusionReport",
     "IndexPowerFamily",
@@ -90,7 +88,6 @@ __all__ = [
     "PowerOverP",
     "PrefixNorms",
     "RhoSequence",
-    "RowGenerator",
     "RowTable",
     "ScaledPower",
     "Sequence",
@@ -105,7 +102,6 @@ __all__ = [
     "classify_trajectory",
     "complementary",
     "delta2_check",
-    "geometric_tail",
     "liminf_growth_estimate",
     "random_bounded_sequence",
     "run_inclusion_matrix",

@@ -65,12 +65,7 @@ from .convergence import (
     classify_trajectory,
 )
 from .errors import ConfigError, LacunaryError
-from .experiments import (
-    CONSTRUCTIONS,
-    CounterexampleSpec,
-    random_bounded_sequence,
-    run_inclusion_matrix,
-)
+from .experiments import random_bounded_sequence, run_inclusion_matrix
 from .orlicz import (
     PrefixNorms,
     complementary,
@@ -366,8 +361,7 @@ def _space_params(echo: dict) -> SpaceParams:
 
 def _construct(echo: dict) -> tuple[Sequence, SpaceParams]:
     """Run the construction `echo` describes and echo the m_max it resolved."""
-    spec = CONSTRUCTION.build(echo)
-    x, _, params = CONSTRUCTIONS[spec.theorem](spec)
+    x, params = CONSTRUCTION.build(echo)
     echo["m_max"] = params.m_max
     return x, params
 
@@ -515,12 +509,9 @@ def cmd_inclusion(doc: dict, seed: int | None = None) -> ReportBundle:
             except ValueError as exc:
                 raise ConfigError(f"corpus: {exc}") from exc
             yield x, params
-        for theorem, build in CONSTRUCTIONS.items():
+        for theorem in CONSTRUCTION.kinds:
             if corpus_doc[f"include_{theorem}"]:
-                x_c, _, p_c = build(
-                    CounterexampleSpec(theorem=theorem, r_max=corpus_doc["construction_r_max"])
-                )
-                yield x_c, p_c
+                yield CONSTRUCTION.build({"theorem": theorem, "r_max": corpus_doc["construction_r_max"]})
 
     report = run_inclusion_matrix(
         corpus(),

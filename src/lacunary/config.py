@@ -50,7 +50,7 @@ import numpy as np
 
 from .convergence import MODULAR_FLAGS, RAW_FLAGS, SpaceParams
 from .errors import ConfigError
-from .experiments import THEOREMS, CounterexampleSpec, random_bounded_sequence
+from .experiments import THEOREMS, build_thm37, build_thm38, random_bounded_sequence
 from .orlicz import (
     ConstantFamily,
     CustomFamily,
@@ -70,11 +70,11 @@ from .sequences import (
     CesaroC1,
     Explicit,
     Geometric,
+    GeometricTail,
     Identity,
     RowTable,
     Sequence,
     Shift,
-    geometric_tail,
 )
 
 DEFAULT_SEED = 12345
@@ -676,7 +676,7 @@ MATRIX = Component("matrix", {
     "cesaro_c1": Kind(CesaroC1),
     "shift": Kind(lambda offset: Shift(offset), offset=Field(INT, 1)),
     "row_table": Kind(lambda rows: RowTable(*rows), rows=Field(NumberArray((INT, NUM), depth=2))),
-    "geometric_tail": Kind(geometric_tail, decay=Field(NUM, 0.5), x_bound=Field(NUM, 1.0)),
+    "geometric_tail": Kind(GeometricTail, decay=Field(NUM, 0.5), x_bound=Field(NUM, 1.0)),
 })
 
 
@@ -748,12 +748,9 @@ VERDICT = Component("verdict", Kind(
 ))
 
 
-def _construction(theorem: str, r_max: int, **fields: Field) -> Kind:
-    """A construction kind; m_max null leaves it to the builder (echoed resolved)."""
-
-    def build(schedule=None, **spec_fields):
-        return CounterexampleSpec(theorem, schedule_rule=schedule, **spec_fields)
-
+def _construction(build: Callable, r_max: int, **fields: Field) -> Kind:
+    """A construction kind, whose builder takes its fields as keywords with the same
+    defaults; m_max null leaves the lookahead to the builder (echoed resolved)."""
     return Kind(
         build,
         nu=Field({"type": "number", "minimum": 0}, 1.0),
@@ -767,8 +764,10 @@ def _construction(theorem: str, r_max: int, **fields: Field) -> Kind:
 
 
 CONSTRUCTION = Component("construction", {
-    "thm37": _construction("thm37", 14),
-    "thm38": _construction("thm38", 10, nu_values=Field(NUMS, OMIT), schedule=Field(SCHEDULE, OMIT)),
+    "thm37": _construction(build_thm37, 14),
+    "thm38": _construction(
+        build_thm38, 10, nu_values=Field(NUMS, OMIT), schedule=Field(SCHEDULE, OMIT)
+    ),
 }, key="theorem")
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Counterexample constructions and empirical inclusion experiments.
 
 Two constructions are built here, each with a known analytic limit that the
-test suite and the CLI check against:
+test suite and the CLI check against.  Each builder takes the fields of its
+kind in the `CONSTRUCTION` config table as keywords, with the same defaults,
+and returns the prefix and its space, (x, params):
 
   * `build_thm37` -- a half-block plateau: the summed block statistic decays
     like 2**-r (tends to 0) while the exception density per block tends to
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Collection, Iterable
 
 import numpy as np
 
@@ -74,85 +76,63 @@ _HORIZON_CAP = 1 << 22  # the furthest cut point thm37's search for a vanishing 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CounterexampleSpec:
-    """Parameters for one construction.
-
-    For thm37, `nu` is the plateau height and the family must have a
-    pointwise-vanishing, eventually nonincreasing tail k -> M_k(nu/rho).
-    For thm38, spike heights are nu_values (default nu * r), and the family
-    defaults to a spike-slope family solved from the defining inequality;
-    a given schedule rule must produce r_max blocks, and nu_values must
-    hold r_max heights.
-    """
-
-    theorem: str
-    nu: float = 1.0
-    rho: float = 1.0
-    r_max: int = 14
-    alpha: float = 1.0
-    m_max: int | None = None
-    family: MusielakOrliczFamily | None = None
-    schedule_rule: Geometric | Explicit | None = None
-    nu_values: tuple[float, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.theorem not in CONSTRUCTIONS:
-            raise ValueError(f"theorem must be 'thm37' or 'thm38', got {self.theorem!r}")
-        if self.nu < 0:
-            raise ValueError("nu must be >= 0")
-        if self.rho <= 0:
-            raise ValueError("rho must be > 0")
-        if self.r_max < 1:
-            raise ValueError("r_max must be >= 1")
-        if self.nu_values is not None:
-            object.__setattr__(self, "nu_values", tuple(float(v) for v in self.nu_values))
-        if self.theorem != "thm38":
-            return
-        rule = self.schedule_rule
-        if rule is not None and build_lacunary(rule).num_blocks != self.r_max:
-            raise ValueError("schedule rule must produce exactly r_max blocks")
-        if self.nu_values is not None and len(self.nu_values) != self.r_max:
-            raise ValueError(f"need {self.r_max} spike heights, got {len(self.nu_values)}")
+def _check_construction(nu: float, rho: float, r_max: int) -> None:
+    """The fields every construction checks: a height nu >= 0, rho > 0 and r_max >= 1 blocks."""
+    if nu < 0:
+        raise ValueError("nu must be >= 0")
+    if rho <= 0:
+        raise ValueError("rho must be > 0")
+    if r_max < 1:
+        raise ValueError("r_max must be >= 1")
 
 
 def _construction(
-    spec: CounterexampleSpec, values: np.ndarray, family: MusielakOrliczFamily,
-    schedule: LacunarySchedule, epsilon: float, m_max: int,
-) -> tuple[Sequence, LacunarySchedule, SpaceParams]:
-    """A construction's prefix, schedule and space: identity matrix, unit exponents, L = 0."""
+    values: np.ndarray, family: MusielakOrliczFamily, schedule: LacunarySchedule,
+    alpha: float, rho: float, epsilon: float, m_max: int,
+) -> tuple[Sequence, SpaceParams]:
+    """A construction's prefix and space: identity matrix, unit exponents, L = 0."""
     params = SpaceParams(
         family=family,
         schedule=schedule,
-        alpha=spec.alpha,
+        alpha=alpha,
         epsilon=epsilon,
         L=0.0,
         m_max=m_max,
-        rho=RhoSequence(constant=spec.rho),
+        rho=RhoSequence(constant=rho),
         exponents=ExponentSequence(constant=1.0),
         matrix=Identity(),
     )
-    return Sequence._adopt(values), schedule, params
+    return Sequence._adopt(values), params
 
 
-def build_thm37(spec: CounterexampleSpec) -> tuple[Sequence, LacunarySchedule, SpaceParams]:
-    """Half-block plateau construction with its schedule and space parameters.
+def build_thm37(
+    nu: float = 1.0,
+    rho: float = 1.0,
+    r_max: int = 14,
+    alpha: float = 1.0,
+    m_max: int | None = None,
+    family: MusielakOrliczFamily | None = None,
+) -> tuple[Sequence, SpaceParams]:
+    """Half-block plateau construction: the prefix x and its space, whose schedule
+    `params.schedule` has r_max blocks.
 
     Picks cut points n_r (nondecreasing block lengths) so that
-    M_{n_r + 1}(nu/rho) < 2**-r, puts the value nu on the first
+    M_{n_r + 1}(nu/rho) < 2**-r, puts the plateau height nu on the first
     ceil(h_r / 2) indices of each block and 0 on the rest, and returns
-    identity-matrix parameters with unit exponents.  The exception
-    threshold is set to half the smallest plateau term within the horizon,
-    so the per-term membership flags mark exactly the plateau indices.
+    identity-matrix parameters at order alpha with unit exponents and
+    constant rho.  The exception threshold is set to half the smallest
+    plateau term within the horizon, so the per-term membership flags mark
+    exactly the plateau indices.  The window lookahead m_max defaults to
+    32; the family, to M_k(u) = u/k.
 
-    Raises HypothesisUnsatisfiable when the family tail cannot reach
-    2**-r within a horizon of 2**22, or is not nonincreasing where probed.
+    Raises ValueError unless nu >= 0, rho > 0 and r_max >= 1, and
+    HypothesisUnsatisfiable when the family tail k -> M_k(nu/rho) cannot
+    reach 2**-r within a horizon of 2**22, or is not nonincreasing where probed.
     """
-    if spec.theorem != "thm37":
-        raise ValueError("spec.theorem must be 'thm37'")
-    family = spec.family if spec.family is not None else IndexScaledFamily()
-    m_max = 32 if spec.m_max is None else spec.m_max
-    u = spec.nu / spec.rho
+    _check_construction(nu, rho, r_max)
+    family = family if family is not None else IndexScaledFamily()
+    m_max = 32 if m_max is None else m_max
+    u = nu / rho
 
     def tail_value(k: int) -> float:  # u >= 0
         return _member(family, k)(u)
@@ -162,7 +142,7 @@ def build_thm37(spec: CounterexampleSpec) -> tuple[Sequence, LacunarySchedule, S
     cuts = [0]
     h_prev = 1
     with np.errstate(over="ignore"):  # M_k past float64 is +inf
-        for r in range(1, spec.r_max + 2):
+        for r in range(1, r_max + 2):
             target = 2.0**-r
             lo = cuts[-1] + h_prev
             if tail_value(lo + 1) < target:
@@ -206,7 +186,7 @@ def build_thm37(spec: CounterexampleSpec) -> tuple[Sequence, LacunarySchedule, S
     # sequence: nu on the first ceil(h_r/2) indices of each block, 0 after;
     # the pattern continues into the phantom block to cover window lookahead
     # (for nu = 0 the continuation is identically zero, nothing to cover)
-    if spec.nu > 0 and m_max > phantom_cut - schedule.last_index:
+    if nu > 0 and m_max > phantom_cut - schedule.last_index:
         raise HypothesisUnsatisfiable(
             f"lookahead m_max={m_max} reaches past the next block end {phantom_cut}"
         )
@@ -218,13 +198,13 @@ def build_thm37(spec: CounterexampleSpec) -> tuple[Sequence, LacunarySchedule, S
         h_r = schedule.cut_points[r] - start
         half = math.ceil(h_r / 2)
         half_lengths.append(half)
-        values[start : start + half] = spec.nu
+        values[start : start + half] = nu
     phantom_half = math.ceil((phantom_cut - schedule.last_index) / 2)
     lookahead = min(m_max, phantom_half)
-    values[schedule.last_index : schedule.last_index + lookahead] = spec.nu
+    values[schedule.last_index : schedule.last_index + lookahead] = nu
 
     # threshold below every plateau term stored in the prefix
-    if spec.nu > 0:
+    if nu > 0:
         last_half_index = schedule.cut_points[-2] + half_lengths[-1]
         epsilon = 0.5 * tail_value(last_half_index)
         if epsilon <= 0:
@@ -232,84 +212,92 @@ def build_thm37(spec: CounterexampleSpec) -> tuple[Sequence, LacunarySchedule, S
     else:
         epsilon = 1e-3
 
-    return _construction(spec, values, family, schedule, epsilon, m_max)
+    return _construction(values, family, schedule, alpha, rho, epsilon, m_max)
 
 
-def build_thm38(spec: CounterexampleSpec) -> tuple[Sequence, LacunarySchedule, SpaceParams]:
-    """Spike construction: A_k(x) = nu_r at k = n_r, 0 elsewhere.
+def build_thm38(
+    nu: float = 1.0,
+    rho: float = 1.0,
+    r_max: int = 10,
+    alpha: float = 1.0,
+    m_max: int | None = None,
+    family: MusielakOrliczFamily | None = None,
+    schedule: Geometric | Explicit | None = None,
+    nu_values: Collection[float] | None = None,
+) -> tuple[Sequence, SpaceParams]:
+    """Spike construction: A_k(x) = nu_r at k = n_r, 0 elsewhere; returns the prefix x and its
+    space, whose schedule `params.schedule` has r_max blocks.
 
-    The default family puts slope h_r**alpha * rho / nu_r at each spike
-    index so M_{n_r}(nu_r / rho) = h_r**alpha exactly; a user-supplied
-    family is validated against the same inequality (>=) at every spike.
+    The schedule rule defaults to Geometric(2, 2, r_max), the spike heights
+    nu_values to nu * r (r for nu = 0), and the lookahead m_max to 0.  The
+    default family puts slope h_r**alpha * rho / nu_r at each spike index
+    so M_{n_r}(nu_r / rho) = h_r**alpha exactly; a user-supplied family is
+    validated against the same inequality (>=) at every spike.
+
+    Raises ValueError unless nu >= 0, rho > 0 and r_max >= 1, and for a
+    schedule or nu_values of another size than r_max; HypothesisUnsatisfiable
+    when a spike inequality fails or the lookahead reaches the next spike.
     """
-    if spec.theorem != "thm38":
-        raise ValueError("spec.theorem must be 'thm38'")
-    m_max = 0 if spec.m_max is None else spec.m_max
-    rule = spec.schedule_rule or Geometric(base=2.0, ratio=2.0, count=spec.r_max)
-    schedule = build_lacunary(rule)
-
-    R = schedule.num_blocks
-    if spec.nu_values is not None:
-        nus = spec.nu_values
+    _check_construction(nu, rho, r_max)
+    rule = schedule or Geometric(base=2.0, ratio=2.0, count=r_max)
+    blocks = build_lacunary(rule)
+    if blocks.num_blocks != r_max:
+        raise ValueError("schedule rule must produce exactly r_max blocks")
+    if nu_values is None:
+        base = nu if nu > 0 else 1.0
+        nus = tuple(base * r for r in range(1, r_max + 1))
+    elif len(nu_values) != r_max:
+        raise ValueError(f"need {r_max} spike heights, got {len(nu_values)}")
     else:
-        base = spec.nu if spec.nu > 0 else 1.0
-        nus = tuple(base * r for r in range(1, R + 1))
+        nus = tuple(map(float, nu_values))
+    m_max = 0 if m_max is None else m_max
+
     if any(v <= 0 for v in nus) or any(b <= a for a, b in zip(nus, nus[1:])):
         raise HypothesisUnsatisfiable("spike heights must be strictly increasing and positive")
     if not math.isfinite(nus[-1]):
-        raise HypothesisUnsatisfiable(f"spike height nu_{R} overflows float64")
+        raise HypothesisUnsatisfiable(f"spike height nu_{r_max} overflows float64")
 
-    h = schedule.block_lengths.astype(np.float64)
-    h_alpha = h**spec.alpha
-    spikes = schedule.cut_points[1:]
+    h = blocks.block_lengths.astype(np.float64)
+    h_alpha = h**alpha
+    spikes = blocks.cut_points[1:]
 
-    if spec.family is None:
+    if family is None:
         with np.errstate(over="ignore"):
             slopes = tuple(
-                (spikes[r], h_alpha[r] * spec.rho / nus[r]) for r in range(R)
+                (spikes[r], h_alpha[r] * rho / nus[r]) for r in range(r_max)
             )
         if not all(0 < c < math.inf for _, c in slopes):
             raise HypothesisUnsatisfiable(
                 "a spike slope h_r**alpha * rho / nu_r is past the range of float64"
             )
-        family: MusielakOrliczFamily = SpikeFamily(slopes=slopes, default_slope=1.0)
-    else:
-        family = spec.family
+        family = SpikeFamily(slopes=slopes, default_slope=1.0)
     with np.errstate(over="ignore"):
-        arguments = np.array(nus) / spec.rho
+        arguments = np.array(nus) / rho
     if not np.isfinite(arguments).all():
         raise HypothesisUnsatisfiable("a spike argument nu_r / rho is past the range of float64")
     at_spikes = _run(family._bind(np.array(spikes, dtype=np.int64)), arguments)  # arguments > 0
-    for r in range(R):
+    for r in range(r_max):
         got = float(at_spikes[r])
         if not got >= h_alpha[r] * (1.0 - 1e-12):
             raise HypothesisUnsatisfiable(
                 f"M_(n_{r + 1})(nu_{r + 1}/rho) = {got} < h_{r + 1}**alpha = {h_alpha[r]}"
             )
 
-    horizon = schedule.last_index + m_max
-    if m_max > 0:
-        # the infinite continuation is zero until the next spike; make sure
-        # the lookahead window does not swallow it
-        next_cut = (
-            math.ceil(rule.base * rule.ratio ** (R + 1))
-            if isinstance(rule, Geometric)
-            else schedule.last_index + m_max + 1
-        )
+    horizon = blocks.last_index + m_max
+    if m_max > 0 and isinstance(rule, Geometric):
+        # the infinite continuation is zero until the next spike, the rule's next cut
+        # (stepped up like every cut); make sure the lookahead window does not swallow it
+        next_cut = max(blocks.last_index + 1, math.ceil(rule.base * rule.ratio ** (r_max + 1)))
         if horizon >= next_cut:
             raise HypothesisUnsatisfiable(
                 f"lookahead m_max={m_max} reaches the next spike at {next_cut}"
             )
     values = np.zeros(horizon)
-    for r in range(R):
+    for r in range(r_max):
         values[spikes[r] - 1] = nus[r]
 
     epsilon = min(1.0, 0.5 * float(np.min(h_alpha)))
-    return _construction(spec, values, family, schedule, epsilon, m_max)
-
-
-# the builder of each construction, by the theorem it witnesses
-CONSTRUCTIONS = {"thm37": build_thm37, "thm38": build_thm38}
+    return _construction(values, family, blocks, alpha, rho, epsilon, m_max)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +366,6 @@ class GrowthEstimate:
 
     gamma: float
     nu_range: tuple[float, float]
-    k_range: tuple[int, int]
     bounded_away: bool
 
 
@@ -418,7 +405,6 @@ def liminf_growth_estimate(
     return GrowthEstimate(
         gamma=gamma,
         nu_range=(float(_GROWTH_NUS[0]), float(_GROWTH_NUS[-1])),
-        k_range=(ks[0], ks[-1]),
         bounded_away=gamma > _GROWTH_FLOOR,
     )
 

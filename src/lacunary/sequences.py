@@ -10,7 +10,7 @@ concurrently and bitwise reproducible; the one exception is a drawn prefix
 serves one reader at a time.  A matrix operator's `transform`
 gives a whole prefix of rows: Identity and Shift slice x, CesaroC1
 divides a sequential `np.cumsum` by n, RowTable sums each row in
-increasing column order, and `geometric_tail` runs a backward recurrence.
+increasing column order, and GeometricTail runs a backward recurrence.
 Window means are not computed here: `BlockEngine` (convergence.py) takes
 them from one cumulative sum of the transformed prefix.
 """
@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -429,22 +428,25 @@ class RowTable(MatrixOperator):
         return total
 
 
-@dataclass(frozen=True, eq=False)
-class RowGenerator(MatrixOperator):
-    """Infinite rows given by a rule plus a certified truncation bound.
+@dataclass(frozen=True)
+class GeometricTail(MatrixOperator):
+    """Forward-weighted averaging rows a_nk = (1-decay) * decay**(k-n) for k >= n, certified
+    against a declared bound |x_k| <= x_bound.
 
-    `rows(x, out_len)` returns sum_{k <= N} a_nk x_k for n = 1..out_len, the
-    rows truncated at the horizon N = len(x).  `tail_bound(ns, N)` returns,
-    for an array of row indices, bounds dominating sum_{k > N} |a_nk| * x_bound,
-    where `x_bound` is the declared bound on |x_k|.  The prefix is checked
-    against `x_bound`, and every requested row's bound must be below `tol`.
+    Each row sums to 1; the tail past column j >= n has mass decay**(j-n+1),
+    so x_bound * decay**(j-n+1) bounds what truncating row n at the horizon
+    j leaves out.  The prefix is checked against `x_bound`, and every
+    requested row's bound must be below `tol`.  Rows come from the backward
+    recurrence S_n = (1-decay) x_n + decay * S_{n+1}; rows past the horizon are 0.
     """
 
-    name: str
-    rows: Callable[[np.ndarray, int], np.ndarray]
-    tail_bound: Callable[[np.ndarray, int], np.ndarray]
+    decay: float
     x_bound: float
     kind = "row_generator"
+
+    def __post_init__(self) -> None:
+        if not 0 < self.decay < 1:
+            raise ValueError("decay must be in (0, 1)")
 
     def transform(self, x: np.ndarray, out_len: int, tol: float) -> np.ndarray:
         observed = float(np.max(np.abs(x)))
@@ -453,7 +455,8 @@ class RowGenerator(MatrixOperator):
                 f"prefix exceeds the declared bound |x_k| <= {self.x_bound} "
                 f"(observed {observed})"
             )
-        bounds = self.tail_bound(np.arange(1, out_len + 1), x.size)
+        ns = np.arange(1, out_len + 1)
+        bounds = self.x_bound * self.decay ** np.maximum(x.size - ns + 1, 0)
         failing = np.flatnonzero(bounds >= tol)
         if failing.size:
             n = int(failing[0]) + 1
@@ -461,35 +464,11 @@ class RowGenerator(MatrixOperator):
                 f"at output index n={n}: row {n}: tail bound {bounds[n - 1]:.3g} at "
                 f"horizon {x.size} is not below tol={tol:.3g}"
             )
-        return self.rows(x, out_len)
-
-
-def geometric_tail(decay: float, x_bound: float) -> RowGenerator:
-    """Forward-weighted averaging rows a_nk = (1-decay) * decay**(k-n) for k >= n.
-
-    Each row sums to 1; the tail past column j >= n has mass decay**(j-n+1),
-    which gives the closed-form certified bound.  Rows come from the backward
-    recurrence S_n = (1-decay) x_n + decay * S_{n+1}; rows past the horizon are 0.
-    """
-    if not 0 < decay < 1:
-        raise ValueError("decay must be in (0, 1)")
-
-    def rows(x: np.ndarray, out_len: int) -> np.ndarray:
-        s, sums = 0.0, []
+        decay, s, sums = self.decay, 0.0, []
         for v in reversed(x.tolist()):
             s = (1 - decay) * v + decay * s
             sums.append(s)
         return np.array(sums[::-1][:out_len] + [0.0] * (out_len - x.size))
-
-    def tail_bound(ns: np.ndarray, j: int) -> np.ndarray:
-        return x_bound * decay ** np.maximum(j - ns + 1, 0)
-
-    return RowGenerator(
-        name=f"geometric_tail(decay={decay})",
-        rows=rows,
-        tail_bound=tail_bound,
-        x_bound=x_bound,
-    )
 
 
 def transform_sequence(

@@ -748,6 +748,23 @@ class TestErrorBoundary:
             tmp_path, capsys, doc, "config error: construction: schedule rule must produce exactly"
         )
 
+    def test_thm38_too_few_spike_heights(self, tmp_path, capsys):
+        doc = {"command": "counterexample", "theorem": "thm38", "r_max": 3, "nu_values": [1.0, 2.0]}
+        self.run_expect_error(
+            tmp_path, capsys, doc, "config error: construction: need 3 spike heights, got 2\n"
+        )
+
+    def test_thm38_lookahead_names_the_next_cut_past_the_schedule(self, tmp_path, capsys):
+        """Cut points (0, 2, 3, 4): the rule's next cut, ceil(1.1**4) = 2, steps up to 5 like
+        every cut."""
+        doc = {
+            "command": "counterexample", "theorem": "thm38", "r_max": 3, "m_max": 1,
+            "schedule": {"kind": "geometric", "base": 1.0, "ratio": 1.1, "count": 3},
+        }
+        self.run_expect_error(
+            tmp_path, capsys, doc, "error: lookahead m_max=1 reaches the next spike at 5\n"
+        )
+
 
 EDGE_CLASSIFY = {
     "command": "classify",

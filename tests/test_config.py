@@ -3,6 +3,7 @@ the compiled validation walk agrees with jsonschema on the rendered schema."""
 
 import copy
 import gc
+import inspect
 import math
 import re
 
@@ -85,6 +86,46 @@ def test_inclusion_defaults_and_seed_override():
     assert echo["corpus"]["seed"] == 7
     assert echo["space"]["alpha"] == 0.5
     assert echo["schedule"] == {"kind": "geometric", "base": 1.0, "ratio": 2.0, "count": 8}
+
+
+def _tables():
+    """Every component the command tables reach, each once."""
+    found, todo = {}, [*COMMANDS.values(), CLASSIFY_CONSTRUCTION]
+    while todo:
+        component = todo.pop()
+        if id(component) in found:
+            continue
+        found[id(component)] = component
+        for kind in component.kinds.values():
+            for f in kind.fields.values():
+                schema = f.schema.get("items") if isinstance(f.schema, dict) else f.schema
+                if isinstance(schema, Component):
+                    todo.append(schema)
+    return list(found.values())
+
+
+def test_table_defaults_agree_with_their_constructors():
+    """Where a kind's field and the same keyword of its constructor both declare a plain
+    default, the two agree: the library called without a field builds what the config
+    builds.  The inclusion space's alpha of 0.5 is the one deliberate exception."""
+    plain = (int, float, type(None))  # not REQUIRED, OMIT, a partial document or a factory
+    compared, disagree = set(), []
+    for component in _tables():
+        for name, kind in component.kinds.items():
+            if kind.build is None:
+                continue
+            keywords = inspect.signature(kind.build).parameters
+            for field_name, f in kind.fields.items():
+                keyword = keywords.get(field_name)
+                if keyword is None or not isinstance(f.default, plain) \
+                        or not isinstance(keyword.default, plain):
+                    continue
+                compared.add((component.name, name, field_name))
+                if f.default != keyword.default or type(f.default) is not type(keyword.default):
+                    disagree.append((component.name, name, field_name, f.default, keyword.default))
+    assert disagree == [("space", None, "alpha", 0.5, 1.0)]
+    assert {("construction", "thm38", "r_max"), ("construction", "thm37", "m_max"),
+            ("schedule", "geometric", "count"), ("space", None, "m_max")} <= compared
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Constructions, witnesses, the inclusion matrix, and the corpus draws."""
 
 import math
+import re
 from dataclasses import replace
 from unittest.mock import patch
 
@@ -12,12 +13,12 @@ from lacunary import (
     BlockEngine,
     CesaroC1,
     ConstantFamily,
-    CounterexampleSpec,
     CustomFamily,
     ExpMinusOne,
     Explicit,
     ExponentSequence,
     Geometric,
+    GeometricTail,
     Identity,
     IndexPowerFamily,
     IndexScaledFamily,
@@ -33,7 +34,6 @@ from lacunary import (
     build_thm37,
     build_thm38,
     classify_trajectory,
-    geometric_tail,
     liminf_growth_estimate,
     random_bounded_sequence,
     run_inclusion_matrix,
@@ -127,7 +127,7 @@ class TestDrawnPrefix:
         matrix = data.draw(st.sampled_from([
             Identity(), CesaroC1(), Shift(d=2),
             row_table(tuple(((n, 0.5), (n + 1, 0.5)) for n in range(1, out_len + 1))),
-            geometric_tail(0.5, x_bound=5.0),  # |x| <= |center| + scale * radius <= 5
+            GeometricTail(0.5, x_bound=5.0),  # |x| <= |center| + scale * radius <= 5
         ]), label="matrix")
         family = data.draw(st.sampled_from([
             ConstantFamily(Power(2.0)), ConstantFamily(LinearSlope(1.0)), IndexScaledFamily(),
@@ -180,112 +180,122 @@ def decisions(x, p):
     return tuple(classify_trajectory(stats[key].sup).decision for key in (STRONG, MODULAR_FLAGS))
 
 
+@pytest.mark.parametrize("build", [build_thm37, build_thm38], ids=["thm37", "thm38"])
+@pytest.mark.parametrize("fields,message", [
+    ({"nu": -1.0}, "nu must be >= 0"),
+    ({"rho": 0.0}, "rho must be > 0"),
+    ({"r_max": 0}, "r_max must be >= 1"),
+], ids=["nu", "rho", "r_max"])
+def test_builders_check_their_fields(build, fields, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(**fields)
+
+
 class TestBuildThm37:
     def test_default_schedule_is_powers_of_two(self):
-        x, s, p = build_thm37(CounterexampleSpec(theorem="thm37", r_max=10))
-        assert s.cut_points == tuple(0 if r == 0 else 2**r for r in range(11))
+        x, p = build_thm37(r_max=10)
+        assert p.schedule.cut_points == tuple(0 if r == 0 else 2**r for r in range(11))
 
     def test_half_block_pattern_is_exact(self):
-        x, s, p = build_thm37(CounterexampleSpec(theorem="thm37", nu=2.5, r_max=8))
-        for r in range(1, s.num_blocks + 1):
-            start = s.cut_points[r - 1]
-            h_r = s.cut_points[r] - start
+        x, p = build_thm37(nu=2.5, r_max=8)
+        for r in range(1, p.schedule.num_blocks + 1):
+            start = p.schedule.cut_points[r - 1]
+            h_r = p.schedule.cut_points[r] - start
             half = math.ceil(h_r / 2)
-            block_vals = x.values[start : s.cut_points[r]]
+            block_vals = x.values[start : p.schedule.cut_points[r]]
             assert np.all(block_vals[:half] == 2.5)
             assert np.all(block_vals[half:] == 0.0)
 
     def test_defining_inequality_at_each_cut(self):
-        x, s, p = build_thm37(CounterexampleSpec(theorem="thm37", r_max=9))
-        for r in range(1, s.num_blocks + 1):
-            val = p.family.bind([s.cut_points[r] + 1])([1.0])[0]
+        x, p = build_thm37(r_max=9)
+        for r in range(1, p.schedule.num_blocks + 1):
+            val = p.family.bind([p.schedule.cut_points[r] + 1])([1.0])[0]
             assert val < 2.0**-r
 
     def test_flags_mark_exactly_the_plateau(self):
-        x, s, p = build_thm37(CounterexampleSpec(theorem="thm37", r_max=8))
+        x, p = build_thm37(r_max=8)
         # one index per block, so each block's density is that index's flag
-        unit_blocks = build_lacunary(Explicit(tuple(range(s.last_index + 1))))
+        unit_blocks = build_lacunary(Explicit(tuple(range(p.schedule.last_index + 1))))
         stats = BlockEngine([(replace(p, schedule=unit_blocks, m_max=0), (MODULAR_FLAGS,))])(x)[0]
         flags = stats[MODULAR_FLAGS].per_m[0] == 1.0
-        expected = x.values[: s.last_index] > 0
+        expected = x.values[: p.schedule.last_index] > 0
         assert np.array_equal(flags, expected)
 
     def test_verdicts_witness_the_non_inclusion(self):
-        x, s, p = build_thm37(CounterexampleSpec(theorem="thm37", r_max=14))
+        x, p = build_thm37(r_max=14)
         assert decisions(x, p) == (CONVERGES, DIVERGES)
 
     def test_degenerate_zero_height(self):
-        x, s, p = build_thm37(CounterexampleSpec(theorem="thm37", nu=0.0, r_max=6))
+        x, p = build_thm37(nu=0.0, r_max=6)
         assert not np.any(x.values)
         assert decisions(x, p) == (CONVERGES, CONVERGES)
 
     def test_non_vanishing_family_is_rejected(self):
-        spec = CounterexampleSpec(theorem="thm37", r_max=5, family=ConstantFamily(Power(2.0)))
         with pytest.raises(HypothesisUnsatisfiable):
-            build_thm37(spec)
-
-    def test_wrong_theorem_tag(self):
-        with pytest.raises(ValueError):
-            build_thm37(CounterexampleSpec(theorem="thm38"))
+            build_thm37(r_max=5, family=ConstantFamily(Power(2.0)))
 
 
 class TestBuildThm38:
     def test_spike_inequality_holds_with_equality(self):
-        x, s, p = build_thm38(CounterexampleSpec(theorem="thm38", r_max=10))
-        h_alpha = s.block_lengths.astype(float) ** p.alpha
-        for r in range(1, s.num_blocks + 1):
-            n_r = s.cut_points[r]
+        x, p = build_thm38(r_max=10)
+        h_alpha = p.schedule.block_lengths.astype(float) ** p.alpha
+        for r in range(1, p.schedule.num_blocks + 1):
+            n_r = p.schedule.cut_points[r]
             nu_r = x.values[n_r - 1]
             got = p.family.bind([n_r])([nu_r / 1.0])[0]
             assert got >= h_alpha[r - 1] * (1 - 1e-12)
             assert got == pytest.approx(h_alpha[r - 1], rel=1e-12)
 
     def test_spikes_are_the_only_mass(self):
-        x, s, p = build_thm38(CounterexampleSpec(theorem="thm38", r_max=8))
+        x, p = build_thm38(r_max=8)
         mask = np.zeros(x.horizon, dtype=bool)
-        for r in range(1, s.num_blocks + 1):
-            mask[s.cut_points[r] - 1] = True
+        for r in range(1, p.schedule.num_blocks + 1):
+            mask[p.schedule.cut_points[r] - 1] = True
         assert np.all(x.values[~mask] == 0.0)
         assert np.all(x.values[mask] > 0.0)
 
     def test_statistics_match_analytic_values(self):
-        x, s, p = build_thm38(CounterexampleSpec(theorem="thm38", r_max=10))
+        x, p = build_thm38(r_max=10)
         stats = BlockEngine([(p, (STRONG, MODULAR_FLAGS))])(x)[0]
         strong = stats[STRONG].per_m[0]
         assert np.all(strong >= 1.0 - 1e-9)
         dens = stats[MODULAR_FLAGS].per_m[0]
-        assert dens == pytest.approx(1.0 / s.block_lengths.astype(float), rel=1e-12)
+        assert dens == pytest.approx(1.0 / p.schedule.block_lengths.astype(float), rel=1e-12)
 
     def test_single_block_boundary_case(self):
-        x, s, p = build_thm38(CounterexampleSpec(theorem="thm38", r_max=1))
-        assert s.num_blocks == 1
+        x, p = build_thm38(r_max=1)
+        assert p.schedule.num_blocks == 1
         assert BlockEngine([(p, (STRONG,))])(x)[0][STRONG].per_m[0, 0] >= 1.0 - 1e-9
 
     def test_explicit_spike_heights(self):
-        x, s, p = build_thm38(
-            CounterexampleSpec(theorem="thm38", r_max=3, nu_values=(1.0, 10.0, 100.0))
-        )
-        assert x.values[s.cut_points[2] - 1] == 10.0
+        x, p = build_thm38(r_max=3, nu_values=(1.0, 10.0, 100.0))
+        assert x.values[p.schedule.cut_points[2] - 1] == 10.0
 
     def test_decreasing_heights_rejected(self):
         with pytest.raises(HypothesisUnsatisfiable):
-            build_thm38(
-                CounterexampleSpec(theorem="thm38", r_max=3, nu_values=(3.0, 2.0, 1.0))
-            )
+            build_thm38(r_max=3, nu_values=(3.0, 2.0, 1.0))
 
     def test_spike_argument_past_float64_rejected(self):
         """nu_r / rho overflows at rho = 5e-324: an unsatisfiable hypothesis, not a warning."""
         with pytest.raises(HypothesisUnsatisfiable, match="past the range of float64"):
-            build_thm38(CounterexampleSpec(theorem="thm38", r_max=6, rho=5e-324))
+            build_thm38(r_max=6, rho=5e-324)
 
     def test_user_family_validated_at_spikes(self):
         weak = SpikeFamily(slopes=(), default_slope=1e-6)
         with pytest.raises(HypothesisUnsatisfiable):
-            build_thm38(CounterexampleSpec(theorem="thm38", r_max=4, family=weak))
+            build_thm38(r_max=4, family=weak)
 
     def test_strong_verdict_diverges(self):
-        x, s, p = build_thm38(CounterexampleSpec(theorem="thm38", r_max=10))
+        x, p = build_thm38(r_max=10)
         assert decisions(x, p)[0] == DIVERGES
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"schedule": Explicit((0, 2, 4))}, "schedule rule must produce exactly r_max blocks"),
+        ({"nu_values": (1.0, 2.0)}, "need 3 spike heights, got 2"),
+    ], ids=["schedule", "nu_values"])
+    def test_sizes_are_checked(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_thm38(r_max=3, **fields)
 
 
 def _plain_params(schedule, **kw):
@@ -392,14 +402,14 @@ class TestInclusionMatrix:
         assert report.theorem_results["T31"]["block_inequality_violations"] == expected
 
     def test_thm37_row_is_witnessed(self):
-        x, s, p = build_thm37(CounterexampleSpec(theorem="thm37", r_max=14))
+        x, p = build_thm37(r_max=14)
         report = run_inclusion_matrix([(x, p)], ["T37"])
         assert report.theorem_results["T37"]["witnesses_found"] == 1
         assert report.witnesses[0]["strong"] == CONVERGES
         assert report.witnesses[0]["shat"] == DIVERGES
 
     def test_thm38_row_is_witnessed(self):
-        x, s, p = build_thm38(CounterexampleSpec(theorem="thm38", r_max=14))
+        x, p = build_thm38(r_max=14)
         report = run_inclusion_matrix([(x, p)], ["T38"])
         assert report.theorem_results["T38"]["witnesses_found"] == 1
 
@@ -418,8 +428,8 @@ class TestInclusionMatrix:
             (random_bounded_sequence(rng, s.last_index + 2, 0.0, 1.0, 0.05, 3.0), p)
             for _ in range(6)
         ]
-        x37, _, p37 = build_thm37(CounterexampleSpec(theorem="thm37", r_max=8))
-        x38, _, p38 = build_thm38(CounterexampleSpec(theorem="thm38", r_max=8))
+        x37, p37 = build_thm37(r_max=8)
+        x38, p38 = build_thm38(r_max=8)
         corpus += [(x37, p37), (x38, p38)]
         want = run_inclusion_matrix(corpus).to_dict()
         assert run_inclusion_matrix(entry for entry in corpus).to_dict() == want
@@ -435,8 +445,8 @@ class TestInclusionMatrix:
             (random_bounded_sequence(rng, s.last_index + 2, 0.0, 1.0, 0.05, 3.0), p)
             for _ in range(5)
         ]
-        x37, _, p37 = build_thm37(CounterexampleSpec(theorem="thm37", r_max=8))
-        x38, _, p38 = build_thm38(CounterexampleSpec(theorem="thm38", r_max=8))
+        x37, p37 = build_thm37(r_max=8)
+        x38, p38 = build_thm38(r_max=8)
         corpus += [(x37, p37), (x38, p38)]
 
         built, calls = [], []

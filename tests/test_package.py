@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -85,11 +86,17 @@ def test_every_private_helper_has_a_caller():
     assert unused == []
 
 
+def _is_dataclass(cls):
+    """Whether the class node is decorated `@dataclass` or `@dataclass(...)`."""
+    return any("dataclass" in set(_names(d)) for d in cls.decorator_list)
+
+
 def test_every_class_attribute_is_read():
     """Each non-dunder name assigned in a class body of the package, a class constant or a
-    dataclass field's default, is read as an attribute (`obj.name`) by package code.
+    dataclass field's default, and each dataclass field declared without a default (an
+    `InitVar` aside), is read as an attribute (`obj.name`) by package code.
 
-    A class attribute that nothing reads is left over from a deletion.
+    A class attribute or a field that nothing reads is left over from a deletion.
     """
     package = Path(lacunary.__file__).resolve().parent
     trees = [ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))]
@@ -100,9 +107,10 @@ def test_every_class_attribute_is_read():
             for stmt in cls.body:
                 if isinstance(stmt, ast.Assign):
                     assigned.update(t.id for t in stmt.targets if isinstance(t, ast.Name))
-                elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None \
-                        and isinstance(stmt.target, ast.Name):
-                    assigned.add(stmt.target.id)
+                elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    field = _is_dataclass(cls) and "InitVar" not in set(_names(stmt.annotation))
+                    if stmt.value is not None or field:
+                        assigned.add(stmt.target.id)
     read = {node.attr for node in nodes
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     assert assigned, "the package assigns no class attribute"
@@ -168,3 +176,18 @@ def test_norms_and_inclusion_leave_numpy_ma_out(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_readme_example_prints_what_its_comments_say():
+    """README's library example runs, and each line it prints opens the comment of its print."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    comments = [line.split("# ", 1)[1] for line in block.splitlines() if line.startswith("print(")]
+    src = str(Path(lacunary.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", block], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    printed = proc.stdout.splitlines()
+    assert len(printed) == len(comments) == 5
+    for out, comment in zip(printed, comments):
+        assert re.match(re.escape(out) + r"(:| |$)", comment), (out, comment)

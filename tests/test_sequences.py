@@ -11,12 +11,12 @@ from lacunary import (
     CesaroC1,
     Explicit,
     Geometric,
+    GeometricTail,
     Identity,
     LacunarySchedule,
     Sequence,
     Shift,
     build_lacunary,
-    geometric_tail,
     transform_sequence,
 )
 from lacunary.errors import (
@@ -293,13 +293,13 @@ class TestTransformAgainstRowByRow:
     def test_geometric_tail_within_relative_sum(self, data, decay, bound_factor, tol):
         _, x, out_len = data
         x_bound = bound_factor * float(np.max(np.abs(x)))
-        A = geometric_tail(decay, x_bound)
+        A = GeometricTail(decay, x_bound)
         self.check(A, geometric_row(decay, x_bound), x, out_len, tol, rel=1e-12)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_geometric_tail_past_the_row_raises_no_overflow(self):
         x = Sequence(np.sin(np.arange(1, 2**11 + 69)) * 1.9)
-        z = transform_sequence(geometric_tail(0.5, 2.0), x, 2**11 + 4)
+        z = transform_sequence(GeometricTail(0.5, 2.0), x, 2**11 + 4)
         want = row_by_row(geometric_row(0.5, 2.0), x.values, 2**11 + 4, 1e-12)
         assert np.allclose(z.values, want, rtol=0, atol=1e-15)
 
@@ -336,7 +336,7 @@ class TestApplyMatrix:
             transform_sequence(A, short, 1)
 
     def test_row_generator_matches_truncated_sum(self):
-        A = geometric_tail(decay=0.5, x_bound=1.0)
+        A = GeometricTail(decay=0.5, x_bound=1.0)
         vals = np.sin(np.arange(1, 101)) * 0.9
         x = Sequence(vals)
         n = 3
@@ -344,14 +344,14 @@ class TestApplyMatrix:
         assert transform_sequence(A, x, n, tol=1e-9).values[-1] == pytest.approx(oracle, abs=1e-12)
 
     def test_row_generator_certifies_tail(self):
-        A = geometric_tail(decay=0.5, x_bound=1.0)
+        A = GeometricTail(decay=0.5, x_bound=1.0)
         x = Sequence(np.ones(10))
         # tail bound at horizon 10 for row 1 is 0.5**10 ~ 1e-3; ask for more
         with pytest.raises(TailBoundUnsatisfiable):
             transform_sequence(A, x, 1, tol=1e-6)
 
     def test_row_generator_enforces_declared_bound(self):
-        A = geometric_tail(decay=0.5, x_bound=1.0)
+        A = GeometricTail(decay=0.5, x_bound=1.0)
         x = Sequence(np.full(100, 2.0))
         with pytest.raises(PrefixExceedsBound):
             transform_sequence(A, x, 1, tol=1e-3)
