@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import math
 import re
 import sys
@@ -337,7 +338,7 @@ def cmd_norms(doc: dict, seed: int | None = None) -> ReportBundle:
         results["complementary"] = samples
     if "delta2" in echo:
         d2 = echo["delta2"]
-        rep = delta2_check(family, a=d2["a"], k_range=range(1, d2["k_max"] + 1))
+        rep = delta2_check(family, a=d2["a"], k_max=d2["k_max"])
         results["delta2"] = {
             "K_estimate": rep.K_estimate,
             "a": rep.a,
@@ -569,7 +570,9 @@ def _adapt_preset(doc: dict, command: str) -> dict:
     )
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call of `main` and reused by later ones."""
     parser = argparse.ArgumentParser(
         prog="lacunary",
         description="Block statistics, Orlicz-family norms, and inclusion experiments "
@@ -588,7 +591,11 @@ def main(argv: list[str] | None = None) -> int:
         sp.add_argument("--out", type=Path, default=Path("out"), help="output directory")
         sp.add_argument("--strict", action="store_true", help="exit 2 if any check fails")
         sp.add_argument("--seed", type=int, default=None, help="override the config seed")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         if args.config is not None and args.preset is not None:

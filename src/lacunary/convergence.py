@@ -260,11 +260,7 @@ class _TilePlan:
             half = n // 2 - (n // 2) % 8
             return split(lo, lo + half), split(lo + half, hi)
 
-        self.first_leaf = []  # per block, the number of its first leaf
-        self.trees = []  # per block, its tree of leaves
-        for a, b in zip(cuts, cuts[1:]):
-            self.first_leaf.append(len(leaves))
-            self.trees.append(split(a, b))
+        self.trees = [split(a, b) for a, b in zip(cuts, cuts[1:])]  # per block, its tree of leaves
         self.leaves = len(leaves)
         # per tile: its index range [a, b), the numbers of its leaves and their slices in the tile
         self.tiles: list[tuple[int, int, slice, list[slice]]] = []
@@ -278,16 +274,13 @@ class _TilePlan:
         self.width = max(b - a for a, b, _, _ in self.tiles)
 
     def block_sums(self, leaf_sums: np.ndarray) -> np.ndarray:
-        """The block sums, per row, from the leaf sums of shape (rows, leaves), up each tree."""
+        """The block sums, per row, from the leaf sums of shape (rows, leaves), up each tree;
+        exact for int64 leaf counts."""
 
         def up(tree):
             return leaf_sums[:, tree] if isinstance(tree, int) else up(tree[0]) + up(tree[1])
 
         return np.stack([up(tree) for tree in self.trees], axis=1)
-
-    def block_counts(self, leaf_counts: np.ndarray) -> np.ndarray:
-        """The block counts, per row, from the exact leaf counts of shape (rows, leaves), as float64."""
-        return np.add.reduceat(leaf_counts, self.first_leaf, axis=1).astype(np.float64)
 
 
 _PLAIN = ConstantFamily(LinearSlope(1.0))  # M(u) = u, the family of the plain-average space
@@ -577,8 +570,8 @@ class BlockEngine:
                     "a window sum or a family term is not a number (for instance a "
                     "window sum inf - inf after the prefix sum overflowed)"
                 )
-        raw = None if raw_counts is None else plan.block_counts(raw_counts)
-        counts = [None if n is None else plan.block_counts(n) for n in counts]
+        raw = None if raw_counts is None else plan.block_sums(raw_counts).astype(np.float64)
+        counts = [None if n is None else plan.block_sums(n).astype(np.float64) for n in counts]
         results = []
         for (q, bundles), g in zip(self.reads, self._group_of):
             h = self._h_alpha[q.alpha]

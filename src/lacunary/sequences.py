@@ -280,6 +280,15 @@ class Geometric:
         if self.count < 1:
             raise ValueError("geometric count must be >= 1")
 
+    def cut(self, r: int, previous: int) -> int:
+        """k_r = max(previous + 1, ceil(base * ratio**r)), given the cut before it, k_{r-1}."""
+        try:
+            return max(previous + 1, math.ceil(self.base * self.ratio**r))
+        except OverflowError:  # ratio**r past float64, or base * ratio**r infinite
+            raise ScheduleOverflow(
+                f"cut point k_{r} = ceil(base * ratio**{r}) overflows float64"
+            ) from None
+
 
 def build_lacunary(rule: Explicit | Geometric) -> LacunarySchedule:
     """Validate a schedule rule into a LacunarySchedule.
@@ -292,13 +301,7 @@ def build_lacunary(rule: Explicit | Geometric) -> LacunarySchedule:
     elif isinstance(rule, Geometric):
         cuts_list = [0]
         for r in range(1, rule.count + 1):
-            try:
-                k_r = max(cuts_list[-1] + 1, math.ceil(rule.base * rule.ratio**r))
-            except OverflowError:  # ratio**r past float64, or base * ratio**r infinite
-                raise ScheduleOverflow(
-                    f"cut point k_{r} = ceil(base * ratio**{r}) overflows float64"
-                ) from None
-            cuts_list.append(k_r)
+            cuts_list.append(rule.cut(r, cuts_list[-1]))
         cuts = tuple(cuts_list)
     else:
         raise TypeError(f"unknown schedule rule {rule!r}")

@@ -24,6 +24,12 @@ The Orlicz kernels' reference is the allocating route they replaced:
 array (`us ** p`, `c * us`, ...).  The in-place kernels must give the same
 bits, in whatever buffer they write.
 
+The sampled Musielak-Orlicz checks' reference is the per-index route:
+`per_index_delta2_check` and `per_index_growth_estimate` bind the family
+to one k at a time, and the Delta_2 one walks its samples in Python floats.
+`delta2_check` and `liminf_growth_estimate`, which evaluate the whole
+(k, u) grid at once, must give the same reports, field for field.
+
 The Orlicz axioms' reference is a grid check with an O(g**2) loop of
 scalar calls, `pairwise_axioms`, run on `raw_table`, the interpolant of any
 knots, including those `Table` refuses.  The exact slope rules of `Table`
@@ -64,10 +70,18 @@ from lacunary import (
     Table,
     transform_sequence,
 )
+from lacunary import experiments, orlicz
 from lacunary.convergence import MODULAR_FLAGS, RAW_FLAGS, STRONG
 from lacunary.config import OMIT, Component
-from lacunary.errors import BracketTooSmall, ConfigError, NoInteriorMinimum, ScaledPrefixOverflow
-from lacunary.orlicz import AmemiyaValue, PrefixNorms
+from lacunary.errors import (
+    BracketTooSmall,
+    ConfigError,
+    EmptyAdmissibleSet,
+    NoInteriorMinimum,
+    ScaledPrefixOverflow,
+)
+from lacunary.experiments import GrowthEstimate
+from lacunary.orlicz import AmemiyaValue, Delta2Report, PrefixNorms
 
 
 def row_table(rows) -> RowTable:
@@ -527,6 +541,62 @@ def reference_conjugate(family, k: int, v: float, u_max: float, tol: float) -> t
         u_hi *= 0.5
     u_star, value = golden_section_max(lambda u: abs(v) * u - M(u), 0.0, u_hi, tol)
     return max(value, 0.0), u_star
+
+
+# ---------------------------------------------------------------------------
+# the sampled Musielak-Orlicz checks: one index at a time
+# ---------------------------------------------------------------------------
+
+def per_index_delta2_check(family, a: float = 1.0, k_max: int = 32) -> Delta2Report:
+    """`delta2_check` by a loop over k that binds the family to one index at a time and a
+    loop over the admissible samples in Python floats."""
+    if a <= 0:
+        raise ValueError("threshold a must be > 0")
+    us = orlicz._default_u_grid()
+    K_est = 0.0
+    tested = 0
+    violations = []
+    for k in range(1, k_max + 1):
+        formula = family._bind(np.full(us.shape, k))
+        m_u = orlicz._run(formula, us)
+        m_2u = orlicz._run(formula, 2.0 * us)
+        admissible = m_u <= a
+        c_k = 2.0**-k
+        samples = zip(us[admissible].tolist(), m_u[admissible].tolist(), m_2u[admissible].tolist())
+        for u, mu, m2u in samples:
+            tested += 1
+            if mu == 0.0:
+                if m2u > c_k:
+                    violations.append((k, u))
+                continue
+            K_est = max(K_est, (m2u - c_k) / mu)
+    if tested == 0:
+        raise EmptyAdmissibleSet(f"no sampled (k, u) satisfies M_k(u) <= {a}")
+    return Delta2Report(a=a, K_estimate=max(K_est, 0.0), samples_tested=tested,
+                        violations=tuple(violations))
+
+
+def per_index_growth_estimate(family, rho: RhoSequence = RhoSequence(), k_max: int = 64) -> GrowthEstimate:
+    """`liminf_growth_estimate` by a loop over k = 1..k_max that binds the family to one
+    index at a time."""
+    nus = experiments._GROWTH_NUS
+    if rho.per_index is not None:
+        k_max = min(k_max, len(rho.per_index))
+    gamma = math.inf
+    sampled = False
+    for k in range(1, k_max + 1):
+        r = rho.constant if rho.per_index is None else rho.per_index[k - 1]
+        with np.errstate(over="ignore"):
+            us = nus / r
+        us = us[np.isfinite(us)]
+        if us.size:
+            sampled = True
+            ratios = orlicz._run(family._bind(np.full(us.shape, k)), us) / us
+            gamma = min(gamma, float(np.min(ratios)))
+    if not sampled:
+        raise EmptyAdmissibleSet("no sampled (k, nu) has rho_k defined and nu / rho_k finite")
+    return GrowthEstimate(gamma=gamma, nu_range=(float(nus[0]), float(nus[-1])),
+                          bounded_away=gamma > experiments._GROWTH_FLOOR)
 
 
 # ---------------------------------------------------------------------------

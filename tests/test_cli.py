@@ -512,6 +512,22 @@ class TestInclusion:
 
 
 class TestConfigHandling:
+    def test_parser_is_built_once_and_reused(self, tmp_path, capsys):
+        """main() builds its parser on the first call only; each later call parses its own
+        argv, and an argparse error on one call leaves the next one unaffected."""
+        cli._parser.cache_clear()
+        cfg = write_config(tmp_path, {
+            "command": "norms", "sequence": {"kind": "explicit", "values": [1.0, 2.0]},
+            "family": {"kind": "index_scaled"}})
+        with pytest.raises(SystemExit) as usage:
+            run_cli(["norms", "--seed", "not-an-int"])
+        assert usage.value.code == 2
+        assert "invalid int value: 'not-an-int'" in capsys.readouterr().err
+        assert run_cli(["norms", "--config", cfg, "--out", tmp_path / "a"]) == 0
+        assert run_cli(["norms", "--config", cfg, "--out", tmp_path / "b", "--seed", "3"]) == 0
+        assert cli._parser.cache_info().misses == 1 and cli._parser.cache_info().hits == 2
+        assert read_report(tmp_path / "a")["results"] == read_report(tmp_path / "b")["results"]
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -1387,6 +1403,14 @@ FUZZ_FINDINGS = {
     "horizon-past-memory": (1, {
         "command": "norms", "sequence": {"kind": "constant", "value": 1.0, "horizon": 10**13},
         "family": {"kind": "index_scaled"}}),
+    # 8e13 bytes for the Delta_2 grid's indices: numpy refuses the allocation at once
+    "delta2-k-max-past-memory": (1, {
+        "command": "norms", "sequence": {"kind": "explicit", "values": [1.0]},
+        "family": {"kind": "index_scaled"}, "delta2": {"k_max": 10**13}}),
+    # past what numpy can address: refused before any allocation (np.arange(1, 2**63) is empty)
+    "delta2-k-max-past-address-space": (1, {
+        "command": "norms", "sequence": {"kind": "explicit", "values": [1.0]},
+        "family": {"kind": "index_scaled"}, "delta2": {"k_max": 2**63 - 1}}),
 }
 
 

@@ -333,7 +333,7 @@ def test_tile_plan_adds_up_numpys_pairwise_sum(lengths, tile, seed):
         f"algorithm changed? (numpy {np.__version__})"
     )
     counts = [np.count_nonzero(values[a:b] > 0) for a, b in zip(cuts, cuts[1:])]
-    assert plan.block_counts(leaf_counts)[0].tolist() == counts
+    assert plan.block_sums(leaf_counts)[0].tolist() == counts
 
 
 def standalone(x, p, m, key):

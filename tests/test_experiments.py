@@ -183,9 +183,11 @@ def decisions(x, p):
 @pytest.mark.parametrize("build", [build_thm37, build_thm38], ids=["thm37", "thm38"])
 @pytest.mark.parametrize("fields,message", [
     ({"nu": -1.0}, "nu must be >= 0"),
+    ({"nu": math.nan}, "nu must be >= 0"),
     ({"rho": 0.0}, "rho must be > 0"),
+    ({"rho": math.nan}, "rho must be > 0"),
     ({"r_max": 0}, "r_max must be >= 1"),
-], ids=["nu", "rho", "r_max"])
+], ids=["nu", "nu-nan", "rho", "rho-nan", "r_max"])
 def test_builders_check_their_fields(build, fields, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build(**fields)
@@ -210,6 +212,19 @@ class TestBuildThm37:
         x, p = build_thm37(r_max=9)
         for r in range(1, p.schedule.num_blocks + 1):
             val = p.family.bind([p.schedule.cut_points[r] + 1])([1.0])[0]
+            assert val < 2.0**-r
+
+    @pytest.mark.parametrize("nu,rho,family", [
+        (3.0, 0.5, None),
+        (0.0, 1.0, None),
+        (0.5, 1.0, IndexPowerFamily(tuple(range(1, 13)))),  # M_k(1/2) = 2**-k up to k = 12
+    ])
+    def test_defining_inequality_at_each_cut_of_other_families(self, nu, rho, family):
+        """Every cut the search returns passes M_(n_r + 1)(nu/rho) < 2**-r, which the builder
+        does not check again."""
+        x, p = build_thm37(nu=nu, rho=rho, r_max=9, m_max=0, family=family)
+        for r in range(1, p.schedule.num_blocks + 1):
+            val = p.family.bind([p.schedule.cut_points[r] + 1])([nu / rho])[0]
             assert val < 2.0**-r
 
     def test_flags_mark_exactly_the_plateau(self):
@@ -514,12 +529,14 @@ class TestGrowthEstimate:
         assert est.gamma == pytest.approx(3.0)
         assert est.bounded_away
 
-    def test_vanishing_family_is_not_bounded_away(self):
+    def test_vanishing_family_reads_bounded_away_on_k_up_to_64(self):
+        """The blind spot of a fixed k-grid: M_k(u) = u / k vanishes pointwise, yet on
+        k = 1..64 its estimate is 1/64, which clears the floor."""
         from lacunary import IndexScaledFamily
 
-        est = liminf_growth_estimate(IndexScaledFamily(), k_range=range(1, 200))
-        assert est.gamma == pytest.approx(1.0 / 199)
-        assert est.gamma < 0.01
+        est = liminf_growth_estimate(IndexScaledFamily())
+        assert est.gamma == 1.0 / 64
+        assert est.bounded_away
 
 
 class TestRandomBoundedSequence:

@@ -7,6 +7,7 @@ compared with the plain bisection and grid + golden-section route in
 `tests/reference.py`.
 """
 
+import dataclasses
 import math
 import re
 import warnings
@@ -59,6 +60,8 @@ from reference import (
     modular,
     one_member,
     pairwise_axioms,
+    per_index_delta2_check,
+    per_index_growth_estimate,
     raw_table,
     reference_amemiya,
     reference_conjugate,
@@ -1075,17 +1078,18 @@ class TestDelta2:
             assert rep.held
 
     def test_exp_family_no_violations(self):
-        # dense grid near the admissible boundary u = log 2 (where M(u) = a)
-        grid = np.geomspace(1e-6, math.log(2.0), 200)
-        rep = delta2_check(ConstantFamily(ExpMinusOne()), a=1.0, u_samples=grid)
+        rep = delta2_check(ConstantFamily(ExpMinusOne()), a=1.0)
         assert rep.held
-        # brute-force ratio sweep over the same samples, scalar code path
+        # brute-force ratio sweep over the default (k, u) grid, scalar code path
         M = ExpMinusOne()
-        best = 0.0
+        best, tested = 0.0, 0
         for k in range(1, 33):
-            for u in grid:
-                if M(u) <= 1.0 and M(u) > 0.0:
-                    best = max(best, (M(2 * u) - 2.0**-k) / M(u))
+            for u in orlicz._default_u_grid().tolist():
+                if M(u) <= 1.0:
+                    tested += 1
+                    if M(u) > 0.0:
+                        best = max(best, (M(2 * u) - 2.0**-k) / M(u))
+        assert rep.samples_tested == tested
         assert rep.K_estimate == pytest.approx(best, rel=1e-12)
 
     def test_index_scaled_doubles(self):
@@ -1097,6 +1101,76 @@ class TestDelta2:
         fam = ConstantFamily(ScaledPower(p=1.0, c=1e12))
         with pytest.raises(EmptyAdmissibleSet):
             delta2_check(fam, a=1e-9)
+
+
+def typed(value):
+    """`value` with the type of every leaf beside it, so that == also compares the types."""
+    if isinstance(value, tuple):
+        return tuple(typed(v) for v in value)
+    return type(value), value
+
+
+def assert_same_report(run, reference, *args):
+    """`run(*args)` and `reference(*args)` give the same report field for field, types and
+    all, or the same EmptyAdmissibleSet message."""
+    try:
+        want = reference(*args)
+    except EmptyAdmissibleSet as exc:
+        with pytest.raises(EmptyAdmissibleSet) as got:
+            run(*args)
+        assert str(got.value) == str(exc)
+        return
+    got = run(*args)
+    assert type(got) is type(want)
+    assert typed(dataclasses.astuple(got)) == typed(dataclasses.astuple(want))
+
+
+TINY_SLOPES = st.sampled_from([5e-324, 1e-320, 1e-310, 1e-300])  # M(u) rounds to 0 on small u
+CHECK_FAMILIES = st.one_of(
+    FAMILIES,
+    CUSTOM_FAMILIES,
+    st.builds(ConstantFamily, st.builds(LinearSlope, TINY_SLOPES)),
+    st.builds(
+        SpikeFamily,
+        st.dictionaries(st.integers(1, 80), st.one_of(TINY_SLOPES, st.floats(1e-3, 1e300)), max_size=8)
+        .map(lambda d: tuple(d.items())),
+        st.one_of(TINY_SLOPES, st.floats(1e-3, 1e3)),
+    ),
+)
+THRESHOLDS = st.one_of(
+    st.sampled_from([5e-324, 1e-300, 1e-9, 1.0, 1e300, 1.7976931348623157e308, math.inf]),
+    st.floats(1e-12, 1e12),
+)
+RHOS = st.one_of(
+    st.builds(RhoSequence, st.one_of(st.sampled_from([5e-324, 1e-300, 1.0, 1e300]), st.floats(1e-6, 1e6))),
+    st.lists(
+        st.one_of(st.sampled_from([5e-324, 1.0, 1e308]), st.floats(1e-6, 1e6)), min_size=1, max_size=80
+    ).map(lambda values: RhoSequence(constant=None, per_index=tuple(values))),
+)
+
+
+class TestSampledChecksAgainstReference:
+    """The sampled checks evaluate their whole (k, u) grid at once; the per-index loops of
+    `tests/reference.py` must give the same reports."""
+
+    @given(family=CHECK_FAMILIES, a=THRESHOLDS, k_max=st.one_of(st.integers(1, 80), st.just(1100)))
+    @settings(max_examples=150, deadline=None)
+    @example(family=ConstantFamily(Power(2.0)), a=1.0, k_max=1100)  # c_k is 0.0 past k = 1074
+    @example(family=ConstantFamily(Power(2000.0)), a=1.0, k_max=32)  # M_k(u) = 0 < M_k(2u)
+    @example(family=SpikeFamily((), 5e-324), a=1.0, k_max=1100)  # the same, past c_k = 0.0
+    @example(family=ConstantFamily(ScaledPower(12.0, 1e300)), a=math.inf, k_max=3)  # inf / inf ratios
+    @example(family=ConstantFamily(ScaledPower(1.0, 1e12)), a=1e-9, k_max=4)  # nothing admissible
+    def test_delta2_matches_the_per_index_loop(self, family, a, k_max):
+        assert_same_report(delta2_check, per_index_delta2_check, family, a, k_max)
+
+    @given(family=CHECK_FAMILIES, rho=RHOS)
+    @settings(max_examples=150, deadline=None)
+    @example(family=IndexScaledFamily(), rho=RhoSequence(5e-324))  # no finite sample
+    @example(family=IndexScaledFamily(), rho=RhoSequence(None, (1.0, 2.0)))  # a short rho
+    @example(family=IndexScaledFamily(), rho=RhoSequence(None, (1.0,) * 80))  # a long one
+    @example(family=IndexScaledFamily(), rho=RhoSequence(None, (5e-324, 2.0, 5e-324)))
+    def test_growth_matches_the_per_index_loop(self, family, rho):
+        assert_same_report(experiments.liminf_growth_estimate, per_index_growth_estimate, family, rho)
 
 
 class TestScalarSequences:
